@@ -21,6 +21,7 @@ from .dress import (
     is_unit,
 )
 from .errors import (
+    CertificateError,
     CertificatePreconditionError,
     DressRingError,
     HypothesisNotMet,

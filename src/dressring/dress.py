@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import NotInDressRing, ZeroPolynomialError
 from .polynomials import (
@@ -19,6 +19,7 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     divrem,
+    poly_lcm,
     squarefree_decomposition,
 )
 from .realroots import _rational_roots, count_distinct_real_roots, is_gamma
@@ -150,6 +151,25 @@ def _val(x) -> RationalFunction:
 
         return _coerce_rf(x)
     raise TypeError(f"cannot mix DressElement with {type(x).__name__}")
+
+
+def over_common_denominator(
+    elems: Sequence[DressElement],
+) -> tuple[list[Polynomial], Polynomial]:
+    """Rewrite the elements as numerators over the lcm gamma of their denominators."""
+    gamma = elems[0].denominator
+    for e in elems[1:]:
+        if e.denominator.coeffs != gamma.coeffs:
+            gamma = poly_lcm(gamma, e.denominator)
+    nums = []
+    for e in elems:
+        if e.denominator.coeffs == gamma.coeffs:
+            nums.append(e.numerator)
+            continue
+        cof, rem = divrem(gamma, e.denominator)
+        assert rem.is_zero
+        nums.append(e.numerator * cof)
+    return nums, gamma
 
 
 def divides(a: DressElement, b: DressElement) -> bool:

@@ -61,6 +61,15 @@ class InternalSearchError(DressRingError, RuntimeError):
     """
 
 
+class CertificateError(DressRingError, RuntimeError):
+    """A result failed its exact verification before being returned.
+
+    The public factorization functions check every result they return, with
+    real code that survives ``python -O``.  Like InternalSearchError this
+    indicates an implementation bug, not bad input.
+    """
+
+
 class ParseError(DressRingError, ValueError):
     """Syntax error in the expression language. ``position`` is a 0-based offset."""
 

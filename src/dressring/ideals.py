@@ -11,9 +11,9 @@ write it as an exact D-combination of the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .dress import DressElement, is_member, is_unit
+from .dress import DressElement, is_member, is_unit, over_common_denominator
 from .errors import ShapeViolation
 from .polynomials import (
     NEG_INF,
@@ -21,7 +21,6 @@ from .polynomials import (
     RationalFunction,
     divrem,
     poly_gcd,
-    poly_lcm,
 )
 from .realroots import is_gamma
 
@@ -43,23 +42,6 @@ class IdealGens:
         return IdealGens(tuple(gens))
 
 
-def _common_denominator(gens: Sequence[DressElement]) -> tuple[list[Polynomial], Polynomial]:
-    """Rewrite the generators over the lcm of their denominators."""
-    gamma = gens[0].denominator
-    for g in gens[1:]:
-        if g.denominator.coeffs != gamma.coeffs:
-            gamma = poly_lcm(gamma, g.denominator)
-    nums = []
-    for g in gens:
-        if g.denominator.coeffs == gamma.coeffs:
-            nums.append(g.numerator)
-            continue
-        cof, rem = divrem(gamma, g.denominator)
-        assert rem.is_zero
-        nums.append(g.numerator * cof)
-    return nums, gamma
-
-
 def ideal_square(J: IdealGens) -> DressElement:
     """A generator s of J^2, which is always principal: J^2 = s D.
 
@@ -69,7 +51,7 @@ def ideal_square(J: IdealGens) -> DressElement:
     to the maximum), so s = M^2 * sum(f_i'^2) / gamma^2 works.  The
     postcondition r_i r_j / s in D is re-checked for every generator pair.
     """
-    nums, gamma = _common_denominator(J.gens)
+    nums, gamma = over_common_denominator(J.gens)
     nonzero = [f for f in nums if not f.is_zero]
     m = nonzero[0]
     for f in nonzero[1:]:
@@ -112,7 +94,7 @@ class PrincipalityReport:
 def _numerator_data(a: DressElement, b: DressElement):
     if a.is_zero and b.is_zero:
         raise ShapeViolation("the zero ideal has no principality data")
-    nums, gamma = _common_denominator([a, b])
+    nums, gamma = over_common_denominator([a, b])
     f, g = nums
     if f.is_zero:
         m = g.monic()

@@ -16,18 +16,21 @@ The pipeline factors row matrices (p q; 0 0):
   product.)
 
 Factor lists multiply left-to-right: the product of ``factors`` in sequence
-order equals ``target``.  Every constructor re-verifies membership,
-idempotency and the exact product before returning.
+order equals ``target``.  The pipeline stages build plain factor lists; each
+public entry point (factor_row_matrix, factor_small, swap_factorization,
+conjugate_factorization) verifies idempotency and the exact product once,
+before returning, and raises CertificateError if the check fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from .dress import DressElement, is_member
+from .dress import DressElement, is_member, over_common_denominator
 from .errors import (
+    CertificateError,
     CertificatePreconditionError,
     HypothesisNotMet,
     InternalSearchError,
@@ -40,7 +43,6 @@ from .polynomials import (
     affine_substitute,
     divrem,
     poly_gcd,
-    poly_lcm,
 )
 from .realroots import SignPattern, is_gamma, is_gamma_plus, sign_at_roots
 
@@ -232,9 +234,10 @@ def positivity_certificate_b(x: Polynomial, y: Polynomial) -> PositivityCertific
 class Factorization:
     """A target matrix with a list of idempotent factors multiplying to it.
 
-    The constructor does not verify; pipeline functions call
-    :func:`verify_factorization` (and assert) before handing one out, and the
-    same reports are available to callers for independently built candidates.
+    The constructor does not verify.  The public functions of this module run
+    :func:`verify_factorization` once on every factorization they return and
+    raise CertificateError when it fails; callers can run the same check on
+    independently built candidates.
     """
 
     target: Mat2
@@ -249,17 +252,25 @@ class Factorization:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Outcome of a verification.
+
+    ``failure`` is ``"factor-not-idempotent"`` (with ``factor_index``),
+    ``"product-mismatch"``, or, from the CLI ``verify`` command when an
+    input entry cannot be parsed into the ring, ``"entry-not-in-ring"``.
+    """
+
     ok: bool
     failure: Optional[str] = None
     factor_index: Optional[int] = None
 
 
 def verify_factorization(f: Factorization) -> VerificationReport:
-    """Re-check entry membership, idempotency of every factor, and the exact product."""
+    """Re-check idempotency of every factor and the exact product.
+
+    Entry membership needs no check: every DressElement is certified to lie
+    in the ring when it is constructed.
+    """
     for i, m in enumerate(f.factors):
-        for entry in m.entries():
-            if not is_member(entry.value):  # unreachable through DressElement, kept for reports
-                return VerificationReport(False, "entry-not-in-ring", i)
         if not is_idempotent(m):
             return VerificationReport(False, "factor-not-idempotent", i)
     if f.product() != f.target:
@@ -267,10 +278,15 @@ def verify_factorization(f: Factorization) -> VerificationReport:
     return VerificationReport(True)
 
 
-def _checked(target: Mat2, factors: list[Mat2]) -> Factorization:
+def _verified(target: Mat2, factors: list[Mat2]) -> Factorization:
+    """The one certificate check, run where a public function returns."""
     fact = Factorization(target, tuple(factors))
     report = verify_factorization(fact)
-    assert report.ok, f"pipeline produced an invalid factorization: {report.failure}"
+    if not report.ok:
+        index = "" if report.factor_index is None else f" at factor {report.factor_index}"
+        raise CertificateError(
+            f"factorization of {target} failed verification: {report.failure}{index}"
+        )
     return fact
 
 
@@ -291,27 +307,33 @@ def _invert(p: Mat2) -> Mat2:
     return Mat2(p.d * inv_det, -p.b * inv_det, -p.c * inv_det, p.a * inv_det)
 
 
-def conjugate_factorization(f: Factorization, p: Mat2) -> Factorization:
-    """Map every factor E to P^-1 E P (and the target likewise); similarity
-    preserves idempotency and products, and all invariants are re-verified."""
+def _conjugate(factors: Iterable[Mat2], p: Mat2) -> list[Mat2]:
+    """Every E mapped to P^-1 E P; similarity preserves idempotency and products."""
     p_inv = _invert(p)
-    new_target = p_inv * f.target * p
-    new_factors = [p_inv * e * p for e in f.factors]
-    return _checked(new_target, new_factors)
+    return [p_inv * e * p for e in factors]
 
 
-def swap_factorization(f: Factorization) -> Factorization:
-    """From a factorization of (p q; 0 0) produce one of (q p; 0 0).
+def _swap(factors: Iterable[Mat2]) -> list[Mat2]:
+    """Factors of (q p; 0 0) from factors of (p q; 0 0).
 
     Conjugating by the permutation matrix factors (0 0; p q); prepending the
     idempotent (1 1; 0 0) then restores a row matrix with the entries swapped.
     """
+    perm = _perm()
+    return [Mat2.of(1, 1, 0, 0)] + [perm * e * perm for e in factors]
+
+
+def conjugate_factorization(f: Factorization, p: Mat2) -> Factorization:
+    """Map every factor E to P^-1 E P (and the target likewise), verified."""
+    conjugated = _conjugate((f.target,) + f.factors, p)
+    return _verified(conjugated[0], conjugated[1:])
+
+
+def swap_factorization(f: Factorization) -> Factorization:
+    """From a factorization of (p q; 0 0) produce a verified one of (q p; 0 0)."""
     if not f.target.has_zero_second_row():
         raise ShapeViolation("swap needs a target with zero second row")
-    perm = _perm()
-    swapped = [perm * e * perm for e in f.factors]
-    new_target = Mat2.row(f.target.b, f.target.a)
-    return _checked(new_target, [Mat2.of(1, 1, 0, 0)] + swapped)
+    return _verified(Mat2.row(f.target.b, f.target.a), _swap(f.factors))
 
 
 def _factor_zero_q(p: DressElement) -> list[Mat2]:
@@ -342,30 +364,31 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
     """
     target = Mat2.row(p, q)
     if p.is_zero and q.is_zero:
-        return _checked(target, [Mat2.zero()])
+        return _verified(target, [Mat2.zero()])
     if p.is_zero:
-        return _checked(target, _factor_zero_p(q))
+        return _verified(target, _factor_zero_p(q))
     if q.is_zero:
-        return _checked(target, _factor_zero_q(p))
+        return _verified(target, _factor_zero_q(p))
 
     ratio_qp = q.value / p.value
     if is_member(ratio_qp):
-        return _checked(target, _factor_proportional(p, DressElement(ratio_qp)))
+        return _verified(target, _factor_proportional(p, DressElement(ratio_qp)))
     ratio_pq = p.value / q.value
     if is_member(ratio_pq):
-        swapped = _checked(Mat2.row(q, p), _factor_proportional(q, DressElement(ratio_pq)))
-        return swap_factorization(swapped)
+        return _verified(target, _swap(_factor_proportional(q, DressElement(ratio_pq))))
 
     sign_q_at_p = sign_at_roots(q.numerator, p.numerator)
     if p.degree >= q.degree and sign_q_at_p.is_definite():
-        return _factor_dominant(p, q)
+        return _verified(target, _factor_dominant(p, q))
     sign_p_at_q = sign_at_roots(p.numerator, q.numerator)
     if q.degree >= p.degree and sign_p_at_q.is_definite():
-        return swap_factorization(_factor_dominant(q, p))
+        return _verified(target, _swap(_factor_dominant(q, p)))
 
-    small = _try_small_common_root(p, q)
-    if small is not None:
-        return small
+    (x, y), gamma = over_common_denominator([p, q])
+    if x.degree == 2 and y.degree == 2:
+        m = poly_gcd(x, y)
+        if m.degree == 1:  # degree 2 would be proportional, handled above
+            return _verified(target, _factor_quadratics_sharing_root(x, y, gamma, m))
     raise HypothesisNotMet(
         "no factorization hypothesis applies: "
         f"deg p = {p.degree}, deg q = {q.degree}, "
@@ -378,24 +401,17 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
     )
 
 
-def _factor_dominant(p: DressElement, q: DressElement) -> Factorization:
+def _factor_dominant(p: DressElement, q: DressElement) -> list[Mat2]:
     """Hypothesis branch: deg p >= deg q and q sign-definite at the roots of p."""
     if p.degree > q.degree:
         # One shear similarity replaces q by p + q, which has deg p exactly and
         # the same values as q at every root of p.
-        inner = _factor_equal_degree(p, p + q)
-        return conjugate_factorization(inner, _shear(-1))
+        return _conjugate(_factor_equal_degree(p, p + q), _shear(-1))
     return _factor_equal_degree(p, q)
 
 
-def _factor_equal_degree(p: DressElement, q: DressElement) -> Factorization:
-    gamma = poly_lcm(p.denominator, q.denominator)
-    cof_p, rem = divrem(gamma, p.denominator)
-    assert rem.is_zero
-    cof_q, rem = divrem(gamma, q.denominator)
-    assert rem.is_zero
-    x = p.numerator * cof_p
-    y = q.numerator * cof_q
+def _factor_equal_degree(p: DressElement, q: DressElement) -> list[Mat2]:
+    (x, y), gamma = over_common_denominator([p, q])
     assert x.degree == y.degree
     if gamma.degree > x.degree + 1:
         # Pad: pull out (tau/gamma 0; 0 0) so the remaining denominator tau has
@@ -403,13 +419,11 @@ def _factor_equal_degree(p: DressElement, q: DressElement) -> Factorization:
         n = int(x.degree)
         e = n if n % 2 == 0 else n + 1
         tau = Polynomial.from_coeffs([1, 0, 1]) ** (e // 2)
-        prefix = _factor_zero_q(DressElement.from_parts(tau, gamma))
-        core = _factor_core(x, y, tau)
-        return _checked(Mat2.row(p, q), prefix + list(core.factors))
+        return _factor_zero_q(DressElement.from_parts(tau, gamma)) + _factor_core(x, y, tau)
     return _factor_core(x, y, gamma)
 
 
-def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial) -> Factorization:
+def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial) -> list[Mat2]:
     """Equal-degree core over a common denominator with deg gamma <= deg x + 1."""
     cert = positivity_certificate(x, y)
     beta, delta = cert.beta, cert.delta
@@ -421,27 +435,8 @@ def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial) -> Factorizati
         DressElement.from_parts(y * x, delta),
         DressElement.from_parts(x * x, delta),
     )
-    assert is_idempotent(t)
-    swapped_row = _checked(
-        Mat2.row(DressElement.from_parts(y, gamma), DressElement.from_parts(x, gamma)),
-        _factor_zero_q(u) + [t],
-    )
-    return swap_factorization(swapped_row)
-
-
-def _try_small_common_root(p: DressElement, q: DressElement) -> Optional[Factorization]:
-    """The quadratic-numerators-with-common-linear-factor construction, if it applies."""
-    gamma = poly_lcm(p.denominator, q.denominator)
-    cof_p, _ = divrem(gamma, p.denominator)
-    cof_q, _ = divrem(gamma, q.denominator)
-    x = p.numerator * cof_p
-    y = q.numerator * cof_q
-    if x.degree != 2 or y.degree != 2:
-        return None
-    m = poly_gcd(x, y)
-    if m.degree != 1:
-        return None  # degree 2 gcd means proportional, already handled
-    return _factor_quadratics_sharing_root(p, q, x, y, gamma, m)
+    # (u 0; 0 0) * t factors the swapped row (y/gamma, x/gamma; 0 0).
+    return _swap(_factor_zero_q(u) + [t])
 
 
 def factor_small(p: DressElement, q: DressElement) -> Factorization:
@@ -449,22 +444,15 @@ def factor_small(p: DressElement, q: DressElement) -> Factorization:
 
     Over the common denominator, numerators of degree <= 1 always satisfy a
     main-pipeline branch (a single root forces a definite sign, and common
-    roots force proportionality), so they dispatch there.  Two degree-2
-    numerators with a nonconstant gcd use the dedicated construction.
+    roots force proportionality).  Two degree-2 numerators with a nonconstant
+    gcd are proportional or reach the common-root branch.  Both shapes
+    dispatch through factor_row_matrix; any other shape is rejected.
     """
-    gamma = poly_lcm(p.denominator, q.denominator)
-    cof_p, _ = divrem(gamma, p.denominator)
-    cof_q, _ = divrem(gamma, q.denominator)
-    x = p.numerator * cof_p
-    y = q.numerator * cof_q
-    if x.degree <= 1 and y.degree <= 1:
+    (x, y), _ = over_common_denominator([p, q])
+    if (x.degree <= 1 and y.degree <= 1) or (
+        x.degree == 2 and y.degree == 2 and poly_gcd(x, y).degree >= 1
+    ):
         return factor_row_matrix(p, q)
-    if x.degree == 2 and y.degree == 2:
-        m = poly_gcd(x, y)
-        if m.degree == 2:
-            return factor_row_matrix(p, q)  # proportional
-        if m.degree == 1:
-            return _factor_quadratics_sharing_root(p, q, x, y, gamma, m)
     raise ShapeViolation(
         "factor_small needs numerators of degree <= 1, or degree-2 numerators "
         f"with a nonconstant gcd (got degrees {x.degree}, {y.degree})"
@@ -472,13 +460,11 @@ def factor_small(p: DressElement, q: DressElement) -> Factorization:
 
 
 def _factor_quadratics_sharing_root(
-    p: DressElement,
-    q: DressElement,
     x: Polynomial,
     y: Polynomial,
     gamma: Polynomial,
     m: Polynomial,
-) -> Factorization:
+) -> list[Mat2]:
     """deg x = deg y = 2 with gcd M = X - rho: build one idempotent directly.
 
     After moving rho to 0, x = X*x1 and y = X*y1 with x1, y1 linear and
@@ -517,23 +503,13 @@ def _factor_quadratics_sharing_root(
         DressElement.from_parts(z, delta),
         DressElement.from_parts(diff, delta),
     )
-    assert is_idempotent(e)
-    b_row = _checked(
-        Mat2.row(DressElement.from_parts(x_t, delta), DressElement.from_parts(sx, delta)),
-        [Mat2.of(1, 0, 0, 0), e],
-    )
-    # b_row is the conjugate of (x/delta, y/delta; 0 0) by the shear with
-    # parameter c; conjugating by the shear with parameter -c undoes it... and
-    # c = 1/r in the usual notation x + r y = s X.
-    a_row = conjugate_factorization(b_row, _shear(-c))
+    # (1 0; 0 0) * e factors (x_t/delta, s'X/delta; 0 0), the conjugate of
+    # (x_t/delta, y_t/delta; 0 0) by the shear with parameter c; conjugating
+    # by the shear with parameter -c undoes it (c = 1/r in the usual notation
+    # x + r y = s X).
+    a_factors = _conjugate([Mat2.of(1, 0, 0, 0), e], _shear(-c))
     prefix = _factor_zero_q(DressElement.from_parts(delta, gamma_t))
-    shifted = _checked(
-        Mat2.row(DressElement.from_parts(x_t, gamma_t), DressElement.from_parts(y_t, gamma_t)),
-        prefix + list(a_row.factors),
-    )
-    unshifted = _substitute_factorization(shifted, -rho)
-    assert unshifted.target == Mat2.row(p, q)
-    return unshifted
+    return _substitute(prefix + a_factors, -rho)
 
 
 def _shift_poly(p: Polynomial, rho: Fraction) -> Polynomial:
@@ -556,13 +532,13 @@ def _grow_linear_to_gamma(x_t: Polynomial) -> Polynomial:
     raise InternalSearchError("root-free offset search did not converge")
 
 
-def _substitute_factorization(f: Factorization, shift: Fraction) -> Factorization:
-    """Apply X -> X + shift to every entry; an automorphism, so all checks survive."""
+def _substitute(factors: list[Mat2], shift: Fraction) -> list[Mat2]:
+    """Apply X -> X + shift to every entry; an automorphism, so products survive."""
 
     def sub_mat(m: Mat2) -> Mat2:
         return Mat2(*(DressElement(affine_substitute(x.value, 1, shift)) for x in m.entries()))
 
-    return _checked(sub_mat(f.target), [sub_mat(m) for m in f.factors])
+    return [sub_mat(m) for m in factors]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as igcd, lcm
 from typing import Iterable, Union
 
 from .errors import ZeroDenominatorError, ZeroPolynomialError
@@ -121,8 +122,6 @@ class Polynomial:
         if not a or not b:
             return Polynomial(())
         # Integer convolution over the common coefficient denominators.
-        from math import lcm
-
         da = 1
         for c in a:
             da = lcm(da, c.denominator)
@@ -224,38 +223,46 @@ def divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial(tuple(quot)), Polynomial(tuple(rem))
 
 
+def _strip_content(c: list[int]) -> list[int]:
+    """Divide an integer coefficient list by the gcd of its entries."""
+    g = igcd(*c)
+    if g > 1:
+        return [v // g for v in c]
+    return c
+
+
 def _primitive_ints(p: Polynomial) -> list[int]:
     """Integer coefficient list of a positive rational multiple of p, content 1."""
-    from math import gcd as igcd, lcm
-
     scale = 1
     for c in p.coeffs:
         scale = lcm(scale, c.denominator)
-    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = igcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    return _strip_content([c.numerator * (scale // c.denominator) for c in p.coeffs])
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (gcd-equivalent to the remainder)."""
+def _int_prem(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """Integer pseudo-remainder and the parity sign of the implied scaling.
+
+    Returns (r, s) with rem(a, b) a *positive* multiple of s * r, where s
+    accounts for the rounds of multiplication by the (possibly negative)
+    leading coefficient of b.
+    """
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
+    rounds = 0
     while len(r) - 1 >= db:
         lr = r[-1]
         shift = len(r) - 1 - db
         r = [lb * c for c in r]
+        rounds += 1
         for i, bc in enumerate(b):
             r[shift + i] -= lr * bc
         while r and r[-1] == 0:
             r.pop()
         if not r:
             break
-    return r
+    sign = -1 if (lb < 0 and rounds % 2 == 1) else 1
+    return r, sign
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -264,8 +271,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     Computed on primitive integer coefficient lists with pseudo-remainders and
     per-step content stripping; positive scalings never change the gcd.
     """
-    from math import gcd as igcd
-
     if a.is_zero or b.is_zero:
         return (a + b).monic()
     if a.coeffs == b.coeffs:
@@ -277,15 +282,10 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(ca) < len(cb):
         ca, cb = cb, ca
     while True:
-        r = _int_prem(ca, cb)
+        r, _ = _int_prem(ca, cb)
         if not r:
             break
-        g = 0
-        for v in r:
-            g = igcd(g, v)
-        if g > 1:
-            r = [v // g for v in r]
-        ca, cb = cb, r
+        ca, cb = cb, _strip_content(r)
         if len(cb) == 1:
             return Polynomial.one()
     lc = Fraction(cb[-1])

@@ -12,15 +12,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _igcd
 from typing import Optional
 
 from .errors import InternalSearchError, ZeroPolynomialError
 from .polynomials import (
     NEG_INF,
     Polynomial,
+    _int_prem,
     _primitive_ints,
-    divrem,
+    _strip_content,
     poly_gcd,
     squarefree_part,
 )
@@ -78,52 +78,6 @@ def cauchy_bound(p: Polynomial) -> Fraction:
     return 1 + max(rest) / lc
 
 
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    """Canonical Sturm chain (p, p', -rem, ...) over the rationals."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        _, r = divrem(chain[-2], chain[-1])
-        if r.is_zero:
-            break
-        chain.append(-r)
-    return [q for q in chain if not q.is_zero]
-
-
-def _strip_content(c: list[int]) -> list[int]:
-    g = 0
-    for v in c:
-        g = _igcd(g, v)
-    if g > 1:
-        return [v // g for v in c]
-    return c
-
-
-def _signed_prem(a: list[int], b: list[int]) -> tuple[list[int], int]:
-    """Integer pseudo-remainder and the parity sign of the implied scaling.
-
-    Returns (r, s) with rem(a, b) a *positive* multiple of s * r, where s
-    accounts for the rounds of multiplication by the (possibly negative)
-    leading coefficient of b.
-    """
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    rounds = 0
-    while len(r) - 1 >= db:
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        rounds += 1
-        for i, bc in enumerate(b):
-            r[shift + i] -= lr * bc
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-    sign = -1 if (lb < 0 and rounds % 2 == 1) else 1
-    return r, sign
-
-
 class _SturmData:
     """Integer Sturm chain of a squarefree polynomial, with sign-variation queries."""
 
@@ -135,7 +89,7 @@ class _SturmData:
         if b:
             chain.append(b)
             while len(chain[-1]) > 1:
-                r, sign = _signed_prem(chain[-2], chain[-1])
+                r, sign = _int_prem(chain[-2], chain[-1])
                 if not r:
                     break
                 chain.append(_strip_content([-sign * v for v in r]))

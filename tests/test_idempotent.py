@@ -1,9 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import dressring
 from dressring import (
+    CertificateError,
     CertificatePreconditionError,
     DressElement,
     Factorization,
@@ -27,6 +33,7 @@ from dressring import (
     swap_factorization,
     verify_factorization,
 )
+from dressring import idempotent
 from dressring.idempotent import _FACTOR_COUNT_BOUND
 
 from helpers import rand_gamma, rand_member_nonzero, rand_poly
@@ -420,6 +427,87 @@ class TestVerifyFactorization:
         assert not report.ok
         assert report.failure == "factor-not-idempotent"
         assert report.factor_index == len(fact.factors) - 1
+
+
+class TestBoundaryVerification:
+    def test_one_verification_per_public_call(self, monkeypatch):
+        zero, one = DressElement.zero(), DressElement.one()
+        g4 = (X * X + 1) ** 2
+        g6 = (X * X + 1) ** 3
+        shared_p = DressElement.from_parts(X * (X + 1), g4)
+        shared_q = DressElement.from_parts(X * (X - 2), g4)
+        fact = factor_row_matrix(elem(X), elem(X + 1))
+        shear = Mat2.of(1, 2, 0, 1)
+        cases = {
+            "zero": lambda: factor_row_matrix(zero, zero),
+            "p=0": lambda: factor_row_matrix(zero, elem(X)),
+            "q=0": lambda: factor_row_matrix(elem(X), zero),
+            "q/p in D": lambda: factor_row_matrix(elem(X), elem(2 * X)),
+            "p/q in D": lambda: factor_row_matrix(elem(X), one),
+            "dominant": lambda: factor_row_matrix(elem(X), elem(X + 1)),
+            "shear": lambda: factor_row_matrix(elem(X), elem(-1)),
+            "padded": lambda: factor_row_matrix(DressElement.from_parts(X, g6),
+                                                DressElement.from_parts(X + 1, g6)),
+            "mirrored": lambda: factor_row_matrix(one, elem(X)),
+            "small common root": lambda: factor_row_matrix(shared_p, shared_q),
+            "factor_small linear": lambda: factor_small(elem(X + 2), elem(X - 1)),
+            "factor_small quadratic": lambda: factor_small(shared_p, shared_q),
+            "swap": lambda: swap_factorization(fact),
+            "conjugate": lambda: conjugate_factorization(fact, shear),
+        }
+        calls = []
+        original = idempotent.verify_factorization
+
+        def counting(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(idempotent, "verify_factorization", counting)
+        counts = {}
+        for name, call in cases.items():
+            calls.clear()
+            call()
+            counts[name] = len(calls)
+        assert counts == dict.fromkeys(cases, 1)
+
+    def test_check_survives_optimized_mode(self):
+        # A wrong factor list must be caught by real code, not by an assert
+        # that python -O removes; the CLI reports it as an operational error.
+        script = """
+import contextlib, io, json, sys
+from dressring import CertificateError, DressElement, Mat2, Polynomial, cli, idempotent
+
+def wrong(q):
+    # (0 2q; 0 1) is idempotent, but the product is (0 2q; 0 0)
+    return [Mat2.of(1, 0, 0, 0),
+            Mat2(DressElement.zero(), q + q, DressElement.zero(), DressElement.one())]
+
+idempotent._factor_zero_p = wrong
+q = DressElement.from_parts(Polynomial.one(), Polynomial.from_coeffs([1, 0, 1]))
+try:
+    idempotent.factor_row_matrix(DressElement.zero(), q)
+    raised = None
+except CertificateError as exc:
+    raised = str(exc)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["factor", "--json", "--", "[[0, 1/(X^2+1)], [0, 0]]"])
+print(json.dumps({"optimize": sys.flags.optimize, "raised": raised, "code": code,
+                  "report": json.loads(out.getvalue())}))
+"""
+        src = os.path.dirname(os.path.dirname(dressring.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["optimize"] == 1
+        assert out["raised"] is not None and "product-mismatch" in out["raised"]
+        assert out["code"] == 2
+        report = out["report"]
+        assert set(report) == {"ok", "command", "result", "error"}
+        assert report["ok"] is False and report["command"] == "factor"
+        assert report["result"] is None and "product-mismatch" in report["error"]
 
 
 class TestStableRangeWitness:
