@@ -245,8 +245,22 @@ def _cmd_stable_witness(args) -> tuple[int, dict]:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token with one leading minus as an operand unless it names an option.
+
+    Every option of this CLI is a long ``--name`` flag or ``-h``, so tokens
+    such as ``-X/(X^2+1)`` or ``-1-X^2`` are operands, not unknown flags.
+    """
+
+    def _parse_optional(self, arg_string):
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dressring",
         description="Exact computations in the minimal Dress ring of R(X) over Q.",
     )

@@ -64,9 +64,10 @@ class InternalSearchError(DressRingError, RuntimeError):
 class CertificateError(DressRingError, RuntimeError):
     """A result failed its exact verification before being returned.
 
-    The public factorization functions check every result they return, with
-    real code that survives ``python -O``.  Like InternalSearchError this
-    indicates an implementation bug, not bad input.
+    The public factorization functions, the positivity certificate and the
+    ideal computations check every result they return, with real code that
+    survives ``python -O``.  Like InternalSearchError this indicates an
+    implementation bug, not bad input.
     """
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dress import DressElement, is_member, is_unit, over_common_denominator
-from .errors import ShapeViolation
+from .errors import CertificateError, ShapeViolation
 from .polynomials import (
     NEG_INF,
     Polynomial,
@@ -68,7 +68,8 @@ def ideal_square(J: IdealGens) -> DressElement:
     for i, fi in enumerate(nums):
         for fj in nums[i:]:
             prod = RationalFunction.make(fi * fj, gamma * gamma)
-            assert is_member(prod / s.value), "squaring postcondition violated"
+            if not is_member(prod / s.value):
+                raise CertificateError(f"squaring postcondition violated for generator {s}")
     return s
 
 
@@ -134,16 +135,20 @@ def principal_generator(a: DressElement, b: DressElement) -> PrincipalityReport:
     h = Polynomial.from_coeffs([1, 0, 1]) ** (s // 2)
     gen = DressElement.from_parts(m * h, gamma)
     sum_sq = fp * fp + gp * gp
-    assert is_gamma(sum_sq)
+    if not is_gamma(sum_sq):
+        raise CertificateError(f"f'^2 + g'^2 = {sum_sq} has real roots")
     u = RationalFunction.make(sum_sq, h * h)
-    assert is_unit(u)
+    if not is_unit(u):
+        raise CertificateError(f"(f'^2 + g'^2)/h^2 = {u} is not a unit")
     # u^-1 * f'/h = h f' / (f'^2 + g'^2), and likewise for g'.
     c1 = DressElement(RationalFunction.make(h * fp, sum_sq))
     c2 = DressElement(RationalFunction.make(h * gp, sum_sq))
     # gen divides a and b: the quotients are exactly f'/h and g'/h.
-    assert is_member(RationalFunction.make(fp, h))
-    assert is_member(RationalFunction.make(gp, h))
-    assert (c1 * a + c2 * b).value == gen.value, "expansion identity violated"
+    for quotient in (RationalFunction.make(fp, h), RationalFunction.make(gp, h)):
+        if not is_member(quotient):
+            raise CertificateError(f"generator {gen} does not divide the inputs: {quotient}")
+    if (c1 * a + c2 * b).value != gen.value:
+        raise CertificateError(f"expansion identity violated for generator {gen}")
     return PrincipalityReport(
         M=m, fprime=fp, gprime=gp, s=s, principal=True, generator=gen, expansion=(c1, c2)
     )
@@ -171,8 +176,10 @@ def ideal_inverse(a: DressElement, b: DressElement) -> InverseIdeal:
     inv1 = a.value / s.value
     inv2 = b.value / s.value
     witness = a.value * inv1 + b.value * inv2
-    assert witness == RationalFunction.one()
+    if witness != RationalFunction.one():
+        raise CertificateError(f"inverse witness a*inv1 + b*inv2 = {witness}, not 1")
     for left in (a, b):
         for right in (inv1, inv2):
-            assert is_member(left.value * right)
+            if not is_member(left.value * right):
+                raise CertificateError(f"cross product {left} * ({right}) is not in the ring")
     return InverseIdeal(gens=(inv1, inv2), certificate=s)

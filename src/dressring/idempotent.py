@@ -20,6 +20,13 @@ order equals ``target``.  The pipeline stages build plain factor lists; each
 public entry point (factor_row_matrix, factor_small, swap_factorization,
 conjugate_factorization) verifies idempotency and the exact product once,
 before returning, and raises CertificateError if the check fails.
+
+Matrix arithmetic runs over one common denominator: a matrix is written N/d,
+with N a 2x2 polynomial matrix and d the monic lcm of its entries'
+denominators (root-free, so d is too).  A product is (N1 N2)/(d1 d2), with one
+reduction per result entry.  Verification reduces nothing: N/d is idempotent
+iff N*N == d*N, and factors N_1/d_1, ..., N_m/d_m multiply to N_T/d_T iff
+(N_1 ... N_m) * d_T == N_T * (d_1 ... d_m), both polynomial identities.
 """
 
 from __future__ import annotations
@@ -80,12 +87,11 @@ class Mat2:
         return Mat2(z, z, z, z)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        # N1/d1 * N2/d2 = (N1 N2)/(d1 d2): one reduction per result entry.
+        n1, d1 = _split(self)
+        n2, d2 = _split(other)
+        den = d1 * d2
+        return Mat2(*(DressElement.from_parts(n, den) for n in _mul_numerators(n1, n2)))
 
     def entries(self) -> tuple[DressElement, DressElement, DressElement, DressElement]:
         return (self.a, self.b, self.c, self.d)
@@ -123,9 +129,33 @@ def _elem(x) -> DressElement:
     raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
 
 
+_Numerators = tuple[Polynomial, Polynomial, Polynomial, Polynomial]
+
+
+def _split(m: Mat2) -> tuple[_Numerators, Polynomial]:
+    """m as N/d: a polynomial matrix N over the common denominator d of the entries."""
+    nums, d = over_common_denominator(m.entries())
+    return tuple(nums), d
+
+
+def _mul_numerators(n1: _Numerators, n2: _Numerators) -> _Numerators:
+    a, b, c, d = n1
+    e, f, g, h = n2
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _is_idempotent_split(n: _Numerators, d: Polynomial) -> bool:
+    # (N/d)^2 == N/d  <=>  N*N == d*N, since d is nonzero.
+    return _mul_numerators(n, n) == tuple(x * d for x in n)
+
+
 def is_idempotent(m: Mat2) -> bool:
-    """Exact test m * m == m."""
-    return m * m == m
+    """Exact test m * m == m.
+
+    With m = N/d over the common denominator of its entries this is the
+    polynomial identity N*N == d*N: no gcd and no reduction.
+    """
+    return _is_idempotent_split(*_split(m))
 
 
 def complete_idempotent_pair(p: DressElement, q: DressElement) -> Optional[Mat2]:
@@ -140,7 +170,8 @@ def complete_idempotent_pair(p: DressElement, q: DressElement) -> Optional[Mat2]
     if not is_member(r):
         return None
     m = Mat2(p, q, DressElement(r), DressElement.one() - p)
-    assert is_idempotent(m)
+    if not is_idempotent(m):
+        raise CertificateError(f"pair completion {m} is not idempotent")
     return m
 
 
@@ -212,9 +243,15 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
         delta = x_sq - (base * y).scale(scale)
         if is_gamma_plus(delta):
             beta = base.scale(-scale)
-            assert is_gamma(beta)
-            assert x_sq + y * beta == delta
-            assert n - 1 <= beta.degree <= n and delta.degree == 2 * n
+            if not is_gamma(beta):
+                raise CertificateError(f"certificate beta = {beta} has real roots")
+            if x_sq + y * beta != delta:
+                raise CertificateError("certificate identity delta = x^2 + y*beta violated")
+            if not (n - 1 <= beta.degree <= n and delta.degree == 2 * n):
+                raise CertificateError(
+                    f"certificate degrees out of range: deg x = {n}, "
+                    f"deg beta = {beta.degree}, deg delta = {delta.degree}"
+                )
             return PositivityCertificate(beta=beta, delta=delta, scale=scale, base=base)
         scale /= 2
     raise InternalSearchError("positivity scale search did not converge; this is a bug")
@@ -267,13 +304,27 @@ class VerificationReport:
 def verify_factorization(f: Factorization) -> VerificationReport:
     """Re-check idempotency of every factor and the exact product.
 
+    Every matrix is written N/d over the common denominator of its entries.
+    A factor N_k/d_k is idempotent iff N_k*N_k == d_k*N_k.  The factors are
+    then multiplied left to right without reducing, acc_N/acc_d =
+    (N_1 ... N_m)/(d_1 ... d_m), and the product equals the target N_T/d_T
+    iff acc_N*d_T == N_T*acc_d entrywise.  Only polynomial products and
+    comparisons are needed; no gcd is taken.  The first non-idempotent factor
+    is reported (with its index) before any product mismatch.
+
     Entry membership needs no check: every DressElement is certified to lie
     in the ring when it is constructed.
     """
-    for i, m in enumerate(f.factors):
-        if not is_idempotent(m):
+    split = [_split(m) for m in f.factors]
+    for i, (n, d) in enumerate(split):
+        if not _is_idempotent_split(n, d):
             return VerificationReport(False, "factor-not-idempotent", i)
-    if f.product() != f.target:
+    one, zero = Polynomial.one(), Polynomial.zero()
+    acc_n, acc_d = (one, zero, zero, one), one
+    for n, d in split:
+        acc_n, acc_d = _mul_numerators(acc_n, n), acc_d * d
+    target_n, target_d = _split(f.target)
+    if any(x * target_d != t * acc_d for x, t in zip(acc_n, target_n)):
         return VerificationReport(False, "product-mismatch")
     return VerificationReport(True)
 
@@ -295,10 +346,6 @@ def _shear(u) -> Mat2:
     return Mat2.of(1, u, 0, 1)
 
 
-def _perm() -> Mat2:
-    return Mat2.of(0, 1, 1, 0)
-
-
 def _invert(p: Mat2) -> Mat2:
     det = p.det()
     if not det.is_unit():
@@ -316,11 +363,12 @@ def _conjugate(factors: Iterable[Mat2], p: Mat2) -> list[Mat2]:
 def _swap(factors: Iterable[Mat2]) -> list[Mat2]:
     """Factors of (q p; 0 0) from factors of (p q; 0 0).
 
-    Conjugating by the permutation matrix factors (0 0; p q); prepending the
-    idempotent (1 1; 0 0) then restores a row matrix with the entries swapped.
+    Conjugating by the permutation matrix P = (0 1; 1 0) factors (0 0; p q);
+    prepending the idempotent (1 1; 0 0) then restores a row matrix with the
+    entries swapped.  P (a b; c d) P = (d c; b a), so the conjugation only
+    permutes entries.
     """
-    perm = _perm()
-    return [Mat2.of(1, 1, 0, 0)] + [perm * e * perm for e in factors]
+    return [Mat2.of(1, 1, 0, 0)] + [Mat2(e.d, e.c, e.b, e.a) for e in factors]
 
 
 def conjugate_factorization(f: Factorization, p: Mat2) -> Factorization:
@@ -428,7 +476,8 @@ def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial) -> list[Mat2]:
     cert = positivity_certificate(x, y)
     beta, delta = cert.beta, cert.delta
     u = DressElement(RationalFunction.make(delta, gamma * beta))
-    assert u.is_unit(), "delta/(gamma*beta) must be a unit"
+    if not u.is_unit():
+        raise CertificateError(f"delta/(gamma*beta) = {u} must be a unit")
     t = Mat2(
         DressElement.from_parts(beta * y, delta),
         DressElement.from_parts(beta * x, delta),

@@ -18,11 +18,16 @@ from math import gcd, lcm
 
 from .errors import IndeterminateSeriesError, ShapeViolation, ZeroPolynomialError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for anything this package will ever factor."""
+    """Miller-Rabin with the first 13 primes as witnesses.
+
+    Deterministic for n < 3317044064679887385961981 (about 3.3e24), the least
+    strong pseudoprime to all of these bases (Sorenson and Webster, 2015).
+    Above that bound a True answer only means n is a strong probable prime.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -33,7 +38,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _SMALL_PRIMES:  # exact for n < 3.3e24
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

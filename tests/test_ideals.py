@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dressring import (
+    CertificateError,
     DressElement,
     IdealGens,
     Polynomial,
@@ -18,6 +19,7 @@ from dressring import (
     is_unit,
     principal_generator,
 )
+from dressring import ideals
 
 from helpers import rand_member, rand_member_nonzero
 
@@ -164,3 +166,51 @@ class TestInverse:
                 continue
             inv = ideal_inverse(a, b)
             assert a.value * inv.gens[0] + b.value * inv.gens[1] == RationalFunction.one()
+
+
+class TestCertificateChecks:
+    # Each certificate check is real code raising CertificateError, so these
+    # also pass under python -O, where asserts would vanish.
+    def test_principal_generator_sum_of_squares(self, monkeypatch):
+        monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
+        with pytest.raises(CertificateError, match="real roots"):
+            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
+
+    def test_principal_generator_unit(self, monkeypatch):
+        monkeypatch.setattr(ideals, "is_unit", lambda r: False)
+        with pytest.raises(CertificateError, match="not a unit"):
+            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
+
+    def test_principal_generator_divisibility(self, monkeypatch):
+        monkeypatch.setattr(ideals, "is_member", lambda r: False)
+        with pytest.raises(CertificateError, match="does not divide"):
+            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
+
+    def test_principal_generator_expansion(self, monkeypatch):
+        # The generator is the one element built with from_parts; doubling it
+        # breaks the expansion identity and nothing else.
+        original = DressElement.from_parts
+        monkeypatch.setattr(DressElement, "from_parts",
+                            staticmethod(lambda num, den: original(num + num, den)))
+        with pytest.raises(CertificateError, match="expansion identity"):
+            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
+
+    def test_ideal_square_postcondition(self, monkeypatch):
+        monkeypatch.setattr(ideals, "is_member", lambda r: False)
+        with pytest.raises(CertificateError, match="squaring postcondition"):
+            ideal_square(IdealGens.of(elem(Polynomial.one()), elem(X)))
+
+    def test_ideal_inverse_membership(self, monkeypatch):
+        monkeypatch.setattr(ideals, "is_member", lambda r: False)
+        with pytest.raises(CertificateError, match="not in the ring"):
+            ideal_inverse(elem(Polynomial.one()), elem(X))
+
+    def test_ideal_inverse_witness(self, monkeypatch):
+        class OneIsTwo(RationalFunction):
+            @staticmethod
+            def one():
+                return RationalFunction.from_rational(2)
+
+        monkeypatch.setattr(ideals, "RationalFunction", OneIsTwo)
+        with pytest.raises(CertificateError, match="witness"):
+            ideal_inverse(elem(Polynomial.one()), elem(X))

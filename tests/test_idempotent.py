@@ -95,6 +95,47 @@ class TestIsIdempotent:
             assert not is_idempotent(perturbed)
 
 
+def entrywise_product(m1, m2):
+    """The textbook 2x2 product in DressElement arithmetic, entry by entry."""
+    a, b, c, d = m1.entries()
+    e, f, g, h = m2.entries()
+    return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def rand_entry(rng, dens):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return DressElement.zero()
+    if kind == 1:  # a constant: a polynomial entry with denominator 1
+        return DressElement.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    den = rng.choice(dens)
+    return DressElement.from_parts(rand_poly(rng, int(den.degree)), den)
+
+
+class TestMat2Product:
+    def test_random_pairs_match_entrywise_formula(self):
+        rng = random.Random(95)
+        dens = [GAMMA, X * X + X + 1, (X * X + 2) * GAMMA] + [rand_gamma(rng) for _ in range(3)]
+        fixed = [Mat2.identity(), Mat2.zero()]
+        for k in range(150):
+            m1 = Mat2(*(rand_entry(rng, dens) for _ in range(4)))
+            m2 = Mat2(*(rand_entry(rng, dens) for _ in range(4))) if k >= 2 else fixed[k]
+            for left, right in ((m1, m2), (m2, m1)):
+                assert left * right == entrywise_product(left, right)
+            assert is_idempotent(m1) == (entrywise_product(m1, m1) == m1)
+
+    def test_swap_equals_permutation_conjugation(self):
+        rng = random.Random(96)
+        dens = [GAMMA, X * X + X + 1, (X * X + 2) * GAMMA]
+        perm = Mat2.of(0, 1, 1, 0)
+        factors = [Mat2(*(rand_entry(rng, dens) for _ in range(4))) for _ in range(30)]
+        factors += list(factor_row_matrix(elem(X), elem(X + 1)).factors)
+        swapped = idempotent._swap(factors)
+        assert swapped[0] == Mat2.of(1, 1, 0, 0)
+        assert swapped[1:] == [entrywise_product(entrywise_product(perm, e), perm)
+                               for e in factors]
+
+
 class TestCompleteIdempotentPair:
     def test_worked_example(self):
         d = X * X + X + 1
@@ -429,6 +470,65 @@ class TestVerifyFactorization:
         assert report.factor_index == len(fact.factors) - 1
 
 
+class TestVerifyPerturbed:
+    FACTORIZATIONS = [
+        lambda: factor_row_matrix(elem(X), elem(X + 1)),
+        lambda: factor_row_matrix(elem(X), elem(-1)),
+        lambda: factor_row_matrix(DressElement.from_parts(X, (X * X + 1) ** 3),
+                                  DressElement.from_parts(X + 1, (X * X + 1) ** 3)),
+        lambda: factor_small(DressElement.from_parts(X * (X + 1), (X * X + 1) ** 2),
+                             DressElement.from_parts(X * (X - 2), (X * X + 1) ** 2)),
+    ]
+
+    @pytest.mark.parametrize("make", FACTORIZATIONS)
+    def test_broken_factor_reported_with_index(self, make):
+        fact = make()
+        bad = Mat2.of(2, 1, 0, 0)
+        assert entrywise_product(bad, bad) != bad
+        for i in range(len(fact.factors)):
+            factors = list(fact.factors)
+            factors[i] = bad
+            # a later broken factor never hides the first one
+            factors.append(bad)
+            report = verify_factorization(Factorization(fact.target, tuple(factors)))
+            assert (report.ok, report.failure, report.factor_index) == (
+                False, "factor-not-idempotent", i)
+
+    @pytest.mark.parametrize("make", FACTORIZATIONS)
+    def test_wrong_idempotent_factor_is_product_mismatch(self, make):
+        fact = make()
+        for i, f in enumerate(fact.factors):
+            for other in (Mat2.of(1, 0, 0, 0), Mat2.of(0, 0, 0, 1), Mat2.identity()):
+                factors = list(fact.factors)
+                factors[i] = other
+                product = Mat2.identity()
+                for m in factors:
+                    product = entrywise_product(product, m)
+                report = verify_factorization(Factorization(fact.target, tuple(factors)))
+                assert report.factor_index is None
+                if product == fact.target:
+                    assert report.ok
+                else:
+                    assert (report.ok, report.failure) == (False, "product-mismatch")
+
+    def test_empty_factor_list_is_the_identity(self):
+        assert verify_factorization(Factorization(Mat2.identity(), ())).ok
+        report = verify_factorization(Factorization(Mat2.zero(), ()))
+        assert report.failure == "product-mismatch"
+
+
+class TestDerivationChecks:
+    def test_pair_completion_check(self, monkeypatch):
+        monkeypatch.setattr(idempotent, "is_idempotent", lambda m: False)
+        with pytest.raises(CertificateError, match="not idempotent"):
+            complete_idempotent_pair(DressElement.one(), elem(X))
+
+    def test_core_unit_check(self, monkeypatch):
+        monkeypatch.setattr(DressElement, "is_unit", lambda self: False)
+        with pytest.raises(CertificateError, match="must be a unit"):
+            factor_row_matrix(elem(X), elem(X + 1))
+
+
 class TestBoundaryVerification:
     def test_one_verification_per_public_call(self, monkeypatch):
         zero, one = DressElement.zero(), DressElement.one()
@@ -492,8 +592,15 @@ except CertificateError as exc:
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["factor", "--json", "--", "[[0, 1/(X^2+1)], [0, 0]]"])
+# A positivity certificate whose beta fails the root-free check.
+idempotent.is_gamma = lambda p: False
+try:
+    idempotent.positivity_certificate(Polynomial.x(), Polynomial.from_coeffs([1, 1]))
+    cert_raised = None
+except CertificateError as exc:
+    cert_raised = str(exc)
 print(json.dumps({"optimize": sys.flags.optimize, "raised": raised, "code": code,
-                  "report": json.loads(out.getvalue())}))
+                  "report": json.loads(out.getvalue()), "cert_raised": cert_raised}))
 """
         src = os.path.dirname(os.path.dirname(dressring.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -508,6 +615,7 @@ print(json.dumps({"optimize": sys.flags.optimize, "raised": raised, "code": code
         assert set(report) == {"ok", "command", "result", "error"}
         assert report["ok"] is False and report["command"] == "factor"
         assert report["result"] is None and "product-mismatch" in report["error"]
+        assert out["cert_raised"] is not None and "real roots" in out["cert_raised"]
 
 
 class TestStableRangeWitness:

@@ -54,6 +54,12 @@ class TestFactorize:
         assert is_probable_prime(2) and is_probable_prime(999983)
         assert not is_probable_prime(1) and not is_probable_prime(999983 * 3)
 
+    def test_probable_prime_deterministic_bound(self):
+        # The least strong pseudoprime to the bases 2..37 lies below the
+        # documented bound, so it must be rejected.
+        assert not is_probable_prime(399165290221 * 798330580441)
+        assert is_probable_prime(2**61 - 1) and is_probable_prime(10**18 + 9)
+
 
 class TestZsMember:
     def test_examples(self):

@@ -192,6 +192,41 @@ class TestCli:
         assert code == 1
         assert report["result"]["failure"] == "product-mismatch"
 
+    def test_leading_minus_operands(self, capsys):
+        code, report = run_cli_json(["member", "-X/(X^2+1)"], capsys)
+        assert code == 0 and report["result"] == {"member": True}
+        check_schema(report, "member")
+        code, report = run_cli_json(["gamma", "-1-X^2"], capsys)
+        assert code == 0 and report["result"] == {"gamma": True}
+        check_schema(report, "gamma")
+        # the separator form keeps working
+        assert run_cli_json(["member", "--", "-X/(X^2+1)"], capsys)[1]["result"] == {
+            "member": True}
+        assert run_cli_json(["gamma", "--", "-1-X^2"], capsys)[1]["result"] == {"gamma": True}
+        code, report = run_cli_json(["sign-at-roots", "-X", "X"], capsys)
+        assert code == 0 and report["result"] == {"pattern": "HasZero"}
+
+    def test_leading_minus_operand_errors_stay_json(self, capsys):
+        code, report = run_cli_json(["member", "-X/(X^2-1)"], capsys)
+        assert code == 1 and report["result"] == {"member": False}
+        code, report = run_cli_json(["gamma", "-X/"], capsys)
+        assert code == 2 and "offset" in report["error"]
+        check_schema(report, "gamma")
+
+    def test_verify_factor_list_with_leading_minus(self, capsys):
+        code, report = run_cli_json(["factor", "[[-X/(X^2+1),1/(X^2+1)],[0,0]]"], capsys)
+        assert code == 0
+        factors = report["result"]["factors"]
+        assert any(f.startswith("[[-") for f in factors)
+        code, report = run_cli_json(["verify", report["result"]["target"], *factors], capsys)
+        assert code == 0 and report["result"]["verified"] is True
+        # an operand that itself starts with a minus reaches the parser and
+        # fails as a four-key report, not as an argparse usage error
+        code, report = run_cli_json(["verify", "[[1,0],[0,0]]", "[[1,0],[0,0]]", "-1"],
+                                    capsys)
+        assert code == 2 and "matrix" in report["error"]
+        check_schema(report, "verify")
+
     def test_gamma_commands(self, capsys):
         assert run_cli_json(["gamma", "X^2+1"], capsys)[0] == 0
         assert run_cli_json(["gamma", "X^2-1"], capsys)[0] == 1
