@@ -8,12 +8,16 @@ lines to a single JSON object::
 Exactly one of ``result``/``error`` is present (non-null).  Exit codes:
 0 for a positive outcome, 1 for a mathematical "no/none" (a false verdict, an
 unmet factorization hypothesis), 2 for operational errors (syntax, zero
-denominators, values outside the ring, bad flags).
+denominators, values outside the ring, bad flags).  A malformed command line
+under ``--json`` also gets the JSON report, with ``command`` set to the
+subcommand token as typed; without ``--json`` argparse's usage text goes to
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -245,11 +249,25 @@ def _cmd_stable_witness(args) -> tuple[int, dict]:
     }
 
 
+class UsageError(Exception):
+    """Malformed command line: unknown flag, missing operand or bad choice.
+
+    ``parser`` is the (sub)parser that rejected the line, ``message`` the
+    argparse text.
+    """
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        self.parser = parser
+        self.message = message
+        super().__init__(message)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads a token with one leading minus as an operand unless it names an option.
 
     Every option of this CLI is a long ``--name`` flag or ``-h``, so tokens
     such as ``-X/(X^2+1)`` or ``-1-X^2`` are operands, not unknown flags.
+    Errors raise UsageError instead of exiting, so main can report them.
     """
 
     def _parse_optional(self, arg_string):
@@ -257,6 +275,9 @@ class _Parser(argparse.ArgumentParser):
                 and arg_string not in self._option_string_actions):
             return None
         return super()._parse_optional(arg_string)
+
+    def error(self, message):
+        raise UsageError(self, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,12 +351,39 @@ def _emit(report: Report, as_json: bool, stream) -> None:
         print(f"{key}: {value}", file=stream)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main and reused afterwards."""
+    return build_parser()
+
+
+def _wants_json(argv: list[str]) -> bool:
+    """True when --json appears before any ``--`` operand separator."""
+    if "--" in argv:
+        argv = argv[:argv.index("--")]
+    return "--json" in argv
+
+
+def _command_token(argv: list[str]) -> str:
+    """The subcommand as typed: the first token that is not a flag."""
+    return next((a for a in argv if not a.startswith("-")), "")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+    except UsageError as exc:
+        if _wants_json(argv):
+            _emit(Report(ok=False, command=_command_token(argv), result=None,
+                         error=exc.message), True, sys.stdout)
+            return FAILURE
+        # argparse's own report: usage and message on stderr.
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc.message}", file=sys.stderr)
+        return FAILURE
     except SystemExit as exc:
-        # argparse exits with 2 on bad flags/commands, 0 on --help.
+        # --help and --version print and exit with 0.
         return int(exc.code or 0)
     as_json = getattr(args, "json", False)
     try:

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import IndeterminateSeriesError, ShapeViolation, ZeroPolynomialError
+from .errors import (
+    CertificateError,
+    IndeterminateSeriesError,
+    ShapeViolation,
+    ZeroPolynomialError,
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -104,6 +109,10 @@ def zs_member(q: Fraction) -> bool:
     den = q.denominator
     if den == 1:
         return True
+    # A product of primes that are 1 mod 4 is 1 mod 4, so an even denominator
+    # or one that is 3 mod 4 has a prime factor outside S.
+    if den % 4 != 1:
+        return False
     return all(_is_s_prime(p) for p in factorize(den))
 
 
@@ -136,8 +145,10 @@ def zs_gcd(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     # w = g / (d / scale) is an S-unit, so u = x*w and v = y*w stay in Z_S.
     w = g * scale / d
     u, v = x * w, y * w
-    assert u * a + v * b == g
-    assert zs_member(u) and zs_member(v)
+    if u * a + v * b != g:
+        raise CertificateError(f"zs_gcd({a}, {b}): u*a + v*b != g for g={g}, u={u}, v={v}")
+    if not (zs_member(u) and zs_member(v)):
+        raise CertificateError(f"zs_gcd({a}, {b}): Bezout coefficients u={u}, v={v} not in Z_S")
     return g, u, v
 
 

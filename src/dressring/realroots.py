@@ -1,10 +1,21 @@
 """Real-root machinery: Sturm sequences, isolation, exact signs at algebraic roots.
 
-Everything is exact.  Root counts use the Sturm chain of the squarefree part,
-so repeated roots are counted once; the half-open convention is (lo, hi].
-Chains are kept as primitive integer coefficient lists (every member is a
-positive rational multiple of the canonical one, so all sign variations
-agree), and infinite endpoints read their signs off the leading coefficients.
+Everything is exact and runs on Python integers.  Root counts use the Sturm
+chain of the squarefree part, so repeated roots are counted once; the
+half-open convention is (lo, hi].  Chains are kept as primitive integer
+coefficient lists (every member is a positive rational multiple of the
+canonical one, so all sign variations agree), and infinite endpoints read
+their signs off the leading coefficients.  A sign at a rational point n/d is
+the sign of the homogeneous integer sum sum(c_i n^i d^(k-i)) (``_sign_at``).
+
+Rational roots are found inside the isolating intervals, not by enumerating
+divisors: every rational root of a primitive integer polynomial with leading
+coefficient lc has a denominator dividing lc, and two distinct fractions with
+denominators at most |lc| are at least 1/lc^2 apart.  Bisecting a single-root
+interval below that width leaves one candidate, the fraction with denominator
+at most |lc| nearest the midpoint, which is then tested exactly.  The number
+of bisections is logarithmic in the root bound times lc^2, so the cost is
+polynomial in the bit size of the coefficients.
 """
 
 from __future__ import annotations
@@ -78,6 +89,21 @@ def cauchy_bound(p: Polynomial) -> Fraction:
     return 1 + max(rest) / lc
 
 
+def _sign_at(coeffs: list[int], t: Fraction) -> int:
+    """Exact sign of the integer polynomial sum(c_i X^i) at the rational t.
+
+    With t = n/d in lowest terms (d > 0) this is the sign of the homogeneous
+    Horner sum sum(c_i n^i d^(k-i)) = d^k * p(t), computed on integers only.
+    """
+    n, d = t.numerator, t.denominator
+    acc = 0
+    dpow = 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
+
+
 class _SturmData:
     """Integer Sturm chain of a squarefree polynomial, with sign-variation queries."""
 
@@ -99,12 +125,9 @@ class _SturmData:
         prev = 0
         count = 0
         for coeffs in self.chain:
-            acc = 0
-            for v in reversed(coeffs):
-                acc = acc * t + v
-            if acc == 0:
+            s = _sign_at(coeffs, t)
+            if s == 0:
                 continue
-            s = 1 if acc > 0 else -1
             if prev and s != prev:
                 count += 1
             prev = s
@@ -162,48 +185,8 @@ def count_distinct_real_roots(p: Polynomial) -> int:
 
 
 def _rational_roots(p: Polynomial) -> list[Fraction]:
-    """All rational roots of p (each once), via the rational root theorem."""
-    if p.is_zero:
-        raise ZeroPolynomialError("rational roots of the zero polynomial")
-    roots: list[Fraction] = []
-    coeffs = list(p.coeffs)
-    # Factor out X^k first.
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-    if len(coeffs) <= 1:
-        return roots
-    from math import lcm
-
-    scale = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * scale) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    q = Polynomial.from_coeffs(coeffs)
-    for u in _divisors(a0):
-        for v in _divisors(an):
-            cand = Fraction(u, v)
-            for root in (cand, -cand):
-                if root not in roots and q.evaluate(root) == 0:
-                    roots.append(root)
-    roots.sort()
-    return roots
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+    """All rational roots of p (each once), in increasing order."""
+    return [iv.exact for iv in isolate_real_roots(p) if iv.is_exact]
 
 
 def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
@@ -216,10 +199,36 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     data = _sturm_data(p)
     if data is None:
         return []
-    sf = data.sf
-    rational = set(_rational_roots(sf))
-    bound = cauchy_bound(sf)
+    return _isolate(data)
+
+
+def _isolate(data: _SturmData) -> list[IsolatingInterval]:
+    """isolate_real_roots on the Sturm data of a squarefree polynomial."""
+    ints = data.chain[0]
+    lc = abs(ints[-1])
+    # Distinct fractions with denominators <= lc are at least 1/lc^2 apart.
+    separation = Fraction(1, lc * lc)
+    bound = cauchy_bound(data.sf)
     var = data.variations_at
+
+    def rational_root(a: Fraction, b: Fraction, va: int) -> Optional[Fraction]:
+        """The single root in (a, b] if it is rational, else None."""
+        if _sign_at(ints, b) == 0:
+            return b
+        lo, hi, vlo = a, b, va
+        while hi - lo >= separation:
+            m = (lo + hi) / 2
+            vm = var(m)
+            if vlo - vm == 1:
+                hi = m
+            else:
+                lo, vlo = m, vm
+        # A rational root has denominator dividing lc and is the only such
+        # fraction in (lo, hi], hence the one nearest the midpoint.
+        cand = ((lo + hi) / 2).limit_denominator(lc)
+        if lo < cand <= hi and _sign_at(ints, cand) == 0:
+            return cand
+        return None
 
     out: list[IsolatingInterval] = []
 
@@ -228,14 +237,14 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
         if n == 0:
             return
         if n == 1:
-            root_here = [r for r in rational if a < r <= b]
-            if root_here:
-                out.append(IsolatingInterval(root_here[0], root_here[0], root_here[0]))
+            root = rational_root(a, b, va)
+            if root is not None:
+                out.append(IsolatingInterval(root, root, root))
                 return
             # The unique root in (a, b] is irrational.  Move a off any root so
             # the closed interval [a, b] contains exactly this root.
             lo, hi = a, b
-            while sf.evaluate(lo) == 0:
+            while _sign_at(ints, lo) == 0:
                 m = (lo + hi) / 2
                 if var(m) - var(hi) == 1:
                     lo = m
@@ -269,52 +278,62 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     return out
 
 
-def _sign_at_interval_root(q: Polynomial, data: _SturmData, q_data: Optional[_SturmData],
-                           iv: IsolatingInterval) -> int:
-    """Exact sign of q at the unique root of data.sf inside iv; 0 when q vanishes there."""
-    if iv.is_exact:
-        v = q.evaluate(iv.exact)
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    g = poly_gcd(data.sf, q)
-    if g.degree >= 1 and sturm_count(g, iv.lo, iv.hi) >= 1:
-        # The only root of data.sf in (lo, hi] is ours, and it is a root of q too.
-        return 0
+def _sign_near_root(q_ints: list[int], q_data: Optional[_SturmData], data: _SturmData,
+                    iv: IsolatingInterval) -> int:
+    """Sign of q at the irrational root of data.sf in iv, where q does not vanish.
+
+    The interval is halved until q has no root in it and is nonzero at both
+    ends; q then has one sign on the whole interval.
+    """
     var = data.variations_at
     lo, hi = iv.lo, iv.hi
+    vlo = var(lo)
     for _ in range(_BISECTION_CAP):
-        if q.evaluate(lo) != 0 and q.evaluate(hi) != 0 and (
+        s = _sign_at(q_ints, lo)
+        if s != 0 and _sign_at(q_ints, hi) != 0 and (
             q_data is None or q_data.count(lo, hi) == 0
         ):
-            v = q.evaluate(lo)
-            return 1 if v > 0 else -1
+            return s
         m = (lo + hi) / 2
-        if var(lo) - var(m) == 1:
+        vm = var(m)
+        if vlo - vm == 1:
             hi = m
         else:
-            lo = m
+            lo, vlo = m, vm
     raise InternalSearchError("sign refinement did not converge; this is a bug")
 
 
 def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
     """Signs of q at every real root of p, summarized as a SignPattern.
 
-    A common root of p and q yields HAS_ZERO, which dominates.  Signs at
-    irrational roots are decided by shrinking the isolating interval until q
-    has constant sign on it; termination is guaranteed because gcd(p, q) has
-    no root there.
+    A common root of p and q yields HAS_ZERO, which dominates: it is detected
+    exactly at rational roots and, for the others, by a real root of
+    gcd(p, q).  Signs at irrational roots are decided by shrinking the
+    isolating interval until q has constant sign on it; termination is
+    guaranteed because q does not vanish at that root.
     """
     if p.is_zero:
         raise ZeroPolynomialError("sign_at_roots requires a nonzero second argument")
-    roots = isolate_real_roots(p)
+    data = _sturm_data(p)
+    roots = [] if data is None else _isolate(data)
     if not roots:
         return SignPattern.NO_ROOTS
     if q.is_zero:
         return SignPattern.HAS_ZERO
-    data = _sturm_data(p)
-    q_data = _sturm_data(q) if q.degree >= 1 else None
+    q_ints = _primitive_ints(q)
+    q_data = None
+    if any(not iv.is_exact for iv in roots):
+        # Every real root of the gcd is a root of p, so HAS_ZERO iff it has one.
+        g = poly_gcd(data.sf, q)
+        if g.degree >= 1 and sturm_count(g) >= 1:
+            return SignPattern.HAS_ZERO
+        q_data = _sturm_data(q)
     signs = set()
     for iv in roots:
-        s = _sign_at_interval_root(q, data, q_data, iv)
+        if iv.is_exact:
+            s = _sign_at(q_ints, iv.exact)
+        else:
+            s = _sign_near_root(q_ints, q_data, data, iv)
         if s == 0:
             return SignPattern.HAS_ZERO
         signs.add(s)
@@ -331,9 +350,8 @@ _gamma_cache: dict[tuple, bool] = {}
 def is_gamma(p: Polynomial) -> bool:
     """True iff p is nonzero and has no real roots (the multiplicative set Gamma).
 
-    Nonzero constants qualify as the empty product.  A true result implies the
-    degree is even, which is asserted: an odd-degree real polynomial always has
-    a real root.
+    Nonzero constants qualify as the empty product.  A true result implies an
+    even degree: an odd-degree real polynomial always has a real root.
     """
     if p.is_zero:
         return False
@@ -350,8 +368,6 @@ def is_gamma(p: Polynomial) -> bool:
         else:
             cached = count_distinct_real_roots(p) == 0
         _gamma_cache[p.coeffs] = cached
-    if cached:
-        assert deg % 2 == 0
     return cached
 
 

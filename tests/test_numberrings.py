@@ -1,11 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dressring import numberrings
 from dressring import (
+    CertificateError,
     IndeterminateSeriesError,
     SeriesBase,
     ShapeViolation,
@@ -85,7 +88,38 @@ class TestZsMember:
             assert member == sum_of_two_squares_lt(p)
 
 
+    def test_parity_rejection_skips_factoring(self, monkeypatch):
+        # Two 16-digit primes, 1 and 3 mod 4: Pollard rho would take seconds.
+        p, q = 1000000000000037, 1100000000000023
+        start = time.perf_counter()
+        assert not zs_member(Fraction(1, p * q))
+        assert time.perf_counter() - start < 0.5
+
+        def no_factoring(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(numberrings, "factorize", no_factoring)
+        for den in (2, 3, 4, 6, 7, 11, 12, 5 * 3 * 5, 2 * 5, p * q):
+            assert den % 4 != 1
+            assert not zs_member(Fraction(1, den))
+
+
 class TestZsGcd:
+    def test_certificate_checks_raise(self, monkeypatch):
+        original = numberrings._int_extended_gcd
+
+        def wrong_bezout(a, b):
+            d, x, y = original(a, b)
+            return d, x + 1, y
+
+        monkeypatch.setattr(numberrings, "_int_extended_gcd", wrong_bezout)
+        with pytest.raises(CertificateError, match="u\\*a \\+ v\\*b"):
+            zs_gcd(Fraction(6), Fraction(10))
+        monkeypatch.setattr(numberrings, "_int_extended_gcd", original)
+        monkeypatch.setattr(numberrings, "zs_member", lambda q: False)
+        with pytest.raises(CertificateError, match="not in Z_S"):
+            zs_gcd(Fraction(6), Fraction(10))
+
     def test_example_6_10(self):
         g, u, v = zs_gcd(Fraction(6), Fraction(10))
         assert g == 2

@@ -316,6 +316,50 @@ class TestCli:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
 
+    @pytest.mark.parametrize("argv, command, message", [
+        (["member", "--json", "--bogus", "X"], "member", "unrecognized arguments: --bogus"),
+        (["member", "--json"], "member", "the following arguments are required: expr"),
+        (["certificate", "--json", "--part", "c", "X", "X^2+1"], "certificate",
+         "argument --part: invalid choice: 'c'"),
+    ])
+    def test_malformed_flags_stay_json(self, capsys, argv, command, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        report = json.loads(captured.out)
+        check_schema(report, command)
+        assert report["ok"] is False and message in report["error"]
+
+    def test_malformed_flags_without_json_print_usage(self, capsys):
+        assert main(["member", "--bogus", "X"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dressring")
+        assert "dressring: error: unrecognized arguments: --bogus" in captured.err
+        assert main(["certificate", "--part", "c", "X", "X"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dressring certificate")
+        assert "dressring certificate: error: argument --part: invalid choice" in err
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        from dressring import cli
+
+        calls = []
+        original = cli.build_parser
+
+        def counting_build_parser():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["member", "X"], ["gamma", "X^2+1"], ["member", "--bogus", "X"]):
+                main(argv)
+            assert len(calls) == 1
+        finally:
+            cli._parser.cache_clear()
+
     def test_console_script_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dressring.cli", "member", "X/(X^2+1)", "--json"],

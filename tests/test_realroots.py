@@ -1,8 +1,11 @@
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from dressring import realroots
 from dressring import (
     Polynomial,
     SignPattern,
@@ -180,3 +183,168 @@ class TestGamma:
             p, roots = rand_planted_roots_poly(rng, rng.randint(1, 3))
             b = cauchy_bound(p)
             assert all(abs(r) < b for r in roots)
+
+
+def divisor_reference_rational_roots(p: Polynomial) -> list[Fraction]:
+    """Rational root theorem by brute force: every +-u/v with u | a0, v | lc.
+
+    Only for small coefficients; it enumerates divisors by trial division.
+    """
+    coeffs = list(p.coeffs)
+    roots = set()
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+        roots.add(Fraction(0))
+    if len(coeffs) <= 1:
+        return sorted(roots)
+    scale = lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * scale) for c in coeffs]
+    q = Polynomial.from_coeffs(ints)
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for u in divisors(ints[0]):
+        for v in divisors(ints[-1]):
+            for cand in (Fraction(u, v), Fraction(-u, v)):
+                if q.evaluate(cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def rational_roots(p: Polynomial) -> list[Fraction]:
+    return [iv.exact for iv in isolate_real_roots(p) if iv.is_exact]
+
+
+class TestRationalRootsInsideIntervals:
+    @pytest.mark.parametrize("exponent", [18, 30])
+    def test_no_cliff_in_constant_term(self, exponent):
+        # The roots are +-10^(exponent/2): a divisor search of 10^exponent
+        # would take hours, interval refinement takes milliseconds.
+        root = 10 ** (exponent // 2)
+        start = time.perf_counter()
+        ivs = isolate_real_roots(X * X - 10**exponent)
+        elapsed = time.perf_counter() - start
+        assert [iv.exact for iv in ivs] == [Fraction(-root), Fraction(root)]
+        assert elapsed < 0.5
+
+    def test_large_leading_coefficient(self):
+        lin = Polynomial.from_coeffs([-10**18, 7919])
+        p = lin * (X * X - 2)
+        start = time.perf_counter()
+        ivs = isolate_real_roots(p)
+        assert [iv.exact for iv in ivs if iv.is_exact] == [Fraction(10**18, 7919)]
+        assert len(ivs) == 3
+        assert sign_at_roots(X - 2 * 10**14, p) is SignPattern.ALL_NEGATIVE
+        assert sign_at_roots(lin + 1, p) is SignPattern.MIXED
+        assert sign_at_roots(lin * (X + 5), p) is SignPattern.HAS_ZERO
+        assert time.perf_counter() - start < 0.5
+
+    def test_adjacent_fractions_with_large_denominators(self):
+        # 1/7919 and 1/7918 differ by less than 1/lc, so a coarse interval
+        # would hold both candidates.
+        p = Polynomial.from_coeffs([-1, 7919]) * Polynomial.from_coeffs([-1, 7918])
+        assert rational_roots(p) == [Fraction(1, 7919), Fraction(1, 7918)]
+        q = Polynomial.from_coeffs([-1, 7919]) * (Polynomial.from_coeffs([-2, 0, 7918**2]))
+        assert rational_roots(q) == [Fraction(1, 7919)]
+
+    def test_matches_divisor_enumeration(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            p = rand_poly(rng, 5, -12, 12, nonzero=True)
+            if rng.random() < 0.5:
+                lin = Polynomial.from_coeffs([rng.randint(-12, 12), rng.randint(1, 12)])
+                p = p * lin
+            if rng.random() < 0.3:
+                p = p * Polynomial.from_coeffs([Fraction(rng.randint(1, 9), rng.randint(1, 9))])
+            assert rational_roots(p) == divisor_reference_rational_roots(p)
+
+    def test_sign_query_builds_one_chain_for_p(self, monkeypatch):
+        built = []
+        original = realroots._SturmData.__init__
+
+        def counting_init(self, sf):
+            built.append(sf)
+            original(self, sf)
+
+        monkeypatch.setattr(realroots._SturmData, "__init__", counting_init)
+        p = (X - 1) * (X + 2) * (X * X - 3)
+        q = X - 5
+        assert sign_at_roots(q, p) is SignPattern.ALL_NEGATIVE
+        assert sum(1 for sf in built if sf.degree == p.degree) == 1
+
+
+class TestSympyOracle:
+    """Differential checks against SymPy's own real-root algorithms."""
+
+    @staticmethod
+    def _inputs():
+        rng = random.Random(97)
+        out = []
+        for _ in range(40):  # seeded random
+            out.append(rand_poly(rng, 7, -20, 20, nonzero=True))
+        for _ in range(10):  # huge coefficients
+            p = Polynomial.from_coeffs([rng.randint(-10**40, 10**40), rng.randint(1, 10**20)])
+            out.append(p * rand_poly(rng, 4, -10**15, 10**15, nonzero=True))
+        for _ in range(10):  # high multiplicity
+            p, _ = rand_planted_roots_poly(rng, rng.randint(1, 3))
+            out.append(p ** rng.randint(2, 5) * (X * X - rng.randint(2, 7)) ** 3)
+        for _ in range(10):  # clustered roots
+            base, den = rng.randint(-50, 50), 10 ** rng.randint(3, 8)
+            p = Polynomial.one()
+            for k in range(3):
+                p = p * Polynomial.from_coeffs([-(base * den + k), den])
+            out.append(p * (Polynomial.from_coeffs([-(base * den + 1) ** 2 - 1, 0, den * den])))
+        return out
+
+    @staticmethod
+    def _to_sympy(sympy, p: Polynomial):
+        x = sympy.Symbol("x")
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)], x, domain="QQ")
+
+    @staticmethod
+    def _sympy_pattern(sympy, q, p) -> SignPattern:
+        """Sign pattern of q at the real roots of p, from SymPy's isolation."""
+        intervals = p.intervals()
+        if not intervals:
+            return SignPattern.NO_ROOTS
+        if q.is_zero:
+            return SignPattern.HAS_ZERO
+        g = sympy.gcd(p, q)
+        sqf = p.sqf_part()
+        signs = set()
+        for (s, t), _ in intervals:
+            if g.degree() >= 1 and g.count_roots(s, t) >= 1:
+                return SignPattern.HAS_ZERO
+            while q.count_roots(s, t) > 0:
+                s, t = sqf.refine_root(s, t, eps=(t - s) / 4)
+            signs.add(1 if q.eval(s) > 0 else -1)
+        if signs == {1}:
+            return SignPattern.ALL_POSITIVE
+        if signs == {-1}:
+            return SignPattern.ALL_NEGATIVE
+        return SignPattern.MIXED
+
+    def test_root_counts_and_rational_roots(self):
+        sympy = pytest.importorskip("sympy")
+        for p in self._inputs():
+            sp = self._to_sympy(sympy, p)
+            ivs = isolate_real_roots(p)
+            assert len(ivs) == len(sp.intervals()) == count_distinct_real_roots(p)
+            expected = sorted(Fraction(int(r.p), int(r.q)) for r in sp.ground_roots())
+            assert [iv.exact for iv in ivs if iv.is_exact] == expected
+
+    def test_sign_patterns(self):
+        sympy = pytest.importorskip("sympy")
+        inputs = self._inputs()
+        rng = random.Random(41)
+        for p in inputs:
+            q = rng.choice(inputs)
+            roots = rational_roots(p)
+            if roots and rng.random() < 0.5:  # share one real root with p
+                q = q * Polynomial.from_coeffs([-rng.choice(roots), 1])
+            for a, b in ((q, p), (p, q)):
+                expected = self._sympy_pattern(
+                    sympy, self._to_sympy(sympy, a), self._to_sympy(sympy, b))
+                assert sign_at_roots(a, b) is expected
