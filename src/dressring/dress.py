@@ -18,11 +18,11 @@ from .polynomials import (
     Degree,
     Polynomial,
     RationalFunction,
-    divrem,
+    _exact_div,
     poly_lcm,
     squarefree_decomposition,
 )
-from .realroots import _rational_roots, count_distinct_real_roots, is_gamma
+from .realroots import is_gamma, isolate_real_roots
 
 
 def is_member(r: RationalFunction) -> bool:
@@ -159,16 +159,14 @@ def over_common_denominator(
     """Rewrite the elements as numerators over the lcm gamma of their denominators."""
     gamma = elems[0].denominator
     for e in elems[1:]:
-        if e.denominator.coeffs != gamma.coeffs:
+        if e.denominator != gamma:
             gamma = poly_lcm(gamma, e.denominator)
     nums = []
     for e in elems:
-        if e.denominator.coeffs == gamma.coeffs:
+        if e.denominator == gamma:
             nums.append(e.numerator)
-            continue
-        cof, rem = divrem(gamma, e.denominator)
-        assert rem.is_zero
-        nums.append(e.numerator * cof)
+        else:
+            nums.append(e.numerator * _exact_div(gamma, e.denominator))
     return nums, gamma
 
 
@@ -192,8 +190,8 @@ def associates(a: DressElement, b: DressElement) -> bool:
 class NumeratorClassification:
     """Square-free content of a reduced numerator, sorted by real-root behaviour.
 
-    Each entry is a (monic factor, multiplicity) pair certified by a Sturm
-    count: real_rooted factors have as many distinct real roots as their
+    Each entry is a (monic factor, multiplicity) pair certified by real-root
+    isolation: real_rooted factors have as many distinct real roots as their
     degree, root_free factors have none, mixed factors are strictly in
     between.  ``constant`` is the leading scalar, so that
     constant * prod(factor ** multiplicity) reproduces the numerator exactly.
@@ -216,7 +214,11 @@ class NumeratorClassification:
 
 
 def classify_numerator(a: DressElement) -> NumeratorClassification:
-    """Classify the square-free factors of a's reduced numerator by root type."""
+    """Classify the square-free factors of a's reduced numerator by root type.
+
+    One isolation per factor: exact roots split off as linear factors, and the
+    other intervals count the (irrational) real roots of the cofactor.
+    """
     if a.is_zero:
         raise ZeroPolynomialError("cannot classify the zero element")
     num = a.numerator
@@ -225,13 +227,15 @@ def classify_numerator(a: DressElement) -> NumeratorClassification:
     root_free: list[tuple[Polynomial, int]] = []
     mixed: list[tuple[Polynomial, int]] = []
     for s, mult in squarefree_decomposition(num):
-        for root in _rational_roots(s):
-            lin = Polynomial.from_coeffs([-root, 1])
+        n_real = 0
+        for iv in isolate_real_roots(s):
+            if not iv.is_exact:
+                n_real += 1
+                continue
+            lin = Polynomial.from_coeffs([-iv.exact, 1])
             real_rooted.append((lin, mult))
-            s, rem = divrem(s, lin)
-            assert rem.is_zero
+            s = _exact_div(s, lin)
         if s.degree >= 1:
-            n_real = count_distinct_real_roots(s)
             if n_real == 0:
                 root_free.append((s, mult))
             elif n_real == s.degree:

@@ -19,7 +19,7 @@ from .polynomials import (
     NEG_INF,
     Polynomial,
     RationalFunction,
-    divrem,
+    _exact_div,
     poly_gcd,
 )
 from .realroots import is_gamma
@@ -56,13 +56,9 @@ def ideal_square(J: IdealGens) -> DressElement:
     m = nonzero[0]
     for f in nonzero[1:]:
         m = poly_gcd(m, f)
-    reduced = []
-    for f in nums:
-        q, r = divrem(f, m)
-        assert r.is_zero
-        reduced.append(q)
     total = Polynomial.zero()
-    for q in reduced:
+    for f in nums:
+        q = _exact_div(f, m)
         total = total + q * q
     s = DressElement.from_parts(m * m * total, gamma * gamma)
     for i, fi in enumerate(nums):
@@ -97,18 +93,8 @@ def _numerator_data(a: DressElement, b: DressElement):
         raise ShapeViolation("the zero ideal has no principality data")
     nums, gamma = over_common_denominator([a, b])
     f, g = nums
-    if f.is_zero:
-        m = g.monic()
-    elif g.is_zero:
-        m = f.monic()
-    else:
-        m = poly_gcd(f, g)
-    if m.degree >= 1:
-        fp, r1 = divrem(f, m)
-        gp, r2 = divrem(g, m)
-        assert r1.is_zero and r2.is_zero
-    else:
-        fp, gp = f.scale(1 / m.leading_coefficient), g.scale(1 / m.leading_coefficient)
+    m = poly_gcd(f, g)  # monic, and g.monic() when f = 0
+    fp, gp = (_exact_div(f, m), _exact_div(g, m)) if m.degree >= 1 else (f, g)
     s = max(fp.degree, gp.degree)
     assert s != NEG_INF
     return m, fp, gp, int(s), gamma

@@ -47,8 +47,8 @@ from .errors import (
 from .polynomials import (
     Polynomial,
     RationalFunction,
+    _exact_div,
     affine_substitute,
-    divrem,
     poly_gcd,
 )
 from .realroots import SignPattern, is_gamma, is_gamma_plus, sign_at_roots
@@ -528,10 +528,8 @@ def _factor_quadratics_sharing_root(
     x_t = _shift_poly(x, rho)
     y_t = _shift_poly(y, rho)
     gamma_t = _shift_poly(gamma, rho)
-    x1, rem = divrem(x_t, Polynomial.x())
-    assert rem.is_zero
-    y1, rem = divrem(y_t, Polynomial.x())
-    assert rem.is_zero
+    x1 = _exact_div(x_t, Polynomial.x())
+    y1 = _exact_div(y_t, Polynomial.x())
     # c kills the quadratic term of c*x_t + y_t: c = -lc(y1)/lc(x1).
     c = -y1.leading_coefficient / x1.leading_coefficient
     combo = x1.scale(c) + y1

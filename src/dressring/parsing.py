@@ -232,9 +232,10 @@ def format_polynomial(p: Polynomial) -> str:
     """Canonical form: terms from highest degree down, signs rendered as ' + '/' - '."""
     if p.is_zero:
         return "0"
+    coeffs = p.coeffs
     out = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         mag = abs(c)
@@ -252,7 +253,7 @@ def format_polynomial(p: Polynomial) -> str:
 
 def format_rational_function(r: RationalFunction) -> str:
     """Canonical form: reduced, monic denominator; '(num)/(den)' unless den = 1."""
-    if r.den.degree == 0 and r.den.coeffs and r.den.coeffs[0] == 1:
+    if r.den == Polynomial.one():
         return format_polynomial(r.num)
     return f"({format_polynomial(r.num)})/({format_polynomial(r.den)})"
 

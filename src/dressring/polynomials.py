@@ -1,8 +1,11 @@
-"""Exact univariate polynomials and rational functions over arbitrary-precision rationals.
+"""Exact univariate polynomials and rational functions over the rationals.
 
-Coefficients are ``fractions.Fraction`` throughout; nothing here ever rounds.
-The degree of the zero polynomial is the sentinel ``NEG_INF`` (never -1), so
-degree bookkeeping like ``deg(a) + deg(b)`` stays correct in every branch.
+A polynomial is integer numerators over one positive denominator, in lowest
+terms and without a trailing zero; that form is unique, so equality and
+hashing are structural.  Arithmetic runs on Python integers, values come from
+one homogeneous Horner sum and every division from one integer pseudo-division
+loop (``_pdiv``); ``coeffs`` is a ``Fraction`` view.  Nothing here rounds.
+The degree of the zero polynomial is the sentinel ``NEG_INF`` (never -1).
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
-from .errors import ZeroDenominatorError, ZeroPolynomialError
+from .errors import CertificateError, ZeroDenominatorError, ZeroPolynomialError
 
 Rational = Fraction
 
@@ -31,22 +34,51 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"coefficient must be an int or Fraction, got {type(c).__name__}")
 
 
+def _make(ints: list[int], denom: int = 1) -> "Polynomial":
+    """The canonical form of sum(ints[i] X^i) / denom, for any nonzero denom."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _ZERO
+    if denom < 0:
+        denom = -denom
+        ints = [-c for c in ints]
+    if denom != 1:
+        g = igcd(denom, *ints)
+        if g > 1:
+            denom //= g
+            ints = [c // g for c in ints]
+    return Polynomial(tuple(ints), denom)
+
+
+def _horner(ints: Sequence[int], n: int, d: int) -> int:
+    """d^k * p(n/d) = sum(ints[i] n^i d^(k-i)) for p = sum(ints[i] X^i) of degree k."""
+    acc = 0
+    dpow = 1
+    for c in reversed(ints):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return acc
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial; ``coeffs[i]`` is the coefficient of X^i.
+    """Dense univariate polynomial ``sum(ints[i] X^i) / denom``.
 
-    The coefficient sequence never has a trailing zero, so the zero polynomial
-    is exactly the empty tuple.  Instances are immutable and hashable.
+    In canonical form ``denom > 0``, ``gcd(denom, *ints) == 1`` and ``ints``
+    has no trailing zero, so the zero polynomial is ``((), 1)``.  Build values
+    with :meth:`from_coeffs` or the arithmetic operators; the raw constructor
+    trusts its arguments.  Instances are immutable and hashable.
     """
 
-    coeffs: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    denom: int = 1
 
     @staticmethod
     def from_coeffs(coeffs: Iterable) -> "Polynomial":
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
+        denom = lcm(*(c.denominator for c in cs))
+        return _make([c.numerator * (denom // c.denominator) for c in cs], denom)
 
     @staticmethod
     def constant(c) -> "Polynomial":
@@ -54,55 +86,64 @@ class Polynomial:
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return _ZERO
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((Fraction(1),))
+        return _ONE
 
     @staticmethod
     def x() -> "Polynomial":
-        return Polynomial((Fraction(0), Fraction(1)))
+        return Polynomial((0, 1))
 
     @staticmethod
     def monomial(k: int, c=1) -> "Polynomial":
         return Polynomial.from_coeffs([0] * k + [c])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ``coeffs[i]`` of X^i; built on each read."""
+        d = self.denom
+        return tuple(Fraction(c, d) for c in self.ints)
+
+    @property
     def degree(self) -> Degree:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.ints) - 1 if self.ints else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ZeroPolynomialError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.denom)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self.ints, self.denom, other.ints, other.denom
+        if da != db:
+            g = igcd(da, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (da // g) for c in b]
+            da = da // g * db
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        while out and out[-1] == 0:
-            out.pop()
-        return Polynomial(tuple(out))
+        return _make(out, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial(tuple(-c for c in self.ints), self.denom)
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -114,44 +155,28 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, _COEF_TYPES):
-            return self.scale(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+            return self.scale(other) if isinstance(other, _COEF_TYPES) else NotImplemented
+        a, b = self.ints, other.ints
         if not a or not b:
-            return Polynomial(())
-        # Integer convolution over the common coefficient denominators.
-        da = 1
-        for c in a:
-            da = lcm(da, c.denominator)
-        db = 1
-        for c in b:
-            db = lcm(db, c.denominator)
-        ia = [c.numerator * (da // c.denominator) for c in a]
-        ib = [c.numerator * (db // c.denominator) for c in b]
+            return _ZERO
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(ia):
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(ib):
+                for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        while out and out[-1] == 0:
-            out.pop()
-        scale = da * db
-        return Polynomial(tuple(Fraction(v, scale) for v in out))
+        return _make(out, self.denom * other.denom)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
         c = _as_fraction(c)
-        if c == 0:
-            return Polynomial(())
-        return Polynomial(tuple(c * a for a in self.coeffs))
+        return _make([c.numerator * v for v in self.ints], self.denom * c.denominator)
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Polynomial.one()
+        result = _ONE
         base = self
         while n:
             if n & 1:
@@ -161,26 +186,24 @@ class Polynomial:
         return result
 
     def evaluate(self, t) -> Fraction:
-        """Horner evaluation at a rational point."""
+        """Exact value at a rational point, from the integer Horner sum."""
         t = _as_fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        if not self.ints:
+            return Fraction(0)
+        d = t.denominator
+        return Fraction(_horner(self.ints, t.numerator, d),
+                        self.denom * d ** (len(self.ints) - 1))
 
     def __call__(self, t) -> Fraction:
         return self.evaluate(t)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
+        return _make([i * c for i, c in enumerate(self.ints)][1:], self.denom)
 
     def monic(self) -> "Polynomial":
-        if not self.coeffs:
+        if not self.ints or self.ints[-1] == self.denom:
             return self
-        lc = self.coeffs[-1]
-        if lc == 1:
-            return self
-        return Polynomial(tuple(c / lc for c in self.coeffs))
+        return _make(list(self.ints), self.ints[-1])
 
     def __str__(self) -> str:
         from .parsing import format_polynomial
@@ -191,6 +214,10 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+_ZERO = Polynomial(())
+_ONE = Polynomial((1,))
+
+
 def _coerce(value) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
@@ -199,28 +226,48 @@ def _coerce(value) -> Polynomial:
     return NotImplemented
 
 
+def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division for deg a >= deg b >= 0: (q, r, s), s*a == q*b + r, deg r < deg b.
+
+    s = lc(b)^k for the k quotient terms; scaling a by s up front makes every
+    quotient step an exact integer division by lc(b).
+    """
+    db = len(b) - 1
+    lb = b[-1]
+    k = len(a) - db
+    s = lb**k
+    r = [s * c for c in a]
+    q = [0] * k
+    for i in range(k - 1, -1, -1):
+        c = r[i + db] // lb
+        if c:
+            q[i] = c
+            for j, bj in enumerate(b):
+                r[i + j] -= c * bj
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
 def divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Euclidean division: returns (q, r) with a = q*b + r and deg r < deg b."""
     if b.is_zero:
         raise ZeroPolynomialError("division by the zero polynomial")
-    if a.is_zero or len(a.coeffs) < len(b.coeffs):
-        return Polynomial(()), a
-    rem = list(a.coeffs)
-    div = b.coeffs
-    dlen = len(div)
-    inv_lc = 1 / div[-1]
-    quot = [Fraction(0)] * (len(rem) - dlen + 1)
-    for i in range(len(rem) - dlen, -1, -1):
-        c = rem[i + dlen - 1] * inv_lc
-        if c:
-            quot[i] = c
-            for j in range(dlen):
-                rem[i + j] -= c * div[j]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    while quot and quot[-1] == 0:
-        quot.pop()
-    return Polynomial(tuple(quot)), Polynomial(tuple(rem))
+    if len(a.ints) < len(b.ints):
+        return _ZERO, a
+    # s*A = Q*B + R for a = A/da, b = B/db, so q = Q*db/(s*da), r = R/(s*da).
+    q, r, s = _pdiv(a.ints, b.ints)
+    den = s * a.denom
+    return _make([c * b.denom for c in q], den), _make(r, den)
+
+
+def _exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a / b where b is known to divide a; a nonzero remainder is a CertificateError."""
+    q, r = divrem(a, b)
+    if r:
+        raise CertificateError(f"{b} does not divide {a}: remainder {r}")
+    return q
 
 
 def _strip_content(c: list[int]) -> list[int]:
@@ -231,40 +278,6 @@ def _strip_content(c: list[int]) -> list[int]:
     return c
 
 
-def _primitive_ints(p: Polynomial) -> list[int]:
-    """Integer coefficient list of a positive rational multiple of p, content 1."""
-    scale = 1
-    for c in p.coeffs:
-        scale = lcm(scale, c.denominator)
-    return _strip_content([c.numerator * (scale // c.denominator) for c in p.coeffs])
-
-
-def _int_prem(a: list[int], b: list[int]) -> tuple[list[int], int]:
-    """Integer pseudo-remainder and the parity sign of the implied scaling.
-
-    Returns (r, s) with rem(a, b) a *positive* multiple of s * r, where s
-    accounts for the rounds of multiplication by the (possibly negative)
-    leading coefficient of b.
-    """
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    rounds = 0
-    while len(r) - 1 >= db:
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        rounds += 1
-        for i, bc in enumerate(b):
-            r[shift + i] -= lr * bc
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-    sign = -1 if (lb < 0 and rounds % 2 == 1) else 1
-    return r, sign
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd in Q[X]; gcd(0, 0) = 0.
 
@@ -273,38 +286,35 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """
     if a.is_zero or b.is_zero:
         return (a + b).monic()
-    if a.coeffs == b.coeffs:
+    if a == b:
         return a.monic()
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-        return Polynomial.one()
-    ca = _primitive_ints(a)
-    cb = _primitive_ints(b)
+    if len(a.ints) == 1 or len(b.ints) == 1:
+        return _ONE
+    ca = _strip_content(list(a.ints))
+    cb = _strip_content(list(b.ints))
     if len(ca) < len(cb):
         ca, cb = cb, ca
     while True:
-        r, _ = _int_prem(ca, cb)
+        _, r, _ = _pdiv(ca, cb)
         if not r:
             break
         ca, cb = cb, _strip_content(r)
         if len(cb) == 1:
-            return Polynomial.one()
-    lc = Fraction(cb[-1])
-    return Polynomial(tuple(Fraction(v) / lc for v in cb))
+            return _ONE
+    return _make(cb, cb[-1])
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero or b.is_zero:
-        return Polynomial(())
-    if a.coeffs == b.coeffs or len(b.coeffs) == 1:
+        return _ZERO
+    if a == b or len(b.ints) == 1:
         return a.monic()
-    if len(a.coeffs) == 1:
+    if len(a.ints) == 1:
         return b.monic()
     g = poly_gcd(a, b)
     if g.degree == 0:
         return (a * b).monic()
-    q, r = divrem(a * b, g)
-    assert r.is_zero
-    return q.monic()
+    return _exact_div(a * b, g).monic()
 
 
 def extended_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -330,9 +340,7 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
         return p.monic()
-    q, r = divrem(p, g)
-    assert r.is_zero
-    return q.monic()
+    return _exact_div(p, g).monic()
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -349,16 +357,16 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     a = poly_gcd(p, dp)
     if a.degree == 0:
         return [(p, 1)] if p.degree >= 1 else []
-    b, _ = divrem(p, a)
-    c, _ = divrem(dp, a)
+    b = _exact_div(p, a)
+    c = _exact_div(dp, a)
     i = 1
     d = c - b.derivative()
     while not b.is_zero and b.degree >= 1:
         s = poly_gcd(b, d)
         if s.degree >= 1:
             out.append((s, i))
-        b, _ = divrem(b, s)
-        c, _ = divrem(d, s)
+        b = _exact_div(b, s)
+        c = _exact_div(d, s)
         d = c - b.derivative()
         i += 1
     return out
@@ -397,12 +405,11 @@ class RationalFunction:
             return RationalFunction(Polynomial.zero(), Polynomial.one())
         g = poly_gcd(num, den)
         if g.degree >= 1:
-            num, _ = divrem(num, g)
-            den, _ = divrem(den, g)
-        lc = den.leading_coefficient
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
+            num = _exact_div(num, g)
+            den = _exact_div(den, g)
+        if den.ints[-1] != den.denom:
+            num = num.scale(1 / den.leading_coefficient)
+            den = den.monic()
         return RationalFunction(num, den)
 
     @staticmethod

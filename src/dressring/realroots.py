@@ -23,14 +23,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InternalSearchError, ZeroPolynomialError
 from .polynomials import (
     NEG_INF,
     Polynomial,
-    _int_prem,
-    _primitive_ints,
+    _horner,
+    _pdiv,
     _strip_content,
     poly_gcd,
     squarefree_part,
@@ -82,25 +82,17 @@ def cauchy_bound(p: Polynomial) -> Fraction:
     """1 + max |c_i| / |lc|: every real root lies strictly inside (-B, B)."""
     if p.is_zero:
         raise ZeroPolynomialError("root bound of the zero polynomial")
-    lc = abs(p.leading_coefficient)
-    rest = [abs(c) for c in p.coeffs[:-1]]
-    if not rest:
-        return Fraction(1)
-    return 1 + max(rest) / lc
+    ints = p.ints
+    return 1 + Fraction(max(map(abs, ints[:-1]), default=0), abs(ints[-1]))
 
 
-def _sign_at(coeffs: list[int], t: Fraction) -> int:
+def _sign_at(coeffs: Sequence[int], t: Fraction) -> int:
     """Exact sign of the integer polynomial sum(c_i X^i) at the rational t.
 
     With t = n/d in lowest terms (d > 0) this is the sign of the homogeneous
     Horner sum sum(c_i n^i d^(k-i)) = d^k * p(t), computed on integers only.
     """
-    n, d = t.numerator, t.denominator
-    acc = 0
-    dpow = 1
-    for c in reversed(coeffs):
-        acc = acc * n + c * dpow
-        dpow *= d
+    acc = _horner(coeffs, t.numerator, t.denominator)
     return (acc > 0) - (acc < 0)
 
 
@@ -109,16 +101,17 @@ class _SturmData:
 
     def __init__(self, sf: Polynomial):
         self.sf = sf
-        a = _primitive_ints(sf)
+        a = _strip_content(list(sf.ints))
         b = _strip_content([i * c for i, c in enumerate(a)][1:])
         chain = [a]
         if b:
             chain.append(b)
             while len(chain[-1]) > 1:
-                r, sign = _int_prem(chain[-2], chain[-1])
+                # s*a = q*b + r: -rem(a, b) is a positive multiple of -sign(s)*r.
+                _, r, s = _pdiv(chain[-2], chain[-1])
                 if not r:
                     break
-                chain.append(_strip_content([-sign * v for v in r]))
+                chain.append(_strip_content([-v for v in r] if s > 0 else r))
         self.chain = chain
 
     def variations_at(self, t: Fraction) -> int:
@@ -182,11 +175,6 @@ def sturm_count(p: Polynomial, lo=NEG_INF, hi=POS_INF) -> int:
 
 def count_distinct_real_roots(p: Polynomial) -> int:
     return sturm_count(p, NEG_INF, POS_INF)
-
-
-def _rational_roots(p: Polynomial) -> list[Fraction]:
-    """All rational roots of p (each once), in increasing order."""
-    return [iv.exact for iv in isolate_real_roots(p) if iv.is_exact]
 
 
 def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
@@ -320,7 +308,7 @@ def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
         return SignPattern.NO_ROOTS
     if q.is_zero:
         return SignPattern.HAS_ZERO
-    q_ints = _primitive_ints(q)
+    q_ints = q.ints
     q_data = None
     if any(not iv.is_exact for iv in roots):
         # Every real root of the gcd is a root of p, so HAS_ZERO iff it has one.
@@ -344,7 +332,7 @@ def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
     return SignPattern.MIXED
 
 
-_gamma_cache: dict[tuple, bool] = {}
+_gamma_cache: dict[Polynomial, bool] = {}
 
 
 def is_gamma(p: Polynomial) -> bool:
@@ -360,14 +348,15 @@ def is_gamma(p: Polynomial) -> bool:
         return True
     if deg % 2 == 1:
         return False
-    cached = _gamma_cache.get(p.coeffs)
+    cached = _gamma_cache.get(p)
     if cached is None:
         if deg == 2:
-            a, b, c = p.coeffs[2], p.coeffs[1], p.coeffs[0]
+            # The discriminant's sign is unchanged by the positive scaling denom^2.
+            c, b, a = p.ints
             cached = b * b - 4 * a * c < 0
         else:
             cached = count_distinct_real_roots(p) == 0
-        _gamma_cache[p.coeffs] = cached
+        _gamma_cache[p] = cached
     return cached
 
 

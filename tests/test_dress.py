@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dressring import realroots
 from dressring import (
     DressElement,
     NotInDressRing,
@@ -158,6 +159,26 @@ class TestClassifyNumerator:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             classify_numerator(DressElement.zero())
+
+    def test_one_sturm_chain_per_factor(self, monkeypatch):
+        # One chain for the membership check of the denominator, one for the
+        # single squarefree factor of the numerator; none for its cofactor.
+        built = []
+        original = realroots._SturmData.__init__
+
+        def counting_init(self, sf):
+            built.append(sf)
+            original(self, sf)
+
+        monkeypatch.setattr(realroots._SturmData, "__init__", counting_init)
+        monkeypatch.setattr(realroots, "_gamma_cache", {})
+        reduced = (X - 1) * (X + 2) * (X * X - 3)
+        c = classify_numerator(DressElement.from_parts(reduced * (X * X + 1), (X * X + 1) ** 3))
+        assert len(built) == 2
+        assert [(str(f), m) for f, m in c.real_rooted] == [("X + 2", 1), ("X - 1", 1),
+                                                          ("X^2 - 3", 1)]
+        assert c.root_free == c.mixed == ()
+        assert c.constant == 1 and c.reassemble() == reduced
 
     def test_multiplicities_and_reassembly(self):
         rng = random.Random(60)

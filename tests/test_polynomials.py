@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from dressring import (
     NEG_INF,
+    CertificateError,
     Polynomial,
     RationalFunction,
     ZeroDenominatorError,
@@ -17,7 +19,7 @@ from dressring import (
     poly_gcd,
     squarefree_part,
 )
-from dressring.polynomials import affine_compose, squarefree_decomposition
+from dressring.polynomials import _exact_div, affine_compose, squarefree_decomposition
 
 from helpers import rand_poly, rand_rf
 
@@ -64,17 +66,39 @@ class TestArithmetic:
         assert p.evaluate(Fraction(1, 2)) == Fraction(3, 4)
 
 
-@settings(max_examples=60)
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
-       st.integers(-50, 50), st.integers(-50, 50))
-def test_divrem_reconstruction_hypothesis(a0, a1, a2, b0, b1):
-    a = Polynomial.from_coeffs([a0, a1, a2])
-    b = Polynomial.from_coeffs([b0, b1])
+def assert_canonical(p):
+    """Positive denominator, lowest terms, no trailing zero; coeffs agrees."""
+    assert p.denom > 0
+    assert gcd(p.denom, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+    assert p.coeffs == tuple(Fraction(c, p.denom) for c in p.ints)
+
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_fractions, max_size=6), st.lists(_fractions, min_size=1, max_size=4))
+def test_divrem_reconstruction_hypothesis(ca, cb):
+    a = Polynomial.from_coeffs(ca)
+    b = Polynomial.from_coeffs(cb)
     if b.is_zero:
         return
     q, r = divrem(a, b)
     assert q * b + r == a
     assert r.is_zero or r.degree < b.degree
+    for p in (a, b, q, r, a * b, a + b, a - b, b.monic(), a.derivative(), a.scale(cb[-1])):
+        assert_canonical(p)
+    # One value reached by two routes has one canonical form: equal fields and hash.
+    for x, y in ((q * b + r, a), ((a + b) - b, a), (b.monic().scale(b.leading_coefficient), b),
+                 (Polynomial.from_coeffs(list(a.coeffs) + [0]), a)):
+        assert x == y and hash(x) == hash(y) and (x.ints, x.denom) == (y.ints, y.denom)
+
+
+def test_exact_div_raises_on_a_remainder():
+    assert _exact_div(X * X - 1, X + 1) == X - 1
+    with pytest.raises(CertificateError):
+        _exact_div(X * X + 1, X + 1)
 
 
 def test_divrem_reconstruction_random():
