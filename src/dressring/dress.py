@@ -56,7 +56,9 @@ class DressElement:
 
     Construction is checked, never trusted: a failed check raises
     :class:`NotInDressRing` carrying the violated condition.  Values are
-    immutable; all arithmetic is pure and re-certifies its result.
+    immutable; all arithmetic is pure and re-certifies its result.  Only the
+    private ``_certified`` skips the check, for values whose membership the
+    calling code has just proved.
     """
 
     value: RationalFunction
@@ -69,6 +71,13 @@ class DressElement:
     @staticmethod
     def from_parts(num: Polynomial, den: Polynomial) -> "DressElement":
         return DressElement(RationalFunction.make(num, den))
+
+    @classmethod
+    def _certified(cls, value: RationalFunction) -> "DressElement":
+        """Wrap a value whose membership the caller has just certified; no re-check."""
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "value", value)
+        return elem
 
     @staticmethod
     def from_rational(c) -> "DressElement":

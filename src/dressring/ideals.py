@@ -6,6 +6,12 @@ principality is decided by the parity of s = max(deg f', deg g') after
 extracting the numerator gcd M; in the even case a generator M * h / gamma with
 h = (1 + X^2)^(s/2) is produced together with expansion coefficients that
 write it as an exact D-combination of the inputs.
+
+Certificates are checked on the unreduced numerators, at the cost of the
+maths: with S = f'^2 + g'^2 root-free, a quotient p/S or p/h lies in D iff
+its degree is <= 0, and the expansion identity c1*a + c2*b = gen is the one
+polynomial identity f' f + g' g = M S.  The squaring postcondition likewise
+reduces to T = sum(f_i'^2) being root-free with deg T >= 2 max deg f_i'.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dress import DressElement, is_member, is_unit, over_common_denominator
+from .dress import DressElement, is_member, over_common_denominator
 from .errors import CertificateError, ShapeViolation
 from .polynomials import (
     NEG_INF,
@@ -48,24 +54,22 @@ def ideal_square(J: IdealGens) -> DressElement:
     J^2 is generated by the squares of the generators; over a common
     denominator, extracting the numerator gcd M leaves coprime numerators
     whose sum of squares has maximal degree (degrees of sums of squares add up
-    to the maximum), so s = M^2 * sum(f_i'^2) / gamma^2 works.  The
-    postcondition r_i r_j / s in D is re-checked for every generator pair.
+    to the maximum), so s = M^2 * T / gamma^2 with T = sum(f_i'^2) works.  The
+    postcondition r_i r_j / s = f_i' f_j' / T in D is checked for all pairs at
+    once: T has no real roots and deg T >= 2 * max(deg f_i').
     """
     nums, gamma = over_common_denominator(J.gens)
     nonzero = [f for f in nums if not f.is_zero]
     m = nonzero[0]
     for f in nonzero[1:]:
         m = poly_gcd(m, f)
+    quotients = [_exact_div(f, m) for f in nums]
     total = Polynomial.zero()
-    for f in nums:
-        q = _exact_div(f, m)
+    for q in quotients:
         total = total + q * q
     s = DressElement.from_parts(m * m * total, gamma * gamma)
-    for i, fi in enumerate(nums):
-        for fj in nums[i:]:
-            prod = RationalFunction.make(fi * fj, gamma * gamma)
-            if not is_member(prod / s.value):
-                raise CertificateError(f"squaring postcondition violated for generator {s}")
+    if not is_gamma(total) or 2 * max(q.degree for q in quotients) > total.degree:
+        raise CertificateError(f"squaring postcondition violated for generator {s}")
     return s
 
 
@@ -89,6 +93,7 @@ class PrincipalityReport:
 
 
 def _numerator_data(a: DressElement, b: DressElement):
+    """(M, f', g', s, gamma, f, g) with a = f/gamma, b = g/gamma, f = M f', g = M g'."""
     if a.is_zero and b.is_zero:
         raise ShapeViolation("the zero ideal has no principality data")
     nums, gamma = over_common_denominator([a, b])
@@ -96,45 +101,55 @@ def _numerator_data(a: DressElement, b: DressElement):
     m = poly_gcd(f, g)  # monic, and g.monic() when f = 0
     fp, gp = (_exact_div(f, m), _exact_div(g, m)) if m.degree >= 1 else (f, g)
     s = max(fp.degree, gp.degree)
-    assert s != NEG_INF
-    return m, fp, gp, int(s), gamma
+    if s == NEG_INF:
+        raise CertificateError(f"the numerator gcd {m} left no nonzero cofactor")
+    return m, fp, gp, int(s), gamma, f, g
 
 
 def is_principal(a: DressElement, b: DressElement) -> bool:
     """True iff the ideal (a, b) is principal: s = max(deg f', deg g') is even."""
-    _, _, _, s, _ = _numerator_data(a, b)
-    return s % 2 == 0
+    return _numerator_data(a, b)[3] % 2 == 0
 
 
 def principal_generator(a: DressElement, b: DressElement) -> PrincipalityReport:
     """Decide principality of (a, b); in the even case return a verified generator.
 
     The generator is M * h / gamma with h = (1 + X^2)^(s/2), the canonical
-    root-free polynomial of degree s.  The unit u = (f'^2 + g'^2) / h^2 gives
-    expansion coefficients u^-1 f'/h and u^-1 g'/h, so that
-    generator = expansion[0] * a + expansion[1] * b holds exactly; both
-    divisibility checks and this identity are verified before returning.
+    root-free polynomial of degree s.  The unit u = S / h^2 with
+    S = f'^2 + g'^2 gives expansion coefficients c1 = u^-1 f'/h = h f'/S and
+    c2 = h g'/S.  Before returning, the unreduced numerators are checked:
+    S has no real roots; deg f', deg g' <= s, so gen divides a and b (the
+    quotients are f'/h and g'/h); deg S = 2s, so u is a unit; and
+    f' f + g' g = M S, which is c1 * a + c2 * b = gen over the common
+    denominator S * gamma.
     """
-    m, fp, gp, s, gamma = _numerator_data(a, b)
+    m, fp, gp, s, gamma, f, g = _numerator_data(a, b)
     if s % 2 == 1:
         return PrincipalityReport(M=m, fprime=fp, gprime=gp, s=s, principal=False)
     h = Polynomial.from_coeffs([1, 0, 1]) ** (s // 2)
-    gen = DressElement.from_parts(m * h, gamma)
+    gen_value = RationalFunction.make(m * h, gamma)
     sum_sq = fp * fp + gp * gp
     if not is_gamma(sum_sq):
         raise CertificateError(f"f'^2 + g'^2 = {sum_sq} has real roots")
-    u = RationalFunction.make(sum_sq, h * h)
-    if not is_unit(u):
+    # a/gen = f'/h and b/gen = g'/h (_exact_div checked f = M f', g = M g'), and h
+    # is root-free, so both lie in D iff their degrees are <= 0.
+    for p in (fp, gp):
+        if p.degree > s:
+            quotient = RationalFunction.make(p, h)
+            raise CertificateError(f"generator {gen_value} does not divide the inputs: {quotient}")
+    # S and h^2 are both root-free, so S/h^2 is a unit iff their degrees agree.
+    if sum_sq.degree != 2 * s:
+        u = RationalFunction.make(sum_sq, h * h)
         raise CertificateError(f"(f'^2 + g'^2)/h^2 = {u} is not a unit")
-    # u^-1 * f'/h = h f' / (f'^2 + g'^2), and likewise for g'.
-    c1 = DressElement(RationalFunction.make(h * fp, sum_sq))
-    c2 = DressElement(RationalFunction.make(h * gp, sum_sq))
-    # gen divides a and b: the quotients are exactly f'/h and g'/h.
-    for quotient in (RationalFunction.make(fp, h), RationalFunction.make(gp, h)):
-        if not is_member(quotient):
-            raise CertificateError(f"generator {gen} does not divide the inputs: {quotient}")
-    if (c1 * a + c2 * b).value != gen.value:
-        raise CertificateError(f"expansion identity violated for generator {gen}")
+    # f and g are the numerators of a and b themselves, not rebuilt as M f'.
+    if fp * f + gp * g != m * sum_sq:
+        raise CertificateError(f"expansion identity violated for generator {gen_value}")
+    # c1 and c2 lie in D: is_gamma(S) above, and deg(h f'), deg(h g') <= 2s = deg S
+    # by the divisibility and unit degree checks.
+    c1 = DressElement._certified(RationalFunction.make(h * fp, sum_sq))
+    c2 = DressElement._certified(RationalFunction.make(h * gp, sum_sq))
+    # gen lies in D: the expansion identity just checked writes it as c1 * a + c2 * b.
+    gen = DressElement._certified(gen_value)
     return PrincipalityReport(
         M=m, fprime=fp, gprime=gp, s=s, principal=True, generator=gen, expansion=(c1, c2)
     )

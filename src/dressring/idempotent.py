@@ -460,7 +460,8 @@ def _factor_dominant(p: DressElement, q: DressElement) -> list[Mat2]:
 
 def _factor_equal_degree(p: DressElement, q: DressElement) -> list[Mat2]:
     (x, y), gamma = over_common_denominator([p, q])
-    assert x.degree == y.degree
+    if x.degree != y.degree:
+        raise CertificateError(f"equal-degree branch got numerator degrees {x.degree}, {y.degree}")
     if gamma.degree > x.degree + 1:
         # Pad: pull out (tau/gamma 0; 0 0) so the remaining denominator tau has
         # the even degree in {deg x, deg x + 1}.
@@ -533,7 +534,8 @@ def _factor_quadratics_sharing_root(
     # c kills the quadratic term of c*x_t + y_t: c = -lc(y1)/lc(x1).
     c = -y1.leading_coefficient / x1.leading_coefficient
     combo = x1.scale(c) + y1
-    assert combo.degree <= 0
+    if combo.degree > 0:
+        raise CertificateError(f"c*x1 + y1 = {combo} kept a linear term")
     if combo.is_zero:
         # x and y proportional after all; cannot happen with deg gcd = 1.
         raise ShapeViolation("numerators are proportional, use the divisibility branch")
@@ -541,7 +543,8 @@ def _factor_quadratics_sharing_root(
 
     delta = _grow_linear_to_gamma(x_t)
     diff = delta - x_t
-    assert diff.degree == 1
+    if diff.degree != 1:
+        raise CertificateError(f"delta - x = {diff} is not linear")
     z = (diff * x1).scale(1 / s_prime)
     sx = Polynomial.x().scale(s_prime)
     e = Mat2(
@@ -618,7 +621,8 @@ def stable_range_witness(z: DressElement) -> StableRangeEvidence:
     f1 = Polynomial.x() * d_pos + Polynomial.from_coeffs([-1, 0, 1]) * f
     v1 = f1.evaluate(1)
     v_minus = f1.evaluate(-1)
-    assert v1 > 0 and v_minus < 0
+    if not (v1 > 0 and v_minus < 0):
+        raise CertificateError(f"witness values {v1} at 1 and {v_minus} at -1 must be + and -")
     return StableRangeEvidence(
         sum_sq_unit=sum_sq_unit,
         value_at_1=v1,

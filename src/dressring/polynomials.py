@@ -96,10 +96,6 @@ class Polynomial:
     def x() -> "Polynomial":
         return Polynomial((0, 1))
 
-    @staticmethod
-    def monomial(k: int, c=1) -> "Polynomial":
-        return Polynomial.from_coeffs([0] * k + [c])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, ``coeffs[i]`` of X^i; built on each read."""

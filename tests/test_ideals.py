@@ -19,9 +19,9 @@ from dressring import (
     is_unit,
     principal_generator,
 )
-from dressring import ideals
+from dressring import dress, ideals
 
-from helpers import rand_member, rand_member_nonzero
+from helpers import rand_member, rand_member_nonzero, rand_poly
 
 X = Polynomial.x()
 GAMMA = X * X + 1
@@ -137,6 +137,55 @@ class TestPrincipality:
                 c1, c2 = report.expansion
                 assert (c1 * a + c2 * b).value == report.generator.value
 
+    def test_even_pairs_against_checked_arithmetic(self):
+        # Reference: the public, checked DressElement constructor and
+        # arithmetic, none of which the certificate in principal_generator uses.
+        rng = random.Random(77)
+        dens = [Polynomial.one(), GAMMA, GAMMA * GAMMA, X * X + X + 1,
+                GAMMA * (X * X + 2), X**4 + 1]
+        seen_s, n_even, n_zero, n_const = set(), 0, 0, 0
+        while n_even < 300:
+            pair = []
+            for _ in range(2):
+                den = rng.choice(dens)
+                kind = rng.random()
+                if kind < 0.1:
+                    num = Polynomial.zero()
+                elif kind < 0.2:
+                    num = Polynomial.constant(rng.randint(-4, 4) or 1)
+                else:
+                    num = rand_poly(rng, int(den.degree), -3, 3)
+                pair.append(DressElement.from_parts(num, den))
+            a, b = pair
+            if a.is_zero and b.is_zero:
+                continue
+            report = principal_generator(a, b)
+            if not report.principal:
+                continue
+            n_even += 1
+            seen_s.add(report.s)
+            n_zero += a.is_zero or b.is_zero
+            n_const += a.degree == 0 or b.degree == 0
+            gen = DressElement(report.generator.value)
+            c1, c2 = (DressElement(c.value) for c in report.expansion)
+            assert (c1 * a + c2 * b).value == gen.value
+            assert divides(gen, a) and divides(gen, b)
+        assert {0, 2, 4} <= seen_s and n_zero > 0 and n_const > 0
+
+    def test_even_pair_makes_no_membership_checks(self, monkeypatch):
+        a = elem(X, GAMMA * GAMMA)
+        b = elem(X**3, GAMMA * GAMMA)
+        calls = []
+        original = dress.membership_failure
+
+        def counting(r):
+            calls.append(r)
+            return original(r)
+
+        monkeypatch.setattr(dress, "membership_failure", counting)
+        report = principal_generator(a, b)
+        assert report.principal and calls == []
+
 
 class TestInverse:
     def test_example_pair(self):
@@ -168,6 +217,21 @@ class TestInverse:
             assert a.value * inv.gens[0] + b.value * inv.gens[1] == RationalFunction.one()
 
 
+def _tamper_numerator_data(monkeypatch, index, change):
+    """Make ideals._numerator_data return change(x) in place of its field x at index.
+
+    The fields are (M, f', g', s, gamma, f, g).
+    """
+    original = ideals._numerator_data
+
+    def tampered(a, b):
+        data = list(original(a, b))
+        data[index] = change(data[index])
+        return tuple(data)
+
+    monkeypatch.setattr(ideals, "_numerator_data", tampered)
+
+
 class TestCertificateChecks:
     # Each certificate check is real code raising CertificateError, so these
     # also pass under python -O, where asserts would vanish.
@@ -177,26 +241,36 @@ class TestCertificateChecks:
             principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
 
     def test_principal_generator_unit(self, monkeypatch):
-        monkeypatch.setattr(ideals, "is_unit", lambda r: False)
+        # A claimed s above the true one keeps deg f', deg g' <= s, but then
+        # deg(f'^2 + g'^2) != 2s.
+        _tamper_numerator_data(monkeypatch, 3, lambda s: s + 2)
         with pytest.raises(CertificateError, match="not a unit"):
             principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
 
     def test_principal_generator_divisibility(self, monkeypatch):
-        monkeypatch.setattr(ideals, "is_member", lambda r: False)
+        # A claimed s below the true s = 2 leaves deg f' > s = deg h.
+        _tamper_numerator_data(monkeypatch, 3, lambda s: s - 2)
         with pytest.raises(CertificateError, match="does not divide"):
-            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
+            principal_generator(elem(X * X), elem(Polynomial.one()))
 
     def test_principal_generator_expansion(self, monkeypatch):
-        # The generator is the one element built with from_parts; doubling it
-        # breaks the expansion identity and nothing else.
-        original = DressElement.from_parts
-        monkeypatch.setattr(DressElement, "from_parts",
-                            staticmethod(lambda num, den: original(num + num, den)))
+        # Doubling M breaks f' f + g' g == M (f'^2 + g'^2) and nothing else.
+        _tamper_numerator_data(monkeypatch, 0, lambda m: m + m)
+        with pytest.raises(CertificateError, match="expansion identity"):
+            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
+
+    @pytest.mark.parametrize("index", [5, 6], ids=["f", "g"])
+    def test_principal_generator_expansion_reads_the_inputs(self, monkeypatch, index):
+        # The identity is checked against the numerators of a and b
+        # themselves, so a wrong f or g is caught even when M, f', g' are right.
+        _tamper_numerator_data(monkeypatch, index, lambda p: p + p)
         with pytest.raises(CertificateError, match="expansion identity"):
             principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
 
     def test_ideal_square_postcondition(self, monkeypatch):
-        monkeypatch.setattr(ideals, "is_member", lambda r: False)
+        # The generator itself is built by the checked constructor, which reads
+        # dress.is_gamma; only the postcondition's root-freeness check fails.
+        monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
         with pytest.raises(CertificateError, match="squaring postcondition"):
             ideal_square(IdealGens.of(elem(Polynomial.one()), elem(X)))
 

@@ -33,7 +33,7 @@ from dressring import (
     swap_factorization,
     verify_factorization,
 )
-from dressring import idempotent
+from dressring import dress, idempotent
 from dressring.idempotent import _FACTOR_COUNT_BOUND
 
 from helpers import rand_gamma, rand_member_nonzero, rand_poly
@@ -527,6 +527,28 @@ class TestDerivationChecks:
         monkeypatch.setattr(DressElement, "is_unit", lambda self: False)
         with pytest.raises(CertificateError, match="must be a unit"):
             factor_row_matrix(elem(X), elem(X + 1))
+
+    def test_equal_degree_check(self):
+        with pytest.raises(CertificateError, match="equal-degree branch"):
+            idempotent._factor_equal_degree(elem(X), elem(X * X))
+
+    def test_shared_root_combination_check(self):
+        # Cubics sharing the root 0: x1 = X^2 + 1, y1 = X^2 + X, and
+        # c*x1 + y1 = X - 1 keeps its linear term.
+        with pytest.raises(CertificateError, match="kept a linear term"):
+            idempotent._factor_quadratics_sharing_root(X**3 + X, X**3 + X * X, GAMMA**2, X)
+
+    def test_shared_root_offset_check(self, monkeypatch):
+        monkeypatch.setattr(idempotent, "_grow_linear_to_gamma", lambda x_t: x_t + 1)
+        with pytest.raises(CertificateError, match="is not linear"):
+            factor_row_matrix(elem(X * (X + 1), GAMMA**2), elem(X * (X - 2), GAMMA**2))
+
+    def test_stable_range_witness_sign_check(self, monkeypatch):
+        # 1/(X - 1) is not in D; with membership unchecked it reaches the
+        # witness, whose value at 1 is then 0.
+        monkeypatch.setattr(dress, "membership_failure", lambda r: None)
+        with pytest.raises(CertificateError, match="must be \\+ and -"):
+            stable_range_witness(elem(1, X - 1))
 
 
 class TestBoundaryVerification:
