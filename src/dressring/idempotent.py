@@ -198,10 +198,10 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
     Preconditions: x, y nonzero of equal degree, and y of one strict sign at
     every real root of x (vacuous when x has none).  The seed is
     +-c (1+X^2)^(e/2) with e the even member of {deg x - 1, deg x}; its sign
-    opposes y's sign at the roots of x, c shrinks until the leading
-    coefficient of x^2 - base*y is positive, and the scale halves until the
-    positivity test passes.  Termination is guaranteed: every sufficiently
-    small positive scale works.
+    opposes y's sign at the roots of x, c is the first of 1, 1/2, 1/4, ...
+    that makes the leading coefficient of x^2 - base*y positive (read off in
+    closed form), and the scale halves until the positivity test passes.
+    Termination is guaranteed: every sufficiently small positive scale works.
     """
     if x.is_zero or y.is_zero:
         raise CertificatePreconditionError("certificate inputs must be nonzero")
@@ -224,18 +224,14 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
     else:  # x has no real roots; any sign works, pick the one that can't fight the lc
         sign = -1 if y.leading_coefficient > 0 else 1
 
-    # Shrink c until lc(x^2 - base*y) > 0.  For odd n the seed degree is below
-    # 2n - deg y, so the leading coefficient is lc(x)^2 automatically.
-    c = Fraction(1)
-    lc_target = x.leading_coefficient**2
+    # c = 2^-k is the first power of two with lc(x^2 - base*y) > 0.  For even
+    # n that is lc(x)^2 - sign*c*lc(y) > 0, i.e. 2^k > sign*lc(y)/lc(x)^2, first
+    # met at k = floor(sign*lc(y)/lc(x)^2).bit_length().  For odd n the seed
+    # degree is below 2n - deg y, so the leading coefficient is lc(x)^2 and k = 0.
+    ratio = 0
     if e + int(y.degree) == 2 * n:
-        for _ in range(_SCALE_SEARCH_CAP):
-            if lc_target - sign * c * y.leading_coefficient > 0:
-                break
-            c /= 2
-        else:
-            raise InternalSearchError("leading-coefficient shrink did not converge")
-    base = seed.scale(sign * c)
+        ratio = max(0, sign * y.leading_coefficient // x.leading_coefficient**2)
+    base = seed.scale(Fraction(sign, 2 ** ratio.bit_length()))
 
     x_sq = x * x
     scale = Fraction(1)
@@ -571,15 +567,18 @@ def _shift_poly(p: Polynomial, rho: Fraction) -> Polynomial:
 
 
 def _grow_linear_to_gamma(x_t: Polynomial) -> Polynomial:
-    """First delta = x_t + (X + c0), c0 in +-{1, 2, 4, ...}, with no real roots."""
-    direction = 1 if x_t.leading_coefficient > 0 else -1
-    c0 = Fraction(direction)
-    for _ in range(_SCALE_SEARCH_CAP):
-        delta = x_t + Polynomial.from_coeffs([c0, 1])
-        if is_gamma(delta):
-            return delta
-        c0 *= 2
-    raise InternalSearchError("root-free offset search did not converge")
+    """First delta = x_t + (X + c0), c0 in +-{1, 2, 4, ...}, with no real roots.
+
+    x_t = aX^2 + bX, so delta = aX^2 + (b+1)X + c0 is root-free iff
+    (b+1)^2 < 4*a*c0.  With c0 = sign(a)*2^k that is 2^k > (b+1)^2/(4|a|),
+    first reached at k = floor((b+1)^2/(4|a|)).bit_length().
+    """
+    _, b, a = x_t.coeffs
+    k = ((b + 1) ** 2 // (4 * abs(a))).bit_length()
+    delta = x_t + Polynomial.from_coeffs([(1 if a > 0 else -1) * 2**k, 1])
+    if not is_gamma(delta):
+        raise CertificateError(f"delta = {delta} has real roots")
+    return delta
 
 
 def _substitute(factors: list[Mat2], shift: Fraction) -> list[Mat2]:

@@ -2,11 +2,12 @@
 
 Everything is exact and runs on Python integers.  Root counts use the Sturm
 chain of the squarefree part, so repeated roots are counted once; the
-half-open convention is (lo, hi].  Chains are kept as primitive integer
-coefficient lists (every member is a positive rational multiple of the
-canonical one, so all sign variations agree), and infinite endpoints read
-their signs off the leading coefficients.  A sign at a rational point n/d is
-the sign of the homogeneous integer sum sum(c_i n^i d^(k-i)) (``_sign_at``).
+half-open convention is (lo, hi].  Chains are signed remainder sequences kept
+as primitive integer coefficient lists (every member is a positive rational
+multiple of the canonical one, so all sign variations agree), built by one
+loop (``_signed_remainders``), and infinite endpoints read their signs off
+the leading coefficients.  A sign at a rational point n/d is the sign of the
+homogeneous integer sum sum(c_i n^i d^(k-i)) (``_sign_at``).
 
 Rational roots are found inside the isolating intervals, not by enumerating
 divisors: every rational root of a primitive integer polynomial with leading
@@ -16,6 +17,12 @@ interval below that width leaves one candidate, the fraction with denominator
 at most |lc| nearest the midpoint, which is then tested exactly.  The number
 of bisections is logarithmic in the root bound times lc^2, so the cost is
 polynomial in the bit size of the coefficients.
+
+Signs of q at the roots of p come from one Tarski query, not from isolation
+(Basu-Pollack-Roy, *Algorithms in Real Algebraic Geometry*, Thm. 2.58): the
+variation count at -inf and +inf of the signed remainder sequence of
+(sf, sf' q), with sf the squarefree part of p, is the sum of sign q(x) over
+the real roots x of p.  Its cost is polynomial in the bit size as well.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InternalSearchError, ZeroPolynomialError
+from .errors import ZeroPolynomialError
 from .polynomials import (
     NEG_INF,
     Polynomial,
@@ -37,10 +44,6 @@ from .polynomials import (
 )
 
 POS_INF = float("inf")
-
-# sign_at_roots refines isolating intervals; the cap is unreachable unless the
-# termination argument is broken by an implementation bug.
-_BISECTION_CAP = 10_000
 
 
 class SignPattern(enum.Enum):
@@ -96,23 +99,48 @@ def _sign_at(coeffs: Sequence[int], t: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _signed_remainders(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed remainder sequence a, b, -rem(a, b), ... up to the last nonzero member.
+
+    a and b are nonzero primitive integer lists, b of any degree; each member
+    is a positive rational multiple of the exact one, so sign variations
+    agree.  A constant member is the last: its remainder is zero.
+    """
+    chain = [a, b]
+    while len(b) > 1:
+        if len(a) < len(b):
+            r, s = a, 1
+        else:
+            _, r, s = _pdiv(a, b)
+        if not r:
+            break
+        # s*a = q*b + r: -rem(a, b) is a positive multiple of -sign(s)*r.
+        a, b = b, _strip_content([-v for v in r] if s > 0 else r)
+        chain.append(b)
+    return chain
+
+
+def _variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
+    """Sign variations of a chain at +inf (positive) or -inf."""
+    prev = 0
+    count = 0
+    for coeffs in chain:
+        s = 1 if coeffs[-1] > 0 else -1
+        if not positive and (len(coeffs) - 1) % 2 == 1:
+            s = -s
+        if prev and s != prev:
+            count += 1
+        prev = s
+    return count
+
+
 class _SturmData:
     """Integer Sturm chain of a squarefree polynomial, with sign-variation queries."""
 
     def __init__(self, sf: Polynomial):
         self.sf = sf
         a = _strip_content(list(sf.ints))
-        b = _strip_content([i * c for i, c in enumerate(a)][1:])
-        chain = [a]
-        if b:
-            chain.append(b)
-            while len(chain[-1]) > 1:
-                # s*a = q*b + r: -rem(a, b) is a positive multiple of -sign(s)*r.
-                _, r, s = _pdiv(chain[-2], chain[-1])
-                if not r:
-                    break
-                chain.append(_strip_content([-v for v in r] if s > 0 else r))
-        self.chain = chain
+        self.chain = _signed_remainders(a, _strip_content([i * c for i, c in enumerate(a)][1:]))
 
     def variations_at(self, t: Fraction) -> int:
         prev = 0
@@ -126,25 +154,13 @@ class _SturmData:
             prev = s
         return count
 
-    def variations_at_infinity(self, positive: bool) -> int:
-        prev = 0
-        count = 0
-        for coeffs in self.chain:
-            s = 1 if coeffs[-1] > 0 else -1
-            if not positive and (len(coeffs) - 1) % 2 == 1:
-                s = -s
-            if prev and s != prev:
-                count += 1
-            prev = s
-        return count
-
     def count(self, lo, hi) -> int:
         """Distinct real roots in (lo, hi]."""
         if lo != NEG_INF and hi != POS_INF and Fraction(lo) >= Fraction(hi):
             return 0
-        va = (self.variations_at_infinity(False) if lo == NEG_INF
+        va = (_variations_at_infinity(self.chain, False) if lo == NEG_INF
               else self.variations_at(Fraction(lo)))
-        vb = (self.variations_at_infinity(True) if hi == POS_INF
+        vb = (_variations_at_infinity(self.chain, True) if hi == POS_INF
               else self.variations_at(Fraction(hi)))
         return va - vb
 
@@ -187,11 +203,6 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     data = _sturm_data(p)
     if data is None:
         return []
-    return _isolate(data)
-
-
-def _isolate(data: _SturmData) -> list[IsolatingInterval]:
-    """isolate_real_roots on the Sturm data of a squarefree polynomial."""
     ints = data.chain[0]
     lc = abs(ints[-1])
     # Distinct fractions with denominators <= lc are at least 1/lc^2 apart.
@@ -266,69 +277,35 @@ def _isolate(data: _SturmData) -> list[IsolatingInterval]:
     return out
 
 
-def _sign_near_root(q_ints: list[int], q_data: Optional[_SturmData], data: _SturmData,
-                    iv: IsolatingInterval) -> int:
-    """Sign of q at the irrational root of data.sf in iv, where q does not vanish.
-
-    The interval is halved until q has no root in it and is nonzero at both
-    ends; q then has one sign on the whole interval.
-    """
-    var = data.variations_at
-    lo, hi = iv.lo, iv.hi
-    vlo = var(lo)
-    for _ in range(_BISECTION_CAP):
-        s = _sign_at(q_ints, lo)
-        if s != 0 and _sign_at(q_ints, hi) != 0 and (
-            q_data is None or q_data.count(lo, hi) == 0
-        ):
-            return s
-        m = (lo + hi) / 2
-        vm = var(m)
-        if vlo - vm == 1:
-            hi = m
-        else:
-            lo, vlo = m, vm
-    raise InternalSearchError("sign refinement did not converge; this is a bug")
-
-
 def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
     """Signs of q at every real root of p, summarized as a SignPattern.
 
-    A common root of p and q yields HAS_ZERO, which dominates: it is detected
-    exactly at rational roots and, for the others, by a real root of
-    gcd(p, q).  Signs at irrational roots are decided by shrinking the
-    isolating interval until q has constant sign on it; termination is
-    guaranteed because q does not vanish at that root.
+    One Tarski query decides it, without isolating or evaluating: with sf the
+    squarefree part of p and n its number of real roots, the variation count
+    t of the signed remainder sequence of (sf, sf' q) at -inf and +inf is the
+    sum of sign q(x) over those roots (Basu-Pollack-Roy, Thm. 2.58).  So
+    t == n means all positive and t == -n all negative.  Otherwise a common
+    root of p and q, i.e. a real root of gcd(sf, q), yields HAS_ZERO, which
+    dominates; without one the signs are MIXED.
     """
     if p.is_zero:
         raise ZeroPolynomialError("sign_at_roots requires a nonzero second argument")
     data = _sturm_data(p)
-    roots = [] if data is None else _isolate(data)
-    if not roots:
+    n = 0 if data is None else data.count(NEG_INF, POS_INF)
+    if n == 0:
         return SignPattern.NO_ROOTS
     if q.is_zero:
         return SignPattern.HAS_ZERO
-    q_ints = q.ints
-    q_data = None
-    if any(not iv.is_exact for iv in roots):
-        # Every real root of the gcd is a root of p, so HAS_ZERO iff it has one.
-        g = poly_gcd(data.sf, q)
-        if g.degree >= 1 and sturm_count(g) >= 1:
-            return SignPattern.HAS_ZERO
-        q_data = _sturm_data(q)
-    signs = set()
-    for iv in roots:
-        if iv.is_exact:
-            s = _sign_at(q_ints, iv.exact)
-        else:
-            s = _sign_near_root(q_ints, q_data, data, iv)
-        if s == 0:
-            return SignPattern.HAS_ZERO
-        signs.add(s)
-    if signs == {1}:
+    chain = _signed_remainders(data.chain[0], _strip_content(list((data.sf.derivative() * q).ints)))
+    t = _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
+    if t == n:
         return SignPattern.ALL_POSITIVE
-    if signs == {-1}:
+    if t == -n:
         return SignPattern.ALL_NEGATIVE
+    # Every real root of the gcd is a root of p, so HAS_ZERO iff it has one.
+    g = poly_gcd(data.sf, q)
+    if g.degree >= 1 and sturm_count(g) >= 1:
+        return SignPattern.HAS_ZERO
     return SignPattern.MIXED
 
 

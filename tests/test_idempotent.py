@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,18 @@ class TestPositivityCertificate:
         with pytest.raises(CertificatePreconditionError):
             positivity_certificate(X * X - 1, X * (X - 1))  # shared root 1
 
+    @pytest.mark.parametrize("lc_y, k", [(1000, 10), (2**1100, 1101)], ids=["1000", "2^1100"])
+    def test_leading_coefficient_shrink(self, lc_y, k):
+        # y < 0 at the roots +-1 of x, so the seed has sign +1, and c = 2^-k is
+        # the first power of two with lc(x)^2 - c*lc(y) = 1 - c*lc_y > 0.  The
+        # second case needs more halvings than any fixed cap of 1000.
+        x, y = X * X - 1, (X * X - 2).scale(lc_y)
+        start = time.perf_counter()
+        cert = positivity_certificate(x, y)
+        assert time.perf_counter() - start < 0.5
+        assert cert.base == GAMMA.scale(Fraction(1, 2**k))
+        self.assert_invariants(x, y, cert)
+
     def test_random_valid_pairs(self):
         rng = random.Random(92)
         done = 0
@@ -237,6 +250,17 @@ class TestFactorRowMatrix:
         fact = factor_row_matrix(p, q)
         assert len(fact.factors) == 4
         assert fact.factors[0] == Mat2.of(1, 1, 0, 0)
+        assert verify_factorization(fact).ok
+        assert fact.target == target_of(p, q)
+
+    def test_no_cliff_in_root_free_offset(self):
+        # The shared-root branch needs c0 = 2^1199 to make
+        # X^2 + (2^600 + 1) X + c0 root-free.
+        p, q = elem(X * X + X.scale(2**600)), elem(X * X + X)
+        start = time.perf_counter()
+        fact = factor_row_matrix(p, q)
+        assert time.perf_counter() - start < 0.5
+        assert len(fact.factors) == 4
         assert verify_factorization(fact).ok
         assert fact.target == target_of(p, q)
 
@@ -542,6 +566,11 @@ class TestDerivationChecks:
         monkeypatch.setattr(idempotent, "_grow_linear_to_gamma", lambda x_t: x_t + 1)
         with pytest.raises(CertificateError, match="is not linear"):
             factor_row_matrix(elem(X * (X + 1), GAMMA**2), elem(X * (X - 2), GAMMA**2))
+
+    def test_root_free_offset_check(self, monkeypatch):
+        monkeypatch.setattr(idempotent, "is_gamma", lambda p: False)
+        with pytest.raises(CertificateError, match="has real roots"):
+            idempotent._grow_linear_to_gamma(X * X + X)
 
     def test_stable_range_witness_sign_check(self, monkeypatch):
         # 1/(X - 1) is not in D; with membership unchecked it reaches the

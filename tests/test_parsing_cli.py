@@ -2,7 +2,9 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -236,6 +238,23 @@ class TestCli:
     def test_sign_at_roots(self, capsys):
         code, report = run_cli_json(["sign-at-roots", "X+1", "X^2-X"], capsys)
         assert code == 0 and report["result"] == {"pattern": "AllPositive"}
+
+    def test_sign_at_roots_near_irrational_root(self, capsys):
+        # r agrees with sqrt(2) to 12000 bits.
+        r = Fraction(isqrt(2 << 24000), 1 << 12000)
+        start = time.perf_counter()
+        code, report = run_cli_json(
+            ["sign-at-roots", "--", f"X - {r.numerator}/{r.denominator}", "X^2 - 2"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 0 and report["result"] == {"pattern": "Mixed"}
+
+    def test_factor_large_linear_coefficient(self, capsys):
+        start = time.perf_counter()
+        code, report = run_cli_json(
+            ["factor", "--", "[[(X^2+2^600*X)/(X^2+1),(X^2+X)/(X^2+1)],[0,0]]"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert report["result"]["verified"] is True and report["result"]["count"] == 4
 
     def test_square_and_inverse_ideal(self, capsys):
         code, report = run_cli_json(

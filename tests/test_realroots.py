@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -142,6 +142,29 @@ class TestSignAtRoots:
             else:
                 assert (pattern is SignPattern.HAS_ZERO) == gcd_has_real_root
 
+    def test_no_cliff_in_approximation_bits(self):
+        # r agrees with sqrt(2) to 12000 bits, so an interval separating the
+        # two takes about 12000 halvings; the Tarski query takes none.
+        r = Fraction(isqrt(2 << 24000), 1 << 12000)
+        start = time.perf_counter()
+        assert sign_at_roots(X - r, X * X - 2) is SignPattern.MIXED
+        assert sign_at_roots(X + r, X * X - 2) is SignPattern.MIXED
+        assert sign_at_roots(X * X - r * r, X * X - 2) is SignPattern.ALL_POSITIVE
+        assert time.perf_counter() - start < 0.5
+
+    def test_evaluates_no_rational_point(self, monkeypatch):
+        def refuse(coeffs, t):
+            raise AssertionError(f"sign_at_roots evaluated at {t}")
+
+        monkeypatch.setattr(realroots, "_sign_at", refuse)
+        p = (X - 1) * (X * X - 2) * (X * X + 1)
+        assert sign_at_roots(X + 3, p) is SignPattern.ALL_POSITIVE
+        assert sign_at_roots(X - 3, p) is SignPattern.ALL_NEGATIVE
+        assert sign_at_roots(X, p) is SignPattern.MIXED
+        assert sign_at_roots((X - 1) * (X + 5), p) is SignPattern.HAS_ZERO
+        assert sign_at_roots(X * X - 2, p) is SignPattern.HAS_ZERO
+        assert sign_at_roots(X, X * X + 1) is SignPattern.NO_ROOTS
+
 
 class TestGamma:
     def test_examples(self):
@@ -272,6 +295,96 @@ class TestRationalRootsInsideIntervals:
         q = X - 5
         assert sign_at_roots(q, p) is SignPattern.ALL_NEGATIVE
         assert sum(1 for sf in built if sf.degree == p.degree) == 1
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def reference_sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
+    """sign_at_roots by isolation and refinement, from public functions only.
+
+    At an exact root the sign is q's value there.  An irrational root a of p
+    in (lo, hi] is a root of q iff p*q has no more distinct roots in
+    (lo, hi] than q has; otherwise the interval is halved around a until q
+    has no root in it, and sign q(a) = sign q(hi).
+    """
+    ivs = isolate_real_roots(p)
+    if not ivs:
+        return SignPattern.NO_ROOTS
+    if q.is_zero:
+        return SignPattern.HAS_ZERO
+    signs = set()
+    for iv in ivs:
+        if iv.is_exact:
+            s = _sign(q.evaluate(iv.exact))
+        elif sturm_count(p * q, iv.lo, iv.hi) == sturm_count(q, iv.lo, iv.hi):
+            s = 0
+        else:
+            lo, hi = iv.lo, iv.hi
+            while sturm_count(q, lo, hi) > 0:
+                mid = (lo + hi) / 2
+                if sturm_count(p, lo, mid) == 1:
+                    hi = mid
+                else:
+                    lo = mid
+            s = _sign(q.evaluate(hi))
+        if s == 0:
+            return SignPattern.HAS_ZERO
+        signs.add(s)
+    if signs == {1}:
+        return SignPattern.ALL_POSITIVE
+    if signs == {-1}:
+        return SignPattern.ALL_NEGATIVE
+    return SignPattern.MIXED
+
+
+class TestSignAtRootsReference:
+    """Differential check against the isolation-based reference above."""
+
+    @staticmethod
+    def _pairs():
+        rng = random.Random(1207)
+        out = []
+        for i in range(420):
+            p = rand_poly(rng, 4, nonzero=True)
+            q = rand_poly(rng, 4, nonzero=True)
+            kind = i % 7
+            if kind == 1:  # shared rational root
+                lin = Polynomial.from_coeffs([rng.randint(-9, 9), rng.randint(1, 4)])
+                p, q = p * lin, q * lin
+            elif kind == 2:  # shared irrational roots, as a quadratic factor
+                quad = Polynomial.from_coeffs([-rng.randint(2, 11), rng.randint(-3, 3), 1])
+                p, q = p * quad, q * quad
+            elif kind == 3:  # squared q, sometimes sharing a root with p
+                if rng.random() < 0.5:
+                    lin = X - rng.randint(-3, 3)
+                    p, q = p * lin, q * lin
+                q = q * q
+            elif kind == 4:  # constant or zero q
+                q = Polynomial.constant(rng.randint(-2, 2))
+            elif kind == 5:  # huge coefficients
+                p = p * Polynomial.from_coeffs([rng.randint(-10**30, 10**30), rng.randint(1, 10**20)])
+                q = q.scale(rng.randint(1, 10**25)) + Polynomial.constant(rng.randint(-10**25, 10**25))
+            elif kind == 6:  # irrational roots close to a rational point of q
+                d = rng.randint(2, 7)
+                p = p * (X * X - d)
+                q = (X - Fraction(isqrt(d * 10**20), 10**10)) * rng.choice([1, -1, X - 9])
+            out.append((p, q))
+        return out
+
+    def test_matches_reference_in_both_orders(self):
+        seen = set()
+        for p, q in self._pairs():
+            for a, b in ((q, p), (p, q)):
+                if b.is_zero:
+                    with pytest.raises(ZeroPolynomialError):
+                        sign_at_roots(a, b)
+                    continue
+                expected = reference_sign_at_roots(a, b)
+                assert sign_at_roots(a, b) is expected, (str(a), str(b))
+                seen.add(expected)
+        assert seen == set(SignPattern)
 
 
 class TestSympyOracle:
