@@ -29,6 +29,7 @@ from .errors import (
     InternalSearchError,
     NotInDressRing,
     ParseError,
+    ResourceLimitError,
     ShapeViolation,
     ZeroDenominatorError,
     ZeroPolynomialError,

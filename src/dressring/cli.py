@@ -370,6 +370,20 @@ def _command_token(argv: list[str]) -> str:
 
 
 def main(argv=None) -> int:
+    # Operands and results may have more digits than the int/str conversion
+    # limit of Python 3.11 (4300 by default); lift it for this call only.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _run(argv)
+    old_limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(old_limit)
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser().parse_args(argv)

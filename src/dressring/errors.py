@@ -61,6 +61,14 @@ class InternalSearchError(DressRingError, RuntimeError):
     """
 
 
+class ResourceLimitError(DressRingError):
+    """A computation with no polynomial-time method ran past its work budget.
+
+    Integer factoring for Z_S caps its Pollard rho steps; the message gives
+    the input and the budget.  The input may be valid; it is too costly.
+    """
+
+
 class CertificateError(DressRingError, RuntimeError):
     """A result failed its exact verification before being returned.
 

@@ -10,6 +10,7 @@ from dressring import numberrings
 from dressring import (
     CertificateError,
     IndeterminateSeriesError,
+    ResourceLimitError,
     SeriesBase,
     ShapeViolation,
     TruncLaurent,
@@ -44,6 +45,49 @@ def primes_below(n: int) -> list[int]:
     return [i for i in range(n) if sieve[i]]
 
 
+def trial_factor(n: int) -> dict[int, int]:
+    """Oracle: prime factorization by trial division (for n up to about 10^12)."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def rand_prime(rng, lo: int, hi: int, residue=None) -> int:
+    """A prime in [lo, hi), certified by trial division, optionally with p % 4 == residue."""
+    while True:
+        p = rng.randrange(lo, hi) | 1
+        if (residue is None or p % 4 == residue) and trial_factor(p) == {p: 1}:
+            return p
+
+
+def planted(primes) -> tuple[int, dict[int, int]]:
+    """The product of oracle-certified primes and its factorization."""
+    n, expected = 1, {}
+    for p in primes:
+        n *= p
+        expected[p] = expected.get(p, 0) + 1
+    return n, expected
+
+
+def oracle_zs_member(q: Fraction, known_primes) -> bool:
+    """Z_S membership: divide the known primes out of the denominator, trial-divide the rest."""
+    den = q.denominator
+    for p in known_primes:
+        while den % p == 0:
+            if p % 4 != 1:
+                return False
+            den //= p
+    assert den < 10**12
+    return all(p % 4 == 1 for p in trial_factor(den))
+
+
 class TestFactorize:
     def test_small(self):
         assert factorize(1) == {}
@@ -52,6 +96,36 @@ class TestFactorize:
     def test_large_semiprime(self):
         n = 1000003 * 999983
         assert factorize(n) == {999983: 1, 1000003: 1}
+
+    def test_against_trial_division(self):
+        bound = numberrings._TRIAL_BOUND
+        cases = [1] + [2**k for k in range(1, 70)]
+        below = max(p for p in range(bound - 60, bound) if trial_factor(p) == {p: 1})
+        above = min(p for p in range(bound, bound + 60) if trial_factor(p) == {p: 1})
+        for p in (below, above):
+            cases += [p**2, p**3, 2 * p**3, p**2 * above]
+        for n in cases:
+            f = factorize(n)
+            assert f == trial_factor(n)
+            assert list(f) == sorted(f)
+
+    def test_planted_eight_digit_primes(self):
+        rng = random.Random(205)
+        for size in (2, 2, 2, 2, 2, 2, 4, 4, 4, 4):
+            n, expected = planted(rand_prime(rng, 10**7, 10**8) for _ in range(size))
+            f = factorize(n)
+            assert f == expected
+            assert list(f) == sorted(f)
+
+    def test_rho_budget_raises(self):
+        # Two 16-digit primes, both 1 mod 4: rho would need about 10^8 steps.
+        p, q = 1000000000000037, 2000000000000021
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            zs_member(Fraction(1, p * q))
+        assert time.perf_counter() - start < 5
+        assert str(p * q) in str(info.value)
+        assert str(numberrings._RHO_STEP_BUDGET) in str(info.value)
 
     def test_probable_prime(self):
         assert is_probable_prime(2) and is_probable_prime(999983)
@@ -116,9 +190,12 @@ class TestZsGcd:
         with pytest.raises(CertificateError, match="u\\*a \\+ v\\*b"):
             zs_gcd(Fraction(6), Fraction(10))
         monkeypatch.setattr(numberrings, "_int_extended_gcd", original)
-        monkeypatch.setattr(numberrings, "zs_member", lambda q: False)
+        # d = gcd(30, 50) = 10 has S-part 5, so u = 2/5 and v = -1/5; a split
+        # that hides the S-part of d fails the check that S(d) clears them.
+        split = numberrings._split_s
+        monkeypatch.setattr(numberrings, "_split_s", lambda n: (1, split(n)[1]))
         with pytest.raises(CertificateError, match="not in Z_S"):
-            zs_gcd(Fraction(6), Fraction(10))
+            zs_gcd(Fraction(30), Fraction(50))
 
     def test_example_6_10(self):
         g, u, v = zs_gcd(Fraction(6), Fraction(10))
@@ -160,6 +237,19 @@ class TestZsGcd:
                 assert zs_member(a / g)
             if b:
                 assert zs_member(b / g)
+
+    def test_contract_cli_sized(self):
+        # Each value is k/(p*q) with 6-8 digit primes of both residues mod 4.
+        rng = random.Random(206)
+        for _ in range(30):
+            primes = [rand_prime(rng, 10**5, 10**8, rng.choice([1, 3])) for _ in range(4)]
+            a = Fraction(rng.choice([1, -1]) * rng.randint(1, 60), primes[0] * primes[1])
+            b = Fraction(rng.choice([1, -1]) * rng.randint(1, 60), primes[2] * primes[3])
+            g, u, v = zs_gcd(a, b)
+            assert g > 0
+            assert u * a + v * b == g
+            for x in (u, v, a / g, b / g):
+                assert oracle_zs_member(x, primes)
 
     def test_rational_inputs(self):
         g, u, v = zs_gcd(Fraction(3, 7), Fraction(9, 14))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -255,6 +256,30 @@ class TestCli:
         assert time.perf_counter() - start < 0.5
         assert code == 0
         assert report["result"]["verified"] is True and report["result"]["count"] == 4
+
+    def test_integers_past_the_str_digit_limit(self, capsys):
+        # 2^20000 has 6021 digits, more than Python's default int/str limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        code, report = run_cli_json(
+            ["factor", "--", "[[(X^2+2^20000*X)/(X^2+1),(X^2+X)/(X^2+1)],[0,0]]"], capsys)
+        assert code == 0
+        assert report["result"]["verified"] is True
+        digits = max(re.findall(r"\d+", report["result"]["target"]), key=len)
+        assert len(digits) == 6021 and digits.endswith(str(2**20000 % 10**30))
+        code, report = run_cli_json(["gamma", "--", "X^2 + " + "7" * 5000], capsys)
+        assert code == 0 and report["result"] == {"gamma": True}
+        assert limit() == before  # main restores the process-wide limit
+
+    def test_zs_member_past_the_rho_budget_exit_two(self, capsys):
+        # Two 16-digit primes, both 1 mod 4: rho would need about 10^8 steps.
+        p, q = 1000000000000037, 2000000000000021
+        start = time.perf_counter()
+        code, report = run_cli_json(["zs-member", f"1/{p * q}"], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        check_schema(report, "zs-member")
+        assert str(p * q) in report["error"] and "budget" in report["error"]
 
     def test_square_and_inverse_ideal(self, capsys):
         code, report = run_cli_json(

@@ -59,6 +59,12 @@ class TestArithmetic:
     def test_pow(self):
         assert (X + 1) ** 2 == X * X + 2 * X + 1
         assert (X + 1) ** 0 == Polynomial.one()
+        p = X - Fraction(1, 2)
+        for n in range(12):
+            expected = Polynomial.one()
+            for _ in range(n):
+                expected = expected * p
+            assert p**n == expected
 
     def test_evaluate(self):
         p = P(1, -3, 2)
@@ -176,6 +182,24 @@ class TestRationalFunction:
             assert (a + b) - b == a
             if b:
                 assert (a / b) * b == a
+
+
+    def test_polynomial_operands_match_make(self):
+        # Sums, products and powers of polynomials skip make; the result
+        # must be the value make would return.
+        rng = random.Random(24)
+        polys = [rand_poly(rng, 3) for _ in range(30)] + [Polynomial.zero()]
+        one = Polynomial.one()
+        for p, q in zip(polys, reversed(polys)):
+            a, b = RationalFunction.from_polynomial(p), RationalFunction.from_polynomial(q)
+            assert a + b == RationalFunction.make(p + q, one)
+            assert a - b == RationalFunction.make(p - q, one)
+            assert a * b == RationalFunction.make(p * q, one)
+            assert a**3 == RationalFunction.make(p**3, one)
+            assert a + 2 == RationalFunction.make(p + 2, one)
+            if q:
+                r = a / b
+                assert r**2 == RationalFunction.make(p * p, q * q)
 
 
 class TestAffineSubstitute:
