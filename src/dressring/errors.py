@@ -58,6 +58,8 @@ class InternalSearchError(DressRingError, RuntimeError):
 
     Termination of every search in this package is guaranteed mathematically,
     so hitting this error indicates an implementation bug, not bad input.
+    No search has such a cap at present; the class stays exported for callers
+    that handle it.
     """
 
 

@@ -27,6 +27,8 @@ denominators (root-free, so d is too).  A product is (N1 N2)/(d1 d2), with one
 reduction per result entry.  Verification reduces nothing: N/d is idempotent
 iff N*N == d*N, and factors N_1/d_1, ..., N_m/d_m multiply to N_T/d_T iff
 (N_1 ... N_m) * d_T == N_T * (d_1 ... d_m), both polynomial identities.
+Conjugation splits P = N/d once: P^-1 E P = adj(N) N_E N / (det N * d_E) for
+every factor E = N_E/d_E, again with one reduction per result entry.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .errors import (
     CertificateError,
     CertificatePreconditionError,
     HypothesisNotMet,
-    InternalSearchError,
     ShapeViolation,
     ZeroPolynomialError,
 )
@@ -48,12 +49,10 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     _exact_div,
-    affine_substitute,
     poly_gcd,
 )
 from .realroots import SignPattern, is_gamma, is_gamma_plus, sign_at_roots
 
-_SCALE_SEARCH_CAP = 1_000
 _FACTOR_COUNT_BOUND = 12  # empirical bound for the fixed pipeline, asserted in tests
 
 
@@ -180,7 +179,8 @@ class PositivityCertificate:
     """Data making x^2 + y*beta everywhere positive.
 
     ``base`` is the signed root-free seed c*(1+X^2)^(e/2) and ``scale`` the
-    positive rational found by the halving search, so beta = -scale * base.
+    largest power of two 2^-k that passes, found by galloping on k and then
+    bisecting, so beta = -scale * base.
     Invariants (checked at construction): delta = x^2 + y*beta, delta is
     everywhere positive, beta is root-free, deg x - 1 <= deg beta <= deg x and
     deg delta = 2 deg x.
@@ -200,8 +200,10 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
     +-c (1+X^2)^(e/2) with e the even member of {deg x - 1, deg x}; its sign
     opposes y's sign at the roots of x, c is the first of 1, 1/2, 1/4, ...
     that makes the leading coefficient of x^2 - base*y positive (read off in
-    closed form), and the scale halves until the positivity test passes.
-    Termination is guaranteed: every sufficiently small positive scale works.
+    closed form), and the scale is the largest 2^-k for which the positivity
+    test passes: k gallops over 0, 1, 3, 7, ... and is then bisected, so
+    O(log k) tests are run.  Termination is guaranteed: every sufficiently
+    small positive scale works, and the passing scales form an interval.
     """
     if x.is_zero or y.is_zero:
         raise CertificatePreconditionError("certificate inputs must be nonzero")
@@ -233,24 +235,35 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
         ratio = max(0, sign * y.leading_coefficient // x.leading_coefficient**2)
     base = seed.scale(Fraction(sign, 2 ** ratio.bit_length()))
 
-    x_sq = x * x
-    scale = Fraction(1)
-    for _ in range(_SCALE_SEARCH_CAP):
-        delta = x_sq - (base * y).scale(scale)
-        if is_gamma_plus(delta):
-            beta = base.scale(-scale)
-            if not is_gamma(beta):
-                raise CertificateError(f"certificate beta = {beta} has real roots")
-            if x_sq + y * beta != delta:
-                raise CertificateError("certificate identity delta = x^2 + y*beta violated")
-            if not (n - 1 <= beta.degree <= n and delta.degree == 2 * n):
-                raise CertificateError(
-                    f"certificate degrees out of range: deg x = {n}, "
-                    f"deg beta = {beta.degree}, deg delta = {delta.degree}"
-                )
-            return PositivityCertificate(beta=beta, delta=delta, scale=scale, base=base)
-        scale /= 2
-    raise InternalSearchError("positivity scale search did not converge; this is a bug")
+    # Passing scales form an interval (0, s*), as delta is linear in the scale
+    # at each point: gallop on k in scale = 2^-k, then bisect to the first pass.
+    x_sq, base_y = x * x, base * y
+
+    def passes(k: int) -> bool:
+        return is_gamma_plus(x_sq - base_y.scale(Fraction(1, 2**k)))
+
+    failing, k = -1, 0
+    while not passes(k):
+        failing, k = k, 2 * k + 1
+    while k - failing > 1:
+        mid = (failing + k) // 2
+        if passes(mid):
+            k = mid
+        else:
+            failing = mid
+    scale = Fraction(1, 2**k)
+    delta = x_sq - base_y.scale(scale)
+    beta = base.scale(-scale)
+    if not is_gamma(beta):
+        raise CertificateError(f"certificate beta = {beta} has real roots")
+    if x_sq + y * beta != delta:
+        raise CertificateError("certificate identity delta = x^2 + y*beta violated")
+    if not (n - 1 <= beta.degree <= n and delta.degree == 2 * n):
+        raise CertificateError(
+            f"certificate degrees out of range: deg x = {n}, "
+            f"deg beta = {beta.degree}, deg delta = {delta.degree}"
+        )
+    return PositivityCertificate(beta=beta, delta=delta, scale=scale, base=base)
 
 
 def positivity_certificate_b(x: Polynomial, y: Polynomial) -> PositivityCertificate:
@@ -342,18 +355,26 @@ def _shear(u) -> Mat2:
     return Mat2.of(1, u, 0, 1)
 
 
-def _invert(p: Mat2) -> Mat2:
-    det = p.det()
-    if not det.is_unit():
-        raise ShapeViolation("conjugation needs a matrix invertible over the ring")
-    inv_det = det.inverse()
-    return Mat2(p.d * inv_det, -p.b * inv_det, -p.c * inv_det, p.a * inv_det)
-
-
 def _conjugate(factors: Iterable[Mat2], p: Mat2) -> list[Mat2]:
-    """Every E mapped to P^-1 E P; similarity preserves idempotency and products."""
-    p_inv = _invert(p)
-    return [p_inv * e * p for e in factors]
+    """Every E mapped to P^-1 E P; similarity preserves idempotency and products.
+
+    With P = N/d, P^-1 = d adj(N)/det N, so E = N_E/d_E maps to
+    adj(N) N_E N / (det N * d_E): P is split once, and each entry of each
+    result takes one reduction.  P is invertible over D iff det P = det N/d^2
+    is a unit.
+    """
+    (a, b, c, d), den = _split(p)
+    det = a * d - b * c
+    if not DressElement.from_parts(det, den * den).is_unit():
+        raise ShapeViolation("conjugation needs a matrix invertible over the ring")
+    n, adj = (a, b, c, d), (d, -b, -c, a)
+    out = []
+    for e in factors:
+        n_e, d_e = _split(e)
+        den_e = det * d_e
+        out.append(Mat2(*(DressElement.from_parts(x, den_e)
+                          for x in _mul_numerators(_mul_numerators(adj, n_e), n))))
+    return out
 
 
 def _swap(factors: Iterable[Mat2]) -> list[Mat2]:
@@ -513,21 +534,17 @@ def _factor_quadratics_sharing_root(
 ) -> list[Mat2]:
     """deg x = deg y = 2 with gcd M = X - rho: build one idempotent directly.
 
-    After moving rho to 0, x = X*x1 and y = X*y1 with x1, y1 linear and
-    independent; c*x + y = s'X for c = -lc(y1)/lc(x1) ... more precisely we use
-    the combination c*x + y with c chosen to kill the quadratic term, giving a
-    row (x/d, s'X/d; 0 0) that extends to an idempotent via
-    z = (d - x)x/(s'X).  A shear conjugation restores (x/d, y/d; 0 0), a
-    prefactor (d/gamma 0; 0 0) restores the denominator, and the substitution
-    is undone at the end.
+    x = M*x1 and y = M*y1 with x1, y1 linear and independent, and
+    c = -lc(y1)/lc(x1) kills the linear term of c*x1 + y1, so c*x + y = s'M
+    with s' a nonzero constant.  With delta = x + M + c0 root-free (see
+    _grow_linear_to_gamma), the row (x/delta, s'M/delta; 0 0) is
+    (1 0; 0 0) * e for the idempotent e = (x/delta, s'M/delta; z/delta,
+    (delta-x)/delta), z = (delta-x)*x1/s'.  Conjugating by the shear with
+    parameter -c turns it into (x/delta, y/delta; 0 0), and the prefactor
+    (delta/gamma 0; 0 0) restores the denominator.
     """
-    rho = -m.coeffs[0]  # m = X - rho, monic linear
-    x_t = _shift_poly(x, rho)
-    y_t = _shift_poly(y, rho)
-    gamma_t = _shift_poly(gamma, rho)
-    x1 = _exact_div(x_t, Polynomial.x())
-    y1 = _exact_div(y_t, Polynomial.x())
-    # c kills the quadratic term of c*x_t + y_t: c = -lc(y1)/lc(x1).
+    x1 = _exact_div(x, m)
+    y1 = _exact_div(y, m)
     c = -y1.leading_coefficient / x1.leading_coefficient
     combo = x1.scale(c) + y1
     if combo.degree > 0:
@@ -537,57 +554,37 @@ def _factor_quadratics_sharing_root(
         raise ShapeViolation("numerators are proportional, use the divisibility branch")
     s_prime = combo.coeffs[0]
 
-    delta = _grow_linear_to_gamma(x_t)
-    diff = delta - x_t
+    delta = _grow_linear_to_gamma(x, m)
+    diff = delta - x
     if diff.degree != 1:
         raise CertificateError(f"delta - x = {diff} is not linear")
     z = (diff * x1).scale(1 / s_prime)
-    sx = Polynomial.x().scale(s_prime)
     e = Mat2(
-        DressElement.from_parts(x_t, delta),
-        DressElement.from_parts(sx, delta),
+        DressElement.from_parts(x, delta),
+        DressElement.from_parts(m.scale(s_prime), delta),
         DressElement.from_parts(z, delta),
         DressElement.from_parts(diff, delta),
     )
-    # (1 0; 0 0) * e factors (x_t/delta, s'X/delta; 0 0), the conjugate of
-    # (x_t/delta, y_t/delta; 0 0) by the shear with parameter c; conjugating
-    # by the shear with parameter -c undoes it (c = 1/r in the usual notation
-    # x + r y = s X).
-    a_factors = _conjugate([Mat2.of(1, 0, 0, 0), e], _shear(-c))
-    prefix = _factor_zero_q(DressElement.from_parts(delta, gamma_t))
-    return _substitute(prefix + a_factors, -rho)
+    return _factor_zero_q(DressElement.from_parts(delta, gamma)) + _conjugate(
+        [Mat2.of(1, 0, 0, 0), e], _shear(-c)
+    )
 
 
-def _shift_poly(p: Polynomial, rho: Fraction) -> Polynomial:
-    from .polynomials import affine_compose
+def _grow_linear_to_gamma(x: Polynomial, m: Polynomial) -> Polynomial:
+    """First delta = x + M + c0, c0 in +-{1, 2, 4, ...}, with no real roots.
 
-    if rho == 0:
-        return p
-    return affine_compose(p, 1, rho)
-
-
-def _grow_linear_to_gamma(x_t: Polynomial) -> Polynomial:
-    """First delta = x_t + (X + c0), c0 in +-{1, 2, 4, ...}, with no real roots.
-
-    x_t = aX^2 + bX, so delta = aX^2 + (b+1)X + c0 is root-free iff
+    In t = X - rho (M = X - rho, a root of x), x = a t^2 + b t with
+    b = x'(rho), so delta = a t^2 + (b+1) t + c0 is root-free iff
     (b+1)^2 < 4*a*c0.  With c0 = sign(a)*2^k that is 2^k > (b+1)^2/(4|a|),
     first reached at k = floor((b+1)^2/(4|a|)).bit_length().
     """
-    _, b, a = x_t.coeffs
+    a = x.leading_coefficient
+    b = x.derivative().evaluate(-m.coeffs[0])
     k = ((b + 1) ** 2 // (4 * abs(a))).bit_length()
-    delta = x_t + Polynomial.from_coeffs([(1 if a > 0 else -1) * 2**k, 1])
+    delta = x + m + (1 if a > 0 else -1) * 2**k
     if not is_gamma(delta):
         raise CertificateError(f"delta = {delta} has real roots")
     return delta
-
-
-def _substitute(factors: list[Mat2], shift: Fraction) -> list[Mat2]:
-    """Apply X -> X + shift to every entry; an automorphism, so products survive."""
-
-    def sub_mat(m: Mat2) -> Mat2:
-        return Mat2(*(DressElement(affine_substitute(x.value, 1, shift)) for x in m.entries()))
-
-    return [sub_mat(m) for m in factors]
 
 
 @dataclass(frozen=True)

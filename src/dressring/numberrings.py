@@ -14,7 +14,7 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     CertificateError,
@@ -180,19 +180,20 @@ def zs_gcd(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     Returns (g, u, v) with u*a + v*b = g, u and v in Z_S, and g the positive
     generator carrying only primes outside S.  The computation clears
     denominators, takes the integer gcd d, and strips the S-unit content; the
-    integer Bezout pair is rescaled by the resulting S-unit.  Each of the two
-    denominators and d is factored once.
+    integer Bezout pair is rescaled by the resulting S-unit.  a's denominator,
+    the part of b's denominator not shared with it, and d are factored once
+    each, so a shared denominator is factored once.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
         raise ZeroPolynomialError("zs_gcd needs at least one nonzero input")
-    rest_a = _split_s(a.denominator)[1]
-    rest_b = _split_s(b.denominator)[1]
-    scale = lcm(a.denominator, b.denominator)
+    # scale = a.denominator * b_only, and the non-S part is multiplicative.
+    b_only = b.denominator // gcd(a.denominator, b.denominator)
+    scale = a.denominator * b_only
     ai, bi = int(a * scale), int(b * scale)
     d, x, y = _int_extended_gcd(ai, bi)
     s_d, rest_d = _split_s(d)
-    g = Fraction(rest_d, lcm(rest_a, rest_b))
+    g = Fraction(rest_d, _split_s(a.denominator)[1] * _split_s(b_only)[1])
     # w = g / (d / scale) = S(scale) / S(d) is an S-unit, so u = x*w and
     # v = y*w lie in Z_S: both denominators divide S(d).
     w = g * scale / d

@@ -219,6 +219,38 @@ class TestPositivityCertificate:
         assert cert.base == GAMMA.scale(Fraction(1, 2**k))
         self.assert_invariants(x, y, cert)
 
+    def test_scale_search_past_a_thousand_halvings(self):
+        # y(1) = -2^-1100 at the root of x; the discriminant of
+        # delta = (X-1)^2 - s*y is s^2 - 4*s*2^-1100, so the first passing
+        # scale is 2^-1099, past any fixed cap of 1000 halvings.
+        x, y = X - 1, X - 1 - Fraction(1, 2**1100)
+        start = time.perf_counter()
+        cert = positivity_certificate(x, y)
+        assert time.perf_counter() - start < 0.5
+        assert cert.scale == Fraction(1, 2**1099)
+        self.assert_invariants(x, y, cert)
+
+    def test_scale_is_the_largest_passing_power_of_two(self):
+        # The search returns 2^-k with 2^-k passing and 2^-(k-1) failing,
+        # the scale the plain halving loop 1, 1/2, 1/4, ... stops at.
+        rng = random.Random(95)
+        for _ in range(60):
+            deg = rng.randint(1, 4)
+            x = rand_poly(rng, deg, nonzero=True)
+            while x.degree != deg:
+                x = rand_poly(rng, deg, nonzero=True)
+            half = rand_poly(rng, deg // 2, nonzero=True)
+            lc_scale = rng.choice([1, -1]) * 2 ** rng.randint(0, 80)
+            y = (half * half + Polynomial.one()).scale(lc_scale)
+            if y.degree != deg:
+                continue
+            x = x.scale(Fraction(1, 2 ** rng.randint(0, 40)))
+            cert = positivity_certificate(x, y)
+            base_y = cert.base * y
+            assert is_gamma_plus(x * x - base_y.scale(cert.scale))
+            if cert.scale < 1:
+                assert not is_gamma_plus(x * x - base_y.scale(2 * cert.scale))
+
     def test_random_valid_pairs(self):
         rng = random.Random(92)
         done = 0
@@ -408,6 +440,45 @@ class TestSwapAndConjugate:
         with pytest.raises(ShapeViolation):
             conjugate_factorization(fact, Mat2.of(1, 0, 0, 0))
 
+    def test_nonzero_non_unit_determinant_rejected(self):
+        # det P = X/(X^2+1) is nonzero but has a real root.
+        fact = factor_row_matrix(elem(X), elem(X + 1))
+        p = Mat2(elem(X), DressElement.zero(), DressElement.zero(), DressElement.one())
+        with pytest.raises(ShapeViolation, match="invertible over the ring"):
+            conjugate_factorization(fact, p)
+
+    def test_matches_reference_with_non_constant_unit_determinant(self):
+        # det P = (X^2+2)/(X^2+1) is a unit of D that is not a constant.
+        zero, one = DressElement.zero(), DressElement.one()
+        p = Mat2(elem(X * X + 2), elem(X), zero, one)
+        det = p.a * p.d - p.b * p.c
+        inv = det.inverse()
+        p_inv = Mat2(p.d * inv, -p.b * inv, -p.c * inv, p.a * inv)
+        g4 = GAMMA**2
+        facts = [factor_row_matrix(elem(X), elem(X + 1)),
+                 factor_row_matrix(elem(X), elem(-1)),
+                 factor_row_matrix(DressElement.from_parts(X, GAMMA**3),
+                                   DressElement.from_parts(X + 1, GAMMA**3)),
+                 factor_row_matrix(DressElement.from_parts((X - 1) * (X + 2), g4),
+                                   DressElement.from_parts((X - 1) * (X - 3), g4))]
+        for fact in facts:
+            conj = conjugate_factorization(fact, p)
+            assert conj.target == p_inv * fact.target * p
+            assert conj.factors == tuple(p_inv * e * p for e in fact.factors)
+
+    def test_no_matrix_product_in_the_pipeline(self, monkeypatch):
+        g4 = GAMMA**2
+        fact = factor_row_matrix(elem(X), elem(X + 1))
+
+        def no_product(self, other):
+            raise AssertionError("Mat2.__mul__ called")
+
+        monkeypatch.setattr(Mat2, "__mul__", no_product)
+        conjugate_factorization(fact, Mat2.of(1, 2, 0, 1))
+        factor_row_matrix(elem(X), elem(-1))  # shear
+        factor_row_matrix(DressElement.from_parts((X - 1) * (X + 2), g4),
+                          DressElement.from_parts((X - 1) * (X - 3), g4))  # shared root
+
 
 class TestFactorSmall:
     def test_common_linear_factor_worked_example(self):
@@ -460,6 +531,24 @@ class TestFactorSmall:
         fact = factor_small(p, q)
         assert verify_factorization(fact).ok
         assert fact.target == Mat2.row(p, q)
+
+    def test_shared_root_away_from_zero_exact_factors(self):
+        # gcd X - 1: the branch builds its idempotent around rho = 1.
+        g4 = (X * X + 1) ** 2
+        p = DressElement.from_parts((X - 1) * (X + 2), g4)
+        q = DressElement.from_parts((X - 1) * (X - 3), g4)
+        fact = factor_small(p, q)
+        assert str(fact.target) == (
+            "[[(X^2 + X - 2)/(X^4 + 2*X^2 + 1), (X^2 - 4*X + 3)/(X^4 + 2*X^2 + 1)], [0, 0]]")
+        assert [str(m) for m in fact.factors] == [
+            "[[1, -1], [0, 0]]",
+            "[[1, 0], [(X^4 + X^2 - 2*X - 4)/(X^4 + 2*X^2 + 1), 0]]",
+            "[[1, 1], [0, 0]]",
+            "[[(6/5*X^2 + 14/5*X + 4/5)/(X^2 + 2*X + 5),"
+            " (6/5*X^2 - 16/5*X - 6/5)/(X^2 + 2*X + 5)],"
+            " [(-1/5*X^2 - 9/5*X - 14/5)/(X^2 + 2*X + 5),"
+            " (-1/5*X^2 - 4/5*X + 21/5)/(X^2 + 2*X + 5)]]",
+        ]
 
     def test_shared_root_negative_leading_coefficients(self):
         g4 = (X * X + 1) ** 2
@@ -563,14 +652,14 @@ class TestDerivationChecks:
             idempotent._factor_quadratics_sharing_root(X**3 + X, X**3 + X * X, GAMMA**2, X)
 
     def test_shared_root_offset_check(self, monkeypatch):
-        monkeypatch.setattr(idempotent, "_grow_linear_to_gamma", lambda x_t: x_t + 1)
+        monkeypatch.setattr(idempotent, "_grow_linear_to_gamma", lambda x, m: x + 1)
         with pytest.raises(CertificateError, match="is not linear"):
             factor_row_matrix(elem(X * (X + 1), GAMMA**2), elem(X * (X - 2), GAMMA**2))
 
     def test_root_free_offset_check(self, monkeypatch):
         monkeypatch.setattr(idempotent, "is_gamma", lambda p: False)
         with pytest.raises(CertificateError, match="has real roots"):
-            idempotent._grow_linear_to_gamma(X * X + X)
+            idempotent._grow_linear_to_gamma(X * X + X, X)
 
     def test_stable_range_witness_sign_check(self, monkeypatch):
         # 1/(X - 1) is not in D; with membership unchecked it reaches the

@@ -222,6 +222,22 @@ class TestZsGcd:
         with pytest.raises(ZeroPolynomialError):
             zs_gcd(Fraction(0), Fraction(0))
 
+    def test_shared_denominator_factored_once(self, monkeypatch):
+        n = 3 * 5 * 7 * 13
+        calls = []
+        original = numberrings.factorize
+
+        def recording(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(numberrings, "factorize", recording)
+        a, b = Fraction(1, n), Fraction(2, n)  # both reduced over n
+        g, u, v = zs_gcd(a, b)
+        assert calls.count(n) == 1
+        assert g == Fraction(1, 3 * 7)
+        assert u * a + v * b == g
+
     def test_contract_random(self):
         rng = random.Random(202)
         for _ in range(200):

@@ -257,6 +257,13 @@ class TestCli:
         assert code == 0
         assert report["result"]["verified"] is True and report["result"]["count"] == 4
 
+    def test_certificate_scale_past_a_thousand_halvings(self, capsys):
+        start = time.perf_counter()
+        code, report = run_cli_json(["certificate", "--", "X - 1", "X - 1 - 1/2^1100"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert report["result"]["delta"].startswith("X^2 - ")
+
     def test_integers_past_the_str_digit_limit(self, capsys):
         # 2^20000 has 6021 digits, more than Python's default int/str limit.
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)
