@@ -11,13 +11,21 @@ Grammar (whitespace-insensitive, left-associative, usual precedence):
     atom   := INTEGER | 'X' | '(' expr ')'
 
 Rationals are written with '/', e.g. 3/2; they are ordinary divisions.
-Scalar expressions evaluate to reduced rational functions with monic
-denominators, and printing is canonical: print(parse(t)) reparses to an equal
-value, and parse-print-parse is a fixed point.
+INTEGER is a run of Unicode decimal digits (regex ``\\d``, exactly the
+characters ``int`` accepts, so superscripts such as '²' are not digits), and
+whitespace is what ``str.isspace`` accepts.
+
+Values are evaluated as unreduced numerator/denominator pairs of polynomials:
+'+', '-', '*' and '/' take no gcd, and each scalar or matrix entry is reduced
+once, at the end, to a rational function with a monic denominator (a base
+with a nonconstant denominator is also reduced before '^', so degrees never
+exceed those of the reduced form).  Printing is canonical: print(parse(t))
+reparses to an equal value, and parse-print-parse is a fixed point.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -48,161 +56,186 @@ class Expression:
     value: ParsedValue
 
 
-_PUNCT = set("+-*/^()[],")
+# One token per match, after any whitespace: group 1 an integer, group 2 'X' or
+# a punctuation mark, group 3 any other character (an error).
+_TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/^()\[\],X])|(\S))")
+
+_ONE = Polynomial.one()
+_X = Polynomial.x()
+
+# A value is an unreduced pair (num, den) of canonical polynomials whose den is
+# either the object _ONE or nonconstant; each scalar is reduced once, in
+# _Parser.parse_reduced.
+_Pair = tuple[Polynomial, Polynomial]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int', 'X', punctuation, or 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) tuples; kind is 'int', 'X', a punctuation mark or 'end'."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch == "X":
-            tokens.append(_Token("X", ch, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        tok = m.group(group)
+        if group == 3:
+            raise ParseError(f"unexpected character {tok!r}", m.start(3))
+        tokens.append(("int" if group == 1 else tok, tok, m.start(group)))
+    tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _times(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, with no multiplication when either factor is _ONE."""
+    if b is _ONE:
+        return a
+    return b if a is _ONE else a * b
+
+
+def _reduced_pair(num: Polynomial, den: Polynomial) -> _Pair:
+    """(num, den) in lowest terms with a monic denominator, as a pair."""
+    r = RationalFunction.make(num, den)
+    return r.num, (r.den if len(r.den.ints) > 1 else _ONE)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self, kind: str) -> _Token:
+    def take(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
-        if tok.kind != kind:
-            what = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ParseError(f"expected {kind!r}, found {what}", tok.pos)
+        if tok[0] != kind:
+            what = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {what}", tok[2])
         self.i += 1
         return tok
 
-    def accept(self, kind: str) -> bool:
-        if self.tokens[self.i].kind == kind:
-            self.i += 1
-            return True
-        return False
-
     def parse_top(self) -> ParsedValue:
-        if self.peek().kind == "[":
+        if self.tokens[self.i][0] == "[":
             value = self.parse_matrix()
         else:
-            value = self.parse_expr()
-        end = self.peek()
-        if end.kind != "end":
-            raise ParseError(f"unexpected trailing input {end.text!r}", end.pos)
+            value = self.parse_reduced()
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return value
 
     def parse_matrix(self) -> ParsedMatrix:
         self.take("[")
         self.take("[")
-        a = self.parse_expr()
+        a = self.parse_reduced()
         self.take(",")
-        b = self.parse_expr()
+        b = self.parse_reduced()
         self.take("]")
         self.take(",")
         self.take("[")
-        c = self.parse_expr()
+        c = self.parse_reduced()
         self.take(",")
-        d = self.parse_expr()
+        d = self.parse_reduced()
         self.take("]")
         self.take("]")
         return ParsedMatrix(a, b, c, d)
 
-    def parse_expr(self) -> RationalFunction:
-        value = self.parse_term()
-        while True:
-            if self.accept("+"):
-                value = value + self.parse_term()
-            elif self.accept("-"):
-                value = value - self.parse_term()
-            else:
-                return value
+    def parse_reduced(self) -> RationalFunction:
+        num, den = self.parse_expr()
+        return RationalFunction(num, den) if den is _ONE else RationalFunction.make(num, den)
 
-    def parse_term(self) -> RationalFunction:
-        value = self.parse_unary()
+    def parse_expr(self) -> _Pair:
+        n1, d1 = self.parse_term()
+        tokens = self.tokens
         while True:
-            if self.accept("*"):
-                value = value * self.parse_unary()
-            elif self.kind_is("/"):
-                tok = self.take("/")
-                rhs = self.parse_unary()
-                if rhs.is_zero:
-                    raise ZeroDenominatorError(f"division by zero (offset {tok.pos})")
-                value = value / rhs
+            op = tokens[self.i][0]
+            if op != "+" and op != "-":
+                return n1, d1
+            self.i += 1
+            n2, d2 = self.parse_term()
+            if op == "-":
+                n2 = -n2
+            if d1 == d2:
+                n1 = n1 + n2
             else:
-                return value
+                n1, d1 = _times(n1, d2) + _times(n2, d1), _times(d1, d2)
 
-    def kind_is(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
-    def parse_unary(self) -> RationalFunction:
-        sign = 1
+    def parse_term(self) -> _Pair:
+        n1, d1 = self.parse_unary()
+        tokens = self.tokens
         while True:
-            if self.accept("-"):
-                sign = -sign
-            elif self.accept("+"):
-                pass
+            op, _, pos = tokens[self.i]
+            if op == "*":
+                self.i += 1
+                n2, d2 = self.parse_unary()
+                n1, d1 = n1 * n2, _times(d1, d2)
+            elif op == "/":
+                self.i += 1
+                n2, d2 = self.parse_unary()
+                if n2.is_zero:
+                    raise ZeroDenominatorError(f"division by zero (offset {pos})")
+                n1 = _times(n1, d2)
+                if len(n2.ints) == 1:  # a constant divisor scales the numerator
+                    n1 = n1.scale(Fraction(n2.denom, n2.ints[0]))
+                else:
+                    d1 = _times(d1, n2)
             else:
+                return n1, d1
+
+    def parse_unary(self) -> _Pair:
+        tokens = self.tokens
+        negate = False
+        while True:
+            kind = tokens[self.i][0]
+            if kind == "-":
+                negate = not negate
+            elif kind != "+":
                 break
-        value = self.parse_power()
-        return value if sign == 1 else -value
-
-    def parse_power(self) -> RationalFunction:
-        value = self.parse_atom()
-        while self.kind_is("^"):
-            tok = self.take("^")
-            exponent = self.parse_atom()
-            if not (exponent.is_polynomial and exponent.num.degree <= 0):
-                raise ParseError("exponent must be a nonnegative integer", tok.pos)
-            e = exponent.num.evaluate(0) if not exponent.num.is_zero else Fraction(0)
-            if e.denominator != 1 or e < 0:
-                raise ParseError("exponent must be a nonnegative integer", tok.pos)
-            value = value ** int(e)
-        return value
-
-    def parse_atom(self) -> RationalFunction:
-        tok = self.peek()
-        if tok.kind == "int":
             self.i += 1
-            return RationalFunction.from_rational(int(tok.text))
-        if tok.kind == "X":
+        num, den = self.parse_power()
+        return (-num, den) if negate else (num, den)
+
+    def parse_power(self) -> _Pair:
+        num, den = self.parse_atom()
+        tokens = self.tokens
+        while tokens[self.i][0] == "^":
+            pos = tokens[self.i][2]
             self.i += 1
-            return RationalFunction.x()
-        if tok.kind == "(":
+            if tokens[self.i][0] == "int":
+                e = int(tokens[self.i][1])
+                self.i += 1
+            else:
+                e = self._exponent(*self.parse_atom(), pos)
+            if num is _X and den is _ONE:  # X^e is a monomial
+                num = Polynomial((0,) * e + (1,))
+                continue
+            if den is not _ONE:
+                num, den = _reduced_pair(num, den)
+                den = den**e if den is not _ONE and e else _ONE
+            num = num**e
+        return num, den
+
+    @staticmethod
+    def _exponent(num: Polynomial, den: Polynomial, pos: int) -> int:
+        if den is not _ONE:
+            num, den = _reduced_pair(num, den)
+        if den is not _ONE or len(num.ints) > 1:
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        e = num.evaluate(0)
+        if e.denominator != 1 or e < 0:
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        return int(e)
+
+    def parse_atom(self) -> _Pair:
+        kind, text, pos = self.tokens[self.i]
+        if kind == "int":
+            self.i += 1
+            value = int(text)
+            return (Polynomial((value,)) if value else Polynomial.zero()), _ONE
+        if kind == "X":
+            self.i += 1
+            return _X, _ONE
+        if kind == "(":
             self.i += 1
             value = self.parse_expr()
             self.take(")")
             return value
-        what = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ParseError(f"expected a value, found {what}", tok.pos)
+        what = "end of input" if kind == "end" else repr(text)
+        raise ParseError(f"expected a value, found {what}", pos)
 
 
 def parse_expression(text: str) -> Expression:

@@ -138,6 +138,24 @@ class TestFactorize:
         assert is_probable_prime(2**61 - 1) and is_probable_prime(10**18 + 9)
 
 
+class TestFactorizeSympyOracle:
+    """Differential check of factorize against SymPy's factorint."""
+
+    def test_factorize_matches_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1039)
+        cases = [rng.randrange(1, 10**15) for _ in range(100)]
+        for _ in range(50):
+            primes = [sympy.nextprime(rng.randrange(10, 10**9)) for _ in range(rng.randint(1, 3))]
+            n, _ = planted(int(p) for p in primes)
+            cases.append(n * rng.randrange(1, 10**4))
+        for n in cases:
+            expected = {int(p): e for p, e in sympy.factorint(n).items()}
+            f = factorize(n)
+            assert f == expected, n
+            assert list(f) == sorted(f)
+
+
 class TestZsMember:
     def test_examples(self):
         assert zs_member(Fraction(1, 5))

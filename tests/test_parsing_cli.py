@@ -83,6 +83,19 @@ class TestParser:
         e = parse_expression("X + 1")
         assert e.source == "X + 1"
 
+    def test_superscript_digits_are_not_integers(self):
+        # '²' passes str.isdigit but not int(), so it is no digit.
+        for text, offset in (("1+²", 2), ("X^²", 2), ("²", 0), ("2²", 1)):
+            with pytest.raises(ParseError) as exc:
+                parse_scalar(text)
+            assert exc.value.position == offset
+            assert str(exc.value) == f"unexpected character '²' (offset {offset})"
+
+    def test_unicode_decimal_digits_and_spaces(self):
+        # Any decimal digit int() accepts is a digit; any str.isspace is a space.
+        assert parse_scalar("\u0663\u0664 +\u3000X") == parse_scalar("34 + X")
+        assert parse_scalar("X^\u0662\u00a0") == RationalFunction.from_polynomial(X * X)
+
 
 def rand_matrix_text(rng):
     entries = [format_rational_function(rand_rf(rng, 3)) for _ in range(4)]
@@ -116,6 +129,157 @@ class TestRoundTrip:
         ]
         for p in cases:
             assert parse_scalar(format_polynomial(p)) == RationalFunction.from_polynomial(p)
+
+
+class _RandomExpression:
+    """Random texts that follow the grammar, each with its value built by
+    RationalFunction arithmetic in the grammar's order of evaluation."""
+
+    SPACES = ("", "", "", " ", "  ", "\t", "\n", "　")
+    SIGNS = ("", "", "", "-", "+", "--", "- -", "-+-", "+ +")
+    # Parenthesised exponents that reduce to the integer k.
+    EXPONENTS = ("({k})", "({k2}/2)", "({k}*(X+1)/(X+1))", "(X-X+{k})", "(({k}*X^2+{k})/(X^2+1))")
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def ws(self) -> str:
+        return self.rng.choice(self.SPACES)
+
+    def atom(self, depth: int):
+        rng = self.rng
+        r = rng.random()
+        if depth > 0 and r < 0.3:
+            text, value = self.expr(depth - 1)
+            return f"({self.ws()}{text}{self.ws()})", value
+        if r < 0.55:
+            return "X", RationalFunction.x()
+        n = rng.choice([0, rng.randint(1, 12), rng.randint(1, 12)])
+        if rng.random() < 0.05:
+            n = 10**299 + rng.randrange(10**299)
+        return str(n), RationalFunction.from_rational(n)
+
+    def power(self, depth: int):
+        rng = self.rng
+        text, value = self.atom(depth)
+        for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+            k = rng.randint(0, 2)
+            exponent = str(k) if rng.random() < 0.6 else rng.choice(self.EXPONENTS).format(k=k, k2=2 * k)
+            text, value = f"{text}{self.ws()}^{self.ws()}{exponent}", value**k
+        return text, value
+
+    def unary(self, depth: int):
+        signs = self.rng.choice(self.SIGNS)
+        text, value = self.power(depth)
+        return signs + self.ws() + text, -value if signs.count("-") % 2 else value
+
+    def term(self, depth: int):
+        text, value = self.unary(depth)
+        for _ in range(self.rng.choice([0, 0, 1, 2])):
+            rhs_text, rhs = self.unary(depth)
+            op = "/" if self.rng.random() < 0.5 and not rhs.is_zero else "*"
+            value = value / rhs if op == "/" else value * rhs
+            text = f"{text}{self.ws()}{op}{self.ws()}{rhs_text}"
+        return text, value
+
+    def expr(self, depth: int):
+        text, value = self.term(depth)
+        for _ in range(self.rng.choice([0, 1, 1, 2])):
+            rhs_text, rhs = self.term(depth)
+            op = self.rng.choice("+-")
+            value = value + rhs if op == "+" else value - rhs
+            text = f"{text}{self.ws()}{op}{self.ws()}{rhs_text}"
+        return text, value
+
+
+class TestEvaluator:
+    def test_random_trees_match_rational_function_arithmetic(self):
+        gen = _RandomExpression(random.Random(1009))
+        for i in range(500):
+            text, value = gen.expr(gen.rng.randint(0, 3))
+            parsed = parse_scalar(text)
+            assert parsed == value, text
+            if i % 10 == 0:
+                entries = [gen.expr(1) for _ in range(3)] + [(text, value)]
+                m = parse_matrix("[[{}, {}],[{}, {}]]".format(*(t for t, _ in entries)))
+                assert m.entries() == tuple(v for _, v in entries)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("1/(X^2-", ParseError, "expected a value, found end of input (offset 7)"),
+        ("(X+1", ParseError, "expected ')', found end of input (offset 4)"),
+        ("", ParseError, "expected a value, found end of input (offset 0)"),
+        ("X^", ParseError, "expected a value, found end of input (offset 2)"),
+        ("[[1,2],[3,4]", ParseError, "expected ']', found end of input (offset 12)"),
+        ("X + 1 )", ParseError, "unexpected trailing input ')' (offset 6)"),
+        ("[[1,2],[3,4]] X", ParseError, "unexpected trailing input 'X' (offset 14)"),
+        ("1/(X-X)", ZeroDenominatorError, "division by zero (offset 1)"),
+        ("X^2 / (0*X) + 1", ZeroDenominatorError, "division by zero (offset 4)"),
+        ("X^X", ParseError, "exponent must be a nonnegative integer (offset 1)"),
+        ("2^(1/2)", ParseError, "exponent must be a nonnegative integer (offset 1)"),
+        ("X^(0-1)", ParseError, "exponent must be a nonnegative integer (offset 1)"),
+        ("X ^ (X/X+X)", ParseError, "exponent must be a nonnegative integer (offset 2)"),
+        ("3 / (2 - 2) + y", ParseError, "unexpected character 'y' (offset 14)"),
+    ])
+    def test_error_offsets_and_messages(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_expression(text)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_exponents_that_reduce_to_integers(self):
+        assert parse_scalar("X^((X+1)/(X+1))") == RationalFunction.x()
+        assert parse_scalar("(X+1)^(6/3)") == RationalFunction.from_polynomial((X + 1) ** 2)
+        assert parse_scalar("(X/(X^2+1))^(X-X)") == RationalFunction.one()
+        assert parse_scalar("((X^2-1)/(X-1))^3") == RationalFunction.from_polynomial((X + 1) ** 3)
+
+    def test_one_reduction_per_operand(self, monkeypatch):
+        rng = random.Random(1013)
+        polynomials = [format_polynomial(rand_rf(rng, 6).num) for _ in range(40)]
+        polynomials += ["(X+1)^3*(2*X-1)/7 - 3/2*X", "-(X^2+1)^2/(4/2) + X^10"]
+        matrices = [rand_matrix_text(rng) for _ in range(40)]
+        calls = []
+        make = RationalFunction.make
+
+        def counting_make(num, den):
+            calls.append(1)
+            return make(num, den)
+
+        monkeypatch.setattr(RationalFunction, "make", staticmethod(counting_make))
+        for text in polynomials:
+            parse_scalar(text)
+        assert len(calls) == 0
+        for text in matrices:
+            del calls[:]
+            parse_matrix(text)
+            assert len(calls) <= 4
+        del calls[:]
+        parse_scalar(" + ".join(f"{k}/(X^2+{k})" for k in range(1, 41)))
+        assert len(calls) == 1
+        del calls[:]
+        parse_scalar("(X/(X+1))^2 + 1")  # a non-polynomial base is reduced before '^'
+        assert len(calls) == 2
+
+
+class TestNoCliff:
+    def test_dense_operand_with_large_coefficients(self):
+        rng = random.Random(1019)
+        coeffs = [rng.choice((-1, 1)) * rng.randrange(10**299, 10**300) for _ in range(2001)]
+        p = Polynomial.from_coeffs(coeffs)
+        text = format_polynomial(p)
+        assert len(text) > 600_000
+        start = time.perf_counter()
+        value = parse_scalar(text)
+        assert time.perf_counter() - start < 5
+        assert value == RationalFunction.from_polynomial(p)
+
+    def test_sum_of_fractions(self):
+        text = " + ".join(f"{k}/(X^2+{k + 1})" for k in range(1, 41))
+        expected = RationalFunction.zero()
+        for k in range(1, 41):
+            expected = expected + RationalFunction.make(Polynomial.constant(k), X * X + k + 1)
+        start = time.perf_counter()
+        value = parse_scalar(text)
+        assert time.perf_counter() - start < 1
+        assert value == expected
 
 
 def run_cli(args, capsys):
@@ -171,6 +335,12 @@ class TestCli:
     def test_syntax_error_exit_two(self, capsys):
         code, report = run_cli_json(["member", "1/(X^2-"], capsys)
         assert code == 2 and "offset 7" in report["error"]
+
+    def test_superscript_digit_exit_two(self, capsys):
+        code, report = run_cli_json(["member", "1+²"], capsys)
+        assert code == 2 and "offset" in report["error"]
+        check_schema(report, "member")
+        assert report["error"] == "unexpected character '²' (offset 2)"
 
     def test_matrix_entry_outside_ring_exit_two(self, capsys):
         code, report = run_cli_json(["factor", "[[X,1],[0,0]]"], capsys)

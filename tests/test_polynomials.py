@@ -240,3 +240,42 @@ class TestAffineSubstitute:
         for _ in range(50):
             r = rand_rf(rng, 4)
             assert affine_substitute(r, 3, -2).degree == r.degree
+
+
+class TestSympyOracle:
+    """Differential checks of the gcd and Yun's decomposition against SymPy."""
+
+    @staticmethod
+    def _to_sympy(sympy, p: Polynomial):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                          sympy.Symbol("x"), domain="QQ")
+
+    @staticmethod
+    def _from_sympy(p) -> Polynomial:
+        return Polynomial.from_coeffs([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
+
+    def test_poly_gcd(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1021)
+        for i in range(150):
+            common = rand_poly(rng, 3, -20, 20, nonzero=True) if i % 3 else Polynomial.one()
+            lo, hi = (-10**30, 10**30) if i % 5 == 0 else (-9, 9)
+            a = common * rand_poly(rng, 5, lo, hi, nonzero=True)
+            b = common * rand_poly(rng, 5, lo, hi) * Polynomial.constant(Fraction(1, rng.randint(1, 7)))
+            expected = self._to_sympy(sympy, a).gcd(self._to_sympy(sympy, b))
+            assert poly_gcd(a, b) == self._from_sympy(expected).monic(), (str(a), str(b))
+
+    def test_squarefree_decomposition(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1031)
+        for _ in range(80):
+            p = Polynomial.constant(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            for mult in range(1, 5):
+                if rng.random() < 0.6:
+                    p = p * rand_poly(rng, 2, -6, 6, nonzero=True) ** mult
+            if p.degree < 1:
+                continue
+            _, factors = self._to_sympy(sympy, p).sqf_list()
+            expected = sorted((m, self._from_sympy(f).monic().ints) for f, m in factors)
+            got = sorted((m, s.ints) for s, m in squarefree_decomposition(p))
+            assert got == expected, str(p)
