@@ -26,7 +26,6 @@ from .errors import (
     DressRingError,
     HypothesisNotMet,
     IndeterminateSeriesError,
-    InternalSearchError,
     NotInDressRing,
     ParseError,
     ResourceLimitError,

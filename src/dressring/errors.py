@@ -53,16 +53,6 @@ class IndeterminateSeriesError(DressRingError, ValueError):
     """A truncated series is zero to its precision but was not declared zero."""
 
 
-class InternalSearchError(DressRingError, RuntimeError):
-    """A search loop exceeded its iteration cap.
-
-    Termination of every search in this package is guaranteed mathematically,
-    so hitting this error indicates an implementation bug, not bad input.
-    No search has such a cap at present; the class stays exported for callers
-    that handle it.
-    """
-
-
 class ResourceLimitError(DressRingError):
     """A computation with no polynomial-time method ran past its work budget.
 
@@ -76,8 +66,8 @@ class CertificateError(DressRingError, RuntimeError):
 
     The public factorization functions, the positivity certificate and the
     ideal computations check every result they return, with real code that
-    survives ``python -O``.  Like InternalSearchError this indicates an
-    implementation bug, not bad input.
+    survives ``python -O``.  A failure indicates an implementation bug, not
+    bad input.
     """
 
 

@@ -9,26 +9,19 @@ The pipeline factors row matrices (p q; 0 0):
   which keeps the sign hypothesis because p vanishes at its own roots;
 * the equal-degree core writes the *swapped* row (y/g, x/g; 0 0) as
   (d/(g b), 0; 0 0) * T, where d = x^2 + y*b comes from the positivity
-  certificate and T = (b y/d, b x/d; y x/d, x^2/d) is idempotent with trace
-  (y b + x^2)/d = 1; a final swap restores the requested order.  (Writing the
-  product for the swapped row, rather than the row itself, is what makes the
-  middle identity exact; expanding the unswapped variant gives the wrong
-  product.)
+  certificate and T = (b; x)(y x)/d is idempotent, since (y x).(b; x) = d;
+  a final swap restores the requested order.  (Writing the product for the
+  swapped row, rather than the row itself, is what makes the middle identity
+  exact; expanding the unswapped variant gives the wrong product.)
 
 Factor lists multiply left-to-right: the product of ``factors`` in sequence
-order equals ``target``.  The pipeline stages build plain factor lists; each
-public entry point (factor_row_matrix, factor_small, swap_factorization,
-conjugate_factorization) verifies idempotency and the exact product once,
-before returning, and raises CertificateError if the check fails.
-
-Matrix arithmetic runs over one common denominator: a matrix is written N/d,
-with N a 2x2 polynomial matrix and d the monic lcm of its entries'
-denominators (root-free, so d is too).  A product is (N1 N2)/(d1 d2), with one
-reduction per result entry.  Verification reduces nothing: N/d is idempotent
-iff N*N == d*N, and factors N_1/d_1, ..., N_m/d_m multiply to N_T/d_T iff
-(N_1 ... N_m) * d_T == N_T * (d_1 ... d_m), both polynomial identities.
-Conjugation splits P = N/d once: P^-1 E P = adj(N) N_E N / (det N * d_E) for
-every factor E = N_E/d_E, again with one reduction per result entry.
+order equals ``target``.  Inside this module every factor but the zero matrix
+is a rank-one idempotent, held as a triple (v, w, s) of two polynomial pairs
+and a nonzero polynomial: E = v w^T / s, idempotent iff w.v == s, as in
+(1 0; 1-p 0) = (pd; pd-pn)(1 0)/pd for p = pn/pd.  Swaps and conjugations map
+triples to triples without reducing.  One check (w.v == s per factor, then the
+telescoped product against the target) runs once where each public function
+returns; only then is each Mat2 entry built, with one checked from_parts.
 """
 
 from __future__ import annotations
@@ -87,10 +80,10 @@ class Mat2:
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         # N1/d1 * N2/d2 = (N1 N2)/(d1 d2): one reduction per result entry.
-        n1, d1 = _split(self)
-        n2, d2 = _split(other)
-        den = d1 * d2
-        return Mat2(*(DressElement.from_parts(n, den) for n in _mul_numerators(n1, n2)))
+        (a, b, c, d), d1 = _split(self)
+        (e, f, g, h), d2 = _split(other)
+        products = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return Mat2(*(DressElement.from_parts(n, d1 * d2) for n in products))
 
     def entries(self) -> tuple[DressElement, DressElement, DressElement, DressElement]:
         return (self.a, self.b, self.c, self.d)
@@ -128,33 +121,51 @@ def _elem(x) -> DressElement:
     raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
 
 
-_Numerators = tuple[Polynomial, Polynomial, Polynomial, Polynomial]
+# (v, w, s) is v w^T / s.  In factor lists None stands for the identity, which
+# has rank two, and False for a candidate that failed _factor_of.
+_Factor = tuple[tuple[Polynomial, Polynomial], tuple[Polynomial, Polynomial], Polynomial]
+_0, _1 = Polynomial.zero(), Polynomial.one()
+_ZERO_FACTOR: _Factor = ((_0, _0), (_0, _0), _1)
+_E11: _Factor = ((_1, _0), (_1, _0), _1)  # (1 0; 0 0)
 
 
-def _split(m: Mat2) -> tuple[_Numerators, Polynomial]:
+def _split(m: Mat2) -> tuple[tuple[Polynomial, ...], Polynomial]:
     """m as N/d: a polynomial matrix N over the common denominator d of the entries."""
     nums, d = over_common_denominator(m.entries())
     return tuple(nums), d
 
 
-def _mul_numerators(n1: _Numerators, n2: _Numerators) -> _Numerators:
-    a, b, c, d = n1
-    e, f, g, h = n2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+def _factor_of(m: Mat2):
+    """A candidate N/d as a factor, or False when it is not idempotent.
+
+    N == 0 is the zero factor and N == d*I the identity (None); any other N/d
+    is idempotent iff det N == 0 and tr N == d (Cayley-Hamilton), and rank one
+    then makes N_kj N_il == N_ij N_kl, so N/d = (column j)(row i)/(d*N_ij).
+    """
+    n, den = _split(m)
+    a, b, c, d = n
+    if not any(n):
+        return _ZERO_FACTOR
+    if a == den == d and not (b or c):
+        return None
+    if a * d != b * c or a + d != den:
+        return False
+    r = 0 if a or b else 2  # the first nonzero row is n[r], n[r + 1]
+    j = 0 if n[r] else 1  # and n[r + j] its first nonzero entry
+    return (n[j], n[j + 2]), (n[r], n[r + 1]), den * n[r + j]
 
 
-def _is_idempotent_split(n: _Numerators, d: Polynomial) -> bool:
-    # (N/d)^2 == N/d  <=>  N*N == d*N, since d is nonzero.
-    return _mul_numerators(n, n) == tuple(x * d for x in n)
+def _matrix(f: Optional[_Factor]) -> Mat2:
+    """The Mat2 of a factor, with one checked from_parts per entry."""
+    if f is None:
+        return Mat2.identity()
+    v, w, s = f
+    return Mat2(*(DressElement.from_parts(vi * wj, s) for vi in v for wj in w))
 
 
 def is_idempotent(m: Mat2) -> bool:
-    """Exact test m * m == m.
-
-    With m = N/d over the common denominator of its entries this is the
-    polynomial identity N*N == d*N: no gcd and no reduction.
-    """
-    return _is_idempotent_split(*_split(m))
+    """Exact test m * m == m: for m = N/d, N == 0, N == d*I, or det N == 0 and tr N == d."""
+    return _factor_of(m) is not False
 
 
 def complete_idempotent_pair(p: DressElement, q: DressElement) -> Optional[Mat2]:
@@ -280,20 +291,13 @@ def positivity_certificate_b(x: Polynomial, y: Polynomial) -> PositivityCertific
 class Factorization:
     """A target matrix with a list of idempotent factors multiplying to it.
 
-    The constructor does not verify.  The public functions of this module run
-    :func:`verify_factorization` once on every factorization they return and
-    raise CertificateError when it fails; callers can run the same check on
-    independently built candidates.
+    The constructor does not verify.  The public functions of this module
+    certify each factorization they return once and raise CertificateError
+    when that fails; :func:`verify_factorization` runs the same check.
     """
 
     target: Mat2
     factors: tuple[Mat2, ...]
-
-    def product(self) -> Mat2:
-        acc = Mat2.identity()
-        for f in self.factors:
-            acc = acc * f
-        return acc
 
 
 @dataclass(frozen=True)
@@ -314,108 +318,116 @@ def verify_factorization(f: Factorization) -> VerificationReport:
     """Re-check idempotency of every factor and the exact product.
 
     Every matrix is written N/d over the common denominator of its entries.
-    A factor N_k/d_k is idempotent iff N_k*N_k == d_k*N_k.  The factors are
-    then multiplied left to right without reducing, acc_N/acc_d =
-    (N_1 ... N_m)/(d_1 ... d_m), and the product equals the target N_T/d_T
-    iff acc_N*d_T == N_T*acc_d entrywise.  Only polynomial products and
-    comparisons are needed; no gcd is taken.  The first non-idempotent factor
-    is reported (with its index) before any product mismatch.
+    A factor is idempotent iff N == 0, N == d*I, or det N == 0 and tr N == d
+    (Cayley-Hamilton); one of rank one is then v w^T / s, and the product
+    v_1 (w_1.v_2) ... (w_{k-1}.v_k) w_k^T / (s_1 ... s_k), identities skipped,
+    is compared with the target N_T/d_T in four cross-multiplied entries, with
+    no gcd.  The first non-idempotent factor is reported (with its index)
+    before any product mismatch.
 
     Entry membership needs no check: every DressElement is certified to lie
     in the ring when it is constructed.
     """
-    split = [_split(m) for m in f.factors]
-    for i, (n, d) in enumerate(split):
-        if not _is_idempotent_split(n, d):
-            return VerificationReport(False, "factor-not-idempotent", i)
-    one, zero = Polynomial.one(), Polynomial.zero()
-    acc_n, acc_d = (one, zero, zero, one), one
-    for n, d in split:
-        acc_n, acc_d = _mul_numerators(acc_n, n), acc_d * d
-    target_n, target_d = _split(f.target)
-    if any(x * target_d != t * acc_d for x, t in zip(acc_n, target_n)):
+    return _verify_triples(f.target, [_factor_of(m) for m in f.factors])
+
+
+def _verify_triples(target: Mat2, factors) -> VerificationReport:
+    """The one certificate check: w.v == s per factor, then the telescoped product."""
+    for i, f in enumerate(factors):
+        if f is None:
+            continue
+        if f is not False:
+            (v1, v2), (w1, w2), s = f
+            if w1 * v1 + w2 * v2 == s or not (v1 or v2) or not (w1 or w2):
+                continue  # idempotent: w.v == s, or the zero matrix
+        return VerificationReport(False, "factor-not-idempotent", i)
+    rank_one = [f for f in factors if f is not None]
+    num, den = (_1, _0, _0, _1), _1
+    if rank_one:
+        (v1, v2), w, den = rank_one[0]
+        scalar = _1
+        for (x1, x2), w_next, s in rank_one[1:]:
+            scalar, den, w = scalar * (w[0] * x1 + w[1] * x2), den * s, w_next
+        num = tuple(vi * wj for vi in (scalar * v1, scalar * v2) for wj in w)
+    target_n, target_d = _split(target)
+    if any(x * target_d != t * den for x, t in zip(num, target_n)):
         return VerificationReport(False, "product-mismatch")
     return VerificationReport(True)
 
 
-def _verified(target: Mat2, factors: list[Mat2]) -> Factorization:
-    """The one certificate check, run where a public function returns."""
-    fact = Factorization(target, tuple(factors))
-    report = verify_factorization(fact)
+def _verified(target: Mat2, factors) -> Factorization:
+    """Run the one check where a public function returns, then build the Mat2 factors."""
+    report = _verify_triples(target, factors)
     if not report.ok:
         index = "" if report.factor_index is None else f" at factor {report.factor_index}"
         raise CertificateError(
             f"factorization of {target} failed verification: {report.failure}{index}"
         )
-    return fact
+    return Factorization(target, tuple(_matrix(f) for f in factors))
 
 
-def _shear(u) -> Mat2:
-    """(1 u; 0 1); invertible over D whenever u is."""
-    return Mat2.of(1, u, 0, 1)
+def _conjugate(factors: Iterable, p: Mat2) -> list:
+    """Every E = v w^T / s mapped to P^-1 E P = (adj(N) v)(N^T w)^T / (det N * s).
 
-
-def _conjugate(factors: Iterable[Mat2], p: Mat2) -> list[Mat2]:
-    """Every E mapped to P^-1 E P; similarity preserves idempotency and products.
-
-    With P = N/d, P^-1 = d adj(N)/det N, so E = N_E/d_E maps to
-    adj(N) N_E N / (det N * d_E): P is split once, and each entry of each
-    result takes one reduction.  P is invertible over D iff det P = det N/d^2
-    is a unit.
+    P = N/d is split once and nothing is reduced.  P is invertible over D iff
+    det P = det N/d^2 is a unit.
     """
     (a, b, c, d), den = _split(p)
     det = a * d - b * c
     if not DressElement.from_parts(det, den * den).is_unit():
         raise ShapeViolation("conjugation needs a matrix invertible over the ring")
-    n, adj = (a, b, c, d), (d, -b, -c, a)
-    out = []
-    for e in factors:
-        n_e, d_e = _split(e)
-        den_e = det * d_e
-        out.append(Mat2(*(DressElement.from_parts(x, den_e)
-                          for x in _mul_numerators(_mul_numerators(adj, n_e), n))))
-    return out
+
+    def image(f: _Factor) -> _Factor:
+        (v1, v2), (w1, w2), s = f
+        return (d * v1 - b * v2, a * v2 - c * v1), (a * w1 + c * w2, b * w1 + d * w2), det * s
+
+    return [image(f) if f else f for f in factors]
 
 
-def _swap(factors: Iterable[Mat2]) -> list[Mat2]:
+def _swap(factors: Iterable) -> list:
     """Factors of (q p; 0 0) from factors of (p q; 0 0).
 
-    Conjugating by the permutation matrix P = (0 1; 1 0) factors (0 0; p q);
-    prepending the idempotent (1 1; 0 0) then restores a row matrix with the
-    entries swapped.  P (a b; c d) P = (d c; b a), so the conjugation only
-    permutes entries.
+    Conjugating by P = (0 1; 1 0) factors (0 0; p q), and prepending the
+    idempotent (1 1; 0 0) restores a row matrix with the entries swapped.
+    P v w^T P = (P v)(P w)^T swaps the entries of v and of w.
     """
-    return [Mat2.of(1, 1, 0, 0)] + [Mat2(e.d, e.c, e.b, e.a) for e in factors]
+    return [((_1, _0), (_1, _1), _1)] + [(f[0][::-1], f[1][::-1], f[2]) if f else f
+                                         for f in factors]
 
 
 def conjugate_factorization(f: Factorization, p: Mat2) -> Factorization:
-    """Map every factor E to P^-1 E P (and the target likewise), verified."""
-    conjugated = _conjugate((f.target,) + f.factors, p)
-    return _verified(conjugated[0], conjugated[1:])
+    """Map every factor E to P^-1 E P (and the target likewise), verified.
+
+    The target N_T/d_T = (e_1 (a b) + e_2 (c d))/d_T is mapped term by term.
+    """
+    (a, b, c, d), den = _split(f.target)
+    rows = [((_1, _0), (a, b), den), ((_0, _1), (c, d), den)]
+    (u, x, den), (v, y, _), *factors = _conjugate(rows + [_factor_of(m) for m in f.factors], p)
+    target = Mat2(*(DressElement.from_parts(u[i] * x[j] + v[i] * y[j], den)
+                    for i in (0, 1) for j in (0, 1)))
+    return _verified(target, factors)
 
 
 def swap_factorization(f: Factorization) -> Factorization:
     """From a factorization of (p q; 0 0) produce a verified one of (q p; 0 0)."""
     if not f.target.has_zero_second_row():
         raise ShapeViolation("swap needs a target with zero second row")
-    return _verified(Mat2.row(f.target.b, f.target.a), _swap(f.factors))
+    return _verified(Mat2.row(f.target.b, f.target.a), _swap(map(_factor_of, f.factors)))
 
 
-def _factor_zero_q(p: DressElement) -> list[Mat2]:
-    # (p 0; 0 0) = (1 -1; 0 0)(1 0; 1-p 0)
-    return [Mat2.of(1, -1, 0, 0), Mat2(DressElement.one(), DressElement.zero(),
-                                       DressElement.one() - p, DressElement.zero())]
+def _factor_zero_q(num: Polynomial, den: Polynomial) -> list[_Factor]:
+    # (p 0; 0 0) = (1 -1; 0 0)(1 0; 1-p 0), (1 0; 1-p 0) = (den; den-num)(1 0)/den
+    return [((_1, _0), (_1, -_1), _1), ((den, den - num), (_1, _0), den)]
 
 
-def _factor_zero_p(q: DressElement) -> list[Mat2]:
-    # (0 q; 0 0) = (1 0; 0 0)(0 q; 0 1)
-    return [Mat2.of(1, 0, 0, 0), Mat2(DressElement.zero(), q, DressElement.zero(),
-                                      DressElement.one())]
+def _factor_zero_p(num: Polynomial, den: Polynomial) -> list[_Factor]:
+    # (0 q; 0 0) = (1 0; 0 0)(0 q; 0 1), (0 q; 0 1) = (num; den)(0 1)/den
+    return [_E11, ((num, den), (_0, _1), den)]
 
 
-def _factor_proportional(p: DressElement, r: DressElement) -> list[Mat2]:
-    # (p rp; 0 0) = (1 -1; 0 0)(1 0; 1-p 0)(1 r; 0 0)
-    return _factor_zero_q(p) + [Mat2.row(DressElement.one(), r)]
+def _factor_proportional(p: DressElement, r: RationalFunction) -> list[_Factor]:
+    # (p rp; 0 0) = (1 -1; 0 0)(1 0; 1-p 0)(1 r; 0 0), (1 r; 0 0) = (1; 0)(rd rn)/rd
+    return _factor_zero_q(p.numerator, p.denominator) + [((_1, _0), (r.den, r.num), r.den)]
 
 
 def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
@@ -429,18 +441,18 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
     """
     target = Mat2.row(p, q)
     if p.is_zero and q.is_zero:
-        return _verified(target, [Mat2.zero()])
+        return _verified(target, [_ZERO_FACTOR])
     if p.is_zero:
-        return _verified(target, _factor_zero_p(q))
+        return _verified(target, _factor_zero_p(q.numerator, q.denominator))
     if q.is_zero:
-        return _verified(target, _factor_zero_q(p))
+        return _verified(target, _factor_zero_q(p.numerator, p.denominator))
 
     ratio_qp = q.value / p.value
     if is_member(ratio_qp):
-        return _verified(target, _factor_proportional(p, DressElement(ratio_qp)))
+        return _verified(target, _factor_proportional(p, ratio_qp))
     ratio_pq = p.value / q.value
     if is_member(ratio_pq):
-        return _verified(target, _swap(_factor_proportional(q, DressElement(ratio_pq))))
+        return _verified(target, _swap(_factor_proportional(q, ratio_pq)))
 
     sign_q_at_p = sign_at_roots(q.numerator, p.numerator)
     if p.degree >= q.degree and sign_q_at_p.is_definite():
@@ -466,16 +478,16 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
     )
 
 
-def _factor_dominant(p: DressElement, q: DressElement) -> list[Mat2]:
+def _factor_dominant(p: DressElement, q: DressElement) -> list[_Factor]:
     """Hypothesis branch: deg p >= deg q and q sign-definite at the roots of p."""
     if p.degree > q.degree:
         # One shear similarity replaces q by p + q, which has deg p exactly and
         # the same values as q at every root of p.
-        return _conjugate(_factor_equal_degree(p, p + q), _shear(-1))
+        return _conjugate(_factor_equal_degree(p, p + q), Mat2.of(1, -1, 0, 1))
     return _factor_equal_degree(p, q)
 
 
-def _factor_equal_degree(p: DressElement, q: DressElement) -> list[Mat2]:
+def _factor_equal_degree(p: DressElement, q: DressElement) -> list[_Factor]:
     (x, y), gamma = over_common_denominator([p, q])
     if x.degree != y.degree:
         raise CertificateError(f"equal-degree branch got numerator degrees {x.degree}, {y.degree}")
@@ -485,25 +497,20 @@ def _factor_equal_degree(p: DressElement, q: DressElement) -> list[Mat2]:
         n = int(x.degree)
         e = n if n % 2 == 0 else n + 1
         tau = Polynomial.from_coeffs([1, 0, 1]) ** (e // 2)
-        return _factor_zero_q(DressElement.from_parts(tau, gamma)) + _factor_core(x, y, tau)
+        return _factor_zero_q(tau, gamma) + _factor_core(x, y, tau)
     return _factor_core(x, y, gamma)
 
 
-def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial) -> list[Mat2]:
+def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial) -> list[_Factor]:
     """Equal-degree core over a common denominator with deg gamma <= deg x + 1."""
     cert = positivity_certificate(x, y)
     beta, delta = cert.beta, cert.delta
     u = DressElement(RationalFunction.make(delta, gamma * beta))
     if not u.is_unit():
         raise CertificateError(f"delta/(gamma*beta) = {u} must be a unit")
-    t = Mat2(
-        DressElement.from_parts(beta * y, delta),
-        DressElement.from_parts(beta * x, delta),
-        DressElement.from_parts(y * x, delta),
-        DressElement.from_parts(x * x, delta),
-    )
-    # (u 0; 0 0) * t factors the swapped row (y/gamma, x/gamma; 0 0).
-    return _swap(_factor_zero_q(u) + [t])
+    # (u 0; 0 0) * T factors the swapped row (y/gamma, x/gamma; 0 0), where
+    # T = (beta; x)(y x)/delta is idempotent: y*beta + x*x == delta.
+    return _swap(_factor_zero_q(u.numerator, u.denominator) + [((beta, x), (y, x), delta)])
 
 
 def factor_small(p: DressElement, q: DressElement) -> Factorization:
@@ -531,15 +538,15 @@ def _factor_quadratics_sharing_root(
     y: Polynomial,
     gamma: Polynomial,
     m: Polynomial,
-) -> list[Mat2]:
+) -> list[_Factor]:
     """deg x = deg y = 2 with gcd M = X - rho: build one idempotent directly.
 
     x = M*x1 and y = M*y1 with x1, y1 linear and independent, and
     c = -lc(y1)/lc(x1) kills the linear term of c*x1 + y1, so c*x + y = s'M
     with s' a nonzero constant.  With delta = x + M + c0 root-free (see
     _grow_linear_to_gamma), the row (x/delta, s'M/delta; 0 0) is
-    (1 0; 0 0) * e for the idempotent e = (x/delta, s'M/delta; z/delta,
-    (delta-x)/delta), z = (delta-x)*x1/s'.  Conjugating by the shear with
+    (1 0; 0 0) * e for the idempotent e = (M; (delta-x)/s')(x1 s')/delta,
+    since x1*M + s'*(delta-x)/s' = delta.  Conjugating by the shear with
     parameter -c turns it into (x/delta, y/delta; 0 0), and the prefactor
     (delta/gamma 0; 0 0) restores the denominator.
     """
@@ -558,16 +565,8 @@ def _factor_quadratics_sharing_root(
     diff = delta - x
     if diff.degree != 1:
         raise CertificateError(f"delta - x = {diff} is not linear")
-    z = (diff * x1).scale(1 / s_prime)
-    e = Mat2(
-        DressElement.from_parts(x, delta),
-        DressElement.from_parts(m.scale(s_prime), delta),
-        DressElement.from_parts(z, delta),
-        DressElement.from_parts(diff, delta),
-    )
-    return _factor_zero_q(DressElement.from_parts(delta, gamma)) + _conjugate(
-        [Mat2.of(1, 0, 0, 0), e], _shear(-c)
-    )
+    e = ((m, diff.scale(1 / s_prime)), (x1, Polynomial.constant(s_prime)), delta)
+    return _factor_zero_q(delta, gamma) + _conjugate([_E11, e], Mat2.of(1, -c, 0, 1))
 
 
 def _grow_linear_to_gamma(x: Polynomial, m: Polynomial) -> Polynomial:

@@ -89,6 +89,14 @@ def _times(a: Polynomial, b: Polynomial) -> Polynomial:
     return b if a is _ONE else a * b
 
 
+def _int(text: str, pos: int) -> int:
+    """int(text) for a digit run; past Python's int/str digit limit, a ParseError at pos."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{len(text)}-digit integer exceeds the int/str digit limit", pos) from None
+
+
 def _reduced_pair(num: Polynomial, den: Polynomial) -> _Pair:
     """(num, den) in lowest terms with a monic denominator, as a pair."""
     r = RationalFunction.make(num, den)
@@ -196,7 +204,7 @@ class _Parser:
             pos = tokens[self.i][2]
             self.i += 1
             if tokens[self.i][0] == "int":
-                e = int(tokens[self.i][1])
+                e = _int(tokens[self.i][1], tokens[self.i][2])
                 self.i += 1
             else:
                 e = self._exponent(*self.parse_atom(), pos)
@@ -224,7 +232,7 @@ class _Parser:
         kind, text, pos = self.tokens[self.i]
         if kind == "int":
             self.i += 1
-            value = int(text)
+            value = _int(text, pos)
             return (Polynomial((value,)) if value else Polynomial.zero()), _ONE
         if kind == "X":
             self.i += 1

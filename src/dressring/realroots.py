@@ -309,6 +309,7 @@ def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
     return SignPattern.MIXED
 
 
+_GAMMA_CACHE_MAX = 1 << 16  # past it, a miss evicts the oldest (first inserted) key
 _gamma_cache: dict[Polynomial, bool] = {}
 
 
@@ -333,6 +334,8 @@ def is_gamma(p: Polynomial) -> bool:
             cached = b * b - 4 * a * c < 0
         else:
             cached = count_distinct_real_roots(p) == 0
+        if len(_gamma_cache) >= _GAMMA_CACHE_MAX:
+            del _gamma_cache[next(iter(_gamma_cache))]
         _gamma_cache[p] = cached
     return cached
 

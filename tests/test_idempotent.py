@@ -126,15 +126,24 @@ class TestMat2Product:
             assert is_idempotent(m1) == (entrywise_product(m1, m1) == m1)
 
     def test_swap_equals_permutation_conjugation(self):
+        # Random rank-one triples v w^T / s (idempotent or not), the identity,
+        # and the factors of a pipeline result, split back into triples.
         rng = random.Random(96)
         dens = [GAMMA, X * X + X + 1, (X * X + 2) * GAMMA]
         perm = Mat2.of(0, 1, 1, 0)
-        factors = [Mat2(*(rand_entry(rng, dens) for _ in range(4))) for _ in range(30)]
-        factors += list(factor_row_matrix(elem(X), elem(X + 1)).factors)
-        swapped = idempotent._swap(factors)
+        triples = []
+        for _ in range(30):
+            s = rng.choice(dens)
+            half = int(s.degree) // 2
+            triples.append(((rand_poly(rng, half), rand_poly(rng, half)),
+                            (rand_poly(rng, half), rand_poly(rng, half)), s))
+        triples.append(None)
+        fact = factor_row_matrix(elem(X), elem(X + 1))
+        triples += [idempotent._factor_of(m) for m in fact.factors]
+        swapped = [idempotent._matrix(f) for f in idempotent._swap(triples)]
         assert swapped[0] == Mat2.of(1, 1, 0, 0)
-        assert swapped[1:] == [entrywise_product(entrywise_product(perm, e), perm)
-                               for e in factors]
+        assert swapped[1:] == [entrywise_product(entrywise_product(perm, idempotent._matrix(f)),
+                                                 perm) for f in triples]
 
 
 class TestCompleteIdempotentPair:
@@ -630,6 +639,104 @@ class TestVerifyPerturbed:
         assert report.failure == "product-mismatch"
 
 
+def c06_c07_rows():
+    """The c06 planted pairs and the two c07 grids, as (p, q) pairs."""
+    from itertools import product
+
+    from test_acceptance import _planted_hypothesis_pairs
+
+    rows = [("c06", p, q) for p, q in _planted_hypothesis_pairs(random.Random(1006), 100)]
+    lin = [Polynomial.from_coeffs(c) for c in product(range(-2, 3), repeat=2)]
+    rows += [("c07", elem(x), elem(y)) for x in lin for y in lin]
+    quad = [Polynomial.from_coeffs([v, u, 1]) for u in range(-2, 3) for v in range(-2, 3)]
+    g4 = GAMMA**2
+    rows += [("c07", elem(x, g4), elem(y, g4)) for x in quad for y in quad
+             if dressring.poly_gcd(x, y).degree >= 1]
+    return rows
+
+
+def old_rule(fact):
+    """The previous verifier: N*N == d*N per factor, then the full matrix product."""
+    for i, m in enumerate(fact.factors):
+        nums, d = dress.over_common_denominator(m.entries())
+        a, b, c, e = nums
+        square = (a * a + b * c, a * b + b * e, c * a + e * c, c * b + e * e)
+        if square != tuple(x * d for x in nums):
+            return (False, "factor-not-idempotent", i)
+    product = Mat2.identity()
+    for m in fact.factors:
+        product = entrywise_product(product, m)
+    if product != fact.target:
+        return (False, "product-mismatch", None)
+    return (True, None, None)
+
+
+class TestRankOneVerifier:
+    def test_is_idempotent_pins(self):
+        e = factor_row_matrix(elem(X), elem(X + 1)).factors[-1]
+        two = DressElement.from_rational(2)
+        assert is_idempotent(Mat2.zero())
+        assert is_idempotent(Mat2.identity())
+        assert is_idempotent(e)
+        assert not is_idempotent(Mat2.of(0, 1, 0, 0))  # nilpotent: det 0, trace 0
+        assert not is_idempotent(Mat2(*(two * x for x in e.entries())))  # trace 2
+        assert not is_idempotent(Mat2.of(2, 0, 0, 2))  # 2I: not the identity
+
+    def test_non_idempotent_stage_factor_is_reported(self, monkeypatch):
+        # (0 q; 0 2) = (q; 2)(0 1) has w.v = 2 != s = 1, so the boundary check
+        # must reject it before any Mat2 is built.
+        zero, one = Polynomial.zero(), Polynomial.one()
+        monkeypatch.setattr(idempotent, "_factor_zero_p", lambda num, den: [
+            idempotent._E11, ((num, den + den), (zero, one), den)])
+        with pytest.raises(CertificateError, match="factor-not-idempotent at factor 1"):
+            factor_row_matrix(DressElement.zero(), elem(X))
+
+    def test_agrees_with_old_rule_on_tampered_factorizations(self):
+        rng = random.Random(97)
+        rows = c06_c07_rows()
+        two = DressElement.from_rational(2)
+        nilpotent = Mat2.of(0, 1, 0, 0)
+        seen = set()
+        for kind, p, q in rows[:100] + rows[100::4]:
+            fact = factor_row_matrix(p, q)
+            fs = list(fact.factors)
+            i, j = rng.randrange(len(fs)), rng.randrange(len(fs) + 1)
+            extra = rng.choice([Mat2.identity(), Mat2.zero()])
+            candidates = [
+                fs,
+                fs[:i] + [Mat2(*(two * x for x in fs[i].entries()))] + fs[i + 1:],
+                fs[:j] + [nilpotent] + fs[j:],
+                fs[:j] + [extra] + fs[j:],
+                fs[:i] + [Mat2(fs[i].a, fs[i].c, fs[i].b, fs[i].d)] + fs[i + 1:],
+                fs[:-1],
+            ]
+            for factors in candidates:
+                tampered = Factorization(fact.target, tuple(factors))
+                report = verify_factorization(tampered)
+                got = (report.ok, report.failure, report.factor_index)
+                assert got == old_rule(tampered), (kind, str(p), str(q), factors)
+                seen.add(got[:2])
+        assert seen == {(True, None), (False, "factor-not-idempotent"),
+                        (False, "product-mismatch")}
+
+
+class TestIdealClassOfLastFactor:
+    def test_principality_matches_last_nonzero_row(self):
+        # The product's first row is a scalar times w_k^T, as is each row of
+        # the last factor v_k w_k^T / s_k, so (p, q) and any nonzero row of
+        # the last factor generate ideals in the same class.
+        counts = {True: 0, False: 0}
+        for kind, p, q in c06_c07_rows():
+            if p.is_zero and q.is_zero:
+                continue
+            last = factor_row_matrix(p, q).factors[-1]
+            row = (last.a, last.b) if not (last.a.is_zero and last.b.is_zero) else (last.c, last.d)
+            principal = dressring.is_principal(p, q)
+            assert principal == dressring.is_principal(*row), (kind, str(p), str(q))
+            counts[principal] += 1
+        assert counts[True] > 0 and counts[False] > 0
+
+
 class TestDerivationChecks:
     def test_pair_completion_check(self, monkeypatch):
         monkeypatch.setattr(idempotent, "is_idempotent", lambda m: False)
@@ -696,13 +803,13 @@ class TestBoundaryVerification:
             "conjugate": lambda: conjugate_factorization(fact, shear),
         }
         calls = []
-        original = idempotent.verify_factorization
+        original = idempotent._verify_triples
 
-        def counting(f):
-            calls.append(f)
-            return original(f)
+        def counting(target, factors):
+            calls.append(target)
+            return original(target, factors)
 
-        monkeypatch.setattr(idempotent, "verify_factorization", counting)
+        monkeypatch.setattr(idempotent, "_verify_triples", counting)
         counts = {}
         for name, call in cases.items():
             calls.clear()
@@ -717,10 +824,10 @@ class TestBoundaryVerification:
 import contextlib, io, json, sys
 from dressring import CertificateError, DressElement, Mat2, Polynomial, cli, idempotent
 
-def wrong(q):
-    # (0 2q; 0 1) is idempotent, but the product is (0 2q; 0 0)
-    return [Mat2.of(1, 0, 0, 0),
-            Mat2(DressElement.zero(), q + q, DressElement.zero(), DressElement.one())]
+def wrong(num, den):
+    # (0 2q; 0 1) = (2q; 1)(0 1) is idempotent, but the product is (0 2q; 0 0)
+    one, zero = Polynomial.one(), Polynomial.zero()
+    return [((one, zero), (one, zero), one), ((num + num, den), (zero, one), den)]
 
 idempotent._factor_zero_p = wrong
 q = DressElement.from_parts(Polynomial.one(), Polynomial.from_coeffs([1, 0, 1]))

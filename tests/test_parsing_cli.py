@@ -91,6 +91,24 @@ class TestParser:
             assert exc.value.position == offset
             assert str(exc.value) == f"unexpected character '²' (offset {offset})"
 
+    def test_integer_past_the_str_digit_limit(self):
+        # The library keeps Python's int/str digit limit (only cli.main lifts
+        # it), so a longer digit run is a ParseError at its offset.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int/str digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for text, offset in (("X + " + "7" * 5000, 4), ("X^" + "7" * 5000, 2),
+                                 ("[[1, X^(" + "3" * 4400 + ")], [0, 0]]", 8)):
+                with pytest.raises(ParseError) as exc:
+                    parse_expression(text)
+                assert exc.value.position == offset
+                assert "exceeds the int/str digit limit" in str(exc.value)
+            assert parse_scalar("7" * 4300 + " + X").num.ints[0] == int("7" * 4300)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_unicode_decimal_digits_and_spaces(self):
         # Any decimal digit int() accepts is a digit; any str.isspace is a space.
         assert parse_scalar("\u0663\u0664 +\u3000X") == parse_scalar("34 + X")

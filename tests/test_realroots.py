@@ -200,6 +200,18 @@ class TestGamma:
                     t = Fraction(rng.randint(-10000, 10000), rng.randint(1, 100))
                     assert g.evaluate(t) > 0
 
+    def test_cache_size_is_bounded(self, monkeypatch):
+        # Past the bound, a miss evicts the oldest key; verdicts stay exact.
+        monkeypatch.setattr(realroots, "_GAMMA_CACHE_MAX", 8)
+        monkeypatch.setattr(realroots, "_gamma_cache", {})
+        rng = random.Random(23)
+        polys = [rand_gamma(rng, 3, 2) * (X - rng.randint(-3, 3)) ** (2 * rng.randint(0, 1))
+                 for _ in range(40)]
+        for p in polys + polys[::-1]:
+            assert is_gamma(p) == (count_distinct_real_roots(p) == 0)
+            assert len(realroots._gamma_cache) <= 8
+        assert polys[0] in realroots._gamma_cache and polys[-1] not in realroots._gamma_cache
+
     def test_cauchy_bound_contains_roots(self):
         rng = random.Random(19)
         for _ in range(50):
