@@ -45,7 +45,6 @@ from .idempotent import (
     factor_small,
     is_idempotent,
     positivity_certificate,
-    positivity_certificate_b,
     stable_range_witness,
     swap_factorization,
     verify_factorization,
@@ -66,7 +65,6 @@ from .polynomials import (
     Polynomial,
     Rational,
     RationalFunction,
-    affine_substitute,
     divrem,
     extended_gcd,
     poly_gcd,

@@ -39,7 +39,6 @@ from .idempotent import (
     Mat2,
     factor_row_matrix,
     positivity_certificate,
-    positivity_certificate_b,
     stable_range_witness,
     verify_factorization,
 )
@@ -199,10 +198,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 def _cmd_certificate(args) -> tuple[int, dict]:
     x, y = _poly_arg(args.x), _poly_arg(args.y)
-    if args.part == "a":
-        cert = positivity_certificate(x, y)
-    else:
-        cert = positivity_certificate_b(x, y)
+    cert = positivity_certificate(x, y) if args.part == "a" else positivity_certificate(y, x)
     return OK, {
         "part": args.part,
         "beta": str(cert.beta),

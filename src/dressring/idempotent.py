@@ -277,16 +277,6 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
     return PositivityCertificate(beta=beta, delta=delta, scale=scale, base=base)
 
 
-def positivity_certificate_b(x: Polynomial, y: Polynomial) -> PositivityCertificate:
-    """Mirror certificate: eta (returned in ``beta``) with x*eta + y^2 everywhere positive.
-
-    This is the role-swapped form: precondition is a definite sign of x at the
-    roots of y, and the invariants read delta = x*beta + y^2 with
-    deg y - 1 <= deg beta <= deg y.
-    """
-    return positivity_certificate(y, x)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """A target matrix with a list of idempotent factors multiplying to it.

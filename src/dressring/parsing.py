@@ -266,7 +266,22 @@ def parse_matrix(text: str) -> ParsedMatrix:
 
 
 def format_fraction(c: Fraction) -> str:
-    return str(c)  # "3", "-3", or "3/2"
+    try:
+        return str(c)  # "3", "-3", or "3/2"
+    except ValueError:  # past Python's int/str digit limit
+        text = _decimal(abs(c.numerator))
+        if c.denominator != 1:
+            text += "/" + _decimal(c.denominator)
+        return "-" + text if c < 0 else text
+
+
+def _decimal(n: int) -> str:
+    """The digits of n >= 0, split at a power of ten until each str() call is short."""
+    if n.bit_length() <= 2000:  # at most 603 digits, under any digit limit (>= 640)
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digit count (log10 2 > 0.3)
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -369,19 +369,6 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def affine_compose(p: Polynomial, a, b) -> Polynomial:
-    """p(a*X + b), computed by Horner in the polynomial a*X + b."""
-    a = _as_fraction(a)
-    b = _as_fraction(b)
-    if a == 0:
-        raise ValueError("affine substitution requires a != 0")
-    lin = Polynomial.from_coeffs([b, a])
-    acc = Polynomial.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * lin + Polynomial.constant(c)
-    return acc
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Reduced fraction of polynomials with a monic denominator.
@@ -529,8 +516,3 @@ def _coerce_rf(value) -> RationalFunction:
     if isinstance(value, _COEF_TYPES):
         return RationalFunction.from_rational(value)
     return NotImplemented
-
-
-def affine_substitute(r: RationalFunction, a, b) -> RationalFunction:
-    """X -> a*X + b on a rational function; a ring automorphism of Q(X) for a != 0."""
-    return RationalFunction.make(affine_compose(r.num, a, b), affine_compose(r.den, a, b))

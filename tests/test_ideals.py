@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -217,24 +218,68 @@ class TestInverse:
             assert a.value * inv.gens[0] + b.value * inv.gens[1] == RationalFunction.one()
 
 
+class TestAgainstCheckedArithmetic:
+    """Inverses and squares against the public, checked DressElement arithmetic."""
+
+    def test_inverse_is_pair_over_sum_of_squares(self):
+        rng = random.Random(78)
+        grid = [elem(Polynomial.from_coeffs(c), GAMMA * GAMMA)
+                for c in product(range(-2, 3), repeat=4)]
+        pairs = [tuple(rng.sample(grid, 2)) for _ in range(400)]
+        specials = [DressElement.zero(), DressElement.from_rational(3),
+                    DressElement.from_rational(Fraction(-1, 2)), elem(Polynomial.constant(-2))]
+        for z in specials:
+            for c in rng.sample(grid, 15):
+                pairs += [(z, c), (c, z)]
+        n_zero = n_const = 0
+        for a, b in pairs:
+            if a.is_zero and b.is_zero:
+                continue
+            n_zero += a.is_zero or b.is_zero
+            n_const += a.numerator.degree == 0 or b.numerator.degree == 0
+            s = (a * a + b * b).value
+            inv = ideal_inverse(a, b)
+            assert inv.gens == (a.value / s, b.value / s)
+            assert inv.certificate.value == s
+        assert n_zero >= 30 and n_const >= 90
+
+    def test_square_is_sum_of_squares(self):
+        rng = random.Random(79)
+        seen = set()
+        for _ in range(400):
+            gens = [rand_member(rng, 2) for _ in range(rng.randint(1, 4))]
+            if all(g.is_zero for g in gens):
+                continue
+            seen.add(len(gens))
+            assert ideal_square(IdealGens(tuple(gens))).value == sum(g * g for g in gens).value
+        assert seen == {1, 2, 3, 4}
+
+
 def _tamper_numerator_data(monkeypatch, index, change):
     """Make ideals._numerator_data return change(x) in place of its field x at index.
 
-    The fields are (M, f', g', s, gamma, f, g).
+    The fields are (M, cofactors, s, gamma, nums).
     """
     original = ideals._numerator_data
 
-    def tampered(a, b):
-        data = list(original(a, b))
+    def tampered(gens):
+        data = list(original(gens))
         data[index] = change(data[index])
         return tuple(data)
 
     monkeypatch.setattr(ideals, "_numerator_data", tampered)
 
 
+def _tamper_num(k):
+    """A change for the nums field that doubles entry k."""
+    return lambda nums: [p + p if i == k else p for i, p in enumerate(nums)]
+
+
 class TestCertificateChecks:
     # Each certificate check is real code raising CertificateError, so these
-    # also pass under python -O, where asserts would vanish.
+    # also pass under python -O, where asserts would vanish.  Each test pins
+    # one failure of the sum-of-squares certificate on one consumer;
+    # TestSumOfSquaresCertificate runs every part through every consumer.
     def test_principal_generator_sum_of_squares(self, monkeypatch):
         monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
         with pytest.raises(CertificateError, match="real roots"):
@@ -243,48 +288,84 @@ class TestCertificateChecks:
     def test_principal_generator_unit(self, monkeypatch):
         # A claimed s above the true one keeps deg f', deg g' <= s, but then
         # deg(f'^2 + g'^2) != 2s.
-        _tamper_numerator_data(monkeypatch, 3, lambda s: s + 2)
-        with pytest.raises(CertificateError, match="not a unit"):
+        _tamper_numerator_data(monkeypatch, 2, lambda s: s + 2)
+        with pytest.raises(CertificateError, match="has degree 0, not 2s = 4"):
             principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
 
     def test_principal_generator_divisibility(self, monkeypatch):
         # A claimed s below the true s = 2 leaves deg f' > s = deg h.
-        _tamper_numerator_data(monkeypatch, 3, lambda s: s - 2)
-        with pytest.raises(CertificateError, match="does not divide"):
+        _tamper_numerator_data(monkeypatch, 2, lambda s: s - 2)
+        with pytest.raises(CertificateError, match="has degree 4, not 2s = 0"):
             principal_generator(elem(X * X), elem(Polynomial.one()))
 
     def test_principal_generator_expansion(self, monkeypatch):
         # Doubling M breaks f' f + g' g == M (f'^2 + g'^2) and nothing else.
         _tamper_numerator_data(monkeypatch, 0, lambda m: m + m)
-        with pytest.raises(CertificateError, match="expansion identity"):
+        with pytest.raises(CertificateError, match="f_i' f_i == M T violated"):
             principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
 
-    @pytest.mark.parametrize("index", [5, 6], ids=["f", "g"])
+    @pytest.mark.parametrize("index", [0, 1], ids=["f", "g"])
     def test_principal_generator_expansion_reads_the_inputs(self, monkeypatch, index):
         # The identity is checked against the numerators of a and b
         # themselves, so a wrong f or g is caught even when M, f', g' are right.
-        _tamper_numerator_data(monkeypatch, index, lambda p: p + p)
-        with pytest.raises(CertificateError, match="expansion identity"):
+        _tamper_numerator_data(monkeypatch, 4, _tamper_num(index))
+        with pytest.raises(CertificateError, match="f_i' f_i == M T violated"):
             principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
 
     def test_ideal_square_postcondition(self, monkeypatch):
-        # The generator itself is built by the checked constructor, which reads
-        # dress.is_gamma; only the postcondition's root-freeness check fails.
+        # Only the certificate's root-freeness check reads ideals.is_gamma.
         monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
-        with pytest.raises(CertificateError, match="squaring postcondition"):
+        with pytest.raises(CertificateError, match="real roots"):
             ideal_square(IdealGens.of(elem(Polynomial.one()), elem(X)))
 
     def test_ideal_inverse_membership(self, monkeypatch):
-        monkeypatch.setattr(ideals, "is_member", lambda r: False)
-        with pytest.raises(CertificateError, match="not in the ring"):
+        # The cross products a_i * inv_j = f_i' f_j'/T are members because T
+        # is root-free and deg T = 2s; break each half in turn.
+        monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
+        with pytest.raises(CertificateError, match="real roots"):
+            ideal_inverse(elem(Polynomial.one()), elem(X))
+        monkeypatch.undo()
+        _tamper_numerator_data(monkeypatch, 2, lambda s: s + 2)
+        with pytest.raises(CertificateError, match="has degree 2, not 2s = 6"):
             ideal_inverse(elem(Polynomial.one()), elem(X))
 
     def test_ideal_inverse_witness(self, monkeypatch):
-        class OneIsTwo(RationalFunction):
-            @staticmethod
-            def one():
-                return RationalFunction.from_rational(2)
-
-        monkeypatch.setattr(ideals, "RationalFunction", OneIsTwo)
-        with pytest.raises(CertificateError, match="witness"):
+        # a * inv1 + b * inv2 = (f' f + g' g)/(M T), which is 1 iff the
+        # identity holds; a wrong M breaks only the identity.
+        _tamper_numerator_data(monkeypatch, 0, lambda m: m + m)
+        with pytest.raises(CertificateError, match="f_i' f_i == M T violated"):
             ideal_inverse(elem(Polynomial.one()), elem(X))
+
+
+# The three consumers of the certificate, on one pair: (X, X^3)/gamma^2 is
+# principal (s = 2) with numerator gcd M = X, so the cofactors 1, X^2 differ
+# from the numerators.
+CONSUMERS = {
+    "principal_generator": principal_generator,
+    "ideal_square": lambda a, b: ideal_square(IdealGens.of(a, b)),
+    "ideal_inverse": ideal_inverse,
+}
+PAIR = (elem(X, GAMMA * GAMMA), elem(X**3, GAMMA * GAMMA))
+
+
+@pytest.mark.parametrize("consumer", list(CONSUMERS))
+class TestSumOfSquaresCertificate:
+    """Every part of the one certificate, through every function that reads it."""
+
+    def test_root_free(self, monkeypatch, consumer):
+        monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
+        with pytest.raises(CertificateError, match="T = X\\^4 \\+ 1 has real roots"):
+            CONSUMERS[consumer](*PAIR)
+
+    @pytest.mark.parametrize("delta", [2, -2])
+    def test_degree(self, monkeypatch, consumer, delta):
+        _tamper_numerator_data(monkeypatch, 2, lambda s: s + delta)
+        with pytest.raises(CertificateError, match=f"has degree 4, not 2s = {4 + 2 * delta}"):
+            CONSUMERS[consumer](*PAIR)
+
+    @pytest.mark.parametrize("index, change", [(0, lambda m: m + m), (4, _tamper_num(0)),
+                                               (4, _tamper_num(1))], ids=["M", "f", "g"])
+    def test_identity(self, monkeypatch, consumer, index, change):
+        _tamper_numerator_data(monkeypatch, index, change)
+        with pytest.raises(CertificateError, match="f_i' f_i == M T violated"):
+            CONSUMERS[consumer](*PAIR)

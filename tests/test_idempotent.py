@@ -28,7 +28,6 @@ from dressring import (
     is_gamma_plus,
     is_idempotent,
     positivity_certificate,
-    positivity_certificate_b,
     sign_at_roots,
     stable_range_witness,
     swap_factorization,
@@ -197,18 +196,11 @@ class TestPositivityCertificate:
         cert = positivity_certificate(x, y)
         self.assert_invariants(x, y, cert)
 
-    def test_part_b_mirror(self):
-        x, y = X + 1, X
-        cert = positivity_certificate_b(x, y)
-        assert cert.delta == x * cert.beta + y * y
-        assert is_gamma_plus(cert.delta)
-        assert y.degree - 1 <= cert.beta.degree <= y.degree
-
     def test_rejects_unequal_degrees(self):
         with pytest.raises(CertificatePreconditionError):
             positivity_certificate(X, X * X + 1)
         with pytest.raises(CertificatePreconditionError):
-            positivity_certificate_b(X * X, X)
+            positivity_certificate(X, X * X)
 
     def test_rejects_mixed_and_shared(self):
         with pytest.raises(CertificatePreconditionError):

@@ -148,6 +148,24 @@ class TestRoundTrip:
         for p in cases:
             assert parse_scalar(format_polynomial(p)) == RationalFunction.from_polynomial(p)
 
+    def test_print_past_the_str_digit_limit(self):
+        # Printing needs no lifted limit: a coefficient past it is converted
+        # in pieces.  The reference strings are built with the limit off.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int/str digit limit")
+        rng = random.Random(303)
+        big = [Fraction(-(10**5000 + 7), 3**11000), Fraction(10**4300 - 1),
+               Fraction(rng.getrandbits(40000) + 1, rng.getrandbits(30000) | 1)]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = [str(Polynomial.from_coeffs([c, 0, 1])) for c in big]
+            sys.set_int_max_str_digits(4300)
+            assert str(Polynomial.from_coeffs([10**5000, 1])) == "X + 1" + "0" * 5000
+            assert [str(Polynomial.from_coeffs([c, 0, 1])) for c in big] == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class _RandomExpression:
     """Random texts that follow the grammar, each with its value built by

@@ -13,13 +13,12 @@ from dressring import (
     RationalFunction,
     ZeroDenominatorError,
     ZeroPolynomialError,
-    affine_substitute,
     divrem,
     extended_gcd,
     poly_gcd,
     squarefree_part,
 )
-from dressring.polynomials import _exact_div, affine_compose, squarefree_decomposition
+from dressring.polynomials import _exact_div, squarefree_decomposition
 
 from helpers import rand_poly, rand_rf
 
@@ -200,46 +199,6 @@ class TestRationalFunction:
             if q:
                 r = a / b
                 assert r**2 == RationalFunction.make(p * p, q * q)
-
-
-class TestAffineSubstitute:
-    def test_shift_square(self):
-        r = RationalFunction.from_polynomial(X * X)
-        assert affine_substitute(r, 1, 1) == RationalFunction.from_polynomial(
-            X * X + 2 * X + 1
-        )
-
-    def test_identity_map(self):
-        r = RationalFunction.make(X, X * X + 1)
-        assert affine_substitute(r, 1, 0) == r
-
-    def test_scale_and_shift(self):
-        r = RationalFunction.from_polynomial(X - 3)
-        assert affine_substitute(r, 2, 3) == RationalFunction.from_polynomial(2 * X)
-
-    def test_requires_nonzero_scale(self):
-        with pytest.raises(ValueError):
-            affine_compose(X, 0, 1)
-
-    def test_is_ring_homomorphism(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            a = rand_rf(rng, 3)
-            b = rand_rf(rng, 3)
-            aa = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-            bb = Fraction(rng.randint(-4, 4))
-            assert affine_substitute(a * b, aa, bb) == affine_substitute(
-                a, aa, bb
-            ) * affine_substitute(b, aa, bb)
-            assert affine_substitute(a + b, aa, bb) == affine_substitute(
-                a, aa, bb
-            ) + affine_substitute(b, aa, bb)
-
-    def test_preserves_degree(self):
-        rng = random.Random(37)
-        for _ in range(50):
-            r = rand_rf(rng, 4)
-            assert affine_substitute(r, 3, -2).degree == r.degree
 
 
 class TestSympyOracle:
