@@ -266,13 +266,11 @@ def parse_matrix(text: str) -> ParsedMatrix:
 
 
 def format_fraction(c: Fraction) -> str:
-    try:
-        return str(c)  # "3", "-3", or "3/2"
-    except ValueError:  # past Python's int/str digit limit
-        text = _decimal(abs(c.numerator))
-        if c.denominator != 1:
-            text += "/" + _decimal(c.denominator)
-        return "-" + text if c < 0 else text
+    """"3", "-3" or "3/2", like str(c), but past Python's int/str digit limit too."""
+    text = _decimal(abs(c.numerator))
+    if c.denominator != 1:
+        text += "/" + _decimal(c.denominator)
+    return "-" + text if c.numerator < 0 else text
 
 
 def _decimal(n: int) -> str:
