@@ -165,17 +165,20 @@ def _val(x) -> RationalFunction:
 def over_common_denominator(
     elems: Sequence[DressElement],
 ) -> tuple[list[Polynomial], Polynomial]:
-    """Rewrite the elements as numerators over the lcm gamma of their denominators."""
+    """Rewrite the elements as numerators over the lcm gamma of their denominators.
+
+    A denominator 1, which every zero element has, leaves the lcm as it is,
+    and a zero numerator stays 0 without a division.
+    """
     gamma = elems[0].denominator
     for e in elems[1:]:
-        if e.denominator != gamma:
-            gamma = poly_lcm(gamma, e.denominator)
+        d = e.denominator
+        if d != gamma and len(d.ints) > 1:
+            gamma = poly_lcm(gamma, d)
     nums = []
     for e in elems:
-        if e.denominator == gamma:
-            nums.append(e.numerator)
-        else:
-            nums.append(e.numerator * _exact_div(gamma, e.denominator))
+        num, den = e.numerator, e.denominator
+        nums.append(num if den == gamma or not num.ints else num * _exact_div(gamma, den))
     return nums, gamma
 
 

@@ -33,15 +33,18 @@ class HypothesisNotMet(DressRingError, ValueError):
     """No factorization branch applies to the given row matrix.
 
     Carries the computed sign patterns and degree data so callers can report
-    exactly which hypothesis failed.
+    exactly which hypothesis failed, and the row itself as ``numerators``
+    ``(x, y)`` over ``denominator`` gamma, so that p = x/gamma and q = y/gamma.
     """
 
     def __init__(self, message: str, *, sign_q_at_p=None, sign_p_at_q=None,
-                 deg_p=None, deg_q=None):
+                 deg_p=None, deg_q=None, numerators=None, denominator=None):
         self.sign_q_at_p = sign_q_at_p
         self.sign_p_at_q = sign_p_at_q
         self.deg_p = deg_p
         self.deg_q = deg_q
+        self.numerators = numerators
+        self.denominator = denominator
         super().__init__(message)
 
 

@@ -20,8 +20,14 @@ is a rank-one idempotent, held as a triple (v, w, s) of two polynomial pairs
 and a nonzero polynomial: E = v w^T / s, idempotent iff w.v == s, as in
 (1 0; 1-p 0) = (pd; pd-pn)(1 0)/pd for p = pn/pd.  Swaps and conjugations map
 triples to triples without reducing.  One check (w.v == s per factor, then the
-telescoped product against the target) runs once where each public function
-returns; only then is each Mat2 entry built, with one checked from_parts.
+telescoped product against the target N_T/d_T) runs once where each public
+function returns; only then is each Mat2 entry built, with one checked
+from_parts per nonzero entry.
+
+Each row takes one common-denominator pass, (p, q) = (x, y)/gamma, and every
+branch reads x, y, gamma and the one gcd g = gcd(x, y): q/p lies in D iff
+deg y <= deg x and x/g is root-free, and the shear (p, q) -> (p, p+q) is
+(x, x+y) over the same gamma, since lcm(den p, den(p+q)) = lcm(den p, den q).
 """
 
 from __future__ import annotations
@@ -127,6 +133,7 @@ _Factor = tuple[tuple[Polynomial, Polynomial], tuple[Polynomial, Polynomial], Po
 _0, _1 = Polynomial.zero(), Polynomial.one()
 _ZERO_FACTOR: _Factor = ((_0, _0), (_0, _0), _1)
 _E11: _Factor = ((_1, _0), (_1, _0), _1)  # (1 0; 0 0)
+_ZERO_ENTRY = DressElement.zero()
 
 
 def _split(m: Mat2) -> tuple[tuple[Polynomial, ...], Polynomial]:
@@ -156,11 +163,12 @@ def _factor_of(m: Mat2):
 
 
 def _matrix(f: Optional[_Factor]) -> Mat2:
-    """The Mat2 of a factor, with one checked from_parts per entry."""
+    """The Mat2 of a factor, with one checked from_parts per nonzero entry."""
     if f is None:
         return Mat2.identity()
     v, w, s = f
-    return Mat2(*(DressElement.from_parts(vi * wj, s) for vi in v for wj in w))
+    return Mat2(*(DressElement.from_parts(vi * wj, s) if vi and wj else _ZERO_ENTRY
+                  for vi in v for wj in w))
 
 
 def is_idempotent(m: Mat2) -> bool:
@@ -318,11 +326,11 @@ def verify_factorization(f: Factorization) -> VerificationReport:
     Entry membership needs no check: every DressElement is certified to lie
     in the ring when it is constructed.
     """
-    return _verify_triples(f.target, [_factor_of(m) for m in f.factors])
+    return _verify_triples(_split(f.target), [_factor_of(m) for m in f.factors])
 
 
-def _verify_triples(target: Mat2, factors) -> VerificationReport:
-    """The one certificate check: w.v == s per factor, then the telescoped product."""
+def _verify_triples(target, factors) -> VerificationReport:
+    """The one check: w.v == s per factor, then the telescoped product against (N_T, d_T)."""
     for i, f in enumerate(factors):
         if f is None:
             continue
@@ -339,15 +347,15 @@ def _verify_triples(target: Mat2, factors) -> VerificationReport:
         for (x1, x2), w_next, s in rank_one[1:]:
             scalar, den, w = scalar * (w[0] * x1 + w[1] * x2), den * s, w_next
         num = tuple(vi * wj for vi in (scalar * v1, scalar * v2) for wj in w)
-    target_n, target_d = _split(target)
+    target_n, target_d = target
     if any(x * target_d != t * den for x, t in zip(num, target_n)):
         return VerificationReport(False, "product-mismatch")
     return VerificationReport(True)
 
 
-def _verified(target: Mat2, factors) -> Factorization:
-    """Run the one check where a public function returns, then build the Mat2 factors."""
-    report = _verify_triples(target, factors)
+def _verified(target: Mat2, split, factors) -> Factorization:
+    """Check the factors against the target's split (N_T, d_T), then build the Mat2 factors."""
+    report = _verify_triples(split, factors)
     if not report.ok:
         index = "" if report.factor_index is None else f" at factor {report.factor_index}"
         raise CertificateError(
@@ -356,16 +364,14 @@ def _verified(target: Mat2, factors) -> Factorization:
     return Factorization(target, tuple(_matrix(f) for f in factors))
 
 
-def _conjugate(factors: Iterable, p: Mat2) -> list:
+def _conjugate(factors: Iterable, n) -> list:
     """Every E = v w^T / s mapped to P^-1 E P = (adj(N) v)(N^T w)^T / (det N * s).
 
-    P = N/d is split once and nothing is reduced.  P is invertible over D iff
-    det P = det N/d^2 is a unit.
+    ``n`` is the numerator matrix N of P = N/d, which the caller has checked to
+    be invertible over D; d cancels, and nothing is reduced.
     """
-    (a, b, c, d), den = _split(p)
+    a, b, c, d = n
     det = a * d - b * c
-    if not DressElement.from_parts(det, den * den).is_unit():
-        raise ShapeViolation("conjugation needs a matrix invertible over the ring")
 
     def image(f: _Factor) -> _Factor:
         (v1, v2), (w1, w2), s = f
@@ -388,21 +394,27 @@ def _swap(factors: Iterable) -> list:
 def conjugate_factorization(f: Factorization, p: Mat2) -> Factorization:
     """Map every factor E to P^-1 E P (and the target likewise), verified.
 
-    The target N_T/d_T = (e_1 (a b) + e_2 (c d))/d_T is mapped term by term.
+    P = N/d is invertible over D iff det P = det N/d^2 is a unit.  The target
+    N_T/d_T = (e_1 (a b) + e_2 (c d))/d_T is mapped term by term.
     """
+    n, d_p = _split(p)
+    if not DressElement.from_parts(n[0] * n[3] - n[1] * n[2], d_p * d_p).is_unit():
+        raise ShapeViolation("conjugation needs a matrix invertible over the ring")
     (a, b, c, d), den = _split(f.target)
     rows = [((_1, _0), (a, b), den), ((_0, _1), (c, d), den)]
-    (u, x, den), (v, y, _), *factors = _conjugate(rows + [_factor_of(m) for m in f.factors], p)
-    target = Mat2(*(DressElement.from_parts(u[i] * x[j] + v[i] * y[j], den)
-                    for i in (0, 1) for j in (0, 1)))
-    return _verified(target, factors)
+    (u, x, den), (v, y, _), *factors = _conjugate(rows + [_factor_of(m) for m in f.factors], n)
+    nums = tuple(u[i] * x[j] + v[i] * y[j] for i in (0, 1) for j in (0, 1))
+    target = Mat2(*(DressElement.from_parts(t, den) for t in nums))
+    return _verified(target, (nums, den), factors)
 
 
 def swap_factorization(f: Factorization) -> Factorization:
     """From a factorization of (p q; 0 0) produce a verified one of (q p; 0 0)."""
     if not f.target.has_zero_second_row():
         raise ShapeViolation("swap needs a target with zero second row")
-    return _verified(Mat2.row(f.target.b, f.target.a), _swap(map(_factor_of, f.factors)))
+    (a, b, _, _), den = _split(f.target)
+    return _verified(Mat2.row(f.target.b, f.target.a), ((b, a, _0, _0), den),
+                     _swap(map(_factor_of, f.factors)))
 
 
 def _factor_zero_q(num: Polynomial, den: Polynomial) -> list[_Factor]:
@@ -415,9 +427,22 @@ def _factor_zero_p(num: Polynomial, den: Polynomial) -> list[_Factor]:
     return [_E11, ((num, den), (_0, _1), den)]
 
 
-def _factor_proportional(p: DressElement, r: RationalFunction) -> list[_Factor]:
+def _factor_proportional(num: Polynomial, den: Polynomial, r: RationalFunction) -> list[_Factor]:
     # (p rp; 0 0) = (1 -1; 0 0)(1 0; 1-p 0)(1 r; 0 0), (1 r; 0 0) = (1; 0)(rd rn)/rd
-    return _factor_zero_q(p.numerator, p.denominator) + [((_1, _0), (r.den, r.num), r.den)]
+    return _factor_zero_q(num, den) + [((_1, _0), (r.den, r.num), r.den)]
+
+
+def _member_ratio(num: Polynomial, den: Polynomial) -> Optional[RationalFunction]:
+    """num/den in lowest terms when it lies in D, else None.
+
+    num and den are coprime, so the fraction is already reduced: it lies in D
+    iff deg num <= deg den and den is root-free.
+    """
+    if num.degree > den.degree or not is_gamma(den.monic()):
+        return None
+    if den.ints[-1] != den.denom:
+        num = num.scale(1 / den.leading_coefficient)
+    return RationalFunction(num, den.monic())
 
 
 def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
@@ -427,35 +452,35 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
     main sign-hypothesis pipeline for deg p >= deg q (with a swap reduction
     for the mirrored hypothesis); the small-degree construction for quadratic
     numerators sharing a linear factor.  When no branch applies,
-    HypothesisNotMet reports the computed sign patterns and degrees.
+    HypothesisNotMet reports the computed sign patterns and degrees, and the
+    numerators (x, y) over gamma that every branch and the final check read.
     """
-    target = Mat2.row(p, q)
-    if p.is_zero and q.is_zero:
-        return _verified(target, [_ZERO_FACTOR])
-    if p.is_zero:
-        return _verified(target, _factor_zero_p(q.numerator, q.denominator))
-    if q.is_zero:
-        return _verified(target, _factor_zero_q(p.numerator, p.denominator))
+    (x, y), gamma = over_common_denominator([p, q])
+    target, split = Mat2.row(p, q), ((x, y, _0, _0), gamma)
+    if not (x or y):
+        return _verified(target, split, [_ZERO_FACTOR])
+    if not x:
+        return _verified(target, split, _factor_zero_p(y, gamma))
+    if not y:
+        return _verified(target, split, _factor_zero_q(x, gamma))
 
-    ratio_qp = q.value / p.value
-    if is_member(ratio_qp):
-        return _verified(target, _factor_proportional(p, ratio_qp))
-    ratio_pq = p.value / q.value
-    if is_member(ratio_pq):
-        return _verified(target, _swap(_factor_proportional(q, ratio_pq)))
+    g = poly_gcd(x, y)  # q/p = (y/g)/(x/g) in lowest terms
+    x_g, y_g = (x, y) if g.degree == 0 else (_exact_div(x, g), _exact_div(y, g))
+    if (r := _member_ratio(y_g, x_g)) is not None:
+        return _verified(target, split, _factor_proportional(x, gamma, r))
+    if (r := _member_ratio(x_g, y_g)) is not None:
+        return _verified(target, split, _swap(_factor_proportional(y, gamma, r)))
 
     sign_q_at_p = sign_at_roots(q.numerator, p.numerator)
-    if p.degree >= q.degree and sign_q_at_p.is_definite():
-        return _verified(target, _factor_dominant(p, q))
+    if x.degree >= y.degree and sign_q_at_p.is_definite():
+        return _verified(target, split, _factor_dominant(x, y, gamma))
     sign_p_at_q = sign_at_roots(p.numerator, q.numerator)
-    if q.degree >= p.degree and sign_p_at_q.is_definite():
-        return _verified(target, _swap(_factor_dominant(q, p)))
+    if y.degree >= x.degree and sign_p_at_q.is_definite():
+        return _verified(target, split, _swap(_factor_dominant(y, x, gamma)))
 
-    (x, y), gamma = over_common_denominator([p, q])
-    if x.degree == 2 and y.degree == 2:
-        m = poly_gcd(x, y)
-        if m.degree == 1:  # degree 2 would be proportional, handled above
-            return _verified(target, _factor_quadratics_sharing_root(x, y, gamma, m))
+    if x.degree == 2 and y.degree == 2 and g.degree == 1:
+        # degree 2 would be proportional, handled above
+        return _verified(target, split, _factor_quadratics_sharing_root(x, y, gamma, g))
     raise HypothesisNotMet(
         "no factorization hypothesis applies: "
         f"deg p = {p.degree}, deg q = {q.degree}, "
@@ -465,20 +490,25 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
         sign_p_at_q=sign_p_at_q,
         deg_p=p.degree,
         deg_q=q.degree,
+        numerators=(x, y),
+        denominator=gamma,
     )
 
 
-def _factor_dominant(p: DressElement, q: DressElement) -> list[_Factor]:
-    """Hypothesis branch: deg p >= deg q and q sign-definite at the roots of p."""
-    if p.degree > q.degree:
-        # One shear similarity replaces q by p + q, which has deg p exactly and
-        # the same values as q at every root of p.
-        return _conjugate(_factor_equal_degree(p, p + q), Mat2.of(1, -1, 0, 1))
-    return _factor_equal_degree(p, q)
+_SHEAR = (_1, -_1, _0, _1)  # the numerators of (1 -1; 0 1) over 1
 
 
-def _factor_equal_degree(p: DressElement, q: DressElement) -> list[_Factor]:
-    (x, y), gamma = over_common_denominator([p, q])
+def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial) -> list[_Factor]:
+    """Hypothesis branch: deg x >= deg y and y sign-definite at the roots of x."""
+    if x.degree > y.degree:
+        # One shear similarity replaces y by x + y, which has deg x exactly and
+        # the same values as y at every root of x.
+        return _conjugate(_factor_equal_degree(x, x + y, gamma), _SHEAR)
+    return _factor_equal_degree(x, y, gamma)
+
+
+def _factor_equal_degree(x: Polynomial, y: Polynomial, gamma: Polynomial) -> list[_Factor]:
+    """The row (x/gamma, y/gamma; 0 0) with deg x == deg y."""
     if x.degree != y.degree:
         raise CertificateError(f"equal-degree branch got numerator degrees {x.degree}, {y.degree}")
     if gamma.degree > x.degree + 1:
@@ -556,7 +586,8 @@ def _factor_quadratics_sharing_root(
     if diff.degree != 1:
         raise CertificateError(f"delta - x = {diff} is not linear")
     e = ((m, diff.scale(1 / s_prime)), (x1, Polynomial.constant(s_prime)), delta)
-    return _factor_zero_q(delta, gamma) + _conjugate([_E11, e], Mat2.of(1, -c, 0, 1))
+    shear = (_1, Polynomial.constant(-c), _0, _1)  # (1 -c; 0 1)
+    return _factor_zero_q(delta, gamma) + _conjugate([_E11, e], shear)
 
 
 def _grow_linear_to_gamma(x: Polynomial, m: Polynomial) -> Polynomial:

@@ -156,6 +156,10 @@ class Polynomial:
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
+        if a == (1,) and self.denom == 1:
+            return other
+        if b == (1,) and other.denom == 1:
+            return self
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:

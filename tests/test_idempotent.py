@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -36,7 +37,7 @@ from dressring import (
 from dressring import dress, idempotent
 from dressring.idempotent import _FACTOR_COUNT_BOUND
 
-from helpers import rand_gamma, rand_member_nonzero, rand_poly
+from helpers import rand_gamma, rand_irreducible_quadratic, rand_member_nonzero, rand_poly
 
 X = Polynomial.x()
 GAMMA = X * X + 1
@@ -365,6 +366,25 @@ class TestFactorRowMatrix:
             factor_row_matrix(p, q)
         assert exc.value.sign_q_at_p is SignPattern.MIXED
         assert exc.value.deg_p == -3
+
+    def test_hypothesis_not_met_carries_the_row(self):
+        gamma6 = (X * X + 1) ** 3
+        rows = [
+            (elem(X * (X - 1) * (X - 2), gamma6), elem((2 * X - 1) * (2 * X - 3), gamma6)),
+            (elem(X * (X - 1) * (X - 2), gamma6), elem((2 * X - 1) * (2 * X - 3), X * X + X + 1)),
+            (elem(X * (X - 1) * (X - 2), gamma6), elem(X * (2 * X - 1) * (2 * X - 3), gamma6)),
+        ]
+        gammas = []
+        for p, q in rows:
+            with pytest.raises(HypothesisNotMet) as exc:
+                factor_row_matrix(p, q)
+            (x, y), gamma = exc.value.numerators, exc.value.denominator
+            assert RationalFunction.make(x, gamma) == p.value
+            assert RationalFunction.make(y, gamma) == q.value
+            gammas.append(gamma)
+        assert gammas == [gamma6, gamma6 * (X * X + X + 1), gamma6]
+        unset = HypothesisNotMet("message")
+        assert unset.numerators is None and unset.denominator is None
 
     def test_common_root_not_small_rejected(self):
         # shared real root with degree-3 numerators: outside every branch
@@ -742,7 +762,7 @@ class TestDerivationChecks:
 
     def test_equal_degree_check(self):
         with pytest.raises(CertificateError, match="equal-degree branch"):
-            idempotent._factor_equal_degree(elem(X), elem(X * X))
+            idempotent._factor_equal_degree(X, X * X, Polynomial.one())
 
     def test_shared_root_combination_check(self):
         # Cubics sharing the root 0: x1 = X^2 + 1, y1 = X^2 + X, and
@@ -855,6 +875,143 @@ print(json.dumps({"optimize": sys.flags.optimize, "raised": raised, "code": code
         assert report["ok"] is False and report["command"] == "factor"
         assert report["result"] is None and "product-mismatch" in report["error"]
         assert out["cert_raised"] is not None and "real roots" in out["cert_raised"]
+
+
+def old_proportional_rule(p, q):
+    """The previous proportional test: reduce q/p, then p/q, each with RationalFunction.make."""
+    ratio = q.value / p.value
+    if dress.is_member(ratio):
+        return "q/p", ratio
+    ratio = p.value / q.value
+    if dress.is_member(ratio):
+        return "p/q", ratio
+    return None, None
+
+
+def over_random_gamma(rng, num):
+    """num over a random root-free denominator of degree >= deg num, reduced."""
+    gamma = rand_gamma(rng, 2)
+    while gamma.degree < num.degree:
+        gamma = gamma * rand_irreducible_quadratic(rng)
+    return DressElement.from_parts(num, gamma)
+
+
+def planted_common_factor_rows(rng, count):
+    """Rows (m a/g1, m b/g2) over independent root-free g1, g2.
+
+    The common factor m is 1, a random polynomial or a root-free quadratic;
+    b is random, a scalar multiple of a, or a times a root-free quadratic,
+    in either orientation.
+    """
+    rows = []
+    for i in range(count):
+        m = (Polynomial.one(), rand_poly(rng, 2, nonzero=True), rand_gamma(rng, 1))[i % 3]
+        a = rand_poly(rng, 2, nonzero=True)
+        b = (rand_poly(rng, 2, nonzero=True), a.scale(rng.choice([-3, -1, 2])),
+             a * rand_irreducible_quadratic(rng))[i // 3 % 3]
+        if i // 9 % 2:
+            a, b = b, a
+        rows.append((over_random_gamma(rng, m * a), over_random_gamma(rng, m * b)))
+    return rows
+
+
+class TestProportionalRule:
+    """factor_row_matrix decides q/p and p/q from one gcd of the numerators;
+    the old rule reduced each ratio with RationalFunction.make."""
+
+    def observed_rule(self, monkeypatch, rows):
+        calls = []
+        original = idempotent._member_ratio
+
+        def recording(num, den):
+            calls.append(original(num, den))
+            return calls[-1]
+
+        monkeypatch.setattr(idempotent, "_member_ratio", recording)
+        for p, q in rows:
+            calls.clear()
+            try:
+                factor_row_matrix(p, q)
+            except HypothesisNotMet:
+                pass
+            if p.is_zero or q.is_zero:
+                assert calls == []
+                continue
+            yield p, q, next(((name, r) for name, r in zip(("q/p", "p/q"), calls)
+                              if r is not None), (None, None))
+
+    def test_grids_agree_with_old_rule(self, monkeypatch):
+        rows = [(p, q) for _, p, q in c06_c07_rows()]
+        seen = set()
+        for p, q, got in self.observed_rule(monkeypatch, rows):
+            assert got == old_proportional_rule(p, q), (str(p), str(q))
+            seen.add(got[0])
+        assert seen == {"q/p", "p/q", None}
+
+    def test_planted_common_factors_agree_with_old_rule(self, monkeypatch):
+        rows = planted_common_factor_rows(random.Random(1301), 504)
+        seen, shared = {}, 0
+        for p, q, got in self.observed_rule(monkeypatch, rows):
+            assert got == old_proportional_rule(p, q), (str(p), str(q))
+            (x, y), _ = dress.over_common_denominator([p, q])
+            shared += dressring.poly_gcd(x, y).degree >= 1
+            seen[got[0]] = seen.get(got[0], 0) + 1
+            assert (got[1] is None) or isinstance(got[1], RationalFunction)
+        assert set(seen) == {"q/p", "p/q", None} and min(seen.values()) >= 50, seen
+        assert shared >= 200
+
+
+class TestRowWork:
+    """Work counts of factor_row_matrix, branch by branch."""
+
+    def test_one_split_and_no_zero_entry_reduction(self, monkeypatch):
+        zero, one = DressElement.zero(), DressElement.one()
+        g4, g6 = GAMMA**2, GAMMA**3
+        cases = {
+            "zero": (zero, zero),
+            "p=0": (zero, elem(X)),
+            "q=0": (elem(X), zero),
+            "q/p in D": (elem(X), elem(2 * X)),
+            "p/q in D": (elem(X), one),
+            "dominant": (elem(X), elem(X + 1)),
+            "shear": (elem(X), elem(-1)),
+            "padded": (elem(X, g6), elem(X + 1, g6)),
+            "mirrored": (one, elem(X)),
+            "mixed denominators": (elem(X * X - 2, g4), elem(X + 3, X * X + X + 1)),
+            "small common root": (elem(X * (X + 1), g4), elem(X * (X - 2), g4)),
+        }
+        counts = {"over_common_denominator": 0, "_split": 0, "zero make": 0}
+
+        def counting(name, original, is_counted=lambda *args: True):
+            def wrapper(*args):
+                counts[name] += is_counted(*args)
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(idempotent, "over_common_denominator", counting(
+            "over_common_denominator", idempotent.over_common_denominator))
+        monkeypatch.setattr(idempotent, "_split", counting("_split", idempotent._split))
+        monkeypatch.setattr(RationalFunction, "make", staticmethod(counting(
+            "zero make", RationalFunction.make, lambda num, den: num.is_zero)))
+        zero_entries = 0
+        for name, (p, q) in cases.items():
+            counts.update(dict.fromkeys(counts, 0))
+            fact = factor_row_matrix(p, q)
+            assert counts == {"over_common_denominator": 1, "_split": 0, "zero make": 0}, name
+            zero_entries += sum(e.is_zero for m in fact.factors for e in m.entries())
+        assert zero_entries >= 2 * len(cases)
+
+
+# SHA-256 of the target and factor strings of every c06/c07 row, pinned from
+# the output before factor_row_matrix was rewritten on one set of numerators.
+# A change that only makes the pipeline faster must leave it as it is.
+GRID_OUTPUT_SHA256 = "9c59e95e13e6c1fd8cb5f7f745ecbdbe9073e44003dc89b1097bbb1cda81e286"
+
+
+def test_grid_output_is_pinned():
+    facts = (factor_row_matrix(p, q) for _, p, q in c06_c07_rows())
+    text = "\n\n".join("\n".join([str(f.target)] + [str(m) for m in f.factors]) for f in facts)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_OUTPUT_SHA256
 
 
 class TestStableRangeWitness:
