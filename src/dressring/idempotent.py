@@ -456,6 +456,11 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
     numerators (x, y) over gamma that every branch and the final check read.
     """
     (x, y), gamma = over_common_denominator([p, q])
+    return _factor_row(p, q, x, y, gamma, poly_gcd(x, y))
+
+
+def _factor_row(p, q, x, y, gamma, g) -> Factorization:
+    """factor_row_matrix of the DressElements (p, q) = (x, y)/gamma, with g = gcd(x, y)."""
     target, split = Mat2.row(p, q), ((x, y, _0, _0), gamma)
     if not (x or y):
         return _verified(target, split, [_ZERO_FACTOR])
@@ -464,7 +469,7 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
     if not y:
         return _verified(target, split, _factor_zero_q(x, gamma))
 
-    g = poly_gcd(x, y)  # q/p = (y/g)/(x/g) in lowest terms
+    # q/p = (y/g)/(x/g) in lowest terms
     x_g, y_g = (x, y) if g.degree == 0 else (_exact_div(x, g), _exact_div(y, g))
     if (r := _member_ratio(y_g, x_g)) is not None:
         return _verified(target, split, _factor_proportional(x, gamma, r))
@@ -540,13 +545,12 @@ def factor_small(p: DressElement, q: DressElement) -> Factorization:
     main-pipeline branch (a single root forces a definite sign, and common
     roots force proportionality).  Two degree-2 numerators with a nonconstant
     gcd are proportional or reach the common-root branch.  Both shapes
-    dispatch through factor_row_matrix; any other shape is rejected.
+    share factor_row_matrix's body and its split; any other shape is rejected.
     """
-    (x, y), _ = over_common_denominator([p, q])
-    if (x.degree <= 1 and y.degree <= 1) or (
-        x.degree == 2 and y.degree == 2 and poly_gcd(x, y).degree >= 1
-    ):
-        return factor_row_matrix(p, q)
+    (x, y), gamma = over_common_denominator([p, q])
+    g = poly_gcd(x, y)
+    if (x.degree <= 1 and y.degree <= 1) or (x.degree == y.degree == 2 and g.degree >= 1):
+        return _factor_row(p, q, x, y, gamma, g)
     raise ShapeViolation(
         "factor_small needs numerators of degree <= 1, or degree-2 numerators "
         f"with a nonconstant gcd (got degrees {x.degree}, {y.degree})"

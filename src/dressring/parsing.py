@@ -64,8 +64,9 @@ _ONE = Polynomial.one()
 _X = Polynomial.x()
 
 # A value is an unreduced pair (num, den) of canonical polynomials whose den is
-# either the object _ONE or nonconstant; each scalar is reduced once, in
-# _Parser.parse_reduced.
+# either the object _ONE or nonconstant (Polynomial.__mul__ returns the other
+# operand for the constant 1, so products keep that form); each scalar is
+# reduced once, in _Parser.parse_reduced.
 _Pair = tuple[Polynomial, Polynomial]
 
 
@@ -80,13 +81,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         tokens.append(("int" if group == 1 else tok, tok, m.start(group)))
     tokens.append(("end", "", len(text)))
     return tokens
-
-
-def _times(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b, with no multiplication when either factor is _ONE."""
-    if b is _ONE:
-        return a
-    return b if a is _ONE else a * b
 
 
 def _int(text: str, pos: int) -> int:
@@ -160,7 +154,7 @@ class _Parser:
             if d1 == d2:
                 n1 = n1 + n2
             else:
-                n1, d1 = _times(n1, d2) + _times(n2, d1), _times(d1, d2)
+                n1, d1 = n1 * d2 + n2 * d1, d1 * d2
 
     def parse_term(self) -> _Pair:
         n1, d1 = self.parse_unary()
@@ -170,17 +164,17 @@ class _Parser:
             if op == "*":
                 self.i += 1
                 n2, d2 = self.parse_unary()
-                n1, d1 = n1 * n2, _times(d1, d2)
+                n1, d1 = n1 * n2, d1 * d2
             elif op == "/":
                 self.i += 1
                 n2, d2 = self.parse_unary()
                 if n2.is_zero:
                     raise ZeroDenominatorError(f"division by zero (offset {pos})")
-                n1 = _times(n1, d2)
+                n1 = n1 * d2
                 if len(n2.ints) == 1:  # a constant divisor scales the numerator
                     n1 = n1.scale(Fraction(n2.denom, n2.ints[0]))
                 else:
-                    d1 = _times(d1, n2)
+                    d1 = d1 * n2
             else:
                 return n1, d1
 

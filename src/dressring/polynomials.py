@@ -3,9 +3,11 @@
 A polynomial is integer numerators over one positive denominator, in lowest
 terms and without a trailing zero; that form is unique, so equality and
 hashing are structural.  Arithmetic runs on Python integers, values come from
-one homogeneous Horner sum and every division from one integer pseudo-division
-loop (``_pdiv``); ``coeffs`` is a ``Fraction`` view.  Nothing here rounds.
-The degree of the zero polynomial is the sentinel ``NEG_INF`` (never -1).
+one homogeneous Horner sum, every division from one integer pseudo-division
+loop (``_pdiv``) and every gcd and Sturm chain from one signed remainder loop
+(``_signed_remainders``; a gcd is the last member of a chain).  ``coeffs`` is
+a ``Fraction`` view.  Nothing here rounds.  The degree of the zero polynomial
+is the sentinel ``NEG_INF`` (never -1).
 """
 
 from __future__ import annotations
@@ -230,13 +232,15 @@ def _coerce(value) -> Polynomial:
 def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
     """Integer pseudo-division for deg a >= deg b >= 0: (q, r, s), s*a == q*b + r, deg r < deg b.
 
-    s = lc(b)^k for the k quotient terms; scaling a by s up front makes every
-    quotient step an exact integer division by lc(b).
+    s = -|lc(b)|^k for the k quotient terms; scaling a by s up front makes
+    every quotient step an exact integer division by lc(b).  As s < 0, r is a
+    positive multiple of -rem(a, b), the next member of a signed remainder
+    sequence.
     """
     db = len(b) - 1
     lb = b[-1]
     k = len(a) - db
-    s = lb**k
+    s = -abs(lb) ** k
     r = [s * c for c in a]
     q = [0] * k
     for i in range(k - 1, -1, -1):
@@ -251,16 +255,32 @@ def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int
     return q, r, s
 
 
+def _signed_remainders(a: Sequence[int], b: Sequence[int]) -> list[Sequence[int]]:
+    """Signed remainder sequence a, b, -rem(a, b), ... of nonzero primitive integer lists.
+
+    Each member is a positive multiple of the exact one, so sign variations
+    agree; the last nonzero one is gcd(a, b) (Basu-Pollack-Roy, ch. 1).
+    """
+    chain = [a, b]
+    while len(b) > 1:
+        r = [-v for v in a] if len(a) < len(b) else _pdiv(a, b)[1]
+        if not r:
+            break
+        a, b = b, _strip_content(r)
+        chain.append(b)
+    return chain
+
+
 def divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Euclidean division: returns (q, r) with a = q*b + r and deg r < deg b."""
     if b.is_zero:
         raise ZeroPolynomialError("division by the zero polynomial")
     if len(a.ints) < len(b.ints):
         return _ZERO, a
-    # s*A = Q*B + R for a = A/da, b = B/db, so q = Q*db/(s*da), r = R/(s*da).
+    # s*A = Q*B + R for a = A/da, b = B/db, so q = Q*db/(s*da), r = R/(s*da); s < 0.
     q, r, s = _pdiv(a.ints, b.ints)
-    den = s * a.denom
-    return _make([c * b.denom for c in q], den), _make(r, den)
+    den = -s * a.denom
+    return _make([-c * b.denom for c in q], den), _make([-c for c in r], den)
 
 
 def _exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -271,7 +291,7 @@ def _exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     return q
 
 
-def _strip_content(c: list[int]) -> list[int]:
+def _strip_content(c: Sequence[int]) -> Sequence[int]:
     """Divide an integer coefficient list by the gcd of its entries."""
     g = igcd(*c)
     if g > 1:
@@ -282,8 +302,8 @@ def _strip_content(c: list[int]) -> list[int]:
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd in Q[X]; gcd(0, 0) = 0.
 
-    Computed on primitive integer coefficient lists with pseudo-remainders and
-    per-step content stripping; positive scalings never change the gcd.
+    The last member of the signed remainder sequence of the primitive integer
+    coefficient lists; positive scalings never change the gcd.
     """
     if a.is_zero or b.is_zero:
         return (a + b).monic()
@@ -291,18 +311,10 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.monic()
     if len(a.ints) == 1 or len(b.ints) == 1:
         return _ONE
-    ca = _strip_content(list(a.ints))
-    cb = _strip_content(list(b.ints))
-    if len(ca) < len(cb):
-        ca, cb = cb, ca
-    while True:
-        _, r, _ = _pdiv(ca, cb)
-        if not r:
-            break
-        ca, cb = cb, _strip_content(r)
-        if len(cb) == 1:
-            return _ONE
-    return _make(cb, cb[-1])
+    if len(a.ints) < len(b.ints):
+        a, b = b, a
+    g = _signed_remainders(_strip_content(a.ints), _strip_content(b.ints))[-1]
+    return _ONE if len(g) == 1 else _make(g, g[-1])
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -338,10 +350,7 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), monic: same distinct roots as p, each simple."""
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.monic()
-    return _exact_div(p, g).monic()
+    return _exact_div(p, poly_gcd(p, p.derivative())).monic()
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:

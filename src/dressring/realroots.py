@@ -7,7 +7,9 @@ as primitive integer coefficient lists (every member is a positive rational
 multiple of the canonical one, so all sign variations agree), built by one
 loop (``_signed_remainders``), and infinite endpoints read their signs off
 the leading coefficients.  A sign at a rational point n/d is the sign of the
-homogeneous integer sum sum(c_i n^i d^(k-i)) (``_sign_at``).
+homogeneous integer sum sum(c_i n^i d^(k-i)) (``_sign_at``).  Every gcd is
+read off the end of a chain: the chain of (p, p') ends in gcd(p, p'), so only
+a repeated root costs a second chain, on sf = p / gcd(p, p').
 
 Rational roots are found inside the isolating intervals, not by enumerating
 divisors: every rational root of a primitive integer polynomial with leading
@@ -22,7 +24,8 @@ Signs of q at the roots of p come from one Tarski query, not from isolation
 (Basu-Pollack-Roy, *Algorithms in Real Algebraic Geometry*, Thm. 2.58): the
 variation count at -inf and +inf of the signed remainder sequence of
 (sf, sf' q), with sf the squarefree part of p, is the sum of sign q(x) over
-the real roots x of p.  Its cost is polynomial in the bit size as well.
+the real roots x of p.  That chain ends in gcd(sf, q), which decides between
+MIXED and HAS_ZERO.  Its cost is polynomial in the bit size as well.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from .polynomials import (
     Polynomial,
     _horner,
     _pdiv,
+    _signed_remainders,
     _strip_content,
-    poly_gcd,
-    squarefree_part,
 )
 
 POS_INF = float("inf")
@@ -99,28 +101,7 @@ def _sign_at(coeffs: Sequence[int], t: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _signed_remainders(a: list[int], b: list[int]) -> list[list[int]]:
-    """Signed remainder sequence a, b, -rem(a, b), ... up to the last nonzero member.
-
-    a and b are nonzero primitive integer lists, b of any degree; each member
-    is a positive rational multiple of the exact one, so sign variations
-    agree.  A constant member is the last: its remainder is zero.
-    """
-    chain = [a, b]
-    while len(b) > 1:
-        if len(a) < len(b):
-            r, s = a, 1
-        else:
-            _, r, s = _pdiv(a, b)
-        if not r:
-            break
-        # s*a = q*b + r: -rem(a, b) is a positive multiple of -sign(s)*r.
-        a, b = b, _strip_content([-v for v in r] if s > 0 else r)
-        chain.append(b)
-    return chain
-
-
-def _variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
+def _variations_at_infinity(chain: list[Sequence[int]], positive: bool) -> int:
     """Sign variations of a chain at +inf (positive) or -inf."""
     prev = 0
     count = 0
@@ -134,13 +115,16 @@ def _variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
     return count
 
 
-class _SturmData:
-    """Integer Sturm chain of a squarefree polynomial, with sign-variation queries."""
+def _sturm_chain(a: Sequence[int]) -> list[Sequence[int]]:
+    """Signed remainder sequence of (a, a') for a primitive integer list a."""
+    return _signed_remainders(a, _strip_content([i * c for i, c in enumerate(a)][1:]))
 
-    def __init__(self, sf: Polynomial):
-        self.sf = sf
-        a = _strip_content(list(sf.ints))
-        self.chain = _signed_remainders(a, _strip_content([i * c for i, c in enumerate(a)][1:]))
+
+class _SturmData:
+    """Sturm chain of a squarefree primitive chain[0] (lc of either sign), with sign variations."""
+
+    def __init__(self, chain: list[Sequence[int]]):
+        self.chain = chain
 
     def variations_at(self, t: Fraction) -> int:
         prev = 0
@@ -171,10 +155,11 @@ def _sturm_data(p: Polynomial) -> Optional[_SturmData]:
         raise ZeroPolynomialError("root count of the zero polynomial")
     if p.degree == 0:
         return None
-    sf = squarefree_part(p)
-    if sf.degree == 0:
-        return None
-    return _SturmData(sf)
+    a = _strip_content(p.ints)
+    chain = _sturm_chain(a)
+    if len(chain[-1]) > 1:  # gcd(p, p') is not constant: rebuild on p / gcd(p, p')
+        chain = _sturm_chain(_strip_content(_pdiv(a, chain[-1])[0]))
+    return _SturmData(chain)
 
 
 def sturm_count(p: Polynomial, lo=NEG_INF, hi=POS_INF) -> int:
@@ -207,7 +192,7 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     lc = abs(ints[-1])
     # Distinct fractions with denominators <= lc are at least 1/lc^2 apart.
     separation = Fraction(1, lc * lc)
-    bound = cauchy_bound(data.sf)
+    bound = cauchy_bound(Polynomial(tuple(ints)))
     var = data.variations_at
 
     def rational_root(a: Fraction, b: Fraction, va: int) -> Optional[Fraction]:
@@ -286,7 +271,8 @@ def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
     sum of sign q(x) over those roots (Basu-Pollack-Roy, Thm. 2.58).  So
     t == n means all positive and t == -n all negative.  Otherwise a common
     root of p and q, i.e. a real root of gcd(sf, q), yields HAS_ZERO, which
-    dominates; without one the signs are MIXED.
+    dominates; without one the signs are MIXED.  That gcd is the last member
+    of the same sequence, as gcd(sf, sf' q) = gcd(sf, q) for squarefree sf.
     """
     if p.is_zero:
         raise ZeroPolynomialError("sign_at_roots requires a nonzero second argument")
@@ -296,15 +282,17 @@ def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
         return SignPattern.NO_ROOTS
     if q.is_zero:
         return SignPattern.HAS_ZERO
-    chain = _signed_remainders(data.chain[0], _strip_content(list((data.sf.derivative() * q).ints)))
+    sf, dsf = data.chain[0], Polynomial(tuple(data.chain[1]))
+    chain = _signed_remainders(sf, _strip_content((dsf * q).ints))
     t = _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
     if t == n:
         return SignPattern.ALL_POSITIVE
     if t == -n:
         return SignPattern.ALL_NEGATIVE
-    # Every real root of the gcd is a root of p, so HAS_ZERO iff it has one.
-    g = poly_gcd(data.sf, q)
-    if g.degree >= 1 and sturm_count(g) >= 1:
+    # Every real root of g = gcd(sf, q) is a root of p, so HAS_ZERO iff g has
+    # one; an odd degree forces one, and g is squarefree like sf.
+    g = chain[-1]
+    if len(g) % 2 == 0 or (len(g) > 1 and _SturmData(_sturm_chain(g)).count(NEG_INF, POS_INF)):
         return SignPattern.HAS_ZERO
     return SignPattern.MIXED
 

@@ -529,6 +529,27 @@ class TestFactorSmall:
         fact = factor_small(elem(X + 2), elem(X - 1))
         assert verify_factorization(fact).ok
 
+    def test_one_split_and_one_gcd(self, monkeypatch):
+        counts = {"over_common_denominator": 0, "poly_gcd": 0}
+
+        def counting(name):
+            original = getattr(idempotent, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(idempotent, name, counting(name))
+        g4 = (X * X + 1) ** 2
+        for x, y in ((X + 2, X - 1), (X * (X + 1), X * (X - 2)), (X * X + X, 2 * X * X + 2 * X),
+                     (Polynomial.zero(), X)):
+            counts.update(dict.fromkeys(counts, 0))
+            fact = factor_small(DressElement.from_parts(x, g4), DressElement.from_parts(y, g4))
+            assert counts == {"over_common_denominator": 1, "poly_gcd": 1}, (str(x), str(y))
+            assert verify_factorization(fact).ok
+
     def test_shape_violation(self):
         g6 = (X * X + 1) ** 3
         p = DressElement.from_parts(X**3, g6)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -5,7 +6,8 @@ from math import isqrt, lcm
 
 import pytest
 
-from dressring import realroots
+from dressring import polynomials, realroots
+from dressring.realroots import NEG_INF, POS_INF
 from dressring import (
     Polynomial,
     SignPattern,
@@ -34,6 +36,64 @@ def grid_root_count_oracle(p: Polynomial, lo: int = -10, hi: int = 10) -> int:
     vals = [p.evaluate(t) for t in pts]
     assert all(v != 0 for v in vals), "oracle grid points must not be roots"
     return sum(1 for a, b in zip(vals, vals[1:]) if (a > 0) != (b > 0))
+
+
+class _ChainCalls:
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.chains, self.gcds = [], 0
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Records the (a, b) of every remainder sequence built and counts poly_gcd calls."""
+    calls = _ChainCalls()
+    build, gcd = polynomials._signed_remainders, polynomials.poly_gcd
+
+    def counting_chain(a, b):
+        calls.chains.append((a, b))
+        return build(a, b)
+
+    def counting_gcd(a, b):
+        calls.gcds += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(polynomials, "_signed_remainders", counting_chain)
+    monkeypatch.setattr(realroots, "_signed_remainders", counting_chain)
+    monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
+    return calls
+
+
+def repeated_root_grid(seed: int, count: int) -> list[tuple[Polynomial, Polynomial, list[Fraction]]]:
+    """Seeded (p, q, planted rational roots of p), most p with a planted repeated factor.
+
+    p is a random polynomial times (X - r)^k (k = 2 or 3), (X^2 - 2)^2,
+    (X^2 + 1)^2 or nothing, in turn, with either sign of the leading
+    coefficient; q is random and, half the time, shares the planted factor.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        p = rand_poly(rng, 4, nonzero=True)
+        q = rand_poly(rng, 3, nonzero=True)
+        roots = []
+        kind = i % 4
+        if kind == 0:
+            r = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            roots.append(r)
+            planted = Polynomial.from_coeffs([-r, 1])
+            p = p * planted ** rng.randint(2, 3)
+        else:
+            planted = (X * X - 2, X * X + 1, Polynomial.one())[kind - 1]
+            p = p * planted**2
+        if rng.random() < 0.5:
+            q = q * planted
+        if rng.random() < 0.5:
+            p = -p
+        out.append((p, q, roots))
+    return out
 
 
 class TestSturmCount:
@@ -294,19 +354,49 @@ class TestRationalRootsInsideIntervals:
                 p = p * Polynomial.from_coeffs([Fraction(rng.randint(1, 9), rng.randint(1, 9))])
             assert rational_roots(p) == divisor_reference_rational_roots(p)
 
-    def test_sign_query_builds_one_chain_for_p(self, monkeypatch):
-        built = []
-        original = realroots._SturmData.__init__
-
-        def counting_init(self, sf):
-            built.append(sf)
-            original(self, sf)
-
-        monkeypatch.setattr(realroots._SturmData, "__init__", counting_init)
+    def test_sign_query_builds_one_chain_for_p(self, chain_calls):
         p = (X - 1) * (X + 2) * (X * X - 3)
         q = X - 5
         assert sign_at_roots(q, p) is SignPattern.ALL_NEGATIVE
-        assert sum(1 for sf in built if sf.degree == p.degree) == 1
+        # One Sturm chain of (p, p') and one Tarski chain of (p, p' q).
+        sturm = [b for _, b in chain_calls.chains if len(b) == len(p.ints) - 1]
+        assert len(chain_calls.chains) == 2 and len(sturm) == 1
+        assert chain_calls.gcds == 0
+
+
+class TestChainWork:
+    """Remainder sequences built per query: every gcd is read off a chain."""
+
+    def test_uncached_gamma_builds_one_chain(self, chain_calls, monkeypatch):
+        monkeypatch.setattr(realroots, "_gamma_cache", {})
+        for p, verdict in (((X * X + 1) * (X * X + 2), True),
+                           ((X * X - 2) * (X * X + X + 3), False),
+                           (-(X**6) + 3 * X**5 - X + 7, False)):
+            chain_calls.reset()
+            assert is_gamma(p) is verdict
+            assert (len(chain_calls.chains), chain_calls.gcds) == (1, 0), str(p)
+
+    @pytest.mark.parametrize("q, pattern, chains", [
+        (X * X + 1, SignPattern.ALL_POSITIVE, 2),
+        (X, SignPattern.MIXED, 2),
+        ((X - 1) * (X + 3), SignPattern.HAS_ZERO, 2),
+        # An even-degree gcd(p, q) needs its own chain to show a real root.
+        (X * X - 2, SignPattern.HAS_ZERO, 3),
+    ])
+    def test_sign_query_on_squarefree_p_chain_count(self, chain_calls, q, pattern, chains):
+        p = (X - 1) * (X * X - 2) * (X * X + 1)
+        assert sign_at_roots(q, p) is pattern
+        assert (len(chain_calls.chains), chain_calls.gcds) == (chains, 0)
+
+    def test_repeated_root_costs_one_extra_chain(self, chain_calls, monkeypatch):
+        monkeypatch.setattr(realroots, "_gamma_cache", {})
+        p = (X - 1) ** 2 * (X * X - 2) * (X * X + 1)
+        assert sign_at_roots(X, p) is SignPattern.MIXED
+        assert sign_at_roots(X - 1, -p) is SignPattern.HAS_ZERO
+        assert (len(chain_calls.chains), chain_calls.gcds) == (6, 0)
+        chain_calls.reset()
+        assert is_gamma((X * X + 1) ** 2 * (X * X + 3))
+        assert (len(chain_calls.chains), chain_calls.gcds) == (2, 0)
 
 
 def _sign(v) -> int:
@@ -399,6 +489,28 @@ class TestSignAtRootsReference:
         assert seen == set(SignPattern)
 
 
+# SHA-256 of isolate_real_roots, sturm_count, sign_at_roots and is_gamma on
+# repeated_root_grid(1414, 240), pinned from the output before the Sturm data
+# and every gcd were read off one signed remainder sequence.
+LAYER_OUTPUT_SHA256 = "1a3e418e11d923c7ec931d551d0364f2df6d430e28928ee871ae8c7edc43ecce"
+
+
+def layer_output_text() -> str:
+    lines = []
+    for p, q, _ in repeated_root_grid(1414, 240):
+        lines.append(repr(isolate_real_roots(p)))
+        lines.append(repr([sturm_count(p, lo, hi) for lo, hi in (
+            (NEG_INF, POS_INF), (-1, 1), (Fraction(-1, 3), 2), (0, POS_INF))]))
+        lines.append(repr([sign_at_roots(q, p), sign_at_roots(p, q), sign_at_roots(p, p * q)]))
+        lines.append(repr([is_gamma(p), is_gamma(p * p + 1), is_gamma(q * q * (X * X + 1))]))
+    return "\n".join(lines)
+
+
+def test_layer_output_is_pinned():
+    text = layer_output_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYER_OUTPUT_SHA256
+
+
 class TestSympyOracle:
     """Differential checks against SymPy's own real-root algorithms."""
 
@@ -459,6 +571,32 @@ class TestSympyOracle:
             assert len(ivs) == len(sp.intervals()) == count_distinct_real_roots(p)
             expected = sorted(Fraction(int(r.p), int(r.q)) for r in sp.ground_roots())
             assert [iv.exact for iv in ivs if iv.is_exact] == expected
+
+    def test_repeated_roots(self):
+        sympy = pytest.importorskip("sympy")
+        shared_zeros = 0
+        for p, q, planted in repeated_root_grid(2718, 160):
+            sp, sq = self._to_sympy(sympy, p), self._to_sympy(sympy, q)
+            sqf = sp.sqf_part()
+            n = sqf.count_roots()
+            assert count_distinct_real_roots(p) == n
+            assert is_gamma(p) is (n == 0)
+            ivs = isolate_real_roots(p)
+            exact = sorted(Fraction(int(r.p), int(r.q))
+                           for r in sympy.real_roots(sqf) if r.is_Rational)
+            assert len(ivs) == n and [iv.exact for iv in ivs if iv.is_exact] == exact
+            ends = sorted(set(planted) | {r + d for r in planted for d in (-1, Fraction(1, 2), 2)})
+            for lo in ends:
+                for hi in ends:
+                    if lo < hi:  # sympy counts [lo, hi]; sturm_count counts (lo, hi]
+                        expected = sqf.count_roots(lo, hi) - (sqf.eval(lo) == 0)
+                        assert sturm_count(p, lo, hi) == expected, (str(p), lo, hi)
+            pattern = sign_at_roots(q, p)
+            assert pattern is self._sympy_pattern(sympy, sq, sp)
+            if sympy.gcd(sp, sq).sqf_part().count_roots() > 0:
+                assert pattern is SignPattern.HAS_ZERO
+                shared_zeros += 1
+        assert shared_zeros >= 30
 
     def test_sign_patterns(self):
         sympy = pytest.importorskip("sympy")
