@@ -12,6 +12,12 @@ A sum of real squares has degree exactly 2 max deg f_i', since the leading
 coefficients of the top squares are positive.  So deg T == 2s holds iff s is
 that maximum; with T root-free, this puts every quotient f_i'/h, h f_i'/T and
 f_i' f_j'/T in D, and so covers divisibility and the unit check.
+
+The generator M h/gamma and its coefficients h f'/T, h g'/T are reduced with no
+gcd: gcd(f', T) = gcd(f', g'^2) = 1 as f', g' are the cofactors of M, and
+gcd(M, gamma) = 1 for reduced inputs, so only powers of 1 + X^2 cancel.  An
+unreduced input (raw RationalFunction constructor) still gets an exact
+generator, which may then be unreduced.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Optional, Sequence
 
 from .dress import DressElement, over_common_denominator
 from .errors import CertificateError, ShapeViolation
-from .polynomials import _ONE, Polynomial, RationalFunction, _exact_div, poly_gcd
+from .polynomials import _GAMMA1, _ONE, Polynomial, RationalFunction, _exact_div, divrem, poly_gcd
 from .realroots import is_gamma
 
 
@@ -109,6 +115,30 @@ def is_principal(a: DressElement, b: DressElement) -> bool:
     return _numerator_data((a, b))[2] % 2 == 0
 
 
+def _times_h_over(nums, den: Polynomial, k: int) -> list[RationalFunction]:
+    """The fractions n h/den for h = (1 + X^2)^k and each n in nums, den made monic.
+
+    (1 + X^2)^j is cancelled for the largest j <= k with (1 + X^2)^j | den.
+    When each nonzero n is coprime to den, that power is gcd(n h, den) and
+    the fractions are in lowest terms; otherwise they are exact but may be
+    unreduced.  1 + X^2 divides den iff den(i) = 0, that is iff the
+    coefficients of X^(4r) and X^(4r+2) have equal sums, and so do those of
+    X^(4r+1) and X^(4r+3); only then is den divided.
+    """
+    j = 0
+    while j < k:
+        c = den.ints
+        if sum(c[0::4]) != sum(c[2::4]) or sum(c[1::4]) != sum(c[3::4]):
+            break
+        den = divrem(den, _GAMMA1)[0]
+        j += 1
+    if den.ints[-1] != den.denom:  # make den monic: scale every numerator by 1/lc(den)
+        inv = 1 / den.leading_coefficient
+        nums, den = [n.scale(inv) for n in nums], den.monic()
+    h = _GAMMA1 ** (k - j)
+    return [RationalFunction(h * n, den) if n else RationalFunction.zero() for n in nums]
+
+
 def principal_generator(a: DressElement, b: DressElement) -> PrincipalityReport:
     """Decide principality of (a, b); in the even case return a verified generator.
 
@@ -120,17 +150,24 @@ def principal_generator(a: DressElement, b: DressElement) -> PrincipalityReport:
     (the quotients are f'/h and g'/h), and deg T = deg h^2, so u is a unit.
     Its identity f' f + g' g == M T is c1 * a + c2 * b = gen over the common
     denominator T * gamma.  No membership check is made.
+
+    No gcd is taken either: gcd(f', T) = gcd(f', g'^2) = 1, as f' and g' are
+    the cofactors of M, so gcd(h f', T) = gcd(h g', T) = (1 + X^2)^min(k, v(T))
+    for k = s/2 and v the multiplicity of 1 + X^2.  For reduced inputs
+    gcd(M, gamma) = 1, since the input that attains the full power of a factor
+    of gamma has a numerator free of it, so gcd(M h, gamma) =
+    (1 + X^2)^min(k, v(gamma)).  Only that power is cancelled.  An unreduced
+    input (raw RationalFunction constructor) gets an exact generator that may
+    be unreduced.
     """
     m, (fp, gp), s, gamma, nums = _numerator_data((a, b))
     if s % 2 == 1:
         return PrincipalityReport(M=m, fprime=fp, gprime=gp, s=s, principal=False)
     t = _sum_of_squares(m, (fp, gp), s, nums)
-    h = Polynomial.from_coeffs([1, 0, 1]) ** (s // 2)
     # c1 and c2 lie in D: T is root-free and deg(h f'), deg(h g') <= 2s = deg T.
-    c1 = DressElement._certified(RationalFunction.make(h * fp, t))
-    c2 = DressElement._certified(RationalFunction.make(h * gp, t))
+    c1, c2 = map(DressElement._certified, _times_h_over((fp, gp), t, s // 2))
     # gen lies in D: the certified identity writes it as c1 * a + c2 * b.
-    gen = DressElement._certified(RationalFunction.make(m * h, gamma))
+    gen = DressElement._certified(_times_h_over((m,), gamma, s // 2)[0])
     return PrincipalityReport(
         M=m, fprime=fp, gprime=gp, s=s, principal=True, generator=gen, expansion=(c1, c2)
     )

@@ -45,6 +45,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .polynomials import (
+    _GAMMA1,
     Polynomial,
     RationalFunction,
     _exact_div,
@@ -236,7 +237,7 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
 
     n = int(x.degree)
     e = n if n % 2 == 0 else n - 1
-    seed = Polynomial.from_coeffs([1, 0, 1]) ** (e // 2)
+    seed = _GAMMA1 ** (e // 2)
 
     if pattern == SignPattern.ALL_POSITIVE:
         sign = -1
@@ -521,7 +522,7 @@ def _factor_equal_degree(x: Polynomial, y: Polynomial, gamma: Polynomial) -> lis
         # the even degree in {deg x, deg x + 1}.
         n = int(x.degree)
         e = n if n % 2 == 0 else n + 1
-        tau = Polynomial.from_coeffs([1, 0, 1]) ** (e // 2)
+        tau = _GAMMA1 ** (e // 2)
         return _factor_zero_q(tau, gamma) + _factor_core(x, y, tau)
     return _factor_core(x, y, gamma)
 
@@ -630,7 +631,7 @@ class StableRangeEvidence:
 
 def stable_range_witness(z: DressElement) -> StableRangeEvidence:
     """Evaluate the square-stable-range witness pair at z."""
-    gamma = Polynomial.from_coeffs([1, 0, 1])
+    gamma = _GAMMA1
     a = DressElement.from_parts(Polynomial.x(), gamma)
     b = DressElement.from_parts(Polynomial.from_coeffs([-1, 0, 1]), gamma)
     sum_sq_unit = (a * a + b * b).is_unit()

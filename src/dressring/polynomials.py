@@ -219,6 +219,7 @@ class Polynomial:
 
 _ZERO = Polynomial(())
 _ONE = Polynomial((1,))
+_GAMMA1 = Polynomial((1, 0, 1))  # 1 + X^2
 
 
 def _coerce(value) -> Polynomial:
@@ -313,6 +314,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return _ONE
     if len(a.ints) < len(b.ints):
         a, b = b, a
+    if len(b.ints) == 2:  # b = b0 + b1 X: the gcd is b or 1, as a vanishes at -b0/b1 or not
+        b0, b1 = b.ints
+        return _ONE if _horner(a.ints, -b0, b1) else b.monic()
     g = _signed_remainders(_strip_content(a.ints), _strip_content(b.ints))[-1]
     return _ONE if len(g) == 1 else _make(g, g[-1])
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -18,9 +19,10 @@ from dressring import (
     is_member,
     is_principal,
     is_unit,
+    poly_gcd,
     principal_generator,
 )
-from dressring import dress, ideals
+from dressring import dress, ideals, polynomials
 
 from helpers import rand_member, rand_member_nonzero, rand_poly
 
@@ -369,3 +371,178 @@ class TestSumOfSquaresCertificate:
         _tamper_numerator_data(monkeypatch, index, change)
         with pytest.raises(CertificateError, match="f_i' f_i == M T violated"):
             CONSUMERS[consumer](*PAIR)
+
+
+# Inputs for the generator tests below.  The c05 grid: 625 numerators of
+# degree <= 3 with coefficients -2..2, all over (1 + X^2)^2.  The mixed pairs
+# put (1 + X^2)^k next to other root-free quadratics in each denominator and
+# give both numerators a shared factor, so M != 1, v(gamma) < k and a T
+# divisible by 1 + X^2 all occur.
+C05_GRID = [elem(Polynomial.from_coeffs(c), GAMMA * GAMMA)
+            for c in product(range(-2, 3), repeat=4)]
+OTHER_QUADRATICS = [X * X + X + 1, X * X + 2, X * X - 2 * X + 5, 4 * X * X + 1]
+SHARED_FACTORS = [Polynomial.one(), X, X - 1, 2 * X + 3, GAMMA, X * X + X + 1]
+
+
+def c05_sample_pairs(seed, count):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        a, b = rng.choice(C05_GRID), rng.choice(C05_GRID)
+        if not (a.is_zero and b.is_zero):
+            pairs.append((a, b))
+    return pairs
+
+
+def mixed_denominator_pairs(seed, count):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        shared = rng.choice(SHARED_FACTORS)
+        pair = []
+        for _ in range(2):
+            den = GAMMA ** rng.randint(0, 3)
+            for _ in range(rng.randint(0, 2)):
+                den = den * rng.choice(OTHER_QUADRATICS)
+            room = int(den.degree - shared.degree)
+            num = shared * rand_poly(rng, room, -3, 3) if room >= 0 else rand_poly(rng, 0, -3, 3)
+            pair.append(DressElement.from_parts(num, den))
+        if not (pair[0].is_zero and pair[1].is_zero):
+            pairs.append(tuple(pair))
+    return pairs
+
+
+GENERATOR_PAIRS = {
+    "c05": lambda: c05_sample_pairs(1501, 3000),
+    "mixed": lambda: mixed_denominator_pairs(1502, 1500),
+}
+
+# SHA-256 of repr(principal_generator(a, b)) over each set of GENERATOR_PAIRS,
+# pinned from the output before the generator and its expansion coefficients
+# were reduced by cancelling powers of 1 + X^2 in place of a gcd each.
+GENERATOR_OUTPUT_SHA256 = {
+    "c05": "7fe3709c34ee30cd711db9706be2286eb55a58fed837fb5fefe395274163feee",
+    "mixed": "aba14386ec11afd3e3623b9b8c2d98c9b64908caefbe5464238baa99080e039a",
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_PAIRS))
+def test_generator_output_is_pinned(name):
+    text = "\n".join(repr(principal_generator(a, b)) for a, b in GENERATOR_PAIRS[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_OUTPUT_SHA256[name]
+
+
+def unreduced_outputs(a, b, report):
+    """(num, den) of c1, c2 and the generator as the formulas give them, before reduction."""
+    _, gamma = dress.over_common_denominator((a, b))
+    h = GAMMA ** (report.s // 2)
+    t = report.fprime * report.fprime + report.gprime * report.gprime
+    return [(h * report.fprime, t), (h * report.gprime, t), (report.M * h, gamma)]
+
+
+def assert_reduced_outputs(a, b):
+    report = principal_generator(a, b)
+    assert report.principal
+    got = [c.value for c in report.expansion] + [report.generator.value]
+    for r, (num, den) in zip(got, unreduced_outputs(a, b, report)):
+        assert r == RationalFunction.make(num, den), (str(a), str(b), str(r))
+        assert r.den.monic() == r.den
+        assert r.is_zero or poly_gcd(r.num, r.den) == Polynomial.one()
+    return report
+
+
+class TestReducedGenerator:
+    """The generator and expansion are built reduced by cancelling powers of 1 + X^2 only."""
+
+    def test_sum_of_squares_divisible_past_k(self):
+        # f' = X^2 - 1, g' = 2X: T = (1 + X^2)^2, but only h = 1 + X^2 cancels.
+        report = assert_reduced_outputs(elem(X * X - 1, GAMMA * GAMMA), elem(2 * X, GAMMA * GAMMA))
+        assert report.s == 2 and report.M == Polynomial.one()
+        c1, c2 = report.expansion
+        assert c1.value == RationalFunction.make(X * X - 1, GAMMA)
+        assert c2.value == RationalFunction.make(2 * X, GAMMA)
+        assert report.generator.value == RationalFunction.make(Polynomial.one(), GAMMA)
+
+    def test_gamma_with_fewer_factors_than_k(self):
+        # s = 4, k = 2, but gamma = (1 + X^2)(X^2 + X + 1) has v(gamma) = 1.
+        den = GAMMA * (X * X + X + 1)
+        report = assert_reduced_outputs(elem(X**4, den), elem(Polynomial.one(), den))
+        assert report.s == 4
+        assert report.generator.value == RationalFunction.make(GAMMA, X * X + X + 1)
+
+    def test_numerator_gcd_not_one(self):
+        m = X + 2
+        report = assert_reduced_outputs(elem(m * (X * X - 1), GAMMA**3), elem(m * 2 * X, GAMMA**3))
+        assert report.M == m and report.s == 2
+        assert report.generator.value == RationalFunction.make(m, GAMMA * GAMMA)
+
+    def test_zero_and_constant_cofactors(self):
+        c = elem(Polynomial.constant(Fraction(-3, 2)), X * X + 2)
+        for a, b in ((c, DressElement.zero()), (DressElement.zero(), c), (c, c)):
+            assert assert_reduced_outputs(a, b).s == 0
+
+    @pytest.mark.parametrize("name", list(GENERATOR_PAIRS))
+    def test_every_even_pair_matches_make(self, name):
+        n_even = 0
+        for a, b in GENERATOR_PAIRS[name]():
+            if is_principal(a, b):
+                assert_reduced_outputs(a, b)
+                n_even += 1
+        assert n_even >= 300
+
+    def test_unreduced_input_gives_exact_generator(self):
+        # The raw constructor skips reduction, so gcd(M, gamma) = 1 no longer
+        # holds; the generator still has the exact value M h/gamma.
+        q = X * X + X + 1
+        a = DressElement(RationalFunction(X * X * q, q * GAMMA))
+        b = DressElement(RationalFunction(q, q * GAMMA))
+        report = principal_generator(a, b)
+        assert report.principal and report.M == q and report.s == 2
+        gen = report.generator.value
+        assert gen == RationalFunction(q, q)  # M h/gamma = 1, with q left in both
+        c1, c2 = report.expansion
+        assert (c1.value * a.value + c2.value * b.value) == RationalFunction.make(gen.num, gen.den)
+
+    def test_against_sympy_cancel(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(p.coeffs)], x, domain="QQ")
+
+        n_even = 0
+        for a, b in mixed_denominator_pairs(1503, 300):
+            report = principal_generator(a, b)
+            if not report.principal:
+                continue
+            n_even += 1
+            got = [c.value for c in report.expansion] + [report.generator.value]
+            for r, (num, den) in zip(got, unreduced_outputs(a, b, report)):
+                p, q = to_sympy(num).cancel(to_sympy(den), include=True)
+                lc = q.LC()
+                assert (to_sympy(r.num), to_sympy(r.den)) == (p / lc, q / lc), (str(a), str(b))
+        assert n_even >= 100
+
+    def test_even_pair_takes_one_gcd_and_no_make(self, monkeypatch):
+        # Over a shared denominator the only gcd is the numerator gcd M.
+        counts = {"poly_gcd": 0, "make": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        gcd = counting("poly_gcd", polynomials.poly_gcd)
+        monkeypatch.setattr(polynomials, "poly_gcd", gcd)
+        monkeypatch.setattr(ideals, "poly_gcd", gcd)
+        monkeypatch.setattr(RationalFunction, "make",
+                            staticmethod(counting("make", RationalFunction.make)))
+        pairs = [(elem(X * X - 1, GAMMA * GAMMA), elem(2 * X, GAMMA * GAMMA)),
+                 (elem(X, GAMMA * GAMMA), elem(X**3, GAMMA * GAMMA)),
+                 (elem(X**4, GAMMA**3), elem(X + 1, GAMMA**3))]
+        for a, b in pairs:
+            counts.update(dict.fromkeys(counts, 0))
+            assert principal_generator(a, b).principal
+            assert counts == {"poly_gcd": 1, "make": 0}, (str(a), str(b))

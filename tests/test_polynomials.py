@@ -126,6 +126,22 @@ def test_extended_gcd_identity():
         assert g == poly_gcd(a, b)
 
 
+def test_gcd_with_linear_operand():
+    # A linear operand b gives the gcd b or 1, read off the value of the other
+    # operand at the root of b; extended_gcd's Euclid loop is the reference.
+    rng = random.Random(1041)
+    seen = set()
+    for i in range(300):
+        b = P(rng.choice([-4, -3, -1, 1, 2, 5]), rng.randint(-6, 6))
+        b = b.scale(Fraction(1, rng.randint(1, 4)))
+        a = rand_poly(rng, 5, nonzero=True) * (b if i % 2 else Polynomial.one())
+        for p, q in ((a, b), (b, a)):
+            g = poly_gcd(p, q)
+            assert g == extended_gcd(p, q)[0], (str(p), str(q))
+            seen.add(g.degree)
+    assert seen == {0, 1}
+
+
 def test_squarefree_part():
     p = (X - 1) ** 3 * (X + 2) * (X * X + 1) ** 2
     sf = squarefree_part(p)
