@@ -66,7 +66,6 @@ from .polynomials import (
     Rational,
     RationalFunction,
     divrem,
-    extended_gcd,
     poly_gcd,
     poly_lcm,
     squarefree_part,

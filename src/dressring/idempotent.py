@@ -21,8 +21,12 @@ and a nonzero polynomial: E = v w^T / s, idempotent iff w.v == s, as in
 (1 0; 1-p 0) = (pd; pd-pn)(1 0)/pd for p = pn/pd.  Swaps and conjugations map
 triples to triples without reducing.  One check (w.v == s per factor, then the
 telescoped product against the target N_T/d_T) runs once where each public
-function returns; only then is each Mat2 entry built, with one checked
-from_parts per nonzero entry.
+function returns; only then is each Mat2 built, from facts about its factor:
+when s is root-free, membership of every entry is the degree bound
+deg v_i + deg w_j <= deg s, and each vector entry is compared with s once
+(zero, coprime to s, or a multiple c*s), so only an entry that shares a proper
+factor with s is reduced by a gcd.  A factor whose s has real roots takes one
+checked from_parts per nonzero entry.
 
 Each row takes one common-denominator pass, (p, q) = (x, y)/gamma, and every
 branch reads x, y, gamma and the one gcd g = gcd(x, y): q/p lies in D iff
@@ -48,6 +52,7 @@ from .polynomials import (
     _GAMMA1,
     Polynomial,
     RationalFunction,
+    _coprime,
     _exact_div,
     poly_gcd,
 )
@@ -164,12 +169,60 @@ def _factor_of(m: Mat2):
 
 
 def _matrix(f: Optional[_Factor]) -> Mat2:
-    """The Mat2 of a factor, with one checked from_parts per nonzero entry."""
+    """The Mat2 of a factor v w^T / s, built from facts about v, w and s.
+
+    With s root-free, an entry v_i w_j / s lies in D iff deg v_i + deg w_j <=
+    deg s: cancelling a common factor lowers both degrees equally and leaves a
+    root-free denominator.  Each distinct nonzero vector entry is classified
+    against s once: an entry c*s makes the matrix entry a polynomial, c times
+    the other vector entry; two entries coprime to s (constants included)
+    leave v_i w_j / s reduced but for the monic scaling; anything else is
+    reduced by make.  An entry over the degree bound, and every entry of a
+    factor whose s has real roots, takes the checked from_parts instead.
+    """
     if f is None:
         return Mat2.identity()
     v, w, s = f
-    return Mat2(*(DressElement.from_parts(vi * wj, s) if vi and wj else _ZERO_ENTRY
-                  for vi in v for wj in w))
+    den = s.monic()
+    if not is_gamma(den):
+        return Mat2(*(DressElement.from_parts(vi * wj, s) if vi and wj else _ZERO_ENTRY
+                      for vi in v for wj in w))
+    n = len(s.ints)
+    inv = None if den is s else 1 / s.leading_coefficient  # monic() returns a monic s itself
+    # Per vector entry: None for 0, c for c*s, True if coprime to s, else False.
+    kinds, gcds = [], {}
+    for e in (*v, *w):
+        k = len(e.ints)
+        if not k:
+            kinds.append(None)
+        elif k == 1 or n == 1:
+            kinds.append(True)
+        elif k == n and e.monic() == den:
+            kinds.append(e.leading_coefficient if inv is None else e.leading_coefficient * inv)
+        else:
+            if e not in gcds:
+                gcds[e] = _coprime(e, s)
+            kinds.append(gcds[e])
+    entries = []
+    for vi, ki in zip(v, kinds):
+        for wj, kj in zip(w, kinds[2:]):
+            if ki is None or kj is None:
+                entries.append(_ZERO_ENTRY)
+                continue
+            if len(vi.ints) + len(wj.ints) > n + 1:  # deg vi + deg wj > deg s
+                entries.append(DressElement.from_parts(vi * wj, s))  # raises NotInDressRing
+                continue
+            if isinstance(ki, Fraction):
+                value = RationalFunction(wj.scale(ki), _1)
+            elif isinstance(kj, Fraction):
+                value = RationalFunction(vi.scale(kj), _1)
+            elif ki and kj:
+                value = RationalFunction(vi * wj if inv is None else (vi * wj).scale(inv), den)
+            else:
+                value = RationalFunction.make(vi * wj, s)
+            # Certified: s is root-free (is_gamma above) and the degree bound holds.
+            entries.append(DressElement._certified(value))
+    return Mat2(*entries)
 
 
 def is_idempotent(m: Mat2) -> bool:
@@ -231,7 +284,11 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
         raise CertificatePreconditionError(
             f"certificate needs equal degrees, got {x.degree} and {y.degree}"
         )
-    pattern = sign_at_roots(y, x)
+    return _certificate(x, y, sign_at_roots(y, x))
+
+
+def _certificate(x: Polynomial, y: Polynomial, pattern: SignPattern) -> PositivityCertificate:
+    """positivity_certificate of nonzero x, y of equal degree; pattern is sign_at_roots(y, x)."""
     if not pattern.is_definite():
         raise CertificatePreconditionError(f"sign of y at roots of x is {pattern.value}")
 
@@ -477,12 +534,15 @@ def _factor_row(p, q, x, y, gamma, g) -> Factorization:
     if (r := _member_ratio(x_g, y_g)) is not None:
         return _verified(target, split, _swap(_factor_proportional(y, gamma, r)))
 
+    # x = p.numerator * (gamma/den p) with gamma/den p monic and root-free, so
+    # positive everywhere, and likewise for y: each pattern is also the sign of
+    # y at the roots of x (x at the roots of y) that the certificate needs.
     sign_q_at_p = sign_at_roots(q.numerator, p.numerator)
     if x.degree >= y.degree and sign_q_at_p.is_definite():
-        return _verified(target, split, _factor_dominant(x, y, gamma))
+        return _verified(target, split, _factor_dominant(x, y, gamma, sign_q_at_p))
     sign_p_at_q = sign_at_roots(p.numerator, q.numerator)
     if y.degree >= x.degree and sign_p_at_q.is_definite():
-        return _verified(target, split, _swap(_factor_dominant(y, x, gamma)))
+        return _verified(target, split, _swap(_factor_dominant(y, x, gamma, sign_p_at_q)))
 
     if x.degree == 2 and y.degree == 2 and g.degree == 1:
         # degree 2 would be proportional, handled above
@@ -504,17 +564,22 @@ def _factor_row(p, q, x, y, gamma, g) -> Factorization:
 _SHEAR = (_1, -_1, _0, _1)  # the numerators of (1 -1; 0 1) over 1
 
 
-def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial) -> list[_Factor]:
-    """Hypothesis branch: deg x >= deg y and y sign-definite at the roots of x."""
+def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
+                     pattern: Optional[SignPattern] = None) -> list[_Factor]:
+    """Hypothesis branch: deg x >= deg y and y sign-definite at the roots of x.
+
+    ``pattern``, when given, is sign_at_roots(y, x), passed on to the certificate.
+    """
     if x.degree > y.degree:
         # One shear similarity replaces y by x + y, which has deg x exactly and
-        # the same values as y at every root of x.
-        return _conjugate(_factor_equal_degree(x, x + y, gamma), _SHEAR)
-    return _factor_equal_degree(x, y, gamma)
+        # the same values as y at every root of x, so the same pattern.
+        return _conjugate(_factor_equal_degree(x, x + y, gamma, pattern), _SHEAR)
+    return _factor_equal_degree(x, y, gamma, pattern)
 
 
-def _factor_equal_degree(x: Polynomial, y: Polynomial, gamma: Polynomial) -> list[_Factor]:
-    """The row (x/gamma, y/gamma; 0 0) with deg x == deg y."""
+def _factor_equal_degree(x: Polynomial, y: Polynomial, gamma: Polynomial,
+                         pattern: Optional[SignPattern] = None) -> list[_Factor]:
+    """The row (x/gamma, y/gamma; 0 0) with deg x == deg y; pattern as in _factor_dominant."""
     if x.degree != y.degree:
         raise CertificateError(f"equal-degree branch got numerator degrees {x.degree}, {y.degree}")
     if gamma.degree > x.degree + 1:
@@ -523,13 +588,17 @@ def _factor_equal_degree(x: Polynomial, y: Polynomial, gamma: Polynomial) -> lis
         n = int(x.degree)
         e = n if n % 2 == 0 else n + 1
         tau = _GAMMA1 ** (e // 2)
-        return _factor_zero_q(tau, gamma) + _factor_core(x, y, tau)
-    return _factor_core(x, y, gamma)
+        return _factor_zero_q(tau, gamma) + _factor_core(x, y, tau, pattern)
+    return _factor_core(x, y, gamma, pattern)
 
 
-def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial) -> list[_Factor]:
-    """Equal-degree core over a common denominator with deg gamma <= deg x + 1."""
-    cert = positivity_certificate(x, y)
+def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial,
+                 pattern: Optional[SignPattern] = None) -> list[_Factor]:
+    """Equal-degree core over a common denominator with deg gamma <= deg x + 1.
+
+    Without ``pattern`` (sign_at_roots(y, x)) the certificate computes its own.
+    """
+    cert = positivity_certificate(x, y) if pattern is None else _certificate(x, y, pattern)
     beta, delta = cert.beta, cert.delta
     u = DressElement(RationalFunction.make(delta, gamma * beta))
     if not u.is_unit():

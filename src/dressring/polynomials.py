@@ -334,20 +334,9 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     return _exact_div(a * b, g).monic()
 
 
-def extended_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g the monic gcd."""
-    r0, r1 = a, b
-    u0, u1 = Polynomial.one(), Polynomial.zero()
-    v0, v1 = Polynomial.zero(), Polynomial.one()
-    while not r1.is_zero:
-        q, r = divrem(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        return r0, u0, v0
-    lc = r0.leading_coefficient
-    return r0.monic(), u0.scale(1 / lc), v0.scale(1 / lc)
+def _coprime(a: Polynomial, b: Polynomial) -> bool:
+    """True iff gcd(a, b) == 1, for a and b not both zero."""
+    return poly_gcd(a, b).degree == 0
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from dressring import DressElement, Polynomial, RationalFunction
+from dressring import DressElement, Polynomial, RationalFunction, divrem
 
 
 def rand_poly(rng: random.Random, max_deg: int, lo: int = -9, hi: int = 9,
@@ -83,3 +83,23 @@ def rand_planted_roots_poly(rng: random.Random, n_roots: int,
     for r in roots:
         p = p * Polynomial.from_coeffs([-r, 1])
     return p, sorted(roots)
+
+
+def extended_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """Extended Euclid over Q[X]: (g, u, v) with u*a + v*b == g, g the monic gcd.
+
+    A reference for the library's gcd: its own loop of Euclidean divisions,
+    independent of the signed remainder sequence behind poly_gcd.
+    """
+    r0, r1 = a, b
+    u0, u1 = Polynomial.one(), Polynomial.zero()
+    v0, v1 = Polynomial.zero(), Polynomial.one()
+    while not r1.is_zero:
+        q, r = divrem(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero:
+        return r0, u0, v0
+    lc = r0.leading_coefficient
+    return r0.monic(), u0.scale(1 / lc), v0.scale(1 / lc)

@@ -17,6 +17,7 @@ from dressring import (
     Factorization,
     HypothesisNotMet,
     Mat2,
+    NotInDressRing,
     Polynomial,
     RationalFunction,
     ShapeViolation,
@@ -208,6 +209,15 @@ class TestPositivityCertificate:
             positivity_certificate(X, X * X - 1)  # q changes sign at +-1... roles: y=X at roots of x
         with pytest.raises(CertificatePreconditionError):
             positivity_certificate(X * X - 1, X * (X - 1))  # shared root 1
+
+    @pytest.mark.parametrize("x, y, pattern", [
+        (X * X - 1, X * X + X - 1, SignPattern.MIXED),  # y(1) = 1, y(-1) = -1
+        (X * X - 1, X * (X - 1), SignPattern.HAS_ZERO),
+    ], ids=["mixed", "has-zero"])
+    def test_rejects_indefinite_pattern_of_equal_degree_inputs(self, x, y, pattern):
+        assert sign_at_roots(y, x) is pattern
+        with pytest.raises(CertificatePreconditionError, match=pattern.value):
+            positivity_certificate(x, y)
 
     @pytest.mark.parametrize("lc_y, k", [(1000, 10), (2**1100, 1101)], ids=["1000", "2^1100"])
     def test_leading_coefficient_shrink(self, lc_y, k):
@@ -1021,6 +1031,158 @@ class TestRowWork:
             assert counts == {"over_common_denominator": 1, "_split": 0, "zero make": 0}, name
             zero_entries += sum(e.is_zero for m in fact.factors for e in m.entries())
         assert zero_entries >= 2 * len(cases)
+
+
+def per_entry_matrix(f):
+    """The previous factor builder: one checked from_parts per nonzero entry of v w^T / s."""
+    if f is None:
+        return Mat2.identity()
+    v, w, s = f
+    return Mat2(*(DressElement.from_parts(vi * wj, s) if vi and wj else DressElement.zero()
+                  for vi in v for wj in w))
+
+
+def built_or_error(build, f):
+    try:
+        return build(f)
+    except NotInDressRing as exc:
+        return ("NotInDressRing", exc.reason)
+
+
+class TestFactorMatrixBuilder:
+    """_matrix against the per-entry builder, and the work it does."""
+
+    def recorded_triples(self, monkeypatch, calls):
+        triples = []
+        original = idempotent._matrix
+
+        def recording(f):
+            triples.append(f)
+            return original(f)
+
+        monkeypatch.setattr(idempotent, "_matrix", recording)
+        for call in calls:
+            call()
+        monkeypatch.setattr(idempotent, "_matrix", original)
+        return triples
+
+    def test_grid_factors_and_their_images_match_per_entry_builder(self, monkeypatch):
+        # The swap and conjugation images re-enter through _factor_of, whose s
+        # = d * N_ij can have real roots, so the checked path runs as well.
+        zero, one = DressElement.zero(), DressElement.one()
+        shear, unit_det = Mat2.of(1, 2, 0, 1), Mat2(elem(X * X + 2), elem(X), zero, one)
+        rows = c06_c07_rows()
+        facts = [factor_row_matrix(p, q) for _, p, q in rows]
+        calls = [lambda p=p, q=q: factor_row_matrix(p, q) for _, p, q in rows]
+        calls += [lambda f=f: swap_factorization(f) for f in facts]
+        calls += [lambda f=f, m=(shear, unit_det)[i % 2]: conjugate_factorization(f, m)
+                  for i, f in enumerate(facts[::3])]
+        triples = self.recorded_triples(monkeypatch, calls)
+        real_rooted = 0
+        for f in triples:
+            assert idempotent._matrix(f) == per_entry_matrix(f), f
+            real_rooted += f is not None and not is_gamma(f[2].monic())
+        assert len(triples) > 5000 and real_rooted > 100, (len(triples), real_rooted)
+
+    def test_random_triples_match_per_entry_builder(self):
+        # s root-free (monic or not, constant or not) or with real roots; each
+        # vector entry 0, a constant, c*s, a multiple of a factor of s, or
+        # random; some entries exceed the degree bound and must raise.
+        rng = random.Random(1601)
+        seen = set()
+        for _ in range(30):
+            half = rand_gamma(rng, 1)
+            s = rng.choice([half * rand_gamma(rng, 1), half.scale(Fraction(-3, 2)),
+                            Polynomial.constant(rng.choice([1, -2, Fraction(1, 3)])),
+                            half * (X - rng.randint(-2, 2))])
+
+            def vector_entry():
+                kind = rng.randrange(5)
+                if kind == 0:
+                    return Polynomial.zero()
+                if kind == 1:
+                    return Polynomial.constant(rng.randint(-4, 4) or 1)
+                if kind == 2:
+                    return s.scale(Fraction(rng.randint(1, 5), rng.choice([1, -2, 3])))
+                if kind == 3:
+                    return half * rand_poly(rng, 1, nonzero=True)
+                return rand_poly(rng, int(s.degree), nonzero=True)
+
+            f = ((vector_entry(), vector_entry()), (vector_entry(), vector_entry()), s)
+            got = built_or_error(idempotent._matrix, f)
+            assert got == built_or_error(per_entry_matrix, f), f
+            seen.add(isinstance(got, Mat2))
+        assert seen == {True, False}
+
+    def test_no_make_for_constant_coprime_or_multiple_entries(self, monkeypatch):
+        one, g2 = Polynomial.one(), GAMMA * (X * X + 2)
+        clean = [  # every nonzero vector entry a constant, coprime to s, or c*s
+            ((Polynomial.constant(3), X), (X + 1, Polynomial.constant(5)), 2 * GAMMA),
+            ((4 * GAMMA, X), (Polynomial.constant(7), Polynomial.zero()), 2 * GAMMA),
+            ((X * X + X + 3, GAMMA.scale(Fraction(-1, 2))), (one, Polynomial.constant(2)), GAMMA),
+            ((Polynomial.constant(5), one), (X * X * X, 3 * g2), g2),
+        ]
+        real_rooted = ((X - 1, 2 * X - 2), (Polynomial.constant(3), one), X - 1)
+        shared = ((GAMMA, one), (X, one), g2)  # GAMMA divides g2
+        expected = [per_entry_matrix(f) for f in clean + [real_rooted, shared]]
+        makes = []
+        original = RationalFunction.make
+
+        def counting(num, den):
+            makes.append((num, den))
+            return original(num, den)
+
+        monkeypatch.setattr(RationalFunction, "make", staticmethod(counting))
+        assert [idempotent._matrix(f) for f in clean] == expected[:-2]
+        assert makes == []
+        # A factor whose s has real roots keeps one checked from_parts per entry.
+        assert idempotent._matrix(real_rooted) == expected[-2]
+        assert len(makes) == 4
+        makes.clear()
+        assert idempotent._matrix(shared) == expected[-1]
+        assert makes == [(GAMMA * X, g2), (GAMMA, g2)]
+
+    @pytest.mark.parametrize("f", [
+        ((X * X, Polynomial.one()), (X, Polynomial.one()), GAMMA),
+        ((Polynomial.one(), X * GAMMA), (Polynomial.one(), X), GAMMA),
+        ((X, Polynomial.one()), (Polynomial.one(), Polynomial.zero()), X - 1),
+        ((X * X, Polynomial.one()), (Polynomial.one(), X), X * (X - 1)),
+    ], ids=["over-degree", "over-degree-shared-factor", "real-root-s", "real-root-s-reduced"])
+    def test_entry_outside_the_ring_raises(self, f):
+        with pytest.raises(NotInDressRing):
+            idempotent._matrix(f)
+
+    def test_one_sign_query_per_orientation(self, monkeypatch):
+        g6 = GAMMA**3
+        cases = {
+            "q/p in D": ((elem(X), elem(2 * X)), 0),
+            "dominant": ((elem(X), elem(X + 1)), 1),
+            "shear": ((elem(X), elem(-1)), 1),
+            "padded": ((elem(X, g6), elem(X + 1, g6)), 1),
+            "mirrored": ((elem(X + 5, GAMMA**2), elem(X * (X - 1), GAMMA**2)), 2),
+            "mixed denominators, mirrored": ((elem(X * X - 2, GAMMA**2),
+                                              elem(X + 3, X * X + X + 1)), 2),
+        }
+        calls = []
+        original = idempotent.sign_at_roots
+
+        def counting(q, p):
+            calls.append((q, p))
+            return original(q, p)
+
+        monkeypatch.setattr(idempotent, "sign_at_roots", counting)
+        for name, ((p, q), count) in cases.items():
+            calls.clear()
+            assert verify_factorization(factor_row_matrix(p, q)).ok
+            assert len(calls) == count, name
+        # The public certificate and a core called without a pattern ask their own.
+        calls.clear()
+        positivity_certificate(X, X + 1)
+        idempotent._factor_core(X, X + 1, GAMMA)
+        assert len(calls) == 2
+        calls.clear()
+        idempotent._factor_core(X, X + 1, GAMMA, SignPattern.ALL_POSITIVE)
+        assert calls == []
 
 
 # SHA-256 of the target and factor strings of every c06/c07 row, pinned from

@@ -14,13 +14,12 @@ from dressring import (
     ZeroDenominatorError,
     ZeroPolynomialError,
     divrem,
-    extended_gcd,
     poly_gcd,
     squarefree_part,
 )
 from dressring.polynomials import _exact_div, squarefree_decomposition
 
-from helpers import rand_poly, rand_rf
+from helpers import extended_gcd, rand_poly, rand_rf
 
 X = Polynomial.x()
 
@@ -128,7 +127,7 @@ def test_extended_gcd_identity():
 
 def test_gcd_with_linear_operand():
     # A linear operand b gives the gcd b or 1, read off the value of the other
-    # operand at the root of b; extended_gcd's Euclid loop is the reference.
+    # operand at the root of b; the helpers' extended_gcd loop is the reference.
     rng = random.Random(1041)
     seen = set()
     for i in range(300):
