@@ -21,12 +21,10 @@ and a nonzero polynomial: E = v w^T / s, idempotent iff w.v == s, as in
 (1 0; 1-p 0) = (pd; pd-pn)(1 0)/pd for p = pn/pd.  Swaps and conjugations map
 triples to triples without reducing.  One check (w.v == s per factor, then the
 telescoped product against the target N_T/d_T) runs once where each public
-function returns; only then is each Mat2 built, from facts about its factor:
-when s is root-free, membership of every entry is the degree bound
-deg v_i + deg w_j <= deg s, and each vector entry is compared with s once
-(zero, coprime to s, or a multiple c*s), so only an entry that shares a proper
-factor with s is reduced by a gcd.  A factor whose s has real roots takes one
-checked from_parts per nonzero entry.
+function returns; only then is each Mat2 built.  Each vector entry is compared
+with s once (zero, coprime to s, or a multiple c*s), so only an entry that
+shares a proper factor with s is reduced by a gcd; when s is root-free, an
+entry's membership in D is its degree bound, else the checked constructor.
 
 Each row takes one common-denominator pass, (p, q) = (x, y)/gamma, and every
 branch reads x, y, gamma and the one gcd g = gcd(x, y): q/p lies in D iff
@@ -52,7 +50,6 @@ from .polynomials import (
     _GAMMA1,
     Polynomial,
     RationalFunction,
-    _coprime,
     _exact_div,
     poly_gcd,
 )
@@ -169,24 +166,20 @@ def _factor_of(m: Mat2):
 
 
 def _matrix(f: Optional[_Factor]) -> Mat2:
-    """The Mat2 of a factor v w^T / s, built from facts about v, w and s.
+    """The Mat2 of a factor v w^T / s, each nonzero entry in the reduced form make returns.
 
-    With s root-free, an entry v_i w_j / s lies in D iff deg v_i + deg w_j <=
-    deg s: cancelling a common factor lowers both degrees equally and leaves a
-    root-free denominator.  Each distinct nonzero vector entry is classified
-    against s once: an entry c*s makes the matrix entry a polynomial, c times
-    the other vector entry; two entries coprime to s (constants included)
-    leave v_i w_j / s reduced but for the monic scaling; anything else is
-    reduced by make.  An entry over the degree bound, and every entry of a
-    factor whose s has real roots, takes the checked from_parts instead.
+    Each distinct nonzero vector entry is classified against s once: an entry
+    c*s makes the matrix entry a polynomial, c times the other vector entry;
+    two entries coprime to s (constants included) leave v_i w_j / s reduced
+    but for the monic scaling; anything else is reduced by make.  A reduced
+    denominator divides s, so when s is root-free (one cached is_gamma per
+    factor) an entry lies in D iff deg num <= deg den.  Every other entry goes
+    through the checked DressElement constructor, which raises NotInDressRing.
     """
     if f is None:
         return Mat2.identity()
     v, w, s = f
     den = s.monic()
-    if not is_gamma(den):
-        return Mat2(*(DressElement.from_parts(vi * wj, s) if vi and wj else _ZERO_ENTRY
-                      for vi in v for wj in w))
     n = len(s.ints)
     inv = None if den is s else 1 / s.leading_coefficient  # monic() returns a monic s itself
     # Per vector entry: None for 0, c for c*s, True if coprime to s, else False.
@@ -201,16 +194,14 @@ def _matrix(f: Optional[_Factor]) -> Mat2:
             kinds.append(e.leading_coefficient if inv is None else e.leading_coefficient * inv)
         else:
             if e not in gcds:
-                gcds[e] = _coprime(e, s)
+                gcds[e] = poly_gcd(e, s).degree == 0
             kinds.append(gcds[e])
+    root_free = is_gamma(den)
     entries = []
     for vi, ki in zip(v, kinds):
         for wj, kj in zip(w, kinds[2:]):
             if ki is None or kj is None:
                 entries.append(_ZERO_ENTRY)
-                continue
-            if len(vi.ints) + len(wj.ints) > n + 1:  # deg vi + deg wj > deg s
-                entries.append(DressElement.from_parts(vi * wj, s))  # raises NotInDressRing
                 continue
             if isinstance(ki, Fraction):
                 value = RationalFunction(wj.scale(ki), _1)
@@ -220,8 +211,10 @@ def _matrix(f: Optional[_Factor]) -> Mat2:
                 value = RationalFunction(vi * wj if inv is None else (vi * wj).scale(inv), den)
             else:
                 value = RationalFunction.make(vi * wj, s)
-            # Certified: s is root-free (is_gamma above) and the degree bound holds.
-            entries.append(DressElement._certified(value))
+            if root_free and len(value.num.ints) <= len(value.den.ints):
+                entries.append(DressElement._certified(value))  # deg num <= deg den, s root-free
+            else:
+                entries.append(DressElement(value))
     return Mat2(*entries)
 
 
@@ -534,15 +527,21 @@ def _factor_row(p, q, x, y, gamma, g) -> Factorization:
     if (r := _member_ratio(x_g, y_g)) is not None:
         return _verified(target, split, _swap(_factor_proportional(y, gamma, r)))
 
-    # x = p.numerator * (gamma/den p) with gamma/den p monic and root-free, so
-    # positive everywhere, and likewise for y: each pattern is also the sign of
-    # y at the roots of x (x at the roots of y) that the certificate needs.
+    # x = p.numerator * (gamma/den p), with gamma/den p root-free, and likewise
+    # for y.  With monic denominators, the normal form of every checked
+    # constructor, both cofactors are monic and so positive everywhere: each
+    # pattern is then also the sign of y at the roots of x (x at the roots of
+    # y) that the certificate needs.  A raw non-monic denominator can flip that
+    # sign, so such a row asks the certificate's own question.
+    monic = all(d.ints[-1] == d.denom for d in (p.denominator, q.denominator))
     sign_q_at_p = sign_at_roots(q.numerator, p.numerator)
     if x.degree >= y.degree and sign_q_at_p.is_definite():
-        return _verified(target, split, _factor_dominant(x, y, gamma, sign_q_at_p))
+        pattern = sign_q_at_p if monic else sign_at_roots(y, x)
+        return _verified(target, split, _factor_dominant(x, y, gamma, pattern))
     sign_p_at_q = sign_at_roots(p.numerator, q.numerator)
     if y.degree >= x.degree and sign_p_at_q.is_definite():
-        return _verified(target, split, _swap(_factor_dominant(y, x, gamma, sign_p_at_q)))
+        pattern = sign_p_at_q if monic else sign_at_roots(x, y)
+        return _verified(target, split, _swap(_factor_dominant(y, x, gamma, pattern)))
 
     if x.degree == 2 and y.degree == 2 and g.degree == 1:
         # degree 2 would be proportional, handled above
@@ -565,10 +564,10 @@ _SHEAR = (_1, -_1, _0, _1)  # the numerators of (1 -1; 0 1) over 1
 
 
 def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
-                     pattern: Optional[SignPattern] = None) -> list[_Factor]:
+                     pattern: SignPattern) -> list[_Factor]:
     """Hypothesis branch: deg x >= deg y and y sign-definite at the roots of x.
 
-    ``pattern``, when given, is sign_at_roots(y, x), passed on to the certificate.
+    ``pattern`` is sign_at_roots(y, x), passed on to the certificate.
     """
     if x.degree > y.degree:
         # One shear similarity replaces y by x + y, which has deg x exactly and
@@ -578,7 +577,7 @@ def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
 
 
 def _factor_equal_degree(x: Polynomial, y: Polynomial, gamma: Polynomial,
-                         pattern: Optional[SignPattern] = None) -> list[_Factor]:
+                         pattern: SignPattern) -> list[_Factor]:
     """The row (x/gamma, y/gamma; 0 0) with deg x == deg y; pattern as in _factor_dominant."""
     if x.degree != y.degree:
         raise CertificateError(f"equal-degree branch got numerator degrees {x.degree}, {y.degree}")
@@ -593,12 +592,12 @@ def _factor_equal_degree(x: Polynomial, y: Polynomial, gamma: Polynomial,
 
 
 def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial,
-                 pattern: Optional[SignPattern] = None) -> list[_Factor]:
+                 pattern: SignPattern) -> list[_Factor]:
     """Equal-degree core over a common denominator with deg gamma <= deg x + 1.
 
-    Without ``pattern`` (sign_at_roots(y, x)) the certificate computes its own.
+    ``pattern`` is sign_at_roots(y, x), as in _factor_dominant.
     """
-    cert = positivity_certificate(x, y) if pattern is None else _certificate(x, y, pattern)
+    cert = _certificate(x, y, pattern)
     beta, delta = cert.beta, cert.delta
     u = DressElement(RationalFunction.make(delta, gamma * beta))
     if not u.is_unit():

@@ -334,11 +334,6 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     return _exact_div(a * b, g).monic()
 
 
-def _coprime(a: Polynomial, b: Polynomial) -> bool:
-    """True iff gcd(a, b) == 1, for a and b not both zero."""
-    return poly_gcd(a, b).degree == 0
-
-
 def squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), monic: same distinct roots as p, each simple."""
     if p.is_zero:

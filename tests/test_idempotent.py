@@ -552,12 +552,25 @@ class TestFactorSmall:
 
         for name in counts:
             monkeypatch.setattr(idempotent, name, counting(name))
+        # The row's work is everything before its first Mat2 is built; the
+        # builder's own gcds, each vector entry against its s, are not counted.
+        at_build = []
+        build = idempotent._matrix
+
+        def first_build_counted(f):
+            if not at_build:
+                at_build.append(dict(counts))
+            return build(f)
+
+        monkeypatch.setattr(idempotent, "_matrix", first_build_counted)
         g4 = (X * X + 1) ** 2
         for x, y in ((X + 2, X - 1), (X * (X + 1), X * (X - 2)), (X * X + X, 2 * X * X + 2 * X),
                      (Polynomial.zero(), X)):
             counts.update(dict.fromkeys(counts, 0))
+            at_build.clear()
             fact = factor_small(DressElement.from_parts(x, g4), DressElement.from_parts(y, g4))
-            assert counts == {"over_common_denominator": 1, "poly_gcd": 1}, (str(x), str(y))
+            assert at_build == [{"over_common_denominator": 1, "poly_gcd": 1}], (str(x), str(y))
+            assert counts["over_common_denominator"] == 1
             assert verify_factorization(fact).ok
 
     def test_shape_violation(self):
@@ -793,7 +806,7 @@ class TestDerivationChecks:
 
     def test_equal_degree_check(self):
         with pytest.raises(CertificateError, match="equal-degree branch"):
-            idempotent._factor_equal_degree(X, X * X, Polynomial.one())
+            idempotent._factor_equal_degree(X, X * X, Polynomial.one(), sign_at_roots(X * X, X))
 
     def test_shared_root_combination_check(self):
         # Cubics sharing the root 0: x1 = X^2 + 1, y1 = X^2 + X, and
@@ -1133,12 +1146,10 @@ class TestFactorMatrixBuilder:
             return original(num, den)
 
         monkeypatch.setattr(RationalFunction, "make", staticmethod(counting))
-        assert [idempotent._matrix(f) for f in clean] == expected[:-2]
+        # The classification is exact for any s, so one whose s has real roots
+        # needs no make either.
+        assert [idempotent._matrix(f) for f in clean + [real_rooted]] == expected[:-1]
         assert makes == []
-        # A factor whose s has real roots keeps one checked from_parts per entry.
-        assert idempotent._matrix(real_rooted) == expected[-2]
-        assert len(makes) == 4
-        makes.clear()
         assert idempotent._matrix(shared) == expected[-1]
         assert makes == [(GAMMA * X, g2), (GAMMA, g2)]
 
@@ -1175,14 +1186,37 @@ class TestFactorMatrixBuilder:
             calls.clear()
             assert verify_factorization(factor_row_matrix(p, q)).ok
             assert len(calls) == count, name
-        # The public certificate and a core called without a pattern ask their own.
+        # The public certificate asks its own; the core takes the pattern given.
         calls.clear()
         positivity_certificate(X, X + 1)
-        idempotent._factor_core(X, X + 1, GAMMA)
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         idempotent._factor_core(X, X + 1, GAMMA, SignPattern.ALL_POSITIVE)
         assert calls == []
+
+    @pytest.mark.parametrize("p, q", [
+        (elem(X), DressElement(RationalFunction(X + 1, -GAMMA))),
+        (DressElement(RationalFunction(X + 5, -GAMMA**2)), elem(X * (X - 1), GAMMA**2)),
+    ], ids=["dominant", "mirrored"])
+    def test_raw_non_monic_denominator_asks_its_own_pattern(self, monkeypatch, p, q):
+        # RationalFunction(num, den) trusts its arguments, so a raw element can
+        # carry a denominator with a negative leading coefficient.  The cofactor
+        # gamma/den is then negative, and the row's pattern on the numerators
+        # of p and q is the opposite of the certificate's on x and y.
+        a, b = (p, q) if p.degree < q.degree else (q, p)
+        assert sign_at_roots(a.numerator, b.numerator) is SignPattern.ALL_POSITIVE
+        patterns = []
+        original = idempotent._certificate
+
+        def checking(x, y, given):
+            assert given is sign_at_roots(y, x)  # a wrong pattern never terminates
+            patterns.append(given)
+            return original(x, y, given)
+
+        monkeypatch.setattr(idempotent, "_certificate", checking)
+        fact = factor_row_matrix(p, q)
+        assert patterns == [SignPattern.ALL_NEGATIVE]
+        assert verify_factorization(fact).ok
 
 
 # SHA-256 of the target and factor strings of every c06/c07 row, pinned from
