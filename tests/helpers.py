@@ -89,7 +89,7 @@ def extended_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, 
     """Extended Euclid over Q[X]: (g, u, v) with u*a + v*b == g, g the monic gcd.
 
     A reference for the library's gcd: its own loop of Euclidean divisions,
-    independent of the signed remainder sequence behind poly_gcd.
+    independent of poly_gcd's evaluation points and its fallback sequence.
     """
     r0, r1 = a, b
     u0, u1 = Polynomial.one(), Polynomial.zero()

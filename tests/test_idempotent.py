@@ -50,6 +50,12 @@ def elem(num, den=GAMMA):
     return DressElement.from_parts(num, den)
 
 
+# A row for the mirrored dominant branch, reached with two sign_at_roots calls:
+# neither ratio lies in D, deg p < deg q rules out the first orientation after
+# its query, and X+5 is positive at the roots 0 and 1 of X(X-1).
+MIRRORED = (elem(X + 5, GAMMA**2), elem(X * (X - 1), GAMMA**2))
+
+
 class TestIsIdempotent:
     def test_projection(self):
         assert is_idempotent(Mat2.of(1, 0, 0, 0))
@@ -205,9 +211,11 @@ class TestPositivityCertificate:
             positivity_certificate(X, X * X)
 
     def test_rejects_mixed_and_shared(self):
-        with pytest.raises(CertificatePreconditionError):
-            positivity_certificate(X, X * X - 1)  # q changes sign at +-1... roles: y=X at roots of x
-        with pytest.raises(CertificatePreconditionError):
+        # Unequal degrees fail the degree precondition before any sign query;
+        # a MIXED pattern of equal-degree inputs is the parametrized test below.
+        with pytest.raises(CertificatePreconditionError, match="equal degrees"):
+            positivity_certificate(X, X * X - 1)
+        with pytest.raises(CertificatePreconditionError, match=SignPattern.HAS_ZERO.value):
             positivity_certificate(X * X - 1, X * (X - 1))  # shared root 1
 
     @pytest.mark.parametrize("x, y, pattern", [
@@ -851,7 +859,7 @@ class TestBoundaryVerification:
             "shear": lambda: factor_row_matrix(elem(X), elem(-1)),
             "padded": lambda: factor_row_matrix(DressElement.from_parts(X, g6),
                                                 DressElement.from_parts(X + 1, g6)),
-            "mirrored": lambda: factor_row_matrix(one, elem(X)),
+            "mirrored": lambda: factor_row_matrix(*MIRRORED),
             "small common root": lambda: factor_row_matrix(shared_p, shared_q),
             "factor_small linear": lambda: factor_small(elem(X + 2), elem(X - 1)),
             "factor_small quadratic": lambda: factor_small(shared_p, shared_q),
@@ -865,13 +873,19 @@ class TestBoundaryVerification:
             calls.append(target)
             return original(target, factors)
 
+        queries = []
+        original_query = idempotent.sign_at_roots
         monkeypatch.setattr(idempotent, "_verify_triples", counting)
-        counts = {}
+        monkeypatch.setattr(idempotent, "sign_at_roots",
+                            lambda q, p: queries.append(p) or original_query(q, p))
+        counts, query_counts = {}, {}
         for name, call in cases.items():
             calls.clear()
+            queries.clear()
             call()
-            counts[name] = len(calls)
+            counts[name], query_counts[name] = len(calls), len(queries)
         assert counts == dict.fromkeys(cases, 1)
+        assert query_counts["mirrored"] == 2  # the mirrored dominant branch ran
 
     def test_check_survives_optimized_mode(self):
         # A wrong factor list must be caught by real code, not by an assert
@@ -1020,7 +1034,7 @@ class TestRowWork:
             "dominant": (elem(X), elem(X + 1)),
             "shear": (elem(X), elem(-1)),
             "padded": (elem(X, g6), elem(X + 1, g6)),
-            "mirrored": (one, elem(X)),
+            "mirrored": MIRRORED,
             "mixed denominators": (elem(X * X - 2, g4), elem(X + 3, X * X + X + 1)),
             "small common root": (elem(X * (X + 1), g4), elem(X * (X - 2), g4)),
         }
@@ -1037,11 +1051,18 @@ class TestRowWork:
         monkeypatch.setattr(idempotent, "_split", counting("_split", idempotent._split))
         monkeypatch.setattr(RationalFunction, "make", staticmethod(counting(
             "zero make", RationalFunction.make, lambda num, den: num.is_zero)))
+        queries = []
+        original_query = idempotent.sign_at_roots
+        monkeypatch.setattr(idempotent, "sign_at_roots",
+                            lambda q, p: queries.append(p) or original_query(q, p))
         zero_entries = 0
         for name, (p, q) in cases.items():
             counts.update(dict.fromkeys(counts, 0))
+            queries.clear()
             fact = factor_row_matrix(p, q)
             assert counts == {"over_common_denominator": 1, "_split": 0, "zero make": 0}, name
+            if name == "mirrored":
+                assert len(queries) == 2  # the mirrored dominant branch ran
             zero_entries += sum(e.is_zero for m in fact.factors for e in m.entries())
         assert zero_entries >= 2 * len(cases)
 
@@ -1170,7 +1191,7 @@ class TestFactorMatrixBuilder:
             "dominant": ((elem(X), elem(X + 1)), 1),
             "shear": ((elem(X), elem(-1)), 1),
             "padded": ((elem(X, g6), elem(X + 1, g6)), 1),
-            "mirrored": ((elem(X + 5, GAMMA**2), elem(X * (X - 1), GAMMA**2)), 2),
+            "mirrored": (MIRRORED, 2),
             "mixed denominators, mirrored": ((elem(X * X - 2, GAMMA**2),
                                               elem(X + 3, X * X + X + 1)), 2),
         }

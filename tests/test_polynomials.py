@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -14,9 +15,11 @@ from dressring import (
     ZeroDenominatorError,
     ZeroPolynomialError,
     divrem,
+    parse_scalar,
     poly_gcd,
     squarefree_part,
 )
+from dressring import polynomials
 from dressring.polynomials import _exact_div, squarefree_decomposition
 
 from helpers import extended_gcd, rand_poly, rand_rf
@@ -141,6 +144,51 @@ def test_gcd_with_linear_operand():
     assert seen == {0, 1}
 
 
+class TestGcdWithoutCliff:
+    """Large gcds, each bounded at 0.5 s.
+
+    A remainder sequence took 1-3 s on each gcd here and 60 s on the parse.
+    """
+
+    @staticmethod
+    def _poly(rng: random.Random, degree: int, bound: int = 10**6) -> Polynomial:
+        return Polynomial.from_coeffs([rng.randint(-bound, bound) for _ in range(degree)]
+                                      + [rng.randint(1, bound)])
+
+    @staticmethod
+    def _timed(call):
+        start = time.perf_counter()
+        result = call()
+        assert time.perf_counter() - start < 0.5
+        return result
+
+    def test_coprime_degree_150_pair(self):
+        rng = random.Random(150)
+        a, b = self._poly(rng, 150), self._poly(rng, 150)
+        assert self._timed(lambda: poly_gcd(a, b)) == Polynomial.one()
+
+    def test_degree_150_against_a_power_of_gamma(self):
+        rng = random.Random(151)
+        a, g = self._poly(rng, 150), (X * X + 1) ** 75
+        # X^2 + 1 is irreducible, so a nonzero remainder proves coprimality.
+        assert divrem(a, X * X + 1)[1]
+        assert self._timed(lambda: poly_gcd(a, g)) == Polynomial.one()
+        assert self._timed(lambda: poly_gcd(a * (X * X + 1), g)) == X * X + 1
+
+    def test_degree_40_common_factor(self):
+        rng = random.Random(40)
+        common = self._poly(rng, 40)
+        a, b = common * self._poly(rng, 110), common * self._poly(rng, 110)
+        assert self._timed(lambda: poly_gcd(a, b)) == common.monic()
+
+    def test_parse_degree_299_over_gamma_150(self):
+        rng = random.Random(299)
+        num = self._poly(rng, 299, 9)
+        text = f"({num})/(X^2+1)^150"
+        r = self._timed(lambda: parse_scalar(text))
+        assert (r.num, r.den) == (num, (X * X + 1) ** 150)
+
+
 def test_squarefree_part():
     p = (X - 1) ** 3 * (X + 2) * (X * X + 1) ** 2
     sf = squarefree_part(p)
@@ -228,16 +276,73 @@ class TestSympyOracle:
     def _from_sympy(p) -> Polynomial:
         return Polynomial.from_coeffs([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
 
-    def test_poly_gcd(self):
-        sympy = pytest.importorskip("sympy")
+    @staticmethod
+    def _gcd_pairs() -> list[tuple[Polynomial, Polynomial]]:
+        """150 mixed pairs, some with 30-digit coefficients, then 200 sharing a factor."""
+        pairs = []
         rng = random.Random(1021)
         for i in range(150):
             common = rand_poly(rng, 3, -20, 20, nonzero=True) if i % 3 else Polynomial.one()
             lo, hi = (-10**30, 10**30) if i % 5 == 0 else (-9, 9)
             a = common * rand_poly(rng, 5, lo, hi, nonzero=True)
             b = common * rand_poly(rng, 5, lo, hi) * Polynomial.constant(Fraction(1, rng.randint(1, 7)))
+            pairs.append((a, b))
+        rng = random.Random(1)
+        for _ in range(200):
+            common = rand_poly(rng, 2)
+            while common.degree < 1:
+                common = rand_poly(rng, 2)
+            pairs.append((common * rand_poly(rng, 3, nonzero=True),
+                          common * rand_poly(rng, 3, nonzero=True)))
+        return pairs
+
+    def _check_gcds(self, sympy, pairs):
+        for a, b in pairs:
             expected = self._to_sympy(sympy, a).gcd(self._to_sympy(sympy, b))
             assert poly_gcd(a, b) == self._from_sympy(expected).monic(), (str(a), str(b))
+
+    @staticmethod
+    def _count_chains(monkeypatch) -> list:
+        chains = []
+        build = polynomials._signed_remainders
+        monkeypatch.setattr(polynomials, "_signed_remainders",
+                            lambda a, b: chains.append((a, b)) or build(a, b))
+        return chains
+
+    def test_poly_gcd(self):
+        sympy = pytest.importorskip("sympy")
+        self._check_gcds(sympy, self._gcd_pairs())
+
+    def test_poly_gcd_retry_path(self, monkeypatch):
+        # Pinned pairs whose first evaluation point gives a candidate that
+        # fails the division check: with one point allowed they fall back to
+        # the remainder sequence, with the default they succeed at a later one.
+        sympy = pytest.importorskip("sympy")
+        pairs = self._gcd_pairs()
+        chains = self._count_chains(monkeypatch)
+        tries = polynomials._HEU_TRIES
+        monkeypatch.setattr(polynomials, "_HEU_TRIES", 1)
+        first_point_fails = []
+        for i, (a, b) in enumerate(pairs):
+            chains.clear()
+            poly_gcd(a, b)
+            if chains:
+                first_point_fails.append(i)
+        assert first_point_fails == [38, 48, 58, 94, 121, 163, 178, 197, 198, 246, 260, 277, 294, 307]
+        monkeypatch.setattr(polynomials, "_HEU_TRIES", tries)
+        chains.clear()
+        self._check_gcds(sympy, [pairs[i] for i in first_point_fails])
+        assert chains == []
+
+    def test_poly_gcd_fallback(self, monkeypatch):
+        # With no evaluation point the remainder sequence answers every pair
+        # that passes the constant, equal and linear shortcuts.
+        sympy = pytest.importorskip("sympy")
+        pairs = self._gcd_pairs()
+        chains = self._count_chains(monkeypatch)
+        monkeypatch.setattr(polynomials, "_HEU_TRIES", 0)
+        self._check_gcds(sympy, pairs)
+        assert len(chains) == sum(min(a.degree, b.degree) >= 2 and a != b for a, b in pairs)
 
     def test_squarefree_decomposition(self):
         sympy = pytest.importorskip("sympy")

@@ -15,3 +15,25 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _references(name: str) -> list[tuple[str, str]]:
+    """(file, enclosing top-level def or "<module>") of every use of name in the source."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = getattr(top, "name", "<module>")
+            found += [(path.name, owner) for node in ast.walk(top)
+                      if isinstance(node, ast.Name) and node.id == name
+                      or isinstance(node, ast.Attribute) and node.attr == name
+                      or isinstance(node, ast.alias) and name in (node.name, node.asname)]
+    return found
+
+
+def test_one_remainder_sequence_loop():
+    # The Sturm and Tarski chains need real signed remainders; a gcd needs
+    # them only when its evaluation points all fail.  No other caller may
+    # grow a second remainder loop around them.
+    found = _references("_signed_remainders")
+    assert [ref for ref in found if ref[0] != "realroots.py"] == [("polynomials.py", "poly_gcd")]
+    assert ("realroots.py", "<module>") in found and len(found) > 2
