@@ -39,7 +39,6 @@ from .idempotent import (
     PositivityCertificate,
     StableRangeEvidence,
     VerificationReport,
-    complete_idempotent_pair,
     conjugate_factorization,
     factor_row_matrix,
     factor_small,

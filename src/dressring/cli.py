@@ -95,6 +95,8 @@ def _wrap_matrix(parsed: ParsedMatrix) -> Mat2:
 
 def _fraction_arg(text: str) -> Fraction:
     try:
+        if text.isascii() and text.isdigit():  # a plain integer needs no Fraction regex
+            return Fraction(int(text))
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational number: {text!r}", 0) from exc

@@ -52,18 +52,22 @@ def is_unit(r: RationalFunction) -> bool:
 
 @dataclass(frozen=True)
 class DressElement:
-    """A rational function certified to lie in D.
+    """A rational function certified to lie in D, over a monic (so positive) denominator.
 
     Construction is checked, never trusted: a failed check raises
-    :class:`NotInDressRing` carrying the violated condition.  Values are
-    immutable; all arithmetic is pure and re-certifies its result.  Only the
-    private ``_certified`` skips the check, for values whose membership the
-    calling code has just proved.
+    :class:`NotInDressRing` carrying the violated condition.  A raw value with
+    a non-monic denominator is first put in ``RationalFunction.make`` form; a
+    monic one, reduced or not, is kept.  Values are immutable; all arithmetic
+    is pure and re-certifies its result.  Only the private ``_certified``
+    skips both steps, for monic values whose membership the caller has proved.
     """
 
     value: RationalFunction
 
     def __post_init__(self):
+        den = self.value.den
+        if den.ints and den.ints[-1] != den.denom:
+            object.__setattr__(self, "value", RationalFunction.make(self.value.num, den))
         reason = membership_failure(self.value)
         if reason is not None:
             raise NotInDressRing(self.value, reason)

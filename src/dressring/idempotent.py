@@ -38,13 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .dress import DressElement, is_member, over_common_denominator
+from .dress import DressElement, over_common_denominator
 from .errors import (
     CertificateError,
     CertificatePreconditionError,
     HypothesisNotMet,
     ShapeViolation,
-    ZeroPolynomialError,
 )
 from .polynomials import (
     _GAMMA1,
@@ -221,23 +220,6 @@ def _matrix(f: Optional[_Factor]) -> Mat2:
 def is_idempotent(m: Mat2) -> bool:
     """Exact test m * m == m: for m = N/d, N == 0, N == d*I, or det N == 0 and tr N == d."""
     return _factor_of(m) is not False
-
-
-def complete_idempotent_pair(p: DressElement, q: DressElement) -> Optional[Mat2]:
-    """Extend a first row (p q) to an idempotent matrix (p q; r 1-p), if possible.
-
-    Requires r = p(1 - p)/q to lie in D; returns None when it does not.
-    """
-    if q.is_zero:
-        raise ZeroPolynomialError("the pair completion needs q != 0")
-    top = p * (DressElement.one() - p)
-    r = top.value / q.value
-    if not is_member(r):
-        return None
-    m = Mat2(p, q, DressElement(r), DressElement.one() - p)
-    if not is_idempotent(m):
-        raise CertificateError(f"pair completion {m} is not idempotent")
-    return m
 
 
 @dataclass(frozen=True)
@@ -527,21 +509,16 @@ def _factor_row(p, q, x, y, gamma, g) -> Factorization:
     if (r := _member_ratio(x_g, y_g)) is not None:
         return _verified(target, split, _swap(_factor_proportional(y, gamma, r)))
 
-    # x = p.numerator * (gamma/den p), with gamma/den p root-free, and likewise
-    # for y.  With monic denominators, the normal form of every checked
-    # constructor, both cofactors are monic and so positive everywhere: each
-    # pattern is then also the sign of y at the roots of x (x at the roots of
-    # y) that the certificate needs.  A raw non-monic denominator can flip that
-    # sign, so such a row asks the certificate's own question.
-    monic = all(d.ints[-1] == d.denom for d in (p.denominator, q.denominator))
+    # x = p.numerator * (gamma/den p), and likewise for y.  Every DressElement
+    # has a monic denominator, so the cofactor gamma/den p is monic and
+    # root-free, hence positive everywhere: each row pattern is also the sign
+    # of y at the roots of x (x at the roots of y) that the certificate needs.
     sign_q_at_p = sign_at_roots(q.numerator, p.numerator)
     if x.degree >= y.degree and sign_q_at_p.is_definite():
-        pattern = sign_q_at_p if monic else sign_at_roots(y, x)
-        return _verified(target, split, _factor_dominant(x, y, gamma, pattern))
+        return _verified(target, split, _factor_dominant(x, y, gamma, sign_q_at_p))
     sign_p_at_q = sign_at_roots(p.numerator, q.numerator)
     if y.degree >= x.degree and sign_p_at_q.is_definite():
-        pattern = sign_p_at_q if monic else sign_at_roots(x, y)
-        return _verified(target, split, _swap(_factor_dominant(y, x, gamma, pattern)))
+        return _verified(target, split, _swap(_factor_dominant(y, x, gamma, sign_p_at_q)))
 
     if x.degree == 2 and y.degree == 2 and g.degree == 1:
         # degree 2 would be proportional, handled above
@@ -567,44 +544,31 @@ def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
                      pattern: SignPattern) -> list[_Factor]:
     """Hypothesis branch: deg x >= deg y and y sign-definite at the roots of x.
 
-    ``pattern`` is sign_at_roots(y, x), passed on to the certificate.
+    ``pattern`` is sign_at_roots(y, x), passed on to the certificate.  Shear,
+    pad, then the equal-degree core, as in the module docstring: the shear
+    replaces y by x + y, of degree deg x and with the values of y at the roots
+    of x, so the pattern holds; the pad pulls out (tau/gamma 0; 0 0) so that
+    the denominator tau left has the even degree in {deg x, deg x + 1}.
     """
-    if x.degree > y.degree:
-        # One shear similarity replaces y by x + y, which has deg x exactly and
-        # the same values as y at every root of x, so the same pattern.
-        return _conjugate(_factor_equal_degree(x, x + y, gamma, pattern), _SHEAR)
-    return _factor_equal_degree(x, y, gamma, pattern)
-
-
-def _factor_equal_degree(x: Polynomial, y: Polynomial, gamma: Polynomial,
-                         pattern: SignPattern) -> list[_Factor]:
-    """The row (x/gamma, y/gamma; 0 0) with deg x == deg y; pattern as in _factor_dominant."""
+    shear = x.degree > y.degree
+    if shear:
+        y = x + y
     if x.degree != y.degree:
         raise CertificateError(f"equal-degree branch got numerator degrees {x.degree}, {y.degree}")
+    tau, factors = gamma, []
     if gamma.degree > x.degree + 1:
-        # Pad: pull out (tau/gamma 0; 0 0) so the remaining denominator tau has
-        # the even degree in {deg x, deg x + 1}.
         n = int(x.degree)
-        e = n if n % 2 == 0 else n + 1
-        tau = _GAMMA1 ** (e // 2)
-        return _factor_zero_q(tau, gamma) + _factor_core(x, y, tau, pattern)
-    return _factor_core(x, y, gamma, pattern)
-
-
-def _factor_core(x: Polynomial, y: Polynomial, gamma: Polynomial,
-                 pattern: SignPattern) -> list[_Factor]:
-    """Equal-degree core over a common denominator with deg gamma <= deg x + 1.
-
-    ``pattern`` is sign_at_roots(y, x), as in _factor_dominant.
-    """
+        tau = _GAMMA1 ** ((n + n % 2) // 2)
+        factors = _factor_zero_q(tau, gamma)
     cert = _certificate(x, y, pattern)
     beta, delta = cert.beta, cert.delta
-    u = DressElement(RationalFunction.make(delta, gamma * beta))
+    u = DressElement(RationalFunction.make(delta, tau * beta))
     if not u.is_unit():
         raise CertificateError(f"delta/(gamma*beta) = {u} must be a unit")
-    # (u 0; 0 0) * T factors the swapped row (y/gamma, x/gamma; 0 0), where
+    # (u 0; 0 0) * T factors the swapped row (y/tau, x/tau; 0 0), where
     # T = (beta; x)(y x)/delta is idempotent: y*beta + x*x == delta.
-    return _swap(_factor_zero_q(u.numerator, u.denominator) + [((beta, x), (y, x), delta)])
+    factors += _swap(_factor_zero_q(u.numerator, u.denominator) + [((beta, x), (y, x), delta)])
+    return _conjugate(factors, _SHEAR) if shear else factors
 
 
 def factor_small(p: DressElement, q: DressElement) -> Factorization:
@@ -703,8 +667,8 @@ def stable_range_witness(z: DressElement) -> StableRangeEvidence:
     a = DressElement.from_parts(Polynomial.x(), gamma)
     b = DressElement.from_parts(Polynomial.from_coeffs([-1, 0, 1]), gamma)
     sum_sq_unit = (a * a + b * b).is_unit()
-    # z = f/d' with d' everywhere positive: the reduced denominator is monic
-    # and root-free, hence positive.
+    # z = f/d' with d' everywhere positive: every DressElement has a monic,
+    # root-free denominator.
     f = z.numerator
     d_pos = z.denominator
     f1 = Polynomial.x() * d_pos + Polynomial.from_coeffs([-1, 0, 1]) * f

@@ -245,19 +245,15 @@ class TruncLaurent:
 
     @staticmethod
     def make(base: SeriesBase, order: int, coeffs, precision: int | None = None) -> "TruncLaurent":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if precision is None:
             precision = order + len(cs)
         if precision - order != len(cs):
             raise ShapeViolation("precision must equal order + number of coefficients")
         if not cs:
             raise ShapeViolation("use TruncLaurent.zero for the zero series")
-        while cs and cs[0] == 0 and any(c != 0 for c in cs):
-            cs.pop(0)
-            order += 1
-        if precision <= order:
-            raise ShapeViolation("precision must exceed the order")
-        return TruncLaurent(base, order, tuple(cs), precision)
+        # precision > order now, and stripping keeps a nonzero coefficient
+        return TruncLaurent._renormalize(base, order, cs, precision)
 
     @staticmethod
     def zero(base: SeriesBase) -> "TruncLaurent":
@@ -319,10 +315,9 @@ class TruncLaurent:
 
     @staticmethod
     def _renormalize(base: SeriesBase, order: int, cs: list[Fraction], precision: int) -> "TruncLaurent":
-        while cs and cs[0] == 0 and any(c != 0 for c in cs):
-            cs.pop(0)
-            order += 1
-        return TruncLaurent(base, order, tuple(cs), precision)
+        """The series with its leading zeros stripped, unless every coefficient is zero."""
+        lead = next((i for i, c in enumerate(cs) if c), 0)
+        return TruncLaurent(base, order + lead, tuple(cs[lead:]), precision)
 
     def _check_base(self, other: "TruncLaurent") -> None:
         if self.base is not other.base:

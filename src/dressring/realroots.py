@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .errors import ZeroPolynomialError
@@ -101,14 +102,17 @@ def _sign_at(coeffs: Sequence[int], t: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations_at_infinity(chain: list[Sequence[int]], positive: bool) -> int:
-    """Sign variations of a chain at +inf (positive) or -inf."""
-    prev = 0
-    count = 0
+def _variations(chain: list[Sequence[int]], t) -> int:
+    """Sign variations of a chain at a Fraction t, or at t = -inf or +inf; zeros are skipped."""
+    at_infinity = isinstance(t, float)
+    prev = count = 0
     for coeffs in chain:
-        s = 1 if coeffs[-1] > 0 else -1
-        if not positive and (len(coeffs) - 1) % 2 == 1:
-            s = -s
+        if at_infinity:  # the sign of the lc, flipped at -inf for an odd degree
+            s = 1 if (coeffs[-1] > 0) == (t > 0 or len(coeffs) % 2 == 1) else -1
+        else:
+            s = _sign_at(coeffs, t)
+        if s == 0:
+            continue
         if prev and s != prev:
             count += 1
         prev = s
@@ -120,37 +124,17 @@ def _sturm_chain(a: Sequence[int]) -> list[Sequence[int]]:
     return _signed_remainders(a, _strip_content([i * c for i, c in enumerate(a)][1:]))
 
 
-class _SturmData:
-    """Sturm chain of a squarefree primitive chain[0] (lc of either sign), with sign variations."""
-
-    def __init__(self, chain: list[Sequence[int]]):
-        self.chain = chain
-
-    def variations_at(self, t: Fraction) -> int:
-        prev = 0
-        count = 0
-        for coeffs in self.chain:
-            s = _sign_at(coeffs, t)
-            if s == 0:
-                continue
-            if prev and s != prev:
-                count += 1
-            prev = s
-        return count
-
-    def count(self, lo, hi) -> int:
-        """Distinct real roots in (lo, hi]."""
-        if lo != NEG_INF and hi != POS_INF and Fraction(lo) >= Fraction(hi):
-            return 0
-        va = (_variations_at_infinity(self.chain, False) if lo == NEG_INF
-              else self.variations_at(Fraction(lo)))
-        vb = (_variations_at_infinity(self.chain, True) if hi == POS_INF
-              else self.variations_at(Fraction(hi)))
-        return va - vb
+def _count(chain: list[Sequence[int]], lo, hi) -> int:
+    """V(lo) - V(hi) for lo < hi (rational or infinite), else 0: a Sturm chain's roots in (lo, hi]."""
+    lo = lo if lo == NEG_INF else Fraction(lo)
+    hi = hi if hi == POS_INF else Fraction(hi)
+    if lo >= hi:
+        return 0
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _sturm_data(p: Polynomial) -> Optional[_SturmData]:
-    """Sturm data of the squarefree part; None when p is a nonzero constant."""
+def _sturm_data(p: Polynomial) -> Optional[list[Sequence[int]]]:
+    """Sturm chain of the squarefree part; None when p is a nonzero constant."""
     if p.is_zero:
         raise ZeroPolynomialError("root count of the zero polynomial")
     if p.degree == 0:
@@ -159,7 +143,7 @@ def _sturm_data(p: Polynomial) -> Optional[_SturmData]:
     chain = _sturm_chain(a)
     if len(chain[-1]) > 1:  # gcd(p, p') is not constant: rebuild on p / gcd(p, p')
         chain = _sturm_chain(_strip_content(_pdiv(a, chain[-1])[0]))
-    return _SturmData(chain)
+    return chain
 
 
 def sturm_count(p: Polynomial, lo=NEG_INF, hi=POS_INF) -> int:
@@ -168,10 +152,10 @@ def sturm_count(p: Polynomial, lo=NEG_INF, hi=POS_INF) -> int:
     With the zeros-skipped variation convention V is right-continuous, so
     V(lo) - V(hi) counts roots in (lo, hi] even when an endpoint is a root.
     """
-    data = _sturm_data(p)
-    if data is None:
+    chain = _sturm_data(p)
+    if chain is None:
         return 0
-    return data.count(lo, hi)
+    return _count(chain, lo, hi)
 
 
 def count_distinct_real_roots(p: Polynomial) -> int:
@@ -185,15 +169,15 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     non-root rational endpoints and contain a single (irrational) root.  The
     initial box comes from the Cauchy root bound.
     """
-    data = _sturm_data(p)
-    if data is None:
+    chain = _sturm_data(p)
+    if chain is None:
         return []
-    ints = data.chain[0]
+    ints = chain[0]
     lc = abs(ints[-1])
     # Distinct fractions with denominators <= lc are at least 1/lc^2 apart.
     separation = Fraction(1, lc * lc)
     bound = cauchy_bound(Polynomial(tuple(ints)))
-    var = data.variations_at
+    var = partial(_variations, chain)
 
     def rational_root(a: Fraction, b: Fraction, va: int) -> Optional[Fraction]:
         """The single root in (a, b] if it is rational, else None."""
@@ -276,15 +260,15 @@ def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
     """
     if p.is_zero:
         raise ZeroPolynomialError("sign_at_roots requires a nonzero second argument")
-    data = _sturm_data(p)
-    n = 0 if data is None else data.count(NEG_INF, POS_INF)
+    chain = _sturm_data(p)
+    n = 0 if chain is None else _count(chain, NEG_INF, POS_INF)
     if n == 0:
         return SignPattern.NO_ROOTS
     if q.is_zero:
         return SignPattern.HAS_ZERO
-    sf, dsf = data.chain[0], Polynomial(tuple(data.chain[1]))
+    sf, dsf = chain[0], Polynomial(tuple(chain[1]))
     chain = _signed_remainders(sf, _strip_content((dsf * q).ints))
-    t = _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
+    t = _count(chain, NEG_INF, POS_INF)
     if t == n:
         return SignPattern.ALL_POSITIVE
     if t == -n:
@@ -292,7 +276,7 @@ def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
     # Every real root of g = gcd(sf, q) is a root of p, so HAS_ZERO iff g has
     # one; an odd degree forces one, and g is squarefree like sf.
     g = chain[-1]
-    if len(g) % 2 == 0 or (len(g) > 1 and _SturmData(_sturm_chain(g)).count(NEG_INF, POS_INF)):
+    if len(g) % 2 == 0 or (len(g) > 1 and _count(_sturm_chain(g), NEG_INF, POS_INF)):
         return SignPattern.HAS_ZERO
     return SignPattern.MIXED
 

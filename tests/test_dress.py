@@ -45,6 +45,20 @@ class TestMembership:
             DressElement(RationalFunction.make(Polynomial.one(), X * X - 1))
         assert exc.value.reason == "denominator-has-real-roots"
 
+    def test_raw_non_monic_denominator_takes_the_monic_form(self):
+        raw = DressElement(RationalFunction(Polynomial.one(), -GAMMA))
+        assert str(raw) == "(-1)/(X^2 + 1)"
+        assert raw == DressElement.from_parts(Polynomial.constant(-1), GAMMA)
+        assert raw.denominator == GAMMA
+        # A monic denominator is kept as given, reduced or not.
+        unreduced = RationalFunction(X * GAMMA, GAMMA * GAMMA)
+        assert DressElement(unreduced).value is unreduced
+
+    def test_raw_zero_denominator_is_rejected(self):
+        with pytest.raises(NotInDressRing) as exc:
+            DressElement(RationalFunction(Polynomial.one(), Polynomial.zero()))
+        assert exc.value.reason == "denominator-has-real-roots"
+
     def test_ring_closure_random(self):
         rng = random.Random(55)
         for _ in range(200):
@@ -164,13 +178,13 @@ class TestClassifyNumerator:
         # One chain for the membership check of the denominator, one for the
         # single squarefree factor of the numerator; none for its cofactor.
         built = []
-        original = realroots._SturmData.__init__
+        original = realroots._sturm_data
 
-        def counting_init(self, sf):
-            built.append(sf)
-            original(self, sf)
+        def counting(p):
+            built.append(p)
+            return original(p)
 
-        monkeypatch.setattr(realroots._SturmData, "__init__", counting_init)
+        monkeypatch.setattr(realroots, "_sturm_data", counting)
         monkeypatch.setattr(realroots, "_gamma_cache", {})
         reduced = (X - 1) * (X + 2) * (X * X - 3)
         c = classify_numerator(DressElement.from_parts(reduced * (X * X + 1), (X * X + 1) ** 3))

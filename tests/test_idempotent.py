@@ -22,7 +22,6 @@ from dressring import (
     RationalFunction,
     ShapeViolation,
     SignPattern,
-    complete_idempotent_pair,
     conjugate_factorization,
     factor_row_matrix,
     factor_small,
@@ -151,29 +150,6 @@ class TestMat2Product:
         assert swapped[0] == Mat2.of(1, 1, 0, 0)
         assert swapped[1:] == [entrywise_product(entrywise_product(perm, idempotent._matrix(f)),
                                                  perm) for f in triples]
-
-
-class TestCompleteIdempotentPair:
-    def test_worked_example(self):
-        d = X * X + X + 1
-        p = DressElement.from_parts(X * X, d)
-        q = DressElement.from_parts(X * (X + 1), d)
-        m = complete_idempotent_pair(p, q)
-        assert m is not None
-        assert m.c.value == RationalFunction.make(X, d)
-        # derivation: r * q = p * (1 - p) exactly
-        assert (m.c * q).value == (p * (DressElement.one() - p)).value
-
-    def test_p_equal_one(self):
-        q = elem(X)
-        m = complete_idempotent_pair(DressElement.one(), q)
-        assert m.c.is_zero and m.d.is_zero
-        assert is_idempotent(m)
-
-    def test_quotient_leaves_ring(self):
-        p = elem(Polynomial.one())
-        q = DressElement.from_parts(X**3, GAMMA * GAMMA)
-        assert complete_idempotent_pair(p, q) is None
 
 
 class TestPositivityCertificate:
@@ -802,11 +778,6 @@ class TestIdealClassOfLastFactor:
 
 
 class TestDerivationChecks:
-    def test_pair_completion_check(self, monkeypatch):
-        monkeypatch.setattr(idempotent, "is_idempotent", lambda m: False)
-        with pytest.raises(CertificateError, match="not idempotent"):
-            complete_idempotent_pair(DressElement.one(), elem(X))
-
     def test_core_unit_check(self, monkeypatch):
         monkeypatch.setattr(DressElement, "is_unit", lambda self: False)
         with pytest.raises(CertificateError, match="must be a unit"):
@@ -814,7 +785,7 @@ class TestDerivationChecks:
 
     def test_equal_degree_check(self):
         with pytest.raises(CertificateError, match="equal-degree branch"):
-            idempotent._factor_equal_degree(X, X * X, Polynomial.one(), sign_at_roots(X * X, X))
+            idempotent._factor_dominant(X, X * X, Polynomial.one(), sign_at_roots(X * X, X))
 
     def test_shared_root_combination_check(self):
         # Cubics sharing the root 0: x1 = X^2 + 1, y1 = X^2 + X, and
@@ -1207,12 +1178,12 @@ class TestFactorMatrixBuilder:
             calls.clear()
             assert verify_factorization(factor_row_matrix(p, q)).ok
             assert len(calls) == count, name
-        # The public certificate asks its own; the core takes the pattern given.
+        # The public certificate asks its own; the branch takes the pattern given.
         calls.clear()
         positivity_certificate(X, X + 1)
         assert len(calls) == 1
         calls.clear()
-        idempotent._factor_core(X, X + 1, GAMMA, SignPattern.ALL_POSITIVE)
+        idempotent._factor_dominant(X, X + 1, GAMMA, SignPattern.ALL_POSITIVE)
         assert calls == []
 
     @pytest.mark.parametrize("p, q", [
@@ -1220,23 +1191,27 @@ class TestFactorMatrixBuilder:
         (DressElement(RationalFunction(X + 5, -GAMMA**2)), elem(X * (X - 1), GAMMA**2)),
     ], ids=["dominant", "mirrored"])
     def test_raw_non_monic_denominator_asks_its_own_pattern(self, monkeypatch, p, q):
-        # RationalFunction(num, den) trusts its arguments, so a raw element can
-        # carry a denominator with a negative leading coefficient.  The cofactor
-        # gamma/den is then negative, and the row's pattern on the numerators
-        # of p and q is the opposite of the certificate's on x and y.
-        a, b = (p, q) if p.degree < q.degree else (q, p)
-        assert sign_at_roots(a.numerator, b.numerator) is SignPattern.ALL_POSITIVE
-        patterns = []
-        original = idempotent._certificate
+        # RationalFunction(num, den) trusts its arguments, so a raw value can
+        # carry a denominator with a negative leading coefficient.  The element
+        # takes the monic form, so the cofactor gamma/den is positive and the
+        # row's own pattern reaches the certificate unchanged.
+        assert all(e.denominator.ints[-1] == e.denominator.denom for e in (p, q))
+        asked, given = [], []
+        original_query, original_certificate = idempotent.sign_at_roots, idempotent._certificate
 
-        def checking(x, y, given):
-            assert given is sign_at_roots(y, x)  # a wrong pattern never terminates
-            patterns.append(given)
-            return original(x, y, given)
+        def recording_query(b, a):
+            asked.append(original_query(b, a))
+            return asked[-1]
 
-        monkeypatch.setattr(idempotent, "_certificate", checking)
+        def recording_certificate(x, y, pattern):
+            assert pattern is sign_at_roots(y, x)  # a wrong pattern never terminates
+            given.append(pattern)
+            return original_certificate(x, y, pattern)
+
+        monkeypatch.setattr(idempotent, "sign_at_roots", recording_query)
+        monkeypatch.setattr(idempotent, "_certificate", recording_certificate)
         fact = factor_row_matrix(p, q)
-        assert patterns == [SignPattern.ALL_NEGATIVE]
+        assert given == [SignPattern.ALL_NEGATIVE] and given[0] is asked[-1]
         assert verify_factorization(fact).ok
 
 
@@ -1270,3 +1245,10 @@ class TestStableRangeWitness:
             ev = stable_range_witness(z)
             assert ev.value_at_1 > 0 > ev.value_at_minus_1
             assert ev.nonunit_certified
+
+    def test_raw_non_monic_denominator(self):
+        # Left as given, d' = -(X^2+1) would flip both witness signs and the
+        # check would raise CertificateError on a member of the ring.
+        ev = stable_range_witness(DressElement(RationalFunction(Polynomial.one(), -GAMMA)))
+        assert (ev.value_at_1, ev.value_at_minus_1) == (2, -2)
+        assert ev.nonunit_certified

@@ -525,6 +525,16 @@ class TestCli:
         assert run_cli_json(["laurent-member", "real", "--zero"], capsys)[0] == 0
         assert run_cli_json(["laurent-member", "real", "0", "0,0"], capsys)[0] == 2
 
+    def test_laurent_member_strips_many_leading_zeros_in_linear_time(self, capsys):
+        # 100,000 zeros before the 1: the series is X^0 + O(X^1) from order
+        # -100,000 and X^-1 + O(X^0) from order -100,001.
+        coeffs = ",".join(["0"] * 100_000 + ["1"])
+        for order, code in (("-100000", 0), ("-100001", 1)):
+            start = time.perf_counter()
+            got, report = run_cli_json(["laurent-member", "real", "--", order, coeffs], capsys)
+            assert time.perf_counter() - start < 0.5
+            assert got == code and report["result"] == {"member": code == 0}
+
     def test_stable_witness(self, capsys):
         code, report = run_cli_json(["stable-witness", "X/(X^2+1)"], capsys)
         assert code == 0

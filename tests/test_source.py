@@ -37,3 +37,12 @@ def test_one_remainder_sequence_loop():
     found = _references("_signed_remainders")
     assert [ref for ref in found if ref[0] != "realroots.py"] == [("polynomials.py", "poly_gcd")]
     assert ("realroots.py", "<module>") in found and len(found) > 2
+
+
+def test_two_sign_queries_in_the_factor_pipeline():
+    # A row asks its own sign pattern and hands it to the certificate; only
+    # the public certificate asks one itself.  A third query in between would
+    # repeat the row's work.
+    found = [ref for ref in _references("sign_at_roots") if ref[0] == "idempotent.py"]
+    assert set(found) == {("idempotent.py", "<module>"), ("idempotent.py", "_factor_row"),
+                          ("idempotent.py", "positivity_certificate")}
