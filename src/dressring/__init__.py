@@ -62,7 +62,6 @@ from .parsing import Expression, ParsedMatrix, parse_expression, parse_matrix, p
 from .polynomials import (
     NEG_INF,
     Polynomial,
-    Rational,
     RationalFunction,
     divrem,
     poly_gcd,

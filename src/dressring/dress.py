@@ -18,6 +18,7 @@ from .polynomials import (
     Degree,
     Polynomial,
     RationalFunction,
+    _coerce_rf,
     _exact_div,
     poly_lcm,
     squarefree_decomposition,
@@ -28,13 +29,16 @@ from .realroots import is_gamma, isolate_real_roots
 def is_member(r: RationalFunction) -> bool:
     """True iff r lies in D: root-free reduced denominator and degree <= 0."""
     if r.is_zero:
-        return True
+        return bool(r.den)
     return r.degree <= 0 and is_gamma(r.den)
 
 
 def membership_failure(r: RationalFunction) -> Optional[str]:
-    """None when r is a member, else which condition failed."""
-    if r.is_zero:
+    """None when r is a member, else which condition failed.
+
+    A zero denominator, which is not root-free, fails whatever the numerator.
+    """
+    if r.is_zero and r.den:
         return None
     if not is_gamma(r.den):
         return "denominator-has-real-roots"
@@ -157,13 +161,9 @@ class DressElement:
 def _val(x) -> RationalFunction:
     if isinstance(x, DressElement):
         return x.value
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction, Polynomial)):
-        from .polynomials import _coerce_rf
-
+    if isinstance(x, (RationalFunction, Polynomial, int, Fraction)):
         return _coerce_rf(x)
-    raise TypeError(f"cannot mix DressElement with {type(x).__name__}")
+    raise TypeError(f"cannot use {type(x).__name__} as an element of D")
 
 
 def over_common_denominator(

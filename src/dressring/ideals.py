@@ -62,8 +62,6 @@ def _numerator_data(gens: Sequence[DressElement]):
         raise ShapeViolation("the zero ideal has no principality data")
     cofactors = nums if m == _ONE else [_exact_div(f, m) for f in nums]
     s = max([len(f.ints) for f in cofactors]) - 1  # len(f.ints) - 1 == deg f for f != 0
-    if s < 0:
-        raise CertificateError(f"the numerator gcd {m} left no nonzero cofactor")
     return m, cofactors, s, gamma, nums
 
 

@@ -21,10 +21,12 @@ and a nonzero polynomial: E = v w^T / s, idempotent iff w.v == s, as in
 (1 0; 1-p 0) = (pd; pd-pn)(1 0)/pd for p = pn/pd.  Swaps and conjugations map
 triples to triples without reducing.  One check (w.v == s per factor, then the
 telescoped product against the target N_T/d_T) runs once where each public
-function returns; only then is each Mat2 built.  Each vector entry is compared
-with s once (zero, coprime to s, or a multiple c*s), so only an entry that
-shares a proper factor with s is reduced by a gcd; when s is root-free, an
-entry's membership in D is its degree bound, else the checked constructor.
+function returns; only then is each Mat2 built, and an entry found outside D
+there is reported by the same check.  The stages check nothing of their own,
+so any internal fault surfaces as one CertificateError.  Each vector entry is
+compared with s once (zero, coprime to s, or a multiple c*s), so only an entry
+that shares a proper factor with s is reduced by a gcd; when s is root-free,
+an entry's membership in D is its degree bound, else the checked constructor.
 
 Each row takes one common-denominator pass, (p, q) = (x, y)/gamma, and every
 branch reads x, y, gamma and the one gcd g = gcd(x, y): q/p lies in D iff
@@ -38,11 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .dress import DressElement, over_common_denominator
+from .dress import DressElement, _val, over_common_denominator
 from .errors import (
     CertificateError,
     CertificatePreconditionError,
     HypothesisNotMet,
+    NotInDressRing,
     ShapeViolation,
 )
 from .polynomials import (
@@ -53,8 +56,6 @@ from .polynomials import (
     poly_gcd,
 )
 from .realroots import SignPattern, is_gamma, is_gamma_plus, sign_at_roots
-
-_FACTOR_COUNT_BOUND = 12  # empirical bound for the fixed pipeline, asserted in tests
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,7 @@ class Mat2:
 
 
 def _elem(x) -> DressElement:
-    if isinstance(x, DressElement):
-        return x
-    if isinstance(x, RationalFunction):
-        return DressElement(x)
-    if isinstance(x, (int, Fraction)):
-        return DressElement.from_rational(x)
-    if isinstance(x, Polynomial):
-        return DressElement(RationalFunction.from_polynomial(x))
-    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
+    return x if isinstance(x, DressElement) else DressElement(_val(x))
 
 
 # (v, w, s) is v w^T / s.  In factor lists None stands for the identity, which
@@ -229,9 +222,9 @@ class PositivityCertificate:
     ``base`` is the signed root-free seed c*(1+X^2)^(e/2) and ``scale`` the
     largest power of two 2^-k that passes, found by galloping on k and then
     bisecting, so beta = -scale * base.
-    Invariants (checked at construction): delta = x^2 + y*beta, delta is
-    everywhere positive, beta is root-free, deg x - 1 <= deg beta <= deg x and
-    deg delta = 2 deg x.
+    Invariants (checked by positivity_certificate; the search itself tests
+    that delta is everywhere positive): delta = x^2 + y*beta, beta is
+    root-free, deg x - 1 <= deg beta <= deg x and deg delta = 2 deg x.
     """
 
     beta: Polynomial
@@ -255,15 +248,30 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
     """
     if x.is_zero or y.is_zero:
         raise CertificatePreconditionError("certificate inputs must be nonzero")
+    cert = _certificate(x, y, sign_at_roots(y, x))
+    n, beta, delta = int(x.degree), cert.beta, cert.delta
+    if not is_gamma(beta):
+        raise CertificateError(f"certificate beta = {beta} has real roots")
+    if x * x + y * beta != delta:
+        raise CertificateError("certificate identity delta = x^2 + y*beta violated")
+    if not (n - 1 <= beta.degree <= n and delta.degree == 2 * n):
+        raise CertificateError(
+            f"certificate degrees out of range: deg x = {n}, "
+            f"deg beta = {beta.degree}, deg delta = {delta.degree}"
+        )
+    return cert
+
+
+def _certificate(x: Polynomial, y: Polynomial, pattern: SignPattern) -> PositivityCertificate:
+    """The certificate of nonzero x, y; pattern is sign_at_roots(y, x).
+
+    Equal degrees and a definite pattern are the two preconditions that keep
+    the scale search finite, so both are checked here, for every caller.
+    """
     if x.degree != y.degree:
         raise CertificatePreconditionError(
             f"certificate needs equal degrees, got {x.degree} and {y.degree}"
         )
-    return _certificate(x, y, sign_at_roots(y, x))
-
-
-def _certificate(x: Polynomial, y: Polynomial, pattern: SignPattern) -> PositivityCertificate:
-    """positivity_certificate of nonzero x, y of equal degree; pattern is sign_at_roots(y, x)."""
     if not pattern.is_definite():
         raise CertificatePreconditionError(f"sign of y at roots of x is {pattern.value}")
 
@@ -305,17 +313,7 @@ def _certificate(x: Polynomial, y: Polynomial, pattern: SignPattern) -> Positivi
             failing = mid
     scale = Fraction(1, 2**k)
     delta = x_sq - base_y.scale(scale)
-    beta = base.scale(-scale)
-    if not is_gamma(beta):
-        raise CertificateError(f"certificate beta = {beta} has real roots")
-    if x_sq + y * beta != delta:
-        raise CertificateError("certificate identity delta = x^2 + y*beta violated")
-    if not (n - 1 <= beta.degree <= n and delta.degree == 2 * n):
-        raise CertificateError(
-            f"certificate degrees out of range: deg x = {n}, "
-            f"deg beta = {beta.degree}, deg delta = {delta.degree}"
-        )
-    return PositivityCertificate(beta=beta, delta=delta, scale=scale, base=base)
+    return PositivityCertificate(beta=base.scale(-scale), delta=delta, scale=scale, base=base)
 
 
 @dataclass(frozen=True)
@@ -387,14 +385,25 @@ def _verify_triples(target, factors) -> VerificationReport:
 
 
 def _verified(target: Mat2, split, factors) -> Factorization:
-    """Check the factors against the target's split (N_T, d_T), then build the Mat2 factors."""
+    """Check the factors against the target's split (N_T, d_T), then build the Mat2 factors.
+
+    This is the pipeline's one check: a factor that fails it, or an entry that
+    _matrix finds outside D, is an internal fault and raises CertificateError.
+    """
     report = _verify_triples(split, factors)
-    if not report.ok:
-        index = "" if report.factor_index is None else f" at factor {report.factor_index}"
-        raise CertificateError(
-            f"factorization of {target} failed verification: {report.failure}{index}"
-        )
-    return Factorization(target, tuple(_matrix(f) for f in factors))
+    if report.ok:
+        matrices = []
+        try:
+            for f in factors:
+                matrices.append(_matrix(f))
+        except NotInDressRing as exc:
+            report = VerificationReport(False, f"entry-not-in-ring ({exc.reason})", len(matrices))
+        else:
+            return Factorization(target, tuple(matrices))
+    index = "" if report.factor_index is None else f" at factor {report.factor_index}"
+    raise CertificateError(
+        f"factorization of {target} failed verification: {report.failure}{index}"
+    )
 
 
 def _conjugate(factors: Iterable, n) -> list:
@@ -553,8 +562,6 @@ def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
     shear = x.degree > y.degree
     if shear:
         y = x + y
-    if x.degree != y.degree:
-        raise CertificateError(f"equal-degree branch got numerator degrees {x.degree}, {y.degree}")
     tau, factors = gamma, []
     if gamma.degree > x.degree + 1:
         n = int(x.degree)
@@ -562,12 +569,10 @@ def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
         factors = _factor_zero_q(tau, gamma)
     cert = _certificate(x, y, pattern)
     beta, delta = cert.beta, cert.delta
-    u = DressElement(RationalFunction.make(delta, tau * beta))
-    if not u.is_unit():
-        raise CertificateError(f"delta/(gamma*beta) = {u} must be a unit")
+    u = RationalFunction.make(delta, tau * beta)  # in D; _verified checks every entry
     # (u 0; 0 0) * T factors the swapped row (y/tau, x/tau; 0 0), where
     # T = (beta; x)(y x)/delta is idempotent: y*beta + x*x == delta.
-    factors += _swap(_factor_zero_q(u.numerator, u.denominator) + [((beta, x), (y, x), delta)])
+    factors += _swap(_factor_zero_q(u.num, u.den) + [((beta, x), (y, x), delta)])
     return _conjugate(factors, _SHEAR) if shear else factors
 
 
@@ -610,19 +615,9 @@ def _factor_quadratics_sharing_root(
     x1 = _exact_div(x, m)
     y1 = _exact_div(y, m)
     c = -y1.leading_coefficient / x1.leading_coefficient
-    combo = x1.scale(c) + y1
-    if combo.degree > 0:
-        raise CertificateError(f"c*x1 + y1 = {combo} kept a linear term")
-    if combo.is_zero:
-        # x and y proportional after all; cannot happen with deg gcd = 1.
-        raise ShapeViolation("numerators are proportional, use the divisibility branch")
-    s_prime = combo.coeffs[0]
-
+    s_prime = (x1.scale(c) + y1).coeffs[0]
     delta = _grow_linear_to_gamma(x, m)
-    diff = delta - x
-    if diff.degree != 1:
-        raise CertificateError(f"delta - x = {diff} is not linear")
-    e = ((m, diff.scale(1 / s_prime)), (x1, Polynomial.constant(s_prime)), delta)
+    e = ((m, (delta - x).scale(1 / s_prime)), (x1, Polynomial.constant(s_prime)), delta)
     shear = (_1, Polynomial.constant(-c), _0, _1)  # (1 -c; 0 1)
     return _factor_zero_q(delta, gamma) + _conjugate([_E11, e], shear)
 
@@ -638,10 +633,7 @@ def _grow_linear_to_gamma(x: Polynomial, m: Polynomial) -> Polynomial:
     a = x.leading_coefficient
     b = x.derivative().evaluate(-m.coeffs[0])
     k = ((b + 1) ** 2 // (4 * abs(a))).bit_length()
-    delta = x + m + (1 if a > 0 else -1) * 2**k
-    if not is_gamma(delta):
-        raise CertificateError(f"delta = {delta} has real roots")
-    return delta
+    return x + m + (1 if a > 0 else -1) * 2**k
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import CertificateError, ZeroDenominatorError, ZeroPolynomialError
 
-Rational = Fraction
-
 NEG_INF = float("-inf")
 
 Degree = Union[int, float]  # an int, or NEG_INF for the zero polynomial

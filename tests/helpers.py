@@ -1,4 +1,4 @@
-"""Seeded random generators shared by the unit and acceptance tests."""
+"""Seeded random generators and bounds shared by the unit and acceptance tests."""
 
 from __future__ import annotations
 
@@ -6,6 +6,9 @@ import random
 from fractions import Fraction
 
 from dressring import DressElement, Polynomial, RationalFunction, divrem
+
+# Empirical bound on the number of factors the fixed factorization pipeline returns.
+FACTOR_COUNT_BOUND = 12
 
 
 def rand_poly(rng: random.Random, max_deg: int, lo: int = -9, hi: int = 9,

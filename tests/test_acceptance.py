@@ -39,10 +39,10 @@ from dressring import (
     zs_member,
 )
 from dressring.cli import main as cli_main
-from dressring.idempotent import _FACTOR_COUNT_BOUND
 from dressring.parsing import format_matrix, format_rational_function
 
 from helpers import (
+    FACTOR_COUNT_BOUND,
     rand_gamma,
     rand_member,
     rand_planted_roots_poly,
@@ -193,7 +193,7 @@ def test_c06_factorization_soundness():
         failures = 0
         for p, q in pairs:
             fact = factor_row_matrix(p, q)
-            assert len(fact.factors) <= _FACTOR_COUNT_BOUND
+            assert len(fact.factors) <= FACTOR_COUNT_BOUND
             report = verify_factorization(fact)
             if not (report.ok and fact.target == Mat2.row(p, q)):
                 failures += 1
@@ -213,7 +213,7 @@ def test_c07_small_degree_completeness():
                 fact = factor_small(p, q)
                 assert verify_factorization(fact).ok
                 assert fact.target == Mat2.row(p, q)
-                assert len(fact.factors) <= _FACTOR_COUNT_BOUND
+                assert len(fact.factors) <= FACTOR_COUNT_BOUND
         # monic quadratic pairs sharing a linear factor
         quad_grid = [
             Polynomial.from_coeffs([v, u, 1])
@@ -233,7 +233,7 @@ def test_c07_small_degree_completeness():
                 fact = factor_small(p, q)
                 assert verify_factorization(fact).ok
                 assert fact.target == Mat2.row(p, q)
-                assert len(fact.factors) <= _FACTOR_COUNT_BOUND
+                assert len(fact.factors) <= FACTOR_COUNT_BOUND
         assert n_shared > 25  # includes the 25 equal pairs plus true deg-1 cases
 
 
@@ -368,7 +368,7 @@ def test_c12_cli_round_trip_and_schema(capsys):
             code, report = _cli_json(["factor", matrix], capsys)
             assert code == 0 and report["result"]["verified"] is True
             result = report["result"]
-            assert result["count"] == len(result["factors"]) <= _FACTOR_COUNT_BOUND
+            assert result["count"] == len(result["factors"]) <= FACTOR_COUNT_BOUND
             code2, report2 = _cli_json(
                 ["verify", result["target"], *result["factors"]], capsys
             )

@@ -54,9 +54,13 @@ class TestMembership:
         unreduced = RationalFunction(X * GAMMA, GAMMA * GAMMA)
         assert DressElement(unreduced).value is unreduced
 
-    def test_raw_zero_denominator_is_rejected(self):
+    @pytest.mark.parametrize("num", [Polynomial.one(), Polynomial.zero()],
+                             ids=["one-over-zero", "zero-over-zero"])
+    def test_raw_zero_denominator_is_rejected(self, num):
+        value = RationalFunction(num, Polynomial.zero())
+        assert not is_member(value)
         with pytest.raises(NotInDressRing) as exc:
-            DressElement(RationalFunction(Polynomial.one(), Polynomial.zero()))
+            DressElement(value)
         assert exc.value.reason == "denominator-has-real-roots"
 
     def test_ring_closure_random(self):

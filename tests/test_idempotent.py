@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -35,9 +36,14 @@ from dressring import (
     verify_factorization,
 )
 from dressring import dress, idempotent
-from dressring.idempotent import _FACTOR_COUNT_BOUND
 
-from helpers import rand_gamma, rand_irreducible_quadratic, rand_member_nonzero, rand_poly
+from helpers import (
+    FACTOR_COUNT_BOUND,
+    rand_gamma,
+    rand_irreducible_quadratic,
+    rand_member_nonzero,
+    rand_poly,
+)
 
 X = Polynomial.x()
 GAMMA = X * X + 1
@@ -47,6 +53,18 @@ def elem(num, den=GAMMA):
     if isinstance(num, int):
         num = Polynomial.constant(num)
     return DressElement.from_parts(num, den)
+
+
+def tamper_certificate(monkeypatch, change):
+    """Make _certificate return its certificate with (beta, delta) = change(x, y, beta, delta)."""
+    original = idempotent._certificate
+
+    def tampered(x, y, pattern):
+        cert = original(x, y, pattern)
+        beta, delta = change(x, y, cert.beta, cert.delta)
+        return dataclasses.replace(cert, beta=beta, delta=delta)
+
+    monkeypatch.setattr(idempotent, "_certificate", tampered)
 
 
 # A row for the mirrored dominant branch, reached with two sign_at_roots calls:
@@ -187,8 +205,8 @@ class TestPositivityCertificate:
             positivity_certificate(X, X * X)
 
     def test_rejects_mixed_and_shared(self):
-        # Unequal degrees fail the degree precondition before any sign query;
-        # a MIXED pattern of equal-degree inputs is the parametrized test below.
+        # Unequal degrees fail the degree precondition, checked before the
+        # pattern; a MIXED pattern of equal-degree inputs is the parametrized test below.
         with pytest.raises(CertificatePreconditionError, match="equal degrees"):
             positivity_certificate(X, X * X - 1)
         with pytest.raises(CertificatePreconditionError, match=SignPattern.HAS_ZERO.value):
@@ -202,6 +220,18 @@ class TestPositivityCertificate:
         assert sign_at_roots(y, x) is pattern
         with pytest.raises(CertificatePreconditionError, match=pattern.value):
             positivity_certificate(x, y)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda x, y, beta, delta: (X - 2, x * x + y * (X - 2)), "beta = .* has real roots"),
+        (lambda x, y, beta, delta: (beta, delta + 1), "identity delta = x\\^2 \\+ y\\*beta"),
+        (lambda x, y, beta, delta: (GAMMA, x * x + y * GAMMA), "degrees out of range"),
+    ], ids=["beta-root-free", "identity", "degrees"])
+    def test_result_checks(self, monkeypatch, change, message):
+        # Each tampered certificate fails exactly one of the checks that
+        # positivity_certificate runs on the certificate it returns.
+        tamper_certificate(monkeypatch, change)
+        with pytest.raises(CertificateError, match=message):
+            positivity_certificate(X, X + 1)
 
     @pytest.mark.parametrize("lc_y, k", [(1000, 10), (2**1100, 1101)], ids=["1000", "2^1100"])
     def test_leading_coefficient_shrink(self, lc_y, k):
@@ -312,7 +342,7 @@ class TestFactorRowMatrix:
         fact = factor_row_matrix(p, q)
         assert verify_factorization(fact).ok
         assert fact.target == target_of(p, q)
-        assert len(fact.factors) <= _FACTOR_COUNT_BOUND
+        assert len(fact.factors) <= FACTOR_COUNT_BOUND
 
     def test_swapped_hypothesis(self):
         # deg q > deg p and p sign-definite at roots of q
@@ -334,7 +364,7 @@ class TestFactorRowMatrix:
         fact = factor_row_matrix(p, q)
         assert verify_factorization(fact).ok
         assert fact.target == target_of(p, q)
-        assert len(fact.factors) <= _FACTOR_COUNT_BOUND
+        assert len(fact.factors) <= FACTOR_COUNT_BOUND
 
     def test_mixed_denominators(self):
         # equal degrees only after the least common denominator is taken
@@ -343,7 +373,7 @@ class TestFactorRowMatrix:
         fact = factor_row_matrix(p, q)
         assert verify_factorization(fact).ok
         assert fact.target == target_of(p, q)
-        assert len(fact.factors) <= _FACTOR_COUNT_BOUND
+        assert len(fact.factors) <= FACTOR_COUNT_BOUND
 
     def test_even_degree_numerators_same_gamma(self):
         p = DressElement.from_parts(X * X - 2, GAMMA)
@@ -778,30 +808,46 @@ class TestIdealClassOfLastFactor:
 
 
 class TestDerivationChecks:
+    # A fault injected into a pipeline stage is caught where the factorization
+    # is returned: _verified checks w.v == s and the product, and reports an
+    # entry outside D, so the stages check nothing of their own.
+    SHARED_ROOT_ROW = (elem(X * (X + 1), GAMMA**2), elem(X * (X - 2), GAMMA**2))
+
     def test_core_unit_check(self, monkeypatch):
-        monkeypatch.setattr(DressElement, "is_unit", lambda self: False)
-        with pytest.raises(CertificateError, match="must be a unit"):
+        # beta = X - 2 with the identity kept: T and u = delta/(tau*beta) are
+        # still exact, but u and the entries of T leave D.
+        tamper_certificate(monkeypatch, lambda x, y, beta, delta: (X - 2, x * x + y * (X - 2)))
+        with pytest.raises(CertificateError, match="entry-not-in-ring .* at factor"):
             factor_row_matrix(elem(X), elem(X + 1))
 
     def test_equal_degree_check(self):
-        with pytest.raises(CertificateError, match="equal-degree branch"):
+        # The certificate's own precondition guards every caller.
+        with pytest.raises(CertificatePreconditionError, match="equal degrees"):
             idempotent._factor_dominant(X, X * X, Polynomial.one(), sign_at_roots(X * X, X))
 
     def test_shared_root_combination_check(self):
         # Cubics sharing the root 0: x1 = X^2 + 1, y1 = X^2 + X, and
-        # c*x1 + y1 = X - 1 keeps its linear term.
-        with pytest.raises(CertificateError, match="kept a linear term"):
-            idempotent._factor_quadratics_sharing_root(X**3 + X, X**3 + X * X, GAMMA**2, X)
+        # c*x1 + y1 = X - 1 keeps its linear term, so the factors miss the row.
+        x, y, gamma = X**3 + X, X**3 + X * X, GAMMA**2
+        factors = idempotent._factor_quadratics_sharing_root(x, y, gamma, X)
+        split = ((x, y, Polynomial.zero(), Polynomial.zero()), gamma)
+        with pytest.raises(CertificateError, match="product-mismatch"):
+            idempotent._verified(Mat2.row(elem(x, gamma), elem(y, gamma)), split, factors)
 
     def test_shared_root_offset_check(self, monkeypatch):
+        # delta = x + 1 leaves delta - x constant, not linear, but every delta
+        # makes e idempotent and the product exact, and X^2 + X + 1 is
+        # root-free: the factorization is valid and verifies.
         monkeypatch.setattr(idempotent, "_grow_linear_to_gamma", lambda x, m: x + 1)
-        with pytest.raises(CertificateError, match="is not linear"):
-            factor_row_matrix(elem(X * (X + 1), GAMMA**2), elem(X * (X - 2), GAMMA**2))
+        fact = factor_row_matrix(*self.SHARED_ROOT_ROW)
+        assert fact.target == Mat2.row(*self.SHARED_ROOT_ROW)
+        assert verify_factorization(fact).ok
 
     def test_root_free_offset_check(self, monkeypatch):
-        monkeypatch.setattr(idempotent, "is_gamma", lambda p: False)
-        with pytest.raises(CertificateError, match="has real roots"):
-            idempotent._grow_linear_to_gamma(X * X + X, X)
+        # delta = x + M - 1 = X^2 + 2X - 1 has real roots, so e leaves D.
+        monkeypatch.setattr(idempotent, "_grow_linear_to_gamma", lambda x, m: x + m - 1)
+        with pytest.raises(CertificateError, match="entry-not-in-ring .* at factor"):
+            factor_row_matrix(*self.SHARED_ROOT_ROW)
 
     def test_stable_range_witness_sign_check(self, monkeypatch):
         # 1/(X - 1) is not in D; with membership unchecked it reaches the

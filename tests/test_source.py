@@ -46,3 +46,14 @@ def test_two_sign_queries_in_the_factor_pipeline():
     found = [ref for ref in _references("sign_at_roots") if ref[0] == "idempotent.py"]
     assert set(found) == {("idempotent.py", "<module>"), ("idempotent.py", "_factor_row"),
                           ("idempotent.py", "positivity_certificate")}
+
+
+def test_certificate_errors_only_where_results_are_returned():
+    # A factorization is checked once, by _verified, where it is returned;
+    # the positivity certificate and the stable-range witness check their
+    # own results.  A stage that re-checks part of the same facts would
+    # have to raise CertificateError somewhere else.
+    found = [ref for ref in _references("CertificateError") if ref[0] == "idempotent.py"]
+    assert set(found) == {("idempotent.py", name) for name in (
+        "<module>", "_verified", "positivity_certificate", "stable_range_witness")}
+    assert ("ideals.py", "_numerator_data") not in _references("CertificateError")
