@@ -58,7 +58,7 @@ from .ideals import (
     principal_generator,
 )
 from .numberrings import SeriesBase, TruncLaurent, factorize, laurent_member, zs_gcd, zs_member
-from .parsing import Expression, ParsedMatrix, parse_expression, parse_matrix, parse_scalar
+from .parsing import ParsedMatrix, parse_expression, parse_matrix, parse_scalar
 from .polynomials import (
     NEG_INF,
     Polynomial,

@@ -8,10 +8,10 @@ lines to a single JSON object::
 Exactly one of ``result``/``error`` is present (non-null).  Exit codes:
 0 for a positive outcome, 1 for a mathematical "no/none" (a false verdict, an
 unmet factorization hypothesis), 2 for operational errors (syntax, zero
-denominators, values outside the ring, bad flags).  A malformed command line
-under ``--json`` also gets the JSON report, with ``command`` set to the
-subcommand token as typed; without ``--json`` argparse's usage text goes to
-stderr.
+denominators, values outside the ring or too large to build, bad flags).  A
+malformed command line under ``--json`` also gets the JSON report, with
+``command`` set to the subcommand token as typed; without ``--json``
+argparse's usage text goes to stderr.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def _cmd_laurent_member(args) -> tuple[int, dict]:
         if args.order is None or args.coeffs is None:
             raise ShapeViolation("laurent-member needs ORDER and COEFFS, or --zero")
         coeffs = [_fraction_arg(c) for c in args.coeffs.split(",")]
-        series = TruncLaurent.make(base, args.order, coeffs, args.precision)
+        series = TruncLaurent.make(base, args.order, coeffs)
     verdict = laurent_member(series)
     return (OK if verdict else MATH_NO), {"member": verdict}
 
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", nargs="?", type=int, default=None)
     p.add_argument("coeffs", nargs="?", default=None,
                    help="comma-separated rationals, lowest exponent first")
-    p.add_argument("--precision", type=int, default=None)
     p.add_argument("--zero", action="store_true", help="the exact zero series")
     p = add("stable-witness", _cmd_stable_witness, "square-stable-range witness at z")
     p.add_argument("z")
@@ -407,6 +406,10 @@ def _run(argv) -> int:
     except RecursionError:
         report = Report(ok=False, command=args.command, result=None,
                         error="expression too deeply nested")
+        code = FAILURE
+    except (OverflowError, MemoryError):
+        report = Report(ok=False, command=args.command, result=None,
+                        error="value too large to build")
         code = FAILURE
     _emit(report, as_json, sys.stdout)
     return code

@@ -28,9 +28,7 @@ from .realroots import is_gamma, isolate_real_roots
 
 def is_member(r: RationalFunction) -> bool:
     """True iff r lies in D: root-free reduced denominator and degree <= 0."""
-    if r.is_zero:
-        return bool(r.den)
-    return r.degree <= 0 and is_gamma(r.den)
+    return r.degree <= 0 and membership_failure(r) is None
 
 
 def membership_failure(r: RationalFunction) -> Optional[str]:
@@ -142,10 +140,6 @@ class DressElement:
 
     def __pow__(self, n: int) -> "DressElement":
         return DressElement(self.value**n)
-
-    def quotient(self, other: "DressElement") -> RationalFunction:
-        """self / other in the fraction field; not necessarily a member."""
-        return self.value / _val(other)
 
     def inverse(self) -> "DressElement":
         """1 / self; raises NotInDressRing unless self is a unit."""

@@ -87,13 +87,6 @@ class Mat2:
         z = DressElement.zero()
         return Mat2(z, z, z, z)
 
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        # N1/d1 * N2/d2 = (N1 N2)/(d1 d2): one reduction per result entry.
-        (a, b, c, d), d1 = _split(self)
-        (e, f, g, h), d2 = _split(other)
-        products = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        return Mat2(*(DressElement.from_parts(n, d1 * d2) for n in products))
-
     def entries(self) -> tuple[DressElement, DressElement, DressElement, DressElement]:
         return (self.a, self.b, self.c, self.d)
 
@@ -131,12 +124,6 @@ _E11: _Factor = ((_1, _0), (_1, _0), _1)  # (1 0; 0 0)
 _ZERO_ENTRY = DressElement.zero()
 
 
-def _split(m: Mat2) -> tuple[tuple[Polynomial, ...], Polynomial]:
-    """m as N/d: a polynomial matrix N over the common denominator d of the entries."""
-    nums, d = over_common_denominator(m.entries())
-    return tuple(nums), d
-
-
 def _factor_of(m: Mat2):
     """A candidate N/d as a factor, or False when it is not idempotent.
 
@@ -144,7 +131,7 @@ def _factor_of(m: Mat2):
     is idempotent iff det N == 0 and tr N == d (Cayley-Hamilton), and rank one
     then makes N_kj N_il == N_ij N_kl, so N/d = (column j)(row i)/(d*N_ij).
     """
-    n, den = _split(m)
+    n, den = over_common_denominator(m.entries())
     a, b, c, d = n
     if not any(n):
         return _ZERO_FACTOR
@@ -357,7 +344,8 @@ def verify_factorization(f: Factorization) -> VerificationReport:
     Entry membership needs no check: every DressElement is certified to lie
     in the ring when it is constructed.
     """
-    return _verify_triples(_split(f.target), [_factor_of(m) for m in f.factors])
+    target = over_common_denominator(f.target.entries())
+    return _verify_triples(target, [_factor_of(m) for m in f.factors])
 
 
 def _verify_triples(target, factors) -> VerificationReport:
@@ -439,10 +427,10 @@ def conjugate_factorization(f: Factorization, p: Mat2) -> Factorization:
     P = N/d is invertible over D iff det P = det N/d^2 is a unit.  The target
     N_T/d_T = (e_1 (a b) + e_2 (c d))/d_T is mapped term by term.
     """
-    n, d_p = _split(p)
+    n, d_p = over_common_denominator(p.entries())
     if not DressElement.from_parts(n[0] * n[3] - n[1] * n[2], d_p * d_p).is_unit():
         raise ShapeViolation("conjugation needs a matrix invertible over the ring")
-    (a, b, c, d), den = _split(f.target)
+    (a, b, c, d), den = over_common_denominator(f.target.entries())
     rows = [((_1, _0), (a, b), den), ((_0, _1), (c, d), den)]
     (u, x, den), (v, y, _), *factors = _conjugate(rows + [_factor_of(m) for m in f.factors], n)
     nums = tuple(u[i] * x[j] + v[i] * y[j] for i in (0, 1) for j in (0, 1))
@@ -454,7 +442,7 @@ def swap_factorization(f: Factorization) -> Factorization:
     """From a factorization of (p q; 0 0) produce a verified one of (q p; 0 0)."""
     if not f.target.has_zero_second_row():
         raise ShapeViolation("swap needs a target with zero second row")
-    (a, b, _, _), den = _split(f.target)
+    (a, b, _, _), den = over_common_denominator(f.target.entries())
     return _verified(Mat2.row(f.target.b, f.target.a), ((b, a, _0, _0), den),
                      _swap(map(_factor_of, f.factors)))
 

@@ -23,6 +23,7 @@ from .errors import (
     ShapeViolation,
     ZeroPolynomialError,
 )
+from .polynomials import _as_fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -152,7 +153,7 @@ def _is_s_prime(p: int) -> bool:
 
 def zs_member(q: Fraction) -> bool:
     """True iff q lies in Z_S: every prime factor of the reduced denominator is 1 mod 4."""
-    q = Fraction(q)
+    q = _as_fraction(q)
     den = q.denominator
     if den == 1:
         return True
@@ -184,7 +185,7 @@ def zs_gcd(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     the part of b's denominator not shared with it, and d are factored once
     each, so a shared denominator is factored once.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _as_fraction(a), _as_fraction(b)
     if a == 0 and b == 0:
         raise ZeroPolynomialError("zs_gcd needs at least one nonzero input")
     # scale = a.denominator * b_only, and the non-S part is multiplicative.
@@ -241,23 +242,22 @@ class TruncLaurent:
     base: SeriesBase
     order: int
     coeffs: tuple[Fraction, ...]
-    precision: int
 
     @staticmethod
-    def make(base: SeriesBase, order: int, coeffs, precision: int | None = None) -> "TruncLaurent":
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if precision is None:
-            precision = order + len(cs)
-        if precision - order != len(cs):
-            raise ShapeViolation("precision must equal order + number of coefficients")
+    def make(base: SeriesBase, order: int, coeffs) -> "TruncLaurent":
+        cs = [_as_fraction(c) for c in coeffs]
         if not cs:
             raise ShapeViolation("use TruncLaurent.zero for the zero series")
-        # precision > order now, and stripping keeps a nonzero coefficient
-        return TruncLaurent._renormalize(base, order, cs, precision)
+        return TruncLaurent._renormalize(base, order, cs)
 
     @staticmethod
     def zero(base: SeriesBase) -> "TruncLaurent":
-        return TruncLaurent(base, 0, (), 0)
+        return TruncLaurent(base, 0, ())
+
+    @property
+    def precision(self) -> int:
+        """The first exponent whose coefficient is unknown."""
+        return self.order + len(self.coeffs)
 
     @property
     def is_declared_zero(self) -> bool:
@@ -287,12 +287,12 @@ class TruncLaurent:
         if prec <= lo:
             raise IndeterminateSeriesError("sum has no known coefficients at this precision")
         cs = [self.coefficient(k) + other.coefficient(k) for k in range(lo, prec)]
-        return TruncLaurent._renormalize(self.base, lo, cs, prec)
+        return TruncLaurent._renormalize(self.base, lo, cs)
 
     def __neg__(self) -> "TruncLaurent":
         if self.is_declared_zero:
             return self
-        return TruncLaurent(self.base, self.order, tuple(-c for c in self.coeffs), self.precision)
+        return TruncLaurent(self.base, self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "TruncLaurent") -> "TruncLaurent":
         return self + (-other)
@@ -311,13 +311,13 @@ class TruncLaurent:
                 k = self.order + i + other.order + j
                 if k < prec:
                     cs[k - lo] += ci * cj
-        return TruncLaurent._renormalize(self.base, lo, cs, prec)
+        return TruncLaurent._renormalize(self.base, lo, cs)
 
     @staticmethod
-    def _renormalize(base: SeriesBase, order: int, cs: list[Fraction], precision: int) -> "TruncLaurent":
+    def _renormalize(base: SeriesBase, order: int, cs: list[Fraction]) -> "TruncLaurent":
         """The series with its leading zeros stripped, unless every coefficient is zero."""
         lead = next((i for i, c in enumerate(cs) if c), 0)
-        return TruncLaurent(base, order + lead, tuple(cs[lead:]), precision)
+        return TruncLaurent(base, order + lead, tuple(cs[lead:]))
 
     def _check_base(self, other: "TruncLaurent") -> None:
         if self.base is not other.base:

@@ -50,12 +50,6 @@ class ParsedMatrix:
 ParsedValue = Union[RationalFunction, ParsedMatrix]
 
 
-@dataclass(frozen=True)
-class Expression:
-    source: str
-    value: ParsedValue
-
-
 # One token per match, after any whitespace: group 1 an integer, group 2 'X' or
 # a punctuation mark, group 3 any other character (an error).
 _TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/^()\[\],X])|(\S))")
@@ -240,20 +234,20 @@ class _Parser:
         raise ParseError(f"expected a value, found {what}", pos)
 
 
-def parse_expression(text: str) -> Expression:
+def parse_expression(text: str) -> ParsedValue:
     """Parse a scalar or matrix expression; errors carry the 0-based offset."""
-    return Expression(source=text, value=_Parser(text).parse_top())
+    return _Parser(text).parse_top()
 
 
 def parse_scalar(text: str) -> RationalFunction:
-    value = parse_expression(text).value
+    value = parse_expression(text)
     if isinstance(value, ParsedMatrix):
         raise ParseError("expected a scalar expression, found a matrix", 0)
     return value
 
 
 def parse_matrix(text: str) -> ParsedMatrix:
-    value = parse_expression(text).value
+    value = parse_expression(text)
     if not isinstance(value, ParsedMatrix):
         raise ParseError("expected a matrix expression", 0)
     return value

@@ -225,8 +225,7 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
         walk(a, m, va, vm)
         walk(m, b, vm, vb)
 
-    walk(-bound, bound, var(-bound), var(bound))
-    out.sort(key=lambda iv: iv.lo)
+    walk(-bound, bound, var(-bound), var(bound))  # left halves first, so out is sorted
 
     # Make the intervals pairwise disjoint as sets (they may share endpoints).
     def tighten(iv: IsolatingInterval) -> IsolatingInterval:

@@ -141,13 +141,9 @@ class TestMat2Product:
     def test_random_pairs_match_entrywise_formula(self):
         rng = random.Random(95)
         dens = [GAMMA, X * X + X + 1, (X * X + 2) * GAMMA] + [rand_gamma(rng) for _ in range(3)]
-        fixed = [Mat2.identity(), Mat2.zero()]
-        for k in range(150):
-            m1 = Mat2(*(rand_entry(rng, dens) for _ in range(4)))
-            m2 = Mat2(*(rand_entry(rng, dens) for _ in range(4))) if k >= 2 else fixed[k]
-            for left, right in ((m1, m2), (m2, m1)):
-                assert left * right == entrywise_product(left, right)
-            assert is_idempotent(m1) == (entrywise_product(m1, m1) == m1)
+        for m in [Mat2.identity(), Mat2.zero()] + [
+                Mat2(*(rand_entry(rng, dens) for _ in range(4))) for _ in range(150)]:
+            assert is_idempotent(m) == (entrywise_product(m, m) == m)
 
     def test_swap_equals_permutation_conjugation(self):
         # Random rank-one triples v w^T / s (idempotent or not), the identity,
@@ -506,23 +502,14 @@ class TestSwapAndConjugate:
                                    DressElement.from_parts(X + 1, GAMMA**3)),
                  factor_row_matrix(DressElement.from_parts((X - 1) * (X + 2), g4),
                                    DressElement.from_parts((X - 1) * (X - 3), g4))]
+
+        def conjugated(m):
+            return entrywise_product(entrywise_product(p_inv, m), p)
+
         for fact in facts:
             conj = conjugate_factorization(fact, p)
-            assert conj.target == p_inv * fact.target * p
-            assert conj.factors == tuple(p_inv * e * p for e in fact.factors)
-
-    def test_no_matrix_product_in_the_pipeline(self, monkeypatch):
-        g4 = GAMMA**2
-        fact = factor_row_matrix(elem(X), elem(X + 1))
-
-        def no_product(self, other):
-            raise AssertionError("Mat2.__mul__ called")
-
-        monkeypatch.setattr(Mat2, "__mul__", no_product)
-        conjugate_factorization(fact, Mat2.of(1, 2, 0, 1))
-        factor_row_matrix(elem(X), elem(-1))  # shear
-        factor_row_matrix(DressElement.from_parts((X - 1) * (X + 2), g4),
-                          DressElement.from_parts((X - 1) * (X - 3), g4))  # shared root
+            assert conj.target == conjugated(fact.target)
+            assert conj.factors == tuple(map(conjugated, fact.factors))
 
 
 class TestFactorSmall:
@@ -1055,7 +1042,7 @@ class TestRowWork:
             "mixed denominators": (elem(X * X - 2, g4), elem(X + 3, X * X + X + 1)),
             "small common root": (elem(X * (X + 1), g4), elem(X * (X - 2), g4)),
         }
-        counts = {"over_common_denominator": 0, "_split": 0, "zero make": 0}
+        counts = {"over_common_denominator": 0, "zero make": 0}
 
         def counting(name, original, is_counted=lambda *args: True):
             def wrapper(*args):
@@ -1065,7 +1052,6 @@ class TestRowWork:
 
         monkeypatch.setattr(idempotent, "over_common_denominator", counting(
             "over_common_denominator", idempotent.over_common_denominator))
-        monkeypatch.setattr(idempotent, "_split", counting("_split", idempotent._split))
         monkeypatch.setattr(RationalFunction, "make", staticmethod(counting(
             "zero make", RationalFunction.make, lambda num, den: num.is_zero)))
         queries = []
@@ -1077,7 +1063,7 @@ class TestRowWork:
             counts.update(dict.fromkeys(counts, 0))
             queries.clear()
             fact = factor_row_matrix(p, q)
-            assert counts == {"over_common_denominator": 1, "_split": 0, "zero make": 0}, name
+            assert counts == {"over_common_denominator": 1, "zero make": 0}, name
             if name == "mirrored":
                 assert len(queries) == 2  # the mirrored dominant branch ran
             zero_entries += sum(e.is_zero for m in fact.factors for e in m.entries())

@@ -349,3 +349,30 @@ class TestLaurent:
         prod = s1 * s2
         assert prod.order == 1 and prod.precision == 3
         assert prod.coeffs == (Fraction(5), Fraction(8))
+
+    def test_precision_is_order_plus_known_coefficients(self):
+        base = SeriesBase.REAL_HENSELIAN
+        assert TruncLaurent(base, -2, (Fraction(3), Fraction(1))).precision == 0
+        assert TruncLaurent.zero(base).precision == 0
+        s = TruncLaurent.make(base, -1, [1, 0, 2])
+        for t in (s, -s, s + s, s * s, s - s):
+            assert t.precision == t.order + len(t.coeffs)
+
+
+class TestFloatInputs:
+    """A float is no exact rational: every entry point raises TypeError, as Polynomial does."""
+
+    def test_series_coefficients(self):
+        with pytest.raises(TypeError):
+            TruncLaurent.make(SeriesBase.RATIONAL_HENSELIAN, 0, [0.2, 1])
+
+    def test_zs_member(self):
+        assert zs_member(3)
+        with pytest.raises(TypeError):
+            zs_member(0.2)
+
+    def test_zs_gcd(self):
+        assert zs_gcd(6, 10)[0] == 2
+        for a, b in ((0.2, Fraction(1)), (Fraction(1), 0.5)):
+            with pytest.raises(TypeError):
+                zs_gcd(a, b)

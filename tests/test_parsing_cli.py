@@ -1,11 +1,13 @@
 import json
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -78,10 +80,6 @@ class TestParser:
 
     def test_whitespace_insensitive(self):
         assert parse_scalar(" X /\t( X^2 + 1 ) ") == parse_scalar("X/(X^2+1)")
-
-    def test_expression_records_source(self):
-        e = parse_expression("X + 1")
-        assert e.source == "X + 1"
 
     def test_superscript_digits_are_not_integers(self):
         # '²' passes str.isdigit but not int(), so it is no digit.
@@ -328,6 +326,25 @@ def run_cli_json(args, capsys):
     code = main(args[:1] + ["--json"] + args[1:])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def readme_cli_commands():
+    """(argv, exit code) for every dressring command in the README's CLI block.
+
+    The code is the "exit N" in the line's comment, else 0; a line may hold
+    several commands separated by ';'.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        stated = re.search(r"exit (\d)", comment)
+        for part in command.split(";"):
+            argv = shlex.split(part)
+            assert argv[0] == "dressring", line
+            commands.append((argv[1:], int(stated.group(1)) if stated else 0))
+    return commands
 
 
 def check_schema(report: dict, command: str):
@@ -580,6 +597,20 @@ class TestCli:
         code, report = run_cli_json(["member", expr], capsys)
         assert code == 2 and "nested" in report["error"]
 
+    # X^(10^30) overflows an index; the size of X^(2^62) overflows an allocation.
+    @pytest.mark.parametrize("exponent", ["1" + "0" * 30, str(2**62)])
+    def test_exponent_too_large_to_build_exit_two(self, capsys, exponent):
+        code, report = run_cli_json(["gamma", f"X^{exponent}"], capsys)
+        check_schema(report, "gamma")
+        assert code == 2 and report["error"] == "value too large to build"
+
+    def test_readme_cli_block(self, capsys):
+        commands = readme_cli_commands()
+        assert len(commands) >= 15
+        for argv, code in commands:
+            assert main(argv) == code, argv
+        capsys.readouterr()
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
 
@@ -588,6 +619,8 @@ class TestCli:
         (["member", "--json"], "member", "the following arguments are required: expr"),
         (["certificate", "--json", "--part", "c", "X", "X^2+1"], "certificate",
          "argument --part: invalid choice: 'c'"),
+        (["laurent-member", "--json", "rational", "0", "1/5,2,1", "--precision", "3"],
+         "laurent-member", "unrecognized arguments: --precision 3"),
     ])
     def test_malformed_flags_stay_json(self, capsys, argv, command, message):
         code = main(argv)
