@@ -21,7 +21,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -31,7 +30,6 @@ from .errors import (
     DressRingError,
     HypothesisNotMet,
     NotInDressRing,
-    ParseError,
     ShapeViolation,
 )
 from .idempotent import (
@@ -46,9 +44,11 @@ from .ideals import IdealGens, ideal_inverse, ideal_square, principal_generator
 from .numberrings import SeriesBase, TruncLaurent, laurent_member, zs_gcd, zs_member
 from .parsing import (
     ParsedMatrix,
+    format_fraction,
     format_matrix,
     format_rational_function,
     parse_matrix,
+    parse_rational,
     parse_scalar,
 )
 from .polynomials import Polynomial
@@ -91,15 +91,6 @@ def _row_matrix_arg(text: str) -> tuple[DressElement, DressElement, Mat2]:
 
 def _wrap_matrix(parsed: ParsedMatrix) -> Mat2:
     return Mat2(*(DressElement(e) for e in parsed.entries()))
-
-
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        if text.isascii() and text.isdigit():  # a plain integer needs no Fraction regex
-            return Fraction(int(text))
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational number: {text!r}", 0) from exc
 
 
 # Each handler returns (exit_code, result_payload).
@@ -205,19 +196,19 @@ def _cmd_certificate(args) -> tuple[int, dict]:
         "part": args.part,
         "beta": str(cert.beta),
         "delta": str(cert.delta),
-        "scale": str(cert.scale),
+        "scale": format_fraction(cert.scale),
         "base": str(cert.base),
     }
 
 
 def _cmd_zs_member(args) -> tuple[int, dict]:
-    verdict = zs_member(_fraction_arg(args.value))
+    verdict = zs_member(parse_rational(args.value))
     return (OK if verdict else MATH_NO), {"member": verdict}
 
 
 def _cmd_zs_gcd(args) -> tuple[int, dict]:
-    g, u, v = zs_gcd(_fraction_arg(args.a), _fraction_arg(args.b))
-    return OK, {"g": str(g), "u": str(u), "v": str(v)}
+    g, u, v = zs_gcd(parse_rational(args.a), parse_rational(args.b))
+    return OK, {"g": format_fraction(g), "u": format_fraction(u), "v": format_fraction(v)}
 
 
 def _cmd_laurent_member(args) -> tuple[int, dict]:
@@ -227,7 +218,7 @@ def _cmd_laurent_member(args) -> tuple[int, dict]:
     else:
         if args.order is None or args.coeffs is None:
             raise ShapeViolation("laurent-member needs ORDER and COEFFS, or --zero")
-        coeffs = [_fraction_arg(c) for c in args.coeffs.split(",")]
+        coeffs = [parse_rational(c) for c in args.coeffs.split(",")]
         series = TruncLaurent.make(base, args.order, coeffs)
     verdict = laurent_member(series)
     return (OK if verdict else MATH_NO), {"member": verdict}
@@ -237,8 +228,8 @@ def _cmd_stable_witness(args) -> tuple[int, dict]:
     evidence = stable_range_witness(_element_arg(args.z))
     return OK, {
         "sum_sq_unit": evidence.sum_sq_unit,
-        "value_at_1": str(evidence.value_at_1),
-        "value_at_minus_1": str(evidence.value_at_minus_1),
+        "value_at_1": format_fraction(evidence.value_at_1),
+        "value_at_minus_1": format_fraction(evidence.value_at_minus_1),
         "signs": [evidence.sign_at_1, evidence.sign_at_minus_1],
         "nonunit_certified": evidence.nonunit_certified,
     }
@@ -364,20 +355,6 @@ def _command_token(argv: list[str]) -> str:
 
 
 def main(argv=None) -> int:
-    # Operands and results may have more digits than the int/str conversion
-    # limit of Python 3.11 (4300 by default); lift it for this call only.
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return _run(argv)
-    old_limit = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        return _run(argv)
-    finally:
-        set_limit(old_limit)
-
-
-def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser().parse_args(argv)

@@ -57,10 +57,13 @@ class IndeterminateSeriesError(DressRingError, ValueError):
 
 
 class ResourceLimitError(DressRingError):
-    """A computation with no polynomial-time method ran past its work budget.
+    """A computation ran past its work or size budget.
 
     Integer factoring for Z_S caps its Pollard rho steps; the message gives
-    the input and the budget.  The input may be valid; it is too costly.
+    the input and the budget.  The parser refuses a power whose result would
+    have more than parsing._MAX_POWER_BITS (2^22) bits, estimated before it
+    is built; the message gives the offset of the '^'.  The input may be
+    valid; it is too costly.
     """
 
 

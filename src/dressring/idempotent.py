@@ -48,6 +48,7 @@ from .errors import (
     NotInDressRing,
     ShapeViolation,
 )
+from .parsing import format_fraction
 from .polynomials import (
     _GAMMA1,
     Polynomial,
@@ -655,7 +656,8 @@ def stable_range_witness(z: DressElement) -> StableRangeEvidence:
     v1 = f1.evaluate(1)
     v_minus = f1.evaluate(-1)
     if not (v1 > 0 and v_minus < 0):
-        raise CertificateError(f"witness values {v1} at 1 and {v_minus} at -1 must be + and -")
+        raise CertificateError(f"witness values {format_fraction(v1)} at 1 and "
+                               f"{format_fraction(v_minus)} at -1 must be + and -")
     return StableRangeEvidence(
         sum_sq_unit=sum_sq_unit,
         value_at_1=v1,

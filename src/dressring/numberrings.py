@@ -11,6 +11,7 @@ never re-executed; only these conclusions are used.
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .errors import (
     ShapeViolation,
     ZeroPolynomialError,
 )
+from .parsing import format_fraction
 from .polynomials import _as_fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -140,7 +142,7 @@ def factorize(n: int) -> dict[int, int]:
         d, steps = _brent_rho(m, rng, budget)
         if not d:
             raise ResourceLimitError(
-                f"factorize({original}): Pollard rho exceeded its budget of "
+                f"factorize({format_fraction(original)}): Pollard rho exceeded its budget of "
                 f"{_RHO_STEP_BUDGET} steps")
         budget -= steps
         stack.extend([d, m // d])
@@ -200,8 +202,10 @@ def zs_gcd(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     w = g * scale / d
     u, v = x * w, y * w
     if u * a + v * b != g:
+        a, b, g, u, v = map(format_fraction, (a, b, g, u, v))
         raise CertificateError(f"zs_gcd({a}, {b}): u*a + v*b != g for g={g}, u={u}, v={v}")
     if s_d % u.denominator or s_d % v.denominator:
+        a, b, u, v = map(format_fraction, (a, b, u, v))
         raise CertificateError(f"zs_gcd({a}, {b}): Bezout coefficients u={u}, v={v} not in Z_S")
     return g, u, v
 
@@ -245,6 +249,7 @@ class TruncLaurent:
 
     @staticmethod
     def make(base: SeriesBase, order: int, coeffs) -> "TruncLaurent":
+        order = operator.index(order)  # TypeError for 0.5, Fraction(1, 2) or "1"
         cs = [_as_fraction(c) for c in coeffs]
         if not cs:
             raise ShapeViolation("use TruncLaurent.zero for the zero series")

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -277,100 +278,53 @@ def _tamper_num(k):
     return lambda nums: [p + p if i == k else p for i, p in enumerate(nums)]
 
 
-class TestCertificateChecks:
-    # Each certificate check is real code raising CertificateError, so these
-    # also pass under python -O, where asserts would vanish.  Each test pins
-    # one failure of the sum-of-squares certificate on one consumer;
-    # TestSumOfSquaresCertificate runs every part through every consumer.
-    def test_principal_generator_sum_of_squares(self, monkeypatch):
-        monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
-        with pytest.raises(CertificateError, match="real roots"):
-            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
-
-    def test_principal_generator_unit(self, monkeypatch):
-        # A claimed s above the true one keeps deg f', deg g' <= s, but then
-        # deg(f'^2 + g'^2) != 2s.
-        _tamper_numerator_data(monkeypatch, 2, lambda s: s + 2)
-        with pytest.raises(CertificateError, match="has degree 0, not 2s = 4"):
-            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
-
-    def test_principal_generator_divisibility(self, monkeypatch):
-        # A claimed s below the true s = 2 leaves deg f' > s = deg h.
-        _tamper_numerator_data(monkeypatch, 2, lambda s: s - 2)
-        with pytest.raises(CertificateError, match="has degree 4, not 2s = 0"):
-            principal_generator(elem(X * X), elem(Polynomial.one()))
-
-    def test_principal_generator_expansion(self, monkeypatch):
-        # Doubling M breaks f' f + g' g == M (f'^2 + g'^2) and nothing else.
-        _tamper_numerator_data(monkeypatch, 0, lambda m: m + m)
-        with pytest.raises(CertificateError, match="f_i' f_i == M T violated"):
-            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
-
-    @pytest.mark.parametrize("index", [0, 1], ids=["f", "g"])
-    def test_principal_generator_expansion_reads_the_inputs(self, monkeypatch, index):
-        # The identity is checked against the numerators of a and b
-        # themselves, so a wrong f or g is caught even when M, f', g' are right.
-        _tamper_numerator_data(monkeypatch, 4, _tamper_num(index))
-        with pytest.raises(CertificateError, match="f_i' f_i == M T violated"):
-            principal_generator(elem(Polynomial.one()), elem(Polynomial.one()))
-
-    def test_ideal_square_postcondition(self, monkeypatch):
-        # Only the certificate's root-freeness check reads ideals.is_gamma.
-        monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
-        with pytest.raises(CertificateError, match="real roots"):
-            ideal_square(IdealGens.of(elem(Polynomial.one()), elem(X)))
-
-    def test_ideal_inverse_membership(self, monkeypatch):
-        # The cross products a_i * inv_j = f_i' f_j'/T are members because T
-        # is root-free and deg T = 2s; break each half in turn.
-        monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
-        with pytest.raises(CertificateError, match="real roots"):
-            ideal_inverse(elem(Polynomial.one()), elem(X))
-        monkeypatch.undo()
-        _tamper_numerator_data(monkeypatch, 2, lambda s: s + 2)
-        with pytest.raises(CertificateError, match="has degree 2, not 2s = 6"):
-            ideal_inverse(elem(Polynomial.one()), elem(X))
-
-    def test_ideal_inverse_witness(self, monkeypatch):
-        # a * inv1 + b * inv2 = (f' f + g' g)/(M T), which is 1 iff the
-        # identity holds; a wrong M breaks only the identity.
-        _tamper_numerator_data(monkeypatch, 0, lambda m: m + m)
-        with pytest.raises(CertificateError, match="f_i' f_i == M T violated"):
-            ideal_inverse(elem(Polynomial.one()), elem(X))
-
-
-# The three consumers of the certificate, on one pair: (X, X^3)/gamma^2 is
-# principal (s = 2) with numerator gcd M = X, so the cofactors 1, X^2 differ
-# from the numerators.
+# The three consumers of the certificate.  Each check is real code raising
+# CertificateError, so these tests also pass under python -O, where asserts
+# would vanish.
 CONSUMERS = {
     "principal_generator": principal_generator,
     "ideal_square": lambda a, b: ideal_square(IdealGens.of(a, b)),
     "ideal_inverse": ideal_inverse,
 }
-PAIR = (elem(X, GAMMA * GAMMA), elem(X**3, GAMMA * GAMMA))
+# name: (pair, T, s).  (X, X^3)/gamma^2 is principal (s = 2) with
+# numerator gcd M = X, so the cofactors 1, X^2 differ from the numerators;
+# (1, 1) has s = 0 and a constant T; (X^2, 1) has s = 2 and M = 1; (1, X)
+# has s = 1, which principal_generator decides without the certificate.
+PAIRS = {
+    "X,X^3": ((elem(X, GAMMA * GAMMA), elem(X**3, GAMMA * GAMMA)), "X^4 + 1", 2),
+    "1,1": ((elem(Polynomial.one()), elem(Polynomial.one())), "2", 0),
+    "X^2,1": ((elem(X * X), elem(Polynomial.one())), "X^4 + 1", 2),
+    "1,X": ((elem(Polynomial.one()), elem(X)), "X^2 + 1", 1),
+}
+# The cases of the first pair keep the consumer alone as their id.
+CASES = [pytest.param(consumer, pair, id=consumer if pair == "X,X^3" else f"{consumer}-{pair}")
+         for pair in PAIRS for consumer in CONSUMERS
+         if PAIRS[pair][2] % 2 == 0 or consumer != "principal_generator"]
 
 
-@pytest.mark.parametrize("consumer", list(CONSUMERS))
+@pytest.mark.parametrize("consumer, pair", CASES)
 class TestSumOfSquaresCertificate:
     """Every part of the one certificate, through every function that reads it."""
 
-    def test_root_free(self, monkeypatch, consumer):
+    def test_root_free(self, monkeypatch, consumer, pair):
+        gens, t, _ = PAIRS[pair]
         monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
-        with pytest.raises(CertificateError, match="T = X\\^4 \\+ 1 has real roots"):
-            CONSUMERS[consumer](*PAIR)
+        with pytest.raises(CertificateError, match=f"T = {re.escape(t)} has real roots"):
+            CONSUMERS[consumer](*gens)
 
     @pytest.mark.parametrize("delta", [2, -2])
-    def test_degree(self, monkeypatch, consumer, delta):
+    def test_degree(self, monkeypatch, consumer, pair, delta):
+        gens, _, s = PAIRS[pair]
         _tamper_numerator_data(monkeypatch, 2, lambda s: s + delta)
-        with pytest.raises(CertificateError, match=f"has degree 4, not 2s = {4 + 2 * delta}"):
-            CONSUMERS[consumer](*PAIR)
+        with pytest.raises(CertificateError, match=f"has degree {2 * s}, not 2s = {2 * (s + delta)}"):
+            CONSUMERS[consumer](*gens)
 
     @pytest.mark.parametrize("index, change", [(0, lambda m: m + m), (4, _tamper_num(0)),
                                                (4, _tamper_num(1))], ids=["M", "f", "g"])
-    def test_identity(self, monkeypatch, consumer, index, change):
+    def test_identity(self, monkeypatch, consumer, pair, index, change):
         _tamper_numerator_data(monkeypatch, index, change)
         with pytest.raises(CertificateError, match="f_i' f_i == M T violated"):
-            CONSUMERS[consumer](*PAIR)
+            CONSUMERS[consumer](*PAIRS[pair][0])
 
 
 # Inputs for the generator tests below.  The c05 grid: 625 numerators of

@@ -366,6 +366,12 @@ class TestFloatInputs:
         with pytest.raises(TypeError):
             TruncLaurent.make(SeriesBase.RATIONAL_HENSELIAN, 0, [0.2, 1])
 
+    @pytest.mark.parametrize("order", [0.5, Fraction(1, 2), "1"], ids=["float", "Fraction", "str"])
+    def test_series_order(self, order):
+        # An order must be an integer: 0.5 would give a series of precision 1.5.
+        with pytest.raises(TypeError):
+            TruncLaurent.make(SeriesBase.REAL_HENSELIAN, order, [1])
+
     def test_zs_member(self):
         assert zs_member(3)
         with pytest.raises(TypeError):

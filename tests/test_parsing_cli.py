@@ -16,13 +16,20 @@ from dressring import (
     ParsedMatrix,
     Polynomial,
     RationalFunction,
+    ResourceLimitError,
     ZeroDenominatorError,
     parse_expression,
     parse_matrix,
     parse_scalar,
 )
 from dressring.cli import main
-from dressring.parsing import format_matrix, format_polynomial, format_rational_function
+from dressring.parsing import (
+    format_fraction,
+    format_matrix,
+    format_polynomial,
+    format_rational_function,
+    parse_rational,
+)
 
 from helpers import rand_rf
 
@@ -90,22 +97,54 @@ class TestParser:
             assert str(exc.value) == f"unexpected character '²' (offset {offset})"
 
     def test_integer_past_the_str_digit_limit(self):
-        # The library keeps Python's int/str digit limit (only cli.main lifts
-        # it), so a longer digit run is a ParseError at its offset.
+        # Digit runs of any length are read in pieces, even under the
+        # smallest int/str digit limit Python allows; the values are built
+        # without any conversion from text.
         if not hasattr(sys, "set_int_max_str_digits"):
             pytest.skip("this interpreter has no int/str digit limit")
+        sevens, threes = 7 * (10**5000 - 1) // 9, (10**4400 - 1) // 3
         limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
+        sys.set_int_max_str_digits(640)
         try:
-            for text, offset in (("X + " + "7" * 5000, 4), ("X^" + "7" * 5000, 2),
-                                 ("[[1, X^(" + "3" * 4400 + ")], [0, 0]]", 8)):
-                with pytest.raises(ParseError) as exc:
+            assert parse_scalar("X + " + "7" * 5000) == RationalFunction.from_polynomial(X + sevens)
+            m = parse_matrix("[[1, " + "3" * 4400 + "*X], [0, " + "7" * 5000 + "/" + "3" * 4400 + "]]")
+            assert m.b == RationalFunction.from_polynomial(X.scale(threes))
+            assert m.d == RationalFunction.from_rational(Fraction(sevens, threes))
+            assert parse_scalar("7" * 5000 + "/X").num.ints == (sevens,)
+            # An exponent of that length is read too, and refused by the power bound.
+            for text, offset in (("X^" + "7" * 5000, 1), ("[[1, X^(" + "3" * 4400 + ")], [0, 0]]", 6)):
+                with pytest.raises(ResourceLimitError, match=f"^power at offset {offset} "):
                     parse_expression(text)
-                assert exc.value.position == offset
-                assert "exceeds the int/str digit limit" in str(exc.value)
-            assert parse_scalar("7" * 4300 + " + X").num.ints[0] == int("7" * 4300)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("text", ["X^(10^30)", f"X^{2**62}", "X^" + "7" * 5000,
+                                      "(X+1)^(10^24)", "2^(10^12)"],
+                             ids=["X^10^30", "X^2^62", "X^5000-digits", "(X+1)^10^24", "2^10^12"])
+    def test_power_past_the_size_bound(self, text):
+        # The bound is checked from the base and the exponent, before anything is built.
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="past the bound of 2\\^22$"):
+            parse_scalar(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_powers_under_the_size_bound(self):
+        assert parse_scalar("(X+1)^1000") == RationalFunction.from_polynomial((X + 1) ** 1000)
+        assert parse_scalar("(X/2)^3") == RationalFunction.from_polynomial(X.scale(Fraction(1, 8)) * X * X)
+        assert parse_scalar("X^(10^6)").num.degree == 10**6
+        assert parse_scalar("2^(4*10^6)").num.ints == (2 ** (4 * 10**6),)
+        assert parse_scalar("(1/(X^2+1))^0") == RationalFunction.one()
+
+    def test_parse_rational(self):
+        cases = {"3": Fraction(3), " -3/6 ": Fraction(-1, 2), "+0": Fraction(0),
+                 "\u0663/\u0664": Fraction(3, 4), "0/5": Fraction(0)}
+        for text, value in cases.items():
+            assert parse_rational(text) == value
+        for text in ("1.5", "1e3", "1_000", "", " ", "1/", "/2", "1 /2", "--1", "1/-2", "X", "²"):
+            with pytest.raises(ParseError, match="^not a rational number: "):
+                parse_rational(text)
+        with pytest.raises(ZeroDenominatorError, match="^division by zero \\(offset 3\\)$"):
+            parse_rational(" -1/0")
 
     def test_unicode_decimal_digits_and_spaces(self):
         # Any decimal digit int() accepts is a digit; any str.isspace is a space.
@@ -468,7 +507,7 @@ class TestCli:
         r = Fraction(isqrt(2 << 24000), 1 << 12000)
         start = time.perf_counter()
         code, report = run_cli_json(
-            ["sign-at-roots", "--", f"X - {r.numerator}/{r.denominator}", "X^2 - 2"], capsys)
+            ["sign-at-roots", "--", f"X - {format_fraction(r)}", "X^2 - 2"], capsys)
         assert time.perf_counter() - start < 0.5
         assert code == 0 and report["result"] == {"pattern": "Mixed"}
 
@@ -500,6 +539,32 @@ class TestCli:
         code, report = run_cli_json(["gamma", "--", "X^2 + " + "7" * 5000], capsys)
         assert code == 0 and report["result"] == {"gamma": True}
         assert limit() == before  # main restores the process-wide limit
+
+    def test_numbers_of_any_length_leave_the_digit_limit_alone(self, capsys, monkeypatch):
+        # main reads and prints every operand and result at full length
+        # without touching the interpreter-wide int/str digit limit.
+        def refuse(limit):
+            raise AssertionError("main changed the int/str digit limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        a = 3**10500  # 5010 digits
+        code, report = run_cli_json(["zs-gcd", format_fraction(a), "2"], capsys)
+        assert code == 0 and report["result"]["g"] == "1"
+        u, v = (parse_rational(report["result"][k]) for k in "uv")
+        assert u * a + v * 2 == 1 and len(report["result"]["v"]) >= 5000
+        code, report = run_cli_json(["certificate", "--", "X - 1", "X - 1 - 1/2^15000"], capsys)
+        assert code == 0
+        assert parse_rational(report["result"]["scale"]) == Fraction(1, 2**14999)
+        assert len(report["result"]["scale"]) == 4518  # 1/ and 4516 digits
+        coeff = format_fraction(Fraction(1, 5**7200))  # a 5033-digit denominator
+        code, report = run_cli_json(["laurent-member", "rational", "0", f"{coeff},1"], capsys)
+        assert code == 0 and report["result"] == {"member": True}
+
+    @pytest.mark.parametrize("value", ["1.5", "1e3", "1_000", "1/0", ""])
+    def test_zs_member_rejects_other_number_forms(self, capsys, value):
+        code, report = run_cli_json(["zs-member", "--", value], capsys)
+        check_schema(report, "zs-member")
+        assert code == 2 and report["ok"] is False
 
     def test_zs_member_past_the_rho_budget_exit_two(self, capsys):
         # Two 16-digit primes, both 1 mod 4: rho would need about 10^8 steps.
@@ -597,12 +662,13 @@ class TestCli:
         code, report = run_cli_json(["member", expr], capsys)
         assert code == 2 and "nested" in report["error"]
 
-    # X^(10^30) overflows an index; the size of X^(2^62) overflows an allocation.
+    # X^(10^30) and X^(2^62) are refused by the power bound before they are built.
     @pytest.mark.parametrize("exponent", ["1" + "0" * 30, str(2**62)])
     def test_exponent_too_large_to_build_exit_two(self, capsys, exponent):
         code, report = run_cli_json(["gamma", f"X^{exponent}"], capsys)
         check_schema(report, "gamma")
-        assert code == 2 and report["error"] == "value too large to build"
+        assert code == 2 and report["error"].startswith("power at offset 1 would have up to 2^")
+        assert report["error"].endswith("bits, past the bound of 2^22")
 
     def test_readme_cli_block(self, capsys):
         commands = readme_cli_commands()

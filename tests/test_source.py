@@ -57,3 +57,9 @@ def test_certificate_errors_only_where_results_are_returned():
     assert set(found) == {("idempotent.py", name) for name in (
         "<module>", "_verified", "positivity_certificate", "stable_range_witness")}
     assert ("ideals.py", "_numerator_data") not in _references("CertificateError")
+
+
+def test_no_change_to_the_int_str_digit_limit():
+    # parsing reads and prints numbers of any length in pieces, so nothing
+    # needs to change Python's interpreter-wide int/str digit limit.
+    assert [path.name for path in SRC.glob("*.py") if "int_max_str" in path.read_text()] == []
