@@ -218,8 +218,11 @@ def _cmd_laurent_member(args) -> tuple[int, dict]:
     else:
         if args.order is None or args.coeffs is None:
             raise ShapeViolation("laurent-member needs ORDER and COEFFS, or --zero")
+        order = parse_rational(args.order)
+        if order.denominator != 1:
+            raise ShapeViolation(f"ORDER must be an integer, got {format_fraction(order)}")
         coeffs = [parse_rational(c) for c in args.coeffs.split(",")]
-        series = TruncLaurent.make(base, args.order, coeffs)
+        series = TruncLaurent.make(base, order.numerator, coeffs)
     verdict = laurent_member(series)
     return (OK if verdict else MATH_NO), {"member": verdict}
 
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p = add("laurent-member", _cmd_laurent_member, "membership of a truncated Laurent series")
     p.add_argument("base", choices=[b.value for b in SeriesBase])
-    p.add_argument("order", nargs="?", type=int, default=None)
+    p.add_argument("order", nargs="?", default=None, help="the lowest exponent, an integer")
     p.add_argument("coeffs", nargs="?", default=None,
                    help="comma-separated rationals, lowest exponent first")
     p.add_argument("--zero", action="store_true", help="the exact zero series")

@@ -60,10 +60,13 @@ class ResourceLimitError(DressRingError):
     """A computation ran past its work or size budget.
 
     Integer factoring for Z_S caps its Pollard rho steps; the message gives
-    the input and the budget.  The parser refuses a power whose result would
-    have more than parsing._MAX_POWER_BITS (2^22) bits, estimated before it
-    is built; the message gives the offset of the '^'.  The input may be
-    valid; it is too costly.
+    the input and the budget.  The parser refuses a power or a product whose
+    result would have more than parsing._MAX_BITS (2^22) bits, or one of
+    whose polynomial products would multiply more than
+    parsing._MAX_TERM_PAIRS (2^22) pairs of terms, estimated before it is
+    built; the message gives
+    the offset of the '^' or the operator.  The input may be valid; it is
+    too costly.
     """
 
 

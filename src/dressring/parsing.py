@@ -14,8 +14,23 @@ Rationals are written with '/', e.g. 3/2; they are ordinary divisions.
 INTEGER is a run of Unicode decimal digits (regex ``\\d``, exactly the
 characters ``int`` accepts, so superscripts such as '²' are not digits) of
 any length, read in pieces under any int/str digit limit of Python; whitespace
-is what ``str.isspace`` accepts.  A power of more than ``_MAX_POWER_BITS``
-(2^22) bits raises ResourceLimitError before it is built.
+is what ``str.isspace`` accepts.
+
+``parse_expression`` first tries a one-pass reader on two forms: an expanded
+polynomial, a sum of signed terms ``n``, ``n*X``, ``n*X^e``, ``X`` and ``X^e``
+(the first sign optional, ``e`` of at most four digits), and a quotient
+``(P)/(Q)`` of two of them with ``Q`` nonzero.  It sums the coefficients into
+one integer list and builds one polynomial, and one ``RationalFunction.make``
+for a quotient.  Every other text goes to ``_Parser``, which implements the
+grammar above: it is the reference for the reader's values and the only
+source of every error and its offset.
+
+``_Parser`` builds a power or a product only if its estimated size is at most
+``_MAX_BITS`` (2^22) bits and no polynomial product in it multiplies more than
+``_MAX_TERM_PAIRS`` (2^22) pairs of terms; otherwise it raises
+ResourceLimitError before building it.  The last power of a factor is built
+only after the next '*' or '/' is checked, so a product of two large powers is
+refused before either is built.
 
 Values are evaluated as unreduced numerator/denominator pairs of polynomials:
 '+', '-', '*' and '/' take no gcd, and each scalar or matrix entry is reduced
@@ -30,10 +45,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import ParseError, ResourceLimitError, ZeroDenominatorError
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial, RationalFunction, _make
 
 
 @dataclass(frozen=True)
@@ -103,21 +119,86 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(-n if sign == "-" else n, d)
 
 
-# A power is built only if _power_bits bounds its size by this many bits
-# (about 0.5 MB).  The largest powers of X + 1, 3X + 5 and a degree-10 base
-# of +-1 coefficients under it, (X+1)^2046, (3X+5)^1181 and the 323rd
-# power, build in 0.96, 0.79 and 0.83 s; 2^(4*10^6) and X^(4*10^6) are allowed
-# (Python 3.11, Intel Xeon).
-_MAX_POWER_BITS = 2**22
+# A power or a product is built only if _bits bounds its size by this many bits
+# (about 0.5 MB) and it multiplies at most this many pairs of terms in any one
+# Polynomial.__mul__ (about 0.4 s at 90 ns a pair of small coefficients).  Large
+# coefficients make a pair dearer, but the size bound caps their sum: the
+# largest allowed powers of X + 1, 3X + 5 and a degree-10 base of +-1
+# coefficients, (X+1)^2046, (3X+5)^1181 and the 323rd power, build in 0.96,
+# 0.79 and 0.83 s; 2^(4*10^6) and X^(4*10^6) are allowed (Python 3.11, Intel Xeon).
+_MAX_BITS = 2**22
+_MAX_TERM_PAIRS = 2**22
+
+# A factor (p, e) stands for the power p^e, built or not.
+_Factor = tuple[Polynomial, int]
 
 
-def _power_bits(p: Polynomial, e: int) -> int:
-    """An upper bound on the bits of p^e: deg p * e + 1 coefficients whose
-    integer parts are at most ||p||_1^e, over the denominator's e-th power."""
-    if not p.ints:
+def _bits(*factors: _Factor) -> int:
+    """An upper bound on the bits of the product of the p^e: its sum(deg p * e) + 1
+    coefficients have integer parts at most the product of the ||p||_1^e, over the
+    product of the denominators' e-th powers."""
+    terms, coefficient, denominator = 1, 1, 0
+    for p, e in factors:
+        if not e:
+            continue
+        if not p.ints:
+            return 0
+        terms += (len(p.ints) - 1) * e
+        coefficient += e * (sum(map(abs, p.ints)) - 1).bit_length()
+        denominator += e * (p.denom - 1).bit_length()
+    return terms * coefficient + denominator
+
+
+def _pairs(p: _Factor, q: _Factor) -> int:
+    """An upper bound on the pairs of terms that p^e * q^f multiplies:
+    Polynomial.__mul__ pairs each nonzero term on the left with every term on
+    the right."""
+    (a, e), (b, f) = p, q
+    nonzero = len(a.ints) - a.ints.count(0)
+    if e != 1 and nonzero > 1:
+        nonzero = (len(a.ints) - 1) * e + 1
+    return nonzero * ((len(b.ints) - 1) * f + 1 if b.ints else 0)
+
+
+def _power_pairs(p: Polynomial, e: int) -> int:
+    """An upper bound on the pairs of terms that any one product in p**e multiplies.
+
+    Each product makes a power of p, of at most T = deg p * e + 1 terms, from
+    two operands whose term counts add up to at most T + 1.  A power of a single
+    term c X^k stays a single term, so each of its products costs its size."""
+    if len(p.ints) - p.ints.count(0) <= 1:
         return 0
-    coefficient = e * (sum(map(abs, p.ints)) - 1).bit_length() + 1
-    return ((len(p.ints) - 1) * e + 1) * coefficient + e * (p.denom - 1).bit_length()
+    return ((len(p.ints) - 1) * e + 2) ** 2 // 4
+
+
+def _check(what: str, pos: int, bits: int, pairs: int) -> None:
+    """Raise ResourceLimitError for a value past either bound."""
+    if bits > _MAX_BITS:
+        raise ResourceLimitError(f"{what} at offset {pos} would have up to 2^{bits.bit_length()} "
+                                 f"bits, past the bound of 2^{_MAX_BITS.bit_length() - 1}")
+    if pairs > _MAX_TERM_PAIRS:
+        raise ResourceLimitError(f"{what} at offset {pos} would multiply up to "
+                                 f"2^{pairs.bit_length()} pairs of terms, past the bound of "
+                                 f"2^{_MAX_TERM_PAIRS.bit_length() - 1}")
+
+
+def _check_products(pos: int, *products: tuple[_Factor, ...]) -> None:
+    """Check each product of factors that one operator at pos builds, before it
+    is built; a factor that is the object _ONE is free, and a product left with
+    one other factor is that factor, already checked."""
+    for factors in products:
+        factors = [f for f in factors if f[0] is not _ONE]
+        if len(factors) > 1:
+            _check("product", pos, _bits(*factors), _pairs(factors[0], factors[1]))
+
+
+def _power(num: Polynomial, den: Polynomial, e: int) -> _Pair:
+    """(num/den)^e for a power that _Parser.parse_power has checked."""
+    if e == 1:
+        return num, den
+    if num is _X and den is _ONE:
+        return Polynomial((0,) * e + (1,)), _ONE
+    return num**e, (den**e if den is not _ONE and e else _ONE)
 
 
 def _reduced_pair(num: Polynomial, den: Polynomial) -> _Pair:
@@ -173,7 +254,7 @@ class _Parser:
         n1, d1 = self.parse_term()
         tokens = self.tokens
         while True:
-            op = tokens[self.i][0]
+            op, _, pos = tokens[self.i]
             if op != "+" and op != "-":
                 return n1, d1
             self.i += 1
@@ -183,31 +264,42 @@ class _Parser:
             if d1 == d2:
                 n1 = n1 + n2
             else:
+                _check_products(pos, ((n1, 1), (d2, 1)), ((n2, 1), (d1, 1)), ((d1, 1), (d2, 1)))
                 n1, d1 = n1 * d2 + n2 * d1, d1 * d2
 
     def parse_term(self) -> _Pair:
-        n1, d1 = self.parse_unary()
+        # Each factor comes as (negate, num, den, e) with its last power not yet
+        # built; the signs are applied once, to the product.
+        negate, n1, d1, e1 = self.parse_unary()
         tokens = self.tokens
         while True:
             op, _, pos = tokens[self.i]
+            if op != "*" and op != "/":
+                n1, d1 = _power(n1, d1, e1)
+                return (-n1, d1) if negate else (n1, d1)
+            self.i += 1
+            negate2, n2, d2, e2 = self.parse_unary()
+            negate ^= negate2
             if op == "*":
-                self.i += 1
-                n2, d2 = self.parse_unary()
+                _check_products(pos, ((n1, e1), (n2, e2)), ((d1, e1), (d2, e2)))
+                (n1, d1), (n2, d2) = _power(n1, d1, e1), _power(n2, d2, e2)
                 n1, d1 = n1 * n2, d1 * d2
-            elif op == "/":
-                self.i += 1
-                n2, d2 = self.parse_unary()
-                if n2.is_zero:
+            else:
+                if e2 and n2.is_zero:
                     raise ZeroDenominatorError(f"division by zero (offset {pos})")
+                if len(n2.ints) == 1:  # a constant divisor c scales the numerator by 1/c
+                    _check_products(pos, ((n1, e1), (d2, e2), (_make([n2.denom], n2.ints[0]), e2)))
+                else:
+                    _check_products(pos, ((n1, e1), (d2, e2)), ((d1, e1), (n2, e2)))
+                (n1, d1), (n2, d2) = _power(n1, d1, e1), _power(n2, d2, e2)
                 n1 = n1 * d2
-                if len(n2.ints) == 1:  # a constant divisor scales the numerator
+                if len(n2.ints) == 1:
                     n1 = n1.scale(Fraction(n2.denom, n2.ints[0]))
                 else:
                     d1 = d1 * n2
-            else:
-                return n1, d1
+            e1 = 1
 
-    def parse_unary(self) -> _Pair:
+    def parse_unary(self) -> tuple[bool, Polynomial, Polynomial, int]:
         tokens = self.tokens
         negate = False
         while True:
@@ -217,34 +309,31 @@ class _Parser:
             elif kind != "+":
                 break
             self.i += 1
-        num, den = self.parse_power()
-        return (-num, den) if negate else (num, den)
+        return (negate, *self.parse_power())
 
-    def parse_power(self) -> _Pair:
+    def parse_power(self) -> tuple[Polynomial, Polynomial, int]:
+        """(num, den, e): the value (num/den)^e, checked but not built."""
         num, den = self.parse_atom()
+        e = 1
         tokens = self.tokens
         while tokens[self.i][0] == "^":
             pos = tokens[self.i][2]
             self.i += 1
             if tokens[self.i][0] == "int":
-                e = _int(tokens[self.i][1])
+                f = _int(tokens[self.i][1])
                 self.i += 1
             else:
-                e = self._exponent(*self.parse_atom(), pos)
+                f = self._exponent(*self.parse_atom(), pos)
+            num, den = _power(num, den, e)  # b^e of a chain b^e^f
             if den is not _ONE:
                 num, den = _reduced_pair(num, den)
-            monomial = num is _X and den is _ONE  # X^e: e + 1 one-bit coefficients
-            bits = e + 1 if monomial else _power_bits(num, e) + _power_bits(den, e)
-            if bits > _MAX_POWER_BITS:
-                raise ResourceLimitError(
-                    f"power at offset {pos} would have up to 2^{bits.bit_length()} bits, "
-                    f"past the bound of 2^{_MAX_POWER_BITS.bit_length() - 1}")
-            if monomial:
-                num = Polynomial((0,) * e + (1,))
+            if num is _X and den is _ONE:  # X^f: f + 1 one-bit coefficients, no product
+                _check("power", pos, f + 1, 0)
             else:
-                den = den**e if den is not _ONE and e else _ONE
-                num = num**e
-        return num, den
+                _check("power", pos, _bits((num, f)) + _bits((den, f)),
+                       max(_power_pairs(num, f), _power_pairs(den, f)))
+            e = f
+        return num, den, e
 
     @staticmethod
     def _exponent(num: Polynomial, den: Polynomial, pos: int) -> int:
@@ -275,9 +364,56 @@ class _Parser:
         raise ParseError(f"expected a value, found {what}", pos)
 
 
+# One term of the reader's expanded polynomials per match, after any
+# whitespace: sign, coefficient of X, 'X', exponent, constant.  A term is n,
+# n*X, n*X^e, X or X^e with e of at most four digits, so a term never spans
+# more than 10^4 coefficients.
+_TERM = re.compile(r"\s*([-+]?)\s*(?:(?:(\d+)\s*\*\s*)?(X)(?:\s*\^\s*(\d{1,4}))?|(\d+))")
+_QUOTIENT = re.compile(r"\s*\(([^()]*)\)\s*/\s*\(([^()]*)\)\s*")
+
+
+def _read_polynomial(text: str) -> Polynomial | None:
+    """The expanded polynomial written in text, or None for any other text:
+    terms follow each other, and every term after the first has a sign."""
+    ints, end = [], 0
+    for m in _TERM.finditer(text):
+        sign, coefficient, x, exponent, constant = m.groups()
+        if m.start() != end or (end and not sign):
+            return None
+        end = m.end()
+        if x:
+            c, e = _int(coefficient) if coefficient else 1, int(exponent) if exponent else 1
+        else:
+            c, e = _int(constant), 0
+        if e >= len(ints):
+            ints += [0] * (e + 1 - len(ints))
+        ints[e] += -c if sign == "-" else c
+    if not end or text[end:].strip():
+        return None
+    return _make(ints)
+
+
+def _read(text: str) -> RationalFunction | None:
+    """The value of an expanded polynomial P or a quotient (P)/(Q), read in one
+    pass; None for any other text, a zero Q included, which _Parser reads."""
+    p = _read_polynomial(text)
+    if p is not None:
+        return RationalFunction(p, _ONE)
+    m = _QUOTIENT.fullmatch(text)
+    if m is None:
+        return None
+    p, q = _read_polynomial(m[1]), _read_polynomial(m[2])
+    if p is None or q is None or q.is_zero:
+        return None
+    if len(q.ints) == 1:  # as _Parser divides by a constant
+        return RationalFunction(p.scale(Fraction(1, q.ints[0])), _ONE)
+    return RationalFunction.make(p, q)
+
+
 def parse_expression(text: str) -> ParsedValue:
     """Parse a scalar or matrix expression; errors carry the 0-based offset."""
-    return _Parser(text).parse_top()
+    value = _read(text)
+    return _Parser(text).parse_top() if value is None else value
 
 
 def parse_scalar(text: str) -> RationalFunction:
@@ -315,22 +451,25 @@ def format_polynomial(p: Polynomial) -> str:
     """Canonical form: terms from highest degree down, signs rendered as ' + '/' - '."""
     if p.is_zero:
         return "0"
-    coeffs = p.coeffs
+    ints, d = p.ints, p.denom
     out = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
+    for k in range(len(ints) - 1, -1, -1):
+        n = ints[k]
+        if not n:
             continue
-        mag = abs(c)
-        if k == 0:
-            body = format_fraction(mag)
+        mag = abs(n)
+        if d == 1:
+            body = _decimal(mag)
         else:
+            g = gcd(mag, d)
+            body = _decimal(mag // g) if g == d else f"{_decimal(mag // g)}/{_decimal(d // g)}"
+        if k:
             xpart = "X" if k == 1 else f"X^{k}"
-            body = xpart if mag == 1 else f"{format_fraction(mag)}*{xpart}"
+            body = xpart if body == "1" else f"{body}*{xpart}"
         if not out:
-            out.append(f"-{body}" if c < 0 else body)
+            out.append(f"-{body}" if n < 0 else body)
         else:
-            out.append(f" - {body}" if c < 0 else f" + {body}")
+            out.append(f" - {body}" if n < 0 else f" + {body}")
     return "".join(out)
 
 

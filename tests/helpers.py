@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from dressring import DressElement, Polynomial, RationalFunction, divrem
+from dressring.parsing import format_fraction
 
 # Empirical bound on the number of factors the fixed factorization pipeline returns.
 FACTOR_COUNT_BOUND = 12
@@ -106,3 +107,27 @@ def extended_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, 
         return r0, u0, v0
     lc = r0.leading_coefficient
     return r0.monic(), u0.scale(1 / lc), v0.scale(1 / lc)
+
+
+def format_polynomial_fractions(p: Polynomial) -> str:
+    """Canonical text of p, one Fraction per coefficient: a reference for
+    parsing.format_polynomial, which prints from the integer numerators."""
+    if p.is_zero:
+        return "0"
+    coeffs = p.coeffs
+    out = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = format_fraction(mag)
+        else:
+            xpart = "X" if k == 1 else f"X^{k}"
+            body = xpart if mag == 1 else f"{format_fraction(mag)}*{xpart}"
+        if not out:
+            out.append(f"-{body}" if c < 0 else body)
+        else:
+            out.append(f" - {body}" if c < 0 else f" + {body}")
+    return "".join(out)

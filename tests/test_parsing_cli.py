@@ -607,6 +607,24 @@ class TestCli:
         assert run_cli_json(["laurent-member", "real", "--zero"], capsys)[0] == 0
         assert run_cli_json(["laurent-member", "real", "0", "0,0"], capsys)[0] == 2
 
+    @pytest.mark.parametrize("order", ["1_000", "1.5", "1/2", "", "X"])
+    def test_laurent_order_other_forms_exit_two(self, capsys, order):
+        code, report = run_cli_json(["laurent-member", "real", "--", order, "1"], capsys)
+        check_schema(report, "laurent-member")
+        assert code == 2 and report["ok"] is False
+
+    def test_laurent_order_of_any_length(self):
+        # ORDER is read like every other number, in pieces, so a 5000-digit
+        # order works under the smallest int/str digit limit Python allows.
+        order = "1" + "0" * 4999
+        for sign, code in (("", 0), ("-", 1)):
+            proc = subprocess.run(
+                [sys.executable, "-X", "int_max_str_digits=640", "-m", "dressring.cli",
+                 "laurent-member", "--json", "--", "real", sign + order, "1"],
+                capture_output=True, text=True)
+            assert proc.returncode == code, proc.stderr
+            assert json.loads(proc.stdout)["result"] == {"member": code == 0}
+
     def test_laurent_member_strips_many_leading_zeros_in_linear_time(self, capsys):
         # 100,000 zeros before the 1: the series is X^0 + O(X^1) from order
         # -100,000 and X^-1 + O(X^0) from order -100,001.

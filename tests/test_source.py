@@ -63,3 +63,13 @@ def test_no_change_to_the_int_str_digit_limit():
     # parsing reads and prints numbers of any length in pieces, so nothing
     # needs to change Python's interpreter-wide int/str digit limit.
     assert [path.name for path in SRC.glob("*.py") if "int_max_str" in path.read_text()] == []
+
+
+def test_the_reader_raises_nothing():
+    # _Parser is the only source of parse errors and their offsets: the
+    # one-pass reader returns None for every text it does not read.
+    tree = ast.parse((SRC / "parsing.py").read_text())
+    readers = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in ("_read", "_read_polynomial")]
+    assert len(readers) == 2
+    assert not [node for reader in readers for node in ast.walk(reader) if isinstance(node, ast.Raise)]
