@@ -69,7 +69,9 @@ ParsedValue = Union[RationalFunction, ParsedMatrix]
 
 
 # One token per match, after any whitespace: group 1 an integer, group 2 'X' or
-# a punctuation mark, group 3 any other character (an error).
+# a punctuation mark, group 3 any other character (an error).  Each match is
+# anchored where the last one ended, and none is left only at trailing
+# whitespace, which a search from every later offset would make quadratic.
 _TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/^()\[\],X])|(\S))")
 
 _ONE = Polynomial.one()
@@ -84,8 +86,9 @@ _Pair = tuple[Polynomial, Polynomial]
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, pos) tuples; kind is 'int', 'X', a punctuation mark or 'end'."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
+    tokens, end = [], 0
+    while m := _TOKEN.match(text, end):
+        end = m.end()
         group = m.lastindex
         tok = m.group(group)
         if group == 3:
@@ -367,8 +370,10 @@ class _Parser:
 # One term of the reader's expanded polynomials per match, after any
 # whitespace: sign, coefficient of X, 'X', exponent, constant.  A term is n,
 # n*X, n*X^e, X or X^e with e of at most four digits, so a term never spans
-# more than 10^4 coefficients.
-_TERM = re.compile(r"\s*([-+]?)\s*(?:(?:(\d+)\s*\*\s*)?(X)(?:\s*\^\s*(\d{1,4}))?|(\d+))")
+# more than 10^4 coefficients.  The whitespace before a term splits only one
+# way, and each match is anchored where the last one ended, so the reader is
+# linear in the text, whitespace runs included.
+_TERM = re.compile(r"\s*(?:([-+])\s*)?(?:(?:(\d+)\s*\*\s*)?(X)(?:\s*\^\s*(\d{1,4}))?|(\d+))")
 _QUOTIENT = re.compile(r"\s*\(([^()]*)\)\s*/\s*\(([^()]*)\)\s*")
 
 
@@ -376,9 +381,9 @@ def _read_polynomial(text: str) -> Polynomial | None:
     """The expanded polynomial written in text, or None for any other text:
     terms follow each other, and every term after the first has a sign."""
     ints, end = [], 0
-    for m in _TERM.finditer(text):
+    while m := _TERM.match(text, end):
         sign, coefficient, x, exponent, constant = m.groups()
-        if m.start() != end or (end and not sign):
+        if end and not sign:
             return None
         end = m.end()
         if x:

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dressring import ParseError, Polynomial, ResourceLimitError, ZeroDenominatorError
 from dressring.parsing import (
@@ -25,9 +26,6 @@ from dressring.parsing import (
 )
 
 from helpers import format_polynomial_fractions
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 X = Polynomial.x()
 
@@ -112,6 +110,27 @@ class TestReader:
         assert _read(text) is None
         assert parse_expression(text) == _Parser(text).parse_top()
 
+    @pytest.mark.parametrize("text, expected", [
+        ("X + " + " " * 10**5 + "(X+1)", "2*X + 1"),
+        (" " * 10**5 + "(X+1)^2", "X^2 + 2*X + 1"),
+        (" " * 10**5 + "X" + " " * 10**5, "X"),
+        (" " * 10**5 + "?", "unexpected character '?' (offset 100000)"),
+        ("X" + " " * 10**5 + "?", "unexpected character '?' (offset 100001)"),
+        ("1" * 10**5 + " " * 10**5 + "?", "unexpected character '?' (offset 200000)"),
+        ("(X)/" + " " * 10**5, "expected a value, found end of input (offset 100004)"),
+        ("(X)/(X" + " " * 10**5 + ")" + " " * 10**5 + "*",
+         "expected a value, found end of input (offset 200008)"),
+    ], ids=["sum-then-group", "leading-before-power", "around-a-term", "leading-before-error",
+            "before-error", "after-digits", "trailing", "around-a-quotient"])
+    def test_whitespace_runs_are_read_in_linear_time(self, text, expected):
+        start = time.perf_counter()
+        try:
+            result = format_polynomial(parse_scalar(text).num)
+        except ParseError as exc:
+            result = str(exc)
+        assert time.perf_counter() - start < 1
+        assert result == expected
+
 
 class TestPrinter:
     @settings(max_examples=200, deadline=None)
@@ -129,17 +148,22 @@ def dense_base(degree: int, seed: int) -> str:
 
 
 class TestProductBound:
-    @pytest.mark.parametrize("text, message", [
-        ("(X+1)^2000*(X+1)^2000",
+    @pytest.mark.parametrize("base, power, message", [
+        ("(X+1)", "^2000*(X+1)^2000",
          "product at offset 10 would have up to 2^24 bits, past the bound of 2^22"),
-        (f"({dense_base(2000, 5)})^6", "would multiply up to 2^26 pairs of terms, "
-                                       "past the bound of 2^22"),
+        (f"({dense_base(2000, 5)})", "^6", "would multiply up to 2^26 pairs of terms, "
+                                           "past the bound of 2^22"),
     ], ids=["product-of-two-powers", "degree-2000-base-to-the-6th"])
-    def test_refused_before_it_is_built(self, text, message):
+    def test_refused_before_it_is_built(self, base, power, message):
+        # Only the refusal is timed: _Parser sums a base term by term, in time
+        # quadratic in its length, so reading the degree-2000 base takes 0.3 s.
+        start = time.perf_counter()
+        parse_scalar(base)
+        read = time.perf_counter() - start
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError) as exc:
-            parse_scalar(text)
-        assert time.perf_counter() - start < 1
+            parse_scalar(base + power)
+        assert time.perf_counter() - start - read < 1
         assert str(exc.value).endswith(message)
 
     @pytest.mark.parametrize("text, message", [
