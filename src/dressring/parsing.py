@@ -21,7 +21,8 @@ polynomial, a sum of signed terms ``n``, ``n*X``, ``n*X^e``, ``X`` and ``X^e``
 (the first sign optional, ``e`` of at most four digits), and a quotient
 ``(P)/(Q)`` of two of them with ``Q`` nonzero.  It sums the coefficients into
 one integer list and builds one polynomial, and one ``RationalFunction.make``
-for a quotient.  Every other text goes to ``_Parser``, which implements the
+for a quotient.  It and ``_Parser``'s tokenizer match each term or token
+where the last one ended, in time linear in the text.  Every other text goes to ``_Parser``, which implements the
 grammar above: it is the reference for the reader's values and the only
 source of every error and its offset.
 
