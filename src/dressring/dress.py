@@ -15,12 +15,13 @@ from typing import Optional, Sequence
 
 from .errors import NotInDressRing, ZeroPolynomialError
 from .polynomials import (
+    _ONE,
     Degree,
     Polynomial,
     RationalFunction,
     _coerce_rf,
     _exact_div,
-    poly_lcm,
+    _gcd_cofactors,
     squarefree_decomposition,
 )
 from .realroots import is_gamma, isolate_real_roots
@@ -165,18 +166,21 @@ def over_common_denominator(
 ) -> tuple[list[Polynomial], Polynomial]:
     """Rewrite the elements as numerators over the lcm gamma of their denominators.
 
-    A denominator 1, which every zero element has, leaves the lcm as it is,
-    and a zero numerator stays 0 without a division.
+    One gcd g = gcd(gamma, d) folds in each new denominator d, and its
+    cofactors do the rest: gamma becomes gamma (d/g), the numerators so far
+    are scaled by d/g and the new one by gamma/g.  A denominator 1, which
+    every zero element has, leaves gamma as it is.
     """
     gamma = elems[0].denominator
+    nums = [elems[0].numerator]
     for e in elems[1:]:
-        d = e.denominator
-        if d != gamma and len(d.ints) > 1:
-            gamma = poly_lcm(gamma, d)
-    nums = []
-    for e in elems:
-        num, den = e.numerator, e.denominator
-        nums.append(num if den == gamma or not num.ints else num * _exact_div(gamma, den))
+        num, d = e.numerator, e.denominator
+        if d != gamma:
+            _, gamma_g, d_g = _gcd_cofactors(gamma, d)
+            if d_g != _ONE:
+                gamma, nums = gamma * d_g, [n * d_g for n in nums]
+            num = num * gamma_g
+        nums.append(num)
     return nums, gamma
 
 

@@ -13,6 +13,10 @@ coefficients of the top squares are positive.  So deg T == 2s holds iff s is
 that maximum; with T root-free, this puts every quotient f_i'/h, h f_i'/T and
 f_i' f_j'/T in D, and so covers divisibility and the unit check.
 
+A real x is a root of T iff it is a root of every f_i', as T(x) is a sum of
+real squares.  So T is root-free iff gcd(f_i') is, and that gcd, 1 for the
+cofactors of M, is what is_gamma decides: no Sturm chain of T is built.
+
 The generator M h/gamma and its coefficients h f'/T, h g'/T are reduced with no
 gcd: gcd(f', T) = gcd(f', g'^2) = 1 as f', g' are the cofactors of M, and
 gcd(M, gamma) = 1 for reduced inputs, so only powers of 1 + X^2 cancel.  An
@@ -29,7 +33,8 @@ from typing import Optional, Sequence
 
 from .dress import DressElement, over_common_denominator
 from .errors import CertificateError, ShapeViolation
-from .polynomials import _GAMMA1, _ONE, Polynomial, RationalFunction, _exact_div, divrem, poly_gcd
+from .polynomials import (_GAMMA1, _ONE, _ZERO, Polynomial, RationalFunction, _gcd_cofactors,
+                          divrem, poly_gcd)
 from .realroots import is_gamma
 
 
@@ -53,22 +58,49 @@ class IdealGens:
 def _numerator_data(gens: Sequence[DressElement]):
     """(M, cofactors, s, gamma, nums): gens[i] = nums[i]/gamma, nums[i] = M cofactors[i].
 
-    M is the gcd of the numerators (monic for two or more generators) and
-    s = max deg cofactors[i].
+    M is the monic gcd of the numerators and s = max deg cofactors[i].  Each
+    gcd brings its cofactors: two nonzero numerators take one gcd, and any
+    other list is folded by _gcd_fold.
     """
     nums, gamma = over_common_denominator(gens)
-    m = reduce(poly_gcd, nums)  # gcd(0, 0) = 0
-    if not m:
-        raise ShapeViolation("the zero ideal has no principality data")
-    cofactors = nums if m == _ONE else [_exact_div(f, m) for f in nums]
+    if len(nums) == 2 and nums[0].ints and nums[1].ints:
+        m, *cofactors = _gcd_cofactors(*nums)
+    else:
+        m, cofactors = _gcd_fold(nums)
     s = max([len(f.ints) for f in cofactors]) - 1  # len(f.ints) - 1 == deg f for f != 0
     return m, cofactors, s, gamma, nums
 
 
+def _gcd_fold(nums: Sequence[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
+    """(M, cofactors) for the monic gcd M of nums: folding in f with
+    g = gcd(M, f) scales the cofactors so far by M/g and appends f/g.  A zero
+    numerator has cofactor 0."""
+    m, cofactors = _ZERO, []
+    for f in nums:
+        if f.ints and m.ints:
+            m, m_g, f = _gcd_cofactors(m, f)
+            cofactors = [c * m_g for c in cofactors]
+        elif f.ints:
+            m, f = f, _ONE
+        cofactors.append(f)
+    if not m.ints:
+        raise ShapeViolation("the zero ideal has no principality data")
+    if m.ints[-1] != m.denom:  # a single nonzero numerator f: M = f/lc(f)
+        lc = m.leading_coefficient
+        m, cofactors = m.monic(), [c.scale(lc) for c in cofactors]
+    return m, cofactors
+
+
 def _sum_of_squares(m: Polynomial, cofactors, s: int, nums) -> Polynomial:
-    """T = sum f_i'^2, certified root-free with deg T == 2s and sum f_i' f_i == M T."""
+    """T = sum f_i'^2, certified root-free with deg T == 2s and sum f_i' f_i == M T.
+
+    T is root-free iff the gcd of the f_i' is: at a real x, T(x) is a sum of
+    real squares, so T(x) = 0 iff every f_i'(x) = 0, that is iff x is a root
+    of gcd(f_i').  So is_gamma decides that gcd, which is 1 for the cofactors
+    of M, and no Sturm chain of T is built.
+    """
     t = reduce(add, [fp * fp for fp in cofactors])
-    if not is_gamma(t):
+    if not is_gamma(reduce(poly_gcd, cofactors)):
         raise CertificateError(f"sum of squares T = {t} has real roots")
     if t.degree != 2 * s:
         raise CertificateError(f"sum of squares T = {t} has degree {t.degree}, not 2s = {2 * s}")

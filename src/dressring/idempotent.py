@@ -53,7 +53,7 @@ from .polynomials import (
     _GAMMA1,
     Polynomial,
     RationalFunction,
-    _exact_div,
+    _gcd_cofactors,
     poly_gcd,
 )
 from .realroots import SignPattern, is_gamma, is_gamma_plus, sign_at_roots
@@ -487,11 +487,14 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
     numerators (x, y) over gamma that every branch and the final check read.
     """
     (x, y), gamma = over_common_denominator([p, q])
-    return _factor_row(p, q, x, y, gamma, poly_gcd(x, y))
+    return _factor_row(p, q, x, y, gamma)
 
 
-def _factor_row(p, q, x, y, gamma, g) -> Factorization:
-    """factor_row_matrix of the DressElements (p, q) = (x, y)/gamma, with g = gcd(x, y)."""
+def _factor_row(p, q, x, y, gamma, cofactors=None) -> Factorization:
+    """factor_row_matrix of the DressElements (p, q) = (x, y)/gamma.
+
+    ``cofactors`` is (g, x/g, y/g) for g = gcd(x, y), if the caller has it.
+    """
     target, split = Mat2.row(p, q), ((x, y, _0, _0), gamma)
     if not (x or y):
         return _verified(target, split, [_ZERO_FACTOR])
@@ -501,7 +504,7 @@ def _factor_row(p, q, x, y, gamma, g) -> Factorization:
         return _verified(target, split, _factor_zero_q(x, gamma))
 
     # q/p = (y/g)/(x/g) in lowest terms
-    x_g, y_g = (x, y) if g.degree == 0 else (_exact_div(x, g), _exact_div(y, g))
+    g, x_g, y_g = cofactors or _gcd_cofactors(x, y)
     if (r := _member_ratio(y_g, x_g)) is not None:
         return _verified(target, split, _factor_proportional(x, gamma, r))
     if (r := _member_ratio(x_g, y_g)) is not None:
@@ -520,7 +523,7 @@ def _factor_row(p, q, x, y, gamma, g) -> Factorization:
 
     if x.degree == 2 and y.degree == 2 and g.degree == 1:
         # degree 2 would be proportional, handled above
-        return _verified(target, split, _factor_quadratics_sharing_root(x, y, gamma, g))
+        return _verified(target, split, _factor_quadratics_sharing_root(x, gamma, g, x_g, y_g))
     raise HypothesisNotMet(
         "no factorization hypothesis applies: "
         f"deg p = {p.degree}, deg q = {q.degree}, "
@@ -575,9 +578,9 @@ def factor_small(p: DressElement, q: DressElement) -> Factorization:
     share factor_row_matrix's body and its split; any other shape is rejected.
     """
     (x, y), gamma = over_common_denominator([p, q])
-    g = poly_gcd(x, y)
-    if (x.degree <= 1 and y.degree <= 1) or (x.degree == y.degree == 2 and g.degree >= 1):
-        return _factor_row(p, q, x, y, gamma, g)
+    cofactors = _gcd_cofactors(x, y) if x.degree == y.degree == 2 else None
+    if (x.degree <= 1 and y.degree <= 1) or (cofactors and cofactors[0].degree >= 1):
+        return _factor_row(p, q, x, y, gamma, cofactors)
     raise ShapeViolation(
         "factor_small needs numerators of degree <= 1, or degree-2 numerators "
         f"with a nonconstant gcd (got degrees {x.degree}, {y.degree})"
@@ -586,13 +589,14 @@ def factor_small(p: DressElement, q: DressElement) -> Factorization:
 
 def _factor_quadratics_sharing_root(
     x: Polynomial,
-    y: Polynomial,
     gamma: Polynomial,
     m: Polynomial,
+    x1: Polynomial,
+    y1: Polynomial,
 ) -> list[_Factor]:
     """deg x = deg y = 2 with gcd M = X - rho: build one idempotent directly.
 
-    x = M*x1 and y = M*y1 with x1, y1 linear and independent, and
+    x = M*x1 and y = M*y1, the cofactors x1, y1 linear and independent, and
     c = -lc(y1)/lc(x1) kills the linear term of c*x1 + y1, so c*x + y = s'M
     with s' a nonzero constant.  With delta = x + M + c0 root-free (see
     _grow_linear_to_gamma), the row (x/delta, s'M/delta; 0 0) is
@@ -601,8 +605,6 @@ def _factor_quadratics_sharing_root(
     parameter -c turns it into (x/delta, y/delta; 0 0), and the prefactor
     (delta/gamma 0; 0 0) restores the denominator.
     """
-    x1 = _exact_div(x, m)
-    y1 = _exact_div(y, m)
     c = -y1.leading_coefficient / x1.leading_coefficient
     s_prime = (x1.scale(c) + y1).coeffs[0]
     delta = _grow_linear_to_gamma(x, m)

@@ -16,15 +16,18 @@ characters ``int`` accepts, so superscripts such as '²' are not digits) of
 any length, read in pieces under any int/str digit limit of Python; whitespace
 is what ``str.isspace`` accepts.
 
-``parse_expression`` first tries a one-pass reader on two forms: an expanded
-polynomial, a sum of signed terms ``n``, ``n*X``, ``n*X^e``, ``X`` and ``X^e``
-(the first sign optional, ``e`` of at most four digits), and a quotient
-``(P)/(Q)`` of two of them with ``Q`` nonzero.  It sums the coefficients into
-one integer list and builds one polynomial, and one ``RationalFunction.make``
-for a quotient.  It and ``_Parser``'s tokenizer match each term or token
-where the last one ended, in time linear in the text.  Every other text goes to ``_Parser``, which implements the
-grammar above: it is the reference for the reader's values and the only
-source of every error and its offset.
+``parse_expression`` first tries a one-pass reader on three forms: an
+expanded polynomial, a sum of signed terms ``n``, ``n*X``, ``n*X^e``, ``X``
+and ``X^e`` (the first sign optional, ``e`` of at most four digits); a
+quotient ``(P)/(Q)`` of two of them with ``Q`` nonzero; and a matrix
+``[[e, e], [e, e]]`` of four such entries, matched by one regex without
+nested quantifiers.  It sums the coefficients into one integer list and
+builds one polynomial, and one ``RationalFunction.make`` for a quotient.  It
+and ``_Parser``'s tokenizer match each term or token where the last one
+ended, in time linear in the text.  Every other text, a matrix with any other
+entry included, goes to ``_Parser``, which implements the grammar above: it
+is the reference for the reader's values and the only source of every error
+and its offset.
 
 ``_Parser`` builds a power or a product only if its estimated size is at most
 ``_MAX_BITS`` (2^22) bits and no polynomial product in it multiplies more than
@@ -211,6 +214,11 @@ def _reduced_pair(num: Polynomial, den: Polynomial) -> _Pair:
     return r.num, (r.den if len(r.den.ints) > 1 else _ONE)
 
 
+def _value(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """The reduced value of a pair: no reduction when den is _ONE."""
+    return RationalFunction(num, den) if den is _ONE else RationalFunction.make(num, den)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -251,8 +259,7 @@ class _Parser:
         return ParsedMatrix(a, b, c, d)
 
     def parse_reduced(self) -> RationalFunction:
-        num, den = self.parse_expr()
-        return RationalFunction(num, den) if den is _ONE else RationalFunction.make(num, den)
+        return _value(*self.parse_expr())
 
     def parse_expr(self) -> _Pair:
         n1, d1 = self.parse_term()
@@ -376,6 +383,10 @@ class _Parser:
 # linear in the text, whitespace runs included.
 _TERM = re.compile(r"\s*(?:([-+])\s*)?(?:(?:(\d+)\s*\*\s*)?(X)(?:\s*\^\s*(\d{1,4}))?|(\d+))")
 _QUOTIENT = re.compile(r"\s*\(([^()]*)\)\s*/\s*\(([^()]*)\)\s*")
+# A matrix [[e, e], [e, e]] of entries free of brackets and commas: each entry's
+# run ends at the first ',' or ']', so no quantifier nests and a match is linear.
+_MATRIX = re.compile(r"\s*\[\s*\[([^\[\],]*),([^\[\],]*)\]"
+                     r"\s*,\s*\[([^\[\],]*),([^\[\],]*)\]\s*\]\s*")
 
 
 def _read_polynomial(text: str) -> Polynomial | None:
@@ -399,12 +410,13 @@ def _read_polynomial(text: str) -> Polynomial | None:
     return _make(ints)
 
 
-def _read(text: str) -> RationalFunction | None:
-    """The value of an expanded polynomial P or a quotient (P)/(Q), read in one
-    pass; None for any other text, a zero Q included, which _Parser reads."""
+def _read_pair(text: str) -> _Pair | None:
+    """The unreduced value of an expanded polynomial P or a quotient (P)/(Q),
+    read in one pass; None for any other text, a zero Q included, which
+    _Parser reads."""
     p = _read_polynomial(text)
     if p is not None:
-        return RationalFunction(p, _ONE)
+        return p, _ONE
     m = _QUOTIENT.fullmatch(text)
     if m is None:
         return None
@@ -412,13 +424,33 @@ def _read(text: str) -> RationalFunction | None:
     if p is None or q is None or q.is_zero:
         return None
     if len(q.ints) == 1:  # as _Parser divides by a constant
-        return RationalFunction(p.scale(Fraction(1, q.ints[0])), _ONE)
-    return RationalFunction.make(p, q)
+        return p.scale(Fraction(1, q.ints[0])), _ONE
+    return p, q
+
+
+def _read(text: str) -> RationalFunction | None:
+    """The value of a text _read_pair reads, reduced; None for any other text."""
+    pair = _read_pair(text)
+    return None if pair is None else _value(*pair)
+
+
+def _read_matrix(text: str) -> ParsedMatrix | None:
+    """The matrix [[e, e], [e, e]] whose four entries _read_pair reads, each
+    reduced only once all four are read; None otherwise."""
+    m = _MATRIX.fullmatch(text)
+    if m is None:
+        return None
+    pairs = [_read_pair(e) for e in m.groups()]
+    if any(pair is None for pair in pairs):
+        return None
+    return ParsedMatrix(*(_value(*pair) for pair in pairs))
 
 
 def parse_expression(text: str) -> ParsedValue:
     """Parse a scalar or matrix expression; errors carry the 0-based offset."""
     value = _read(text)
+    if value is None:
+        value = _read_matrix(text)
     return _Parser(text).parse_top() if value is None else value
 
 

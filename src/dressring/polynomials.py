@@ -6,10 +6,11 @@ hashing are structural.  Arithmetic runs on Python integers, values come from
 one homogeneous Horner sum, every division from one integer pseudo-division
 loop (``_pdiv``) and every Sturm chain from one signed remainder loop
 (``_signed_remainders``).  A gcd is one integer gcd of two values, read back
-as a polynomial and certified by exact division; the remainder loop answers
-only when that heuristic gives up.  ``coeffs`` is a ``Fraction`` view.
-Nothing here rounds.  The degree of the zero polynomial is the sentinel
-``NEG_INF`` (never -1).
+as a polynomial and certified by exact division; the quotients of that check
+are the cofactors a/g and b/g, which every caller takes instead of dividing
+again.  The remainder loop answers only when that heuristic gives up.
+``coeffs`` is a ``Fraction`` view.  Nothing here rounds.  The degree of the
+zero polynomial is the sentinel ``NEG_INF`` (never -1).
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ def _strip_content(c: Sequence[int]) -> Sequence[int]:
 _HEU_TRIES = 6  # evaluation points before the remainder-sequence fallback, as in SymPy
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd in Q[X]; gcd(0, 0) = 0.
+def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, a/g, b/g) for nonzero a and b, with g their monic gcd in Q[X].
 
     Heuristic gcd (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7,
     1989) of the primitive integer coefficient lists A and B: evaluate both
@@ -314,7 +315,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     base-xi digits of g (each in (-xi/2, xi/2]) as the coefficients of G,
     and accept H = pp(G) once it divides A and B exactly.  Otherwise xi grows
     and, after ``_HEU_TRIES`` points, the last member of the signed remainder
-    sequence is the answer.
+    sequence is the answer.  The quotients of the accepting divisions are the
+    cofactors, up to the scalars that _cofactor restores.
 
     An accepted H is the gcd.  Let D be the primitive gcd of A and B.  Every
     root z of D is a root of both, so Cauchy's bound (|z| < 1 + |A| for a
@@ -327,26 +329,31 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     divides g = c H(xi), and K(xi) divides c.  As 0 < |c| <= xi/2, K is
     constant.  In particular, a single digit g <= xi/2 proves coprimality.
     """
-    if a.is_zero or b.is_zero:
-        return (a + b).monic()
-    if a == b:
-        return a.monic()
-    if len(a.ints) == 1 or len(b.ints) == 1:
-        return _ONE
     if len(a.ints) < len(b.ints):
-        a, b = b, a
+        g, b_g, a_g = _gcd_cofactors(b, a)
+        return g, a_g, b_g
+    if len(b.ints) == 1:
+        return _ONE, a, b
+    if len(a.ints) == len(b.ints) and a == b:
+        lc = _make([a.ints[-1]], a.denom)
+        return a.monic(), lc, lc
     if len(b.ints) == 2:  # b = b0 + b1 X: the gcd is b or 1, as a vanishes at -b0/b1 or not
         b0, b1 = b.ints
-        return _ONE if _horner(a.ints, -b0, b1) else b.monic()
-    a, b = _strip_content(a.ints), _strip_content(b.ints)
+        if _horner(a.ints, -b0, b1):
+            return _ONE, a, b
+        g = b.monic()
+        return g, divrem(a, g)[0], _make([b1], b.denom)
+    ca, cb = igcd(*a.ints), igcd(*b.ints)
+    pa = a.ints if ca == 1 else [c // ca for c in a.ints]
+    pb = b.ints if cb == 1 else [c // cb for c in b.ints]
     # 29 rather than 2 (as in SymPy) makes a chance common factor of the two
     # values above xi/2, and so a retry, rarer on small inputs: 250 instead of
     # 2411 retries over the 22k gcds of 20k principal_generator calls.
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
     for _ in range(_HEU_TRIES):
-        g = igcd(_horner(a, xi, 1), _horner(b, xi, 1))
+        g = igcd(_horner(pa, xi, 1), _horner(pb, xi, 1))
         if 2 * g <= xi:
-            return _ONE
+            return _ONE, a, b
         h = []
         while g:
             g, d = divmod(g, xi)
@@ -355,31 +362,46 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
                 g += 1
             h.append(d)
         h = _strip_content(h)
-        if len(h) <= len(b) and not _pdiv(b, h)[1] and not _pdiv(a, h)[1]:
-            return _make(h, h[-1])
+        if len(h) <= len(pb) and (b_g := _cofactor(b, cb, pb, h)):
+            if a_g := _cofactor(a, ca, pa, h):
+                return _make(h, h[-1]), a_g, b_g
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011  # SymPy's growth, about xi^1.25
-    g = _signed_remainders(a, b)[-1]
-    return _ONE if len(g) == 1 else _make(g, g[-1])
+    h = _signed_remainders(pa, pb)[-1]
+    if len(h) == 1:
+        return _ONE, a, b
+    g = _make(h, h[-1])
+    return g, _exact_div(a, g), _exact_div(b, g)
+
+
+def _cofactor(p: Polynomial, c: int, pp: Sequence[int], h: Sequence[int]) -> Polynomial:
+    """p/(H/lc H) for p = c pp/p.denom when the integer list H divides pp, else 0.
+
+    _pdiv gives s pp = q H, so p/(H/lc H) = lc(H) c q/(s p.denom).
+    """
+    q, r, s = _pdiv(pp, h)
+    return _ZERO if r else _make([h[-1] * c * v for v in q], p.denom * s)
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd in Q[X], by GCDHEU (see _gcd_cofactors); gcd(0, 0) = 0."""
+    if not (a.ints and b.ints):
+        return (a + b).monic()
+    return _gcd_cofactors(a, b)[0]
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero or b.is_zero:
         return _ZERO
-    if a == b or len(b.ints) == 1:
-        return a.monic()
-    if len(a.ints) == 1:
-        return b.monic()
-    g = poly_gcd(a, b)
-    if g.degree == 0:
-        return (a * b).monic()
-    return _exact_div(a * b, g).monic()
+    return (_gcd_cofactors(a, b)[1] * b).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), monic: same distinct roots as p, each simple."""
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    return _exact_div(p, poly_gcd(p, p.derivative())).monic()
+    if len(p.ints) == 1:
+        return _ONE
+    return _gcd_cofactors(p, p.derivative())[1].monic()
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -390,22 +412,20 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """
     if p.is_zero:
         raise ZeroPolynomialError("squarefree decomposition of the zero polynomial")
+    if len(p.ints) == 1:
+        return []
     p = p.monic()
     out: list[tuple[Polynomial, int]] = []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
+    a, b, c = _gcd_cofactors(p, p.derivative())
     if a.degree == 0:
-        return [(p, 1)] if p.degree >= 1 else []
-    b = _exact_div(p, a)
-    c = _exact_div(dp, a)
+        return [(p, 1)]
     i = 1
     d = c - b.derivative()
-    while not b.is_zero and b.degree >= 1:
-        s = poly_gcd(b, d)
+    while b.degree >= 1:  # b stays monic, the cofactor of a monic gcd
+        # d = 0 once b is the last factor: gcd(b, 0) = b.
+        s, b, c = _gcd_cofactors(b, d) if d else (b, _ONE, d)
         if s.degree >= 1:
             out.append((s, i))
-        b = _exact_div(b, s)
-        c = _exact_div(d, s)
         d = c - b.derivative()
         i += 1
     return out
@@ -429,10 +449,7 @@ class RationalFunction:
             raise ZeroDenominatorError("zero denominator")
         if num.is_zero:
             return RationalFunction(Polynomial.zero(), Polynomial.one())
-        g = poly_gcd(num, den)
-        if g.degree >= 1:
-            num = _exact_div(num, g)
-            den = _exact_div(den, g)
+        _, num, den = _gcd_cofactors(num, den)
         if den.ints[-1] != den.denom:
             num = num.scale(1 / den.leading_coefficient)
             den = den.monic()

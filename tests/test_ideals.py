@@ -23,7 +23,7 @@ from dressring import (
     poly_gcd,
     principal_generator,
 )
-from dressring import dress, ideals, polynomials
+from dressring import dress, ideals, polynomials, realroots
 
 from helpers import rand_member, rand_member_nonzero, rand_poly
 
@@ -327,6 +327,37 @@ class TestSumOfSquaresCertificate:
             CONSUMERS[consumer](*PAIRS[pair][0])
 
 
+def test_root_freeness_of_t_decided_on_the_cofactor_gcd():
+    # For cofactor tuples that need not be coprime (M = 1, so the tuple is
+    # its own numerators and only the root-freeness can fail), the decision
+    # matches a Sturm count of T itself.  Planted shared factors give the
+    # tuples a common real root (X - 1) or a common root-free factor X^2 + 1.
+    rng = random.Random(2311)
+    outcomes = set()
+    for i in range(400):
+        shared = (Polynomial.one(), X - 1, GAMMA, (X - 1) * GAMMA)[i % 4]
+        cofactors = [shared * rand_poly(rng, 3, -4, 4, nonzero=True)
+                     for _ in range(rng.choice((1, 2, 2, 3)))]
+        t = sum((f * f for f in cofactors), Polynomial.zero())
+        root_free = realroots.count_distinct_real_roots(t) == 0
+        s = max(f.degree for f in cofactors)
+        try:
+            ideals._sum_of_squares(Polynomial.one(), cofactors, s, cofactors)
+            decided = True
+        except CertificateError as e:
+            assert "has real roots" in str(e)
+            decided = False
+        assert decided == root_free, [str(f) for f in cofactors]
+        outcomes.add((i % 4, decided))
+    assert outcomes == {(0, True), (0, False), (1, False), (2, True), (2, False), (3, False)}
+
+
+def test_cofactors_sharing_a_real_root_raise():
+    cofactors = [(X - 1) * (X + 2), (X - 1) * X]
+    with pytest.raises(CertificateError, match="has real roots"):
+        ideals._sum_of_squares(Polynomial.one(), cofactors, 2, cofactors)
+
+
 # Inputs for the generator tests below.  The c05 grid: 625 numerators of
 # degree <= 3 with coefficients -2..2, all over (1 + X^2)^2.  The mixed pairs
 # put (1 + X^2)^k next to other root-free quadratics in each denominator and
@@ -478,9 +509,11 @@ class TestReducedGenerator:
                 assert (to_sympy(r.num), to_sympy(r.den)) == (p / lc, q / lc), (str(a), str(b))
         assert n_even >= 100
 
-    def test_even_pair_takes_one_gcd_and_no_make(self, monkeypatch):
-        # Over a shared denominator the only gcd is the numerator gcd M.
-        counts = {"poly_gcd": 0, "make": 0}
+    def test_even_pair_takes_two_gcds_no_make_and_no_sturm_chain(self, monkeypatch):
+        # Over a shared denominator the numerator gcd M brings the cofactors,
+        # and T is certified root-free by the gcd of the cofactors, not by a
+        # Sturm chain of T.
+        counts = {"_gcd_cofactors": 0, "poly_gcd": 0, "make": 0, "_sturm_chain": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -488,15 +521,22 @@ class TestReducedGenerator:
                 return original(*args)
             return wrapper
 
+        cofactors = counting("_gcd_cofactors", polynomials._gcd_cofactors)
+        monkeypatch.setattr(dress, "_gcd_cofactors", cofactors)
+        monkeypatch.setattr(ideals, "_gcd_cofactors", cofactors)
         gcd = counting("poly_gcd", polynomials.poly_gcd)
         monkeypatch.setattr(polynomials, "poly_gcd", gcd)
         monkeypatch.setattr(ideals, "poly_gcd", gcd)
         monkeypatch.setattr(RationalFunction, "make",
                             staticmethod(counting("make", RationalFunction.make)))
+        monkeypatch.setattr(realroots, "_sturm_chain",
+                            counting("_sturm_chain", realroots._sturm_chain))
+        realroots._gamma_cache.clear()
         pairs = [(elem(X * X - 1, GAMMA * GAMMA), elem(2 * X, GAMMA * GAMMA)),
                  (elem(X, GAMMA * GAMMA), elem(X**3, GAMMA * GAMMA)),
                  (elem(X**4, GAMMA**3), elem(X + 1, GAMMA**3))]
         for a, b in pairs:
             counts.update(dict.fromkeys(counts, 0))
             assert principal_generator(a, b).principal
-            assert counts == {"poly_gcd": 1, "make": 0}, (str(a), str(b))
+            assert counts == {"_gcd_cofactors": 1, "poly_gcd": 1, "make": 0, "_sturm_chain": 0}, \
+                (str(a), str(b))

@@ -541,7 +541,8 @@ class TestFactorSmall:
         assert verify_factorization(fact).ok
 
     def test_one_split_and_one_gcd(self, monkeypatch):
-        counts = {"over_common_denominator": 0, "poly_gcd": 0}
+        # The one gcd brings its cofactors; a row with a zero entry needs none.
+        counts = {"over_common_denominator": 0, "_gcd_cofactors": 0}
 
         def counting(name):
             original = getattr(idempotent, name)
@@ -570,7 +571,8 @@ class TestFactorSmall:
             counts.update(dict.fromkeys(counts, 0))
             at_build.clear()
             fact = factor_small(DressElement.from_parts(x, g4), DressElement.from_parts(y, g4))
-            assert at_build == [{"over_common_denominator": 1, "poly_gcd": 1}], (str(x), str(y))
+            assert at_build == [{"over_common_denominator": 1, "_gcd_cofactors": int(bool(x))}], \
+                (str(x), str(y))
             assert counts["over_common_denominator"] == 1
             assert verify_factorization(fact).ok
 
@@ -816,7 +818,7 @@ class TestDerivationChecks:
         # Cubics sharing the root 0: x1 = X^2 + 1, y1 = X^2 + X, and
         # c*x1 + y1 = X - 1 keeps its linear term, so the factors miss the row.
         x, y, gamma = X**3 + X, X**3 + X * X, GAMMA**2
-        factors = idempotent._factor_quadratics_sharing_root(x, y, gamma, X)
+        factors = idempotent._factor_quadratics_sharing_root(x, gamma, X, X * X + 1, X * X + X)
         split = ((x, y, Polynomial.zero(), Polynomial.zero()), gamma)
         with pytest.raises(CertificateError, match="product-mismatch"):
             idempotent._verified(Mat2.row(elem(x, gamma), elem(y, gamma)), split, factors)

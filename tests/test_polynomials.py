@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dressring import (
@@ -20,7 +20,7 @@ from dressring import (
     squarefree_part,
 )
 from dressring import polynomials
-from dressring.polynomials import _exact_div, squarefree_decomposition
+from dressring.polynomials import _exact_div, _gcd_cofactors, squarefree_decomposition
 
 from helpers import extended_gcd, rand_poly, rand_rf
 
@@ -358,3 +358,63 @@ class TestSympyOracle:
             expected = sorted((m, self._from_sympy(f).monic().ints) for f, m in factors)
             got = sorted((m, s.ints) for s, m in squarefree_decomposition(p))
             assert got == expected, str(p)
+
+
+def check_cofactors(a, b):
+    """_gcd_cofactors(a, b), checked: g monic, g (a/g) == a, g (b/g) == b, coprime cofactors."""
+    g, a_g, b_g = _gcd_cofactors(a, b)
+    for p in (g, a_g, b_g):
+        assert_canonical(p)
+    assert g.leading_coefficient == 1
+    assert g * a_g == a and g * b_g == b
+    assert poly_gcd(a_g, b_g) == Polynomial.one()
+    assert poly_gcd(a, b) == g
+    return g, a_g, b_g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_fractions, min_size=1, max_size=4), st.lists(_fractions, min_size=1, max_size=5),
+       st.lists(_fractions, min_size=1, max_size=5))
+def test_gcd_cofactors_of_a_planted_factor(cc, ca, cb):
+    common, a, b = map(Polynomial.from_coeffs, (cc, ca, cb))
+    assume(common and a and b)
+    g = check_cofactors(common * a, common * b)[0]
+    assert divrem(g, common.monic())[1].is_zero
+
+
+class TestGcdCofactorBranches:
+    """Each way _gcd_cofactors answers, with its cofactors in the caller's order."""
+
+    def test_equal_operands(self):
+        # (2X + 1)/4 has ints (1, 2) over 4: its leading coefficient 1/2 is
+        # the cofactor, and only the canonical (1,)/2 equals other values.
+        a = Polynomial.from_coeffs([Fraction(1, 4), Fraction(1, 2)])
+        g, a_g, b_g = check_cofactors(a, a)
+        assert g == X + Fraction(1, 2)
+        assert (a_g.ints, a_g.denom) == (b_g.ints, b_g.denom) == ((1,), 2)
+
+    def test_constant_operand(self):
+        c, p = Polynomial.constant(Fraction(-3, 2)), X * X + 1
+        assert check_cofactors(c, p) == (Polynomial.one(), c, p)
+        assert check_cofactors(p, c) == (Polynomial.one(), p, c)
+
+    def test_linear_operand(self):
+        lin, lc = (2 * X - 2).scale(Fraction(1, 3)), Polynomial.constant(Fraction(2, 3))
+        for other, g in (((X - 1) * (X * X + 3), X - 1), (X * X + 3, Polynomial.one())):
+            assert check_cofactors(other, lin)[0] == g
+            assert check_cofactors(lin, other)[0] == g
+        assert check_cofactors(lin, (X - 1) * X)[1:] == (lc, X)
+        assert check_cofactors((X - 1) * X, lin)[1:] == (X, lc)
+
+    def test_retry_and_fallback(self, monkeypatch):
+        # The pinned pairs whose first evaluation point fails the division
+        # check take a later point; with no point at all the remainder
+        # sequence answers.  Both give the same cofactors in the same order.
+        pairs = TestSympyOracle._gcd_pairs()
+        retried = [pairs[i] for i in (38, 48, 58, 94, 121, 163, 178, 197, 198, 246)]
+        chains = TestSympyOracle._count_chains(monkeypatch)
+        heuristic = [check_cofactors(a, b) for a, b in retried + pairs[::7]]
+        assert chains == []
+        monkeypatch.setattr(polynomials, "_HEU_TRIES", 0)
+        fallback = [check_cofactors(a, b) for a, b in retried + pairs[::7]]
+        assert fallback == heuristic and len(chains) >= len(retried)

@@ -1,11 +1,12 @@
 """The parser's one-pass reader, its integer printer and its size bounds.
 
-The reader must give ``_Parser``'s value on every text of its two forms and
+The reader must give ``_Parser``'s value on every text of its forms and
 leave every other text, with its errors and their offsets, to ``_Parser``;
 the printer must match the ``Fraction``-based reference in ``helpers``.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from dressring.parsing import (
     _bits,
     _power_pairs,
     _read,
+    _read_matrix,
     format_polynomial,
     parse_expression,
     parse_scalar,
@@ -67,6 +69,15 @@ def quotients(draw):
     return f"{ws()}({draw(polynomials())}){ws()}/{ws()}({draw(polynomials())}){ws()}"
 
 
+@st.composite
+def matrices(draw):
+    """[[e, e], [e, e]] with whitespace around its marks; an entry is sometimes
+    1 - (P)/(Q), which the reader leaves, with the whole matrix, to _Parser."""
+    ws = lambda: draw(SPACES)  # noqa: E731
+    e = lambda: draw(st.one_of(polynomials(), quotients(), quotients().map("1 - {}".format)))  # noqa: E731
+    return f"{ws()}[{ws()}[{e()},{e()}]{ws()},{ws()}[{e()},{e()}]{ws()}]{ws()}"
+
+
 class TestReader:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(polynomials(), quotients()))
@@ -78,6 +89,43 @@ class TestReader:
             return
         assert _read(text) == expected
         assert parse_expression(text) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(matrices())
+    def test_matrix_reader_matches_the_parser(self, text):
+        try:
+            expected = _Parser(text).parse_top()
+        except ZeroDenominatorError:
+            assert _read_matrix(text) is None
+            return
+        # Only an entry 1 - (P)/(Q) is outside the reader's forms.
+        assert _read_matrix(text) == (None if re.search(r"1 - \s*\(", text) else expected)
+        assert parse_expression(text) == expected
+
+    def test_matrix_entries_outside_the_forms_reach_the_parser(self):
+        assert _read_matrix("[[X, 1], [0, X^2 + 1]]") == _Parser("[[X,1],[0,X^2+1]]").parse_top()
+        for text in ("[[1 - (X)/(X^2+1), 1], [0, 1]]", "[[(X+1)^2, 1], [0, 1]]"):
+            assert _read_matrix(text) is None
+            assert parse_expression(text) == _Parser(text).parse_top()
+        with pytest.raises(ParseError, match=re.escape("expected a value, found ',' (offset 2)")):
+            parse_expression("[[, 1], [0, 1]]")
+
+    @pytest.mark.parametrize("gap, expected", [
+        ("X", "[[X, 1], [0, X^2 + 1]]"),
+        ("?", "unexpected character '?' (offset 300002)"),
+    ])
+    def test_matrix_with_whitespace_runs_is_read_in_linear_time(self, gap, expected):
+        spaces = " " * 10**5
+        text = f"{spaces}[{spaces}[{spaces}{gap}{spaces},{spaces}1{spaces}]{spaces},{spaces}" \
+               f"[{spaces}0{spaces},{spaces}X^2 + 1{spaces}]{spaces}]{spaces}"
+        start = time.perf_counter()
+        try:
+            m = parse_expression(text)
+            result = f"[[{m.a}, {m.b}], [{m.c}, {m.d}]]"
+        except ParseError as exc:
+            result = str(exc)
+        assert time.perf_counter() - start < 1
+        assert result == expected
 
     def test_repeated_zero_and_constant_terms(self):
         text = " - 0*X^3 + X^1 + 2*X - X^0 + 3 + 0 + X ^ 0003 - X^3"

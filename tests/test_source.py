@@ -35,8 +35,27 @@ def test_one_remainder_sequence_loop():
     # them only when its evaluation points all fail.  No other caller may
     # grow a second remainder loop around them.
     found = _references("_signed_remainders")
-    assert [ref for ref in found if ref[0] != "realroots.py"] == [("polynomials.py", "poly_gcd")]
+    assert [ref for ref in found if ref[0] != "realroots.py"] == [("polynomials.py", "_gcd_cofactors")]
     assert ("realroots.py", "<module>") in found and len(found) > 2
+
+
+# (file, top-level def) of every caller that needs a gcd's cofactors.
+COFACTOR_CALLERS = {
+    ("polynomials.py", "RationalFunction"), ("polynomials.py", "poly_lcm"),
+    ("polynomials.py", "squarefree_part"), ("polynomials.py", "squarefree_decomposition"),
+    ("dress.py", "over_common_denominator"), ("ideals.py", "_numerator_data"),
+    ("idempotent.py", "_factor_row"), ("idempotent.py", "factor_small"),
+    ("idempotent.py", "_factor_quadratics_sharing_root"),
+}
+
+
+def test_cofactors_come_from_the_gcd():
+    # The gcd's own division check yields a/g and b/g, so no caller divides
+    # by a gcd again.  _factor_quadratics_sharing_root is handed its
+    # cofactors; every other caller takes them from _gcd_cofactors.
+    assert not COFACTOR_CALLERS & set(_references("_exact_div"))
+    takers = set(_references("_gcd_cofactors"))
+    assert COFACTOR_CALLERS - takers == {("idempotent.py", "_factor_quadratics_sharing_root")}
 
 
 def test_two_sign_queries_in_the_factor_pipeline():
@@ -70,6 +89,7 @@ def test_the_reader_raises_nothing():
     # one-pass reader returns None for every text it does not read.
     tree = ast.parse((SRC / "parsing.py").read_text())
     readers = [node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name in ("_read", "_read_polynomial")]
-    assert len(readers) == 2
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("_read", "_read_pair", "_read_polynomial", "_read_matrix")]
+    assert len(readers) == 4
     assert not [node for reader in readers for node in ast.walk(reader) if isinstance(node, ast.Raise)]
