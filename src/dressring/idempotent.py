@@ -19,14 +19,18 @@ order equals ``target``.  Inside this module every factor but the zero matrix
 is a rank-one idempotent, held as a triple (v, w, s) of two polynomial pairs
 and a nonzero polynomial: E = v w^T / s, idempotent iff w.v == s, as in
 (1 0; 1-p 0) = (pd; pd-pn)(1 0)/pd for p = pn/pd.  Swaps and conjugations map
-triples to triples without reducing.  One check (w.v == s per factor, then the
-telescoped product against the target N_T/d_T) runs once where each public
-function returns; only then is each Mat2 built, and an entry found outside D
-there is reported by the same check.  The stages check nothing of their own,
-so any internal fault surfaces as one CertificateError.  Each vector entry is
-compared with s once (zero, coprime to s, or a multiple c*s), so only an entry
-that shares a proper factor with s is reduced by a gcd; when s is root-free,
-an entry's membership in D is its degree bound, else the checked constructor.
+triples to triples without reducing; the pipeline's shears P = (1 t; 0 1) are
+the two-term map (v, w, s) -> ((v1 - t v2, v2), (w1, t w1 + w2), s).  One
+check (w.v == s per factor, then the telescoped product against the target
+N_T/d_T) runs once where each public function returns: each identity, cleared
+of integer denominators, is compared by its two sides' values at one X = 2^k,
+large enough to make that exact.  Only then is each Mat2 built, and an entry
+found outside D there is reported by the same check.  The stages check
+nothing of their own, so any internal fault surfaces as one CertificateError.
+Each vector entry is compared with s once (zero, coprime to s, or a multiple
+c*s), so only an entry that shares a proper factor with s is reduced by a gcd;
+when s is root-free, an entry's membership in D is its degree bound, else the
+checked constructor.
 
 Each row takes one common-denominator pass, (p, q) = (x, y)/gamma, and every
 branch reads x, y, gamma and the one gcd g = gcd(x, y): q/p lies in D iff
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 from .dress import DressElement, _val, over_common_denominator
@@ -339,8 +344,9 @@ def verify_factorization(f: Factorization) -> VerificationReport:
     (Cayley-Hamilton); one of rank one is then v w^T / s, and the product
     v_1 (w_1.v_2) ... (w_{k-1}.v_k) w_k^T / (s_1 ... s_k), identities skipped,
     is compared with the target N_T/d_T in four cross-multiplied entries, with
-    no gcd.  The first non-idempotent factor is reported (with its index)
-    before any product mismatch.
+    no gcd, each identity by one integer evaluation (see _verify_triples).
+    The first non-idempotent factor is reported (with its index) before any
+    product mismatch.
 
     Entry membership needs no check: every DressElement is certified to lie
     in the ring when it is constructed.
@@ -350,25 +356,62 @@ def verify_factorization(f: Factorization) -> VerificationReport:
 
 
 def _verify_triples(target, factors) -> VerificationReport:
-    """The one check: w.v == s per factor, then the telescoped product against (N_T, d_T)."""
+    """The one check: w.v == s per factor, then the telescoped product against (N_T, d_T).
+
+    Every identity is decided by one integer evaluation (Kronecker
+    substitution).  With D the lcm of every polynomial's integer
+    denominator, each polynomial p becomes the integer polynomial P = D p,
+    and for the m rank-one factors the identities read, in Z[X],
+
+        W_1 V_1 + W_2 V_2 == D S                                    (each factor)
+        (W_1.V_2) ... (W_{m-1}.V_m) V_1i W_mj T_d == D^m T_ij S_1 ... S_m
+
+    (for m = 0 the product side is the identity entry times T_d).  Each is
+    A == B, decided by A(2^k) == B(2^k): every P is read by one shift-and-add
+    Horner pass at X = 2^k, and the products are integer products.
+
+    Exactness.  If 2^k > |A|_1 + |B|_1 (|.|_1 the sum of the absolute
+    coefficients), then A(2^k) == B(2^k) iff A == B.  Let C = A - B be
+    nonzero with lowest nonzero coefficient c_j; then C(2^k) =
+    2^(jk) (c_j + 2^k M) for an integer M, and 0 < |c_j| <= |C|_1 < 2^k
+    makes c_j + 2^k M nonzero.  The bound: |PQ|_1 <= |P|_1 |Q|_1 and
+    |P + Q|_1 <= |P|_1 + |Q|_1.  Every side above is a sum of at most 2^m
+    products of distinct polynomials P, times at most D^m, so
+    |A|_1 + |B|_1 <= 2^(m+1) D^m prod max(1, |P|_1) over all of them (the
+    four T_ij included), and 2^k exceeds that for
+    k = m + 2 + m bitlen(D - 1) + sum bitlen(|P|_1).
+    """
+    target_n, target_d = target
+    rank_one = [f for f in factors if f]
+    polys = [target_d, *target_n, *(p for v, w, s in rank_one for p in (*v, *w, s))]
+    m, d = len(rank_one), lcm(*(p.denom for p in polys))
+    k = m + 2 + m * (d - 1).bit_length() + sum(
+        (d // p.denom * sum(map(abs, p.ints))).bit_length() for p in polys)
+
+    def at(p: Polynomial) -> int:  # (D p)(2^k)
+        acc = 0
+        for c in reversed(p.ints):
+            acc = (acc << k) + c
+        return acc * (d // p.denom)
+
+    first, w_last, scalar, den = None, None, 1, 1
     for i, f in enumerate(factors):
         if f is None:
             continue
-        if f is not False:
-            (v1, v2), (w1, w2), s = f
-            if w1 * v1 + w2 * v2 == s or not (v1 or v2) or not (w1 or w2):
-                continue  # idempotent: w.v == s, or the zero matrix
-        return VerificationReport(False, "factor-not-idempotent", i)
-    rank_one = [f for f in factors if f is not None]
-    num, den = (_1, _0, _0, _1), _1
-    if rank_one:
-        (v1, v2), w, den = rank_one[0]
-        scalar = _1
-        for (x1, x2), w_next, s in rank_one[1:]:
-            scalar, den, w = scalar * (w[0] * x1 + w[1] * x2), den * s, w_next
-        num = tuple(vi * wj for vi in (scalar * v1, scalar * v2) for wj in w)
-    target_n, target_d = target
-    if any(x * target_d != t * den for x, t in zip(num, target_n)):
+        if f is False:
+            return VerificationReport(False, "factor-not-idempotent", i)
+        (v1, v2), (w1, w2), s = f
+        x1, x2, y1, y2, z = at(v1), at(v2), at(w1), at(w2), at(s)
+        if (v1 or v2) and (w1 or w2) and y1 * x1 + y2 * x2 != d * z:
+            return VerificationReport(False, "factor-not-idempotent", i)  # not w.v == s, nor zero
+        if first is None:
+            first = x1, x2
+        else:
+            scalar *= w_last[0] * x1 + w_last[1] * x2
+        w_last, den = (y1, y2), den * z
+    num = (1, 0, 0, 1) if first is None else [scalar * x * y for x in first for y in w_last]
+    t_d, den = at(target_d), d**m * den
+    if any(x * t_d != at(t) * den for x, t in zip(num, target_n)):
         return VerificationReport(False, "product-mismatch")
     return VerificationReport(True)
 
@@ -409,6 +452,17 @@ def _conjugate(factors: Iterable, n) -> list:
         return (d * v1 - b * v2, a * v2 - c * v1), (a * w1 + c * w2, b * w1 + d * w2), det * s
 
     return [image(f) if f else f for f in factors]
+
+
+def _shear(factors: Iterable[_Factor], t) -> list[_Factor]:
+    """Every E = v w^T / s mapped to P^-1 E P for the shear P = (1 t; 0 1).
+
+    P^-1 E P = (P^-1 v)(P^T w)^T / s with P^-1 v = (v1 - t v2, v2) and
+    P^T w = (w1, t w1 + w2); det P = 1 leaves s as it is.
+    """
+    t = Fraction(t)
+    return [((v1 - v2.scale(t), v2), (w1, w1.scale(t) + w2), s)
+            for (v1, v2), (w1, w2), s in factors]
 
 
 def _swap(factors: Iterable) -> list:
@@ -538,9 +592,6 @@ def _factor_row(p, q, x, y, gamma, cofactors=None) -> Factorization:
     )
 
 
-_SHEAR = (_1, -_1, _0, _1)  # the numerators of (1 -1; 0 1) over 1
-
-
 def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
                      pattern: SignPattern) -> list[_Factor]:
     """Hypothesis branch: deg x >= deg y and y sign-definite at the roots of x.
@@ -565,7 +616,7 @@ def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
     # (u 0; 0 0) * T factors the swapped row (y/tau, x/tau; 0 0), where
     # T = (beta; x)(y x)/delta is idempotent: y*beta + x*x == delta.
     factors += _swap(_factor_zero_q(u.num, u.den) + [((beta, x), (y, x), delta)])
-    return _conjugate(factors, _SHEAR) if shear else factors
+    return _shear(factors, -1) if shear else factors
 
 
 def factor_small(p: DressElement, q: DressElement) -> Factorization:
@@ -609,8 +660,7 @@ def _factor_quadratics_sharing_root(
     s_prime = (x1.scale(c) + y1).coeffs[0]
     delta = _grow_linear_to_gamma(x, m)
     e = ((m, (delta - x).scale(1 / s_prime)), (x1, Polynomial.constant(s_prime)), delta)
-    shear = (_1, Polynomial.constant(-c), _0, _1)  # (1 -c; 0 1)
-    return _factor_zero_q(delta, gamma) + _conjugate([_E11, e], shear)
+    return _factor_zero_q(delta, gamma) + _shear([_E11, e], -c)
 
 
 def _grow_linear_to_gamma(x: Polynomial, m: Polynomial) -> Polynomial:

@@ -219,6 +219,21 @@ def _value(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(num, den) if den is _ONE else RationalFunction.make(num, den)
 
 
+def _add_term(acc: list[int], den: int, term: Polynomial, negate: bool) -> int:
+    """Add term (or -term) to the sum acc/den in place; the new denominator."""
+    ints, d = term.ints, term.denom
+    if den % d:
+        f = d // gcd(den, d)
+        acc[:] = [c * f for c in acc]
+        den *= f
+    k = -(den // d) if negate else den // d
+    if len(acc) < len(ints):
+        acc += [0] * (len(ints) - len(acc))
+    for i, c in enumerate(ints):
+        acc[i] += c * k
+    return den
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -262,32 +277,51 @@ class _Parser:
         return _value(*self.parse_expr())
 
     def parse_expr(self) -> _Pair:
-        n1, d1 = self.parse_term()
-        tokens = self.tokens
+        # From the second term on, the terms over one denominator go into one
+        # integer coefficient list acc/den, built into a Polynomial when a
+        # term over another denominator or the end of the sum comes: a running
+        # Polynomial sum would copy itself at every '+', in time quadratic in
+        # the length.  A term X^e adds its one coefficient and is never built.
+        negate, n1, d1, e1 = self.parse_term()
+        n1, d1 = _power(n1, d1, e1)
+        if negate:
+            n1 = -n1
+        acc, tokens = None, self.tokens
         while True:
             op, _, pos = tokens[self.i]
             if op != "+" and op != "-":
-                return n1, d1
+                return (n1, d1) if acc is None else (_make(acc, den), d1)
             self.i += 1
-            n2, d2 = self.parse_term()
-            if op == "-":
-                n2 = -n2
+            if acc is None:
+                acc, den = list(n1.ints), n1.denom
+            negate, n2, d2, e2 = self.parse_term()
+            negate ^= op == "-"
+            if n2 is _X and d2 is _ONE and d1 is _ONE:
+                if len(acc) <= e2:
+                    acc += [0] * (e2 + 1 - len(acc))
+                acc[e2] += -den if negate else den
+                continue
+            n2, d2 = _power(n2, d2, e2)
             if d1 == d2:
-                n1 = n1 + n2
-            else:
-                _check_products(pos, ((n1, 1), (d2, 1)), ((n2, 1), (d1, 1)), ((d1, 1), (d2, 1)))
-                n1, d1 = n1 * d2 + n2 * d1, d1 * d2
+                den = _add_term(acc, den, n2, negate)
+                continue
+            n1, acc = _make(acc, den), None
+            if negate:
+                n2 = -n2
+            _check_products(pos, ((n1, 1), (d2, 1)), ((n2, 1), (d1, 1)), ((d1, 1), (d2, 1)))
+            n1, d1 = n1 * d2 + n2 * d1, d1 * d2
 
-    def parse_term(self) -> _Pair:
-        # Each factor comes as (negate, num, den, e) with its last power not yet
-        # built; the signs are applied once, to the product.
+    def parse_term(self) -> tuple[bool, Polynomial, Polynomial, int]:
+        """(negate, num, den, e): the term, -(num/den)^e if negate else (num/den)^e,
+        checked but with its last power not yet built."""
+        # Each factor comes as (negate, num, den, e); the signs are applied
+        # once, to the product.
         negate, n1, d1, e1 = self.parse_unary()
         tokens = self.tokens
         while True:
             op, _, pos = tokens[self.i]
             if op != "*" and op != "/":
-                n1, d1 = _power(n1, d1, e1)
-                return (-n1, d1) if negate else (n1, d1)
+                return negate, n1, d1, e1
             self.i += 1
             negate2, n2, d2, e2 = self.parse_unary()
             negate ^= negate2

@@ -122,7 +122,8 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.ints)
 
-    def __add__(self, other) -> "Polynomial":
+    def __add__(self, other, negate: bool = False) -> "Polynomial":
+        """self + other, or self - other if negate, in one pass over the integer numerators."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -132,6 +133,11 @@ class Polynomial:
             a = [c * (db // g) for c in a]
             b = [c * (da // g) for c in b]
             da = da // g * db
+        if negate:
+            out = list(a) + [0] * (len(b) - len(a))
+            for i, c in enumerate(b):
+                out[i] -= c
+            return _make(out, da)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -145,13 +151,13 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.ints), self.denom)
 
     def __sub__(self, other) -> "Polynomial":
+        return self.__add__(other, True)
+
+    def __rsub__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return -(self - other)
+        return other.__add__(self, True)
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):

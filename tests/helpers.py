@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from dressring import DressElement, Polynomial, RationalFunction, divrem
+from dressring.idempotent import VerificationReport
 from dressring.parsing import format_fraction
 
 # Empirical bound on the number of factors the fixed factorization pipeline returns.
@@ -107,6 +108,43 @@ def extended_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, 
         return r0, u0, v0
     lc = r0.leading_coefficient
     return r0.monic(), u0.scale(1 / lc), v0.scale(1 / lc)
+
+
+def triples_product(factors) -> tuple[tuple[Polynomial, ...], Polynomial]:
+    """(N, d) with N/d the product of the triples v w^T / s, None (the
+    identity) skipped: v_1 (w_1.v_2) ... (w_{k-1}.v_k) w_k^T / (s_1 ... s_k)."""
+    one, zero = Polynomial.one(), Polynomial.zero()
+    rank_one = [f for f in factors if f is not None]
+    if not rank_one:
+        return (one, zero, zero, one), one
+    (v1, v2), w, den = rank_one[0]
+    scalar = one
+    for (x1, x2), w_next, s in rank_one[1:]:
+        scalar, den, w = scalar * (w[0] * x1 + w[1] * x2), den * s, w_next
+    return tuple(vi * wj for vi in (scalar * v1, scalar * v2) for wj in w), den
+
+
+def verify_triples_polynomial(target, factors) -> VerificationReport:
+    """The factor check with Polynomial products: a reference for
+    idempotent._verify_triples, which decides the same identities by one
+    integer evaluation.
+
+    ``target`` is (N_T, d_T); each factor is a triple (v, w, s) for
+    v w^T / s, None for the identity, or False for a non-idempotent one.
+    """
+    for i, f in enumerate(factors):
+        if f is None:
+            continue
+        if f is not False:
+            (v1, v2), (w1, w2), s = f
+            if w1 * v1 + w2 * v2 == s or not (v1 or v2) or not (w1 or w2):
+                continue  # idempotent: w.v == s, or the zero matrix
+        return VerificationReport(False, "factor-not-idempotent", i)
+    num, den = triples_product(factors)
+    target_n, target_d = target
+    if any(x * target_d != t * den for x, t in zip(num, target_n)):
+        return VerificationReport(False, "product-mismatch")
+    return VerificationReport(True)
 
 
 def format_polynomial_fractions(p: Polynomial) -> str:

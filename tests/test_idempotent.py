@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,8 @@ from helpers import (
     rand_irreducible_quadratic,
     rand_member_nonzero,
     rand_poly,
+    triples_product,
+    verify_triples_polynomial,
 )
 
 X = Polynomial.x()
@@ -779,6 +782,123 @@ class TestRankOneVerifier:
                         (False, "product-mismatch")}
 
 
+def rand_rational_poly(rng, max_deg, big=0):
+    """A random polynomial, zero included, with rational coefficients near
+    +-big (small integers for big = 0) over denominators up to 6."""
+    coeffs = [Fraction(rng.choice((-1, 1)) * (big + rng.randint(0, 9)), rng.randint(1, 6))
+              for _ in range(rng.randint(-1, max_deg) + 1)]
+    return Polynomial.from_coeffs(coeffs)
+
+
+def rand_triples(rng, big=0, most=20):
+    """(target, factors) for _verify_triples: 1 to most factors, identities (None),
+    failed candidates (False), zero vectors and idempotent triples w.v == s
+    (a few with another s), with the exact product as the target."""
+    zero, one = Polynomial.zero(), Polynomial.one()
+    factors = []
+    for _ in range(rng.randint(1, most)):
+        r = rng.random()
+        if r < 0.08:
+            factors.append(None)
+            continue
+        if r < 0.1:
+            factors.append(False)
+            continue
+        v = (rand_rational_poly(rng, 2, big), rand_rational_poly(rng, 2, big))
+        w = (rand_rational_poly(rng, 2, big), rand_rational_poly(rng, 2, big))
+        if r < 0.15:
+            v = (zero, zero) if r < 0.125 else v
+            w = w if r < 0.125 else (zero, zero)
+        s = w[0] * v[0] + w[1] * v[1]
+        if r > 0.97 or not s:
+            s = rand_rational_poly(rng, 2, big) or one
+        factors.append((v, w, s))
+    num, den = triples_product([f for f in factors if f is not False])
+    c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    return ([x.scale(c) for x in num], den.scale(c)), factors
+
+
+def tampered(rng, target, factors, lowest):
+    """A copy with one polynomial's lowest (or highest) integer coefficient moved by +-1."""
+    def moved(p):
+        ints = list(p.ints) or [0]
+        ints[0 if lowest else -1] += rng.choice((-1, 1))
+        return Polynomial.from_coeffs([Fraction(c, p.denom) for c in ints])
+
+    (num, den), factors = target, list(factors)
+    slots = [i for i, f in enumerate(factors) if f]
+    if not slots or rng.random() < 0.2:
+        j = rng.randrange(5)
+        if j == 4:
+            return (num, moved(den)), factors
+        return (num[:j] + [moved(num[j])] + num[j + 1:], den), factors
+    i, j = rng.choice(slots), rng.randrange(5)
+    polys = [*factors[i][0], *factors[i][1], factors[i][2]]
+    polys[j] = moved(polys[j])
+    factors[i] = ((polys[0], polys[1]), (polys[2], polys[3]), polys[4])
+    return (num, den), factors
+
+
+class TestIntegerEvaluationCheck:
+    # _verify_triples decides w.v == s and the product identity at X = 2^k;
+    # the Polynomial-product check in helpers is the reference.
+    @pytest.mark.parametrize("big, most, count", [(0, 20, 300), (2**600, 6, 60)],
+                             ids=["small", "2^600"])
+    def test_same_report_as_the_polynomial_check(self, big, most, count):
+        rng = random.Random(2024 + count)
+        seen = set()
+        for _ in range(count):
+            target, factors = rand_triples(rng, big, most)
+            cases = [(target, factors)] + [tampered(rng, target, factors, lowest)
+                                           for lowest in (True, False, True, False)]
+            for t, fs in cases:
+                report = idempotent._verify_triples(t, fs)
+                assert report == verify_triples_polynomial(t, fs), (t, fs)
+                seen.add((report.ok, report.failure))
+        assert seen == {(True, None), (False, "factor-not-idempotent"),
+                        (False, "product-mismatch")}
+
+    def test_pipeline_factors_and_their_tampered_copies(self):
+        rng = random.Random(31)
+        for _, p, q in c06_c07_rows()[::7]:
+            (x, y), gamma = dress.over_common_denominator([p, q])
+            fact = factor_row_matrix(p, q)
+            target = ([x, y, Polynomial.zero(), Polynomial.zero()], gamma)
+            factors = [idempotent._factor_of(m) for m in fact.factors]
+            assert idempotent._verify_triples(target, factors).ok
+            for lowest in (True, False):
+                t, fs = tampered(rng, target, factors, lowest)
+                assert idempotent._verify_triples(t, fs) == verify_triples_polynomial(t, fs)
+
+    def test_zero_vectors_identities_and_failed_candidates(self):
+        zero, one = Polynomial.zero(), Polynomial.one()
+        ident = ([one, zero, zero, one], one)
+        assert idempotent._verify_triples(ident, []).ok
+        assert idempotent._verify_triples(ident, [None, None]).ok
+        # a zero vector makes the zero matrix whatever s is, so the product is 0
+        zero_v = ((zero, zero), (X, one), X + 3)
+        assert idempotent._verify_triples(([zero] * 4, one), [None, zero_v]).ok
+        assert idempotent._verify_triples(ident, [zero_v]).failure == "product-mismatch"
+        report = idempotent._verify_triples(ident, [None, ((X, one), (one, X), X), False])
+        assert (report.ok, report.failure, report.factor_index) == (
+            False, "factor-not-idempotent", 1)
+        report = idempotent._verify_triples(ident, [None, False, ((X, one), (one, X), X)])
+        assert report.factor_index == 1
+
+
+class TestShear:
+    @pytest.mark.parametrize("t", [-1, 1, Fraction(1, 3), Fraction(-7, 2)])
+    def test_shear_is_conjugation_by_the_shear_matrix(self, t):
+        rng = random.Random(str(t))
+        zero, one = Polynomial.zero(), Polynomial.one()
+        p = (one, Polynomial.constant(t), zero, one)
+        for _ in range(50):
+            fs = [((rand_rational_poly(rng, 3), rand_rational_poly(rng, 3)),
+                   (rand_rational_poly(rng, 3), rand_rational_poly(rng, 3)),
+                   rand_rational_poly(rng, 3) or one) for _ in range(rng.randint(1, 6))]
+            assert idempotent._shear(fs, t) == idempotent._conjugate(fs, p)
+
+
 class TestIdealClassOfLastFactor:
     def test_principality_matches_last_nonzero_row(self):
         # The product's first row is a scalar times w_k^T, as is each row of
@@ -1259,6 +1379,30 @@ def test_grid_output_is_pinned():
     facts = (factor_row_matrix(p, q) for _, p, q in c06_c07_rows())
     text = "\n\n".join("\n".join([str(f.target)] + [str(m) for m in f.factors]) for f in facts)
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_OUTPUT_SHA256
+
+
+# SHA-256 of the target and factor strings of the first 960 factorization
+# ops of the benchmark's generator (bench/workloads.py) for two seeds, pinned
+# from the output of the Polynomial-product check and the general
+# conjugation; a change that only makes them faster must leave it as it is.
+BENCH_OUTPUT_SHA256 = {
+    77: "c68aa6891b79161c4aac7d57cc7da1ab9a7753f5ec5a201b594d15bc4a68b419",
+    303: "a7dc89c513eaf92c0a2316f6045f64833c966db4b59890aa42c0c501df16c0b5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_OUTPUT_SHA256))
+def test_bench_factorizations_are_pinned(seed):
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    w = workloads.Factorization(seed)
+    facts = [w.run(op) for op in w.next_ops(960)]
+    text = "\n\n".join("\n".join([str(f.target)] + [str(m) for m in f.factors]) for f in facts)
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_OUTPUT_SHA256[seed]
 
 
 class TestStableRangeWitness:

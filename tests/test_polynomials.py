@@ -102,6 +102,17 @@ def test_divrem_reconstruction_hypothesis(ca, cb):
         assert x == y and hash(x) == hash(y) and (x.ints, x.denom) == (y.ints, y.denom)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_fractions, max_size=6), st.lists(_fractions, max_size=6), _fractions)
+def test_subtraction_matches_the_coefficients(ca, cb, c):
+    a, b = Polynomial.from_coeffs(ca), Polynomial.from_coeffs(cb)
+    n = max(len(ca), len(cb))
+    diff = [x - y for x, y in zip(ca + [0] * (n - len(ca)), cb + [0] * (n - len(cb)))]
+    assert a - b == Polynomial.from_coeffs(diff) == a + (-b)
+    assert_canonical(a - b)
+    assert c - a == Polynomial.constant(c) - a == -(a - c)
+
+
 def test_exact_div_raises_on_a_remainder():
     assert _exact_div(X * X - 1, X + 1) == X - 1
     with pytest.raises(CertificateError):
