@@ -27,10 +27,9 @@ of integer denominators, is compared by its two sides' values at one X = 2^k,
 large enough to make that exact.  Only then is each Mat2 built, and an entry
 found outside D there is reported by the same check.  The stages check
 nothing of their own, so any internal fault surfaces as one CertificateError.
-Each vector entry is compared with s once (zero, coprime to s, or a multiple
-c*s), so only an entry that shares a proper factor with s is reduced by a gcd;
-when s is root-free, an entry's membership in D is its degree bound, else the
-checked constructor.
+Each nonzero entry v_i w_j / s is reduced by make (one gcd); when s is
+root-free, an entry's membership in D is its degree bound, else the checked
+constructor.
 
 Each row takes one common-denominator pass, (p, q) = (x, y)/gamma, and every
 branch reads x, y, gamma and the one gcd g = gcd(x, y): q/p lies in D iff
@@ -59,7 +58,6 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     _gcd_cofactors,
-    poly_gcd,
 )
 from .realroots import SignPattern, is_gamma, is_gamma_plus, sign_at_roots
 
@@ -151,51 +149,24 @@ def _factor_of(m: Mat2):
 
 
 def _matrix(f: Optional[_Factor]) -> Mat2:
-    """The Mat2 of a factor v w^T / s, each nonzero entry in the reduced form make returns.
+    """The Mat2 of a factor v w^T / s, each nonzero entry make(v_i w_j, s).
 
-    Each distinct nonzero vector entry is classified against s once: an entry
-    c*s makes the matrix entry a polynomial, c times the other vector entry;
-    two entries coprime to s (constants included) leave v_i w_j / s reduced
-    but for the monic scaling; anything else is reduced by make.  A reduced
-    denominator divides s, so when s is root-free (one cached is_gamma per
-    factor) an entry lies in D iff deg num <= deg den.  Every other entry goes
-    through the checked DressElement constructor, which raises NotInDressRing.
+    A reduced denominator divides s, so when s is root-free (one cached
+    is_gamma per factor) an entry lies in D iff deg num <= deg den.  Every
+    other entry goes through the checked DressElement constructor, which
+    raises NotInDressRing.
     """
     if f is None:
         return Mat2.identity()
     v, w, s = f
-    den = s.monic()
-    n = len(s.ints)
-    inv = None if den is s else 1 / s.leading_coefficient  # monic() returns a monic s itself
-    # Per vector entry: None for 0, c for c*s, True if coprime to s, else False.
-    kinds, gcds = [], {}
-    for e in (*v, *w):
-        k = len(e.ints)
-        if not k:
-            kinds.append(None)
-        elif k == 1 or n == 1:
-            kinds.append(True)
-        elif k == n and e.monic() == den:
-            kinds.append(e.leading_coefficient if inv is None else e.leading_coefficient * inv)
-        else:
-            if e not in gcds:
-                gcds[e] = poly_gcd(e, s).degree == 0
-            kinds.append(gcds[e])
-    root_free = is_gamma(den)
+    root_free = is_gamma(s.monic())
     entries = []
-    for vi, ki in zip(v, kinds):
-        for wj, kj in zip(w, kinds[2:]):
-            if ki is None or kj is None:
+    for vi in v:
+        for wj in w:
+            if not (vi and wj):
                 entries.append(_ZERO_ENTRY)
                 continue
-            if isinstance(ki, Fraction):
-                value = RationalFunction(wj.scale(ki), _1)
-            elif isinstance(kj, Fraction):
-                value = RationalFunction(vi.scale(kj), _1)
-            elif ki and kj:
-                value = RationalFunction(vi * wj if inv is None else (vi * wj).scale(inv), den)
-            else:
-                value = RationalFunction.make(vi * wj, s)
+            value = RationalFunction.make(vi * wj, s)
             if root_free and len(value.num.ints) <= len(value.den.ints):
                 entries.append(DressElement._certified(value))  # deg num <= deg den, s root-free
             else:

@@ -457,8 +457,6 @@ def _read_pair(text: str) -> _Pair | None:
     p, q = _read_polynomial(m[1]), _read_polynomial(m[2])
     if p is None or q is None or q.is_zero:
         return None
-    if len(q.ints) == 1:  # as _Parser divides by a constant
-        return p.scale(Fraction(1, q.ints[0])), _ONE
     return p, q
 
 

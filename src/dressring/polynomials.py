@@ -54,6 +54,14 @@ def _make(ints: list[int], denom: int = 1) -> "Polynomial":
     return Polynomial(tuple(ints), denom)
 
 
+def _residue(ints: Sequence[int], n: int, m: int) -> int:
+    """sum(ints[i] n^i) mod m, for m != 0, on numbers below |m n|: linear in len(ints)."""
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * n + c) % m
+    return acc
+
+
 def _horner(ints: Sequence[int], n: int, d: int) -> int:
     """d^k * p(n/d) = sum(ints[i] n^i d^(k-i)) for p = sum(ints[i] X^i) of degree k."""
     acc = 0
@@ -334,6 +342,8 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
     Z[X] (Gauss), and H(xi) != 0.  D(xi) divides A(xi) and B(xi), so it
     divides g = c H(xi), and K(xi) divides c.  As 0 < |c| <= xi/2, K is
     constant.  In particular, a single digit g <= xi/2 proves coprimality.
+    A(xi) is taken modulo B(xi), with B the shorter operand, so a trial is
+    linear in deg A; when B(xi) = 0, the digits of g = |A(xi)| are A's own.
     """
     if len(a.ints) < len(b.ints):
         g, b_g, a_g = _gcd_cofactors(b, a)
@@ -357,17 +367,27 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
     # 2411 retries over the 22k gcds of 20k principal_generator calls.
     xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
     for _ in range(_HEU_TRIES):
-        g = igcd(_horner(pa, xi, 1), _horner(pb, xi, 1))
-        if 2 * g <= xi:
-            return _ONE, a, b
-        h = []
-        while g:
-            g, d = divmod(g, xi)
-            if 2 * d > xi:
-                d -= xi
-                g += 1
-            h.append(d)
-        h = _strip_content(h)
+        # gcd(A(xi), B(xi)) = gcd(A(xi) mod B(xi), B(xi)), and the residue
+        # takes time linear in deg A, where A(xi) itself is quadratic.
+        bx = 0
+        for c in reversed(pb):
+            bx = bx * xi + c
+        if bx:
+            g = igcd(_residue(pa, xi, bx), bx)
+            if 2 * g <= xi:
+                return _ONE, a, b
+            h = []
+            while g:
+                g, d = divmod(g, xi)
+                if 2 * d > xi:
+                    d -= xi
+                    g += 1
+                h.append(d)
+            h = _strip_content(h)
+        else:
+            # B(xi) = 0 makes g = |A(xi)| > xi/2, whose digits are A itself
+            # up to sign: B is then the operand of larger norm, so |A| < xi/2.
+            h = pa
         if len(h) <= len(pb) and (b_g := _cofactor(b, cb, pb, h)):
             if a_g := _cofactor(a, ca, pa, h):
                 return _make(h, h[-1]), a_g, b_g

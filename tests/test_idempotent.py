@@ -1209,7 +1209,7 @@ def built_or_error(build, f):
 
 
 class TestFactorMatrixBuilder:
-    """_matrix against the per-entry builder, and the work it does."""
+    """_matrix (one make per nonzero entry) against the per-entry builder; the sign queries."""
 
     def recorded_triples(self, monkeypatch, calls):
         triples = []
@@ -1273,31 +1273,19 @@ class TestFactorMatrixBuilder:
             seen.add(isinstance(got, Mat2))
         assert seen == {True, False}
 
-    def test_no_make_for_constant_coprime_or_multiple_entries(self, monkeypatch):
+    def test_constant_coprime_or_multiple_entries_by_make(self):
+        # Entries that are constants, coprime to s or c*s, which make reduces
+        # like any other; s with real roots and s sharing a factor as well.
         one, g2 = Polynomial.one(), GAMMA * (X * X + 2)
-        clean = [  # every nonzero vector entry a constant, coprime to s, or c*s
+        for f in [
             ((Polynomial.constant(3), X), (X + 1, Polynomial.constant(5)), 2 * GAMMA),
             ((4 * GAMMA, X), (Polynomial.constant(7), Polynomial.zero()), 2 * GAMMA),
             ((X * X + X + 3, GAMMA.scale(Fraction(-1, 2))), (one, Polynomial.constant(2)), GAMMA),
             ((Polynomial.constant(5), one), (X * X * X, 3 * g2), g2),
-        ]
-        real_rooted = ((X - 1, 2 * X - 2), (Polynomial.constant(3), one), X - 1)
-        shared = ((GAMMA, one), (X, one), g2)  # GAMMA divides g2
-        expected = [per_entry_matrix(f) for f in clean + [real_rooted, shared]]
-        makes = []
-        original = RationalFunction.make
-
-        def counting(num, den):
-            makes.append((num, den))
-            return original(num, den)
-
-        monkeypatch.setattr(RationalFunction, "make", staticmethod(counting))
-        # The classification is exact for any s, so one whose s has real roots
-        # needs no make either.
-        assert [idempotent._matrix(f) for f in clean + [real_rooted]] == expected[:-1]
-        assert makes == []
-        assert idempotent._matrix(shared) == expected[-1]
-        assert makes == [(GAMMA * X, g2), (GAMMA, g2)]
+            ((X - 1, 2 * X - 2), (Polynomial.constant(3), one), X - 1),
+            ((GAMMA, one), (X, one), g2),  # GAMMA divides g2
+        ]:
+            assert idempotent._matrix(f) == per_entry_matrix(f), f
 
     @pytest.mark.parametrize("f", [
         ((X * X, Polynomial.one()), (X, Polynomial.one()), GAMMA),

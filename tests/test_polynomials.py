@@ -156,7 +156,7 @@ def test_gcd_with_linear_operand():
 
 
 class TestGcdWithoutCliff:
-    """Large gcds, each bounded at 0.5 s.
+    """Large gcds, each bounded at 0.5 s (a degree-200000 parse at 2 s).
 
     A remainder sequence took 1-3 s on each gcd here and 60 s on the parse.
     """
@@ -198,6 +198,20 @@ class TestGcdWithoutCliff:
         text = f"({num})/(X^2+1)^150"
         r = self._timed(lambda: parse_scalar(text))
         assert (r.num, r.den) == (num, (X * X + 1) ** 150)
+
+    @pytest.mark.parametrize("text, num, den", [
+        ("X^200000 - (X+1)/(X^2+1)", X**200000 * (X * X + 1) - X - 1, X * X + 1),
+        ("(X^200001 + 1)/(X^2 - 30*X - 31)", X**200001 + 1, X * X - 30 * X - 31),
+    ])
+    def test_parse_degree_200000_over_a_quadratic(self, text, num, den):
+        # A(xi) of the long operand would take about 25 s; A(xi) mod B(xi)
+        # is linear in its degree.  X^2 - 30X - 31 vanishes at the first
+        # point xi = 31, and X + 1 divides both.
+        start = time.perf_counter()
+        r = parse_scalar(text)
+        assert time.perf_counter() - start < 2
+        g = X + 1 if den(-1) == 0 else Polynomial.one()
+        assert (r.num, r.den) == (divrem(num, g)[0], divrem(den, g)[0])
 
 
 def test_squarefree_part():
@@ -416,6 +430,15 @@ class TestGcdCofactorBranches:
             assert check_cofactors(lin, other)[0] == g
         assert check_cofactors(lin, (X - 1) * X)[1:] == (lc, X)
         assert check_cofactors((X - 1) * X, lin)[1:] == (X, lc)
+
+    def test_shorter_operand_vanishing_at_the_point(self):
+        # The first point is xi = 2 * 1 + 29 = 31, a root of the shorter
+        # operand; A(xi) mod B(xi) would divide by zero there.
+        b = X * X - 30 * X - 31
+        for a in (X**3 + 1, X**2001 + 1):
+            assert b(31) == 0 and check_cofactors(a, b)[0] == X + 1
+            assert check_cofactors(b, a)[0] == X + 1
+        assert check_cofactors(X**2000 + 1, b)[0] == Polynomial.one()
 
     def test_retry_and_fallback(self, monkeypatch):
         # The pinned pairs whose first evaluation point fails the division

@@ -132,6 +132,8 @@ class TestReader:
         assert _read(text) == _Parser(text).parse_top() == parse_scalar("3*X + 2")
         assert _read("(X^2 + 1)/(2)") == parse_scalar("X^2/2 + 1/2")
         assert _read("(0)/(X)").is_zero
+        for text in ("(0)/(5)", "(3*X - 7)/(-4)", "(5)/(10)", "(-X^3+2*X)/(-1)"):
+            assert _read(text) == _Parser(text).parse_top(), text  # make divides by a constant Q
 
     @pytest.mark.parametrize("text, error, message", [
         ("2X", ParseError, "unexpected trailing input 'X' (offset 1)"),

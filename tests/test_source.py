@@ -93,3 +93,10 @@ def test_the_reader_raises_nothing():
                and node.name in ("_read", "_read_pair", "_read_polynomial", "_read_matrix")]
     assert len(readers) == 4
     assert not [node for reader in readers for node in ast.walk(reader) if isinstance(node, ast.Raise)]
+
+
+def test_factor_entries_take_one_reduction_path():
+    # Every nonzero entry of a factor is reduced by RationalFunction.make;
+    # a gcd of its own in idempotent.py would classify entries beside it.
+    found = _references("poly_gcd")
+    assert found and not [ref for ref in found if ref[0] == "idempotent.py"]
