@@ -16,25 +16,24 @@ characters ``int`` accepts, so superscripts such as '²' are not digits) of
 any length, read in pieces under any int/str digit limit of Python; whitespace
 is what ``str.isspace`` accepts.
 
-``parse_expression`` first tries a one-pass reader on three forms: an
-expanded polynomial, a sum of signed terms ``n``, ``n*X``, ``n*X^e``, ``X``
-and ``X^e`` (the first sign optional, ``e`` of at most four digits); a
-quotient ``(P)/(Q)`` of two of them with ``Q`` nonzero; and a matrix
-``[[e, e], [e, e]]`` of four such entries, matched by one regex without
-nested quantifiers.  It sums the coefficients into one integer list and
-builds one polynomial, and one ``RationalFunction.make`` for a quotient.  It
-and ``_Parser``'s tokenizer match each term or token where the last one
-ended, in time linear in the text.  Every other text, a matrix with any other
-entry included, goes to ``_Parser``, which implements the grammar above: it
-is the reference for the reader's values and the only source of every error
-and its offset.
+``parse_expression`` is one recursive-descent parser, ``_Parser``, of the
+grammar above.  It reads in time linear in the text, whitespace runs included,
+matching each token where the last one ended.  A character that starts no
+token is the first error wherever it stands; one search for it runs once the
+text fails.  A term of a sum that is ``n``, ``n*X``, ``n*X^e``, ``X`` or
+``X^e`` with its sign, followed by a sign, ')', ',', ']' or the end, is read
+by one match and added to the sum's one integer coefficient list, so an
+expanded polynomial builds one ``Polynomial``, and a quotient ``(P)/(Q)`` two,
+one division and one ``RationalFunction.make``.
 
 ``_Parser`` builds a power or a product only if its estimated size is at most
 ``_MAX_BITS`` (2^22) bits and no polynomial product in it multiplies more than
 ``_MAX_TERM_PAIRS`` (2^22) pairs of terms; otherwise it raises
 ResourceLimitError before building it.  The last power of a factor is built
 only after the next '*' or '/' is checked, so a product of two large powers is
-refused before either is built.
+refused before either is built.  A term read by one match is held to the same
+bounds as ``n*X^e`` read token by token, and one past them is read so, and
+refused, at the same offset.
 
 Values are evaluated as unreduced numerator/denominator pairs of polynomials:
 '+', '-', '*' and '/' take no gcd, and each scalar or matrix entry is reduced
@@ -72,12 +71,19 @@ class ParsedMatrix:
 ParsedValue = Union[RationalFunction, ParsedMatrix]
 
 
-# One token per match, after any whitespace: group 1 an integer, group 2 'X' or
-# a punctuation mark, group 3 any other character (an error).  Each match is
-# anchored where the last one ended, and none is left only at trailing
-# whitespace, which a search from every later offset would make quadratic.
-_TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/^()\[\],X])|(\S))")
+# The first character that starts no token is the first error, whatever precedes it.
+_STRAY = re.compile(r"[^-+*/^()\[\],X\d\s]")
+# One token after any whitespace: group 1 an integer, group 2 'X' or a mark.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/^()\[\],X]))")
+# One whole term of a sum after any whitespace: sign, coefficient of X, 'X',
+# exponent (of at most seven digits, which int reads under any digit limit),
+# constant, then the mark after it (empty at the end of the text), which must
+# end a sum for the term to be whole.  The whitespace before the term splits
+# only one way, so a failed match costs time linear in what it read.
+_WHOLE_TERM = re.compile(r"\s*(?:([-+])\s*)?(?:(?:(\d+)\s*\*\s*)?(X)(?:\s*\^\s*(\d{1,7}))?|(\d+))"
+                         r"(?=\s*([-+)\],]|\Z))")
 
+_MARKS = frozenset("-+*/^()[],X")
 _ONE = Polynomial.one()
 _X = Polynomial.x()
 
@@ -86,20 +92,6 @@ _X = Polynomial.x()
 # operand for the constant 1, so products keep that form); each scalar is
 # reduced once, in _Parser.parse_reduced.
 _Pair = tuple[Polynomial, Polynomial]
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, pos) tuples; kind is 'int', 'X', a punctuation mark or 'end'."""
-    tokens, end = [], 0
-    while m := _TOKEN.match(text, end):
-        end = m.end()
-        group = m.lastindex
-        tok = m.group(group)
-        if group == 3:
-            raise ParseError(f"unexpected character {tok!r}", m.start(3))
-        tokens.append(("int" if group == 1 else tok, tok, m.start(group)))
-    tokens.append(("end", "", len(text)))
-    return tokens
 
 
 def _int(text: str) -> int:
@@ -200,7 +192,7 @@ def _check_products(pos: int, *products: tuple[_Factor, ...]) -> None:
 
 
 def _power(num: Polynomial, den: Polynomial, e: int) -> _Pair:
-    """(num/den)^e for a power that _Parser.parse_power has checked."""
+    """(num/den)^e for a power that _Parser.parse_term has checked."""
     if e == 1:
         return num, den
     if num is _X and den is _ONE:
@@ -234,151 +226,199 @@ def _add_term(acc: list[int], den: int, term: Polynomial, negate: bool) -> int:
     return den
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _stray(m: re.Match) -> ParseError:
+    return ParseError(f"unexpected character {m[0]!r}", m.start())
 
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            what = "end of input" if tok[0] == "end" else repr(tok[1])
-            raise ParseError(f"expected {kind!r}, found {what}", tok[2])
-        self.i += 1
-        return tok
+
+class _Parser:
+    """The grammar's recursive descent, reading tokens where the last one ended."""
+
+    def __init__(self, text: str):
+        self.text, self.pos, self.end = text, -1, 0  # no token is read yet
+
+    def advance(self) -> None:
+        """Read the next token: kind is 'int', 'X', a mark or 'end', at offset pos."""
+        end = self.end
+        mark = self.text[end:end + 1]
+        if mark in _MARKS:  # an unspaced mark, read without the regex
+            self.kind = self.tok = mark
+            self.pos, self.end = end, end + 1
+            return
+        m = mark and _TOKEN.match(self.text, end)
+        if not m:  # the end, after any whitespace, or a character that starts no token
+            if mark and (m := _STRAY.search(self.text, end)):
+                raise _stray(m)
+            self.kind, self.tok, self.pos = "end", "", len(self.text)
+            return
+        group = m.lastindex
+        self.tok = m[group]
+        self.kind = "int" if group == 1 else self.tok
+        self.pos, self.end = m.start(group), m.end()
+
+    def take(self, kind: str) -> None:
+        if self.kind != kind:
+            what = "end of input" if self.kind == "end" else repr(self.tok)
+            raise ParseError(f"expected {kind!r}, found {what}", self.pos)
+        self.advance()
 
     def parse_top(self) -> ParsedValue:
-        if self.tokens[self.i][0] == "[":
-            value = self.parse_matrix()
-        else:
-            value = self.parse_reduced()
-        kind, text, pos = self.tokens[self.i]
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", pos)
+        try:
+            if self.text.lstrip()[:1] == "[":
+                self.advance()
+                value = self.parse_matrix()
+            else:
+                value = self.parse_reduced(0)
+            if self.kind != "end":
+                raise ParseError(f"unexpected trailing input {self.tok!r}", self.pos)
+        except (ParseError, ResourceLimitError, ZeroDenominatorError):
+            # A character that starts no token is the first error, wherever it
+            # stands; it is looked for only once the text fails.
+            if m := _STRAY.search(self.text):
+                raise _stray(m) from None
+            raise
         return value
 
     def parse_matrix(self) -> ParsedMatrix:
         self.take("[")
         self.take("[")
-        a = self.parse_reduced()
+        a = self.parse_reduced(self.pos)
         self.take(",")
-        b = self.parse_reduced()
+        b = self.parse_reduced(self.pos)
         self.take("]")
         self.take(",")
         self.take("[")
-        c = self.parse_reduced()
+        c = self.parse_reduced(self.pos)
         self.take(",")
-        d = self.parse_reduced()
+        d = self.parse_reduced(self.pos)
         self.take("]")
         self.take("]")
         return ParsedMatrix(a, b, c, d)
 
-    def parse_reduced(self) -> RationalFunction:
-        return _value(*self.parse_expr())
+    def parse_reduced(self, start: int) -> RationalFunction:
+        return _value(*self.parse_expr(start))
 
-    def parse_expr(self) -> _Pair:
-        # From the second term on, the terms over one denominator go into one
-        # integer coefficient list acc/den, built into a Polynomial when a
-        # term over another denominator or the end of the sum comes: a running
-        # Polynomial sum would copy itself at every '+', in time quadratic in
-        # the length.  A term X^e adds its one coefficient and is never built.
-        negate, n1, d1, e1 = self.parse_term()
-        n1, d1 = _power(n1, d1, e1)
-        if negate:
-            n1 = -n1
-        acc, tokens = None, self.tokens
+    def parse_expr(self, pos: int) -> _Pair:
+        """The sum that starts at the token at pos, which may not be read yet."""
+        # The terms over one denominator d1 go into one integer coefficient
+        # list acc/den: a running Polynomial sum would copy itself at every
+        # '+', in time quadratic in the length.  Over d1 = 1 a whole term n,
+        # n*X, n*X^e, X or X^e takes one _WHOLE_TERM match, sign included,
+        # and adds one coefficient; the match also reads the mark after the
+        # term, which becomes the next token where the sum ends.  parse_term
+        # reads every other term, and a term past one of its bounds, which
+        # it raises; a sum of one such term is that term as built.
+        text, acc, den, d1, first = self.text, [], 1, _ONE, True
         while True:
-            op, _, pos = tokens[self.i]
-            if op != "+" and op != "-":
-                return (n1, d1) if acc is None else (_make(acc, den), d1)
-            self.i += 1
-            if acc is None:
-                acc, den = list(n1.ints), n1.denom
-            negate, n2, d2, e2 = self.parse_term()
-            negate ^= op == "-"
-            if n2 is _X and d2 is _ONE and d1 is _ONE:
-                if len(acc) <= e2:
-                    acc += [0] * (e2 + 1 - len(acc))
-                acc[e2] += -den if negate else den
-                continue
-            n2, d2 = _power(n2, d2, e2)
+            if d1 is _ONE:
+                while m := _WHOLE_TERM.match(text, pos):
+                    sign, coefficient, x, exponent, constant, mark = m.groups()
+                    if x:
+                        try:
+                            c = int(coefficient) if coefficient else 1
+                        except ValueError:  # past Python's int/str digit limit
+                            c = _int(coefficient)
+                        e = int(exponent) if exponent else 1
+                        # X^e has e + 1 one-bit coefficients, and c*X^e the bits _bits gives
+                        # it, at most 2^11 * 2^11 = _MAX_BITS for e < 2^11 and c < 2^2047.
+                        if (e >> 11 or c >> 2047) and (e >= _MAX_BITS or c > 1 and (
+                                (e + 1) * (1 + (c - 1).bit_length()) > _MAX_BITS)):
+                            break
+                    else:
+                        c, e = _int(constant), 0
+                    if len(acc) <= e:
+                        acc += [0] * (e + 1 - len(acc))
+                    acc[e] += -c * den if sign == "-" else c * den
+                    pos = m.end()
+                    if mark not in ("+", "-"):
+                        self.kind, self.tok = mark or "end", mark
+                        self.pos, self.end = m.span(6)
+                        # A lone X is the object _X, as parse_atom returns it.
+                        lone_x = first and sign != "-" and c == e == 1
+                        return (_X if lone_x else _make(acc, den)), d1
+                    first = False
+            if pos != self.pos:  # the token at pos is not read yet
+                self.end = pos
+                self.advance()
+            negate = False
+            if not first:  # step over the sign
+                negate, pos = self.kind == "-", self.pos
+                self.advance()
+            negate2, n2, d2, e2 = self.parse_term()
+            negate ^= negate2
+            if e2 != 1:
+                n2, d2 = _power(n2, d2, e2)
+            if first:
+                if self.kind != "+" and self.kind != "-":
+                    return (-n2 if negate else n2), d2
+                d1 = d2
             if d1 == d2:
                 den = _add_term(acc, den, n2, negate)
-                continue
-            n1, acc = _make(acc, den), None
-            if negate:
-                n2 = -n2
-            _check_products(pos, ((n1, 1), (d2, 1)), ((n2, 1), (d1, 1)), ((d1, 1), (d2, 1)))
-            n1, d1 = n1 * d2 + n2 * d1, d1 * d2
+            else:
+                n1 = _make(acc, den)
+                if negate:
+                    n2 = -n2
+                _check_products(pos, ((n1, 1), (d2, 1)), ((n2, 1), (d1, 1)), ((d1, 1), (d2, 1)))
+                n1, d1 = n1 * d2 + n2 * d1, d1 * d2
+                acc, den = list(n1.ints), n1.denom
+            if self.kind != "+" and self.kind != "-":
+                return _make(acc, den), d1
+            pos = self.pos
+            first = False
 
     def parse_term(self) -> tuple[bool, Polynomial, Polynomial, int]:
         """(negate, num, den, e): the term, -(num/den)^e if negate else (num/den)^e,
         checked but with its last power not yet built."""
-        # Each factor comes as (negate, num, den, e); the signs are applied
-        # once, to the product.
-        negate, n1, d1, e1 = self.parse_unary()
-        tokens = self.tokens
+        # Each factor is a unary, an atom and its powers, (num/den)^e; the
+        # signs are applied once, to the product.
+        negate, op = False, None
         while True:
-            op, _, pos = tokens[self.i]
-            if op != "*" and op != "/":
-                return negate, n1, d1, e1
-            self.i += 1
-            negate2, n2, d2, e2 = self.parse_unary()
-            negate ^= negate2
-            if op == "*":
-                _check_products(pos, ((n1, e1), (n2, e2)), ((d1, e1), (d2, e2)))
+            while self.kind == "-" or self.kind == "+":
+                negate ^= self.kind == "-"
+                self.advance()
+            n2, d2 = self.parse_atom()
+            e2 = 1
+            while self.kind == "^":
+                pos = self.pos
+                self.advance()
+                if self.kind == "int":
+                    f = _int(self.tok)
+                    self.advance()
+                else:
+                    f = self._exponent(*self.parse_atom(), pos)
+                n2, d2 = _power(n2, d2, e2)  # b^e of a chain b^e^f
+                if d2 is not _ONE:
+                    n2, d2 = _reduced_pair(n2, d2)
+                if n2 is _X and d2 is _ONE:  # X^f: f + 1 one-bit coefficients, no product
+                    _check("power", pos, f + 1, 0)
+                else:
+                    _check("power", pos, _bits((n2, f)) + _bits((d2, f)),
+                           max(_power_pairs(n2, f), _power_pairs(d2, f)))
+                e2 = f
+            if op is None:
+                n1, d1, e1 = n2, d2, e2
+            elif op == "*":
+                _check_products(op_pos, ((n1, e1), (n2, e2)), ((d1, e1), (d2, e2)))
                 (n1, d1), (n2, d2) = _power(n1, d1, e1), _power(n2, d2, e2)
-                n1, d1 = n1 * n2, d1 * d2
+                n1, d1, e1 = n1 * n2, d1 * d2, 1
+            elif d1 is _ONE and d2 is _ONE and e1 == e2 == 1 and len(n2.ints) > 1:
+                d1 = n2  # n1/n2: no product to check or build
             else:
                 if e2 and n2.is_zero:
-                    raise ZeroDenominatorError(f"division by zero (offset {pos})")
+                    raise ZeroDenominatorError(f"division by zero (offset {op_pos})")
                 if len(n2.ints) == 1:  # a constant divisor c scales the numerator by 1/c
-                    _check_products(pos, ((n1, e1), (d2, e2), (_make([n2.denom], n2.ints[0]), e2)))
+                    _check_products(op_pos, ((n1, e1), (d2, e2), (_make([n2.denom], n2.ints[0]), e2)))
                 else:
-                    _check_products(pos, ((n1, e1), (d2, e2)), ((d1, e1), (n2, e2)))
+                    _check_products(op_pos, ((n1, e1), (d2, e2)), ((d1, e1), (n2, e2)))
                 (n1, d1), (n2, d2) = _power(n1, d1, e1), _power(n2, d2, e2)
-                n1 = n1 * d2
+                n1, e1 = n1 * d2, 1
                 if len(n2.ints) == 1:
                     n1 = n1.scale(Fraction(n2.denom, n2.ints[0]))
                 else:
                     d1 = d1 * n2
-            e1 = 1
-
-    def parse_unary(self) -> tuple[bool, Polynomial, Polynomial, int]:
-        tokens = self.tokens
-        negate = False
-        while True:
-            kind = tokens[self.i][0]
-            if kind == "-":
-                negate = not negate
-            elif kind != "+":
-                break
-            self.i += 1
-        return (negate, *self.parse_power())
-
-    def parse_power(self) -> tuple[Polynomial, Polynomial, int]:
-        """(num, den, e): the value (num/den)^e, checked but not built."""
-        num, den = self.parse_atom()
-        e = 1
-        tokens = self.tokens
-        while tokens[self.i][0] == "^":
-            pos = tokens[self.i][2]
-            self.i += 1
-            if tokens[self.i][0] == "int":
-                f = _int(tokens[self.i][1])
-                self.i += 1
-            else:
-                f = self._exponent(*self.parse_atom(), pos)
-            num, den = _power(num, den, e)  # b^e of a chain b^e^f
-            if den is not _ONE:
-                num, den = _reduced_pair(num, den)
-            if num is _X and den is _ONE:  # X^f: f + 1 one-bit coefficients, no product
-                _check("power", pos, f + 1, 0)
-            else:
-                _check("power", pos, _bits((num, f)) + _bits((den, f)),
-                       max(_power_pairs(num, f), _power_pairs(den, f)))
-            e = f
-        return num, den, e
+            op, op_pos = self.kind, self.pos
+            if op != "*" and op != "/":
+                return negate, n1, d1, e1
+            self.advance()
 
     @staticmethod
     def _exponent(num: Polynomial, den: Polynomial, pos: int) -> int:
@@ -392,98 +432,25 @@ class _Parser:
         return int(e)
 
     def parse_atom(self) -> _Pair:
-        kind, text, pos = self.tokens[self.i]
+        kind = self.kind
         if kind == "int":
-            self.i += 1
-            value = _int(text)
+            value = _int(self.tok)
+            self.advance()
             return (Polynomial((value,)) if value else Polynomial.zero()), _ONE
         if kind == "X":
-            self.i += 1
+            self.advance()
             return _X, _ONE
         if kind == "(":
-            self.i += 1
-            value = self.parse_expr()
+            value = self.parse_expr(self.end)
             self.take(")")
             return value
-        what = "end of input" if kind == "end" else repr(text)
-        raise ParseError(f"expected a value, found {what}", pos)
-
-
-# One term of the reader's expanded polynomials per match, after any
-# whitespace: sign, coefficient of X, 'X', exponent, constant.  A term is n,
-# n*X, n*X^e, X or X^e with e of at most four digits, so a term never spans
-# more than 10^4 coefficients.  The whitespace before a term splits only one
-# way, and each match is anchored where the last one ended, so the reader is
-# linear in the text, whitespace runs included.
-_TERM = re.compile(r"\s*(?:([-+])\s*)?(?:(?:(\d+)\s*\*\s*)?(X)(?:\s*\^\s*(\d{1,4}))?|(\d+))")
-_QUOTIENT = re.compile(r"\s*\(([^()]*)\)\s*/\s*\(([^()]*)\)\s*")
-# A matrix [[e, e], [e, e]] of entries free of brackets and commas: each entry's
-# run ends at the first ',' or ']', so no quantifier nests and a match is linear.
-_MATRIX = re.compile(r"\s*\[\s*\[([^\[\],]*),([^\[\],]*)\]"
-                     r"\s*,\s*\[([^\[\],]*),([^\[\],]*)\]\s*\]\s*")
-
-
-def _read_polynomial(text: str) -> Polynomial | None:
-    """The expanded polynomial written in text, or None for any other text:
-    terms follow each other, and every term after the first has a sign."""
-    ints, end = [], 0
-    while m := _TERM.match(text, end):
-        sign, coefficient, x, exponent, constant = m.groups()
-        if end and not sign:
-            return None
-        end = m.end()
-        if x:
-            c, e = _int(coefficient) if coefficient else 1, int(exponent) if exponent else 1
-        else:
-            c, e = _int(constant), 0
-        if e >= len(ints):
-            ints += [0] * (e + 1 - len(ints))
-        ints[e] += -c if sign == "-" else c
-    if not end or text[end:].strip():
-        return None
-    return _make(ints)
-
-
-def _read_pair(text: str) -> _Pair | None:
-    """The unreduced value of an expanded polynomial P or a quotient (P)/(Q),
-    read in one pass; None for any other text, a zero Q included, which
-    _Parser reads."""
-    p = _read_polynomial(text)
-    if p is not None:
-        return p, _ONE
-    m = _QUOTIENT.fullmatch(text)
-    if m is None:
-        return None
-    p, q = _read_polynomial(m[1]), _read_polynomial(m[2])
-    if p is None or q is None or q.is_zero:
-        return None
-    return p, q
-
-
-def _read(text: str) -> RationalFunction | None:
-    """The value of a text _read_pair reads, reduced; None for any other text."""
-    pair = _read_pair(text)
-    return None if pair is None else _value(*pair)
-
-
-def _read_matrix(text: str) -> ParsedMatrix | None:
-    """The matrix [[e, e], [e, e]] whose four entries _read_pair reads, each
-    reduced only once all four are read; None otherwise."""
-    m = _MATRIX.fullmatch(text)
-    if m is None:
-        return None
-    pairs = [_read_pair(e) for e in m.groups()]
-    if any(pair is None for pair in pairs):
-        return None
-    return ParsedMatrix(*(_value(*pair) for pair in pairs))
+        what = "end of input" if kind == "end" else repr(self.tok)
+        raise ParseError(f"expected a value, found {what}", self.pos)
 
 
 def parse_expression(text: str) -> ParsedValue:
     """Parse a scalar or matrix expression; errors carry the 0-based offset."""
-    value = _read(text)
-    if value is None:
-        value = _read_matrix(text)
-    return _Parser(text).parse_top() if value is None else value
+    return _Parser(text).parse_top()
 
 
 def parse_scalar(text: str) -> RationalFunction:

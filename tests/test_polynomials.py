@@ -155,6 +155,20 @@ def test_gcd_with_linear_operand():
     assert seen == {0, 1}
 
 
+def test_gcd_with_linear_operand_is_linear_in_the_degree():
+    # b1^k a(-b0/b1) is first taken modulo a prime: the exact value grows with
+    # k = deg a, and (X^80000 + 1)/(3X + 2) took 0.68 s to parse through it,
+    # so this degree-400000 operand would take about 17 s.
+    a, b = Polynomial((1,) + (0,) * 399_999 + (1,)), 3 * X + 2
+    start = time.perf_counter()
+    assert _gcd_cofactors(a, b) == (Polynomial.one(), a, b)
+    assert time.perf_counter() - start < 1
+    # When b divides a, the residue is 0 and the exact value decides.
+    a = X**2000 - Fraction(-2, 3) ** 2000
+    g, a_g, b_g = _gcd_cofactors(a, b)
+    assert g == X + Fraction(2, 3) and a_g * g == a and b_g == Polynomial.constant(3)
+
+
 class TestGcdWithoutCliff:
     """Large gcds, each bounded at 0.5 s (a degree-200000 parse at 2 s).
 

@@ -1,8 +1,9 @@
-"""The parser's one-pass reader, its integer printer and its size bounds.
+"""The expression parser, its integer printer and its size bounds.
 
-The reader must give ``_Parser``'s value on every text of its forms and
-leave every other text, with its errors and their offsets, to ``_Parser``;
-the printer must match the ``Fraction``-based reference in ``helpers``.
+Every parsed value is checked against an oracle: the coefficients summed
+from the text's own terms, or a printed form.  Every error is checked by its
+type, message and offset, and the printer against the ``Fraction``-based
+reference in ``helpers``.
 """
 
 import random
@@ -13,15 +14,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dressring import ParseError, Polynomial, ResourceLimitError, ZeroDenominatorError
+from dressring import ParseError, Polynomial, RationalFunction, ResourceLimitError, ZeroDenominatorError
 from dressring.parsing import (
     _MAX_BITS,
     _MAX_TERM_PAIRS,
-    _Parser,
+    ParsedMatrix,
     _bits,
     _power_pairs,
-    _read,
-    _read_matrix,
+    format_matrix,
     format_polynomial,
     parse_expression,
     parse_scalar,
@@ -40,73 +40,108 @@ DIGITS = st.one_of(
 EXPONENTS = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["0", "1", "01", "0003"]))
 
 
+def digits_value(text: str) -> int:
+    """The value of a run of decimal digits, one digit at a time, so under any
+    int/str digit limit."""
+    value = 0
+    for digit in text:
+        value = value * 10 + int(digit)
+    return value
+
+
 @st.composite
 def terms(draw):
-    """One term, n, n*X, n*X^e, X or X^e, with whitespace around its marks."""
+    """One term, n, n*X, n*X^e, X or X^e, with whitespace around its marks,
+    and its coefficient and exponent."""
     ws = lambda: draw(SPACES)  # noqa: E731
     kind = draw(st.sampled_from(["n", "n*X", "n*X^e", "X", "X^e"]))
-    text = "X" if kind.startswith("X") else draw(DIGITS)
+    text, c, e = "X", 1, 1
+    if not kind.startswith("X"):
+        text = draw(DIGITS)
+        c, e = digits_value(text), 0
     if kind.startswith("n*"):
         text += f"{ws()}*{ws()}X"
+        e = 1
     if kind.endswith("^e"):
-        text += f"{ws()}^{ws()}{draw(EXPONENTS)}"
-    return text
+        exponent = draw(EXPONENTS)
+        text += f"{ws()}^{ws()}{exponent}"
+        e = digits_value(exponent)
+    return text, c, e
 
 
 @st.composite
 def polynomials(draw):
-    """An expanded polynomial: an optional first sign, then signed terms."""
+    """An expanded polynomial, an optional first sign and then signed terms,
+    and the polynomial of its summed terms."""
     ws = lambda: draw(SPACES)  # noqa: E731
-    text = ws() + draw(st.sampled_from(["", "", "+", "-"])) + ws() + draw(terms())
-    for _ in range(draw(st.integers(0, 8))):
-        text += ws() + draw(st.sampled_from("+-")) + ws() + draw(terms())
-    return text + ws()
+    coeffs = {}
+    text = ws()
+    for sign in [draw(st.sampled_from(["", "", "+", "-"]))] + draw(
+            st.lists(st.sampled_from("+-"), max_size=8)):
+        term, c, e = draw(terms())
+        text += f"{sign}{ws()}{term}{ws()}"
+        coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
+    return text, Polynomial.from_coeffs([coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
 
 
 @st.composite
 def quotients(draw):
+    """(P)/(Q) and its value, or None for a zero Q."""
     ws = lambda: draw(SPACES)  # noqa: E731
-    return f"{ws()}({draw(polynomials())}){ws()}/{ws()}({draw(polynomials())}){ws()}"
+    (p_text, p), (q_text, q) = draw(polynomials()), draw(polynomials())
+    return f"{ws()}({p_text}){ws()}/{ws()}({q_text}){ws()}", (
+        RationalFunction.make(p, q) if q else None)
+
+
+def scalars():
+    """A polynomial or a quotient, and its value (None for a zero divisor)."""
+    return st.one_of(polynomials().map(lambda c: (c[0], RationalFunction.from_polynomial(c[1]))),
+                     quotients())
 
 
 @st.composite
 def matrices(draw):
-    """[[e, e], [e, e]] with whitespace around its marks; an entry is sometimes
-    1 - (P)/(Q), which the reader leaves, with the whole matrix, to _Parser."""
+    """[[e, e], [e, e]] with whitespace around its marks, and its value (None
+    for a zero divisor); an entry is sometimes 1 - (P)/(Q)."""
     ws = lambda: draw(SPACES)  # noqa: E731
-    e = lambda: draw(st.one_of(polynomials(), quotients(), quotients().map("1 - {}".format)))  # noqa: E731
-    return f"{ws()}[{ws()}[{e()},{e()}]{ws()},{ws()}[{e()},{e()}]{ws()}]{ws()}"
+    entries = [draw(st.one_of(scalars(), quotients().map(
+        lambda c: ("1 - " + c[0], None if c[1] is None else RationalFunction.one() - c[1]))))
+        for _ in range(4)]
+    (a, _), (b, _), (c, _), (d, _) = entries
+    values = [value for _, value in entries]
+    return f"{ws()}[{ws()}[{a},{b}]{ws()},{ws()}[{c},{d}]{ws()}]{ws()}", (
+        None if None in values else ParsedMatrix(*values))
 
 
 class TestReader:
+    """parse_expression against the value each text's own terms give."""
+
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(polynomials(), quotients()))
-    def test_reader_matches_the_parser(self, text):
-        try:
-            expected = _Parser(text).parse_top()
-        except ZeroDenominatorError:
-            assert _read(text) is None  # a zero Q is left to the parser
-            return
-        assert _read(text) == expected
-        assert parse_expression(text) == expected
+    @given(scalars())
+    def test_reader_matches_the_parser(self, case):
+        text, expected = case
+        if expected is None:
+            with pytest.raises(ZeroDenominatorError):
+                parse_expression(text)
+        else:
+            assert parse_expression(text) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(matrices())
-    def test_matrix_reader_matches_the_parser(self, text):
-        try:
-            expected = _Parser(text).parse_top()
-        except ZeroDenominatorError:
-            assert _read_matrix(text) is None
-            return
-        # Only an entry 1 - (P)/(Q) is outside the reader's forms.
-        assert _read_matrix(text) == (None if re.search(r"1 - \s*\(", text) else expected)
-        assert parse_expression(text) == expected
+    def test_matrix_reader_matches_the_parser(self, case):
+        text, expected = case
+        if expected is None:
+            with pytest.raises(ZeroDenominatorError):
+                parse_expression(text)
+        else:
+            assert parse_expression(text) == expected
 
     def test_matrix_entries_outside_the_forms_reach_the_parser(self):
-        assert _read_matrix("[[X, 1], [0, X^2 + 1]]") == _Parser("[[X,1],[0,X^2+1]]").parse_top()
-        for text in ("[[1 - (X)/(X^2+1), 1], [0, 1]]", "[[(X+1)^2, 1], [0, 1]]"):
-            assert _read_matrix(text) is None
-            assert parse_expression(text) == _Parser(text).parse_top()
+        for text, expected in (
+                ("[[X, 1], [0, X^2 + 1]]", "[[X, 1], [0, X^2 + 1]]"),
+                ("[[1 - (X)/(X^2+1), 1], [0, 1]]", "[[(X^2 - X + 1)/(X^2 + 1), 1], [0, 1]]"),
+                ("[[(X+1)^2, 1], [0, 1]]", "[[X^2 + 2*X + 1, 1], [0, 1]]")):
+            assert format_matrix(parse_expression(text)) == expected
         with pytest.raises(ParseError, match=re.escape("expected a value, found ',' (offset 2)")):
             parse_expression("[[, 1], [0, 1]]")
 
@@ -128,12 +163,15 @@ class TestReader:
         assert result == expected
 
     def test_repeated_zero_and_constant_terms(self):
-        text = " - 0*X^3 + X^1 + 2*X - X^0 + 3 + 0 + X ^ 0003 - X^3"
-        assert _read(text) == _Parser(text).parse_top() == parse_scalar("3*X + 2")
-        assert _read("(X^2 + 1)/(2)") == parse_scalar("X^2/2 + 1/2")
-        assert _read("(0)/(X)").is_zero
-        for text in ("(0)/(5)", "(3*X - 7)/(-4)", "(5)/(10)", "(-X^3+2*X)/(-1)"):
-            assert _read(text) == _Parser(text).parse_top(), text  # make divides by a constant Q
+        for text, expected in (
+                (" - 0*X^3 + X^1 + 2*X - X^0 + 3 + 0 + X ^ 0003 - X^3", "3*X + 2"),
+                ("(X^2 + 1)/(2)", "1/2*X^2 + 1/2"),
+                ("(0)/(X)", "0"),
+                ("(0)/(5)", "0"),
+                ("(3*X - 7)/(-4)", "-3/4*X + 7/4"),
+                ("(5)/(10)", "1/2"),
+                ("(-X^3+2*X)/(-1)", "X^3 - 2*X")):
+            assert str(parse_expression(text)) == expected, text
 
     @pytest.mark.parametrize("text, error, message", [
         ("2X", ParseError, "unexpected trailing input 'X' (offset 1)"),
@@ -146,19 +184,22 @@ class TestReader:
         ("X + * 1", ParseError, "expected a value, found '*' (offset 4)"),
         ("2 3", ParseError, "unexpected trailing input '3' (offset 2)"),
         ("x", ParseError, "unexpected character 'x' (offset 0)"),
+        # An unexpected character comes first, wherever it stands.
+        ("X + * 1 ?", ParseError, "unexpected character '?' (offset 8)"),
     ])
     def test_texts_outside_the_forms_reach_the_parser(self, text, error, message):
-        assert _read(text) is None
         with pytest.raises(error) as exc:
             parse_expression(text)
         assert type(exc.value) is error and str(exc.value) == message
 
-    @pytest.mark.parametrize("text", ["2*3", "X*2", "--X", "X^12345", "2^3", "(X+1)",
-                                      "(X)/(X)^2", "3/2*X", "X^2^3", "(X)/(X)/(X)",
-                                      "X + + 1"])
-    def test_valid_texts_outside_the_forms_reach_the_parser(self, text):
-        assert _read(text) is None
-        assert parse_expression(text) == _Parser(text).parse_top()
+    VALID = [("2*3", "6"), ("X*2", "2*X"), ("--X", "X"), ("X^12345", "X^12345"), ("2^3", "8"),
+             ("(X+1)", "X + 1"), ("(X)/(X)^2", "(1)/(X)"), ("3/2*X", "3/2*X"), ("X^2^3", "X^6"),
+             ("(X)/(X)/(X)", "(1)/(X)"), ("X + + 1", "X + 1")]
+
+    @pytest.mark.parametrize("text, expected", VALID, ids=[text for text, _ in VALID])
+    def test_valid_texts_outside_the_forms_reach_the_parser(self, text, expected):
+        # Each of these has a term that is not n, n*X, n*X^e, X or X^e.
+        assert str(parse_expression(text)) == expected
 
     @pytest.mark.parametrize("text, expected", [
         ("X + " + " " * 10**5 + "(X+1)", "2*X + 1"),
@@ -202,7 +243,6 @@ class TestParserSums:
         # A running Polynomial sum copied itself at every '+': 4000 terms took
         # about 0.9 s, and 20,000 would take about 20 s.
         base = dense_base(20000, 7)
-        assert _read(f"({base})") is None  # the reader leaves it to _Parser
         start = time.perf_counter()
         value = parse_scalar(f"({base})")
         assert time.perf_counter() - start < 5
@@ -218,7 +258,16 @@ class TestParserSums:
     ])
     def test_sums_over_one_and_several_denominators(self, text, expected):
         assert str(parse_scalar(text)) == expected
-        assert parse_scalar(text) == _Parser(text).parse_top()
+
+    def test_a_dense_sum_of_scaled_powers_is_read_in_linear_time(self):
+        # Each term c*X^e with c != +-1 was built as a dense X^e and scaled, so
+        # this 8001-term sum took about 5 s; each term now adds one coefficient.
+        rng = random.Random(8000)
+        base = format_polynomial(Polynomial(tuple(rng.choice((2, 3, -5)) for _ in range(8001))))
+        start = time.perf_counter()
+        value = parse_scalar(f"({base})")
+        assert time.perf_counter() - start < 1
+        assert format_polynomial(value.num) == base and value.den == Polynomial.one()
 
 
 class TestProductBound:

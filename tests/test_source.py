@@ -84,17 +84,6 @@ def test_no_change_to_the_int_str_digit_limit():
     assert [path.name for path in SRC.glob("*.py") if "int_max_str" in path.read_text()] == []
 
 
-def test_the_reader_raises_nothing():
-    # _Parser is the only source of parse errors and their offsets: the
-    # one-pass reader returns None for every text it does not read.
-    tree = ast.parse((SRC / "parsing.py").read_text())
-    readers = [node for node in tree.body
-               if isinstance(node, ast.FunctionDef)
-               and node.name in ("_read", "_read_pair", "_read_polynomial", "_read_matrix")]
-    assert len(readers) == 4
-    assert not [node for reader in readers for node in ast.walk(reader) if isinstance(node, ast.Raise)]
-
-
 def test_factor_entries_take_one_reduction_path():
     # Every nonzero entry of a factor is reduced by RationalFunction.make;
     # a gcd of its own in idempotent.py would classify entries beside it.
