@@ -270,9 +270,10 @@ class _Parser:
                 value = self.parse_reduced(0)
             if self.kind != "end":
                 raise ParseError(f"unexpected trailing input {self.tok!r}", self.pos)
-        except (ParseError, ResourceLimitError, ZeroDenominatorError):
+        except (ParseError, ResourceLimitError, ZeroDenominatorError, RecursionError):
             # A character that starts no token is the first error, wherever it
-            # stands; it is looked for only once the text fails.
+            # stands, a nesting too deep included; it is looked for only once
+            # the text fails.
             if m := _STRAY.search(self.text):
                 raise _stray(m) from None
             raise

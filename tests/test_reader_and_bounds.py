@@ -192,6 +192,12 @@ class TestReader:
             parse_expression(text)
         assert type(exc.value) is error and str(exc.value) == message
 
+    def test_an_unexpected_character_comes_before_a_nesting_too_deep(self):
+        with pytest.raises(ParseError, match=re.escape("unexpected character '?' (offset 50001)")):
+            parse_expression("(" * 50_000 + "X?" + ")" * 50_000)
+        with pytest.raises(RecursionError):
+            parse_expression("(" * 50_000 + "X" + ")" * 50_000)
+
     VALID = [("2*3", "6"), ("X*2", "2*X"), ("--X", "X"), ("X^12345", "X^12345"), ("2^3", "8"),
              ("(X+1)", "X + 1"), ("(X)/(X)^2", "(1)/(X)"), ("3/2*X", "3/2*X"), ("X^2^3", "X^6"),
              ("(X)/(X)/(X)", "(1)/(X)"), ("X + + 1", "X + 1")]
