@@ -157,8 +157,8 @@ def test_gcd_with_linear_operand():
 
 def test_gcd_with_linear_operand_is_linear_in_the_degree():
     # b1^k a(-b0/b1) is first taken modulo a prime: the exact value grows with
-    # k = deg a, and (X^80000 + 1)/(3X + 2) took 0.68 s to parse through it,
-    # so this degree-400000 operand would take about 17 s.
+    # k = deg a, and (X^80000 + 1)/(3X + 2) took about 0.6 s to parse through
+    # it, so this degree-400000 operand would take about 15 s.
     a, b = Polynomial((1,) + (0,) * 399_999 + (1,)), 3 * X + 2
     start = time.perf_counter()
     assert _gcd_cofactors(a, b) == (Polynomial.one(), a, b)
