@@ -19,12 +19,12 @@ is what ``str.isspace`` accepts.
 ``parse_expression`` is one recursive-descent parser, ``_Parser``, of the
 grammar above.  It reads in time linear in the text, whitespace runs included,
 matching each token where the last one ended.  A character that starts no
-token is the first error wherever it stands; one search for it runs once the
-text fails.  A term of a sum that is ``n``, ``n*X``, ``n*X^e``, ``X`` or
+token is the first error wherever it stands; one search for it runs before
+anything is read.  A term of a sum that is ``n``, ``n*X``, ``n*X^e``, ``X`` or
 ``X^e`` with its sign, followed by a sign, ')', ',', ']' or the end, is read
-by one match and added to the sum's one integer coefficient list, so an
-expanded polynomial builds one ``Polynomial``, and a quotient ``(P)/(Q)`` two,
-one division and one ``RationalFunction.make``.
+by one match (of a whitespace-free pattern first) and added to the sum's one
+integer coefficient list, so an expanded polynomial builds one ``Polynomial``,
+and a quotient ``(P)/(Q)`` two, no product and one ``RationalFunction.make``.
 
 ``_Parser`` builds a power or a product only if its estimated size is at most
 ``_MAX_BITS`` (2^22) bits and no polynomial product in it multiplies more than
@@ -72,16 +72,28 @@ ParsedValue = Union[RationalFunction, ParsedMatrix]
 
 
 # The first character that starts no token is the first error, whatever precedes it.
-_STRAY = re.compile(r"[^-+*/^()\[\],X\d\s]")
+# ASCII digits and the space are listed apart from \d and \s, which makes the
+# search for them a bitmap test.
+_STRAY = re.compile(r"[^-+*/^()\[\],X0-9 \d\s]")
 # One token after any whitespace: group 1 an integer, group 2 'X' or a mark.
 _TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/^()\[\],X]))")
-# One whole term of a sum after any whitespace: sign, coefficient of X, 'X',
-# exponent (of at most seven digits, which int reads under any digit limit),
-# constant, then the mark after it (empty at the end of the text), which must
-# end a sum for the term to be whole.  The whitespace before the term splits
-# only one way, so a failed match costs time linear in what it read.
-_WHOLE_TERM = re.compile(r"\s*(?:([-+])\s*)?(?:(?:(\d+)\s*\*\s*)?(X)(?:\s*\^\s*(\d{1,7}))?|(\d+))"
-                         r"(?=\s*([-+)\],]|\Z))")
+
+
+def _whole_term(space: str) -> re.Pattern:
+    """One whole term of a sum, with space where whitespace may stand: sign,
+    coefficient of X, 'X', exponent, constant, then the mark after it (empty at
+    the end of the text), which must end a sum for the term to be whole.
+    Numbers have at most 600 digits, which int reads under any digit limit; a
+    longer one is read token by token.  The whitespace before the term splits
+    only one way, so a failed match costs time linear in what it read."""
+    return re.compile(rf"{space}(?:([-+]){space})?(?:(?:(\d{{1,600}}){space}\*{space})?(X)"
+                      rf"(?:{space}\^{space}(\d{{1,7}}))?|(\d{{1,600}}))(?={space}([-+)\],]|\Z))")
+
+
+# A term without whitespace, the common case, matches the first pattern in
+# about three quarters of the time the second takes, and both read it alike; a
+# term with whitespace fails the first at once.
+_TIGHT_TERM, _WHOLE_TERM = _whole_term(""), _whole_term(r"\s*")
 
 _MARKS = frozenset("-+*/^()[],X")
 _ONE = Polynomial.one()
@@ -90,7 +102,7 @@ _X = Polynomial.x()
 # A value is an unreduced pair (num, den) of canonical polynomials whose den is
 # either the object _ONE or nonconstant (Polynomial.__mul__ returns the other
 # operand for the constant 1, so products keep that form); each scalar is
-# reduced once, in _Parser.parse_reduced.
+# reduced once, by _value.
 _Pair = tuple[Polynomial, Polynomial]
 
 
@@ -226,10 +238,6 @@ def _add_term(acc: list[int], den: int, term: Polynomial, negate: bool) -> int:
     return den
 
 
-def _stray(m: re.Match) -> ParseError:
-    return ParseError(f"unexpected character {m[0]!r}", m.start())
-
-
 class _Parser:
     """The grammar's recursive descent, reading tokens where the last one ended."""
 
@@ -245,9 +253,7 @@ class _Parser:
             self.pos, self.end = end, end + 1
             return
         m = mark and _TOKEN.match(self.text, end)
-        if not m:  # the end, after any whitespace, or a character that starts no token
-            if mark and (m := _STRAY.search(self.text, end)):
-                raise _stray(m)
+        if not m:  # the end, after any whitespace
             self.kind, self.tok, self.pos = "end", "", len(self.text)
             return
         group = m.lastindex
@@ -262,70 +268,60 @@ class _Parser:
         self.advance()
 
     def parse_top(self) -> ParsedValue:
-        try:
-            if self.text.lstrip()[:1] == "[":
-                self.advance()
-                value = self.parse_matrix()
-            else:
-                value = self.parse_reduced(0)
-            if self.kind != "end":
-                raise ParseError(f"unexpected trailing input {self.tok!r}", self.pos)
-        except (ParseError, ResourceLimitError, ZeroDenominatorError, RecursionError):
-            # A character that starts no token is the first error, wherever it
-            # stands, a nesting too deep included; it is looked for only once
-            # the text fails.
-            if m := _STRAY.search(self.text):
-                raise _stray(m) from None
-            raise
+        if m := _STRAY.search(self.text):
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        if self.text.lstrip()[:1] == "[":
+            self.advance()
+            value = self.parse_matrix()
+        else:
+            value = _value(*self.parse_expr(0))
+        if self.kind != "end":
+            raise ParseError(f"unexpected trailing input {self.tok!r}", self.pos)
         return value
 
     def parse_matrix(self) -> ParsedMatrix:
         self.take("[")
         self.take("[")
-        a = self.parse_reduced(self.pos)
+        a = _value(*self.parse_expr(self.pos))
         self.take(",")
-        b = self.parse_reduced(self.pos)
+        b = _value(*self.parse_expr(self.pos))
         self.take("]")
         self.take(",")
         self.take("[")
-        c = self.parse_reduced(self.pos)
+        c = _value(*self.parse_expr(self.pos))
         self.take(",")
-        d = self.parse_reduced(self.pos)
+        d = _value(*self.parse_expr(self.pos))
         self.take("]")
         self.take("]")
         return ParsedMatrix(a, b, c, d)
-
-    def parse_reduced(self, start: int) -> RationalFunction:
-        return _value(*self.parse_expr(start))
 
     def parse_expr(self, pos: int) -> _Pair:
         """The sum that starts at the token at pos, which may not be read yet."""
         # The terms over one denominator d1 go into one integer coefficient
         # list acc/den: a running Polynomial sum would copy itself at every
         # '+', in time quadratic in the length.  Over d1 = 1 a whole term n,
-        # n*X, n*X^e, X or X^e takes one _WHOLE_TERM match, sign included,
-        # and adds one coefficient; the match also reads the mark after the
-        # term, which becomes the next token where the sum ends.  parse_term
-        # reads every other term, and a term past one of its bounds, which
-        # it raises; a sum of one such term is that term as built.
+        # n*X, n*X^e, X or X^e takes one _TIGHT_TERM or _WHOLE_TERM match,
+        # sign included, and adds one coefficient; the match also reads the
+        # mark after the term, which becomes the next token where the sum
+        # ends.  parse_term reads every other term, and a term past one of its
+        # bounds, which it raises; a sum of one such term is that term as built.
         text, acc, den, d1, first = self.text, [], 1, _ONE, True
         while True:
             if d1 is _ONE:
-                while m := _WHOLE_TERM.match(text, pos):
+                start = pos
+                while m := _TIGHT_TERM.match(text, pos) or _WHOLE_TERM.match(text, pos):
                     sign, coefficient, x, exponent, constant, mark = m.groups()
                     if x:
-                        try:
-                            c = int(coefficient) if coefficient else 1
-                        except ValueError:  # past Python's int/str digit limit
-                            c = _int(coefficient)
+                        c = int(coefficient) if coefficient else 1
                         e = int(exponent) if exponent else 1
-                        # X^e has e + 1 one-bit coefficients, and c*X^e the bits _bits gives
-                        # it, at most 2^11 * 2^11 = _MAX_BITS for e < 2^11 and c < 2^2047.
-                        if (e >> 11 or c >> 2047) and (e >= _MAX_BITS or c > 1 and (
+                        # X^e has e + 1 one-bit coefficients, and c*X^e the bits _bits
+                        # gives it, at most 2^11 * 2^11 = _MAX_BITS for e < 2^11 (and
+                        # c < 10^600 < 2^2047).
+                        if e >> 11 and (e >= _MAX_BITS or c > 1 and (
                                 (e + 1) * (1 + (c - 1).bit_length()) > _MAX_BITS)):
                             break
                     else:
-                        c, e = _int(constant), 0
+                        c, e = int(constant), 0
                     if len(acc) <= e:
                         acc += [0] * (e + 1 - len(acc))
                     acc[e] += -c * den if sign == "-" else c * den
@@ -333,9 +329,9 @@ class _Parser:
                     if mark not in ("+", "-"):
                         self.kind, self.tok = mark or "end", mark
                         self.pos, self.end = m.span(6)
-                        # A lone X is the object _X, as parse_atom returns it.
-                        lone_x = first and sign != "-" and c == e == 1
-                        return (_X if lone_x else _make(acc, den)), d1
+                        # A sum X is the object _X, as parse_atom returns it.
+                        return (_X if acc == [0, 1] and den == 1 else _make(acc, den)), d1
+                if pos != start:
                     first = False
             if pos != self.pos:  # the token at pos is not read yet
                 self.end = pos
@@ -434,6 +430,12 @@ class _Parser:
 
     def parse_atom(self) -> _Pair:
         kind = self.kind
+        if kind == "(":  # the commonest atom of a term that is read token by token
+            value = self.parse_expr(self.end)
+            if self.kind != ")":
+                self.take(")")  # raises
+            self.advance()
+            return value
         if kind == "int":
             value = _int(self.tok)
             self.advance()
@@ -441,10 +443,6 @@ class _Parser:
         if kind == "X":
             self.advance()
             return _X, _ONE
-        if kind == "(":
-            value = self.parse_expr(self.end)
-            self.take(")")
-            return value
         what = "end of input" if kind == "end" else repr(self.tok)
         raise ParseError(f"expected a value, found {what}", self.pos)
 

@@ -317,7 +317,7 @@ def _strip_content(c: Sequence[int]) -> Sequence[int]:
 
 
 _HEU_TRIES = 6  # evaluation points before the remainder-sequence fallback, as in SymPy
-_PRIME = 2**61 - 1  # the modulus of a linear operand's root test
+_PRIME = 2**30 - 35  # the largest prime below 2^30: the modulus of a linear operand's root test
 
 
 def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -356,12 +356,11 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         return a.monic(), lc, lc
     if len(b.ints) == 2:  # b = b0 + b1 X: the gcd is b or 1, as a vanishes at -b0/b1 or not
         b0, b1 = b.ints
-        # The exact b1^k a(-b0/b1), k = deg a, takes time quadratic in k.  From
-        # k = 512 on (where the two cost the same on small coefficients) a
-        # nonzero value modulo a prime, linear in k, settles it first, and only
-        # a residue 0 needs the exact value.
-        if (len(a.ints) > 512 and b1 % _PRIME
-                and _residue(a.ints, -b0 * pow(b1, -1, _PRIME) % _PRIME, _PRIME)
+        # The exact b1^k a(-b0/b1), k = deg a, takes time quadratic in k; a
+        # nonzero value modulo _PRIME, linear in k, settles it first, and only
+        # a residue 0 needs the exact value.  Residues below 2^30 keep each
+        # step's product below 2^60, which Python multiplies fastest.
+        if (b1 % _PRIME and _residue(a.ints, -b0 * pow(b1, -1, _PRIME) % _PRIME, _PRIME)
                 or _horner(a.ints, -b0, b1)):
             return _ONE, a, b
         g = b.monic()

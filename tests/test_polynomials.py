@@ -167,6 +167,11 @@ def test_gcd_with_linear_operand_is_linear_in_the_degree():
     a = X**2000 - Fraction(-2, 3) ** 2000
     g, a_g, b_g = _gcd_cofactors(a, b)
     assert g == X + Fraction(2, 3) and a_g * g == a and b_g == Polynomial.constant(3)
+    # A residue 0 at no root, and a b1 the prime divides, also go to the exact value.
+    p = polynomials._PRIME
+    for a, b in ((X * X - 4 - p, X - 2), (X * X + 1, p * X + 1)):
+        assert _gcd_cofactors(a, b) == (Polynomial.one(), a, b)
+    assert _gcd_cofactors((p * X + 1) * (X * X + 1), p * X + 1)[0] == X + Fraction(1, p)
 
 
 class TestGcdWithoutCliff:
