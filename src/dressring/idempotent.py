@@ -159,7 +159,7 @@ def _matrix(f: Optional[_Factor]) -> Mat2:
     if f is None:
         return Mat2.identity()
     v, w, s = f
-    root_free = is_gamma(s.monic())
+    root_free = is_gamma(s)
     entries = []
     for vi in v:
         for wj in w:
@@ -494,7 +494,7 @@ def _member_ratio(num: Polynomial, den: Polynomial) -> Optional[RationalFunction
     num and den are coprime, so the fraction is already reduced: it lies in D
     iff deg num <= deg den and den is root-free.
     """
-    if num.degree > den.degree or not is_gamma(den.monic()):
+    if num.degree > den.degree or not is_gamma(den):
         return None
     if den.ints[-1] != den.denom:
         num = num.scale(1 / den.leading_coefficient)

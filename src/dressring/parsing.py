@@ -223,14 +223,14 @@ def _value(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(num, den) if den is _ONE else RationalFunction.make(num, den)
 
 
-def _add_term(acc: list[int], den: int, term: Polynomial, negate: bool) -> int:
-    """Add term (or -term) to the sum acc/den in place; the new denominator."""
+def _add_term(acc: list[int], den: int, term: Polynomial) -> int:
+    """Add term to the sum acc/den in place; the new denominator."""
     ints, d = term.ints, term.denom
     if den % d:
         f = d // gcd(den, d)
         acc[:] = [c * f for c in acc]
         den *= f
-    k = -(den // d) if negate else den // d
+    k = den // d
     if len(acc) < len(ints):
         acc += [0] * (len(ints) - len(acc))
     for i, c in enumerate(ints):
@@ -299,16 +299,17 @@ class _Parser:
         """The sum that starts at the token at pos, which may not be read yet."""
         # The terms over one denominator d1 go into one integer coefficient
         # list acc/den: a running Polynomial sum would copy itself at every
-        # '+', in time quadratic in the length.  Over d1 = 1 a whole term n,
-        # n*X, n*X^e, X or X^e takes one _TIGHT_TERM or _WHOLE_TERM match,
-        # sign included, and adds one coefficient; the match also reads the
-        # mark after the term, which becomes the next token where the sum
-        # ends.  parse_term reads every other term, and a term past one of its
-        # bounds, which it raises; a sum of one such term is that term as built.
-        text, acc, den, d1, first = self.text, [], 1, _ONE, True
+        # '+', in time quadratic in the length.  A '+' or '-' between terms is
+        # the next term's own sign, read with it: a - b is a + (-b).  Over
+        # d1 = 1 a whole term n, n*X, n*X^e, X or X^e takes one _TIGHT_TERM or
+        # _WHOLE_TERM match, sign included, and adds one coefficient; the
+        # match also reads the mark after the term, which becomes the next
+        # token where the sum ends.  parse_term reads every other term, and a
+        # term past one of its bounds, which it raises; a sum of one such term,
+        # with nothing summed before it, is that term as built.
+        text, acc, den, d1 = self.text, [], 1, _ONE
         while True:
             if d1 is _ONE:
-                start = pos
                 while m := _TIGHT_TERM.match(text, pos) or _WHOLE_TERM.match(text, pos):
                     sign, coefficient, x, exponent, constant, mark = m.groups()
                     if x:
@@ -331,41 +332,30 @@ class _Parser:
                         self.pos, self.end = m.span(6)
                         # A sum X is the object _X, as parse_atom returns it.
                         return (_X if acc == [0, 1] and den == 1 else _make(acc, den)), d1
-                if pos != start:
-                    first = False
             if pos != self.pos:  # the token at pos is not read yet
                 self.end = pos
                 self.advance()
-            negate = False
-            if not first:  # step over the sign
-                negate, pos = self.kind == "-", self.pos
-                self.advance()
-            negate2, n2, d2, e2 = self.parse_term()
-            negate ^= negate2
-            if e2 != 1:
-                n2, d2 = _power(n2, d2, e2)
-            if first:
+                pos = self.pos  # a product below is checked at the term's sign
+            n2, d2 = self.parse_term()
+            if not acc and d1 is _ONE:  # nothing summed yet
                 if self.kind != "+" and self.kind != "-":
-                    return (-n2 if negate else n2), d2
+                    return n2, d2
                 d1 = d2
             if d1 == d2:
-                den = _add_term(acc, den, n2, negate)
+                den = _add_term(acc, den, n2)
             else:
                 n1 = _make(acc, den)
-                if negate:
-                    n2 = -n2
                 _check_products(pos, ((n1, 1), (d2, 1)), ((n2, 1), (d1, 1)), ((d1, 1), (d2, 1)))
                 n1, d1 = n1 * d2 + n2 * d1, d1 * d2
                 acc, den = list(n1.ints), n1.denom
             if self.kind != "+" and self.kind != "-":
                 return _make(acc, den), d1
             pos = self.pos
-            first = False
 
-    def parse_term(self) -> tuple[bool, Polynomial, Polynomial, int]:
-        """(negate, num, den, e): the term, -(num/den)^e if negate else (num/den)^e,
-        checked but with its last power not yet built."""
-        # Each factor is a unary, an atom and its powers, (num/den)^e; the
+    def parse_term(self) -> _Pair:
+        """The term as an unreduced pair (num, den), its signs applied."""
+        # Each factor is a unary, an atom and its powers, (num/den)^e, whose
+        # last power is built only after the next '*' or '/' is checked; the
         # signs are applied once, to the product.
         negate, op = False, None
         while True:
@@ -414,7 +404,9 @@ class _Parser:
                     d1 = d1 * n2
             op, op_pos = self.kind, self.pos
             if op != "*" and op != "/":
-                return negate, n1, d1, e1
+                if e1 != 1:
+                    n1, d1 = _power(n1, d1, e1)
+                return (-n1 if negate else n1), d1
             self.advance()
 
     @staticmethod

@@ -297,6 +297,7 @@ def is_gamma(p: Polynomial) -> bool:
         return True
     if deg % 2 == 1:
         return False
+    p = p.monic()  # one cache key for all nonzero scalar multiples of p
     cached = _gamma_cache.get(p)
     if cached is None:
         if deg == 2:

@@ -265,6 +265,32 @@ class TestParserSums:
     def test_sums_over_one_and_several_denominators(self, text, expected):
         assert str(parse_scalar(text)) == expected
 
+    @pytest.mark.parametrize("text, expected", [
+        ("1 - -X", "X + 1"),
+        ("1 + +X", "X + 1"),
+        ("1 - 2^2", "-3"),
+        ("-X^2 - -3*X^3*X", "3*X^4 - X^2"),
+        ("(0) + (1)/(X^2+1) + X", "(X^3 + X + 1)/(X^2 + 1)"),
+        ("(X-X) + 1/(X^2+1)", "(1)/(X^2 + 1)"),
+        ("1 -", ParseError("expected a value, found end of input", 3)),
+        ("1 -* 2", ParseError("expected a value, found '*'", 3)),
+        ("1 - )", ParseError("expected a value, found ')'", 4)),
+        # A product of a sum is checked at the offset of the term's sign, also
+        # after a term read by one match.
+        ("1/(X+1)^1000 - 1/(X+2)^1000", ResourceLimitError(
+            "product at offset 13 would have up to 2^23 bits, past the bound of 2^22")),
+        ("X^3000000 - 1/(X+1)", ResourceLimitError(
+            "product at offset 10 would have up to 2^23 bits, past the bound of 2^22")),
+    ])
+    def test_a_sign_between_terms_is_the_next_terms_own_sign(self, text, expected):
+        # a - b is a + (-b): the '-' is read as the unary sign of b.
+        if isinstance(expected, str):
+            assert str(parse_expression(text)) == expected
+        else:
+            with pytest.raises(type(expected)) as exc:
+                parse_expression(text)
+            assert str(exc.value) == str(expected)
+
     def test_a_dense_sum_of_scaled_powers_is_read_in_linear_time(self):
         # Each term c*X^e with c != +-1 was built as a dense X^e and scaled, so
         # this 8001-term sum took about 5 s; each term now adds one coefficient.
