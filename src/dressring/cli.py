@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Every subcommand emits a report; ``--json`` switches from the human-readable
-lines to a single JSON object::
+Every subcommand is declared once, in ``_COMMANDS``: its name, help text,
+operands and handler, which ``build_parser`` reads.  Every subcommand emits a
+report; ``--json`` switches from the human-readable lines to a single JSON
+object::
 
     {"ok": bool, "command": string, "result": object|null, "error": string|null}
 
@@ -20,8 +22,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import __version__
 from .dress import DressElement, is_member, is_unit
@@ -43,7 +43,6 @@ from .idempotent import (
 from .ideals import IdealGens, ideal_inverse, ideal_square, principal_generator
 from .numberrings import SeriesBase, TruncLaurent, laurent_member, zs_gcd, zs_member
 from .parsing import (
-    ParsedMatrix,
     format_fraction,
     format_matrix,
     format_rational_function,
@@ -59,18 +58,6 @@ MATH_NO = 1
 FAILURE = 2
 
 
-@dataclass
-class Report:
-    ok: bool
-    command: str
-    result: Optional[dict]
-    error: Optional[str]
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "command": self.command, "result": self.result,
-                "error": self.error}
-
-
 def _poly_arg(text: str) -> Polynomial:
     rf = parse_scalar(text)
     if not rf.is_polynomial:
@@ -81,38 +68,14 @@ def _element_arg(text: str) -> DressElement:
     return DressElement(parse_scalar(text))
 
 
-def _row_matrix_arg(text: str) -> tuple[DressElement, DressElement, Mat2]:
-    parsed = parse_matrix(text)
-    mat = _wrap_matrix(parsed)
-    if not mat.has_zero_second_row():
-        raise ShapeViolation("factor needs a matrix with zero second row")
-    return mat.a, mat.b, mat
-
-
-def _wrap_matrix(parsed: ParsedMatrix) -> Mat2:
-    return Mat2(*(DressElement(e) for e in parsed.entries()))
+def _matrix_arg(text: str) -> Mat2:
+    return Mat2(*(DressElement(e) for e in parse_matrix(text).entries()))
 
 
 # Each handler returns (exit_code, result_payload).
 
-def _cmd_member(args) -> tuple[int, dict]:
-    verdict = is_member(parse_scalar(args.expr))
-    return (OK if verdict else MATH_NO), {"member": verdict}
-
-
-def _cmd_unit(args) -> tuple[int, dict]:
-    verdict = is_unit(parse_scalar(args.expr))
-    return (OK if verdict else MATH_NO), {"unit": verdict}
-
-
-def _cmd_gamma(args) -> tuple[int, dict]:
-    verdict = is_gamma(_poly_arg(args.expr))
-    return (OK if verdict else MATH_NO), {"gamma": verdict}
-
-
-def _cmd_gamma_plus(args) -> tuple[int, dict]:
-    verdict = is_gamma_plus(_poly_arg(args.expr))
-    return (OK if verdict else MATH_NO), {"gamma_plus": verdict}
+def _verdict(key: str, verdict: bool) -> tuple[int, dict]:
+    return (OK if verdict else MATH_NO), {key: verdict}
 
 
 def _cmd_sign_at_roots(args) -> tuple[int, dict]:
@@ -137,8 +100,7 @@ def _cmd_principal(args) -> tuple[int, dict]:
 
 def _cmd_square_ideal(args) -> tuple[int, dict]:
     gens = IdealGens(tuple(_element_arg(e) for e in args.gens))
-    s = ideal_square(gens)
-    return OK, {"generator": str(s)}
+    return OK, {"generator": str(ideal_square(gens))}
 
 
 def _cmd_inverse_ideal(args) -> tuple[int, dict]:
@@ -149,10 +111,14 @@ def _cmd_inverse_ideal(args) -> tuple[int, dict]:
     }
 
 
-def _factor_result(fact: Factorization) -> dict:
+def _cmd_factor(args) -> tuple[int, dict]:
+    mat = _matrix_arg(args.matrix)
+    if not mat.has_zero_second_row():
+        raise ShapeViolation("factor needs a matrix with zero second row")
     # factor_row_matrix verifies before returning and raises CertificateError
     # (exit 2) on failure, so a returned factorization is verified.
-    return {
+    fact = factor_row_matrix(mat.a, mat.b)
+    return OK, {
         "target": format_matrix(fact.target),
         "factors": [format_matrix(m) for m in fact.factors],
         "verified": True,
@@ -160,27 +126,17 @@ def _factor_result(fact: Factorization) -> dict:
     }
 
 
-def _cmd_factor(args) -> tuple[int, dict]:
-    p, q, _ = _row_matrix_arg(args.matrix)
-    fact = factor_row_matrix(p, q)
-    return OK, _factor_result(fact)
-
-
 def _cmd_verify(args) -> tuple[int, dict]:
-    # Entries outside the ring are a verification failure, not a usage error.
-    try:
-        target = _wrap_matrix(parse_matrix(args.target))
-    except NotInDressRing:
-        return MATH_NO, {"verified": False, "failure": "entry-not-in-ring",
-                         "factor_index": None}
-    factors = []
-    for i, text in enumerate(args.factors):
+    # Entries outside the ring are a verification failure, not a usage error:
+    # factor_index is None at the target and i at factor i.
+    matrices = []
+    for i, text in enumerate([args.target, *args.factors], -1):
         try:
-            factors.append(_wrap_matrix(parse_matrix(text)))
+            matrices.append(_matrix_arg(text))
         except NotInDressRing:
             return MATH_NO, {"verified": False, "failure": "entry-not-in-ring",
-                             "factor_index": i}
-    report = verify_factorization(Factorization(target, tuple(factors)))
+                             "factor_index": None if i < 0 else i}
+    report = verify_factorization(Factorization(matrices[0], tuple(matrices[1:])))
     result = {
         "verified": report.ok,
         "failure": report.failure,
@@ -201,11 +157,6 @@ def _cmd_certificate(args) -> tuple[int, dict]:
     }
 
 
-def _cmd_zs_member(args) -> tuple[int, dict]:
-    verdict = zs_member(parse_rational(args.value))
-    return (OK if verdict else MATH_NO), {"member": verdict}
-
-
 def _cmd_zs_gcd(args) -> tuple[int, dict]:
     g, u, v = zs_gcd(parse_rational(args.a), parse_rational(args.b))
     return OK, {"g": format_fraction(g), "u": format_fraction(u), "v": format_fraction(v)}
@@ -214,6 +165,8 @@ def _cmd_zs_gcd(args) -> tuple[int, dict]:
 def _cmd_laurent_member(args) -> tuple[int, dict]:
     base = SeriesBase(args.base)
     if args.zero:
+        if args.order is not None or args.coeffs is not None:
+            raise ShapeViolation("laurent-member takes ORDER and COEFFS, or --zero, not both")
         series = TruncLaurent.zero(base)
     else:
         if args.order is None or args.coeffs is None:
@@ -221,10 +174,13 @@ def _cmd_laurent_member(args) -> tuple[int, dict]:
         order = parse_rational(args.order)
         if order.denominator != 1:
             raise ShapeViolation(f"ORDER must be an integer, got {format_fraction(order)}")
-        coeffs = [parse_rational(c) for c in args.coeffs.split(",")]
+        # Each coefficient is read in place, so an error's offset counts in COEFFS.
+        coeffs, start = [], 0
+        for piece in args.coeffs.split(","):
+            coeffs.append(parse_rational(args.coeffs, start, start + len(piece)))
+            start += len(piece) + 1
         series = TruncLaurent.make(base, order.numerator, coeffs)
-    verdict = laurent_member(series)
-    return (OK if verdict else MATH_NO), {"member": verdict}
+    return _verdict("member", laurent_member(series))
 
 
 def _cmd_stable_witness(args) -> tuple[int, dict]:
@@ -236,6 +192,44 @@ def _cmd_stable_witness(args) -> tuple[int, dict]:
         "signs": [evidence.sign_at_1, evidence.sign_at_minus_1],
         "nonunit_certified": evidence.nonunit_certified,
     }
+
+
+# (name, help, operands, handler), in the order of the help listing.  An
+# operand is a name or a (name or --flag, argparse keywords) pair.
+_COMMANDS = (
+    ("member", "is the expression in the ring?", ["expr"],
+     lambda args: _verdict("member", is_member(parse_scalar(args.expr)))),
+    ("unit", "is the expression a unit of the ring?", ["expr"],
+     lambda args: _verdict("unit", is_unit(parse_scalar(args.expr)))),
+    ("gamma", "does the polynomial avoid all real roots?", ["expr"],
+     lambda args: _verdict("gamma", is_gamma(_poly_arg(args.expr)))),
+    ("gamma-plus", "is the polynomial everywhere positive?", ["expr"],
+     lambda args: _verdict("gamma_plus", is_gamma_plus(_poly_arg(args.expr)))),
+    ("sign-at-roots", "signs of q at the real roots of p", ["q", "p"], _cmd_sign_at_roots),
+    ("principal", "is the ideal (a, b) principal? explicit generator", ["a", "b"],
+     _cmd_principal),
+    ("square-ideal", "principal generator of the ideal square", [("gens", {"nargs": "+"})],
+     _cmd_square_ideal),
+    ("inverse-ideal", "fractional inverse of (a, b) with certificate", ["a", "b"],
+     _cmd_inverse_ideal),
+    ("factor", "factor [[p, q], [0, 0]] into idempotent matrices", ["matrix"], _cmd_factor),
+    ("verify", "re-verify a factorization: TARGET FACTOR...",
+     ["target", ("factors", {"nargs": "+"})], _cmd_verify),
+    ("certificate", "positivity certificate for (x, y)",
+     ["x", "y", ("--part", {"choices": ["a", "b"], "default": "a",
+                            "help": "a: delta = x^2 + y*beta; b: delta = x*eta + y^2"})],
+     _cmd_certificate),
+    ("zs-member", "membership of a rational in Z_S", ["value"],
+     lambda args: _verdict("member", zs_member(parse_rational(args.value)))),
+    ("zs-gcd", "ideal gcd in Z_S with Bezout certificate", ["a", "b"], _cmd_zs_gcd),
+    ("laurent-member", "membership of a truncated Laurent series",
+     [("base", {"choices": [b.value for b in SeriesBase]}),
+      ("order", {"nargs": "?", "help": "the lowest exponent, an integer"}),
+      ("coeffs", {"nargs": "?", "help": "comma-separated rationals, lowest exponent first"}),
+      ("--zero", {"action": "store_true", "help": "the exact zero series"})],
+     _cmd_laurent_member),
+    ("stable-witness", "square-stable-range witness at z", ["z"], _cmd_stable_witness),
+)
 
 
 class UsageError(Exception):
@@ -276,67 +270,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, help_text, operands, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
+        for operand in operands:
+            operand, keywords = (operand, {}) if isinstance(operand, str) else operand
+            p.add_argument(operand, **keywords)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("member", _cmd_member, "is the expression in the ring?")
-    p.add_argument("expr")
-    p = add("unit", _cmd_unit, "is the expression a unit of the ring?")
-    p.add_argument("expr")
-    p = add("gamma", _cmd_gamma, "does the polynomial avoid all real roots?")
-    p.add_argument("expr")
-    p = add("gamma-plus", _cmd_gamma_plus, "is the polynomial everywhere positive?")
-    p.add_argument("expr")
-    p = add("sign-at-roots", _cmd_sign_at_roots, "signs of q at the real roots of p")
-    p.add_argument("q")
-    p.add_argument("p")
-    p = add("principal", _cmd_principal, "is the ideal (a, b) principal? explicit generator")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add("square-ideal", _cmd_square_ideal, "principal generator of the ideal square")
-    p.add_argument("gens", nargs="+")
-    p = add("inverse-ideal", _cmd_inverse_ideal, "fractional inverse of (a, b) with certificate")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add("factor", _cmd_factor, "factor [[p, q], [0, 0]] into idempotent matrices")
-    p.add_argument("matrix")
-    p = add("verify", _cmd_verify, "re-verify a factorization: TARGET FACTOR...")
-    p.add_argument("target")
-    p.add_argument("factors", nargs="+")
-    p = add("certificate", _cmd_certificate, "positivity certificate for (x, y)")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--part", choices=["a", "b"], default="a",
-                   help="a: delta = x^2 + y*beta; b: delta = x*eta + y^2")
-    p = add("zs-member", _cmd_zs_member, "membership of a rational in Z_S")
-    p.add_argument("value")
-    p = add("zs-gcd", _cmd_zs_gcd, "ideal gcd in Z_S with Bezout certificate")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add("laurent-member", _cmd_laurent_member, "membership of a truncated Laurent series")
-    p.add_argument("base", choices=[b.value for b in SeriesBase])
-    p.add_argument("order", nargs="?", default=None, help="the lowest exponent, an integer")
-    p.add_argument("coeffs", nargs="?", default=None,
-                   help="comma-separated rationals, lowest exponent first")
-    p.add_argument("--zero", action="store_true", help="the exact zero series")
-    p = add("stable-witness", _cmd_stable_witness, "square-stable-range witness at z")
-    p.add_argument("z")
     return parser
 
 
-def _emit(report: Report, as_json: bool, stream) -> None:
+def _emit(command: str, code: int, result, error, as_json: bool) -> int:
+    """Print the report on stdout and return its exit code."""
     if as_json:
-        print(json.dumps(report.to_dict()), file=stream)
-        return
-    if report.error is not None:
-        print(f"error: {report.error}", file=stream)
-        return
-    for key, value in report.result.items():
-        print(f"{key}: {value}", file=stream)
+        print(json.dumps({"ok": code == OK, "command": command, "result": result,
+                          "error": error}))
+    elif error is not None:
+        print(f"error: {error}")
+    else:
+        for key, value in result.items():
+            print(f"{key}: {value}")
+    return code
 
 
 @functools.cache
@@ -363,9 +317,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except UsageError as exc:
         if _wants_json(argv):
-            _emit(Report(ok=False, command=_command_token(argv), result=None,
-                         error=exc.message), True, sys.stdout)
-            return FAILURE
+            return _emit(_command_token(argv), FAILURE, None, exc.message, True)
         # argparse's own report: usage and message on stderr.
         exc.parser.print_usage(sys.stderr)
         print(f"{exc.parser.prog}: error: {exc.message}", file=sys.stderr)
@@ -373,26 +325,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # --help and --version print and exit with 0.
         return int(exc.code or 0)
-    as_json = getattr(args, "json", False)
+    result = error = None
     try:
         code, result = args.handler(args)
-        report = Report(ok=code == OK, command=args.command, result=result, error=None)
     except (HypothesisNotMet, CertificatePreconditionError) as exc:
-        report = Report(ok=False, command=args.command, result=None, error=str(exc))
-        code = MATH_NO
+        code, error = MATH_NO, str(exc)
     except (DressRingError, ValueError) as exc:
-        report = Report(ok=False, command=args.command, result=None, error=str(exc))
-        code = FAILURE
+        code, error = FAILURE, str(exc)
     except RecursionError:
-        report = Report(ok=False, command=args.command, result=None,
-                        error="expression too deeply nested")
-        code = FAILURE
+        code, error = FAILURE, "expression too deeply nested"
     except (OverflowError, MemoryError):
-        report = Report(ok=False, command=args.command, result=None,
-                        error="value too large to build")
-        code = FAILURE
-    _emit(report, as_json, sys.stdout)
-    return code
+        code, error = FAILURE, "value too large to build"
+    return _emit(args.command, code, result, error, args.json)
 
 
 if __name__ == "__main__":

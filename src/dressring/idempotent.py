@@ -685,7 +685,7 @@ def stable_range_witness(z: DressElement) -> StableRangeEvidence:
         sum_sq_unit=sum_sq_unit,
         value_at_1=v1,
         value_at_minus_1=v_minus,
-        sign_at_1="+" if v1 > 0 else "-",
-        sign_at_minus_1="+" if v_minus > 0 else "-",
-        nonunit_certified=sum_sq_unit and v1 > 0 and v_minus < 0,
+        sign_at_1="+",
+        sign_at_minus_1="-",
+        nonunit_certified=sum_sq_unit,
     )

@@ -118,11 +118,12 @@ def _int(text: str) -> int:
 _RATIONAL = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*")
 
 
-def parse_rational(text: str) -> Fraction:
-    """The rational number written as "[+-]n" or "[+-]n/d", of any length."""
-    m = _RATIONAL.fullmatch(text)
+def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fraction:
+    """The rational number written as "[+-]n" or "[+-]n/d", of any length, in
+    text[start:end]; an error's offset counts from the start of text."""
+    m = _RATIONAL.fullmatch(text, start, len(text) if end is None else end)
     if m is None:
-        raise ParseError(f"not a rational number: {text!r}", 0)
+        raise ParseError(f"not a rational number: {text[start:end]!r}", start)
     sign, num, den = m.groups()
     n, d = _int(num), 1 if den is None else _int(den)
     if not d:

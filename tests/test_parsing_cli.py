@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import re
@@ -22,7 +23,7 @@ from dressring import (
     parse_matrix,
     parse_scalar,
 )
-from dressring.cli import main
+from dressring.cli import build_parser, main
 from dressring.parsing import (
     format_fraction,
     format_matrix,
@@ -386,6 +387,12 @@ def readme_cli_commands():
     return commands
 
 
+def registered_commands() -> set:
+    """The subcommands build_parser registers."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(sub.choices)
+
+
 def check_schema(report: dict, command: str):
     assert set(report) == {"ok", "command", "result", "error"}
     assert isinstance(report["ok"], bool)
@@ -443,12 +450,17 @@ class TestCli:
             ["verify", "[[X,1],[0,0]]", "[[1,0],[0,0]]"], capsys
         )
         assert code == 1
-        assert report["result"]["verified"] is False
-        assert report["result"]["failure"] == "entry-not-in-ring"
+        assert report["result"] == {"verified": False, "failure": "entry-not-in-ring",
+                                    "factor_index": None}
         code, report = run_cli_json(
             ["verify", "[[0,0],[0,0]]", "[[X,1],[0,0]]"], capsys
         )
         assert code == 1 and report["result"]["factor_index"] == 0
+        code, report = run_cli_json(
+            ["verify", "[[0,0],[0,0]]", "[[0,0],[0,0]]", "[[X,1],[0,0]]"], capsys
+        )
+        assert code == 1 and report["result"]["factor_index"] == 1
+        assert report["result"]["failure"] == "entry-not-in-ring"
 
     def test_verify_detects_wrong_product(self, capsys):
         code, report = run_cli_json(
@@ -606,6 +618,19 @@ class TestCli:
         assert run_cli_json(["laurent-member", "real", "--", "-1", "1,1"], capsys)[0] == 1
         assert run_cli_json(["laurent-member", "real", "--zero"], capsys)[0] == 0
         assert run_cli_json(["laurent-member", "real", "0", "0,0"], capsys)[0] == 2
+        # --zero with a given ORDER or COEFFS is an error, not the zero series.
+        for operands in (["-5", "1,2"], ["-5"]):
+            code, report = run_cli_json(["laurent-member", "--zero", "real", *operands], capsys)
+            assert code == 2 and "--zero" in report["error"]
+
+    @pytest.mark.parametrize("coeffs, error", [
+        ("1,2,3/0", "division by zero (offset 5)"),
+        ("1,2,x/3,4", "not a rational number: 'x/3' (offset 4)"),
+        ("1,,2", "not a rational number: '' (offset 2)"),
+    ])
+    def test_laurent_coeffs_error_offset_counts_in_coeffs(self, capsys, coeffs, error):
+        code, report = run_cli_json(["laurent-member", "rational", "0", coeffs], capsys)
+        assert code == 2 and report["error"] == error
 
     @pytest.mark.parametrize("order", ["1_000", "1.5", "1/2", "", "X"])
     def test_laurent_order_other_forms_exit_two(self, capsys, order):
@@ -656,6 +681,19 @@ class TestCli:
     def test_human_output(self, capsys):
         code, out = run_cli(["member", "X/(X^2+1)"], capsys)
         assert code == 0 and out.strip() == "member: True"
+        code, out = run_cli(["zs-gcd", "6", "10"], capsys)
+        assert code == 0 and out == "g: 2\nu: 2\nv: -1\n"
+
+    def test_human_error_output(self, capsys):
+        code = main(["member", "1/(X^2-"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert captured.out == "error: expected a value, found end of input (offset 7)\n"
+
+    @pytest.mark.parametrize("command", sorted(registered_commands()))
+    def test_subcommand_help_exit_zero(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: dressring {command} ")
 
     def test_all_commands_emit_valid_schema(self, capsys):
         invocations = [
@@ -698,7 +736,7 @@ class TestCli:
 
     def test_readme_cli_block(self, capsys):
         commands = readme_cli_commands()
-        assert len(commands) >= 15
+        assert {argv[0] for argv, _ in commands} == registered_commands()
         for argv, code in commands:
             assert main(argv) == code, argv
         capsys.readouterr()
