@@ -3,7 +3,8 @@
 One routine and one certificate serve every operation.  Over a common
 denominator gamma the generators are a_i = M f_i'/gamma, with M the gcd of the
 numerators f_i and s = max deg f_i'.  T = sum f_i'^2 is certified on the
-unreduced numerators: no real roots, deg T == 2s, sum f_i' f_i == M T.  Then
+unreduced numerators: no real roots, deg T == 2s, sum f_i' f_i == M T, the
+identity decided by integer values at one X = 2^k (polynomials._kronecker).  Then
 J^2 = (M^2 T/gamma^2) D, which is sum a_i^2; (a, b) is principal iff s is even,
 with generator M h/gamma for h = (1 + X^2)^(s/2); and (a, b)^-1 is generated
 by the f_i' gamma/(M T).
@@ -19,22 +20,23 @@ cofactors of M, is what is_gamma decides: no Sturm chain of T is built.
 
 The generator M h/gamma and its coefficients h f'/T, h g'/T are reduced with no
 gcd: gcd(f', T) = gcd(f', g'^2) = 1 as f', g' are the cofactors of M, and
-gcd(M, gamma) = 1 for reduced inputs, so only powers of 1 + X^2 cancel.  An
-unreduced input (raw RationalFunction constructor) still gets an exact
-generator, which may then be unreduced.
+gcd(M, gamma) = 1 for reduced inputs, so only powers of 1 + X^2 cancel, each
+divided out in one synthetic-division pass over integers.  An unreduced input
+(raw RationalFunction constructor) still gets an exact generator, which may
+then be unreduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul
+from operator import add
 from typing import Optional, Sequence
 
 from .dress import DressElement, over_common_denominator
 from .errors import CertificateError, ShapeViolation
-from .polynomials import (_GAMMA1, _ONE, _ZERO, Polynomial, RationalFunction, _gcd_cofactors,
-                          divrem, poly_gcd)
+from .polynomials import (_ONE, _ZERO, Polynomial, RationalFunction, _gamma1_product,
+                          _gamma1_quotient, _gcd_cofactors, _kronecker, _make, poly_gcd)
 from .realroots import is_gamma
 
 
@@ -105,7 +107,10 @@ def _sum_of_squares(m: Polynomial, cofactors, s: int, nums) -> Polynomial:
     if t.degree != 2 * s:
         raise CertificateError(f"sum of squares T = {t} has degree {t.degree}, not 2s = {2 * s}")
     # nums are the numerators of the inputs themselves, not rebuilt as M f_i'.
-    if reduce(add, map(mul, cofactors, nums)) != m * t:
+    # Scaled by D^2, each side is a sum of products of two members of the
+    # list: len(nums) + 1 products in all, decided at one X = 2^k.
+    at = _kronecker([*cofactors, *nums, m, t], len(nums) + 1)[1]
+    if sum([at(fp) * at(f) for fp, f in zip(cofactors, nums)]) != at(m) * at(t):
         raise CertificateError(f"identity sum f_i' f_i == M T violated for M = {m}, T = {t}")
     return t
 
@@ -151,22 +156,20 @@ def _times_h_over(nums, den: Polynomial, k: int) -> list[RationalFunction]:
     (1 + X^2)^j is cancelled for the largest j <= k with (1 + X^2)^j | den.
     When each nonzero n is coprime to den, that power is gcd(n h, den) and
     the fractions are in lowest terms; otherwise they are exact but may be
-    unreduced.  1 + X^2 divides den iff den(i) = 0, that is iff the
-    coefficients of X^(4r) and X^(4r+2) have equal sums, and so do those of
-    X^(4r+1) and X^(4r+3); only then is den divided.
+    unreduced.  All of it runs on integer lists: each factor 1 + X^2 is
+    tested and divided out of den's numerators in one synthetic-division
+    pass (_gamma1_quotient), each of the k - j left is multiplied into n in
+    one shift-and-add pass (_gamma1_product), and with c/d the quotient of
+    den, n h/den = (n h d/lc)/(c/lc) is one _make each, monic with no Fraction.
     """
-    j = 0
-    while j < k:
-        c = den.ints
-        if sum(c[0::4]) != sum(c[2::4]) or sum(c[1::4]) != sum(c[3::4]):
-            break
-        den = divrem(den, _GAMMA1)[0]
-        j += 1
-    if den.ints[-1] != den.denom:  # make den monic: scale every numerator by 1/lc(den)
-        inv = 1 / den.leading_coefficient
-        nums, den = [n.scale(inv) for n in nums], den.monic()
-    h = _GAMMA1 ** (k - j)
-    return [RationalFunction(h * n, den) if n else RationalFunction.zero() for n in nums]
+    c, d, j = den.ints, den.denom, 0
+    while j < k and (q := _gamma1_quotient(c)) is not None:
+        c, j = q, j + 1
+    lc, e = c[-1], k - j
+    den = _make(list(c), lc)
+    return [RationalFunction(n if lc == d and not e else
+                             _make(_gamma1_product([v * d for v in n.ints], e), n.denom * lc), den)
+            if n else RationalFunction.zero() for n in nums]
 
 
 def principal_generator(a: DressElement, b: DressElement) -> PrincipalityReport:

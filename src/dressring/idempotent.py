@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional
 
 from .dress import DressElement, _val, over_common_denominator
@@ -58,6 +57,7 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     _gcd_cofactors,
+    _kronecker,
 )
 from .realroots import SignPattern, is_gamma, is_gamma_plus, sign_at_roots
 
@@ -216,7 +216,10 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
     n, beta, delta = int(x.degree), cert.beta, cert.delta
     if not is_gamma(beta):
         raise CertificateError(f"certificate beta = {beta} has real roots")
-    if x * x + y * beta != delta:
+    # Scaled by D^2: (D x)(D x) + (D y)(D beta) == D (D delta), three
+    # products of members of the list (x listed twice), one times D.
+    d, at = _kronecker((x, x, y, beta, delta), 3, 1)
+    if at(x) ** 2 + at(y) * at(beta) != d * at(delta):
         raise CertificateError("certificate identity delta = x^2 + y*beta violated")
     if not (n - 1 <= beta.degree <= n and delta.degree == 2 * n):
         raise CertificateError(
@@ -330,7 +333,7 @@ def _verify_triples(target, factors) -> VerificationReport:
     """The one check: w.v == s per factor, then the telescoped product against (N_T, d_T).
 
     Every identity is decided by one integer evaluation (Kronecker
-    substitution).  With D the lcm of every polynomial's integer
+    substitution, _kronecker).  With D the lcm of every polynomial's integer
     denominator, each polynomial p becomes the integer polynomial P = D p,
     and for the m rank-one factors the identities read, in Z[X],
 
@@ -338,32 +341,17 @@ def _verify_triples(target, factors) -> VerificationReport:
         (W_1.V_2) ... (W_{m-1}.V_m) V_1i W_mj T_d == D^m T_ij S_1 ... S_m
 
     (for m = 0 the product side is the identity entry times T_d).  Each is
-    A == B, decided by A(2^k) == B(2^k): every P is read by one shift-and-add
-    Horner pass at X = 2^k, and the products are integer products.
-
-    Exactness.  If 2^k > |A|_1 + |B|_1 (|.|_1 the sum of the absolute
-    coefficients), then A(2^k) == B(2^k) iff A == B.  Let C = A - B be
-    nonzero with lowest nonzero coefficient c_j; then C(2^k) =
-    2^(jk) (c_j + 2^k M) for an integer M, and 0 < |c_j| <= |C|_1 < 2^k
-    makes c_j + 2^k M nonzero.  The bound: |PQ|_1 <= |P|_1 |Q|_1 and
-    |P + Q|_1 <= |P|_1 + |Q|_1.  Every side above is a sum of at most 2^m
-    products of distinct polynomials P, times at most D^m, so
-    |A|_1 + |B|_1 <= 2^(m+1) D^m prod max(1, |P|_1) over all of them (the
-    four T_ij included), and 2^k exceeds that for
-    k = m + 2 + m bitlen(D - 1) + sum bitlen(|P|_1).
+    A == B, decided by A(2^k) == B(2^k): every P is read at X = 2^k, and the
+    products are integer products.  The two sides of each identity
+    together are at most 2^(m+1) products of distinct polynomials P (the
+    four T_ij among them), each times at most D^m: that is the bound
+    _kronecker's exactness proof takes k from.
     """
     target_n, target_d = target
     rank_one = [f for f in factors if f]
     polys = [target_d, *target_n, *(p for v, w, s in rank_one for p in (*v, *w, s))]
-    m, d = len(rank_one), lcm(*(p.denom for p in polys))
-    k = m + 2 + m * (d - 1).bit_length() + sum(
-        (d // p.denom * sum(map(abs, p.ints))).bit_length() for p in polys)
-
-    def at(p: Polynomial) -> int:  # (D p)(2^k)
-        acc = 0
-        for c in reversed(p.ints):
-            acc = (acc << k) + c
-        return acc * (d // p.denom)
+    m = len(rank_one)
+    d, at = _kronecker(polys, 2 ** (m + 1), m)
 
     first, w_last, scalar, den = None, None, 1, 1
     for i, f in enumerate(factors):

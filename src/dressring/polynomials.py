@@ -4,13 +4,16 @@ A polynomial is integer numerators over one positive denominator, in lowest
 terms and without a trailing zero; that form is unique, so equality and
 hashing are structural.  Arithmetic runs on Python integers, values come from
 one homogeneous Horner sum, every division from one integer pseudo-division
-loop (``_pdiv``) and every Sturm chain from one signed remainder loop
-(``_signed_remainders``).  A gcd is one integer gcd of two values, read back
-as a polynomial and certified by exact division; the quotients of that check
-are the cofactors a/g and b/g, which every caller takes instead of dividing
-again.  The remainder loop answers only when that heuristic gives up.
-``coeffs`` is a ``Fraction`` view.  Nothing here rounds.  The degree of the
-zero polynomial is the sentinel ``NEG_INF`` (never -1).
+loop (``_pdiv``) but exact division by 1 + X^2, which is one synthetic-division
+pass (``_gamma1_quotient``), and every Sturm chain from one signed remainder
+loop (``_signed_remainders``).  A polynomial identity is decided by integer
+values at one X = 2^k past a bound on its coefficients (``_kronecker``).  A
+gcd is one integer gcd of two values, read back as a polynomial and certified
+by exact division; the quotients of that check are the cofactors a/g and b/g,
+which every caller takes instead of dividing again.  The remainder loop
+answers only when that heuristic gives up.  ``coeffs`` is a ``Fraction`` view.
+Nothing here rounds.  The degree of the zero polynomial is the sentinel
+``NEG_INF`` (never -1).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd, isqrt, lcm
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import CertificateError, ZeroDenominatorError, ZeroPolynomialError
 
@@ -308,6 +311,69 @@ def _exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     return q
 
 
+def _gamma1_quotient(ints: Sequence[int]) -> Optional[list[int]]:
+    """The quotient of a nonzero integer list by 1 + X^2 when that divides it exactly, else None.
+
+    One synthetic-division pass from the top: c = q (1 + X^2) + r gives
+    q_i = c_(i+2) - q_(i+2) and r = (c_0 - q_0) + (c_1 - q_1) X.  As 1 + X^2
+    is monic and primitive, q is integer with the content of c (Gauss's
+    lemma), so q over the denominator of a canonical c/d is canonical too.
+    """
+    q = list(ints[2:])
+    n = len(q)
+    for i in range(n - 3, -1, -1):
+        q[i] -= q[i + 2]
+    if not n or ints[0] != q[0] or ints[1] != (q[1] if n > 1 else 0):
+        return None
+    return q
+
+
+def _gamma1_product(ints: Sequence[int], e: int) -> list[int]:
+    """The integer list of sum(ints[i] X^i) (1 + X^2)^e, in e shift-and-add passes."""
+    out = list(ints)
+    for _ in range(e):
+        out += (0, 0)
+        for i in range(len(out) - 3, -1, -1):
+            out[i + 2] += out[i]
+    return out
+
+
+def _kronecker(polys: Sequence[Polynomial], terms: int,
+               d_power: int = 0) -> tuple[int, Callable[[Polynomial], int]]:
+    """(D, at): D the lcm of the denominators of polys, at(p) = (D p)(2^k) for p in polys.
+
+    This decides an identity A == B in Z[X] by one integer comparison
+    A(2^k) == B(2^k) (Kronecker substitution), each P = D p read by one
+    shift-and-add Horner pass.  The identity's two sides together are sums
+    of at most ``terms`` products, each of distinct members P of polys
+    (a polynomial used twice is listed twice) times an integer of absolute
+    value at most D^d_power.
+
+    Exactness.  If 2^k > |A|_1 + |B|_1 (|.|_1 the sum of the absolute
+    coefficients), then A(2^k) == B(2^k) iff A == B.  Let C = A - B be
+    nonzero with lowest nonzero coefficient c_j; then C(2^k) =
+    2^(jk) (c_j + 2^k M) for an integer M, and 0 < |c_j| <= |C|_1 < 2^k
+    makes c_j + 2^k M nonzero.  The bound: |PQ|_1 <= |P|_1 |Q|_1 and
+    |P + Q|_1 <= |P|_1 + |Q|_1, so |A|_1 + |B|_1 <= terms D^d_power
+    prod max(1, |P|_1) over all of polys, and k is the bit length of that
+    product.  One bit less can fail: P = X - 2^(k-1) alone (terms 1) has
+    k = bitlen(2^(k-1) + 1), and P(2^(k-1)) = 0.
+    """
+    d = lcm(*[p.denom for p in polys])
+    bound = terms * d**d_power
+    for p in polys:
+        bound *= max(1, d // p.denom * sum(map(abs, p.ints)))
+    k = bound.bit_length()
+
+    def at(p: Polynomial) -> int:
+        acc = 0
+        for c in reversed(p.ints):
+            acc = (acc << k) + c
+        return acc * (d // p.denom)
+
+    return d, at
+
+
 def _strip_content(c: Sequence[int]) -> Sequence[int]:
     """Divide an integer coefficient list by the gcd of its entries."""
     g = igcd(*c)
@@ -363,8 +429,7 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         if (b1 % _PRIME and _residue(a.ints, -b0 * pow(b1, -1, _PRIME) % _PRIME, _PRIME)
                 or _horner(a.ints, -b0, b1)):
             return _ONE, a, b
-        g = b.monic()
-        return g, divrem(a, g)[0], _make([b1], b.denom)
+        return b.monic(), _cofactor(a, 1, a.ints, b.ints), _make([b1], b.denom)
     ca, cb = igcd(*a.ints), igcd(*b.ints)
     pa = a.ints if ca == 1 else [c // ca for c in a.ints]
     pb = b.ints if cb == 1 else [c // cb for c in b.ints]
@@ -482,8 +547,8 @@ class RationalFunction:
         if num.is_zero:
             return RationalFunction(Polynomial.zero(), Polynomial.one())
         _, num, den = _gcd_cofactors(num, den)
-        if den.ints[-1] != den.denom:
-            num = num.scale(1 / den.leading_coefficient)
+        if den.ints[-1] != den.denom:  # scale num by 1/lc(den) = den.denom/den.ints[-1]
+            num = _make([c * den.denom for c in num.ints], num.denom * den.ints[-1])
             den = den.monic()
         return RationalFunction(num, den)
 

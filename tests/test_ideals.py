@@ -512,8 +512,11 @@ class TestReducedGenerator:
     def test_even_pair_takes_two_gcds_no_make_and_no_sturm_chain(self, monkeypatch):
         # Over a shared denominator the numerator gcd M brings the cofactors,
         # and T is certified root-free by the gcd of the cofactors, not by a
-        # Sturm chain of T.
-        counts = {"_gcd_cofactors": 0, "poly_gcd": 0, "make": 0, "_sturm_chain": 0}
+        # Sturm chain of T.  No divrem either: powers of 1 + X^2 leave T and
+        # gamma by synthetic division, and (X, X^3) takes the gcd's linear
+        # branch, which reads X^3/X with _cofactor.
+        counts = {"_gcd_cofactors": 0, "poly_gcd": 0, "make": 0, "_sturm_chain": 0,
+                  "divrem": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -531,6 +534,9 @@ class TestReducedGenerator:
                             staticmethod(counting("make", RationalFunction.make)))
         monkeypatch.setattr(realroots, "_sturm_chain",
                             counting("_sturm_chain", realroots._sturm_chain))
+        div = counting("divrem", polynomials.divrem)
+        monkeypatch.setattr(polynomials, "divrem", div)
+        monkeypatch.setattr(ideals, "divrem", div, raising=False)
         realroots._gamma_cache.clear()
         pairs = [(elem(X * X - 1, GAMMA * GAMMA), elem(2 * X, GAMMA * GAMMA)),
                  (elem(X, GAMMA * GAMMA), elem(X**3, GAMMA * GAMMA)),
@@ -538,5 +544,6 @@ class TestReducedGenerator:
         for a, b in pairs:
             counts.update(dict.fromkeys(counts, 0))
             assert principal_generator(a, b).principal
-            assert counts == {"_gcd_cofactors": 1, "poly_gcd": 1, "make": 0, "_sturm_chain": 0}, \
+            assert counts == {"_gcd_cofactors": 1, "poly_gcd": 1, "make": 0, "_sturm_chain": 0,
+                              "divrem": 0}, \
                 (str(a), str(b))

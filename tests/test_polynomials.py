@@ -119,6 +119,57 @@ def test_exact_div_raises_on_a_remainder():
         _exact_div(X * X + 1, X + 1)
 
 
+class TestGammaOneKernels:
+    """Exact division by 1 + X^2 in one pass, and the product it inverts."""
+
+    @pytest.mark.parametrize("times", [0, 1, 2, 3])
+    def test_divides_exactly_times(self, times):
+        # core(i) != 0, so core (1 + X^2)^times is divided exactly `times`
+        # times; over a non-unit denominator each quotient stays canonical.
+        rng = random.Random(3100 + times)
+        gamma1 = X * X + 1
+        checked = 0
+        for _ in range(60):
+            core = rand_poly(rng, 4, nonzero=True).scale(Fraction(rng.randint(1, 4),
+                                                                  rng.choice((1, 2, 6))))
+            if not divrem(core, gamma1)[1]:
+                continue
+            checked += 1
+            p = core * gamma1**times
+            assert list(p.ints) == polynomials._gamma1_product(core.ints, times)
+            c = p.ints
+            for j in range(times):
+                c = polynomials._gamma1_quotient(c)
+                assert Polynomial(tuple(c), p.denom) == divrem(p, gamma1 ** (j + 1))[0]
+            assert polynomials._gamma1_quotient(c) is None and list(c) == list(core.ints)
+        assert checked >= 50
+
+    @pytest.mark.parametrize("ints", [(5,), (0, 1), (1, 2), (1, 0, 2), (1, 1, 1), (1, 0, 0, 1),
+                                      (0, 1, 0, 1, 1)])
+    def test_not_divisible(self, ints):
+        assert polynomials._gamma1_quotient(ints) is None
+        assert divrem(Polynomial(ints), X * X + 1)[1]
+
+    def test_non_unit_denominator(self):
+        # (3X + 1)(1 + X^2)/2: the quotient (3X + 1)/2 is canonical as it stands.
+        p = (3 * X + 1).scale(Fraction(1, 2)) * (X * X + 1)
+        assert p.denom == 2
+        assert Polynomial(tuple(polynomials._gamma1_quotient(p.ints)), p.denom) == \
+            (3 * X + 1).scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("j", [1, 5, 64, 1000])
+def test_kronecker_point_is_one_bit_past_a_false_pass(j):
+    # P = X - 2^j alone decides P == 0 (one product, the other side empty).
+    # The bound |P|_1 = 2^j + 1 gives k = j + 1: at 2^k, P is nonzero, and
+    # one bit less, X = 2^(k-1) is P's root, where P == 0 would pass.
+    p = X - 2**j
+    d, at = polynomials._kronecker([p], 1)
+    two_k = at(X)
+    assert d == 1 and two_k == 2 ** (j + 1)
+    assert at(p) == p(two_k) != 0 and p(two_k // 2) == 0
+
+
 def test_divrem_reconstruction_random():
     rng = random.Random(101)
     for _ in range(200):
