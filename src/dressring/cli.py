@@ -14,6 +14,11 @@ denominators, values outside the ring or too large to build, bad flags).  A
 malformed command line under ``--json`` also gets the JSON report, with
 ``command`` set to the subcommand token as typed; without ``--json``
 argparse's usage text goes to stderr.
+
+A line that starts with a subcommand's name is read by that subcommand's
+parser alone, in one argparse pass; every other line (empty, ``--help``,
+``--version``, a leading flag or an unknown word) goes through the top-level
+parser.
 """
 
 from __future__ import annotations
@@ -277,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
             operand, keywords = (operand, {}) if isinstance(operand, str) else operand
             p.add_argument(operand, **keywords)
         p.set_defaults(handler=handler)
+    # name -> subcommand parser, so main can hand a subcommand line straight to it
+    parser.commands = sub.choices
     return parser
 
 
@@ -312,9 +319,23 @@ def _command_token(argv: list[str]) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    A line that starts with a registered subcommand is parsed by that
+    subcommand's parser alone; its leftover tokens are the top-level parser's
+    "unrecognized arguments" error, as argparse's own outer pass reports them.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    subparser = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if subparser is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = subparser.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except UsageError as exc:
         if _wants_json(argv):
             return _emit(_command_token(argv), FAILURE, None, exc.message, True)

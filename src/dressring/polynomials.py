@@ -412,27 +412,42 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
     A(xi) is taken modulo B(xi), with B the shorter operand, so a trial is
     linear in deg A; when B(xi) = 0, the digits of g = |A(xi)| are A's own.
     """
-    if len(a.ints) < len(b.ints):
+    ai, bi = a.ints, b.ints
+    if len(ai) < len(bi):
         g, b_g, a_g = _gcd_cofactors(b, a)
         return g, a_g, b_g
-    if len(b.ints) == 1:
+    if len(bi) == 1:
         return _ONE, a, b
-    if len(a.ints) == len(b.ints) and a == b:
-        lc = _make([a.ints[-1]], a.denom)
+    if len(ai) == len(bi) and a == b:
+        lc = _make([ai[-1]], a.denom)
         return a.monic(), lc, lc
-    if len(b.ints) == 2:  # b = b0 + b1 X: the gcd is b or 1, as a vanishes at -b0/b1 or not
-        b0, b1 = b.ints
+    if (not ai[0] and not ai[-2] and ai.count(0) == len(ai) - 1
+            or not bi[0] and not bi[-2] and bi.count(0) == len(bi) - 1):
+        # A monomial c X^m against q with X^v || q has gcd X^t, t = min(m, v),
+        # and the cofactors are shifts.  GCDHEU would evaluate X^m at xi, an
+        # integer of m log2(xi) bits, and the linear branch would build b1^m
+        # for b = b1 X; both take time quadratic in m.  The two index tests
+        # (both 0 in a monomial of degree >= 1) spare other operands count().
+        t = 0
+        while not (ai[t] or bi[t]):
+            t += 1
+        if not t:
+            return _ONE, a, b
+        return (Polynomial((0,) * t + (1,)), Polynomial(ai[t:], a.denom),
+                Polynomial(bi[t:], b.denom))
+    if len(bi) == 2:  # b = b0 + b1 X: the gcd is b or 1, as a vanishes at -b0/b1 or not
+        b0, b1 = bi
         # The exact b1^k a(-b0/b1), k = deg a, takes time quadratic in k; a
         # nonzero value modulo _PRIME, linear in k, settles it first, and only
         # a residue 0 needs the exact value.  Residues below 2^30 keep each
         # step's product below 2^60, which Python multiplies fastest.
-        if (b1 % _PRIME and _residue(a.ints, -b0 * pow(b1, -1, _PRIME) % _PRIME, _PRIME)
-                or _horner(a.ints, -b0, b1)):
+        if (b1 % _PRIME and _residue(ai, -b0 * pow(b1, -1, _PRIME) % _PRIME, _PRIME)
+                or _horner(ai, -b0, b1)):
             return _ONE, a, b
-        return b.monic(), _cofactor(a, 1, a.ints, b.ints), _make([b1], b.denom)
-    ca, cb = igcd(*a.ints), igcd(*b.ints)
-    pa = a.ints if ca == 1 else [c // ca for c in a.ints]
-    pb = b.ints if cb == 1 else [c // cb for c in b.ints]
+        return b.monic(), _cofactor(a, 1, ai, bi), _make([b1], b.denom)
+    ca, cb = igcd(*ai), igcd(*bi)
+    pa = ai if ca == 1 else [c // ca for c in ai]
+    pb = bi if cb == 1 else [c // cb for c in bi]
     # 29 rather than 2 (as in SymPy) makes a chance common factor of the two
     # values above xi/2, and so a retry, rarer on small inputs: 250 instead of
     # 2411 retries over the 22k gcds of 20k principal_generator calls.

@@ -393,6 +393,26 @@ def registered_commands() -> set:
     return set(sub.choices)
 
 
+# One valid line of each subcommand, every one a positive or a "no" outcome.
+ONE_LINE_PER_COMMAND = [
+    ["member", "X/(X^2+1)"],
+    ["unit", "(X^2+1)/(X^2+2)"],
+    ["gamma", "X^2+1"],
+    ["gamma-plus", "X^2+X+1"],
+    ["sign-at-roots", "X", "X^2-1"],
+    ["principal", "X/(X^2+1)^2", "X^3/(X^2+1)^2"],
+    ["square-ideal", "1/(X^2+1)", "X/(X^2+1)"],
+    ["inverse-ideal", "1/(X^2+1)", "X/(X^2+1)"],
+    ["factor", "[[X/(X^2+1),(X+1)/(X^2+1)],[0,0]]"],
+    ["verify", "[[0,0],[0,0]]", "[[0,0],[0,0]]"],
+    ["certificate", "X", "X+1"],
+    ["zs-member", "1/5"],
+    ["zs-gcd", "6", "10"],
+    ["laurent-member", "rational", "0", "1/5,2,1"],
+    ["stable-witness", "X/(X^2+1)"],
+]
+
+
 def check_schema(report: dict, command: str):
     assert set(report) == {"ok", "command", "result", "error"}
     assert isinstance(report["ok"], bool)
@@ -668,6 +688,22 @@ class TestCli:
 
         assert best_time(100_000) < 40 * best_time(10_000)
 
+    def test_member_of_a_monomial_denominator_in_linear_time(self, capsys):
+        # 1/X^k + X = (X^(k+1) + 1)/X^k: the gcd of the sum's numerator and
+        # X^k is read off the powers of X.  Evaluating X^k at a GCDHEU point
+        # made it quadratic, 0.07 s at k = 10,000 and 0.27 s at 20,000, so
+        # ten times k took about 100 times as long; linear, it takes about 10.
+        def best_time(k):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                code, report = run_cli_json(["member", "--", f"1/X^{k} + X"], capsys)
+                times.append(time.perf_counter() - start)
+                assert code == 1 and report["result"] == {"member": False}
+            return min(times)
+
+        assert best_time(100_000) < 40 * best_time(10_000)
+
     def test_stable_witness(self, capsys):
         code, report = run_cli_json(["stable-witness", "X/(X^2+1)"], capsys)
         assert code == 0
@@ -696,24 +732,8 @@ class TestCli:
         assert capsys.readouterr().out.startswith(f"usage: dressring {command} ")
 
     def test_all_commands_emit_valid_schema(self, capsys):
-        invocations = [
-            ["member", "X/(X^2+1)"],
-            ["unit", "(X^2+1)/(X^2+2)"],
-            ["gamma", "X^2+1"],
-            ["gamma-plus", "X^2+X+1"],
-            ["sign-at-roots", "X", "X^2-1"],
-            ["principal", "X/(X^2+1)^2", "X^3/(X^2+1)^2"],
-            ["square-ideal", "1/(X^2+1)", "X/(X^2+1)"],
-            ["inverse-ideal", "1/(X^2+1)", "X/(X^2+1)"],
-            ["factor", "[[X/(X^2+1),(X+1)/(X^2+1)],[0,0]]"],
-            ["verify", "[[0,0],[0,0]]", "[[0,0],[0,0]]"],
-            ["certificate", "X", "X+1"],
-            ["zs-member", "1/5"],
-            ["zs-gcd", "6", "10"],
-            ["laurent-member", "rational", "0", "1/5,2,1"],
-            ["stable-witness", "X/(X^2+1)"],
-        ]
-        for argv in invocations:
+        assert {argv[0] for argv in ONE_LINE_PER_COMMAND} == registered_commands()
+        for argv in ONE_LINE_PER_COMMAND:
             code, report = run_cli_json(argv, capsys)
             check_schema(report, argv[0])
             assert code in (0, 1)
@@ -760,12 +780,18 @@ class TestCli:
         check_schema(report, command)
         assert report["ok"] is False and message in report["error"]
 
-    def test_malformed_flags_without_json_print_usage(self, capsys):
+    def test_malformed_flags_without_json_print_usage(self, capsys, monkeypatch):
+        # A leftover token is the top-level parser's error, with its usage: the
+        # whole report, on one line at this width under Python 3.10 to 3.13.
+        monkeypatch.setenv("COLUMNS", "1000")
         assert main(["member", "--bogus", "X"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: dressring")
-        assert "dressring: error: unrecognized arguments: --bogus" in captured.err
+        assert captured.err == (
+            "usage: dressring [-h] [--version] {member,unit,gamma,gamma-plus,"
+            "sign-at-roots,principal,square-ideal,inverse-ideal,factor,verify,certificate,"
+            "zs-member,zs-gcd,laurent-member,stable-witness} ...\n"
+            "dressring: error: unrecognized arguments: --bogus\n")
         assert main(["certificate", "--part", "c", "X", "X"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: dressring certificate")
@@ -789,6 +815,29 @@ class TestCli:
             assert len(calls) == 1
         finally:
             cli._parser.cache_clear()
+
+    def test_subcommand_line_takes_one_parser_pass(self, capsys, monkeypatch):
+        # A line that starts with a subcommand never reaches the top-level
+        # parser; every other line goes through it once.
+        from dressring import cli
+
+        parser, calls = cli._parser(), []
+        original = parser.parse_known_args
+
+        def counting_parse_known_args(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting_parse_known_args)
+        for argv in ONE_LINE_PER_COMMAND:
+            assert main(argv) in (0, 1)
+        assert main(["member", "X", "Y"]) == 2
+        assert calls == []
+        for argv in (["--version"], ["--help"], ["frobnicate", "X"], ["--json", "member", "X"]):
+            main(argv)
+            assert len(calls) == 1, argv
+            calls.clear()
+        capsys.readouterr()
 
     def test_console_script_subprocess(self):
         proc = subprocess.run(

@@ -501,6 +501,24 @@ class TestGcdCofactorBranches:
         assert check_cofactors(lin, (X - 1) * X)[1:] == (lc, X)
         assert check_cofactors((X - 1) * X, lin)[1:] == (X, lc)
 
+    def test_monomial_operand(self):
+        # c X^m against q with X^v || q: the gcd is X^min(m, v) and the
+        # cofactors are shifts; the helpers' extended_gcd loop is the reference.
+        rng = random.Random(1043)
+        seen = set()
+        for _ in range(300):
+            c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            mono = Polynomial.from_coeffs([0] * rng.randint(0, 8) + [c])
+            other = rand_poly(rng, 5, nonzero=True) * X ** rng.randint(0, 6)
+            for p, q in ((mono, other), (other, mono), (mono, mono * X)):
+                g = check_cofactors(p, q)[0]
+                assert g == extended_gcd(p, q)[0], (str(p), str(q))
+                seen.add(g.degree)
+        assert seen.issuperset(range(9))
+        for k in range(1, 40):
+            r = parse_scalar(f"1/X^{k} + X")
+            assert (r.num, r.den) == (X ** (k + 1) + 1, X**k)
+
     def test_shorter_operand_vanishing_at_the_point(self):
         # The first point is xi = 2 * 1 + 29 = 31, a root of the shorter
         # operand; A(xi) mod B(xi) would divide by zero there.
