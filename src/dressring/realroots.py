@@ -41,7 +41,7 @@ from .polynomials import (
     NEG_INF,
     Polynomial,
     _horner,
-    _pdiv,
+    _quotient,
     _signed_remainders,
     _strip_content,
 )
@@ -142,7 +142,7 @@ def _sturm_data(p: Polynomial) -> Optional[list[Sequence[int]]]:
     a = _strip_content(p.ints)
     chain = _sturm_chain(a)
     if len(chain[-1]) > 1:  # gcd(p, p') is not constant: rebuild on p / gcd(p, p')
-        chain = _sturm_chain(_strip_content(_pdiv(a, chain[-1])[0]))
+        chain = _sturm_chain(_quotient(a, chain[-1]))
     return chain
 
 

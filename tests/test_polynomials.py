@@ -119,6 +119,45 @@ def test_exact_div_raises_on_a_remainder():
         _exact_div(X * X + 1, X + 1)
 
 
+def test_quotient_kernel_against_divrem():
+    # _quotient(a, h) answers exactly when divrem leaves no remainder, and
+    # then with divrem's quotient; _cofactor(p, h) is p / monic(h) or 0.
+    # The divisors are primitive with |lc| up to 6, degree 0 to 5 and either
+    # end the larger, and the planted quotients and remainders have runs of
+    # zero coefficients.
+    rng = random.Random(3131)
+
+    def sparse(n):
+        return [rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(n)]
+
+    seen = set()
+    for i in range(1500):
+        deg = rng.choice((0, 1, 1, 2, 3, 5))
+        h = sparse(deg) + [rng.choice((-6, -3, -2, -1, 1, 2, 5, 6))]
+        h = list(polynomials._strip_content(h))
+        hp = Polynomial(tuple(h))
+        a = Polynomial.from_coeffs(sparse(rng.randint(0, 9))) * hp
+        if i % 3 == 1:
+            a = a + Polynomial.from_coeffs(sparse(deg))
+        elif i % 3 == 2:
+            a = Polynomial.from_coeffs(sparse(rng.randint(0, 12)))
+        a = a * rng.choice((1, 1, 4, -15))
+        q, r = divrem(a, hp)
+        got = polynomials._quotient(a.ints, h)
+        assert (got is None) == bool(r), (a.ints, h)
+        if got is not None:
+            assert Polynomial.from_coeffs(got) == q, (a.ints, h)
+        p = a.scale(Fraction(rng.randint(1, 5), rng.randint(1, 7)))
+        if p:
+            cofactor = polynomials._cofactor(p, h)
+            assert cofactor == (Polynomial.zero() if r else divrem(p, hp.monic())[0])
+            assert_canonical(cofactor)
+        seen.add((min(deg, 2), abs(h[-1]) > 1, abs(h[0]) > abs(h[-1]), got is None))
+    assert seen == {(0, False, False, False)} | {
+        (d, big, low, refuted) for d in (1, 2) for big in (False, True)
+        for low in (False, True) for refuted in (False, True)}
+
+
 class TestGammaOneKernels:
     """Exact division by 1 + X^2 in one pass, and the product it inverts."""
 
@@ -214,15 +253,41 @@ def test_gcd_with_linear_operand_is_linear_in_the_degree():
     start = time.perf_counter()
     assert _gcd_cofactors(a, b) == (Polynomial.one(), a, b)
     assert time.perf_counter() - start < 1
-    # When b divides a, the residue is 0 and the exact value decides.
+    # When b divides a, the residue is 0 and the exact-division kernel decides.
     a = X**2000 - Fraction(-2, 3) ** 2000
     g, a_g, b_g = _gcd_cofactors(a, b)
     assert g == X + Fraction(2, 3) and a_g * g == a and b_g == Polynomial.constant(3)
-    # A residue 0 at no root, and a b1 the prime divides, also go to the exact value.
+    # A residue 0 at no root, and a b1 the prime divides, also go to the kernel.
     p = polynomials._PRIME
     for a, b in ((X * X - 4 - p, X - 2), (X * X + 1, p * X + 1)):
         assert _gcd_cofactors(a, b) == (Polynomial.one(), a, b)
     assert _gcd_cofactors((p * X + 1) * (X * X + 1), p * X + 1)[0] == X + Fraction(1, p)
+
+
+@pytest.mark.parametrize("case", ["cancels", "residue 0 at no root"])
+def test_linear_branch_is_linear_in_the_degree(case):
+    # (3X + 2)(X^k + 1)/(3X + 2): the residue is 0, so the exact-division
+    # kernel cancels 3X + 2.  (X^k - c)/(X - 2) with c = 2^k mod _PRIME has
+    # residue 0 but a(2) != 0: dividing by the unit lc from the top would
+    # double every term, so the kernel divides by -2 from the bottom and
+    # refutes within a few steps.  Eight times k takes about 8 times as long
+    # when linear; building 3^k a(-2/3) or a(2) exactly took 30 to 45 times.
+    # A ratio, not a time, so host load cancels.
+    def best_time(k):
+        if case == "cancels":
+            text, num, den = f"(3*X+2)*(X^{k}+1)/(3*X+2)", X**k + 1, Polynomial.one()
+        else:
+            c = pow(2, k, polynomials._PRIME)
+            text, num, den = f"(X^{k} - {c})/(X - 2)", X**k - c, X - 2
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            r = parse_scalar(text)
+            times.append(time.perf_counter() - start)
+        assert (r.num, r.den) == (num, den)
+        return min(times)
+
+    assert best_time(200_000) < 14 * best_time(25_000)
 
 
 class TestGcdWithoutCliff:

@@ -598,6 +598,28 @@ class TestSympyOracle:
                 shared_zeros += 1
         assert shared_zeros >= 30
 
+    def test_repeated_root_with_a_non_monic_gcd(self):
+        # gcd(p, p') = (3X^2 - 1)^2 has lc 9, so the squarefree part is the
+        # exact quotient of p by a primitive divisor with |lc| > 1.
+        sympy = pytest.importorskip("sympy")
+        base = (3 * X * X - 1) ** 3 * (5 * X - 2)
+        ends = [Fraction(n, 10) for n in range(-12, 13, 3)] + [Fraction(2, 5)]
+        for p in (base, -base, base.scale(Fraction(7, 4))):
+            sp = self._to_sympy(sympy, p)
+            sqf = sp.sqf_part()
+            ivs = isolate_real_roots(p)
+            assert count_distinct_real_roots(p) == len(ivs) == sqf.count_roots() == 3
+            assert [iv.exact for iv in ivs if iv.is_exact] == [Fraction(2, 5)]
+            assert all(sqf.count_roots(iv.lo, iv.hi) == 1 for iv in ivs)
+            for lo in ends:
+                for hi in ends:
+                    if lo < hi:  # sympy counts [lo, hi]; sturm_count counts (lo, hi]
+                        expected = sqf.count_roots(lo, hi) - (sqf.eval(lo) == 0)
+                        assert sturm_count(p, lo, hi) == expected, (str(p), lo, hi)
+            for q in (X, X - 1, 5 * X - 2, 3 * X * X - 1, X * X - Fraction(1, 5), -X - 1):
+                pattern = self._sympy_pattern(sympy, self._to_sympy(sympy, q), sp)
+                assert sign_at_roots(q, p) is pattern, (str(q), str(p))
+
     def test_sign_patterns(self):
         sympy = pytest.importorskip("sympy")
         inputs = self._inputs()

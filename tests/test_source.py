@@ -39,6 +39,18 @@ def test_one_remainder_sequence_loop():
     assert ("realroots.py", "<module>") in found and len(found) > 2
 
 
+def test_one_exact_division_loop():
+    # Only a remainder needs pseudo-division: every exact quotient (the
+    # gcd's cofactors, _exact_div, a squarefree part) comes from _quotient,
+    # and the linear branch of the gcd divides rather than evaluating.
+    assert set(_references("_pdiv")) == {("polynomials.py", "_signed_remainders"),
+                                         ("polynomials.py", "divrem")}
+    assert ("polynomials.py", "_gcd_cofactors") not in _references("_horner")
+    takers = {ref for ref in _references("_quotient") if ref[1] not in ("<module>", "_quotient")}
+    assert takers == {("polynomials.py", name) for name in ("_cofactor", "_exact_div")} | {
+        ("realroots.py", "_sturm_data")}
+
+
 # (file, top-level def) of every caller that needs a gcd's cofactors.
 COFACTOR_CALLERS = {
     ("polynomials.py", "RationalFunction"), ("polynomials.py", "poly_lcm"),
