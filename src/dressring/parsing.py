@@ -25,6 +25,8 @@ anything is read.  A term of a sum that is ``n``, ``n*X``, ``n*X^e``, ``X`` or
 by one match (of a whitespace-free pattern first) and added to the sum's one
 integer coefficient list, so an expanded polynomial builds one ``Polynomial``,
 and a quotient ``(P)/(Q)`` two, no product and one ``RationalFunction.make``.
+Every other term over the sum's denominator is added to that list by
+``polynomials._add_into``, the one sum that ``Polynomial`` addition runs too.
 
 ``_Parser`` builds a power or a product only if its estimated size is at most
 ``_MAX_BITS`` (2^22) bits and no polynomial product in it multiplies more than
@@ -52,7 +54,7 @@ from math import gcd
 from typing import Union
 
 from .errors import ParseError, ResourceLimitError, ZeroDenominatorError
-from .polynomials import Polynomial, RationalFunction, _make
+from .polynomials import Polynomial, RationalFunction, _add_into, _make
 
 
 @dataclass(frozen=True)
@@ -224,21 +226,6 @@ def _value(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(num, den) if den is _ONE else RationalFunction.make(num, den)
 
 
-def _add_term(acc: list[int], den: int, term: Polynomial) -> int:
-    """Add term to the sum acc/den in place; the new denominator."""
-    ints, d = term.ints, term.denom
-    if den % d:
-        f = d // gcd(den, d)
-        acc[:] = [c * f for c in acc]
-        den *= f
-    k = den // d
-    if len(acc) < len(ints):
-        acc += [0] * (len(ints) - len(acc))
-    for i, c in enumerate(ints):
-        acc[i] += c * k
-    return den
-
-
 class _Parser:
     """The grammar's recursive descent, reading tokens where the last one ended."""
 
@@ -299,15 +286,17 @@ class _Parser:
     def parse_expr(self, pos: int) -> _Pair:
         """The sum that starts at the token at pos, which may not be read yet."""
         # The terms over one denominator d1 go into one integer coefficient
-        # list acc/den: a running Polynomial sum would copy itself at every
-        # '+', in time quadratic in the length.  A '+' or '-' between terms is
-        # the next term's own sign, read with it: a - b is a + (-b).  Over
-        # d1 = 1 a whole term n, n*X, n*X^e, X or X^e takes one _TIGHT_TERM or
-        # _WHOLE_TERM match, sign included, and adds one coefficient; the
-        # match also reads the mark after the term, which becomes the next
-        # token where the sum ends.  parse_term reads every other term, and a
-        # term past one of its bounds, which it raises; a sum of one such term,
-        # with nothing summed before it, is that term as built.
+        # list acc/den, each by _add_into in place: a running Polynomial sum
+        # would copy itself at every '+', in time quadratic in the length.  A
+        # term over another denominator is cross-multiplied in, its products
+        # checked first.  A '+' or '-' between terms is the next term's own
+        # sign, read with it: a - b is a + (-b).  Over d1 = 1 a whole term n,
+        # n*X, n*X^e, X or X^e takes one _TIGHT_TERM or _WHOLE_TERM match,
+        # sign included, and adds one coefficient; the match also reads the
+        # mark after the term, which becomes the next token where the sum
+        # ends.  parse_term reads every other term, and a term past one of its
+        # bounds, which it raises; a sum of one such term, with nothing summed
+        # before it, is that term as built.
         text, acc, den, d1 = self.text, [], 1, _ONE
         while True:
             if d1 is _ONE:
@@ -343,7 +332,7 @@ class _Parser:
                     return n2, d2
                 d1 = d2
             if d1 == d2:
-                den = _add_term(acc, den, n2)
+                den = _add_into(acc, den, n2.ints, n2.denom, 1)
             else:
                 n1 = _make(acc, den)
                 _check_products(pos, ((n1, 1), (d2, 1)), ((n2, 1), (d1, 1)), ((d1, 1), (d2, 1)))

@@ -2,19 +2,22 @@
 
 A polynomial is integer numerators over one positive denominator, in lowest
 terms and without a trailing zero; that form is unique, so equality and
-hashing are structural.  Arithmetic runs on Python integers, values come from
-one homogeneous Horner sum, every remainder from one integer pseudo-division
-loop (``_pdiv``), every exact quotient from one exact-division loop
-(``_quotient``) but the quotient by 1 + X^2, which is one synthetic-division
-pass (``_gamma1_quotient``), and every Sturm chain from one signed remainder
-loop (``_signed_remainders``).  A polynomial identity is decided by integer
-values at one X = 2^k past a bound on its coefficients (``_kronecker``).  A
-gcd is one integer gcd of two values, read back as a polynomial and certified
-by exact division; the quotients of that check are the cofactors a/g and b/g,
-which every caller takes instead of dividing again.  The remainder loop
-answers only when that heuristic gives up.  ``coeffs`` is a ``Fraction`` view.
-Nothing here rounds.  The degree of the zero polynomial is the sentinel
-``NEG_INF`` (never -1).
+hashing are structural.  Arithmetic runs on Python integers: every sum of
+numerator lists from one in-place sum over the lcm of the denominators
+(``_add_into``, which the parser's sums share), values from one homogeneous
+Horner sum, every remainder from one integer pseudo-division loop (``_pdiv``),
+every exact quotient from one exact-division loop (``_quotient``) but the
+quotient by 1 + X^2, which is one synthetic-division pass
+(``_gamma1_quotient``), and every Sturm chain from one signed remainder loop
+(``_signed_remainders``).  A polynomial identity is decided by integer values
+at one X = 2^k past a bound on its coefficients (``_kronecker``).  A gcd is
+one integer gcd of two values, read back as a polynomial and certified by
+exact division; the quotients of that check are the cofactors a/g and b/g,
+which every caller takes instead of dividing again.  Against a linear operand
+b the gcd is b or 1, and ``_quotient`` alone decides which.  The remainder
+loop answers only when the heuristic gives up.  ``coeffs`` is a ``Fraction``
+view.  Nothing here rounds.  The degree of the zero polynomial is the
+sentinel ``NEG_INF`` (never -1).
 """
 
 from __future__ import annotations
@@ -56,6 +59,21 @@ def _make(ints: list[int], denom: int = 1) -> "Polynomial":
             denom //= g
             ints = [c // g for c in ints]
     return Polynomial(tuple(ints), denom)
+
+
+def _add_into(acc: list[int], den: int, ints: Sequence[int], d: int, sign: int) -> int:
+    """Add sign * sum(ints[i] X^i) / d to the sum acc/den in place, for positive
+    den and d; the new denominator, lcm(den, d)."""
+    if den % d:
+        f = d // igcd(den, d)
+        acc[:] = [c * f for c in acc]
+        den *= f
+    k = sign * (den // d)
+    if len(acc) < len(ints):
+        acc += [0] * (len(ints) - len(acc))
+    for i, c in enumerate(ints):
+        acc[i] += c * k
+    return den
 
 
 def _residue(ints: Sequence[int], n: int, m: int) -> int:
@@ -134,28 +152,12 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.ints)
 
-    def __add__(self, other, negate: bool = False) -> "Polynomial":
-        """self + other, or self - other if negate, in one pass over the integer numerators."""
+    def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, da, b, db = self.ints, self.denom, other.ints, other.denom
-        if da != db:
-            g = igcd(da, db)
-            a = [c * (db // g) for c in a]
-            b = [c * (da // g) for c in b]
-            da = da // g * db
-        if negate:
-            out = list(a) + [0] * (len(b) - len(a))
-            for i, c in enumerate(b):
-                out[i] -= c
-            return _make(out, da)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _make(out, da)
+        acc = list(self.ints)
+        return _make(acc, _add_into(acc, self.denom, other.ints, other.denom, 1))
 
     __radd__ = __add__
 
@@ -163,13 +165,18 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.ints), self.denom)
 
     def __sub__(self, other) -> "Polynomial":
-        return self.__add__(other, True)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        acc = list(self.ints)
+        return _make(acc, _add_into(acc, self.denom, other.ints, other.denom, -1))
 
     def __rsub__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other.__add__(self, True)
+        acc = list(other.ints)
+        return _make(acc, _add_into(acc, other.denom, self.ints, self.denom, -1))
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -421,7 +428,6 @@ def _strip_content(c: Sequence[int]) -> Sequence[int]:
 
 
 _HEU_TRIES = 6  # evaluation points before the remainder-sequence fallback, as in SymPy
-_PRIME = 2**30 - 35  # the largest prime below 2^30: the modulus of a linear operand's root test
 
 
 def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -463,9 +469,9 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
             or not bi[0] and not bi[-2] and bi.count(0) == len(bi) - 1):
         # A monomial c X^m against q with X^v || q has gcd X^t, t = min(m, v),
         # and the cofactors are shifts.  GCDHEU would evaluate X^m at xi, an
-        # integer of m log2(xi) bits, and the linear branch would build b1^m
-        # for b = b1 X; both take time quadratic in m.  The two index tests
-        # (both 0 in a monomial of degree >= 1) spare other operands count().
+        # integer of m log2(xi) bits, in time quadratic in m.  The two index
+        # tests (both 0 in a monomial of degree >= 1) spare other operands
+        # count().
         t = 0
         while not (ai[t] or bi[t]):
             t += 1
@@ -473,20 +479,15 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
             return _ONE, a, b
         return (Polynomial((0,) * t + (1,)), Polynomial(ai[t:], a.denom),
                 Polynomial(bi[t:], b.denom))
-    if len(bi) == 2:  # b = b0 + b1 X: the gcd is b or 1, as a vanishes at -b0/b1 or not
-        b0, b1 = bi
-        # A nonzero value of a at -b0/b1 modulo _PRIME settles it in time
-        # linear in deg a; only a residue 0 (or a b1 the prime divides) runs
-        # the exact division, whose quotient is the cofactor.  Residues below
-        # 2^30 keep each step's product below 2^60, which Python multiplies
-        # fastest.
-        if not (b1 % _PRIME and _residue(ai, -b0 * pow(b1, -1, _PRIME) % _PRIME, _PRIME)):
-            if a_g := _cofactor(a, _strip_content(bi)):
-                return b.monic(), a_g, _make([b1], b.denom)
+    if len(bi) == 2:  # b = b0 + b1 X: the gcd is b or 1, as pp(b) divides a or not
+        # _quotient alone decides, in time linear in deg a either way: it
+        # divides from the end of b of larger absolute value, so no term of a
+        # refuted division outgrows max|a| times the steps taken.  Its
+        # quotient is the cofactor.
+        if a_g := _cofactor(a, _strip_content(bi)):
+            return b.monic(), a_g, _make([bi[1]], b.denom)
         return _ONE, a, b
-    ca, cb = igcd(*ai), igcd(*bi)
-    pa = ai if ca == 1 else [c // ca for c in ai]
-    pb = bi if cb == 1 else [c // cb for c in bi]
+    pa, pb = _strip_content(ai), _strip_content(bi)
     # 29 rather than 2 (as in SymPy) makes a chance common factor of the two
     # values above xi/2, and so a retry, rarer on small inputs: 250 instead of
     # 2411 retries over the 22k gcds of 20k principal_generator calls.

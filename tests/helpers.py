@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
+from typing import Callable
 
 from dressring import DressElement, Polynomial, RationalFunction, divrem
 from dressring.idempotent import VerificationReport
@@ -11,6 +13,17 @@ from dressring.parsing import format_fraction
 
 # Empirical bound on the number of factors the fixed factorization pipeline returns.
 FACTOR_COUNT_BOUND = 12
+
+
+def best_time(run: Callable[[], object], repeats: int = 3) -> float:
+    """The least wall time of repeats calls of run.  Host load only adds time,
+    so a ratio of two best times is the sturdy way to test a growth rate."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 def rand_poly(rng: random.Random, max_deg: int, lo: int = -9, hi: int = 9,

@@ -32,7 +32,7 @@ from dressring.parsing import (
     parse_rational,
 )
 
-from helpers import rand_rf
+from helpers import best_time, rand_rf
 
 X = Polynomial.x()
 
@@ -675,34 +675,33 @@ class TestCli:
         # X^-1 + O(X^0) from order -n - 1.  Ten times the zeros take 6 to 15
         # times as long when the strip is linear, and about 95 times when it
         # is quadratic; a ratio, not a time, so host load cancels.
-        def best_time(n):
+        def time_strip(n):
             coeffs = ",".join(["0"] * n + ["1"])
-            times = []
-            for order, code in ((-n, 0), (-n - 1, 1), (-n, 0)):
-                start = time.perf_counter()
+            cases = iter(((-n, 0), (-n - 1, 1), (-n, 0)))
+
+            def run():
+                order, code = next(cases)
                 got, report = run_cli_json(["laurent-member", "real", "--", str(order), coeffs],
                                            capsys)
-                times.append(time.perf_counter() - start)
                 assert got == code and report["result"] == {"member": code == 0}
-            return min(times)
 
-        assert best_time(100_000) < 40 * best_time(10_000)
+            return best_time(run)
+
+        assert time_strip(100_000) < 40 * time_strip(10_000)
 
     def test_member_of_a_monomial_denominator_in_linear_time(self, capsys):
         # 1/X^k + X = (X^(k+1) + 1)/X^k: the gcd of the sum's numerator and
         # X^k is read off the powers of X.  Evaluating X^k at a GCDHEU point
         # made it quadratic, 0.07 s at k = 10,000 and 0.27 s at 20,000, so
         # ten times k took about 100 times as long; linear, it takes about 10.
-        def best_time(k):
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
+        def time_member(k):
+            def run():
                 code, report = run_cli_json(["member", "--", f"1/X^{k} + X"], capsys)
-                times.append(time.perf_counter() - start)
                 assert code == 1 and report["result"] == {"member": False}
-            return min(times)
 
-        assert best_time(100_000) < 40 * best_time(10_000)
+            return best_time(run)
+
+        assert time_member(100_000) < 40 * time_member(10_000)
 
     def test_stable_witness(self, capsys):
         code, report = run_cli_json(["stable-witness", "X/(X^2+1)"], capsys)

@@ -22,7 +22,7 @@ from dressring import (
 from dressring import polynomials
 from dressring.polynomials import _exact_div, _gcd_cofactors, squarefree_decomposition
 
-from helpers import extended_gcd, rand_poly, rand_rf
+from helpers import best_time, extended_gcd, rand_poly, rand_rf
 
 X = Polynomial.x()
 
@@ -246,48 +246,53 @@ def test_gcd_with_linear_operand():
 
 
 def test_gcd_with_linear_operand_is_linear_in_the_degree():
-    # b1^k a(-b0/b1) is first taken modulo a prime: the exact value grows with
-    # k = deg a, and (X^80000 + 1)/(3X + 2) took about 0.6 s to parse through
-    # it, so this degree-400000 operand would take about 15 s.
+    # The exact-division kernel alone decides a linear operand: it refutes
+    # 3X + 2 | X^400000 + 1 from the end of larger absolute value, in time
+    # linear in the degree (test_linear_branch_is_linear_in_the_degree).
     a, b = Polynomial((1,) + (0,) * 399_999 + (1,)), 3 * X + 2
-    start = time.perf_counter()
     assert _gcd_cofactors(a, b) == (Polynomial.one(), a, b)
-    assert time.perf_counter() - start < 1
-    # When b divides a, the residue is 0 and the exact-division kernel decides.
+    # When b divides a, the kernel's quotient is the cofactor.
     a = X**2000 - Fraction(-2, 3) ** 2000
     g, a_g, b_g = _gcd_cofactors(a, b)
     assert g == X + Fraction(2, 3) and a_g * g == a and b_g == Polynomial.constant(3)
-    # A residue 0 at no root, and a b1 the prime divides, also go to the kernel.
-    p = polynomials._PRIME
+    # A value 0 modulo the prime 2^30 - 35 at no root, and a b1 that prime
+    # divides: inputs that any refutation modulo that prime hands on to the
+    # kernel.
+    p = 2**30 - 35
     for a, b in ((X * X - 4 - p, X - 2), (X * X + 1, p * X + 1)):
         assert _gcd_cofactors(a, b) == (Polynomial.one(), a, b)
     assert _gcd_cofactors((p * X + 1) * (X * X + 1), p * X + 1)[0] == X + Fraction(1, p)
 
 
-@pytest.mark.parametrize("case", ["cancels", "residue 0 at no root"])
+@pytest.mark.parametrize("case", ["cancels", "residue 0 at no root", "coprime", "monic coprime"])
 def test_linear_branch_is_linear_in_the_degree(case):
-    # (3X + 2)(X^k + 1)/(3X + 2): the residue is 0, so the exact-division
-    # kernel cancels 3X + 2.  (X^k - c)/(X - 2) with c = 2^k mod _PRIME has
-    # residue 0 but a(2) != 0: dividing by the unit lc from the top would
-    # double every term, so the kernel divides by -2 from the bottom and
-    # refutes within a few steps.  Eight times k takes about 8 times as long
+    # (3X + 2)(X^k + 1)/(3X + 2): the exact-division kernel cancels 3X + 2.
+    # (X^k - c)/(X - 2) with c = 2^k mod 2^30 - 35 is 0 modulo that prime
+    # at 2 but a(2) != 0: dividing by the unit lc from the top would double
+    # every term, so the kernel divides by -2 from the bottom and refutes
+    # within a few steps.  (X^k + 1)/(3X + 2) is refuted at the first step,
+    # and the monic (X^k + 3)/(X - 1) only by the final remainder, after k
+    # steps of terms at most 4.  Eight times k takes about 8 times as long
     # when linear; building 3^k a(-2/3) or a(2) exactly took 30 to 45 times.
     # A ratio, not a time, so host load cancels.
-    def best_time(k):
+    def time_parse(k):
         if case == "cancels":
             text, num, den = f"(3*X+2)*(X^{k}+1)/(3*X+2)", X**k + 1, Polynomial.one()
-        else:
-            c = pow(2, k, polynomials._PRIME)
+        elif case == "residue 0 at no root":
+            c = pow(2, k, 2**30 - 35)
             text, num, den = f"(X^{k} - {c})/(X - 2)", X**k - c, X - 2
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            r = parse_scalar(text)
-            times.append(time.perf_counter() - start)
-        assert (r.num, r.den) == (num, den)
-        return min(times)
+        elif case == "coprime":
+            text, num, den = f"(X^{k}+1)/(3*X+2)", (X**k + 1).scale(Fraction(1, 3)), X + Fraction(2, 3)
+        else:
+            text, num, den = f"(X^{k}+3)/(X-1)", X**k + 3, X - 1
 
-    assert best_time(200_000) < 14 * best_time(25_000)
+        def run():
+            r = parse_scalar(text)
+            assert (r.num, r.den) == (num, den)
+
+        return best_time(run)
+
+    assert time_parse(200_000) < 14 * time_parse(25_000)
 
 
 class TestGcdWithoutCliff:

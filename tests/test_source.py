@@ -51,6 +51,16 @@ def test_one_exact_division_loop():
         ("realroots.py", "_sturm_data")}
 
 
+def test_one_sum_over_a_common_denominator():
+    # Polynomial addition and the parser's sums add numerator lists over
+    # the lcm of their denominators by one kernel, in place; a second copy
+    # of that loop would have to live somewhere else.
+    takers = {ref for ref in _references("_add_into") if ref[1] not in ("<module>", "_add_into")}
+    assert takers == {("polynomials.py", "Polynomial"), ("parsing.py", "_Parser")}
+    parsing = ast.parse((SRC / "parsing.py").read_text())
+    assert "_add_term" not in {getattr(top, "name", None) for top in parsing.body}
+
+
 # (file, top-level def) of every caller that needs a gcd's cofactors.
 COFACTOR_CALLERS = {
     ("polynomials.py", "RationalFunction"), ("polynomials.py", "poly_lcm"),
