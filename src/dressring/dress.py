@@ -175,7 +175,8 @@ def over_common_denominator(
     nums = [elems[0].numerator]
     for e in elems[1:]:
         num, d = e.numerator, e.denominator
-        if d != gamma:
+        # Field by field: the dataclass __eq__ costs about 4x as much.
+        if d.ints != gamma.ints or d.denom != gamma.denom:
             _, gamma_g, d_g = _gcd_cofactors(gamma, d)
             if d_g != _ONE:
                 gamma, nums = gamma * d_g, [n * d_g for n in nums]

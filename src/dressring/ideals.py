@@ -2,8 +2,10 @@
 
 One routine and one certificate serve every operation.  Over a common
 denominator gamma the generators are a_i = M f_i'/gamma, with M the gcd of the
-numerators f_i and s = max deg f_i'.  T = sum f_i'^2 is certified on the
-unreduced numerators: no real roots, deg T == 2s, sum f_i' f_i == M T, the
+numerators f_i and s = max deg f_i'.  T = sum f_i'^2 is one integer
+convolution over the lcm of the cofactors' denominators, with no Polynomial
+product or sum.  It is certified on the unreduced numerators: no real roots,
+deg T == 2s, read from the convolution's length, and sum f_i' f_i == M T, the
 identity decided by integer values at one X = 2^k (polynomials._kronecker).  Then
 J^2 = (M^2 T/gamma^2) D, which is sum a_i^2; (a, b) is principal iff s is even,
 with generator M h/gamma for h = (1 + X^2)^(s/2); and (a, b)^-1 is generated
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from math import lcm
 from typing import Optional, Sequence
 
 from .dress import DressElement, over_common_denominator
@@ -96,15 +98,29 @@ def _gcd_fold(nums: Sequence[Polynomial]) -> tuple[Polynomial, list[Polynomial]]
 def _sum_of_squares(m: Polynomial, cofactors, s: int, nums) -> Polynomial:
     """T = sum f_i'^2, certified root-free with deg T == 2s and sum f_i' f_i == M T.
 
+    T is one integer convolution: den^2 T = sum F_i^2 for the integer lists
+    F_i = den f_i', den the lcm of the cofactors' denominators, with each
+    F_i[j] F_i[l] added into entry j + l.  The top entry sums the squared
+    leading coefficients of the longest F_i, so it is positive and the
+    list's length is deg T + 1.
+
     T is root-free iff the gcd of the f_i' is: at a real x, T(x) is a sum of
     real squares, so T(x) = 0 iff every f_i'(x) = 0, that is iff x is a root
     of gcd(f_i').  So is_gamma decides that gcd, which is 1 for the cofactors
     of M, and no Sturm chain of T is built.
     """
-    t = reduce(add, [fp * fp for fp in cofactors])
+    den = lcm(*[fp.denom for fp in cofactors])
+    acc = [0] * (2 * max([len(fp.ints) for fp in cofactors]) - 1)
+    for fp in cofactors:
+        a = fp.ints if fp.denom == den else [den // fp.denom * c for c in fp.ints]
+        for j, c in enumerate(a):
+            if c:
+                for i, d in enumerate(a, j):
+                    acc[i] += c * d
+    t = _make(acc, den * den)
     if not is_gamma(reduce(poly_gcd, cofactors)):
         raise CertificateError(f"sum of squares T = {t} has real roots")
-    if t.degree != 2 * s:
+    if len(t.ints) != 2 * s + 1:
         raise CertificateError(f"sum of squares T = {t} has degree {t.degree}, not 2s = {2 * s}")
     # nums are the numerators of the inputs themselves, not rebuilt as M f_i'.
     # Scaled by D^2, each side is a sum of products of two members of the

@@ -406,8 +406,8 @@ def _kronecker(polys: Sequence[Polynomial], terms: int,
     """
     d = lcm(*[p.denom for p in polys])
     bound = terms * d**d_power
-    for p in polys:
-        bound *= max(1, d // p.denom * sum(map(abs, p.ints)))
+    for p in polys:  # each factor is max(1, D |p|_1), the norm being >= 0
+        bound *= d // p.denom * sum(map(abs, p.ints)) or 1
     k = bound.bit_length()
 
     def at(p: Polynomial) -> int:
@@ -462,7 +462,7 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         return g, a_g, b_g
     if len(bi) == 1:
         return _ONE, a, b
-    if len(ai) == len(bi) and a == b:
+    if ai == bi and a.denom == b.denom:  # a == b, without the dataclass __eq__
         lc = _make([ai[-1]], a.denom)
         return a.monic(), lc, lc
     if (not ai[0] and not ai[-2] and ai.count(0) == len(ai) - 1

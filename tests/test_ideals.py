@@ -352,6 +352,35 @@ def test_root_freeness_of_t_decided_on_the_cofactor_gcd():
     assert outcomes == {(0, True), (0, False), (1, False), (2, True), (2, False), (3, False)}
 
 
+def test_sum_of_squares_kernel_matches_products():
+    # The kernel's one integer convolution against the sum of Polynomial
+    # products, on 1-4 cofactors of degree 0-6 over denominators 1-6, about
+    # one in five zero.  With M = 1 and nums = cofactors the identity holds,
+    # so the kernel returns T unless the cofactors share a real root.  Three
+    # or four of them, over (1 + X^2)^3, also go through ideal_square.
+    rng = random.Random(3307)
+    seen = set()
+    for _ in range(500):
+        cofactors = [Polynomial.zero() if rng.random() < 0.2 else
+                     rand_poly(rng, 6, -5, 5).scale(Fraction(1, rng.randint(1, 6)))
+                     for _ in range(rng.randint(1, 4))]
+        if not any(cofactors):
+            continue
+        t = sum(f * f for f in cofactors)
+        s = max(f.degree for f in cofactors if f)
+        if realroots.count_distinct_real_roots(t) == 0:
+            assert ideals._sum_of_squares(Polynomial.one(), cofactors, s, cofactors) == t
+        else:
+            with pytest.raises(CertificateError, match="has real roots"):
+                ideals._sum_of_squares(Polynomial.one(), cofactors, s, cofactors)
+        if len(cofactors) > 2:
+            gens = [elem(f, GAMMA**3) for f in cofactors]
+            assert ideal_square(IdealGens(tuple(gens))).value == sum(g * g for g in gens).value
+        seen.add((len(cofactors), not all(cofactors), t.denom > 1))
+    assert {n for n, _, _ in seen} == {1, 2, 3, 4}
+    assert (3, True, True) in seen and (4, True, True) in seen
+
+
 def test_cofactors_sharing_a_real_root_raise():
     cofactors = [(X - 1) * (X + 2), (X - 1) * X]
     with pytest.raises(CertificateError, match="has real roots"):
@@ -516,7 +545,7 @@ class TestReducedGenerator:
         # gamma by synthetic division, and (X, X^3) takes the gcd's linear
         # branch, which reads X^3/X with _cofactor.
         counts = {"_gcd_cofactors": 0, "poly_gcd": 0, "make": 0, "_sturm_chain": 0,
-                  "divrem": 0}
+                  "divrem": 0, "__mul__": 0, "__add__": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -537,6 +566,11 @@ class TestReducedGenerator:
         div = counting("divrem", polynomials.divrem)
         monkeypatch.setattr(polynomials, "divrem", div)
         monkeypatch.setattr(ideals, "divrem", div, raising=False)
+        # T is one integer convolution: no Polynomial product or sum.
+        for name in ("__mul__", "__add__"):
+            op = counting(name, getattr(Polynomial, name))
+            monkeypatch.setattr(Polynomial, name, op)
+            monkeypatch.setattr(Polynomial, name.replace("__", "__r", 1), op)
         realroots._gamma_cache.clear()
         pairs = [(elem(X * X - 1, GAMMA * GAMMA), elem(2 * X, GAMMA * GAMMA)),
                  (elem(X, GAMMA * GAMMA), elem(X**3, GAMMA * GAMMA)),
@@ -545,5 +579,5 @@ class TestReducedGenerator:
             counts.update(dict.fromkeys(counts, 0))
             assert principal_generator(a, b).principal
             assert counts == {"_gcd_cofactors": 1, "poly_gcd": 1, "make": 0, "_sturm_chain": 0,
-                              "divrem": 0}, \
+                              "divrem": 0, "__mul__": 0, "__add__": 0}, \
                 (str(a), str(b))
