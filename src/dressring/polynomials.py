@@ -527,7 +527,7 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
 def _cofactor(p: Polynomial, h: Sequence[int]) -> Polynomial:
     """p/(H/lc H) for nonzero p when the primitive integer list H divides it, else 0."""
     q = _quotient(p.ints, h)
-    return _ZERO if q is None else _make([h[-1] * v for v in q], p.denom)
+    return _ZERO if q is None else _make(q if h[-1] == 1 else [h[-1] * v for v in q], p.denom)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
