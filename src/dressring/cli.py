@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every subcommand is declared once, in ``_COMMANDS``: its name, help text,
-operands and handler, which ``build_parser`` reads.  Every subcommand emits a
-report; ``--json`` switches from the human-readable lines to a single JSON
-object::
+operands and handler, which ``build_parser`` reads.  A handler returns the
+library's own result values under the report's keys, and one renderer,
+``_text``, prints every one of them for both output forms.  Every subcommand
+emits a report; ``--json`` switches from the human-readable lines to a single
+JSON object::
 
     {"ok": bool, "command": string, "result": object|null, "error": string|null}
 
@@ -27,6 +29,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .dress import DressElement, is_member, is_unit
@@ -47,14 +50,7 @@ from .idempotent import (
 )
 from .ideals import IdealGens, ideal_inverse, ideal_square, principal_generator
 from .numberrings import SeriesBase, TruncLaurent, laurent_member, zs_gcd, zs_member
-from .parsing import (
-    format_fraction,
-    format_matrix,
-    format_rational_function,
-    parse_matrix,
-    parse_rational,
-    parse_scalar,
-)
+from .parsing import format_fraction, parse_matrix, parse_rational, parse_scalar
 from .polynomials import Polynomial
 from .realroots import is_gamma, is_gamma_plus, sign_at_roots
 
@@ -66,7 +62,7 @@ FAILURE = 2
 def _poly_arg(text: str) -> Polynomial:
     rf = parse_scalar(text)
     if not rf.is_polynomial:
-        raise ShapeViolation(f"expected a polynomial, got {format_rational_function(rf)}")
+        raise ShapeViolation(f"expected a polynomial, got {rf}")
     return rf.num
 
 def _element_arg(text: str) -> DressElement:
@@ -77,43 +73,41 @@ def _matrix_arg(text: str) -> Mat2:
     return Mat2(*(DressElement(e) for e in parse_matrix(text).entries()))
 
 
-# Each handler returns (exit_code, result_payload).
+def _text(value):
+    """A report value as printed: a Fraction exactly, a tuple as a list,
+    bool/int/str/None as they are, and any other library value by str."""
+    if isinstance(value, Fraction):
+        return format_fraction(value)
+    if isinstance(value, tuple):
+        return [_text(v) for v in value]
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return str(value)
+
+
+_JSON = json.JSONEncoder(default=_text)  # json.dumps(default=...) builds one per call
+
+
+def _fields(obj, *names) -> dict:
+    """The named fields of a result object, in order."""
+    return {name: getattr(obj, name) for name in names}
+
+
+# Each handler returns (exit_code, result), with the library's values as result values.
 
 def _verdict(key: str, verdict: bool) -> tuple[int, dict]:
     return (OK if verdict else MATH_NO), {key: verdict}
 
 
-def _cmd_sign_at_roots(args) -> tuple[int, dict]:
-    pattern = sign_at_roots(_poly_arg(args.q), _poly_arg(args.p))
-    return OK, {"pattern": pattern.value}
-
-
 def _cmd_principal(args) -> tuple[int, dict]:
-    a, b = _element_arg(args.a), _element_arg(args.b)
-    report = principal_generator(a, b)
-    result = {
-        "principal": report.principal,
-        "s": report.s,
-        "M": str(report.M),
-        "fprime": str(report.fprime),
-        "gprime": str(report.gprime),
-        "generator": str(report.generator) if report.generator is not None else None,
-        "expansion": [str(c) for c in report.expansion] if report.expansion else None,
-    }
-    return (OK if report.principal else MATH_NO), result
-
-
-def _cmd_square_ideal(args) -> tuple[int, dict]:
-    gens = IdealGens(tuple(_element_arg(e) for e in args.gens))
-    return OK, {"generator": str(ideal_square(gens))}
+    report = principal_generator(_element_arg(args.a), _element_arg(args.b))
+    return (OK if report.principal else MATH_NO), _fields(
+        report, "principal", "s", "M", "fprime", "gprime", "generator", "expansion")
 
 
 def _cmd_inverse_ideal(args) -> tuple[int, dict]:
     inv = ideal_inverse(_element_arg(args.a), _element_arg(args.b))
-    return OK, {
-        "inverse_gens": [format_rational_function(g) for g in inv.gens],
-        "certificate": str(inv.certificate),
-    }
+    return OK, {"inverse_gens": inv.gens, "certificate": inv.certificate}
 
 
 def _cmd_factor(args) -> tuple[int, dict]:
@@ -123,12 +117,8 @@ def _cmd_factor(args) -> tuple[int, dict]:
     # factor_row_matrix verifies before returning and raises CertificateError
     # (exit 2) on failure, so a returned factorization is verified.
     fact = factor_row_matrix(mat.a, mat.b)
-    return OK, {
-        "target": format_matrix(fact.target),
-        "factors": [format_matrix(m) for m in fact.factors],
-        "verified": True,
-        "count": len(fact.factors),
-    }
+    return OK, {**_fields(fact, "target", "factors"), "verified": True,
+                "count": len(fact.factors)}
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
@@ -142,29 +132,14 @@ def _cmd_verify(args) -> tuple[int, dict]:
             return MATH_NO, {"verified": False, "failure": "entry-not-in-ring",
                              "factor_index": None if i < 0 else i}
     report = verify_factorization(Factorization(matrices[0], tuple(matrices[1:])))
-    result = {
-        "verified": report.ok,
-        "failure": report.failure,
-        "factor_index": report.factor_index,
-    }
-    return (OK if report.ok else MATH_NO), result
+    return (OK if report.ok else MATH_NO), {"verified": report.ok,
+                                            **_fields(report, "failure", "factor_index")}
 
 
 def _cmd_certificate(args) -> tuple[int, dict]:
     x, y = _poly_arg(args.x), _poly_arg(args.y)
     cert = positivity_certificate(x, y) if args.part == "a" else positivity_certificate(y, x)
-    return OK, {
-        "part": args.part,
-        "beta": str(cert.beta),
-        "delta": str(cert.delta),
-        "scale": format_fraction(cert.scale),
-        "base": str(cert.base),
-    }
-
-
-def _cmd_zs_gcd(args) -> tuple[int, dict]:
-    g, u, v = zs_gcd(parse_rational(args.a), parse_rational(args.b))
-    return OK, {"g": format_fraction(g), "u": format_fraction(u), "v": format_fraction(v)}
+    return OK, {"part": args.part, **_fields(cert, "beta", "delta", "scale", "base")}
 
 
 def _cmd_laurent_member(args) -> tuple[int, dict]:
@@ -190,13 +165,9 @@ def _cmd_laurent_member(args) -> tuple[int, dict]:
 
 def _cmd_stable_witness(args) -> tuple[int, dict]:
     evidence = stable_range_witness(_element_arg(args.z))
-    return OK, {
-        "sum_sq_unit": evidence.sum_sq_unit,
-        "value_at_1": format_fraction(evidence.value_at_1),
-        "value_at_minus_1": format_fraction(evidence.value_at_minus_1),
-        "signs": [evidence.sign_at_1, evidence.sign_at_minus_1],
-        "nonunit_certified": evidence.nonunit_certified,
-    }
+    return OK, {**_fields(evidence, "sum_sq_unit", "value_at_1", "value_at_minus_1"),
+                "signs": (evidence.sign_at_1, evidence.sign_at_minus_1),
+                "nonunit_certified": evidence.nonunit_certified}
 
 
 # (name, help, operands, handler), in the order of the help listing.  An
@@ -210,11 +181,13 @@ _COMMANDS = (
      lambda args: _verdict("gamma", is_gamma(_poly_arg(args.expr)))),
     ("gamma-plus", "is the polynomial everywhere positive?", ["expr"],
      lambda args: _verdict("gamma_plus", is_gamma_plus(_poly_arg(args.expr)))),
-    ("sign-at-roots", "signs of q at the real roots of p", ["q", "p"], _cmd_sign_at_roots),
+    ("sign-at-roots", "signs of q at the real roots of p", ["q", "p"],
+     lambda args: (OK, {"pattern": sign_at_roots(_poly_arg(args.q), _poly_arg(args.p)).value})),
     ("principal", "is the ideal (a, b) principal? explicit generator", ["a", "b"],
      _cmd_principal),
     ("square-ideal", "principal generator of the ideal square", [("gens", {"nargs": "+"})],
-     _cmd_square_ideal),
+     lambda args: (OK, {"generator": ideal_square(
+         IdealGens(tuple(map(_element_arg, args.gens))))})),
     ("inverse-ideal", "fractional inverse of (a, b) with certificate", ["a", "b"],
      _cmd_inverse_ideal),
     ("factor", "factor [[p, q], [0, 0]] into idempotent matrices", ["matrix"], _cmd_factor),
@@ -226,7 +199,9 @@ _COMMANDS = (
      _cmd_certificate),
     ("zs-member", "membership of a rational in Z_S", ["value"],
      lambda args: _verdict("member", zs_member(parse_rational(args.value)))),
-    ("zs-gcd", "ideal gcd in Z_S with Bezout certificate", ["a", "b"], _cmd_zs_gcd),
+    ("zs-gcd", "ideal gcd in Z_S with Bezout certificate", ["a", "b"],
+     lambda args: (OK, dict(zip("guv", zs_gcd(parse_rational(args.a),
+                                               parse_rational(args.b)))))),
     ("laurent-member", "membership of a truncated Laurent series",
      [("base", {"choices": [b.value for b in SeriesBase]}),
       ("order", {"nargs": "?", "help": "the lowest exponent, an integer"}),
@@ -288,15 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(command: str, code: int, result, error, as_json: bool) -> int:
-    """Print the report on stdout and return its exit code."""
+    """Print the report on stdout and return its exit code.  Every result value
+    prints through _text, which json calls on each value it cannot encode (a
+    tuple and bool/int/str/None it encodes as _text would)."""
     if as_json:
-        print(json.dumps({"ok": code == OK, "command": command, "result": result,
-                          "error": error}))
+        print(_JSON.encode({"ok": code == OK, "command": command, "result": result,
+                            "error": error}))
     elif error is not None:
         print(f"error: {error}")
     else:
         for key, value in result.items():
-            print(f"{key}: {value}")
+            print(f"{key}: {_text(value)}")
     return code
 
 

@@ -646,8 +646,6 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.den.ints) == len(other.den.ints) == 1:  # both denominators are 1
-            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction.make(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -670,8 +668,6 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.den.ints) == len(other.den.ints) == 1:  # both denominators are 1
-            return RationalFunction(self.num * other.num, self.den)
         return RationalFunction.make(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -695,8 +691,6 @@ class RationalFunction:
             raise ValueError("exponent must be an integer")
         if n < 0:
             return RationalFunction.one() / self ** (-n)
-        if len(self.den.ints) == 1:
-            return RationalFunction(self.num**n, self.den)
         return RationalFunction(self.num**n, self.den**n)
 
     def evaluate(self, t) -> Fraction:

@@ -412,6 +412,48 @@ ONE_LINE_PER_COMMAND = [
     ["stable-witness", "X/(X^2+1)"],
 ]
 
+# The report of each line above, every one exit 0: (human-readable stdout,
+# the JSON report's result).  Both forms print the same values.
+PINNED_REPORTS = {
+    "member": ("member: True\n", {"member": True}),
+    "unit": ("unit: True\n", {"unit": True}),
+    "gamma": ("gamma: True\n", {"gamma": True}),
+    "gamma-plus": ("gamma_plus: True\n", {"gamma_plus": True}),
+    "sign-at-roots": ("pattern: Mixed\n", {"pattern": "Mixed"}),
+    "principal": (
+        "principal: True\ns: 2\nM: X\nfprime: 1\ngprime: X^2\ngenerator: (X)/(X^2 + 1)\n"
+        "expansion: ['(X^2 + 1)/(X^4 + 1)', '(X^4 + X^2)/(X^4 + 1)']\n",
+        {"principal": True, "s": 2, "M": "X", "fprime": "1", "gprime": "X^2",
+         "generator": "(X)/(X^2 + 1)",
+         "expansion": ["(X^2 + 1)/(X^4 + 1)", "(X^4 + X^2)/(X^4 + 1)"]}),
+    "square-ideal": ("generator: (1)/(X^2 + 1)\n", {"generator": "(1)/(X^2 + 1)"}),
+    "inverse-ideal": ("inverse_gens: ['1', 'X']\ncertificate: (1)/(X^2 + 1)\n",
+                      {"inverse_gens": ["1", "X"], "certificate": "(1)/(X^2 + 1)"}),
+    "factor": (
+        "target: [[(X)/(X^2 + 1), (X + 1)/(X^2 + 1)], [0, 0]]\n"
+        "factors: ['[[1, 1], [0, 0]]', '[[0, 0], [-1, 1]]', '[[0, (-X)/(X^2 + 1)], [0, 1]]', "
+        "'[[(X^2)/(X^2 + X + 1), (X^2 + X)/(X^2 + X + 1)], "
+        "[(X)/(X^2 + X + 1), (X + 1)/(X^2 + X + 1)]]']\nverified: True\ncount: 4\n",
+        {"target": "[[(X)/(X^2 + 1), (X + 1)/(X^2 + 1)], [0, 0]]",
+         "factors": ["[[1, 1], [0, 0]]", "[[0, 0], [-1, 1]]", "[[0, (-X)/(X^2 + 1)], [0, 1]]",
+                     "[[(X^2)/(X^2 + X + 1), (X^2 + X)/(X^2 + X + 1)], "
+                     "[(X)/(X^2 + X + 1), (X + 1)/(X^2 + X + 1)]]"],
+         "verified": True, "count": 4}),
+    "verify": ("verified: True\nfailure: None\nfactor_index: None\n",
+               {"verified": True, "failure": None, "factor_index": None}),
+    "certificate": ("part: a\nbeta: 1\ndelta: X^2 + X + 1\nscale: 1\nbase: -1\n",
+                    {"part": "a", "beta": "1", "delta": "X^2 + X + 1", "scale": "1",
+                     "base": "-1"}),
+    "zs-member": ("member: True\n", {"member": True}),
+    "zs-gcd": ("g: 2\nu: 2\nv: -1\n", {"g": "2", "u": "2", "v": "-1"}),
+    "laurent-member": ("member: True\n", {"member": True}),
+    "stable-witness": (
+        "sum_sq_unit: True\nvalue_at_1: 2\nvalue_at_minus_1: -2\nsigns: ['+', '-']\n"
+        "nonunit_certified: True\n",
+        {"sum_sq_unit": True, "value_at_1": "2", "value_at_minus_1": "-2", "signs": ["+", "-"],
+         "nonunit_certified": True}),
+}
+
 
 def check_schema(report: dict, command: str):
     assert set(report) == {"ok", "command", "result", "error"}
@@ -718,6 +760,14 @@ class TestCli:
         assert code == 0 and out.strip() == "member: True"
         code, out = run_cli(["zs-gcd", "6", "10"], capsys)
         assert code == 0 and out == "g: 2\nu: 2\nv: -1\n"
+
+    @pytest.mark.parametrize("argv", ONE_LINE_PER_COMMAND, ids=lambda argv: argv[0])
+    def test_one_line_report_pinned(self, capsys, argv):
+        # The whole stdout, key order included, of both output forms.
+        text, result = PINNED_REPORTS[argv[0]]
+        assert run_cli(argv, capsys) == (0, text)
+        report = {"ok": True, "command": argv[0], "result": result, "error": None}
+        assert run_cli(argv[:1] + ["--json"] + argv[1:], capsys) == (0, json.dumps(report) + "\n")
 
     def test_human_error_output(self, capsys):
         code = main(["member", "1/(X^2-"])

@@ -274,9 +274,10 @@ def test_linear_branch_is_linear_in_the_degree(case):
     # and the monic (X^k + 3)/(X - 1) only by the final remainder, after k
     # steps of terms at most 4.  Eight times k takes about 8 times as long
     # when linear; building 3^k a(-2/3) or a(2) exactly took 30 to 45 times.
-    # A ratio, not a time, so host load cancels.  Each size is the best of 5
-    # runs: load only adds time, and at the large size it adds the most.
-    def time_parse(k):
+    # A ratio, not a time, so host load cancels.  Each size is the best of
+    # several runs, 9 at the large size and 5 at the small one: load only adds
+    # time, and at the large size it adds the most.
+    def time_parse(k, repeats):
         if case == "cancels":
             text, num, den = f"(3*X+2)*(X^{k}+1)/(3*X+2)", X**k + 1, Polynomial.one()
         elif case == "residue 0 at no root":
@@ -291,9 +292,9 @@ def test_linear_branch_is_linear_in_the_degree(case):
             r = parse_scalar(text)
             assert (r.num, r.den) == (num, den)
 
-        return best_time(run, repeats=5)
+        return best_time(run, repeats=repeats)
 
-    assert time_parse(200_000) < 14 * time_parse(25_000)
+    assert time_parse(200_000, 9) < 14 * time_parse(25_000, 5)
 
 
 class TestGcdWithoutCliff:

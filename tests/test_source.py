@@ -111,3 +111,13 @@ def test_factor_entries_take_one_reduction_path():
     # a gcd of its own in idempotent.py would classify entries beside it.
     found = _references("poly_gcd")
     assert found and not [ref for ref in found if ref[0] == "idempotent.py"]
+
+
+def test_one_report_renderer():
+    # Handlers return library values and cli._text prints every one of them,
+    # so no handler formats a matrix, a rational function or a Fraction of
+    # its own.  The one other Fraction is laurent-member's ORDER message.
+    for name in ("format_matrix", "format_rational_function"):
+        assert [ref for ref in _references(name) if ref[0] == "cli.py"] == []
+    uses = sorted(ref for ref in _references("format_fraction") if ref[0] == "cli.py")
+    assert uses == [("cli.py", "<module>"), ("cli.py", "_cmd_laurent_member"), ("cli.py", "_text")]
