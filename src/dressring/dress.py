@@ -53,16 +53,17 @@ def is_unit(r: RationalFunction) -> bool:
     return r.degree == 0 and is_gamma(r.den) and is_gamma(r.num)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DressElement:
     """A rational function certified to lie in D, over a monic (so positive) denominator.
 
     Construction is checked, never trusted: a failed check raises
     :class:`NotInDressRing` carrying the violated condition.  A raw value with
     a non-monic denominator is first put in ``RationalFunction.make`` form; a
-    monic one, reduced or not, is kept.  Values are immutable; all arithmetic
-    is pure and re-certifies its result.  Only the private ``_certified``
-    skips both steps, for monic values whose membership the caller has proved.
+    monic one, reduced or not, is kept.  Values are frozen and slotted; all
+    arithmetic is pure and re-certifies its result.  Only the private
+    ``_certified`` skips both steps, for monic values whose membership the
+    caller has proved.
     """
 
     value: RationalFunction
@@ -83,7 +84,7 @@ class DressElement:
     def _certified(cls, value: RationalFunction) -> "DressElement":
         """Wrap a value whose membership the caller has just certified; no re-check."""
         elem = object.__new__(cls)
-        object.__setattr__(elem, "value", value)
+        _set_value(elem, value)
         return elem
 
     @staticmethod
@@ -153,6 +154,9 @@ class DressElement:
         return f"DressElement({self.value})"
 
 
+_set_value = DressElement.value.__set__
+
+
 def _val(x) -> RationalFunction:
     if isinstance(x, DressElement):
         return x.value
@@ -201,7 +205,7 @@ def associates(a: DressElement, b: DressElement) -> bool:
     return is_unit(a.value / b.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumeratorClassification:
     """Square-free content of a reduced numerator, sorted by real-root behaviour.
 

@@ -42,7 +42,7 @@ from .polynomials import (_ONE, _ZERO, Polynomial, RationalFunction, _gamma1_pro
 from .realroots import is_gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdealGens:
     """A nonzero finitely generated ideal, given by its generators."""
 
@@ -142,7 +142,7 @@ def ideal_square(J: IdealGens) -> DressElement:
     return DressElement.from_parts(m * m * t, gamma * gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrincipalityReport:
     """Outcome of the two-generator principality test.
 
@@ -159,6 +159,22 @@ class PrincipalityReport:
     principal: bool
     generator: Optional[DressElement] = None
     expansion: Optional[tuple[DressElement, DressElement]] = None
+
+    def __init__(self, M: Polynomial, fprime: Polynomial, gprime: Polynomial, s: int,
+                 principal: bool, generator: Optional[DressElement] = None,
+                 expansion: Optional[tuple[DressElement, DressElement]] = None):
+        _set_M(self, M)
+        _set_fprime(self, fprime)
+        _set_gprime(self, gprime)
+        _set_s(self, s)
+        _set_principal(self, principal)
+        _set_generator(self, generator)
+        _set_expansion(self, expansion)
+
+
+_set_M, _set_fprime, _set_gprime, _set_s, _set_principal, _set_generator, _set_expansion = (
+    getattr(PrincipalityReport, f).__set__
+    for f in ("M", "fprime", "gprime", "s", "principal", "generator", "expansion"))
 
 
 def is_principal(a: DressElement, b: DressElement) -> bool:
@@ -222,7 +238,7 @@ def principal_generator(a: DressElement, b: DressElement) -> PrincipalityReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InverseIdeal:
     """Fractional inverse of (a, b) with its certificate.
 

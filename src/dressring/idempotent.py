@@ -62,7 +62,7 @@ from .polynomials import (
 from .realroots import SignPattern, is_gamma, is_gamma_plus, sign_at_roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat2:
     """2x2 matrix over D, row-major."""
 
@@ -70,6 +70,12 @@ class Mat2:
     b: DressElement
     c: DressElement
     d: DressElement
+
+    def __init__(self, a: DressElement, b: DressElement, c: DressElement, d: DressElement):
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
 
     @staticmethod
     def of(a, b, c, d) -> "Mat2":
@@ -113,6 +119,9 @@ class Mat2:
 
     def __repr__(self) -> str:
         return f"Mat2({self})"
+
+
+_set_a, _set_b, _set_c, _set_d = Mat2.a.__set__, Mat2.b.__set__, Mat2.c.__set__, Mat2.d.__set__
 
 
 def _elem(x) -> DressElement:
@@ -179,7 +188,7 @@ def is_idempotent(m: Mat2) -> bool:
     return _factor_of(m) is not False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositivityCertificate:
     """Data making x^2 + y*beta everywhere positive.
 
@@ -283,7 +292,7 @@ def _certificate(x: Polynomial, y: Polynomial, pattern: SignPattern) -> Positivi
     return PositivityCertificate(beta=base.scale(-scale), delta=delta, scale=scale, base=base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """A target matrix with a list of idempotent factors multiplying to it.
 
@@ -296,7 +305,7 @@ class Factorization:
     factors: tuple[Mat2, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     """Outcome of a verification.
 
@@ -636,7 +645,7 @@ def _grow_linear_to_gamma(x: Polynomial, m: Polynomial) -> Polynomial:
     return x + m + (1 if a > 0 else -1) * 2**k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StableRangeEvidence:
     """Witness data showing a + b*z is never a unit for a = X/(1+X^2), b = (X^2-1)/(1+X^2).
 

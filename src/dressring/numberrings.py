@@ -1,7 +1,9 @@
 """Number-theoretic instances: the localization Z_S and truncated Laurent membership.
 
 Z_S inverts exactly the primes congruent to 1 mod 4, the multiplicative set
-generated by the primes that divide a sum of two coprime squares.  Over a
+generated by the odd primes that divide a sum of two coprime squares.  The
+paper's minimal Dress ring D_Q of Q also inverts 2 = 1^2 + 1^2, as
+1/2 = 1/(1 + 1^2), so Z_S is a proper subring of D_Q.  Over a
 Henselian base the corresponding membership tests reduce to the order of a
 series: the valuation ring itself over a real-closed residue field, and
 Z_S + (positive-order part) over a rational residue field.  Root lifting is
@@ -232,7 +234,7 @@ class SeriesBase(enum.Enum):
     RATIONAL_HENSELIAN = "rational"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruncLaurent:
     """Truncated Laurent series: coefficients for exponents order <= k < precision.
 

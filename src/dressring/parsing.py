@@ -57,7 +57,7 @@ from .errors import ParseError, ResourceLimitError, ZeroDenominatorError
 from .polynomials import Polynomial, RationalFunction, _add_into, _make
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedMatrix:
     """A 2x2 matrix of rational functions as parsed, before any ring check."""
 

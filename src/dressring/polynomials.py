@@ -94,18 +94,23 @@ def _horner(ints: Sequence[int], n: int, d: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Dense univariate polynomial ``sum(ints[i] X^i) / denom``.
 
     In canonical form ``denom > 0``, ``gcd(denom, *ints) == 1`` and ``ints``
     has no trailing zero, so the zero polynomial is ``((), 1)``.  Build values
     with :meth:`from_coeffs` or the arithmetic operators; the raw constructor
-    trusts its arguments.  Instances are immutable and hashable.
+    trusts its arguments and stores them through the slots' descriptors.
+    Instances are frozen and slotted: hashable, and without a ``__dict__``.
     """
 
     ints: tuple[int, ...]
     denom: int = 1
+
+    def __init__(self, ints: tuple[int, ...], denom: int = 1):
+        _set_ints(self, ints)
+        _set_denom(self, denom)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable) -> "Polynomial":
@@ -243,6 +248,9 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+# The slots' own setters: a frozen dataclass's __init__ goes through
+# object.__setattr__, which costs more than the descriptor's __set__.
+_set_ints, _set_denom = Polynomial.ints.__set__, Polynomial.denom.__set__
 _ZERO = Polynomial(())
 _ONE = Polynomial((1,))
 _GAMMA1 = Polynomial((1, 0, 1))  # 1 + X^2
@@ -579,7 +587,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalFunction:
     """Reduced fraction of polynomials with a monic denominator.
 
@@ -590,6 +598,10 @@ class RationalFunction:
 
     num: Polynomial
     den: Polynomial
+
+    def __init__(self, num: Polynomial, den: Polynomial):
+        _set_num(self, num)
+        _set_den(self, den)
 
     @staticmethod
     def make(num: Polynomial, den: Polynomial) -> "RationalFunction":
@@ -707,6 +719,9 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
+
+
+_set_num, _set_den = RationalFunction.num.__set__, RationalFunction.den.__set__
 
 
 def _coerce_rf(value) -> RationalFunction:

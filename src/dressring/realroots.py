@@ -63,7 +63,7 @@ class SignPattern(enum.Enum):
         return self in (SignPattern.NO_ROOTS, SignPattern.ALL_POSITIVE, SignPattern.ALL_NEGATIVE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsolatingInterval:
     """Rational interval [lo, hi] holding exactly one real root, or an exact root.
 

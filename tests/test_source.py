@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dressring"
@@ -121,3 +124,35 @@ def test_one_report_renderer():
         assert [ref for ref in _references(name) if ref[0] == "cli.py"] == []
     uses = sorted(ref for ref in _references("format_fraction") if ref[0] == "cli.py")
     assert uses == [("cli.py", "<module>"), ("cli.py", "_cmd_laurent_member"), ("cli.py", "_text")]
+
+
+def test_value_types_are_slotted():
+    # Every value class is a frozen, slotted dataclass.  A hand-written
+    # __init__ stores each field through its slot; it must take the fields'
+    # names, order and defaults, and store every one of them where it belongs,
+    # so a field added later cannot be skipped.
+    direct, decorated = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"dressring.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            calls = [deco for deco in getattr(node, "decorator_list", ())
+                     if "dataclass" in ast.unparse(deco)]
+            decorated += len(calls)
+            for deco in calls:
+                assert isinstance(deco, ast.Call), f"{path.name}:{deco.lineno}"
+                flags = {kw.arg: ast.literal_eval(kw.value) for kw in deco.keywords}
+                assert flags == {"frozen": True, "slots": True}, f"{path.name}:{deco.lineno}"
+            if calls and any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                             for item in node.body):
+                direct.append(getattr(module, node.name))
+    assert decorated >= 15 and {cls.__name__ for cls in direct} >= {
+        "Polynomial", "RationalFunction", "Mat2", "PrincipalityReport"}
+    for cls in direct:
+        fields = dataclasses.fields(cls)
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert [(p.name, p.default, p.kind) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
+             inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in fields]
+        sentinels = [object() for _ in fields]
+        obj = cls(*sentinels)
+        assert [getattr(obj, f.name) for f in fields] == sentinels
