@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
 from dressring import DressElement, Polynomial, RationalFunction, divrem
 from dressring.idempotent import VerificationReport
+from dressring.numberrings import _RHO_BATCH
 from dressring.parsing import format_fraction
 
 # Empirical bound on the number of factors the fixed factorization pipeline returns.
@@ -16,14 +18,58 @@ FACTOR_COUNT_BOUND = 12
 
 
 def best_time(run: Callable[[], object], repeats: int = 3) -> float:
-    """The least wall time of repeats calls of run.  Host load only adds time,
-    so a ratio of two best times is the sturdy way to test a growth rate."""
+    """The least CPU time of this process over repeats calls of run.  Time spent
+    preempted by other processes does not count, and contention for caches and
+    memory only adds time, so a ratio of two best times is the sturdy way to
+    test a growth rate."""
     times = []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.process_time()
         run()
-        times.append(time.perf_counter() - start)
+        times.append(time.process_time() - start)
     return min(times)
+
+
+# numberrings._brent_rho as it was before its inner loop dropped abs and
+# reduced the product once per four steps: the reference for that loop.
+def brent_rho_reference(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
+    """(d, steps): a proper divisor d of the odd composite n, or d = 0 once more
+    than ``budget`` steps are spent, with the steps used.
+
+    Brent's cycle search (R. P. Brent, BIT 20, 1980) on x -> x^2 + c mod n: it
+    multiplies |x - y| mod n over a batch of steps and takes one gcd per batch;
+    when a batch gcd is n it steps through the batch again one gcd at a time.
+    """
+    steps = 0
+    while True:
+        c = rng.randrange(1, n)
+        y = rng.randrange(2, n)
+        r = q = g = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            steps += r
+            k = 0
+            while k < r and g == 1:
+                if steps > budget:
+                    return 0, steps
+                ys = y
+                m = min(_RHO_BATCH, r - k)
+                for _ in range(m):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+                steps += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, steps
 
 
 def rand_poly(rng: random.Random, max_deg: int, lo: int = -9, hi: int = 9,

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from dressring import (
     zs_member,
 )
 from dressring.numberrings import is_probable_prime
+from helpers import brent_rho_reference
 
 
 def sum_of_two_squares_lt(p: int) -> bool:
@@ -74,6 +76,46 @@ def planted(primes) -> tuple[int, dict[int, int]]:
         n *= p
         expected[p] = expected.get(p, 0) + 1
     return n, expected
+
+
+# The p-1 stage's bounds, and 2^PM1_EXPONENT, the power of 2 that its stage 1
+# takes: the product of the largest prime powers up to PM1_B1.
+PM1_B1, PM1_B2 = 1000, 10_000
+PM1_EXPONENT = math.prod(max(p**k for k in range(1, 10) if p**k <= PM1_B1)
+                         for p in primes_below(PM1_B1 + 1))
+
+
+def smooth_prime(rng, lo: int, cofactor: int = 1) -> int:
+    """A prime p >= lo, certified by trial division, with p - 1 = 2 * cofactor
+    times distinct odd primes below PM1_B1."""
+    odd_primes = primes_below(PM1_B1)[1:]
+    while True:
+        p = 2 * cofactor
+        while p < lo:
+            p *= rng.choice(odd_primes)
+        if trial_factor(p + 1) == {p + 1: 1} and max(trial_factor(p).values()) == 1:
+            return p + 1
+
+
+def semismooth_prime(rng, lo: int, big=None) -> int:
+    """A prime p >= lo whose p - 1 is a prime in (PM1_B1, PM1_B2], ``big`` or
+    drawn from rng, times a PM1_B1-smooth part, such that stage 1 alone misses
+    p: 2^PM1_EXPONENT != 1 mod p."""
+    bigs = [q for q in primes_below(PM1_B2 + 1) if q > PM1_B1]
+    while True:
+        p = smooth_prime(rng, lo, big or rng.choice(bigs))
+        if pow(2, PM1_EXPONENT, p) != 1:
+            return p
+
+
+def rough_prime(rng, lo: int, hi: int) -> int:
+    """A prime q in [lo, hi) that p-1 cannot find: the order of 2 mod q has a
+    prime factor above PM1_B2."""
+    while True:
+        q = rand_prime(rng, lo, hi)
+        r = max(trial_factor(q - 1))
+        if r > PM1_B2 and pow(2, (q - 1) // r, q) != 1:
+            return q
 
 
 def oracle_zs_member(q: Fraction, known_primes) -> bool:
@@ -138,6 +180,110 @@ class TestFactorize:
         assert is_probable_prime(2**61 - 1) and is_probable_prime(10**18 + 9)
 
 
+class TestPollardPm1:
+    """Semiprimes p*q planted so that one stage of p-1 must split them, or so
+    that both stages must miss and rho must split them."""
+
+    @pytest.fixture
+    def no_rho(self, monkeypatch):
+        def refuse(n, rng, budget):
+            raise AssertionError(f"_brent_rho({n}) called")
+
+        monkeypatch.setattr(numberrings, "_brent_rho", refuse)
+
+    @pytest.fixture
+    def rho_calls(self, monkeypatch):
+        calls = []
+        original = numberrings._brent_rho
+
+        def recording(n, rng, budget):
+            calls.append(n)
+            return original(n, rng, budget)
+
+        monkeypatch.setattr(numberrings, "_brent_rho", recording)
+        return calls
+
+    def test_exponent_table(self):
+        exponent, q0, halves = numberrings._pm1_tables()
+        assert exponent == PM1_EXPONENT
+        big = [q for q in primes_below(PM1_B2 + 1) if q > PM1_B1]
+        assert q0 == big[0] and len(halves) == len(big) - 1
+        assert [q0 + 2 * sum(halves[:i]) for i in range(len(big))] == big
+
+    @pytest.mark.parametrize("seed", [3601, 3602, 3603])
+    def test_stage_one_splits_a_smooth_p_minus_1(self, no_rho, seed):
+        rng = random.Random(seed)
+        p, q = smooth_prime(rng, 10**8), rough_prime(rng, 10**7, 10**8)
+        assert pow(2, PM1_EXPONENT, p) == 1 != pow(2, PM1_EXPONENT, q)
+        assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
+
+    @pytest.mark.parametrize("seed, big", [(3701, None), (3702, None), (3703, 1009), (3704, 9973)])
+    def test_stage_two_splits_a_semismooth_p_minus_1(self, no_rho, seed, big):
+        # 1009 and 9973 are the least and the largest prime that stage 2 tries.
+        rng = random.Random(seed)
+        p, q = semismooth_prime(rng, 10**8, big), rough_prime(rng, 10**7, 10**8)
+        assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
+
+    def test_sixteen_digit_primes_past_the_rho_budget(self, no_rho):
+        # Both primes are 1 mod 4, and rho alone spends its budget on p*q:
+        # p - 1 = 2^2 * 5 * 347 * 541 * 587 * 641 * 739, and
+        # q - 1 = 2^2 * 5 * 29 * 101 * 281 * 121499449.
+        p, q = 1043992322111021, 2000000000000021
+        assert factorize(p * q) == {p: 1, q: 1}
+        assert zs_member(Fraction(1, p * q))
+
+    @pytest.mark.parametrize("seed", [3801, 3802, 3803])
+    def test_both_smooth_falls_through_to_rho(self, rho_calls, seed):
+        rng = random.Random(seed)
+        p, q = smooth_prime(rng, 10**8), smooth_prime(rng, 10**7)
+        # Stage 1 finds every prime at once: gcd(2^E - 1, pq) = pq.
+        assert pow(2, PM1_EXPONENT, p * q) == 1
+        assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
+        assert rho_calls == [p * q]
+
+    @pytest.mark.parametrize("p", [1093, 3511, 1000003])
+    def test_prime_square_falls_through_to_rho(self, rho_calls, p):
+        # 1093 and 3511 are the two known Wieferich primes, 2^(p-1) = 1 mod p^2,
+        # and their p - 1 is 1000-smooth, so stage 1 gives gcd = p^2.  The order
+        # of 2 mod 1000003 is divisible by 166667, so both stages give gcd = 1.
+        assert factorize(p * p) == {p: 2}
+        assert rho_calls == [p * p]
+
+
+class TestBrentRho:
+    def test_matches_the_reference_loop(self, monkeypatch):
+        # The new loop reduces once per four steps and drops abs, which changes
+        # the batch product only by its sign mod n: (d, steps) and the draws
+        # from rng must not change.  A gcd spy sees the g == n backtrack.
+        backtracks = []
+
+        def spy(a, b):
+            g = math.gcd(a, b)
+            if g == b:
+                backtracks.append(b)
+            return g
+
+        monkeypatch.setattr(numberrings, "gcd", spy)
+        rng = random.Random(3901)
+        # Composites of 5-7 digits also split within the first batches of 1 and 2 steps.
+        cases = [(1000003 * 1000033, 1, 2_000_000)]
+        cases += [(rand_prime(rng, 100, 3000) * rand_prime(rng, 100, 3000), seed, 2_000_000)
+                  for seed in range(30)]
+        for _ in range(30):
+            lo = 10 ** rng.randint(4, 7)
+            n = rand_prime(rng, lo, 10 * lo) * rand_prime(rng, 10**5, 10**8)
+            cases.append((n, rng.randrange(10**6), rng.choice([2_000_000] * 3 + [3000, 500])))
+        divisors = []
+        for n, seed, budget in cases:
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            expected = brent_rho_reference(n, old_rng, budget)
+            assert numberrings._brent_rho(n, new_rng, budget) == expected, (n, seed, budget)
+            assert new_rng.getstate() == old_rng.getstate()
+            divisors.append(expected[0])
+        assert 1000003 * 1000033 in backtracks
+        assert 3 <= divisors.count(0) <= len(divisors) - 45
+
+
 class TestFactorizeSympyOracle:
     """Differential check of factorize against SymPy's factorint."""
 
@@ -149,6 +295,11 @@ class TestFactorizeSympyOracle:
             primes = [sympy.nextprime(rng.randrange(10, 10**9)) for _ in range(rng.randint(1, 3))]
             n, _ = planted(int(p) for p in primes)
             cases.append(n * rng.randrange(1, 10**4))
+        # Split by p-1's stage 1, by its stage 2, and by rho after stage 1 found pq.
+        for _ in range(5):
+            rough = rough_prime(rng, 10**7, 10**8)
+            cases += [smooth_prime(rng, 10**8) * rough, semismooth_prime(rng, 10**8) * rough,
+                      smooth_prime(rng, 10**8) * smooth_prime(rng, 10**7)]
         for n in cases:
             expected = {int(p): e for p, e in sympy.factorint(n).items()}
             f = factorize(n)
