@@ -8,6 +8,12 @@ Henselian base the corresponding membership tests reduce to the order of a
 series: the valuation ring itself over a real-closed residue field, and
 Z_S + (positive-order part) over a rational residue field.  Root lifting is
 never re-executed; only these conclusions are used.
+
+Z_S membership and gcds factor denominators with ``factorize``: trial
+division below 1000, then for each cofactor Miller-Rabin on 13 bases (and a
+strong Lucas test from 3.3e24 on), Pollard's p-1 to B1 = 1000 and
+B2 = 10,000, Lenstra's elliptic curve method (ECM) on at most 30 curves to
+B1 = 100 and B2 = 5000, and Brent's rho under a budget of 2,000,000 steps.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import (
     CertificateError,
@@ -33,12 +39,18 @@ from .polynomials import _as_fraction
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the first 13 primes as witnesses.
+# Miller-Rabin on the bases _SMALL_PRIMES is exact below this bound, the least
+# strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_MR_EXACT_BOUND = 3317044064679887385961981
 
-    Deterministic for n < 3317044064679887385961981 (about 3.3e24), the least
-    strong pseudoprime to all of these bases (Sorenson and Webster, 2015).
-    Above that bound a True answer only means n is a strong probable prime.
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 primes as witnesses, and a strong Lucas test
+    from ``_MR_EXACT_BOUND`` (about 3.3e24) on.
+
+    Deterministic below that bound.  At and above it the two tests together are
+    a Baillie-PSW test (Baillie and Wagstaff, Math. Comp. 35, 1980), which no
+    known composite passes; a True answer there means n is a BPSW probable prime.
     """
     if n < 2:
         return False
@@ -60,12 +72,71 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BOUND or _strong_lucas(n)
 
 
-# Trial division stops at this bound.  On the zs-* ops of the cli benchmark
-# (denominators with 6-8 digit prime factors) bounds of 100000, 10000, 1000
-# and 200 spent 2.2, 1.0, 0.6 and 0.6 s factoring 196 ops (Python 3.11, Xeon).
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) of an odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 1 without a prime factor
+    below 42, as is_probable_prime hands it on.
+
+    Selfridge's method A takes the first D of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, and P = 1, Q = (1 - D)/4; a perfect square, which has
+    no such D, is composite.  With n + 1 = d * 2^s, d odd, n passes when
+    U_d = 0 or V_(d * 2^r) = 0 for some 0 <= r < s, all mod n.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # D shares a prime factor with n
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k from k = 1, doubling k and adding the next bit of d:
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, and with P = 1,
+    # U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2.
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            u = (u if u % 2 == 0 else u + n) // 2 % n
+            v = (v if v % 2 == 0 else v + n) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+# Trial division stops at this bound.  On the 3,437 integers that the zs-* ops
+# of the cli benchmark factor (seeds 1-10, denominators with 6-8 digit prime
+# factors), factorize took 2.45, 2.55-2.60, 3.5 and 13.3 s with bounds of 200,
+# 1000, 10,000 and 100,000 (Python 3.11, Xeon).
 _TRIAL_BOUND = 1000
 # Pollard p-1 bounds: stage 1 raises 2 to every prime power up to _PM1_B1,
 # stage 2 to one more prime up to _PM1_B2.  The 676 integers that the zs-* ops
@@ -74,12 +145,23 @@ _TRIAL_BOUND = 1000
 # rho alone (Python 3.11, Xeon).
 _PM1_B1 = 1000
 _PM1_B2 = 10_000
+# ECM bounds: stage 1 multiplies by lcm(1, ..., _ECM_B1), stage 2 looks for one
+# more prime up to _ECM_B2 in giant steps of _ECM_D, on at most _ECM_CURVES
+# curves.  The zs-* ops of the cli benchmark (seeds 1-60) leave 6,702 composite
+# cofactors to the stage after p-1: ECM splits every one of them, with 2.52
+# curves on average and 21 at most, in 7.0 s where rho took 13.3 s (Python
+# 3.11, Xeon).  A curve costs about 0.4 ms on a 16-digit cofactor.
+_ECM_B1 = 100
+_ECM_B2 = 5000
+_ECM_D = 210
+_ECM_CURVES = 30
 # Steps of x -> x^2 + c between two gcds of Brent's cycle search.
 _RHO_BATCH = 128
 # Rho steps allowed per factorize call.  The zs-* ops of the cli benchmark
-# (seeds 1-60, 20,613 calls) need at most 50,558 after the p-1 stage, which
-# leaves 6,702 of the calls to rho; two 16-digit prime factors need about
-# 10^8.  The budget is spent in about 1 s on a 32-digit n (Python 3.11, Xeon).
+# (seeds 1-60, 20,613 calls) needed at most 50,558 steps in one call with p-1
+# before rho, and reach rho in none of the calls with ECM between them; two
+# 16-digit prime factors need about 10^8.  The budget is spent in about 1 s on
+# a 32-digit n (Python 3.11, Xeon).
 _RHO_STEP_BUDGET = 2_000_000
 
 
@@ -130,16 +212,21 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
             return g, steps
 
 
+def _primes_in(lo: int, hi: int) -> list[int]:
+    """The primes p with lo < p <= hi, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (hi + 1)
+    for i in range(2, isqrt(hi) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [p for p in range(max(lo + 1, 2), hi + 1) if sieve[p]]
+
+
 @functools.cache
 def _pm1_tables() -> tuple[int, int, tuple[int, ...]]:
     """(E, q0, halves): E = lcm(1, ..., _PM1_B1), the product of the largest
     prime powers <= _PM1_B1, q0 the least prime above _PM1_B1, and the halved gaps between consecutive
     primes in (_PM1_B1, _PM1_B2].  Built on first use, not at import."""
-    sieve = bytearray([1]) * (_PM1_B2 + 1)
-    for i in range(2, int(_PM1_B2**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    big = [p for p in range(_PM1_B1 + 1, _PM1_B2 + 1) if sieve[p]]
+    big = _primes_in(_PM1_B1, _PM1_B2)
     return lcm(*range(1, _PM1_B1 + 1)), big[0], tuple((b - a) // 2 for a, b in zip(big, big[1:]))
 
 
@@ -170,16 +257,159 @@ def _pollard_pm1(n: int) -> int:
     return g if 1 < g < n else 0
 
 
+@functools.cache
+def _ecm_tables() -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(k, babies, plan): k = lcm(1, ..., _ECM_B1); babies the j in [1, _ECM_D/2]
+    prime to _ECM_D; plan[m - 1] the j of babies with m * _ECM_D + j or
+    m * _ECM_D - j a prime in (_ECM_B1, _ECM_B2], for m = 1, 2, ....  The
+    primes in (_ECM_B1, _ECM_D/2] are babies themselves and take no pair.
+    Built on first use, not at import."""
+    half = _ECM_D // 2
+    babies = tuple(j for j in range(1, half + 1, 2) if gcd(j, _ECM_D) == 1)
+    plan: dict[int, set[int]] = {}
+    for q in _primes_in(max(_ECM_B1, half), _ECM_B2):
+        m = (q + half) // _ECM_D
+        plan.setdefault(m, set()).add(abs(q - m * _ECM_D))
+    return (lcm(*range(1, _ECM_B1 + 1)), babies,
+            tuple(tuple(sorted(plan.get(m, ()))) for m in range(1, max(plan) + 1)))
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """X:Z of twice the point x:z on the Montgomery curve with (A + 2)/4 = a24, mod n."""
+    s, t = (x + z) ** 2 % n, (x - z) ** 2 % n
+    e = s - t
+    return s * t % n, e * (t + a24 * e) % n
+
+
+def _xadd(x1: int, z1: int, x2: int, z2: int, x0: int, z0: int, n: int) -> tuple[int, int]:
+    """X:Z of P1 + P2 from P1 = x1:z1, P2 = x2:z2 and P1 - P2 = x0:z0, mod n."""
+    da, cb = (x2 - z2) * (x1 + z1) % n, (x2 + z2) * (x1 - z1) % n
+    return z0 * (da + cb) ** 2 % n, x0 * (da - cb) ** 2 % n
+
+
+def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
+    """X:Z of [k](x:1), k >= 1, on the Montgomery curve with (A + 2)/4 = a24, mod n.
+
+    Montgomery's ladder keeps R1 - R0 = (x:1): each bit of k adds the two and
+    doubles one of them, so every sum has the difference x:1.  The sum and the
+    double are _xadd and _xdbl inlined, as the loop is most of a curve's time.
+    """
+    x0, z0 = x, 1
+    x1, z1 = _xdbl(x, 1, a24, n)
+    for bit in bin(k)[3:]:
+        a, b, c, d = x0 + z0, x0 - z0, x1 + z1, x1 - z1
+        da, cb = d * a % n, c * b % n
+        xs, zs = (da + cb) ** 2 % n, x * (da - cb) ** 2 % n
+        if bit == "1":
+            s, t = c * c % n, d * d % n
+            e = s - t
+            x0, z0, x1, z1 = xs, zs, s * t % n, e * (t + a24 * e) % n
+        else:
+            s, t = a * a % n, b * b % n
+            e = s - t
+            x0, z0, x1, z1 = s * t % n, e * (t + a24 * e) % n, xs, zs
+    return x0, z0
+
+
+def _suyama(sigma: int, n: int) -> tuple[int, int] | int:
+    """(x, a24): the point x:1 and (A + 2)/4 of Suyama's curve sigma mod n, or
+    gcd(16 u^3 v^4, n) when that is not 1.  With u = sigma^2 - 5 and
+    v = 4 sigma, x = u^3/v^3 and (A + 2)/4 = (v - u)^3 (3u + v)/(16 u^3 v)."""
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    u3 = u * u * u % n
+    t = 16 * u3 * pow(v, 4, n) % n
+    g = gcd(t, n)
+    if g != 1:
+        return g
+    inv = pow(t, -1, n)
+    return 16 * u3 * u3 * v * inv % n, (v - u) ** 3 * (3 * u + v) * v**3 * inv % n
+
+
+def _ecm_curve(n: int, sigma: int) -> int:
+    """A proper divisor of the odd composite n found on Suyama's curve sigma, or 0.
+
+    Stage 1 takes Q = [k]P with k = lcm(1, ..., _ECM_B1) by one ladder and
+    g = gcd(Z_Q, n), which splits n when the order of P modulo some but not
+    every prime of n divides k.  Only if g = 1, stage 2 (P. L. Montgomery,
+    Math. Comp. 48, 1987) makes the affine x of [j]Q for the babies j and of
+    the giant steps [m * _ECM_D]Q by one batched inversion, and takes one gcd of
+    the product of the x_m - x_j of the plan: a prime q = m * _ECM_D +- j of
+    (_ECM_B1, _ECM_B2] gives [q]Q = 0, so x_m = x_j, modulo every prime of n
+    where the order of Q is q.  The inversion's own gcd catches Z_j = 0, so a
+    prime below _ECM_D/2 that is a baby counts too.
+    """
+    k, babies, plan = _ecm_tables()
+    curve = _suyama(sigma, n)
+    if isinstance(curve, int):
+        return curve if curve < n else 0
+    x, a24 = curve
+    X, Z = _ladder(k, x, a24, n)
+    g = gcd(Z, n)
+    if g != 1:
+        return g if g < n else 0
+    q = X * pow(Z, -1, n) % n
+    # [j]Q for odd j up to _ECM_D/2: [j] = [j - 2] + [2] with difference [j - 4].
+    x2, z2 = _xdbl(q, 1, a24, n)
+    pts = [(q, 1), (q, 1)]
+    for _ in range(3, _ECM_D // 2 + 1, 2):
+        (xa, za), (xb, zb) = pts[-1], pts[-2]
+        pts.append(_xadd(xa, za, x2, z2, xb, zb, n))
+    del pts[0]
+    xd, zd = _xdbl(*pts[-1], a24, n)
+    giants = [(xd, zd), _xdbl(xd, zd, a24, n)]
+    while len(giants) < len(plan):
+        (xa, za), (xb, zb) = giants[-1], giants[-2]
+        giants.append(_xadd(xa, za, xd, zd, xb, zb, n))
+    zs = [pts[j // 2][1] for j in babies] + [z for _, z in giants]
+    prefix = [1]
+    for z in zs:
+        prefix.append(prefix[-1] * z % n)
+    g = gcd(prefix[-1], n)
+    if g != 1:
+        return g if g < n else 0
+    inv = pow(prefix[-1], -1, n)
+    affine = [0] * len(zs)
+    for i in range(len(zs) - 1, -1, -1):
+        affine[i] = inv * prefix[i] % n
+        inv = inv * zs[i] % n
+    xj = [0] * (_ECM_D // 2 + 1)
+    for i, j in enumerate(babies):
+        xj[j] = pts[j // 2][0] * affine[i] % n
+    acc = 1
+    for (xm, _), inv_zm, js in zip(giants, affine[len(babies):], plan):
+        xm = xm * inv_zm % n
+        acc = acc * prod([xm - xj[j] for j in js]) % n
+    g = gcd(acc, n)
+    return g if 1 < g < n else 0
+
+
+def _ecm(n: int) -> int:
+    """A proper divisor of the odd composite n found by Lenstra's elliptic curve
+    method (H. W. Lenstra, Ann. Math. 126, 1987), or 0.
+
+    It tries Suyama's curves sigma = 6, 7, ... in Montgomery's x:z form, at
+    most _ECM_CURVES of them, each with stage 1 to _ECM_B1 and stage 2 to
+    _ECM_B2 (see _ecm_curve).  It draws no random numbers.
+    """
+    for sigma in range(6, 6 + _ECM_CURVES):
+        d = _ecm_curve(n, sigma)
+        if d:
+            return d
+    return 0
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, keys in increasing order.
 
     Trial division by 2 and the odd numbers below ``_TRIAL_BOUND`` (1000); each
-    cofactor left that Miller-Rabin does not call prime goes first to Pollard's
-    p-1 with ``_PM1_B1`` = 1000 and ``_PM1_B2`` = 10,000, a stage of fixed cost
-    (about 0.8 ms on a 16-digit cofactor), and, if that finds no proper
-    divisor, to Brent's variant of Pollard rho with a fixed seed.  The rho
-    steps of one call are capped at ``_RHO_STEP_BUDGET`` (2,000,000); past it
-    ResourceLimitError names n and the budget.
+    cofactor left that ``is_probable_prime`` does not call prime goes first to
+    Pollard's p-1 with ``_PM1_B1`` = 1000 and ``_PM1_B2`` = 10,000, a stage of
+    fixed cost (about 0.8 ms on a 16-digit cofactor), then to ECM on at most
+    ``_ECM_CURVES`` = 30 curves with ``_ECM_B1`` = 100 and ``_ECM_B2`` = 5000
+    (about 0.4 ms a curve), and, if neither finds a proper divisor, to Brent's
+    variant of Pollard rho with a fixed seed.  The rho steps of one call are
+    capped at ``_RHO_STEP_BUDGET`` (2,000,000); past it ResourceLimitError
+    names n and the budget.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -199,7 +429,7 @@ def factorize(n: int) -> dict[int, int]:
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_pm1(m)
+        d = _pollard_pm1(m) or _ecm(m)
         if not d:
             d, steps = _brent_rho(m, rng, budget)
             if not d:

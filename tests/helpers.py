@@ -72,6 +72,47 @@ def brent_rho_reference(n: int, rng: random.Random, budget: int) -> tuple[int, i
             return g, steps
 
 
+# Textbook affine arithmetic on a Montgomery curve B y^2 = x^3 + A x^2 + x
+# over a prime field: the reference for numberrings' x:z ladder.  A point is
+# (x, y), and None is the point at infinity.
+def montgomery_add(P, Q, A: int, B: int, p: int):
+    """P + Q on B y^2 = x^3 + A x^2 + x over F_p."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        slope = (3 * x1 * x1 + 2 * A * x1 + 1) * pow(2 * B * y1, -1, p)
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p)
+    x3 = (B * slope * slope - A - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def montgomery_multiple(k: int, P, A: int, B: int, p: int):
+    """[k]P for k >= 0, by double-and-add."""
+    out = None
+    while k:
+        if k & 1:
+            out = montgomery_add(out, P, A, B, p)
+        P = montgomery_add(P, P, A, B, p)
+        k >>= 1
+    return out
+
+
+def montgomery_curve(x: int, a24: int, p: int):
+    """(A, B, P): the curve with (A + 2)/4 = a24 mod p and the point P = (x, 1)
+    on it, B chosen so that y = 1.  B only twists the curve, which leaves the
+    x of every multiple of P unchanged."""
+    A = (4 * a24 - 2) % p
+    B = (x**3 + A * x * x + x) % p
+    assert B, "x is a 2-torsion point"
+    return A, B, (x % p, 1)
+
+
 def rand_poly(rng: random.Random, max_deg: int, lo: int = -9, hi: int = 9,
               nonzero: bool = False) -> Polynomial:
     while True:

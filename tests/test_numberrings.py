@@ -22,7 +22,7 @@ from dressring import (
     zs_member,
 )
 from dressring.numberrings import is_probable_prime
-from helpers import brent_rho_reference
+from helpers import brent_rho_reference, montgomery_add, montgomery_curve, montgomery_multiple
 
 
 def sum_of_two_squares_lt(p: int) -> bool:
@@ -130,6 +130,14 @@ def oracle_zs_member(q: Fraction, known_primes) -> bool:
     return all(p % 4 == 1 for p in trial_factor(den))
 
 
+@pytest.fixture
+def no_rho(monkeypatch):
+    def refuse(n, rng, budget):
+        raise AssertionError(f"_brent_rho({n}) called")
+
+    monkeypatch.setattr(numberrings, "_brent_rho", refuse)
+
+
 class TestFactorize:
     def test_small(self):
         assert factorize(1) == {}
@@ -179,17 +187,46 @@ class TestFactorize:
         assert not is_probable_prime(399165290221 * 798330580441)
         assert is_probable_prime(2**61 - 1) and is_probable_prime(10**18 + 9)
 
+    def test_strong_lucas_above_the_miller_rabin_bound(self):
+        # The least strong pseudoprime to the bases 2..41, the bound itself.
+        n = numberrings._MR_EXACT_BOUND
+        assert n == 1287836182261 * 2575672364521
+        assert trial_factor(1287836182261) == {1287836182261: 1}
+        assert trial_factor(2575672364521) == {2575672364521: 1}
+        assert not is_probable_prime(n)
+        assert not numberrings._strong_lucas(n)
+        for e in (89, 107, 127):
+            assert is_probable_prime(2**e - 1)
+
+    def test_factorize_at_the_miller_rabin_bound(self):
+        # Both primes have p - 1 = 2^a * 3^3 * 5 * 127 * 18778597, too rough for
+        # p-1, and the 30 curves of ECM miss them too: rho, from its fixed seed,
+        # spends its budget on the two 13-digit primes.
+        n = numberrings._MR_EXACT_BOUND
+        with pytest.raises(ResourceLimitError) as info:
+            factorize(n)
+        assert str(n) in str(info.value)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # 5459, 5777 and 10877 are the least strong Lucas pseudoprimes with
+        # Selfridge's parameters: the Lucas part alone accepts them, and
+        # Miller-Rabin rejects them, which is why BPSW runs both.  Among the odd
+        # n < 20000 without a prime factor below 42 (the ones is_probable_prime
+        # hands it), the Lucas part errs on exactly five, and on no prime or
+        # square of a prime.
+        wrong = [n for n in range(43, 20000, 2)
+                 if min(trial_factor(n)) > 41
+                 and numberrings._strong_lucas(n) != (trial_factor(n) == {n: 1})]
+        assert wrong == [5459, 5777, 10877, 16109, 18971]
+        for n in wrong:
+            assert not is_probable_prime(n)
+        # A square has no D with (D/n) = -1; the search would run to D = p.
+        assert not numberrings._strong_lucas((2**61 - 1) ** 2)
+
 
 class TestPollardPm1:
     """Semiprimes p*q planted so that one stage of p-1 must split them, or so
     that both stages must miss and rho must split them."""
-
-    @pytest.fixture
-    def no_rho(self, monkeypatch):
-        def refuse(n, rng, budget):
-            raise AssertionError(f"_brent_rho({n}) called")
-
-        monkeypatch.setattr(numberrings, "_brent_rho", refuse)
 
     @pytest.fixture
     def rho_calls(self, monkeypatch):
@@ -232,22 +269,151 @@ class TestPollardPm1:
         assert factorize(p * q) == {p: 1, q: 1}
         assert zs_member(Fraction(1, p * q))
 
+    @pytest.fixture
+    def ecm_calls(self, monkeypatch):
+        calls = []
+        original = numberrings._ecm
+
+        def recording(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(numberrings, "_ecm", recording)
+        return calls
+
+    @pytest.fixture
+    def no_ecm(self, monkeypatch):
+        monkeypatch.setattr(numberrings, "_ecm", lambda n: 0)
+
     @pytest.mark.parametrize("seed", [3801, 3802, 3803])
-    def test_both_smooth_falls_through_to_rho(self, rho_calls, seed):
+    def test_both_smooth_falls_through_to_ecm(self, no_rho, ecm_calls, seed):
         rng = random.Random(seed)
         p, q = smooth_prime(rng, 10**8), smooth_prime(rng, 10**7)
         # Stage 1 finds every prime at once: gcd(2^E - 1, pq) = pq.
         assert pow(2, PM1_EXPONENT, p * q) == 1
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
+        assert ecm_calls == [p * q]
+
+    @pytest.mark.parametrize("seed", [3801, 3802, 3803])
+    def test_both_smooth_falls_through_to_rho(self, no_ecm, rho_calls, seed):
+        # The same inputs with ECM giving up: rho is still reached.
+        rng = random.Random(seed)
+        p, q = smooth_prime(rng, 10**8), smooth_prime(rng, 10**7)
+        assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
         assert rho_calls == [p * q]
 
     @pytest.mark.parametrize("p", [1093, 3511, 1000003])
-    def test_prime_square_falls_through_to_rho(self, rho_calls, p):
+    def test_prime_square_falls_through_to_ecm(self, rho_calls, ecm_calls, p):
         # 1093 and 3511 are the two known Wieferich primes, 2^(p-1) = 1 mod p^2,
         # and their p - 1 is 1000-smooth, so stage 1 gives gcd = p^2.  The order
         # of 2 mod 1000003 is divisible by 166667, so both stages give gcd = 1.
+        # A point that is 0 mod p has Z = 0 mod p^2 (Z is the square of the
+        # formal group's parameter), so only ECM's stage 2 splits p^2.  It does
+        # for 3511 and 1000003; every curve mod 1093 has an order dividing
+        # lcm(1, ..., 100), so ECM gives up and rho splits 1093^2.
+        assert factorize(p * p) == {p: 2}
+        assert ecm_calls == [p * p]
+        assert rho_calls == ([p * p] if p == 1093 else [])
+
+    @pytest.mark.parametrize("p", [1093, 3511, 1000003])
+    def test_prime_square_falls_through_to_rho(self, no_ecm, rho_calls, p):
         assert factorize(p * p) == {p: 2}
         assert rho_calls == [p * p]
+
+
+# ECM's bounds: stage 1 multiplies by lcm(1, ..., ECM_B1), and stage 2 looks
+# for one more prime up to ECM_B2 in giant steps of ECM_D.
+ECM_B1, ECM_B2, ECM_D = 100, 5000, 210
+
+
+class TestEcm:
+    """The x:z arithmetic against affine points, the stage-2 plan, and
+    semiprimes that p-1 cannot split and rho must not be needed for."""
+
+    def test_tables(self):
+        k, babies, plan = numberrings._ecm_tables()
+        assert k == math.lcm(*range(1, ECM_B1 + 1))
+        assert babies == tuple(j for j in range(1, ECM_D // 2 + 1) if math.gcd(j, ECM_D) == 1)
+        primes = {q for q in primes_below(ECM_B2 + 1) if q > ECM_B1}
+        covered = {q for q in babies if q > ECM_B1}
+        for m, js in enumerate(plan, 1):
+            assert set(js) <= set(babies)
+            for j in js:
+                # Every pair of the plan serves at least one prime.
+                assert {m * ECM_D - j, m * ECM_D + j} & primes, (m, j)
+                covered |= {m * ECM_D - j, m * ECM_D + j} & primes
+        assert covered == primes
+
+    @pytest.mark.parametrize("p", [10007, 1000003])
+    @pytest.mark.parametrize("sigma", [6, 7, 13, 35])
+    def test_ladder_matches_affine_points(self, p, sigma):
+        x, a24 = numberrings._suyama(sigma, p)
+        A, B, P = montgomery_curve(x, a24, p)
+        ks = [1, 2, 3, 4, 5, 17, 100, 2**20 + 7, numberrings._ecm_tables()[0]]
+        if p == 10007:
+            # The order of P, by walking its multiples: [order]P is the point
+            # at infinity, as is every multiple of it.
+            order, R = 1, P
+            while R is not None:
+                order, R = order + 1, montgomery_add(R, P, A, B, p)
+            ks += [order, 2 * order, 3 * order, order + 1, order - 1]
+        infinite = 0
+        for k in ks:
+            X, Z = numberrings._ladder(k, x, a24, p)
+            ref = montgomery_multiple(k, P, A, B, p)
+            if ref is None:
+                infinite += 1
+                assert Z % p == 0, k
+            else:
+                assert Z % p and (X - ref[0] * Z) % p == 0, k
+        assert infinite >= (3 if p == 10007 else 0)
+
+    @pytest.mark.parametrize("sigma", [6, 9])
+    def test_doubling_and_differential_addition(self, sigma):
+        p = 1000003
+        x, a24 = numberrings._suyama(sigma, p)
+        A, B, P = montgomery_curve(x, a24, p)
+        xs = {k: montgomery_multiple(k, P, A, B, p)[0] for k in range(1, 12)}
+        for a in range(1, 6):
+            X, Z = numberrings._xdbl(xs[a], 1, a24, p)
+            assert (X - xs[2 * a] * Z) % p == 0
+            for b in range(1, a):
+                X, Z = numberrings._xadd(xs[a], 1, xs[b], 1, xs[a - b], 1, p)
+                assert (X - xs[a + b] * Z) % p == 0
+
+    def test_stage_two_splits_a_pinned_curve(self, no_rho):
+        # On the first curve, sigma = 6, stage 1 misses both primes of n.  Mod
+        # 4981579 the order of P is 257 times a divisor of k, with
+        # 257 = 1 * 210 + 47 a prime of the plan, so stage 2 finds 4981579.
+        p, q = 3436067, 4981579
+        n = p * q
+        k = numberrings._ecm_tables()[0]
+        x, a24 = numberrings._suyama(6, n)
+        assert math.gcd(numberrings._ladder(k, x, a24, n)[1], n) == 1
+        assert numberrings._ecm_curve(n, 6) == q
+        A, B, P = montgomery_curve(*numberrings._suyama(6, q), q)
+        R = montgomery_multiple(k, P, A, B, q)
+        assert R is not None and montgomery_multiple(257, R, A, B, q) is None
+        A, B, P = montgomery_curve(*numberrings._suyama(6, p), p)
+        assert montgomery_multiple(k * 257, P, A, B, p) is not None
+        assert factorize(n) == {p: 1, q: 1}
+
+    @pytest.mark.parametrize("seed", [4001, 4002, 4003, 4004, 4005])
+    def test_rough_semiprimes_need_no_rho(self, no_rho, seed):
+        # Both p - 1 have a prime factor above PM1_B2 in the order of 2, so
+        # p-1 finds neither prime, and without ECM rho would split p*q.
+        rng = random.Random(seed)
+        p, q = rough_prime(rng, 10**6, 10**8), rough_prime(rng, 10**6, 10**8)
+        assert numberrings._pollard_pm1(p * q) == 0
+        assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
+
+    def test_rho_after_ecm_gives_up(self, monkeypatch):
+        rng = random.Random(4006)
+        p, q = rough_prime(rng, 10**6, 10**8), rough_prime(rng, 10**6, 10**8)
+        calls = []
+        monkeypatch.setattr(numberrings, "_ecm", lambda n: calls.append(n) or 0)
+        assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
+        assert calls == [p * q]
 
 
 class TestBrentRho:
@@ -295,11 +461,13 @@ class TestFactorizeSympyOracle:
             primes = [sympy.nextprime(rng.randrange(10, 10**9)) for _ in range(rng.randint(1, 3))]
             n, _ = planted(int(p) for p in primes)
             cases.append(n * rng.randrange(1, 10**4))
-        # Split by p-1's stage 1, by its stage 2, and by rho after stage 1 found pq.
+        # Split by p-1's stage 1, by its stage 2, by ECM after stage 1 found pq,
+        # and by ECM where p-1 finds neither prime.
         for _ in range(5):
             rough = rough_prime(rng, 10**7, 10**8)
             cases += [smooth_prime(rng, 10**8) * rough, semismooth_prime(rng, 10**8) * rough,
-                      smooth_prime(rng, 10**8) * smooth_prime(rng, 10**7)]
+                      smooth_prime(rng, 10**8) * smooth_prime(rng, 10**7),
+                      rough * rough_prime(rng, 10**6, 10**8)]
         for n in cases:
             expected = {int(p): e for p, e in sympy.factorint(n).items()}
             f = factorize(n)

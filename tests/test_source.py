@@ -4,6 +4,9 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dressring"
@@ -156,3 +159,15 @@ def test_value_types_are_slotted():
         sentinels = [object() for _ in fields]
         obj = cls(*sentinels)
         assert [getattr(obj, f.name) for f in fields] == sentinels
+
+
+def test_factoring_tables_are_built_on_first_use():
+    # The p-1 and ECM tables cost time that an import would add to every CLI
+    # start, so a fresh interpreter that only imports numberrings has neither.
+    code = ("import dressring.numberrings as m; "
+            "print(m._pm1_tables.cache_info().currsize, m._ecm_tables.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["0", "0"]
