@@ -10,10 +10,12 @@ Z_S + (positive-order part) over a rational residue field.  Root lifting is
 never re-executed; only these conclusions are used.
 
 Z_S membership and gcds factor denominators with ``factorize``: trial
-division below 1000, then for each cofactor Miller-Rabin on 13 bases (and a
-strong Lucas test from 3.3e24 on), Pollard's p-1 to B1 = 1000 and
-B2 = 10,000, Lenstra's elliptic curve method (ECM) on at most 30 curves to
-B1 = 100 and B2 = 5000, and Brent's rho under a budget of 2,000,000 steps.
+division by one gcd with the product of the primes below 1000, then for each
+cofactor Miller-Rabin on 13 bases (and a strong Lucas test from 3.3e24 on),
+Pollard's p-1 to B1 = 1000 and B2 = 10,000, Lenstra's elliptic curve method
+(ECM) on at most 30 curves to B1 = 100 and B2 = 5000, and Brent's rho under a
+budget of 2,000,000 steps.  The stage 2 of p-1 and of ECM runs on one
+baby-step giant-step plan, with giant steps of 210.
 """
 
 from __future__ import annotations
@@ -133,27 +135,31 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-# Trial division stops at this bound.  On the 3,437 integers that the zs-* ops
-# of the cli benchmark factor (seeds 1-10, denominators with 6-8 digit prime
-# factors), factorize took 2.45, 2.55-2.60, 3.5 and 13.3 s with bounds of 200,
-# 1000, 10,000 and 100,000 (Python 3.11, Xeon).
+# Trial division takes one gcd with the product of the primes below this
+# bound.  On the 3,437 integers that the zs-* ops of the cli benchmark factor
+# (seeds 1-10, denominators with 6-8 digit prime factors), factorize took
+# 2.19-2.32, 2.17-2.25, 2.20-2.25 and 2.42-2.44 s with bounds of 200, 1000,
+# 10,000 and 100,000 (best of 3 in each of two runs; Python 3.11, Xeon).
 _TRIAL_BOUND = 1000
 # Pollard p-1 bounds: stage 1 raises 2 to every prime power up to _PM1_B1,
-# stage 2 to one more prime up to _PM1_B2.  The 676 integers that the zs-* ops
-# of the cli benchmark factor (seeds 5 and 11) took 0.72 s with these bounds,
-# 0.80 s with 2000 and 20,000, 1.40 s with 1000 and 100,000, and 1.05 s with
-# rho alone (Python 3.11, Xeon).
+# stage 2 to one more prime up to _PM1_B2.  The same 3,437 integers took
+# 2.19-2.26 s with these bounds, 2.07-2.16 s with 500 and 5000, 2.70-2.76 s
+# with 2000 and 20,000, 4.04-4.14 s with 1000 and 100,000, and 2.70-2.73 s
+# with ECM alone.  On their 2,456 composite cofactors p-1 splits 1,346 in
+# 0.88 s, of which stage 1 takes 0.55 s (Python 3.11, Xeon).
 _PM1_B1 = 1000
 _PM1_B2 = 10_000
+# The giant step of both stage 2s: the babies j <= _STAGE2_D/2 prime to
+# 210 = 2 * 3 * 5 * 7 are 24 of the 105.
+_STAGE2_D = 210
 # ECM bounds: stage 1 multiplies by lcm(1, ..., _ECM_B1), stage 2 looks for one
-# more prime up to _ECM_B2 in giant steps of _ECM_D, on at most _ECM_CURVES
-# curves.  The zs-* ops of the cli benchmark (seeds 1-60) leave 6,702 composite
-# cofactors to the stage after p-1: ECM splits every one of them, with 2.52
-# curves on average and 21 at most, in 7.0 s where rho took 13.3 s (Python
-# 3.11, Xeon).  A curve costs about 0.4 ms on a 16-digit cofactor.
+# more prime up to _ECM_B2 in giant steps of _STAGE2_D, on at most _ECM_CURVES
+# curves.  The zs-* ops of the cli benchmark (seeds 1-60) leave 6,645 composite
+# cofactors to the stage after p-1: ECM splits every one of them, with 2.51
+# curves on average and 21 at most, in about half the time that rho takes.  A
+# curve costs about 0.4 ms on a 16-digit cofactor (Python 3.11, Xeon).
 _ECM_B1 = 100
 _ECM_B2 = 5000
-_ECM_D = 210
 _ECM_CURVES = 30
 # Steps of x -> x^2 + c between two gcds of Brent's cycle search.
 _RHO_BATCH = 128
@@ -222,12 +228,35 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 
 
 @functools.cache
-def _pm1_tables() -> tuple[int, int, tuple[int, ...]]:
-    """(E, q0, halves): E = lcm(1, ..., _PM1_B1), the product of the largest
-    prime powers <= _PM1_B1, q0 the least prime above _PM1_B1, and the halved gaps between consecutive
-    primes in (_PM1_B1, _PM1_B2].  Built on first use, not at import."""
-    big = _primes_in(_PM1_B1, _PM1_B2)
-    return lcm(*range(1, _PM1_B1 + 1)), big[0], tuple((b - a) // 2 for a, b in zip(big, big[1:]))
+def _trial_table() -> tuple[tuple[int, ...], int]:
+    """(primes, P): the primes below _TRIAL_BOUND and their product, built on first use."""
+    primes = tuple(_primes_in(1, _TRIAL_BOUND - 1))
+    return primes, prod(primes)
+
+
+@functools.cache
+def _stage_tables(b1: int, b2: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(k, babies, plan) for the bounds b1 < b2 of p-1 or ECM: k = lcm(1, ..., b1)
+    for stage 1; babies the j in [1, _STAGE2_D/2] prime to _STAGE2_D; plan[m - 1]
+    the j of babies with m * _STAGE2_D + j or m * _STAGE2_D - j a prime in
+    (b1, b2], for m = 1, 2, ....  The primes in (b1, _STAGE2_D/2] are babies
+    themselves and take no pair.  Built on first use, not at import."""
+    half = _STAGE2_D // 2
+    babies = tuple(j for j in range(1, half + 1, 2) if gcd(j, _STAGE2_D) == 1)
+    plan: dict[int, set[int]] = {}
+    for q in _primes_in(max(b1, half), b2):
+        m = (q + half) // _STAGE2_D
+        plan.setdefault(m, set()).add(abs(q - m * _STAGE2_D))
+    return (lcm(*range(1, b1 + 1)), babies,
+            tuple(tuple(sorted(plan.get(m, ()))) for m in range(1, max(plan) + 1)))
+
+
+def _pair_product(giants: list[int], babies: list[int], plan, n: int) -> int:
+    """The product mod n of giants[m - 1] - babies[j] over the pairs (m, j) of plan."""
+    acc = 1
+    for vm, js in zip(giants, plan):
+        acc = acc * prod([vm - babies[j] for j in js]) % n
+    return acc
 
 
 def _pollard_pm1(n: int) -> int:
@@ -236,42 +265,29 @@ def _pollard_pm1(n: int) -> int:
     Stage 1 (J. M. Pollard, Proc. Cambridge Philos. Soc. 76, 1974) takes
     g = gcd(H - 1, n) with H = 2^E mod n, which splits n when the order of 2
     modulo some but not every prime power of n divides E.  Only if g = 1,
-    stage 2 (P. L. Montgomery, Math. Comp. 48, 1987) steps H^q over the primes
-    q in (_PM1_B1, _PM1_B2] by a table of H^gap and takes one gcd of the
-    product of the H^q - 1: it also splits n when that order is such a q
-    times a divisor of E.  Both stages cost the same for every n of one size.
+    stage 2 (P. L. Montgomery, Math. Comp. 48, 1987) works on the values
+    V_k = H^k + H^-k, with V_(a+b) = V_a V_b - V_(a-b): it makes the babies V_j
+    for odd j <= D/2 and the giants V_(mD), D = _STAGE2_D, and takes one gcd of
+    the product of the V_(mD) - V_j over ECM's plan for (_PM1_B1, _PM1_B2].
+    As V_(mD) - V_j = H^-mD (H^mD - H^j)(H^mD - H^-j), it also splits n when
+    the order of H modulo some but not every prime of n is a prime mD +- j of
+    the plan.  Both stages cost the same for every n of one size.
     """
-    exponent, q0, halves = _pm1_tables()
+    exponent, _, plan = _stage_tables(_PM1_B1, _PM1_B2)
     h = pow(2, exponent, n)
     g = gcd(h - 1, n)
     if g == 1:
-        step = [1, h * h % n]
-        for _ in range(max(halves) - 1):
-            step.append(step[-1] * step[1] % n)
-        hq = pow(h, q0, n)
-        acc = hq - 1
-        for half in halves:
-            hq = hq * step[half] % n
-            acc = acc * (hq - 1) % n
-        g = gcd(acc, n)
+        half = _STAGE2_D // 2
+        v = [0, (h + pow(h, -1, n)) % n] + [0] * (half - 1)
+        v2 = (v[1] * v[1] - 2) % n
+        for j in range(3, half + 1, 2):
+            v[j] = (v[j - 2] * v2 - v[abs(j - 4)]) % n  # V_-1 = V_1
+        vd = (v[half] * v[half] - 2) % n  # V_D = V_(D/2)^2 - V_0
+        giants = [vd, (vd * vd - 2) % n]
+        while len(giants) < len(plan):
+            giants.append((giants[-1] * vd - giants[-2]) % n)
+        g = gcd(_pair_product(giants, v, plan, n), n)
     return g if 1 < g < n else 0
-
-
-@functools.cache
-def _ecm_tables() -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(k, babies, plan): k = lcm(1, ..., _ECM_B1); babies the j in [1, _ECM_D/2]
-    prime to _ECM_D; plan[m - 1] the j of babies with m * _ECM_D + j or
-    m * _ECM_D - j a prime in (_ECM_B1, _ECM_B2], for m = 1, 2, ....  The
-    primes in (_ECM_B1, _ECM_D/2] are babies themselves and take no pair.
-    Built on first use, not at import."""
-    half = _ECM_D // 2
-    babies = tuple(j for j in range(1, half + 1, 2) if gcd(j, _ECM_D) == 1)
-    plan: dict[int, set[int]] = {}
-    for q in _primes_in(max(_ECM_B1, half), _ECM_B2):
-        m = (q + half) // _ECM_D
-        plan.setdefault(m, set()).add(abs(q - m * _ECM_D))
-    return (lcm(*range(1, _ECM_B1 + 1)), babies,
-            tuple(tuple(sorted(plan.get(m, ()))) for m in range(1, max(plan) + 1)))
 
 
 def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
@@ -332,13 +348,13 @@ def _ecm_curve(n: int, sigma: int) -> int:
     g = gcd(Z_Q, n), which splits n when the order of P modulo some but not
     every prime of n divides k.  Only if g = 1, stage 2 (P. L. Montgomery,
     Math. Comp. 48, 1987) makes the affine x of [j]Q for the babies j and of
-    the giant steps [m * _ECM_D]Q by one batched inversion, and takes one gcd of
-    the product of the x_m - x_j of the plan: a prime q = m * _ECM_D +- j of
-    (_ECM_B1, _ECM_B2] gives [q]Q = 0, so x_m = x_j, modulo every prime of n
+    the giant steps [m * _STAGE2_D]Q by one batched inversion, and takes one gcd
+    of the product of the x_m - x_j of the plan: a prime q = m * _STAGE2_D +- j
+    of (_ECM_B1, _ECM_B2] gives [q]Q = 0, so x_m = x_j, modulo every prime of n
     where the order of Q is q.  The inversion's own gcd catches Z_j = 0, so a
-    prime below _ECM_D/2 that is a baby counts too.
+    prime below _STAGE2_D/2 that is a baby counts too.
     """
-    k, babies, plan = _ecm_tables()
+    k, babies, plan = _stage_tables(_ECM_B1, _ECM_B2)
     curve = _suyama(sigma, n)
     if isinstance(curve, int):
         return curve if curve < n else 0
@@ -348,10 +364,10 @@ def _ecm_curve(n: int, sigma: int) -> int:
     if g != 1:
         return g if g < n else 0
     q = X * pow(Z, -1, n) % n
-    # [j]Q for odd j up to _ECM_D/2: [j] = [j - 2] + [2] with difference [j - 4].
+    # [j]Q for odd j up to _STAGE2_D/2: [j] = [j - 2] + [2] with difference [j - 4].
     x2, z2 = _xdbl(q, 1, a24, n)
     pts = [(q, 1), (q, 1)]
-    for _ in range(3, _ECM_D // 2 + 1, 2):
+    for _ in range(3, _STAGE2_D // 2 + 1, 2):
         (xa, za), (xb, zb) = pts[-1], pts[-2]
         pts.append(_xadd(xa, za, x2, z2, xb, zb, n))
     del pts[0]
@@ -372,14 +388,11 @@ def _ecm_curve(n: int, sigma: int) -> int:
     for i in range(len(zs) - 1, -1, -1):
         affine[i] = inv * prefix[i] % n
         inv = inv * zs[i] % n
-    xj = [0] * (_ECM_D // 2 + 1)
+    xj = [0] * (_STAGE2_D // 2 + 1)
     for i, j in enumerate(babies):
         xj[j] = pts[j // 2][0] * affine[i] % n
-    acc = 1
-    for (xm, _), inv_zm, js in zip(giants, affine[len(babies):], plan):
-        xm = xm * inv_zm % n
-        acc = acc * prod([xm - xj[j] for j in js]) % n
-    g = gcd(acc, n)
+    xm = [xg * inv_zm % n for (xg, _), inv_zm in zip(giants, affine[len(babies):])]
+    g = gcd(_pair_product(xm, xj, plan, n), n)
     return g if 1 < g < n else 0
 
 
@@ -401,10 +414,12 @@ def _ecm(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, keys in increasing order.
 
-    Trial division by 2 and the odd numbers below ``_TRIAL_BOUND`` (1000); each
+    Trial division takes one gcd of n with the product of the primes below
+    ``_TRIAL_BOUND`` (1000) and divides out only the primes of that gcd; each
     cofactor left that ``is_probable_prime`` does not call prime goes first to
-    Pollard's p-1 with ``_PM1_B1`` = 1000 and ``_PM1_B2`` = 10,000, a stage of
-    fixed cost (about 0.8 ms on a 16-digit cofactor), then to ECM on at most
+    Pollard's p-1 with ``_PM1_B1`` = 1000 and ``_PM1_B2`` = 10,000, whose
+    stage 2 runs on ECM's baby-step giant-step plan, a stage of fixed cost
+    (about 0.36 ms on a 16-digit cofactor), then to ECM on at most
     ``_ECM_CURVES`` = 30 curves with ``_ECM_B1`` = 100 and ``_ECM_B2`` = 5000
     (about 0.4 ms a curve), and, if neither finds a proper divisor, to Brent's
     variant of Pollard rho with a fixed seed.  The rho steps of one call are
@@ -415,12 +430,17 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("factorize needs a positive integer")
     original = n
     out: dict[int, int] = {}
-    p = 2
-    while p * p <= n and p < _TRIAL_BOUND:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2 if p > 2 else 1
+    primes, product = _trial_table()
+    g = gcd(n, product)
+    for p in primes:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            out[p] = 0
+            while n % p == 0:
+                out[p] += 1
+                n //= p
     rng = random.Random(0xD1355)
     budget = _RHO_STEP_BUDGET
     stack = [n] if n > 1 else []

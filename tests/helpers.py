@@ -30,6 +30,24 @@ def best_time(run: Callable[[], object], repeats: int = 3) -> float:
     return min(times)
 
 
+# numberrings.factorize's trial division as it was before one gcd replaced it.
+def trial_division_reference(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """(found, rest): the primes below bound that divide n >= 1, with their
+    exponents, by a loop over 2 and the odd numbers up to sqrt(n), and n over
+    them.  rest is 1 or has no prime factor below bound."""
+    found: dict[int, int] = {}
+    p = 2
+    while p * p <= n and p < bound:
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+        p += 2 if p > 2 else 1
+    if 1 < n < bound:
+        found[n] = found.get(n, 0) + 1
+        n = 1
+    return found, n
+
+
 # numberrings._brent_rho as it was before its inner loop dropped abs and
 # reduced the product once per four steps: the reference for that loop.
 def brent_rho_reference(n: int, rng: random.Random, budget: int) -> tuple[int, int]:

@@ -22,7 +22,13 @@ from dressring import (
     zs_member,
 )
 from dressring.numberrings import is_probable_prime
-from helpers import brent_rho_reference, montgomery_add, montgomery_curve, montgomery_multiple
+from helpers import (
+    brent_rho_reference,
+    montgomery_add,
+    montgomery_curve,
+    montgomery_multiple,
+    trial_division_reference,
+)
 
 
 def sum_of_two_squares_lt(p: int) -> bool:
@@ -83,6 +89,10 @@ def planted(primes) -> tuple[int, dict[int, int]]:
 PM1_B1, PM1_B2 = 1000, 10_000
 PM1_EXPONENT = math.prod(max(p**k for k in range(1, 10) if p**k <= PM1_B1)
                          for p in primes_below(PM1_B1 + 1))
+# ECM's bounds: stage 1 multiplies by lcm(1, ..., ECM_B1), and stage 2 looks
+# for one more prime up to ECM_B2 in giant steps of ECM_D.  p-1's stage 2 takes
+# the same giant steps.
+ECM_B1, ECM_B2, ECM_D = 100, 5000, 210
 
 
 def smooth_prime(rng, lo: int, cofactor: int = 1) -> int:
@@ -138,6 +148,14 @@ def no_rho(monkeypatch):
     monkeypatch.setattr(numberrings, "_brent_rho", refuse)
 
 
+@pytest.fixture
+def no_ecm_or_rho(monkeypatch, no_rho):
+    def refuse(n):
+        raise AssertionError(f"_ecm({n}) called")
+
+    monkeypatch.setattr(numberrings, "_ecm", refuse)
+
+
 class TestFactorize:
     def test_small(self):
         assert factorize(1) == {}
@@ -153,10 +171,27 @@ class TestFactorize:
         below = max(p for p in range(bound - 60, bound) if trial_factor(p) == {p: 1})
         above = min(p for p in range(bound, bound + 60) if trial_factor(p) == {p: 1})
         for p in (below, above):
-            cases += [p**2, p**3, 2 * p**3, p**2 * above]
+            cases += [p, p**2, p**3, 2 * p**3, p**2 * above]
+        # A prime above the bound and below its square.
+        cases.append(999983)
         for n in cases:
             f = factorize(n)
             assert f == trial_factor(n)
+            assert list(f) == sorted(f)
+
+    def test_trial_division_against_the_reference_loop(self):
+        rng = random.Random(3901)
+        small = primes_below(numberrings._TRIAL_BOUND)
+        for _ in range(300):
+            n = math.prod(p ** rng.randint(1, 40) for p in rng.sample(small, rng.randint(0, 6)))
+            big = [rand_prime(rng, 1001, 10**8) for _ in range(rng.randint(0, 2))]
+            n *= math.prod(big)
+            found, rest = trial_division_reference(n, numberrings._TRIAL_BOUND)
+            assert rest == math.prod(big)
+            for q in big:
+                found[q] = found.get(q, 0) + 1
+            f = factorize(n)
+            assert f == dict(sorted(found.items()))
             assert list(f) == sorted(f)
 
     def test_planted_eight_digit_primes(self):
@@ -170,10 +205,10 @@ class TestFactorize:
     def test_rho_budget_raises(self):
         # Two 16-digit primes, both 1 mod 4: rho would need about 10^8 steps.
         p, q = 1000000000000037, 2000000000000021
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(ResourceLimitError) as info:
             zs_member(Fraction(1, p * q))
-        assert time.perf_counter() - start < 5
+        assert time.process_time() - start < 5
         assert str(p * q) in str(info.value)
         assert str(numberrings._RHO_STEP_BUDGET) in str(info.value)
 
@@ -241,11 +276,36 @@ class TestPollardPm1:
         return calls
 
     def test_exponent_table(self):
-        exponent, q0, halves = numberrings._pm1_tables()
-        assert exponent == PM1_EXPONENT
-        big = [q for q in primes_below(PM1_B2 + 1) if q > PM1_B1]
-        assert q0 == big[0] and len(halves) == len(big) - 1
-        assert [q0 + 2 * sum(halves[:i]) for i in range(len(big))] == big
+        # p-1 and ECM take their stage-1 exponent and their stage-2 plan from
+        # one builder: every prime of (B1, B2] above ECM_D/2 is m * ECM_D +- j
+        # for a pair (m, j) of the plan, and every pair serves such a prime.
+        assert numberrings._stage_tables(PM1_B1, PM1_B2)[0] == PM1_EXPONENT
+        for b1, b2 in ((PM1_B1, PM1_B2), (ECM_B1, ECM_B2)):
+            k, babies, plan = numberrings._stage_tables(b1, b2)
+            assert k == math.lcm(*range(1, b1 + 1))
+            primes = {q for q in primes_below(b2 + 1) if q > max(b1, ECM_D // 2)}
+            covered = set()
+            for m, js in enumerate(plan, 1):
+                assert set(js) <= set(babies)
+                for j in js:
+                    pair = {m * ECM_D - j, m * ECM_D + j}
+                    assert pair & primes, (b1, m, j)
+                    covered |= pair & primes
+            assert covered == primes, (b1, b2)
+            assert plan[-1], (b1, b2)
+
+    @pytest.mark.parametrize("seed, side", [(3711, 1), (3712, 1), (3713, -1), (3714, -1)])
+    def test_stage_two_on_both_sides_of_a_giant(self, no_ecm_or_rho, seed, side):
+        # The prime in p - 1 is m * ECM_D + side * j with 0 < j < ECM_D/2, and
+        # m * ECM_D - side * j, the other value of its pair, is composite.
+        rng = random.Random(seed)
+        bigs = {q for q in primes_below(PM1_B2 + 1) if q > PM1_B1}
+        big = rng.choice(sorted(
+            q for q in bigs if (q % ECM_D < ECM_D // 2) == (side > 0)
+            and 2 * ECM_D * ((q + ECM_D // 2) // ECM_D) - q not in bigs))
+        p, q = semismooth_prime(rng, 10**8, big), rough_prime(rng, 10**7, 10**8)
+        assert numberrings._pollard_pm1(p * q) == p
+        assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
     @pytest.mark.parametrize("seed", [3601, 3602, 3603])
     def test_stage_one_splits_a_smooth_p_minus_1(self, no_rho, seed):
@@ -255,7 +315,7 @@ class TestPollardPm1:
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
     @pytest.mark.parametrize("seed, big", [(3701, None), (3702, None), (3703, 1009), (3704, 9973)])
-    def test_stage_two_splits_a_semismooth_p_minus_1(self, no_rho, seed, big):
+    def test_stage_two_splits_a_semismooth_p_minus_1(self, no_ecm_or_rho, seed, big):
         # 1009 and 9973 are the least and the largest prime that stage 2 tries.
         rng = random.Random(seed)
         p, q = semismooth_prime(rng, 10**8, big), rough_prime(rng, 10**7, 10**8)
@@ -321,35 +381,25 @@ class TestPollardPm1:
         assert rho_calls == [p * p]
 
 
-# ECM's bounds: stage 1 multiplies by lcm(1, ..., ECM_B1), and stage 2 looks
-# for one more prime up to ECM_B2 in giant steps of ECM_D.
-ECM_B1, ECM_B2, ECM_D = 100, 5000, 210
-
-
 class TestEcm:
     """The x:z arithmetic against affine points, the stage-2 plan, and
     semiprimes that p-1 cannot split and rho must not be needed for."""
 
     def test_tables(self):
-        k, babies, plan = numberrings._ecm_tables()
+        # The plan's pairs are checked with p-1's in test_exponent_table; the
+        # primes of (ECM_B1, ECM_D/2] are babies themselves and take no pair.
+        k, babies, plan = numberrings._stage_tables(ECM_B1, ECM_B2)
         assert k == math.lcm(*range(1, ECM_B1 + 1))
         assert babies == tuple(j for j in range(1, ECM_D // 2 + 1) if math.gcd(j, ECM_D) == 1)
-        primes = {q for q in primes_below(ECM_B2 + 1) if q > ECM_B1}
-        covered = {q for q in babies if q > ECM_B1}
-        for m, js in enumerate(plan, 1):
-            assert set(js) <= set(babies)
-            for j in js:
-                # Every pair of the plan serves at least one prime.
-                assert {m * ECM_D - j, m * ECM_D + j} & primes, (m, j)
-                covered |= {m * ECM_D - j, m * ECM_D + j} & primes
-        assert covered == primes
+        assert {q for q in babies if q > ECM_B1} == {101, 103}
+        assert plan != numberrings._stage_tables(PM1_B1, PM1_B2)[2]
 
     @pytest.mark.parametrize("p", [10007, 1000003])
     @pytest.mark.parametrize("sigma", [6, 7, 13, 35])
     def test_ladder_matches_affine_points(self, p, sigma):
         x, a24 = numberrings._suyama(sigma, p)
         A, B, P = montgomery_curve(x, a24, p)
-        ks = [1, 2, 3, 4, 5, 17, 100, 2**20 + 7, numberrings._ecm_tables()[0]]
+        ks = [1, 2, 3, 4, 5, 17, 100, 2**20 + 7, numberrings._stage_tables(ECM_B1, ECM_B2)[0]]
         if p == 10007:
             # The order of P, by walking its multiples: [order]P is the point
             # at infinity, as is every multiple of it.
@@ -387,7 +437,7 @@ class TestEcm:
         # 257 = 1 * 210 + 47 a prime of the plan, so stage 2 finds 4981579.
         p, q = 3436067, 4981579
         n = p * q
-        k = numberrings._ecm_tables()[0]
+        k = numberrings._stage_tables(ECM_B1, ECM_B2)[0]
         x, a24 = numberrings._suyama(6, n)
         assert math.gcd(numberrings._ladder(k, x, a24, n)[1], n) == 1
         assert numberrings._ecm_curve(n, 6) == q
@@ -502,9 +552,9 @@ class TestZsMember:
     def test_parity_rejection_skips_factoring(self, monkeypatch):
         # Two 16-digit primes, 1 and 3 mod 4: Pollard rho would take seconds.
         p, q = 1000000000000037, 1100000000000023
-        start = time.perf_counter()
+        start = time.process_time()
         assert not zs_member(Fraction(1, p * q))
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
 
         def no_factoring(n):
             raise AssertionError(f"factorize({n}) called")

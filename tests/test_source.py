@@ -162,10 +162,11 @@ def test_value_types_are_slotted():
 
 
 def test_factoring_tables_are_built_on_first_use():
-    # The p-1 and ECM tables cost time that an import would add to every CLI
-    # start, so a fresh interpreter that only imports numberrings has neither.
+    # The trial-division product and the stage tables of p-1 and ECM cost time
+    # that an import would add to every CLI start, so a fresh interpreter that
+    # only imports numberrings has none of them.
     code = ("import dressring.numberrings as m; "
-            "print(m._pm1_tables.cache_info().currsize, m._ecm_tables.cache_info().currsize)")
+            "print(m._trial_table.cache_info().currsize, m._stage_tables.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
