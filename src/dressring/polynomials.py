@@ -9,15 +9,17 @@ Horner sum, every remainder from one integer pseudo-division loop (``_pdiv``),
 every exact quotient from one exact-division loop (``_quotient``) but the
 quotient by 1 + X^2, which is one synthetic-division pass
 (``_gamma1_quotient``), and every Sturm chain from one signed remainder loop
-(``_signed_remainders``).  A polynomial identity is decided by integer values
-at one X = 2^k past a bound on its coefficients (``_kronecker``).  A gcd is
-one integer gcd of two values, read back as a polynomial and certified by
-exact division; the quotients of that check are the cofactors a/g and b/g,
-which every caller takes instead of dividing again.  Against a linear operand
-b the gcd is b or 1, and ``_quotient`` alone decides which.  The remainder
-loop answers only when the heuristic gives up.  ``coeffs`` is a ``Fraction``
-view.  Nothing here rounds.  The degree of the zero polynomial is the
-sentinel ``NEG_INF`` (never -1).
+(``_signed_remainders``), whose members are positive multiples of the exact
+remainders kept small by subresultant division (Collins, J. ACM 14, 1967),
+with only the last made primitive.  A polynomial identity is decided by
+integer values at one X = 2^k past a bound on its coefficients
+(``_kronecker``).  A gcd is one integer gcd of two values, read back as a
+polynomial and certified by exact division; the quotients of that check are
+the cofactors a/g and b/g, which every caller takes instead of dividing again.
+Against a linear operand b the gcd is b or 1, and ``_quotient`` alone decides
+which.  The remainder loop answers only when the heuristic gives up.
+``coeffs`` is a ``Fraction`` view.  Nothing here rounds.  The degree of the
+zero polynomial is the sentinel ``NEG_INF`` (never -1).
 """
 
 from __future__ import annotations
@@ -264,46 +266,83 @@ def _coerce(value) -> Polynomial:
     return NotImplemented
 
 
-def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Integer pseudo-division for deg a >= deg b >= 0: (q, r, s), s*a == q*b + r, deg r < deg b.
+def _pdiv(a: Sequence[int], b: Sequence[int],
+          beta: int = 1) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division for deg a >= deg b >= 0: (q, r, s), s*a == q*b + beta*r, deg r < deg b.
 
     s = -|lc(b)|^k for the k quotient terms; scaling a by s up front makes
     every quotient step an exact integer division by lc(b).  As s < 0, r is a
     positive multiple of -rem(a, b), the next member of a signed remainder
-    sequence.
+    sequence, for any beta > 0 that divides s*a - q*b: _signed_remainders
+    passes its subresultant factor, divrem 1.  The normal step of a chain,
+    deg a = deg b + 1 >= 2, forms q = q1 X + q0 directly and r in one pass.
     """
     db = len(b) - 1
     lb = b[-1]
     k = len(a) - db
-    s = -abs(lb) ** k
-    r = [s * c for c in a]
-    q = [0] * k
-    for i in range(k - 1, -1, -1):
-        c = r[i + db] // lb
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                r[i + j] -= c * bj
-    del r[db:]
+    if k == 2 and db:
+        s = -lb * lb
+        q1 = -lb * a[-1]
+        q0 = a[-1] * b[-2] - lb * a[-2]
+        # r_i = s a_i - q1 b_(i-1) - q0 b_i; the entry i = db is 0 and popped.
+        r = [(s * ai - q1 * bm - q0 * bi) // beta for ai, bi, bm in zip(a, b, (0, *b))]
+        q = [q0, q1]
+    else:
+        s = -abs(lb) ** k
+        r = [s * c for c in a]
+        q = [0] * k
+        for i in range(k - 1, -1, -1):
+            c = r[i + db] // lb
+            if c:
+                q[i] = c
+                for j, bj in enumerate(b):
+                    r[i + j] -= c * bj
+        r = [v // beta for v in r[:db]]
     while r and not r[-1]:
         r.pop()
     return q, r, s
 
 
 def _signed_remainders(a: Sequence[int], b: Sequence[int]) -> list[Sequence[int]]:
-    """Signed remainder sequence a, b, -rem(a, b), ... of nonzero primitive integer lists.
+    """Signed remainder sequence a, b, -rem(a, b), ... of nonzero integer lists, the last primitive.
 
     Each member is a positive multiple of the exact one, so sign variations
-    agree; the last nonzero one is gcd(a, b) (Basu-Pollack-Roy, ch. 1).
-    Sturm and Tarski chains, and poly_gcd's fallback, are its only callers.
+    agree; the last nonzero one is a positive multiple of gcd(a, b)
+    (Basu-Pollack-Roy, ch. 1), made primitive so that callers can divide by
+    it.  Sturm and Tarski chains, and poly_gcd's fallback, are its only
+    callers.
+
+    No member but the last has its content taken.  Collins' subresultant PRS
+    (J. ACM 14, 1967; Brown and Traub, J. ACM 18, 1971) divides each
+    pseudo-remainder of a by b exactly by beta = |lc a| psi^delta, delta =
+    deg a - deg b, with beta = 1 on the first step; then psi, 1 at first,
+    becomes |lc b|^delta / psi^(delta - 1).  A Tarski query may open with
+    deg a < deg b, whose remainder is -a; the tracking then starts on
+    (b, -a).  Let (f, g) be the pair it starts on, of degrees m >= n.  Every
+    later member is, up to sign, the subresultant S_j of f and g with j one
+    less than the degree of the member before it (the last one is its
+    primitive part): the determinant of n - j rows of f's coefficients and
+    m - j rows of g's.  So by Hadamard's bound no coefficient of a member
+    exceeds ||f||_2^(n - j) ||g||_2^(m - j) in absolute value.
     """
     chain = [a, b]
+    if len(a) < len(b):
+        a, b = b, [-v for v in a]
+        chain.append(b)
+    lead = psi = 1
     while len(b) > 1:
-        r = [-v for v in a] if len(a) < len(b) else _pdiv(a, b)[1]
+        delta = len(a) - len(b)
+        r = _pdiv(a, b, lead * psi if delta == 1 else lead * psi**delta)[1]
         if not r:
             break
-        a, b = b, _strip_content(r)
+        lead = abs(b[-1])
+        if delta == 1:
+            psi = lead
+        elif delta:
+            psi = lead**delta // psi ** (delta - 1)
+        a, b = b, r
         chain.append(b)
+    chain[-1] = _strip_content(b) if len(b) > 1 else [1 if b[0] > 0 else -1]
     return chain
 
 

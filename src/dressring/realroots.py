@@ -2,11 +2,12 @@
 
 Everything is exact and runs on Python integers.  Root counts use the Sturm
 chain of the squarefree part, so repeated roots are counted once; the
-half-open convention is (lo, hi].  Chains are signed remainder sequences kept
-as primitive integer coefficient lists (every member is a positive rational
-multiple of the canonical one, so all sign variations agree), built by one
-loop (``_signed_remainders``), and infinite endpoints read their signs off
-the leading coefficients.  A sign at a rational point n/d is the sign of the
+half-open convention is (lo, hi].  Chains are signed remainder sequences of
+integer coefficient lists, built by one loop (``_signed_remainders``): every
+member is a positive multiple of the canonical one, reduced by subresultant
+division (Collins, J. ACM 14, 1967), so all sign variations agree, and the
+last one, the gcd, is primitive.  Infinite endpoints read their signs off the
+leading coefficients.  A sign at a rational point n/d is the sign of the
 homogeneous integer sum sum(c_i n^i d^(k-i)) (``_sign_at``).  Every gcd is
 read off the end of a chain: the chain of (p, p') ends in gcd(p, p'), so only
 a repeated root costs a second chain, on sf = p / gcd(p, p').

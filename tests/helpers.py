@@ -90,6 +90,47 @@ def brent_rho_reference(n: int, rng: random.Random, budget: int) -> tuple[int, i
             return g, steps
 
 
+# polynomials._pdiv and _signed_remainders as they were before subresultant
+# division replaced the content gcd of every member: the reference chain.
+def _pdiv_reference(a, b):
+    """(q, r, s) with s*a == q*b + r, deg r < deg b, s = -|lc(b)|^k."""
+    db = len(b) - 1
+    lb = b[-1]
+    k = len(a) - db
+    s = -abs(lb) ** k
+    r = [s * c for c in a]
+    q = [0] * k
+    for i in range(k - 1, -1, -1):
+        c = r[i + db] // lb
+        if c:
+            q[i] = c
+            for j, bj in enumerate(b):
+                r[i + j] -= c * bj
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
+def _strip_content_reference(c):
+    g = gcd(*c)
+    if g > 1:
+        return [v // g for v in c]
+    return c
+
+
+def signed_remainders_reference(a, b):
+    """Signed remainder sequence a, b, -rem(a, b), ... of nonzero primitive integer lists."""
+    chain = [a, b]
+    while len(b) > 1:
+        r = [-v for v in a] if len(a) < len(b) else _pdiv_reference(a, b)[1]
+        if not r:
+            break
+        a, b = b, _strip_content_reference(r)
+        chain.append(b)
+    return chain
+
+
 # Textbook affine arithmetic on a Montgomery curve B y^2 = x^3 + A x^2 + x
 # over a prime field: the reference for numberrings' x:z ladder.  A point is
 # (x, y), and None is the point at infinity.

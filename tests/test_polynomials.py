@@ -22,7 +22,7 @@ from dressring import (
 from dressring import polynomials
 from dressring.polynomials import _exact_div, _gcd_cofactors, squarefree_decomposition
 
-from helpers import best_time, extended_gcd, rand_poly, rand_rf
+from helpers import best_time, extended_gcd, rand_poly, rand_rf, signed_remainders_reference
 
 X = Polynomial.x()
 
@@ -156,6 +156,85 @@ def test_quotient_kernel_against_divrem():
     assert seen == {(0, False, False, False)} | {
         (d, big, low, refuted) for d in (1, 2) for big in (False, True)
         for low in (False, True) for refuted in (False, True)}
+
+
+def _chain_pairs(seed: int = 3939, count: int = 300) -> list[tuple[list[int], list[int]]]:
+    """Seeded primitive pairs (a, b) of degree 1-14: every third pair sparse,
+    to force defective steps; deg b above, equal to and below deg a in turn,
+    so a third of the chains open with a Tarski swap and a third with an
+    equal-degree step; every fifth pair with a common factor of degree 1-3."""
+    rng = random.Random(seed)
+
+    def rand_list(deg, sparse):
+        body = [rng.randint(-9, 9) if not sparse or rng.random() < 0.3 else 0 for _ in range(deg)]
+        return body + [rng.choice((-7, -3, -2, -1, 1, 2, 5))]
+
+    pairs = []
+    for i in range(count):
+        sparse = i % 3 == 0
+        m = rng.randint(1, 14)
+        n = (m + rng.randint(1, 4), m, rng.randint(0, m - 1))[i // 3 % 3]
+        a, b = rand_list(m, sparse), rand_list(n, sparse)
+        if i % 5 == 0:
+            common = Polynomial(tuple(rand_list(rng.randint(1, 3), False)))
+            a, b = (Polynomial(tuple(a)) * common).ints, (Polynomial(tuple(b)) * common).ints
+        pairs.append((list(polynomials._strip_content(a)), list(polynomials._strip_content(b))))
+    return pairs
+
+
+class TestSubresultantChains:
+    def test_members_are_subresultants(self):
+        # Every member but the last is sympy's subresultant up to sign; the
+        # last is the primitive part of sympy's last.  sympy swaps a pair
+        # with deg a < deg b itself, as the chain's opening -a does.
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        shapes = set()
+        for a, b in _chain_pairs():
+            chain = polynomials._signed_remainders(a, b)
+            swapped = len(a) < len(b)
+            mine = chain[1:] if swapped else chain
+            theirs = [[int(c) for c in reversed(p.all_coeffs())] for p in sympy.subresultants(
+                sympy.Poly(a[::-1], x), sympy.Poly(b[::-1], x))]
+            assert len(mine) == len(theirs), (a, b)
+            for got, want in zip(mine[:-1], theirs[:-1]):
+                assert got in (want, [-c for c in want]), (a, b)
+            last = list(polynomials._strip_content(theirs[-1]))
+            assert mine[-1] in (last, [-c for c in last]), (a, b)
+            degrees = [len(m) for m in mine]
+            shapes.add((swapped, len(a) == len(b),
+                        any(d - e > 1 for d, e in zip(degrees[1:], degrees[2:]))))
+        assert {(True, False, True), (False, True, True), (False, False, True)} <= shapes
+
+    def test_members_are_positive_multiples_of_the_primitive_chain(self):
+        # Against the loop that took each member's content: the same degrees,
+        # each member a positive multiple of the primitive one (so the same
+        # primitive part, sign included), and the same last member.
+        for a, b in _chain_pairs():
+            chain = polynomials._signed_remainders(a, b)
+            reference = signed_remainders_reference(a, b)
+            assert [len(m) for m in chain] == [len(m) for m in reference], (a, b)
+            for got, want in zip(chain, reference):
+                assert list(polynomials._strip_content(got)) == list(want), (a, b)
+            assert list(chain[-1]) == list(reference[-1]), (a, b)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_members_stay_within_hadamards_bound(self, sparse):
+        # The Sturm pair (a, a') of a degree-18 a, dense (every step normal)
+        # or a polynomial in X^6 (defective steps): the member after one of
+        # degree d is S_(d-1), so its coefficients are at most
+        # |f|_2^(n-j) |g|_2^(m-j) with j = d - 1; compared squared, on integers.
+        rng = random.Random(1818)
+        a = [rng.randint(-99, 99) if not sparse or i % 6 == 0 else 0 for i in range(18)] + [7]
+        b = list(polynomials._strip_content([i * c for i, c in enumerate(a)][1:]))
+        chain = polynomials._signed_remainders(a, b)
+        m, n = len(a) - 1, len(b) - 1
+        f2, g2 = sum(c * c for c in a), sum(c * c for c in b)
+        assert [len(c) - 1 for c in chain] == ([18, 17, 12, 11, 6, 5, 0] if sparse
+                                               else list(range(18, -1, -1)))
+        for before, member in zip(chain[1:], chain[2:]):
+            j = len(before) - 2
+            assert max(c * c for c in member) <= f2 ** (n - j) * g2 ** (m - j)
 
 
 class TestGammaOneKernels:

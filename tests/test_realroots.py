@@ -202,15 +202,26 @@ class TestSignAtRoots:
             else:
                 assert (pattern is SignPattern.HAS_ZERO) == gcd_has_real_root
 
-    def test_no_cliff_in_approximation_bits(self):
+    def test_no_cliff_in_approximation_bits(self, monkeypatch):
         # r agrees with sqrt(2) to 12000 bits, so an interval separating the
-        # two takes about 12000 halvings; the Tarski query takes none.
+        # two takes about 12000 halvings; the Tarski query takes none.  The
+        # largest chain member is the last query's operand sf' q itself, of
+        # 23,991 bits: no remainder outgrows it.
         r = Fraction(isqrt(2 << 24000), 1 << 12000)
+        build, bits = polynomials._signed_remainders, []
+
+        def measured(a, b):
+            chain = build(a, b)
+            bits.append(max(abs(c).bit_length() for member in chain for c in member))
+            return chain
+
+        monkeypatch.setattr(realroots, "_signed_remainders", measured)
         start = time.perf_counter()
         assert sign_at_roots(X - r, X * X - 2) is SignPattern.MIXED
         assert sign_at_roots(X + r, X * X - 2) is SignPattern.MIXED
         assert sign_at_roots(X * X - r * r, X * X - 2) is SignPattern.ALL_POSITIVE
         assert time.perf_counter() - start < 0.5
+        assert max(bits) == 23_991
 
     def test_evaluates_no_rational_point(self, monkeypatch):
         def refuse(coeffs, t):
