@@ -173,6 +173,8 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     chain = _sturm_data(p)
     if chain is None:
         return []
+    # Bisection evaluates every member at many points: make each primitive once.
+    chain = [_strip_content(c) for c in chain]
     ints = chain[0]
     lc = abs(ints[-1])
     # Distinct fractions with denominators <= lc are at least 1/lc^2 apart.

@@ -22,7 +22,8 @@ from dressring import (
 from dressring import polynomials
 from dressring.polynomials import _exact_div, _gcd_cofactors, squarefree_decomposition
 
-from helpers import best_time, extended_gcd, rand_poly, rand_rf, signed_remainders_reference
+from helpers import (_pdiv_reference, best_time, extended_gcd, rand_poly, rand_rf,
+                     signed_remainders_reference)
 
 X = Polynomial.x()
 
@@ -235,6 +236,23 @@ class TestSubresultantChains:
         for before, member in zip(chain[1:], chain[2:]):
             j = len(before) - 2
             assert max(c * c for c in member) <= f2 ** (n - j) * g2 ** (m - j)
+
+    def test_normal_step_matches_the_division_loop(self):
+        # _pdiv forms a normal step (deg a = deg b + 1 >= 2) in closed form and
+        # every other step in a loop: both give the reference loop's (q, r, s).
+        # Scaling a by beta scales q by beta and leaves r, once divided by beta.
+        rng = random.Random(2727)
+        shapes = set()
+        for _ in range(400):
+            db = rng.randint(0, 9)
+            a = [rng.randint(-99, 99) for _ in range(db + rng.randint(0, 4))] + [rng.choice((-3, -1, 2, 5))]
+            b = [rng.randint(-99, 99) for _ in range(db)] + [rng.choice((-4, -1, 1, 3))]
+            beta = rng.choice((1, 2, 6, 35))
+            q, r, s = _pdiv_reference(a, b)
+            a = [beta * c for c in a]
+            assert polynomials._pdiv(a, b, beta) == ([beta * c for c in q], r, s), (a, b, beta)
+            shapes.add((len(a) - len(b) == 1 and db > 0, beta > 1))
+        assert shapes == {(True, False), (True, True), (False, False), (False, True)}
 
 
 class TestGammaOneKernels:
