@@ -17,10 +17,13 @@ malformed command line under ``--json`` also gets the JSON report, with
 ``command`` set to the subcommand token as typed; without ``--json``
 argparse's usage text goes to stderr.
 
-A line that starts with a subcommand's name is read by that subcommand's
-parser alone, in one argparse pass; every other line (empty, ``--help``,
+A well-formed ``CMD [FLAG...] -- OPERAND...`` line, with CMD's own flags in
+full, is read straight from ``_COMMANDS`` by ``_read_line``, into the
+Namespace that argparse would give it, without an argparse pass.  Any other
+line that starts with a subcommand's name is read by that subcommand's parser
+alone, in one argparse pass; every other line (empty, ``--help``,
 ``--version``, a leading flag or an unknown word) goes through the top-level
-parser.
+parser.  So every help, usage and error text is argparse's own.
 """
 
 from __future__ import annotations
@@ -212,6 +215,10 @@ _COMMANDS = (
 )
 
 
+# Every subcommand's first operand.
+_JSON_FLAG = ("--json", {"action": "store_true", "help": "emit a JSON report"})
+
+
 class UsageError(Exception):
     """Malformed command line: unknown flag, missing operand or bad choice.
 
@@ -252,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, operands, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        for operand in operands:
+        for operand in (_JSON_FLAG, *operands):
             operand, keywords = (operand, {}) if isinstance(operand, str) else operand
             p.add_argument(operand, **keywords)
         p.set_defaults(handler=handler)
@@ -283,11 +289,81 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _line_specs() -> dict:
+    """name -> (defaults, options, operands) of each subcommand, read from
+    _COMMANDS as build_parser reads it.  ``defaults`` holds every dest with the
+    value argparse gives it when the line leaves it out, and the handler;
+    ``options`` maps each flag to (dest, choices), where choices None means
+    store_true; ``operands`` lists (dest, nargs, choices) in order."""
+    specs = {}
+    for name, _, operands, handler in _COMMANDS:
+        defaults, options, positionals = {"handler": handler}, {}, []
+        for operand in (_JSON_FLAG, *operands):
+            operand, keywords = (operand, {}) if isinstance(operand, str) else operand
+            choices = keywords.get("choices")
+            if operand.startswith("--"):
+                dest = operand[2:].replace("-", "_")
+                options[operand] = (dest, choices)
+                defaults[dest] = keywords.get("default", False if choices is None else None)
+            else:
+                positionals.append((operand, keywords.get("nargs"), choices))
+                defaults[operand] = None
+        specs[name] = (defaults, options, positionals)
+    return specs
+
+
+def _read_line(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives ``CMD [FLAG...] -- OPERAND...``, or None.
+
+    Every flag must be one of CMD's own, spelled in full, and every operand
+    count and choice must fit.  Any other line (no ``--`` or a second one, an
+    abbreviation, ``-h``, ``--part=b``, a flag among the operands) is None and
+    goes to argparse, so every usage and help text stays argparse's.
+    """
+    spec = _line_specs().get(argv[0]) if argv else None
+    if spec is None or "--" not in argv:
+        return None
+    defaults, options, operands = spec
+    cut = argv.index("--")
+    values = argv[cut + 1:]
+    if "--" in values:
+        return None
+    args = dict(defaults)
+    flags = iter(argv[1:cut])
+    for flag in flags:
+        if flag not in options:
+            return None
+        dest, choices = options[flag]
+        if choices is None:
+            args[dest] = True
+        else:
+            args[dest] = next(flags, None)
+            if args[dest] not in choices:
+                return None
+    # As argparse's pattern match: '+' and '?' take all they can and leave
+    # one operand for each required one after them.
+    need, start = sum(nargs != "?" for _, nargs, _ in operands), 0
+    for dest, nargs, choices in operands:
+        need -= nargs != "?"
+        spare = len(values) - start - need
+        count = spare if nargs == "+" else min(spare, 1)
+        taken = values[start:start + count]
+        if count < (nargs != "?") or (choices is not None
+                                      and any(v not in choices for v in taken)):
+            return None
+        if count:
+            args[dest] = taken if nargs == "+" else taken[0]
+        start += count
+    return argparse.Namespace(**args) if start == len(values) else None
+
+
 def _wants_json(argv: list[str]) -> bool:
-    """True when --json appears before any ``--`` operand separator."""
+    """True when --json, or an abbreviation of it from --j on, appears before
+    any ``--`` operand separator; argparse reads every one of them as --json."""
     if "--" in argv:
         argv = argv[:argv.index("--")]
-    return "--json" in argv
+    return any(len(a) > 2 and "--json".startswith(a) for a in argv)
 
 
 def _command_token(argv: list[str]) -> str:
@@ -298,20 +374,26 @@ def _command_token(argv: list[str]) -> str:
 def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
-    A line that starts with a registered subcommand is parsed by that
-    subcommand's parser alone; its leftover tokens are the top-level parser's
-    "unrecognized arguments" error, as argparse's own outer pass reports them.
+    A well-formed ``CMD [FLAG...] -- OPERAND...`` line is read by _read_line
+    without argparse.  Any other line that starts with a registered
+    subcommand is parsed by that subcommand's parser alone; its leftover
+    tokens are the top-level parser's "unrecognized arguments" error, as
+    argparse's own outer pass reports them.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _parser()
-    subparser = parser.commands.get(argv[0]) if argv else None
+    args = _read_line(argv)
     try:
-        if subparser is None:
-            args = parser.parse_args(argv)
+        if args is None:
+            parser = _parser()
+            subparser = parser.commands.get(argv[0]) if argv else None
+            if subparser is None:
+                args = parser.parse_args(argv)
+            else:
+                args, extras = subparser.parse_known_args(argv[1:])
+                if extras:
+                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
+                args.command = argv[0]
         else:
-            args, extras = subparser.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
             args.command = argv[0]
     except UsageError as exc:
         if _wants_json(argv):

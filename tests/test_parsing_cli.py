@@ -11,6 +11,8 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dressring import (
     ParseError,
@@ -124,10 +126,10 @@ class TestParser:
                              ids=["X^10^30", "X^2^62", "X^5000-digits", "(X+1)^10^24", "2^10^12"])
     def test_power_past_the_size_bound(self, text):
         # The bound is checked from the base and the exponent, before anything is built.
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(ResourceLimitError, match="past the bound of 2\\^22$"):
             parse_scalar(text)
-        assert time.perf_counter() - start < 0.1
+        assert time.process_time() - start < 0.1
 
     def test_powers_under_the_size_bound(self):
         assert parse_scalar("(X+1)^1000") == RationalFunction.from_polynomial((X + 1) ** 1000)
@@ -340,9 +342,9 @@ class TestNoCliff:
         p = Polynomial.from_coeffs(coeffs)
         text = format_polynomial(p)
         assert len(text) > 600_000
-        start = time.perf_counter()
+        start = time.process_time()
         value = parse_scalar(text)
-        assert time.perf_counter() - start < 5
+        assert time.process_time() - start < 5
         assert value == RationalFunction.from_polynomial(p)
 
     def test_sum_of_fractions(self):
@@ -350,9 +352,9 @@ class TestNoCliff:
         expected = RationalFunction.zero()
         for k in range(1, 41):
             expected = expected + RationalFunction.make(Polynomial.constant(k), X * X + k + 1)
-        start = time.perf_counter()
+        start = time.process_time()
         value = parse_scalar(text)
-        assert time.perf_counter() - start < 1
+        assert time.process_time() - start < 1
         assert value == expected
 
 
@@ -411,6 +413,30 @@ ONE_LINE_PER_COMMAND = [
     ["laurent-member", "rational", "0", "1/5,2,1"],
     ["stable-witness", "X/(X^2+1)"],
 ]
+
+# Tokens of the reader's property test: flags whole, abbreviated and joined
+# to their value, operands that look like flags, and every choice.
+LINE_TOKENS = ["--json", "--part", "a", "b", "c", "--zero", "--js", "--part=b", "-h", "--",
+               "X", "-X", "--X", "-", "", "a b", "real", "rational"]
+
+
+@st.composite
+def near_workload_lines(draw):
+    """A line of ONE_LINE_PER_COMMAND in the bench's shape, CMD [FLAG...] --
+    OPERAND..., with up to three tokens then inserted, deleted or replaced."""
+    argv = draw(st.sampled_from(ONE_LINE_PER_COMMAND))
+    flags = draw(st.lists(st.sampled_from([["--json"], ["--zero"], ["--part", "a"],
+                                           ["--part", "b"]]), max_size=2))
+    line = [argv[0], *(token for flag in flags for token in flag), "--", *argv[1:]]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(line)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit != "insert" and at < len(line):
+            del line[at]
+        if edit != "delete":
+            line.insert(at, draw(st.sampled_from(LINE_TOKENS)))
+    return line
+
 
 # The report of each line above, every one exit 0: (human-readable stdout,
 # the JSON report's result).  Both forms print the same values.
@@ -579,24 +605,24 @@ class TestCli:
     def test_sign_at_roots_near_irrational_root(self, capsys):
         # r agrees with sqrt(2) to 12000 bits.
         r = Fraction(isqrt(2 << 24000), 1 << 12000)
-        start = time.perf_counter()
+        start = time.process_time()
         code, report = run_cli_json(
             ["sign-at-roots", "--", f"X - {format_fraction(r)}", "X^2 - 2"], capsys)
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         assert code == 0 and report["result"] == {"pattern": "Mixed"}
 
     def test_factor_large_linear_coefficient(self, capsys):
-        start = time.perf_counter()
+        start = time.process_time()
         code, report = run_cli_json(
             ["factor", "--", "[[(X^2+2^600*X)/(X^2+1),(X^2+X)/(X^2+1)],[0,0]]"], capsys)
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         assert code == 0
         assert report["result"]["verified"] is True and report["result"]["count"] == 4
 
     def test_certificate_scale_past_a_thousand_halvings(self, capsys):
-        start = time.perf_counter()
+        start = time.process_time()
         code, report = run_cli_json(["certificate", "--", "X - 1", "X - 1 - 1/2^1100"], capsys)
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         assert code == 0
         assert report["result"]["delta"].startswith("X^2 - ")
 
@@ -643,9 +669,9 @@ class TestCli:
     def test_zs_member_past_the_rho_budget_exit_two(self, capsys):
         # Two 16-digit primes, both 1 mod 4: rho would need about 10^8 steps.
         p, q = 1000000000000037, 2000000000000021
-        start = time.perf_counter()
+        start = time.process_time()
         code, report = run_cli_json(["zs-member", f"1/{p * q}"], capsys)
-        assert time.perf_counter() - start < 5
+        assert time.process_time() - start < 5
         assert code == 2
         check_schema(report, "zs-member")
         assert str(p * q) in report["error"] and "budget" in report["error"]
@@ -820,6 +846,8 @@ class TestCli:
          "argument --part: invalid choice: 'c'"),
         (["laurent-member", "--json", "rational", "0", "1/5,2,1", "--precision", "3"],
          "laurent-member", "unrecognized arguments: --precision 3"),
+        # argparse reads --js as --json, and so does the error report.
+        (["member", "--js", "--bogus", "X"], "member", "unrecognized arguments: --bogus"),
     ])
     def test_malformed_flags_stay_json(self, capsys, argv, command, message):
         code = main(argv)
@@ -866,27 +894,90 @@ class TestCli:
             cli._parser.cache_clear()
 
     def test_subcommand_line_takes_one_parser_pass(self, capsys, monkeypatch):
-        # A line that starts with a subcommand never reaches the top-level
-        # parser; every other line goes through it once.
+        # A well-formed CMD [FLAG...] -- OPERAND... line takes no argparse
+        # pass.  Any other line that starts with a subcommand takes one pass
+        # of that subcommand's parser and never reaches the top-level parser;
+        # every other line goes through the top-level parser once, and its
+        # subparsers action may run a subcommand's parser.
         from dressring import cli
 
         parser, calls = cli._parser(), []
-        original = parser.parse_known_args
 
-        def counting_parse_known_args(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(target, key):
+            original = target.parse_known_args
 
-        monkeypatch.setattr(parser, "parse_known_args", counting_parse_known_args)
-        for argv in ONE_LINE_PER_COMMAND:
-            assert main(argv) in (0, 1)
-        assert main(["member", "X", "Y"]) == 2
-        assert calls == []
-        for argv in (["--version"], ["--help"], ["frobnicate", "X"], ["--json", "member", "X"]):
+            def counting_parse_known_args(*args, **kwargs):
+                calls.append(key)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(target, "parse_known_args", counting_parse_known_args)
+
+        counting(parser, "top")
+        for subparser in parser.commands.values():
+            counting(subparser, "sub")
+        workload_shape = [[argv[0], "--json", "--", *argv[1:]] for argv in ONE_LINE_PER_COMMAND]
+        workload_shape += [["certificate", "--json", "--part", "b", "--", "X+1", "X"],
+                           ["laurent-member", "--json", "--zero", "--", "real"]]
+        for argv in workload_shape:
+            assert main(argv) in (0, 1), argv
+            assert calls == [], argv
+        for argv, passes in [
+            *((argv, ["sub"]) for argv in ONE_LINE_PER_COMMAND),
+            (["member", "X", "Y"], ["sub"]),
+            (["member", "--json", "--", "X", "Y"], ["sub"]),
+            (["member", "--js", "--", "X"], ["sub"]),
+            (["certificate", "--json", "--part=b", "--", "X+1", "X"], ["sub"]),
+            (["certificate", "--json", "--", "X+1", "X", "--part", "b"], ["sub"]),
+            (["laurent-member", "--json", "--", "real", "0", "1", "--", "2"], ["sub"]),
+            (["member", "-h"], ["sub"]),
+            (["--version"], ["top"]),
+            (["--help"], ["top"]),
+            (["frobnicate", "X"], ["top"]),
+            (["--json", "member", "X"], ["top", "sub"]),
+        ]:
             main(argv)
-            assert len(calls) == 1, argv
+            assert calls == passes, argv
             calls.clear()
         capsys.readouterr()
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=near_workload_lines())
+    @example(line=["certificate", "--json", "--part", "c", "--", "X", "X"])
+    @example(line=["principal", "--json", "--", "1", "--"])
+    @example(line=["laurent-member", "--zero", "--", "real"])
+    def test_line_reader_agrees_with_argparse(self, capsys, line):
+        # The reader declines a line or gives exactly what the subcommand's
+        # parser gives, with no leftover token and no error.
+        from dressring import cli
+
+        args = cli._read_line(line)
+        if args is not None:
+            expected, extras = cli._parser().commands[line[0]].parse_known_args(line[1:])
+            assert extras == [] and vars(args) == vars(expected), line
+        assert capsys.readouterr() == ("", "")
+
+    def test_command_table_uses_only_what_the_reader_reads(self):
+        # _read_line reads an operand's nargs ('+' or '?') and choices, and a
+        # flag's choices and default or action="store_true"; help is only
+        # shown.  A keyword it does not read would fail here instead of being
+        # misread.  _wants_json counts every --j... token as --json, so no
+        # other flag may start with --j.
+        from dressring.cli import _COMMANDS, _JSON_FLAG
+
+        for name, _, operands, _ in _COMMANDS:
+            for operand in (_JSON_FLAG, *operands):
+                operand, keywords = (operand, {}) if isinstance(operand, str) else operand
+                assert set(keywords) <= {"nargs", "choices", "default", "action", "help"}, name
+                if operand.startswith("-"):
+                    assert operand.startswith("--"), name
+                    assert operand == "--json" or not operand.startswith("--j"), name
+                    assert set(keywords) & {"action", "choices"} in ({"action"}, {"choices"})
+                    assert keywords.get("action", "store_true") == "store_true", name
+                    assert "nargs" not in keywords, name
+                else:
+                    assert keywords.get("nargs", "+") in ("+", "?"), name
+                    assert not set(keywords) & {"action", "default"}, name
 
     def test_console_script_subprocess(self):
         proc = subprocess.run(
