@@ -378,7 +378,8 @@ def main(argv=None) -> int:
     without argparse.  Any other line that starts with a registered
     subcommand is parsed by that subcommand's parser alone; its leftover
     tokens are the top-level parser's "unrecognized arguments" error, as
-    argparse's own outer pass reports them.
+    argparse's own outer pass reports them, and a second ``--`` is that
+    subcommand's usage error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_line(argv)
@@ -388,11 +389,17 @@ def main(argv=None) -> int:
             subparser = parser.commands.get(argv[0]) if argv else None
             if subparser is None:
                 args = parser.parse_args(argv)
+                subparser = parser.commands[args.command]
             else:
                 args, extras = subparser.parse_known_args(argv[1:])
                 if extras:
                     parser.error(f"unrecognized arguments: {' '.join(extras)}")
                 args.command = argv[0]
+            # Older argparse drops a second "--" and may hand an operand an
+            # empty list (a crash in the handler); newer argparse reads it as an
+            # operand.  Either way it is a usage error.
+            if argv.count("--") > 1:
+                subparser.error("the separator -- may appear only once")
         else:
             args.command = argv[0]
     except UsageError as exc:

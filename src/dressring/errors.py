@@ -59,8 +59,8 @@ class IndeterminateSeriesError(DressRingError, ValueError):
 class ResourceLimitError(DressRingError):
     """A computation ran past its work or size budget.
 
-    Integer factoring for Z_S caps its Pollard rho steps; the message gives
-    the input and the budget.  The parser refuses a power or a product whose
+    Integer factoring for Z_S stops after the last row of its elliptic curve
+    schedule; the message gives the input and that row.  The parser refuses a power or a product whose
     result would have more than parsing._MAX_BITS (2^22) bits, or one of
     whose polynomial products would multiply more than
     parsing._MAX_TERM_PAIRS (2^22) pairs of terms, estimated before it is

@@ -11,11 +11,13 @@ never re-executed; only these conclusions are used.
 
 Z_S membership and gcds factor denominators with ``factorize``: trial
 division by one gcd with the product of the primes below 1000, then for each
-cofactor Miller-Rabin on 13 bases (and a strong Lucas test from 3.3e24 on),
-Pollard's p-1 to B1 = 1000 and B2 = 10,000, Lenstra's elliptic curve method
-(ECM) on at most 30 curves to B1 = 100 and B2 = 5000, and Brent's rho under a
-budget of 2,000,000 steps.  The stage 2 of p-1 and of ECM runs on one
-baby-step giant-step plan, with giant steps of 210.
+cofactor Miller-Rabin on 13 bases (and a strong Lucas test from 3.3e24 on), a
+perfect-square check, Pollard's p-1 to B1 = 1000 and B2 = 10,000, and
+Lenstra's elliptic curve method (ECM) in the rows of a fixed schedule: 30
+curves to B1 = 100 and B2 = 5000, 40 to 500 and 50,000, and 25 to 2000 and
+200,000.  A cofactor that no row splits raises ResourceLimitError.  The
+stage 2 of p-1 and of ECM runs on one baby-step giant-step plan, with giant
+steps of 210.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -152,70 +153,18 @@ _PM1_B2 = 10_000
 # The giant step of both stage 2s: the babies j <= _STAGE2_D/2 prime to
 # 210 = 2 * 3 * 5 * 7 are 24 of the 105.
 _STAGE2_D = 210
-# ECM bounds: stage 1 multiplies by lcm(1, ..., _ECM_B1), stage 2 looks for one
-# more prime up to _ECM_B2 in giant steps of _STAGE2_D, on at most _ECM_CURVES
-# curves.  The zs-* ops of the cli benchmark (seeds 1-60) leave 6,645 composite
-# cofactors to the stage after p-1: ECM splits every one of them, with 2.51
-# curves on average and 21 at most, in about half the time that rho takes.  A
-# curve costs about 0.4 ms on a 16-digit cofactor (Python 3.11, Xeon).
-_ECM_B1 = 100
-_ECM_B2 = 5000
-_ECM_CURVES = 30
-# Steps of x -> x^2 + c between two gcds of Brent's cycle search.
-_RHO_BATCH = 128
-# Rho steps allowed per factorize call.  The zs-* ops of the cli benchmark
-# (seeds 1-60, 20,613 calls) needed at most 50,558 steps in one call with p-1
-# before rho, and reach rho in none of the calls with ECM between them; two
-# 16-digit prime factors need about 10^8.  The budget is spent in about 1 s on
-# a 32-digit n (Python 3.11, Xeon).
-_RHO_STEP_BUDGET = 2_000_000
-
-
-def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
-    """(d, steps): a proper divisor d of the odd composite n, or d = 0 once more
-    than ``budget`` steps are spent, with the steps used.
-
-    Brent's cycle search (R. P. Brent, BIT 20, 1980) on x -> x^2 + c mod n: it
-    multiplies x - y mod n over a batch of steps and takes one gcd per batch;
-    when a batch gcd is n it steps through the batch again one gcd at a time.
-    The product is reduced once per four steps; its sign does not change a gcd.
-    """
-    steps = 0
-    while True:
-        c = rng.randrange(1, n)
-        y = rng.randrange(2, n)
-        r = q = g = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            steps += r
-            k = 0
-            while k < r and g == 1:
-                if steps > budget:
-                    return 0, steps
-                ys = y
-                m = min(_RHO_BATCH, r - k)
-                for _ in range(m >> 2):
-                    y1 = (y * y + c) % n
-                    y2 = (y1 * y1 + c) % n
-                    y3 = (y2 * y2 + c) % n
-                    y = (y3 * y3 + c) % n
-                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
-                for _ in range(m & 3):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = gcd(q, n)
-                k += m
-                steps += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
-        if g != n:
-            return g, steps
+# ECM's schedule: rows of (B1, B2, curves).  Each curve's stage 1 multiplies by
+# lcm(1, ..., B1), and its stage 2 looks for one more prime up to B2 in giant
+# steps of _STAGE2_D.  The zs-* ops of the cli benchmark (seeds 1-60) leave
+# 6,645 composite cofactors to the stage after p-1: the first row splits every
+# one of them, with 2.51 curves on average and 21 at most; a curve costs about
+# 0.4 ms on a 16-digit cofactor.  The later rows climb towards the standard
+# table's B1 = 2000 for 15-digit factors (Zimmermann and Dodson, ANTS 2006).
+# On 12 semiprimes of two random primes per size, the schedule split all of
+# them up to 15-digit primes, 7 at 16 digits and 4 at 17, within 1.05 s each,
+# and it runs out in 0.5-1.1 s on a 31-39 digit n (CPU time, Python 3.11,
+# Xeon).  The table is factorize's only limit.
+_ECM_SCHEDULE = ((100, 5000, 30), (500, 50_000, 40), (2000, 200_000, 25))
 
 
 def _primes_in(lo: int, hi: int) -> list[int]:
@@ -341,20 +290,21 @@ def _suyama(sigma: int, n: int) -> tuple[int, int] | int:
     return 16 * u3 * u3 * v * inv % n, (v - u) ** 3 * (3 * u + v) * v**3 * inv % n
 
 
-def _ecm_curve(n: int, sigma: int) -> int:
-    """A proper divisor of the odd composite n found on Suyama's curve sigma, or 0.
+def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
+    """A proper divisor of the odd composite n found on Suyama's curve sigma
+    with the bounds b1 < b2 of a row of _ECM_SCHEDULE, or 0.
 
-    Stage 1 takes Q = [k]P with k = lcm(1, ..., _ECM_B1) by one ladder and
+    Stage 1 takes Q = [k]P with k = lcm(1, ..., b1) by one ladder and
     g = gcd(Z_Q, n), which splits n when the order of P modulo some but not
     every prime of n divides k.  Only if g = 1, stage 2 (P. L. Montgomery,
     Math. Comp. 48, 1987) makes the affine x of [j]Q for the babies j and of
     the giant steps [m * _STAGE2_D]Q by one batched inversion, and takes one gcd
     of the product of the x_m - x_j of the plan: a prime q = m * _STAGE2_D +- j
-    of (_ECM_B1, _ECM_B2] gives [q]Q = 0, so x_m = x_j, modulo every prime of n
-    where the order of Q is q.  The inversion's own gcd catches Z_j = 0, so a
-    prime below _STAGE2_D/2 that is a baby counts too.
+    of (b1, b2] gives [q]Q = 0, so x_m = x_j, modulo every prime of n where the
+    order of Q is q.  The inversion's own gcd catches Z_j = 0, so a prime of
+    (b1, _STAGE2_D/2] that is a baby counts too.
     """
-    k, babies, plan = _stage_tables(_ECM_B1, _ECM_B2)
+    k, babies, plan = _stage_tables(b1, b2)
     curve = _suyama(sigma, n)
     if isinstance(curve, int):
         return curve if curve < n else 0
@@ -400,14 +350,19 @@ def _ecm(n: int) -> int:
     """A proper divisor of the odd composite n found by Lenstra's elliptic curve
     method (H. W. Lenstra, Ann. Math. 126, 1987), or 0.
 
-    It tries Suyama's curves sigma = 6, 7, ... in Montgomery's x:z form, at
-    most _ECM_CURVES of them, each with stage 1 to _ECM_B1 and stage 2 to
-    _ECM_B2 (see _ecm_curve).  It draws no random numbers.
+    It walks the rows (B1, B2, curves) of _ECM_SCHEDULE in order, and tries
+    Suyama's curves sigma = 6, 7, ... in Montgomery's x:z form, counting on
+    across the rows: each row's curves run with its B1 and B2 (see
+    _ecm_curve).  So the first row's 30 curves are sigma = 6, ..., 35 with
+    B1 = 100 and B2 = 5000.  It draws no random numbers.
     """
-    for sigma in range(6, 6 + _ECM_CURVES):
-        d = _ecm_curve(n, sigma)
-        if d:
-            return d
+    sigma = 6
+    for b1, b2, curves in _ECM_SCHEDULE:
+        for _ in range(curves):
+            d = _ecm_curve(n, sigma, b1, b2)
+            if d:
+                return d
+            sigma += 1
     return 0
 
 
@@ -415,16 +370,17 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, keys in increasing order.
 
     Trial division takes one gcd of n with the product of the primes below
-    ``_TRIAL_BOUND`` (1000) and divides out only the primes of that gcd; each
-    cofactor left that ``is_probable_prime`` does not call prime goes first to
+    ``_TRIAL_BOUND`` (1000) and divides out only the primes of that gcd.  A
+    cofactor left that ``is_probable_prime`` does not call prime and that is
+    a perfect square r^2 goes on as r, counted twice; any other goes first to
     Pollard's p-1 with ``_PM1_B1`` = 1000 and ``_PM1_B2`` = 10,000, whose
     stage 2 runs on ECM's baby-step giant-step plan, a stage of fixed cost
-    (about 0.36 ms on a 16-digit cofactor), then to ECM on at most
-    ``_ECM_CURVES`` = 30 curves with ``_ECM_B1`` = 100 and ``_ECM_B2`` = 5000
-    (about 0.4 ms a curve), and, if neither finds a proper divisor, to Brent's
-    variant of Pollard rho with a fixed seed.  The rho steps of one call are
-    capped at ``_RHO_STEP_BUDGET`` (2,000,000); past it ResourceLimitError
-    names n and the budget.
+    (about 0.36 ms on a 16-digit cofactor), then to ECM on the rows of
+    ``_ECM_SCHEDULE``, from 30 curves with B1 = 100 and B2 = 5000 (about
+    0.4 ms a curve) to 25 curves with B1 = 2000 and B2 = 200,000.  The table
+    is the limit: if no row finds a proper divisor, ResourceLimitError names
+    n and the schedule's last row.  The square check takes p^2 for a prime
+    such as 1093, on which p-1 and ECM's stage 1 find only gcd = n.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -441,23 +397,25 @@ def factorize(n: int) -> dict[int, int]:
             while n % p == 0:
                 out[p] += 1
                 n //= p
-    rng = random.Random(0xD1355)
-    budget = _RHO_STEP_BUDGET
-    stack = [n] if n > 1 else []
+    # (m, k): m^k divides n and is left to split; a square m = r^2 goes on as
+    # (r, 2k), so that r is factored once.
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
+        m, k = stack.pop()
         if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + k
+            continue
+        r = isqrt(m)
+        if r * r == m:
+            stack.append((r, 2 * k))
             continue
         d = _pollard_pm1(m) or _ecm(m)
         if not d:
-            d, steps = _brent_rho(m, rng, budget)
-            if not d:
-                raise ResourceLimitError(
-                    f"factorize({format_fraction(original)}): Pollard rho exceeded its budget of "
-                    f"{_RHO_STEP_BUDGET} steps")
-            budget -= steps
-        stack.extend([d, m // d])
+            b1, b2, curves = _ECM_SCHEDULE[-1]
+            raise ResourceLimitError(
+                f"factorize({format_fraction(original)}): ECM found no factor up to the last "
+                f"row of its schedule, {curves} curves with B1 = {b1} and B2 = {b2}")
+        stack.extend([(d, k), (m // d, k)])
     return dict(sorted(out.items()))
 
 

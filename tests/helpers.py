@@ -10,7 +10,6 @@ from typing import Callable
 
 from dressring import DressElement, Polynomial, RationalFunction, divrem
 from dressring.idempotent import VerificationReport
-from dressring.numberrings import _RHO_BATCH
 from dressring.parsing import format_fraction
 
 # Empirical bound on the number of factors the fixed factorization pipeline returns.
@@ -46,48 +45,6 @@ def trial_division_reference(n: int, bound: int) -> tuple[dict[int, int], int]:
         found[n] = found.get(n, 0) + 1
         n = 1
     return found, n
-
-
-# numberrings._brent_rho as it was before its inner loop dropped abs and
-# reduced the product once per four steps: the reference for that loop.
-def brent_rho_reference(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
-    """(d, steps): a proper divisor d of the odd composite n, or d = 0 once more
-    than ``budget`` steps are spent, with the steps used.
-
-    Brent's cycle search (R. P. Brent, BIT 20, 1980) on x -> x^2 + c mod n: it
-    multiplies |x - y| mod n over a batch of steps and takes one gcd per batch;
-    when a batch gcd is n it steps through the batch again one gcd at a time.
-    """
-    steps = 0
-    while True:
-        c = rng.randrange(1, n)
-        y = rng.randrange(2, n)
-        r = q = g = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            steps += r
-            k = 0
-            while k < r and g == 1:
-                if steps > budget:
-                    return 0, steps
-                ys = y
-                m = min(_RHO_BATCH, r - k)
-                for _ in range(m):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-                steps += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g, steps
 
 
 # polynomials._pdiv and _signed_remainders as they were before subresultant

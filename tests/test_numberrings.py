@@ -23,7 +23,6 @@ from dressring import (
 )
 from dressring.numberrings import is_probable_prime
 from helpers import (
-    brent_rho_reference,
     montgomery_add,
     montgomery_curve,
     montgomery_multiple,
@@ -140,16 +139,23 @@ def oracle_zs_member(q: Fraction, known_primes) -> bool:
     return all(p % 4 == 1 for p in trial_factor(den))
 
 
+# Two primes of 20 digits, both 1 mod 4: their product runs through every row
+# of the ECM schedule, so zs_member must factor it and cannot.
+PAST_THE_SCHEDULE = 10000000000000000097 * 20000000000000000153
+# Two primes of 19 digits whose product, above _MR_EXACT_BOUND, runs through
+# the schedule too.
+PAST_THE_MR_BOUND = 3000000000000000037 * 7000000000000000013
+
+
+def assert_past_the_schedule(error: Exception, n: int) -> None:
+    """The limit's message names n and the schedule's last row."""
+    b1, b2, curves = numberrings._ECM_SCHEDULE[-1]
+    assert str(n) in str(error)
+    assert f"{curves} curves with B1 = {b1} and B2 = {b2}" in str(error)
+
+
 @pytest.fixture
-def no_rho(monkeypatch):
-    def refuse(n, rng, budget):
-        raise AssertionError(f"_brent_rho({n}) called")
-
-    monkeypatch.setattr(numberrings, "_brent_rho", refuse)
-
-
-@pytest.fixture
-def no_ecm_or_rho(monkeypatch, no_rho):
+def refuse_ecm(monkeypatch):
     def refuse(n):
         raise AssertionError(f"_ecm({n}) called")
 
@@ -203,14 +209,17 @@ class TestFactorize:
             assert list(f) == sorted(f)
 
     def test_rho_budget_raises(self):
-        # Two 16-digit primes, both 1 mod 4: rho would need about 10^8 steps.
+        # Two 16-digit primes, both 1 mod 4, that p-1 and the first row of
+        # ECM miss and the second row splits.
         p, q = 1000000000000037, 2000000000000021
+        assert factorize(p * q) == {p: 1, q: 1}
+        assert zs_member(Fraction(1, p * q))
+        # The end of the schedule is the limit, reached within seconds.
         start = time.process_time()
         with pytest.raises(ResourceLimitError) as info:
-            zs_member(Fraction(1, p * q))
+            zs_member(Fraction(1, PAST_THE_SCHEDULE))
         assert time.process_time() - start < 5
-        assert str(p * q) in str(info.value)
-        assert str(numberrings._RHO_STEP_BUDGET) in str(info.value)
+        assert_past_the_schedule(info.value, PAST_THE_SCHEDULE)
 
     def test_probable_prime(self):
         assert is_probable_prime(2) and is_probable_prime(999983)
@@ -235,12 +244,17 @@ class TestFactorize:
 
     def test_factorize_at_the_miller_rabin_bound(self):
         # Both primes have p - 1 = 2^a * 3^3 * 5 * 127 * 18778597, too rough for
-        # p-1, and the 30 curves of ECM miss them too: rho, from its fixed seed,
-        # spends its budget on the two 13-digit primes.
+        # p-1, and the first row of ECM misses them too; the second row splits n.
         n = numberrings._MR_EXACT_BOUND
+        assert factorize(n) == {1287836182261: 1, 2575672364521: 1}
+        # Two 19-digit primes past the schedule, their product above the bound.
+        n = PAST_THE_MR_BOUND
+        assert n > numberrings._MR_EXACT_BOUND
+        start = time.process_time()
         with pytest.raises(ResourceLimitError) as info:
             factorize(n)
-        assert str(n) in str(info.value)
+        assert time.process_time() - start < 5
+        assert_past_the_schedule(info.value, n)
 
     def test_strong_lucas_pseudoprimes(self):
         # 5459, 5777 and 10877 are the least strong Lucas pseudoprimes with
@@ -261,19 +275,7 @@ class TestFactorize:
 
 class TestPollardPm1:
     """Semiprimes p*q planted so that one stage of p-1 must split them, or so
-    that both stages must miss and rho must split them."""
-
-    @pytest.fixture
-    def rho_calls(self, monkeypatch):
-        calls = []
-        original = numberrings._brent_rho
-
-        def recording(n, rng, budget):
-            calls.append(n)
-            return original(n, rng, budget)
-
-        monkeypatch.setattr(numberrings, "_brent_rho", recording)
-        return calls
+    that both stages must miss and ECM must split them."""
 
     def test_exponent_table(self):
         # p-1 and ECM take their stage-1 exponent and their stage-2 plan from
@@ -295,7 +297,7 @@ class TestPollardPm1:
             assert plan[-1], (b1, b2)
 
     @pytest.mark.parametrize("seed, side", [(3711, 1), (3712, 1), (3713, -1), (3714, -1)])
-    def test_stage_two_on_both_sides_of_a_giant(self, no_ecm_or_rho, seed, side):
+    def test_stage_two_on_both_sides_of_a_giant(self, refuse_ecm, seed, side):
         # The prime in p - 1 is m * ECM_D + side * j with 0 < j < ECM_D/2, and
         # m * ECM_D - side * j, the other value of its pair, is composite.
         rng = random.Random(seed)
@@ -308,21 +310,21 @@ class TestPollardPm1:
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
     @pytest.mark.parametrize("seed", [3601, 3602, 3603])
-    def test_stage_one_splits_a_smooth_p_minus_1(self, no_rho, seed):
+    def test_stage_one_splits_a_smooth_p_minus_1(self, seed):
         rng = random.Random(seed)
         p, q = smooth_prime(rng, 10**8), rough_prime(rng, 10**7, 10**8)
         assert pow(2, PM1_EXPONENT, p) == 1 != pow(2, PM1_EXPONENT, q)
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
     @pytest.mark.parametrize("seed, big", [(3701, None), (3702, None), (3703, 1009), (3704, 9973)])
-    def test_stage_two_splits_a_semismooth_p_minus_1(self, no_ecm_or_rho, seed, big):
+    def test_stage_two_splits_a_semismooth_p_minus_1(self, refuse_ecm, seed, big):
         # 1009 and 9973 are the least and the largest prime that stage 2 tries.
         rng = random.Random(seed)
         p, q = semismooth_prime(rng, 10**8, big), rough_prime(rng, 10**7, 10**8)
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
-    def test_sixteen_digit_primes_past_the_rho_budget(self, no_rho):
-        # Both primes are 1 mod 4, and rho alone spends its budget on p*q:
+    def test_sixteen_digit_primes_past_the_rho_budget(self):
+        # Both primes are 1 mod 4, and p-1 splits p*q:
         # p - 1 = 2^2 * 5 * 347 * 541 * 587 * 641 * 739, and
         # q - 1 = 2^2 * 5 * 29 * 101 * 281 * 121499449.
         p, q = 1043992322111021, 2000000000000021
@@ -341,12 +343,8 @@ class TestPollardPm1:
         monkeypatch.setattr(numberrings, "_ecm", recording)
         return calls
 
-    @pytest.fixture
-    def no_ecm(self, monkeypatch):
-        monkeypatch.setattr(numberrings, "_ecm", lambda n: 0)
-
     @pytest.mark.parametrize("seed", [3801, 3802, 3803])
-    def test_both_smooth_falls_through_to_ecm(self, no_rho, ecm_calls, seed):
+    def test_both_smooth_falls_through_to_ecm(self, ecm_calls, seed):
         rng = random.Random(seed)
         p, q = smooth_prime(rng, 10**8), smooth_prime(rng, 10**7)
         # Stage 1 finds every prime at once: gcd(2^E - 1, pq) = pq.
@@ -354,36 +352,54 @@ class TestPollardPm1:
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
         assert ecm_calls == [p * q]
 
-    @pytest.mark.parametrize("seed", [3801, 3802, 3803])
-    def test_both_smooth_falls_through_to_rho(self, no_ecm, rho_calls, seed):
-        # The same inputs with ECM giving up: rho is still reached.
-        rng = random.Random(seed)
-        p, q = smooth_prime(rng, 10**8), smooth_prime(rng, 10**7)
-        assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
-        assert rho_calls == [p * q]
+    @pytest.fixture
+    def pm1_calls(self, monkeypatch):
+        calls = []
+        original = numberrings._pollard_pm1
+
+        def recording(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(numberrings, "_pollard_pm1", recording)
+        return calls
 
     @pytest.mark.parametrize("p", [1093, 3511, 1000003])
-    def test_prime_square_falls_through_to_ecm(self, rho_calls, ecm_calls, p):
+    def test_prime_square_falls_through_to_ecm(self, pm1_calls, ecm_calls, p):
         # 1093 and 3511 are the two known Wieferich primes, 2^(p-1) = 1 mod p^2,
         # and their p - 1 is 1000-smooth, so stage 1 gives gcd = p^2.  The order
         # of 2 mod 1000003 is divisible by 166667, so both stages give gcd = 1.
         # A point that is 0 mod p has Z = 0 mod p^2 (Z is the square of the
         # formal group's parameter), so only ECM's stage 2 splits p^2.  It does
-        # for 3511 and 1000003; every curve mod 1093 has an order dividing
-        # lcm(1, ..., 100), so ECM gives up and rho splits 1093^2.
+        # for 3511 and 1000003 on the first row; every curve mod 1093 has an
+        # order of at most 1160, which divides lcm(1, ..., 2000), and for 1093^2 no
+        # row of the schedule finds a factor.  The square check takes every p^2
+        # before p-1.
+        assert numberrings._pollard_pm1(p * p) == 0
+        assert numberrings._ecm(p * p) == (0 if p == 1093 else p)
+        pm1_calls.clear()
+        ecm_calls.clear()
         assert factorize(p * p) == {p: 2}
-        assert ecm_calls == [p * p]
-        assert rho_calls == ([p * p] if p == 1093 else [])
+        assert pm1_calls == ecm_calls == []
 
-    @pytest.mark.parametrize("p", [1093, 3511, 1000003])
-    def test_prime_square_falls_through_to_rho(self, no_ecm, rho_calls, p):
-        assert factorize(p * p) == {p: 2}
-        assert rho_calls == [p * p]
+    def test_square_root_is_factored_once(self, ecm_calls):
+        # A square cofactor goes on as its root, counted twice.
+        p, q = 1000000000000037, 2000000000000021
+        assert factorize(3 * (p * q) ** 2) == {3: 1, p: 2, q: 2}
+        assert ecm_calls == [p * q]
+
+    @pytest.mark.parametrize("p", [1093, 3511])
+    def test_wieferich_prime_powers(self, p):
+        # An even power is taken by the square check, p^3 and p^5 by p-1 or ECM
+        # after it, and 7 * 1000033 beside them by trial division and the stack.
+        for k in range(2, 7):
+            assert factorize(p**k) == {p: k}
+            assert factorize(7 * p**k * 1000033) == {7: 1, p: k, 1000033: 1}
 
 
 class TestEcm:
     """The x:z arithmetic against affine points, the stage-2 plan, and
-    semiprimes that p-1 cannot split and rho must not be needed for."""
+    semiprimes that p-1 cannot split and ECM must."""
 
     def test_tables(self):
         # The plan's pairs are checked with p-1's in test_exponent_table; the
@@ -392,6 +408,7 @@ class TestEcm:
         assert k == math.lcm(*range(1, ECM_B1 + 1))
         assert babies == tuple(j for j in range(1, ECM_D // 2 + 1) if math.gcd(j, ECM_D) == 1)
         assert {q for q in babies if q > ECM_B1} == {101, 103}
+        assert numberrings._ECM_SCHEDULE[0] == (ECM_B1, ECM_B2, 30)
         assert plan != numberrings._stage_tables(PM1_B1, PM1_B2)[2]
 
     @pytest.mark.parametrize("p", [10007, 1000003])
@@ -431,7 +448,7 @@ class TestEcm:
                 X, Z = numberrings._xadd(xs[a], 1, xs[b], 1, xs[a - b], 1, p)
                 assert (X - xs[a + b] * Z) % p == 0
 
-    def test_stage_two_splits_a_pinned_curve(self, no_rho):
+    def test_stage_two_splits_a_pinned_curve(self):
         # On the first curve, sigma = 6, stage 1 misses both primes of n.  Mod
         # 4981579 the order of P is 257 times a divisor of k, with
         # 257 = 1 * 210 + 47 a prime of the plan, so stage 2 finds 4981579.
@@ -440,7 +457,7 @@ class TestEcm:
         k = numberrings._stage_tables(ECM_B1, ECM_B2)[0]
         x, a24 = numberrings._suyama(6, n)
         assert math.gcd(numberrings._ladder(k, x, a24, n)[1], n) == 1
-        assert numberrings._ecm_curve(n, 6) == q
+        assert numberrings._ecm_curve(n, 6, ECM_B1, ECM_B2) == q
         A, B, P = montgomery_curve(*numberrings._suyama(6, q), q)
         R = montgomery_multiple(k, P, A, B, q)
         assert R is not None and montgomery_multiple(257, R, A, B, q) is None
@@ -449,55 +466,24 @@ class TestEcm:
         assert factorize(n) == {p: 1, q: 1}
 
     @pytest.mark.parametrize("seed", [4001, 4002, 4003, 4004, 4005])
-    def test_rough_semiprimes_need_no_rho(self, no_rho, seed):
+    def test_rough_semiprimes_need_no_rho(self, seed):
         # Both p - 1 have a prime factor above PM1_B2 in the order of 2, so
-        # p-1 finds neither prime, and without ECM rho would split p*q.
+        # p-1 finds neither prime, and ECM must split p*q.
         rng = random.Random(seed)
         p, q = rough_prime(rng, 10**6, 10**8), rough_prime(rng, 10**6, 10**8)
         assert numberrings._pollard_pm1(p * q) == 0
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
     def test_rho_after_ecm_gives_up(self, monkeypatch):
+        # No stage follows ECM: when it gives up, factorize raises.
         rng = random.Random(4006)
         p, q = rough_prime(rng, 10**6, 10**8), rough_prime(rng, 10**6, 10**8)
         calls = []
         monkeypatch.setattr(numberrings, "_ecm", lambda n: calls.append(n) or 0)
-        assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
+        with pytest.raises(ResourceLimitError) as info:
+            factorize(p * q)
+        assert_past_the_schedule(info.value, p * q)
         assert calls == [p * q]
-
-
-class TestBrentRho:
-    def test_matches_the_reference_loop(self, monkeypatch):
-        # The new loop reduces once per four steps and drops abs, which changes
-        # the batch product only by its sign mod n: (d, steps) and the draws
-        # from rng must not change.  A gcd spy sees the g == n backtrack.
-        backtracks = []
-
-        def spy(a, b):
-            g = math.gcd(a, b)
-            if g == b:
-                backtracks.append(b)
-            return g
-
-        monkeypatch.setattr(numberrings, "gcd", spy)
-        rng = random.Random(3901)
-        # Composites of 5-7 digits also split within the first batches of 1 and 2 steps.
-        cases = [(1000003 * 1000033, 1, 2_000_000)]
-        cases += [(rand_prime(rng, 100, 3000) * rand_prime(rng, 100, 3000), seed, 2_000_000)
-                  for seed in range(30)]
-        for _ in range(30):
-            lo = 10 ** rng.randint(4, 7)
-            n = rand_prime(rng, lo, 10 * lo) * rand_prime(rng, 10**5, 10**8)
-            cases.append((n, rng.randrange(10**6), rng.choice([2_000_000] * 3 + [3000, 500])))
-        divisors = []
-        for n, seed, budget in cases:
-            new_rng, old_rng = random.Random(seed), random.Random(seed)
-            expected = brent_rho_reference(n, old_rng, budget)
-            assert numberrings._brent_rho(n, new_rng, budget) == expected, (n, seed, budget)
-            assert new_rng.getstate() == old_rng.getstate()
-            divisors.append(expected[0])
-        assert 1000003 * 1000033 in backtracks
-        assert 3 <= divisors.count(0) <= len(divisors) - 45
 
 
 class TestFactorizeSympyOracle:
@@ -523,6 +509,16 @@ class TestFactorizeSympyOracle:
             f = factorize(n)
             assert f == expected, n
             assert list(f) == sorted(f)
+
+    def test_thirteen_and_fourteen_digit_semiprimes(self):
+        # p-1 and the first row of ECM split none of these six; the second row
+        # splits each.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4106)
+        for digits in (13, 13, 13, 14, 14, 14):
+            p, q = (int(sympy.nextprime(rng.randrange(10 ** (digits - 1), 10**digits)))
+                    for _ in range(2))
+            assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
 
 class TestZsMember:
@@ -550,7 +546,8 @@ class TestZsMember:
 
 
     def test_parity_rejection_skips_factoring(self, monkeypatch):
-        # Two 16-digit primes, 1 and 3 mod 4: Pollard rho would take seconds.
+        # Two 16-digit primes, 1 and 3 mod 4: factoring their product would
+        # take a tenth of a second or more.
         p, q = 1000000000000037, 1100000000000023
         start = time.process_time()
         assert not zs_member(Fraction(1, p * q))

@@ -667,14 +667,18 @@ class TestCli:
         assert code == 2 and report["ok"] is False
 
     def test_zs_member_past_the_rho_budget_exit_two(self, capsys):
-        # Two 16-digit primes, both 1 mod 4: rho would need about 10^8 steps.
+        # Two 16-digit primes, both 1 mod 4, that the second row of ECM splits.
         p, q = 1000000000000037, 2000000000000021
-        start = time.process_time()
         code, report = run_cli_json(["zs-member", f"1/{p * q}"], capsys)
+        assert code == 0 and report["result"] == {"member": True}
+        # Two 20-digit primes, both 1 mod 4, run through the whole schedule.
+        n = 10000000000000000097 * 20000000000000000153
+        start = time.process_time()
+        code, report = run_cli_json(["zs-member", f"1/{n}"], capsys)
         assert time.process_time() - start < 5
         assert code == 2
         check_schema(report, "zs-member")
-        assert str(p * q) in report["error"] and "budget" in report["error"]
+        assert str(n) in report["error"] and "B1 = 2000" in report["error"]
 
     def test_square_and_inverse_ideal(self, capsys):
         code, report = run_cli_json(
@@ -873,6 +877,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: dressring certificate")
         assert "dressring certificate: error: argument --part: invalid choice" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["principal", "--", "1", "--"],
+        ["principal", "1", "--", "--"],
+        ["zs-gcd", "--", "1", "--"],
+        ["verify", "--", "[[1,0],[0,0]]", "--"],
+        ["square-ideal", "--", "1", "--", "X"],
+    ], ids=" ".join)
+    def test_second_separator_is_a_usage_error(self, capsys, argv):
+        # argparse hands the operand after a second "--" an empty list or the
+        # token "--", by version: a usage error on both outputs, on every version.
+        message = "the separator -- may appear only once"
+        code = main(argv[:1] + ["--json"] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert json.loads(captured.out) == {"ok": False, "command": argv[0], "result": None,
+                                            "error": message}
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: dressring {argv[0]} ")
+        assert captured.err.endswith(f"dressring {argv[0]}: error: {message}\n")
 
     def test_parser_built_once_per_process(self, capsys, monkeypatch):
         from dressring import cli

@@ -172,3 +172,13 @@ def test_factoring_tables_are_built_on_first_use():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["0", "0"]
+
+
+def test_factoring_draws_no_random_numbers():
+    # factorize's limit is the fixed ECM schedule, with curves sigma = 6, 7, ...,
+    # so whether an integer factors or raises depends on the integer alone.
+    tree = ast.parse((SRC / "numberrings.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "math" in modules and "random" not in modules
