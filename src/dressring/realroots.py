@@ -19,7 +19,10 @@ denominators at most |lc| are at least 1/lc^2 apart.  Bisecting a single-root
 interval below that width leaves one candidate, the fraction with denominator
 at most |lc| nearest the midpoint, which is then tested exactly.  The number
 of bisections is logarithmic in the root bound times lc^2, so the cost is
-polynomial in the bit size of the coefficients.
+polynomial in the bit size of the coefficients.  The chain only counts roots
+and splits the box: the root r alone in (a, b] is a simple root of sf, so sf
+has the sign of sf(b) on (r, b] and the opposite one on (a, r), and every
+halving inside (a, b] goes by the sign of sf at the midpoint.
 
 Signs of q at the roots of p come from one Tarski query, not from isolation
 (Basu-Pollack-Roy, *Algorithms in Real Algebraic Geometry*, Thm. 2.58): the
@@ -173,7 +176,7 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     chain = _sturm_data(p)
     if chain is None:
         return []
-    # Bisection evaluates every member at many points: make each primitive once.
+    # sf is evaluated at many points and the chain at each split: make every member primitive once.
     chain = [_strip_content(c) for c in chain]
     ints = chain[0]
     lc = abs(ints[-1])
@@ -182,60 +185,44 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     bound = cauchy_bound(Polynomial(tuple(ints)))
     var = partial(_variations, chain)
 
-    def rational_root(a: Fraction, b: Fraction, va: int) -> Optional[Fraction]:
-        """The single root in (a, b] if it is rational, else None."""
-        if _sign_at(ints, b) == 0:
-            return b
-        lo, hi, vlo = a, b, va
+    def halve(lo: Fraction, hi: Fraction, s_hi: int) -> tuple[Fraction, Fraction]:
+        """The half of (lo, hi] that holds its one simple root, with s_hi = sign sf(hi) != 0."""
+        m = (lo + hi) / 2
+        return (m, hi) if _sign_at(ints, m) == -s_hi else (lo, m)
+
+    def one_root(a: Fraction, b: Fraction) -> IsolatingInterval:
+        """The root r alone in (a, b]: simple, so sf has one sign s_b on (r, b], -s_b on (a, r)."""
+        s_b = _sign_at(ints, b)
+        if s_b == 0:
+            return IsolatingInterval(b, b, b)
+        lo, hi = a, b
         while hi - lo >= separation:
-            m = (lo + hi) / 2
-            vm = var(m)
-            if vlo - vm == 1:
-                hi = m
-            else:
-                lo, vlo = m, vm
+            lo, hi = halve(lo, hi, s_b)
         # A rational root has denominator dividing lc and is the only such
         # fraction in (lo, hi], hence the one nearest the midpoint.
         cand = ((lo + hi) / 2).limit_denominator(lc)
         if lo < cand <= hi and _sign_at(ints, cand) == 0:
-            return cand
-        return None
+            return IsolatingInterval(cand, cand, cand)
+        # r is irrational.  Move a off any root so [a, b] holds only r.
+        lo, hi = a, b
+        while _sign_at(ints, lo) == 0:
+            lo, hi = halve(lo, hi, s_b)
+        return IsolatingInterval(lo, hi)
 
     out: list[IsolatingInterval] = []
-
-    def walk(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        n = va - vb
-        if n == 0:
-            return
-        if n == 1:
-            root = rational_root(a, b, va)
-            if root is not None:
-                out.append(IsolatingInterval(root, root, root))
-                return
-            # The unique root in (a, b] is irrational.  Move a off any root so
-            # the closed interval [a, b] contains exactly this root.
-            lo, hi = a, b
-            while _sign_at(ints, lo) == 0:
-                m = (lo + hi) / 2
-                if var(m) - var(hi) == 1:
-                    lo = m
-                else:
-                    hi = m
-            out.append(IsolatingInterval(lo, hi))
-            return
-        m = (a + b) / 2
-        vm = var(m)
-        walk(a, m, va, vm)
-        walk(m, b, vm, vb)
-
-    walk(-bound, bound, var(-bound), var(bound))  # left halves first, so out is sorted
+    stack = [(-bound, bound, var(-bound), var(bound))]
+    while stack:  # left halves pop first, so out is sorted
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append(one_root(a, b))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = var(m)
+            stack += [(m, b, vm, vb), (a, m, va, vm)]
 
     # Make the intervals pairwise disjoint as sets (they may share endpoints).
     def tighten(iv: IsolatingInterval) -> IsolatingInterval:
-        m = iv.midpoint()
-        if var(iv.lo) - var(m) == 1:
-            return IsolatingInterval(iv.lo, m)
-        return IsolatingInterval(m, iv.hi)
+        return IsolatingInterval(*halve(iv.lo, iv.hi, _sign_at(ints, iv.hi)))
 
     for i in range(1, len(out)):
         while out[i - 1].hi >= out[i].lo:

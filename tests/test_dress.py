@@ -198,6 +198,14 @@ class TestClassifyNumerator:
         assert c.root_free == c.mixed == ()
         assert c.constant == 1 and c.reassemble() == reduced
 
+    def test_roots_closer_than_the_recursion_limit(self):
+        big = 2**1100
+        num = (X - 1) * (big * X - big - 1)
+        c = classify_numerator(DressElement.from_parts(num, (X * X + 1) ** 2))
+        assert c.real_rooted == ((X - 1, 1), (X - 1 - Fraction(1, big), 1))
+        assert c.root_free == c.mixed == ()
+        assert c.constant == big and c.reassemble() == num
+
     def test_multiplicities_and_reassembly(self):
         rng = random.Random(60)
         for _ in range(30):

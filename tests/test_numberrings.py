@@ -4,8 +4,6 @@ from fractions import Fraction
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dressring import numberrings
 from dressring import (
@@ -208,7 +206,7 @@ class TestFactorize:
             assert f == expected
             assert list(f) == sorted(f)
 
-    def test_rho_budget_raises(self):
+    def test_past_the_ecm_schedule_raises(self):
         # Two 16-digit primes, both 1 mod 4, that p-1 and the first row of
         # ECM miss and the second row splits.
         p, q = 1000000000000037, 2000000000000021
@@ -323,7 +321,7 @@ class TestPollardPm1:
         p, q = semismooth_prime(rng, 10**8, big), rough_prime(rng, 10**7, 10**8)
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
-    def test_sixteen_digit_primes_past_the_rho_budget(self):
+    def test_pm1_splits_sixteen_digit_primes(self):
         # Both primes are 1 mod 4, and p-1 splits p*q:
         # p - 1 = 2^2 * 5 * 347 * 541 * 587 * 641 * 739, and
         # q - 1 = 2^2 * 5 * 29 * 101 * 281 * 121499449.
@@ -466,7 +464,7 @@ class TestEcm:
         assert factorize(n) == {p: 1, q: 1}
 
     @pytest.mark.parametrize("seed", [4001, 4002, 4003, 4004, 4005])
-    def test_rough_semiprimes_need_no_rho(self, seed):
+    def test_ecm_splits_rough_semiprimes(self, seed):
         # Both p - 1 have a prime factor above PM1_B2 in the order of 2, so
         # p-1 finds neither prime, and ECM must split p*q.
         rng = random.Random(seed)
@@ -474,7 +472,7 @@ class TestEcm:
         assert numberrings._pollard_pm1(p * q) == 0
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
-    def test_rho_after_ecm_gives_up(self, monkeypatch):
+    def test_raises_when_ecm_gives_up(self, monkeypatch):
         # No stage follows ECM: when it gives up, factorize raises.
         rng = random.Random(4006)
         p, q = rough_prime(rng, 10**6, 10**8), rough_prime(rng, 10**6, 10**8)

@@ -666,7 +666,7 @@ class TestCli:
         check_schema(report, "zs-member")
         assert code == 2 and report["ok"] is False
 
-    def test_zs_member_past_the_rho_budget_exit_two(self, capsys):
+    def test_zs_member_past_the_ecm_schedule_exit_two(self, capsys):
         # Two 16-digit primes, both 1 mod 4, that the second row of ECM splits.
         p, q = 1000000000000037, 2000000000000021
         code, report = run_cli_json(["zs-member", f"1/{p * q}"], capsys)
