@@ -175,10 +175,11 @@ def over_common_denominator(
     are scaled by d/g and the new one by gamma/g.  A denominator 1, which
     every zero element has, leaves gamma as it is.
     """
-    gamma = elems[0].denominator
-    nums = [elems[0].numerator]
+    value = elems[0].value
+    gamma, nums = value.den, [value.num]
     for e in elems[1:]:
-        num, d = e.numerator, e.denominator
+        value = e.value
+        num, d = value.num, value.den
         # Field by field: the dataclass __eq__ costs about 4x as much.
         if d.ints != gamma.ints or d.denom != gamma.denom:
             _, gamma_g, d_g = _gcd_cofactors(gamma, d)

@@ -63,14 +63,15 @@ def _numerator_data(gens: Sequence[DressElement]):
     """(M, cofactors, s, gamma, nums): gens[i] = nums[i]/gamma, nums[i] = M cofactors[i].
 
     M is the monic gcd of the numerators and s = max deg cofactors[i].  Each
-    gcd brings its cofactors: two nonzero numerators take one gcd, and any
-    other list is folded by _gcd_fold.
+    gcd brings its cofactors: two nonzero numerators take one gcd, whose
+    cofactors are returned as they come, and any other list is folded by
+    _gcd_fold.
     """
     nums, gamma = over_common_denominator(gens)
     if len(nums) == 2 and nums[0].ints and nums[1].ints:
-        m, *cofactors = _gcd_cofactors(*nums)
-    else:
-        m, cofactors = _gcd_fold(nums)
+        m, fp, gp = _gcd_cofactors(nums[0], nums[1])
+        return m, (fp, gp), max(len(fp.ints), len(gp.ints)) - 1, gamma, nums
+    m, cofactors = _gcd_fold(nums)
     s = max([len(f.ints) for f in cofactors]) - 1  # len(f.ints) - 1 == deg f for f != 0
     return m, cofactors, s, gamma, nums
 
@@ -227,15 +228,15 @@ def principal_generator(a: DressElement, b: DressElement) -> PrincipalityReport:
     """
     m, (fp, gp), s, gamma, nums = _numerator_data((a, b))
     if s % 2 == 1:
-        return PrincipalityReport(M=m, fprime=fp, gprime=gp, s=s, principal=False)
+        return PrincipalityReport(m, fp, gp, s, False)
     t = _sum_of_squares(m, (fp, gp), s, nums)
     # c1 and c2 lie in D: T is root-free and deg(h f'), deg(h g') <= 2s = deg T.
-    c1, c2 = map(DressElement._certified, _times_h_over((fp, gp), t, s // 2))
+    c1, c2 = _times_h_over((fp, gp), t, s // 2)
     # gen lies in D: the certified identity writes it as c1 * a + c2 * b.
-    gen = DressElement._certified(_times_h_over((m,), gamma, s // 2)[0])
-    return PrincipalityReport(
-        M=m, fprime=fp, gprime=gp, s=s, principal=True, generator=gen, expansion=(c1, c2)
-    )
+    gen = _times_h_over((m,), gamma, s // 2)[0]
+    certified = DressElement._certified
+    return PrincipalityReport(m, fp, gp, s, True, certified(gen),
+                              (certified(c1), certified(c2)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,12 +11,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from dressring import (
     DressElement,
-    Factorization,
-    IdealGens,
     Mat2,
     Polynomial,
     RationalFunction,
@@ -25,7 +21,6 @@ from dressring import (
     divides,
     factor_row_matrix,
     factor_small,
-    ideal_square,
     is_member,
     is_principal,
     is_unit,

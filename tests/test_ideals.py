@@ -538,12 +538,13 @@ class TestReducedGenerator:
                 assert (to_sympy(r.num), to_sympy(r.den)) == (p / lc, q / lc), (str(a), str(b))
         assert n_even >= 100
 
-    def test_even_pair_takes_two_gcds_no_make_and_no_sturm_chain(self, monkeypatch):
-        # Over a shared denominator the numerator gcd M brings the cofactors,
-        # and T is certified root-free by the gcd of the cofactors, not by a
-        # Sturm chain of T.  No divrem either: powers of 1 + X^2 leave T and
-        # gamma by synthetic division, and (X, X^3) takes the gcd's linear
-        # branch, which reads X^3/X with _cofactor.
+    def test_each_parity_takes_only_its_gcds_no_make_and_no_sturm_chain(self, monkeypatch):
+        # Over a shared denominator the numerator gcd M brings the cofactors.
+        # An odd pair stops there: one gcd and nothing else.  An even pair
+        # certifies T root-free by the gcd of the cofactors, not by a Sturm
+        # chain of T.  No divrem either: powers of 1 + X^2 leave T and gamma
+        # by synthetic division, and (X, X^3) takes the gcd's linear branch,
+        # which reads X^3/X with _cofactor.
         counts = {"_gcd_cofactors": 0, "poly_gcd": 0, "make": 0, "_sturm_chain": 0,
                   "divrem": 0, "__mul__": 0, "__add__": 0}
 
@@ -572,12 +573,22 @@ class TestReducedGenerator:
             monkeypatch.setattr(Polynomial, name, op)
             monkeypatch.setattr(Polynomial, name.replace("__", "__r", 1), op)
         realroots._gamma_cache.clear()
-        pairs = [(elem(X * X - 1, GAMMA * GAMMA), elem(2 * X, GAMMA * GAMMA)),
-                 (elem(X, GAMMA * GAMMA), elem(X**3, GAMMA * GAMMA)),
-                 (elem(X**4, GAMMA**3), elem(X + 1, GAMMA**3))]
-        for a, b in pairs:
+        even = {"_gcd_cofactors": 1, "poly_gcd": 1}
+        odd = {"_gcd_cofactors": 1}
+        # (pair, s, calls other than zero); c05's median class has s = 3.
+        cases = [((elem(X * X - 1, GAMMA * GAMMA), elem(2 * X, GAMMA * GAMMA)), 2, even),
+                 ((elem(X, GAMMA * GAMMA), elem(X**3, GAMMA * GAMMA)), 2, even),
+                 ((elem(X**4, GAMMA**3), elem(X + 1, GAMMA**3)), 4, even),
+                 ((elem(X, GAMMA * GAMMA), elem(Polynomial.one(), GAMMA * GAMMA)), 1, odd),
+                 ((elem(X**3 - X + 1, GAMMA * GAMMA), elem(2 * X**3 + X * X - 1, GAMMA * GAMMA)),
+                  3, odd),
+                 # M = X^2 + X: the gcd's cofactors X and 1 are taken as they come.
+                 ((elem(X**3 + X * X, GAMMA * GAMMA), elem(X * X + X, GAMMA * GAMMA)), 1, odd),
+                 # The common denominator takes a gcd and three products.
+                 ((elem(X), elem(Polynomial.one(), GAMMA * GAMMA)), 3,
+                  {"_gcd_cofactors": 2, "__mul__": 3})]
+        for (a, b), s, expected in cases:
             counts.update(dict.fromkeys(counts, 0))
-            assert principal_generator(a, b).principal
-            assert counts == {"_gcd_cofactors": 1, "poly_gcd": 1, "make": 0, "_sturm_chain": 0,
-                              "divrem": 0, "__mul__": 0, "__add__": 0}, \
-                (str(a), str(b))
+            report = principal_generator(a, b)
+            assert (report.s, report.principal) == (s, s % 2 == 0), (str(a), str(b))
+            assert counts == {**dict.fromkeys(counts, 0), **expected}, (str(a), str(b))

@@ -238,9 +238,9 @@ class TestPositivityCertificate:
         # the first power of two with lc(x)^2 - c*lc(y) = 1 - c*lc_y > 0.  The
         # second case needs more halvings than any fixed cap of 1000.
         x, y = X * X - 1, (X * X - 2).scale(lc_y)
-        start = time.perf_counter()
+        start = time.process_time()
         cert = positivity_certificate(x, y)
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         assert cert.base == GAMMA.scale(Fraction(1, 2**k))
         self.assert_invariants(x, y, cert)
 
@@ -249,9 +249,9 @@ class TestPositivityCertificate:
         # delta = (X-1)^2 - s*y is s^2 - 4*s*2^-1100, so the first passing
         # scale is 2^-1099, past any fixed cap of 1000 halvings.
         x, y = X - 1, X - 1 - Fraction(1, 2**1100)
-        start = time.perf_counter()
+        start = time.process_time()
         cert = positivity_certificate(x, y)
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         assert cert.scale == Fraction(1, 2**1099)
         self.assert_invariants(x, y, cert)
 
@@ -314,9 +314,9 @@ class TestFactorRowMatrix:
         # The shared-root branch needs c0 = 2^1199 to make
         # X^2 + (2^600 + 1) X + c0 root-free.
         p, q = elem(X * X + X.scale(2**600)), elem(X * X + X)
-        start = time.perf_counter()
+        start = time.process_time()
         fact = factor_row_matrix(p, q)
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         assert len(fact.factors) == 4
         assert verify_factorization(fact).ok
         assert fact.target == target_of(p, q)

@@ -407,9 +407,9 @@ class TestGcdWithoutCliff:
 
     @staticmethod
     def _timed(call):
-        start = time.perf_counter()
+        start = time.process_time()
         result = call()
-        assert time.perf_counter() - start < 0.5
+        assert time.process_time() - start < 0.5
         return result
 
     def test_coprime_degree_150_pair(self):
@@ -446,9 +446,9 @@ class TestGcdWithoutCliff:
         # A(xi) of the long operand would take about 25 s; A(xi) mod B(xi)
         # is linear in its degree.  X^2 - 30X - 31 vanishes at the first
         # point xi = 31, and X + 1 divides both.
-        start = time.perf_counter()
+        start = time.process_time()
         r = parse_scalar(text)
-        assert time.perf_counter() - start < 2
+        assert time.process_time() - start < 2
         g = X + 1 if den(-1) == 0 else Polynomial.one()
         assert (r.num, r.den) == (divrem(num, g)[0], divrem(den, g)[0])
 

@@ -153,13 +153,13 @@ class TestReader:
         spaces = " " * 10**5
         text = f"{spaces}[{spaces}[{spaces}{gap}{spaces},{spaces}1{spaces}]{spaces},{spaces}" \
                f"[{spaces}0{spaces},{spaces}X^2 + 1{spaces}]{spaces}]{spaces}"
-        start = time.perf_counter()
+        start = time.process_time()
         try:
             m = parse_expression(text)
             result = f"[[{m.a}, {m.b}], [{m.c}, {m.d}]]"
         except ParseError as exc:
             result = str(exc)
-        assert time.perf_counter() - start < 1
+        assert time.process_time() - start < 1
         assert result == expected
 
     def test_repeated_zero_and_constant_terms(self):
@@ -220,12 +220,12 @@ class TestReader:
     ], ids=["sum-then-group", "leading-before-power", "around-a-term", "leading-before-error",
             "before-error", "after-digits", "trailing", "around-a-quotient"])
     def test_whitespace_runs_are_read_in_linear_time(self, text, expected):
-        start = time.perf_counter()
+        start = time.process_time()
         try:
             result = format_polynomial(parse_scalar(text).num)
         except ParseError as exc:
             result = str(exc)
-        assert time.perf_counter() - start < 1
+        assert time.process_time() - start < 1
         assert result == expected
 
 
@@ -249,9 +249,9 @@ class TestParserSums:
         # A running Polynomial sum copied itself at every '+': 4000 terms took
         # about 0.9 s, and 20,000 would take about 20 s.
         base = dense_base(20000, 7)
-        start = time.perf_counter()
+        start = time.process_time()
         value = parse_scalar(f"({base})")
-        assert time.perf_counter() - start < 5
+        assert time.process_time() - start < 5
         assert format_polynomial(value.num) == base and value.den == Polynomial.one()
 
     @pytest.mark.parametrize("text, expected", [
@@ -296,9 +296,9 @@ class TestParserSums:
         # this 8001-term sum took about 5 s; each term now adds one coefficient.
         rng = random.Random(8000)
         base = format_polynomial(Polynomial(tuple(rng.choice((2, 3, -5)) for _ in range(8001))))
-        start = time.perf_counter()
+        start = time.process_time()
         value = parse_scalar(f"({base})")
-        assert time.perf_counter() - start < 1
+        assert time.process_time() - start < 1
         assert format_polynomial(value.num) == base and value.den == Polynomial.one()
 
 
@@ -313,13 +313,13 @@ class TestProductBound:
         # Only the refusal is timed: reading the base is timed on its own and
         # subtracted (_Parser sums a base in one coefficient list, in time
         # linear in its length; the degree-2000 base takes about 20 ms).
-        start = time.perf_counter()
+        start = time.process_time()
         parse_scalar(base)
-        read = time.perf_counter() - start
-        start = time.perf_counter()
+        read = time.process_time() - start
+        start = time.process_time()
         with pytest.raises(ResourceLimitError) as exc:
             parse_scalar(base + power)
-        assert time.perf_counter() - start - read < 1
+        assert time.process_time() - start - read < 1
         assert str(exc.value).endswith(message)
 
     @pytest.mark.parametrize("text, message", [
@@ -331,10 +331,10 @@ class TestProductBound:
          "product at offset 11 would have up to 2^23 bits, past the bound of 2^22"),
     ], ids=["*", "/", "cross-multiplied -"])
     def test_every_operator_is_bounded(self, text, message):
-        start = time.perf_counter()
+        start = time.process_time()
         with pytest.raises(ResourceLimitError) as exc:
             parse_scalar(text)
-        assert time.perf_counter() - start < 1
+        assert time.process_time() - start < 1
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("base, e", [(X + 1, 2046), (3 * X + 5, 1181),
