@@ -6,7 +6,8 @@ numerators f_i and s = max deg f_i'.  T = sum f_i'^2 is one integer
 convolution over the lcm of the cofactors' denominators, with no Polynomial
 product or sum.  It is certified on the unreduced numerators: no real roots,
 deg T == 2s, read from the convolution's length, and sum f_i' f_i == M T, the
-identity decided by integer values at one X = 2^k (polynomials._kronecker).  Then
+identity decided by integer values at one X = 2^k (polynomials._kronecker),
+whose values of the f_i' also decide the root-freeness.  Then
 J^2 = (M^2 T/gamma^2) D, which is sum a_i^2; (a, b) is principal iff s is even,
 with generator M h/gamma for h = (1 + X^2)^(s/2); and (a, b)^-1 is generated
 by the f_i' gamma/(M T).
@@ -17,8 +18,17 @@ that maximum; with T root-free, this puts every quotient f_i'/h, h f_i'/T and
 f_i' f_j'/T in D, and so covers divisibility and the unit check.
 
 A real x is a root of T iff it is a root of every f_i', as T(x) is a sum of
-real squares.  So T is root-free iff gcd(f_i') is, and that gcd, 1 for the
-cofactors of M, is what is_gamma decides: no Sturm chain of T is built.
+real squares.  So T is root-free iff gcd(f_i') is, and that gcd is 1 for the
+cofactors of M.  The identity's own values decide it first.  Let
+v_i = (D f_i')(xi) at _kronecker's xi = 2^k.  If 0 < gcd(v_i) <= xi/2, the
+f_i' are coprime, by GCDHEU's argument (Char, Geddes and Gonnet, J. Symbolic
+Comput. 7, 1989).  A nonconstant common factor K of the integer polynomials
+D f_i' divides every v_i.  Its roots are roots of a nonzero P = D f_j', so by
+Cauchy's bound they lie below 1 + |P| <= xi/2 in absolute value (|.| the
+largest absolute coefficient; _kronecker's bound makes xi >= 2 + 2|P|).  So
+|K(xi)| > xi/2, and gcd(v_i) is 0 or above xi/2.  Only when the values prove
+nothing does is_gamma decide gcd(f_i'), the exact completion of a one-sided
+test.  No Sturm chain of T is built.
 
 The generator M h/gamma and its coefficients h f'/T, h g'/T are reduced with no
 gcd: gcd(f', T) = gcd(f', g'^2) = 1 as f', g' are the cofactors of M, and
@@ -32,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import lcm
+from math import gcd as igcd, lcm
 from typing import Optional, Sequence
 
 from .dress import DressElement, over_common_denominator
@@ -97,7 +107,7 @@ def _gcd_fold(nums: Sequence[Polynomial]) -> tuple[Polynomial, list[Polynomial]]
 
 
 def _sum_of_squares(m: Polynomial, cofactors, s: int, nums) -> Polynomial:
-    """T = sum f_i'^2, certified root-free with deg T == 2s and sum f_i' f_i == M T.
+    """T = sum f_i'^2, certified with deg T == 2s, sum f_i' f_i == M T and no real root.
 
     T is one integer convolution: den^2 T = sum F_i^2 for the integer lists
     F_i = den f_i', den the lcm of the cofactors' denominators, with each
@@ -107,8 +117,22 @@ def _sum_of_squares(m: Polynomial, cofactors, s: int, nums) -> Polynomial:
 
     T is root-free iff the gcd of the f_i' is: at a real x, T(x) is a sum of
     real squares, so T(x) = 0 iff every f_i'(x) = 0, that is iff x is a root
-    of gcd(f_i').  So is_gamma decides that gcd, which is 1 for the cofactors
-    of M, and no Sturm chain of T is built.
+    of gcd(f_i').  The identity's values v_i = (D f_i')(xi) at
+    _kronecker's xi = 2^k decide that gcd first (_values_coprime): if
+    0 < gcd(v_i) <= xi/2, the f_i' are coprime, which they are as the
+    cofactors of M.  This is GCDHEU's proof (see _gcd_cofactors).  Suppose a
+    nonconstant primitive K in Z[X] divides every f_i'.  By Gauss's lemma
+    it divides each integer polynomial D f_i' in Z[X], so K(xi) divides
+    every v_i and their gcd g.  Let P = D f_j' be nonzero.  Every root z of
+    K is a root of P, so Cauchy's bound gives |z| < 1 + |P| (|.| the
+    largest absolute coefficient).  With xi >= 2 + 2|P| that makes
+    |z| < xi/2, so |K(xi)| = |lc K| prod |xi - z| > (xi/2)^deg K >= xi/2,
+    and g = 0 or g > xi/2.  _kronecker's point meets the bound: its product
+    bound B has the factors len(nums) + 1 >= 2 and |P|_1 >= |P|, and
+    xi > B >= 2|P|_1, so the even xi is at least 2|P|_1 + 2.  The test is
+    one-sided: the values of coprime f_i' can share a chance factor above
+    xi/2.  Only then does is_gamma decide gcd(f_i'), and no Sturm chain of
+    T is built either way.
     """
     den = lcm(*[fp.denom for fp in cofactors])
     acc = [0] * (2 * max([len(fp.ints) for fp in cofactors]) - 1)
@@ -119,17 +143,24 @@ def _sum_of_squares(m: Polynomial, cofactors, s: int, nums) -> Polynomial:
                 for i, d in enumerate(a, j):
                     acc[i] += c * d
     t = _make(acc, den * den)
-    if not is_gamma(reduce(poly_gcd, cofactors)):
-        raise CertificateError(f"sum of squares T = {t} has real roots")
     if len(t.ints) != 2 * s + 1:
         raise CertificateError(f"sum of squares T = {t} has degree {t.degree}, not 2s = {2 * s}")
     # nums are the numerators of the inputs themselves, not rebuilt as M f_i'.
     # Scaled by D^2, each side is a sum of products of two members of the
     # list: len(nums) + 1 products in all, decided at one X = 2^k.
-    at = _kronecker([*cofactors, *nums, m, t], len(nums) + 1)[1]
-    if sum([at(fp) * at(f) for fp, f in zip(cofactors, nums)]) != at(m) * at(t):
+    _, xi, at = _kronecker([*cofactors, *nums, m, t], len(nums) + 1)
+    values = [at(fp) for fp in cofactors]
+    if sum([v * at(f) for v, f in zip(values, nums)]) != at(m) * at(t):
         raise CertificateError(f"identity sum f_i' f_i == M T violated for M = {m}, T = {t}")
+    if not (_values_coprime(values, xi) or is_gamma(reduce(poly_gcd, cofactors))):
+        raise CertificateError(f"sum of squares T = {t} has real roots")
     return t
+
+
+def _values_coprime(values: Sequence[int], xi: int) -> bool:
+    """True when 0 < gcd(values) <= xi/2: for the v_i of _sum_of_squares, a
+    proof that the f_i' are coprime (see there).  False proves nothing."""
+    return 0 < igcd(*values) <= xi // 2
 
 
 def ideal_square(J: IdealGens) -> DressElement:
@@ -191,18 +222,31 @@ def _times_h_over(nums, den: Polynomial, k: int) -> list[RationalFunction]:
     the fractions are in lowest terms; otherwise they are exact but may be
     unreduced.  All of it runs on integer lists: each factor 1 + X^2 is
     tested and divided out of den's numerators in one synthetic-division
-    pass (_gamma1_quotient), each of the k - j left is multiplied into n in
-    one shift-and-add pass (_gamma1_product), and with c/d the quotient of
-    den, n h/den = (n h d/lc)/(c/lc) is one _make each, monic with no Fraction.
+    pass (_gamma1_quotient), each of the e = k - j left is multiplied into n
+    in one shift-and-add pass (_gamma1_product), and with c/d the quotient
+    of den, n h/den = (n h d/lc)/(c/lc) is one _make each, monic with no
+    Fraction.  A quotient that is already monic (lc = d) is canonical as it
+    stands, and then with e = 0 each n is its own numerator.
     """
     c, d, j = den.ints, den.denom, 0
     while j < k and (q := _gamma1_quotient(c)) is not None:
         c, j = q, j + 1
     lc, e = c[-1], k - j
-    den = _make(list(c), lc)
-    return [RationalFunction(n if lc == d and not e else
-                             _make(_gamma1_product([v * d for v in n.ints], e), n.denom * lc), den)
-            if n else RationalFunction.zero() for n in nums]
+    if lc != d:
+        den = _make(list(c), lc)
+    elif j:
+        den = Polynomial(tuple(c), d)
+    out = []
+    for n in nums:
+        if not n:
+            out.append(RationalFunction.zero())
+        elif lc == d and not e:
+            out.append(RationalFunction(n, den))
+        else:
+            ints = [v * d for v in n.ints]
+            out.append(RationalFunction(_make(_gamma1_product(ints, e) if e else ints,
+                                              n.denom * lc), den))
+    return out
 
 
 def principal_generator(a: DressElement, b: DressElement) -> PrincipalityReport:

@@ -227,7 +227,7 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
         raise CertificateError(f"certificate beta = {beta} has real roots")
     # Scaled by D^2: (D x)(D x) + (D y)(D beta) == D (D delta), three
     # products of members of the list (x listed twice), one times D.
-    d, at = _kronecker((x, x, y, beta, delta), 3, 1)
+    d, _, at = _kronecker((x, x, y, beta, delta), 3, 1)
     if at(x) ** 2 + at(y) * at(beta) != d * at(delta):
         raise CertificateError("certificate identity delta = x^2 + y*beta violated")
     if not (n - 1 <= beta.degree <= n and delta.degree == 2 * n):
@@ -360,7 +360,7 @@ def _verify_triples(target, factors) -> VerificationReport:
     rank_one = [f for f in factors if f]
     polys = [target_d, *target_n, *(p for v, w, s in rank_one for p in (*v, *w, s))]
     m = len(rank_one)
-    d, at = _kronecker(polys, 2 ** (m + 1), m)
+    d, _, at = _kronecker(polys, 2 ** (m + 1), m)
 
     first, w_last, scalar, den = None, None, 1, 1
     for i, f in enumerate(factors):

@@ -366,15 +366,30 @@ def _quotient(a: Sequence[int], h: Sequence[int]) -> Optional[list[int]]:
     By Gauss's lemma h | a in Q[X] puts a/h in Z[X], so every step from the
     top is one exact integer division by lc(h): the first step that leaves a
     remainder, or a nonzero remainder at the end, refutes h | a.  No operand
-    is scaled.  A linear h = h0 + h1 X divides from its end of larger
-    absolute value (from the top of both lists reversed if |h0| > |h1|):
-    each quotient term is then at most max|a| plus the one before, so a
-    refuted division is linear in len(a) too, where steps by h1 = 1 against
-    h0 = -2 would double the terms as they go.
+    is scaled.  A linear h = h0 + h1 X divides in one loop over a from its
+    end of larger absolute value, the top when |h1| >= |h0|: each step
+    takes the next term of a, less the other end of h times the quotient
+    term before, and divides it by that end.  The step past the last
+    quotient term must leave 0.  Each quotient term is then at most max|a|
+    plus the one before, so a refuted division is linear in len(a) too,
+    where steps by h1 = 1 against h0 = -2 would double the terms as they
+    go.
     """
-    if len(h) == 2 and abs(h[0]) > abs(h[1]):
-        q = _quotient(a[::-1], h[::-1])
-        return None if q is None else q[::-1]
+    if len(h) == 2:
+        if not a:
+            return []
+        h0, h1 = h
+        up = abs(h0) > abs(h1)
+        lead, other = (h0, h1) if up else (h1, h0)
+        q, c = [], 0
+        for v in a if up else reversed(a):  # from a_0 up when dividing by h0
+            c, r = divmod(v - other * c, lead)
+            if r:
+                return None
+            q.append(c)
+        if q.pop():
+            return None
+        return q if up else q[::-1]
     dh = len(h) - 1
     lh = h[-1]
     r = list(a)
@@ -433,8 +448,8 @@ def _gamma1_product(ints: Sequence[int], e: int) -> list[int]:
 
 
 def _kronecker(polys: Sequence[Polynomial], terms: int,
-               d_power: int = 0) -> tuple[int, Callable[[Polynomial], int]]:
-    """(D, at): D the lcm of the denominators of polys, at(p) = (D p)(2^k) for p in polys.
+               d_power: int = 0) -> tuple[int, int, Callable[[Polynomial], int]]:
+    """(D, xi, at): D the lcm of the denominators of polys, at(p) = (D p)(xi), xi = 2^k.
 
     This decides an identity A == B in Z[X] by one integer comparison
     A(2^k) == B(2^k) (Kronecker substitution), each P = D p read by one
@@ -465,7 +480,7 @@ def _kronecker(polys: Sequence[Polynomial], terms: int,
             acc = (acc << k) + c
         return acc * (d // p.denom)
 
-    return d, at
+    return d, 1 << k, at
 
 
 def _strip_content(c: Sequence[int]) -> Sequence[int]:

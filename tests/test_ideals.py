@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -307,7 +308,11 @@ class TestSumOfSquaresCertificate:
     """Every part of the one certificate, through every function that reads it."""
 
     def test_root_free(self, monkeypatch, consumer, pair):
+        # Both deciders of the cofactor gcd say "not coprime": the value test
+        # on the identity's values proves nothing, and is_gamma, which then
+        # decides, refutes root-freeness.
         gens, t, _ = PAIRS[pair]
+        monkeypatch.setattr(ideals, "_values_coprime", lambda values, xi: False)
         monkeypatch.setattr(ideals, "is_gamma", lambda p: False)
         with pytest.raises(CertificateError, match=f"T = {re.escape(t)} has real roots"):
             CONSUMERS[consumer](*gens)
@@ -350,6 +355,51 @@ def test_root_freeness_of_t_decided_on_the_cofactor_gcd():
         assert decided == root_free, [str(f) for f in cofactors]
         outcomes.add((i % 4, decided))
     assert outcomes == {(0, True), (0, False), (1, False), (2, True), (2, False), (3, False)}
+
+
+def test_value_test_never_calls_a_shared_factor_coprime(monkeypatch):
+    # The certificate's value test on 1-4 integer cofactors, M = 1 and nums
+    # the cofactors, so the identity holds and the test always runs.  Lists
+    # share a planted X - 1, 1 + X^2 or (X - 1)(1 + X^2), or carry a zero
+    # cofactor, or plant nothing.  "Coprime" is only ever said of a list
+    # whose gcd is 1, never of a planted factor, and the certificate's
+    # verdict matches a Sturm count of T on every list.
+    verdicts = []
+    decide = ideals._values_coprime
+
+    def spy(values, xi):
+        verdicts.append(decide(values, xi))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ideals, "_values_coprime", spy)
+    rng = random.Random(4407)
+    seen = set()
+    for i in range(600):
+        kind = i % 5
+        n = rng.randint(2 if kind == 4 else 1, 4)
+        cofactors = [rand_poly(rng, 3, -4, 4, nonzero=True) for _ in range(n)]
+        if kind == 4:
+            cofactors[rng.randrange(n)] = Polynomial.zero()
+        elif kind:
+            shared = (X - 1, GAMMA, (X - 1) * GAMMA)[kind - 1]
+            cofactors = [shared * f for f in cofactors]
+        t = sum((f * f for f in cofactors), Polynomial.zero())
+        s = max(f.degree for f in cofactors if f)
+        verdicts.clear()
+        try:
+            ideals._sum_of_squares(Polynomial.one(), cofactors, s, cofactors)
+            root_free = True
+        except CertificateError as e:
+            assert "has real roots" in str(e)
+            root_free = False
+        assert root_free == (realroots.count_distinct_real_roots(t) == 0)
+        assert len(verdicts) == 1
+        names = [str(f) for f in cofactors]
+        if verdicts[0]:
+            assert reduce(poly_gcd, cofactors, Polynomial.zero()) == Polynomial.one(), names
+        assert not (verdicts[0] and kind in (1, 2, 3)), names
+        seen.add((kind, verdicts[0]))
+    assert {(0, True), (0, False), (1, False), (2, False), (3, False), (4, True)} <= seen
 
 
 def test_sum_of_squares_kernel_matches_products():
@@ -541,10 +591,12 @@ class TestReducedGenerator:
     def test_each_parity_takes_only_its_gcds_no_make_and_no_sturm_chain(self, monkeypatch):
         # Over a shared denominator the numerator gcd M brings the cofactors.
         # An odd pair stops there: one gcd and nothing else.  An even pair
-        # certifies T root-free by the gcd of the cofactors, not by a Sturm
-        # chain of T.  No divrem either: powers of 1 + X^2 leave T and gamma
-        # by synthetic division, and (X, X^3) takes the gcd's linear branch,
-        # which reads X^3/X with _cofactor.
+        # certifies T root-free from the identity's values of its coprime
+        # cofactors: no second gcd and no Sturm chain of T.  Cofactors that
+        # share 1 + X^2 fail the value test and take one poly_gcd, whose
+        # is_gamma decides.  No divrem either: powers of 1 + X^2 leave T and
+        # gamma by synthetic division, and (X, X^3) takes the gcd's linear
+        # branch, which reads X^3/X with _cofactor.
         counts = {"_gcd_cofactors": 0, "poly_gcd": 0, "make": 0, "_sturm_chain": 0,
                   "divrem": 0, "__mul__": 0, "__add__": 0}
 
@@ -573,7 +625,7 @@ class TestReducedGenerator:
             monkeypatch.setattr(Polynomial, name, op)
             monkeypatch.setattr(Polynomial, name.replace("__", "__r", 1), op)
         realroots._gamma_cache.clear()
-        even = {"_gcd_cofactors": 1, "poly_gcd": 1}
+        even = {"_gcd_cofactors": 1}
         odd = {"_gcd_cofactors": 1}
         # (pair, s, calls other than zero); c05's median class has s = 3.
         cases = [((elem(X * X - 1, GAMMA * GAMMA), elem(2 * X, GAMMA * GAMMA)), 2, even),
@@ -592,3 +644,7 @@ class TestReducedGenerator:
             report = principal_generator(a, b)
             assert (report.s, report.principal) == (s, s % 2 == 0), (str(a), str(b))
             assert counts == {**dict.fromkeys(counts, 0), **expected}, (str(a), str(b))
+        shared = [GAMMA, X * GAMMA]
+        counts.update(dict.fromkeys(counts, 0))
+        ideals._sum_of_squares(Polynomial.one(), shared, 3, shared)
+        assert counts == {**dict.fromkeys(counts, 0), "poly_gcd": 1}

@@ -159,6 +159,36 @@ def test_quotient_kernel_against_divrem():
         for low in (False, True) for refuted in (False, True)}
 
 
+# (a, h) for the linear branch of _quotient at its edges.  h = h0 + h1 X is
+# divided from the top when |h1| >= |h0| and from the bottom otherwise.
+LINEAR_QUOTIENT_EDGES = {
+    "a zero": ([], [1, 2]),
+    "a zero, bottom": ([], [3, -1]),
+    "a constant": ([5], [1, 2]),
+    "a constant, bottom": ([6], [3, 1]),
+    "|h0| = |h1|, divides": ([1, 1, 3, 3], [1, 1]),
+    "|h0| = |h1|, refuted": ([2, 0, 0, 1], [-1, 1]),
+    "h0 = 0, divides": ([0, 2, 0, -3], [0, 1]),
+    "h0 = 0, refuted": ([1, 2], [0, -1]),
+    "refuted at the first step, top": ([1, 0, 3], [1, 2]),
+    "refuted at the first step, bottom": ([1, 0, 3], [3, 1]),
+    "refuted at the last step, top": ([3, 0, 0, 1], [-1, 1]),
+    "refuted at the last step, bottom": ([2, 1, 2], [2, 1]),
+    "divides, bottom": ([-6, 1, 1], [3, 1]),
+}
+
+
+@pytest.mark.parametrize("case", LINEAR_QUOTIENT_EDGES)
+def test_linear_quotient_edges_against_divrem(case):
+    a, h = LINEAR_QUOTIENT_EDGES[case]
+    q, r = divrem(Polynomial.from_coeffs(a), Polynomial(tuple(h)))
+    got = polynomials._quotient(a, h)
+    assert (got is None) == bool(r)
+    if got is not None:
+        assert Polynomial.from_coeffs(got) == q
+    assert (got is None) == ("refuted" in case or case.startswith("a constant"))
+
+
 def _chain_pairs(seed: int = 3939, count: int = 300) -> list[tuple[list[int], list[int]]]:
     """Seeded primitive pairs (a, b) of degree 1-14: every third pair sparse,
     to force defective steps; deg b above, equal to and below deg a in turn,
@@ -300,9 +330,8 @@ def test_kronecker_point_is_one_bit_past_a_false_pass(j):
     # The bound |P|_1 = 2^j + 1 gives k = j + 1: at 2^k, P is nonzero, and
     # one bit less, X = 2^(k-1) is P's root, where P == 0 would pass.
     p = X - 2**j
-    d, at = polynomials._kronecker([p], 1)
-    two_k = at(X)
-    assert d == 1 and two_k == 2 ** (j + 1)
+    d, two_k, at = polynomials._kronecker([p], 1)
+    assert d == 1 and two_k == at(X) == 2 ** (j + 1)
     assert at(p) == p(two_k) != 0 and p(two_k // 2) == 0
 
 
