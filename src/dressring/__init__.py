@@ -65,7 +65,6 @@ from .polynomials import (
     RationalFunction,
     divrem,
     poly_gcd,
-    poly_lcm,
     squarefree_part,
 )
 from .realroots import (

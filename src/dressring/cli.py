@@ -17,13 +17,13 @@ malformed command line under ``--json`` also gets the JSON report, with
 ``command`` set to the subcommand token as typed; without ``--json``
 argparse's usage text goes to stderr.
 
-A well-formed ``CMD [FLAG...] -- OPERAND...`` line, with CMD's own flags in
-full, is read straight from ``_COMMANDS`` by ``_read_line``, into the
-Namespace that argparse would give it, without an argparse pass.  Any other
-line that starts with a subcommand's name is read by that subcommand's parser
-alone, in one argparse pass; every other line (empty, ``--help``,
-``--version``, a leading flag or an unknown word) goes through the top-level
-parser.  So every help, usage and error text is argparse's own.
+A command line is read on one of two paths.  A well-formed
+``CMD [FLAG...] -- OPERAND...`` line, with CMD's own flags in full, is read
+straight from ``_COMMANDS`` by ``_read_line``, into the Namespace that argparse
+would give it, without an argparse pass.  Every other line (no ``--``, an
+abbreviated flag, ``--help``, ``--version``, a leading flag or an unknown
+word) takes one pass of the top-level parser.  So every help, usage and error
+text is argparse's own.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
             operand, keywords = (operand, {}) if isinstance(operand, str) else operand
             p.add_argument(operand, **keywords)
         p.set_defaults(handler=handler)
-    # name -> subcommand parser, so main can hand a subcommand line straight to it
+    # name -> subcommand parser, so main can report a usage error as that subcommand's
     parser.commands = sub.choices
     return parser
 
@@ -293,12 +293,13 @@ def _parser() -> argparse.ArgumentParser:
 def _line_specs() -> dict:
     """name -> (defaults, options, operands) of each subcommand, read from
     _COMMANDS as build_parser reads it.  ``defaults`` holds every dest with the
-    value argparse gives it when the line leaves it out, and the handler;
-    ``options`` maps each flag to (dest, choices), where choices None means
-    store_true; ``operands`` lists (dest, nargs, choices) in order."""
+    value argparse gives it when the line leaves it out, the command's name
+    and the handler; ``options`` maps each flag to (dest, choices), where
+    choices None means store_true; ``operands`` lists (dest, nargs, choices)
+    in order."""
     specs = {}
     for name, _, operands, handler in _COMMANDS:
-        defaults, options, positionals = {"handler": handler}, {}, []
+        defaults, options, positionals = {"command": name, "handler": handler}, {}, []
         for operand in (_JSON_FLAG, *operands):
             operand, keywords = (operand, {}) if isinstance(operand, str) else operand
             choices = keywords.get("choices")
@@ -375,33 +376,21 @@ def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
     A well-formed ``CMD [FLAG...] -- OPERAND...`` line is read by _read_line
-    without argparse.  Any other line that starts with a registered
-    subcommand is parsed by that subcommand's parser alone; its leftover
-    tokens are the top-level parser's "unrecognized arguments" error, as
-    argparse's own outer pass reports them, and a second ``--`` is that
-    subcommand's usage error.
+    without argparse.  Every other line takes one pass of the top-level
+    parser, so every help, usage and error text is argparse's own; a second
+    ``--`` is the subcommand's usage error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_line(argv)
     try:
         if args is None:
             parser = _parser()
-            subparser = parser.commands.get(argv[0]) if argv else None
-            if subparser is None:
-                args = parser.parse_args(argv)
-                subparser = parser.commands[args.command]
-            else:
-                args, extras = subparser.parse_known_args(argv[1:])
-                if extras:
-                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
-                args.command = argv[0]
+            args = parser.parse_args(argv)
             # Older argparse drops a second "--" and may hand an operand an
             # empty list (a crash in the handler); newer argparse reads it as an
             # operand.  Either way it is a usage error.
             if argv.count("--") > 1:
-                subparser.error("the separator -- may appear only once")
-        else:
-            args.command = argv[0]
+                parser.commands[args.command].error("the separator -- may appear only once")
     except UsageError as exc:
         if _wants_json(argv):
             return _emit(_command_token(argv), FAILURE, None, exc.message, True)

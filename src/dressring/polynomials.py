@@ -601,12 +601,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return _gcd_cofactors(a, b)[0]
 
 
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero or b.is_zero:
-        return _ZERO
-    return (_gcd_cofactors(a, b)[1] * b).monic()
-
-
 def squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), monic: same distinct roots as p, each simple."""
     if p.is_zero:

@@ -84,9 +84,6 @@ class IsolatingInterval:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def cauchy_bound(p: Polynomial) -> Fraction:
     """1 + max |c_i| / |lc|: every real root lies strictly inside (-B, B)."""

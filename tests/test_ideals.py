@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -400,6 +401,46 @@ def test_value_test_never_calls_a_shared_factor_coprime(monkeypatch):
         assert not (verdicts[0] and kind in (1, 2, 3)), names
         seen.add((kind, verdicts[0]))
     assert {(0, True), (0, False), (1, False), (2, False), (3, False), (4, True)} <= seen
+
+
+def test_value_test_point_meets_its_coprimality_bound(monkeypatch):
+    # The value test proves the f_i' coprime only when xi >= 2 + 2|P| for
+    # every nonzero P = D f_j' (|.| the largest absolute coefficient), and
+    # it takes xi and D from _kronecker.  On 1-4 cofactors over denominators
+    # 1-6, some zero, with M = 1 or a random monic M and nums = M f_i, every
+    # point _kronecker hands back must meet that bound.  One cofactor
+    # (terms = 2, the fewest products) is the tightest case.
+    calls = []
+    kronecker = ideals._kronecker
+
+    def spy(polys, terms, *rest):
+        calls.append((polys, terms, kronecker(polys, terms, *rest)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(ideals, "_kronecker", spy)
+    rng = random.Random(4501)
+    seen = set()
+    for _ in range(400):
+        cofactors = [Polynomial.zero() if rng.random() < 0.2 else
+                     rand_poly(rng, 4, -60, 60).scale(Fraction(1, rng.randint(1, 6)))
+                     for _ in range(rng.randint(1, 4))]
+        if not any(cofactors):
+            continue
+        m = rng.choice((Polynomial.one(), X + rng.randint(-3, 3), GAMMA))
+        s = max(f.degree for f in cofactors if f)
+        calls.clear()
+        try:
+            ideals._sum_of_squares(m, cofactors, s, [m * f for f in cofactors])
+        except CertificateError as e:
+            assert "has real roots" in str(e)
+        (polys, terms, (d, xi, _)), = calls
+        assert terms == len(cofactors) + 1
+        assert d == reduce(lcm, [p.denom for p in polys])
+        for fp in polys[:len(cofactors)]:
+            if fp:
+                assert xi >= 2 + 2 * max(abs(d // fp.denom * c) for c in fp.ints), str(fp)
+        seen.add((len(cofactors), not all(cofactors)))
+    assert {n for n, _ in seen} == {1, 2, 3, 4} and (4, True) in seen
 
 
 def test_sum_of_squares_kernel_matches_products():

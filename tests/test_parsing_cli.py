@@ -919,12 +919,10 @@ class TestCli:
         finally:
             cli._parser.cache_clear()
 
-    def test_subcommand_line_takes_one_parser_pass(self, capsys, monkeypatch):
+    def test_line_takes_the_reader_or_one_top_level_pass(self, capsys, monkeypatch):
         # A well-formed CMD [FLAG...] -- OPERAND... line takes no argparse
-        # pass.  Any other line that starts with a subcommand takes one pass
-        # of that subcommand's parser and never reaches the top-level parser;
-        # every other line goes through the top-level parser once, and its
-        # subparsers action may run a subcommand's parser.
+        # pass.  Every other line takes one pass of the top-level parser, whose
+        # subparsers action runs the subcommand's parser when the line names one.
         from dressring import cli
 
         parser, calls = cli._parser(), []
@@ -948,18 +946,18 @@ class TestCli:
             assert main(argv) in (0, 1), argv
             assert calls == [], argv
         for argv, passes in [
-            *((argv, ["sub"]) for argv in ONE_LINE_PER_COMMAND),
-            (["member", "X", "Y"], ["sub"]),
-            (["member", "--json", "--", "X", "Y"], ["sub"]),
-            (["member", "--js", "--", "X"], ["sub"]),
-            (["certificate", "--json", "--part=b", "--", "X+1", "X"], ["sub"]),
-            (["certificate", "--json", "--", "X+1", "X", "--part", "b"], ["sub"]),
-            (["laurent-member", "--json", "--", "real", "0", "1", "--", "2"], ["sub"]),
-            (["member", "-h"], ["sub"]),
+            *((argv, ["top", "sub"]) for argv in ONE_LINE_PER_COMMAND),
+            (["member", "X", "Y"], ["top", "sub"]),
+            (["member", "--json", "--", "X", "Y"], ["top", "sub"]),
+            (["member", "--js", "--", "X"], ["top", "sub"]),
+            (["certificate", "--json", "--part=b", "--", "X+1", "X"], ["top", "sub"]),
+            (["certificate", "--json", "--", "X+1", "X", "--part", "b"], ["top", "sub"]),
+            (["laurent-member", "--json", "--", "real", "0", "1", "--", "2"], ["top", "sub"]),
+            (["member", "-h"], ["top", "sub"]),
+            (["--json", "member", "X"], ["top", "sub"]),
             (["--version"], ["top"]),
             (["--help"], ["top"]),
             (["frobnicate", "X"], ["top"]),
-            (["--json", "member", "X"], ["top", "sub"]),
         ]:
             main(argv)
             assert calls == passes, argv
@@ -973,15 +971,20 @@ class TestCli:
     @example(line=["principal", "--json", "--", "1", "--"])
     @example(line=["laurent-member", "--zero", "--", "real"])
     def test_line_reader_agrees_with_argparse(self, capsys, line):
-        # The reader declines a line or gives exactly what the subcommand's
-        # parser gives, with no leftover token and no error.
+        # The reader declines a line or gives exactly what the top-level
+        # parser, main's other path, gives it, command included.  A line that
+        # parser rejects (or answers with help) is one the reader declines.
         from dressring import cli
 
         args = cli._read_line(line)
-        if args is not None:
-            expected, extras = cli._parser().commands[line[0]].parse_known_args(line[1:])
-            assert extras == [] and vars(args) == vars(expected), line
         assert capsys.readouterr() == ("", "")
+        try:
+            expected = cli._parser().parse_args(line)
+        except (cli.UsageError, SystemExit):
+            assert args is None, line
+        else:
+            assert args is None or vars(args) == vars(expected), line
+        capsys.readouterr()
 
     def test_command_table_uses_only_what_the_reader_reads(self):
         # _read_line reads an operand's nargs ('+' or '?') and choices, and a

@@ -69,8 +69,8 @@ def test_one_sum_over_a_common_denominator():
 
 # (file, top-level def) of every caller that needs a gcd's cofactors.
 COFACTOR_CALLERS = {
-    ("polynomials.py", "RationalFunction"), ("polynomials.py", "poly_lcm"),
-    ("polynomials.py", "squarefree_part"), ("polynomials.py", "squarefree_decomposition"),
+    ("polynomials.py", "RationalFunction"), ("polynomials.py", "squarefree_part"),
+    ("polynomials.py", "squarefree_decomposition"),
     ("dress.py", "over_common_denominator"), ("ideals.py", "_numerator_data"),
     ("idempotent.py", "_factor_row"), ("idempotent.py", "factor_small"),
     ("idempotent.py", "_factor_quadratics_sharing_root"),
