@@ -14,15 +14,12 @@ a repeated root costs a second chain, on sf = p / gcd(p, p').
 
 Rational roots are found inside the isolating intervals, not by enumerating
 divisors: every rational root of a primitive integer polynomial with leading
-coefficient lc has a denominator dividing lc, and two distinct fractions with
-denominators at most |lc| are at least 1/lc^2 apart.  Bisecting a single-root
-interval below that width leaves one candidate, the fraction with denominator
-at most |lc| nearest the midpoint, which is then tested exactly.  The number
-of bisections is logarithmic in the root bound times lc^2, so the cost is
-polynomial in the bit size of the coefficients.  The chain only counts roots
-and splits the box: the root r alone in (a, b] is a simple root of sf, so sf
-has the sign of sf(b) on (r, b] and the opposite one on (a, r), and every
-halving inside (a, b] goes by the sign of sf at the midpoint.
+coefficient lc has a denominator dividing lc, so it is n/lc for an integer n.
+The root r alone in (a, b] is a simple root of sf, so sf has the sign of
+sf(b) on (r, b] and the opposite one on (a, r): one binary search over the n
+with n/lc in (a, b] either lands on r or proves it irrational, in a number of
+steps logarithmic in (b - a) lc.  The chain only counts roots and splits the
+box; every halving inside (a, b] goes by the sign of sf at the midpoint.
 
 Signs of q at the roots of p come from one Tarski query, not from isolation
 (Basu-Pollack-Roy, *Algorithms in Real Algebraic Geometry*, Thm. 2.58): the
@@ -35,6 +32,7 @@ MIXED and HAS_ZERO.  Its cost is polynomial in the bit size as well.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -177,8 +175,6 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     chain = [_strip_content(c) for c in chain]
     ints = chain[0]
     lc = abs(ints[-1])
-    # Distinct fractions with denominators <= lc are at least 1/lc^2 apart.
-    separation = Fraction(1, lc * lc)
     bound = cauchy_bound(Polynomial(tuple(ints)))
     var = partial(_variations, chain)
 
@@ -192,14 +188,16 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
         s_b = _sign_at(ints, b)
         if s_b == 0:
             return IsolatingInterval(b, b, b)
-        lo, hi = a, b
-        while hi - lo >= separation:
-            lo, hi = halve(lo, hi, s_b)
-        # A rational root has denominator dividing lc and is the only such
-        # fraction in (lo, hi], hence the one nearest the midpoint.
-        cand = ((lo + hi) / 2).limit_denominator(lc)
-        if lo < cand <= hi and _sign_at(ints, cand) == 0:
-            return IsolatingInterval(cand, cand, cand)
+        # A rational r has a denominator dividing lc, so it is a point n/lc of
+        # the grid in (a, b]; sf is -s_b at the grid points left of r, s_b right of it.
+        lo, hi = math.floor(a * lc) + 1, math.floor(b * lc)
+        while lo <= hi:
+            n = (lo + hi) // 2
+            t = Fraction(n, lc)
+            s = _sign_at(ints, t)
+            if s == 0:
+                return IsolatingInterval(t, t, t)
+            lo, hi = (n + 1, hi) if s == -s_b else (lo, n - 1)
         # r is irrational.  Move a off any root so [a, b] holds only r.
         lo, hi = a, b
         while _sign_at(ints, lo) == 0:

@@ -3,7 +3,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 
 import pytest
 
@@ -372,6 +372,41 @@ class TestRationalRootsInsideIntervals:
                 p = p * Polynomial.from_coeffs([Fraction(rng.randint(1, 9), rng.randint(1, 9))])
             assert rational_roots(p) == divisor_reference_rational_roots(p)
 
+    def test_denominators_properly_dividing_lc(self):
+        # lc = 288; each root's denominator (2, 3, 4, 12) is a proper divisor of it.
+        p = (2 * X - 1) * (3 * X + 2) * (4 * X - 3) * (12 * X - 5) * (X * X + 1)
+        expected = [Fraction(-2, 3), Fraction(5, 12), Fraction(1, 2), Fraction(3, 4)]
+        assert rational_roots(p) == divisor_reference_rational_roots(p) == expected
+        assert len(isolate_real_roots(p)) == 4
+
+    def test_negative_leading_coefficient(self):
+        p = -(3 * X - 1) * (2 * X + 5) * (X * X - 3)
+        assert p.ints[-1] < 0
+        ivs = isolate_real_roots(p)
+        assert [iv.exact for iv in ivs] == [Fraction(-5, 2), None, Fraction(1, 3), None]
+        assert rational_roots(p) == divisor_reference_rational_roots(p)
+        assert ivs == isolate_real_roots(-p)
+        assert ivs[1].lo ** 2 > 3 > ivs[1].hi ** 2 and ivs[3].lo ** 2 < 3 < ivs[3].hi ** 2
+
+    def test_irrational_root_between_grid_points(self):
+        # The primitive lc is 25,000,000, and sqrt(2) lies 2.4e-9 above the
+        # root 1.41421356: its interval holds no point n/lc of the grid.
+        p = (X * X - 2) * (10**8 * X - 141421356)
+        ivs = isolate_real_roots(p)
+        assert [iv.exact for iv in ivs] == [None, Fraction(141421356, 10**8), None]
+        iv = ivs[2]
+        assert iv.lo ** 2 < 2 < iv.hi ** 2
+        assert floor(iv.lo * 25_000_000) == floor(iv.hi * 25_000_000)
+
+    def test_rational_root_on_a_split_point(self):
+        # The box (-7, 7] splits at 0, a root, which then opens the interval
+        # (0, 7/4] of sqrt(2): the grid search finds no root there, and the
+        # lower end is moved off 0.
+        ivs = isolate_real_roots(X * (X * X - 2) * (X - 3))
+        assert [iv.exact for iv in ivs] == [None, 0, None, 3]
+        assert (ivs[2].lo, ivs[2].hi) == (Fraction(7, 8), Fraction(7, 4))
+        assert ivs[0].lo ** 2 > 2 > ivs[0].hi ** 2
+
     def test_sign_query_builds_one_chain_for_p(self, chain_calls):
         p = (X - 1) * (X + 2) * (X * X - 3)
         q = X - 5
@@ -418,11 +453,11 @@ class TestPlantedFamily:
     """Inside a single-root interval the halving reads the sign of sf alone, not the chain."""
 
     # Degree: (most _variations calls, most _sign_at calls).  The bisection by
-    # chain counts made 554/1992/2544 and 7232/49852/78924.  Degree 36 would
-    # take 2.6 s more for the same check (191 and 14139 calls, against 7187
-    # and 265995).
+    # chain counts made 554/1992/2544 and 7232/49852/78924; bisecting each
+    # single-root interval below width 1/lc^2 made 1580/5668/8124/14139 sign
+    # calls, and the search on the 1/lc grid makes 1358/4764/6926/10570.
     @pytest.mark.parametrize("deg, max_variations, max_signs", [
-        (12, 100, 2_000), (24, 190, 7_000), (30, 230, 10_000)])
+        (12, 100, 1_450), (24, 190, 5_000), (30, 230, 7_400), (36, 200, 11_200)])
     def test_call_counts(self, deg, max_variations, max_signs):
         p, ivs, calls = planted_isolation(deg)
         assert len(ivs) == count_distinct_real_roots(p)
@@ -437,7 +472,15 @@ class TestPlantedFamily:
         assert len(isolate_real_roots(X * X - 2)) == 2
         assert calls == [-3, 3, 0]
 
-    @pytest.mark.parametrize("deg", [12, 24, 30])
+    # SHA-256 of repr(isolate_real_roots(planted_family(d))) for d in 8..30,
+    # one line each, pinned from the output of the 1/lc^2 bisection.
+    PLANTED_OUTPUT_SHA256 = "677dd206c857e541c4575a217a5b60a84884a8b40a3dba02629420b0b15efaee"
+
+    def test_output_is_pinned(self):
+        text = "\n".join(repr(isolate_real_roots(planted_family(d))) for d in range(8, 31))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PLANTED_OUTPUT_SHA256
+
+    @pytest.mark.parametrize("deg", [12, 24, 30, 36])
     def test_against_sympy(self, deg):
         sympy = pytest.importorskip("sympy")
         p, ivs, _ = planted_isolation(deg)
