@@ -39,6 +39,7 @@ deg y <= deg x and x/g is root-free, and the shear (p, q) -> (p, p+q) is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -662,12 +663,17 @@ class StableRangeEvidence:
     nonunit_certified: bool
 
 
+@functools.cache
+def _witness_sum_sq_unit() -> bool:
+    """Whether a^2 + b^2 is a unit for the fixed pair a = X/(1+X^2), b = (X^2-1)/(1+X^2)."""
+    a = DressElement.from_parts(Polynomial.x(), _GAMMA1)
+    b = DressElement.from_parts(Polynomial.from_coeffs([-1, 0, 1]), _GAMMA1)
+    return (a * a + b * b).is_unit()
+
+
 def stable_range_witness(z: DressElement) -> StableRangeEvidence:
     """Evaluate the square-stable-range witness pair at z."""
-    gamma = _GAMMA1
-    a = DressElement.from_parts(Polynomial.x(), gamma)
-    b = DressElement.from_parts(Polynomial.from_coeffs([-1, 0, 1]), gamma)
-    sum_sq_unit = (a * a + b * b).is_unit()
+    sum_sq_unit = _witness_sum_sq_unit()
     # z = f/d' with d' everywhere positive: every DressElement has a monic,
     # root-free denominator.
     f = z.numerator

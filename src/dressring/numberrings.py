@@ -12,12 +12,14 @@ never re-executed; only these conclusions are used.
 Z_S membership and gcds factor denominators with ``factorize``: trial
 division by one gcd with the product of the primes below 1000, then for each
 cofactor Miller-Rabin on 13 bases (and a strong Lucas test from 3.3e24 on), a
-perfect-square check, Pollard's p-1 to B1 = 1000 and B2 = 10,000, and
-Lenstra's elliptic curve method (ECM) in the rows of a fixed schedule: 30
-curves to B1 = 100 and B2 = 5000, 40 to 500 and 50,000, and 25 to 2000 and
-200,000.  A cofactor that no row splits raises ResourceLimitError.  The
-stage 2 of p-1 and of ECM runs on one baby-step giant-step plan, with giant
-steps of 210.
+perfect-square check, and one list of finders: Pollard's p-1 to B1 = 1000 and
+B2 = 10,000, then Lenstra's elliptic curve method (ECM, Ann. Math. 126, 1987)
+on the curves of a fixed schedule: 30 to B1 = 100 and B2 = 5000, 40 to 500
+and 50,000, and 25 to 2000 and 200,000.  A cofactor that none splits raises
+ResourceLimitError.  The parts of a split resume at the finder that split it,
+as each finder before it gave 0 on their multiple, and so gives 0 on them.
+The stage 2 of p-1 and of ECM runs on one baby-step giant-step plan, with
+giant steps of 210.
 """
 
 from __future__ import annotations
@@ -165,6 +167,10 @@ _STAGE2_D = 210
 # and it runs out in 0.5-1.1 s on a 31-39 digit n (CPU time, Python 3.11,
 # Xeon).  The table is factorize's only limit.
 _ECM_SCHEDULE = ((100, 5000, 30), (500, 50_000, 40), (2000, 200_000, 25))
+# factorize's finders in order: p-1 (None), then ECM's curves as (sigma, B1, B2),
+# Suyama's sigma = 6, 7, ... counting on across the rows of _ECM_SCHEDULE.
+_FINDERS = (None, *((sigma, b1, b2) for sigma, (b1, b2) in enumerate(
+    [(b1, b2) for b1, b2, curves in _ECM_SCHEDULE for _ in range(curves)], 6)))
 
 
 def _primes_in(lo: int, hi: int) -> list[int]:
@@ -291,8 +297,8 @@ def _suyama(sigma: int, n: int) -> tuple[int, int] | int:
 
 
 def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
-    """A proper divisor of the odd composite n found on Suyama's curve sigma
-    with the bounds b1 < b2 of a row of _ECM_SCHEDULE, or 0.
+    """A proper divisor of the odd composite n found by ECM on Suyama's curve
+    sigma with the bounds b1 < b2 of a row of _ECM_SCHEDULE, or 0.
 
     Stage 1 takes Q = [k]P with k = lcm(1, ..., b1) by one ladder and
     g = gcd(Z_Q, n), which splits n when the order of P modulo some but not
@@ -346,41 +352,25 @@ def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
     return g if 1 < g < n else 0
 
 
-def _ecm(n: int) -> int:
-    """A proper divisor of the odd composite n found by Lenstra's elliptic curve
-    method (H. W. Lenstra, Ann. Math. 126, 1987), or 0.
-
-    It walks the rows (B1, B2, curves) of _ECM_SCHEDULE in order, and tries
-    Suyama's curves sigma = 6, 7, ... in Montgomery's x:z form, counting on
-    across the rows: each row's curves run with its B1 and B2 (see
-    _ecm_curve).  So the first row's 30 curves are sigma = 6, ..., 35 with
-    B1 = 100 and B2 = 5000.  It draws no random numbers.
-    """
-    sigma = 6
-    for b1, b2, curves in _ECM_SCHEDULE:
-        for _ in range(curves):
-            d = _ecm_curve(n, sigma, b1, b2)
-            if d:
-                return d
-            sigma += 1
-    return 0
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, keys in increasing order.
 
     Trial division takes one gcd of n with the product of the primes below
     ``_TRIAL_BOUND`` (1000) and divides out only the primes of that gcd.  A
     cofactor left that ``is_probable_prime`` does not call prime and that is
-    a perfect square r^2 goes on as r, counted twice; any other goes first to
-    Pollard's p-1 with ``_PM1_B1`` = 1000 and ``_PM1_B2`` = 10,000, whose
-    stage 2 runs on ECM's baby-step giant-step plan, a stage of fixed cost
-    (about 0.36 ms on a 16-digit cofactor), then to ECM on the rows of
-    ``_ECM_SCHEDULE``, from 30 curves with B1 = 100 and B2 = 5000 (about
-    0.4 ms a curve) to 25 curves with B1 = 2000 and B2 = 200,000.  The table
-    is the limit: if no row finds a proper divisor, ResourceLimitError names
-    n and the schedule's last row.  The square check takes p^2 for a prime
-    such as 1093, on which p-1 and ECM's stage 1 find only gcd = n.
+    a perfect square r^2 goes on as r, counted twice; any other goes through
+    ``_FINDERS``: Pollard's p-1 with ``_PM1_B1`` = 1000 and ``_PM1_B2`` =
+    10,000, a stage of fixed cost (about 0.36 ms on a 16-digit cofactor),
+    then ECM's curves, from 30 with B1 = 100 and B2 = 5000 (about 0.4 ms a
+    curve) to 25 with B1 = 2000 and B2 = 200,000.  The table is the limit:
+    if no finder returns a proper divisor, ResourceLimitError names n and
+    the schedule's last row.  The square check takes p^2 for a prime such as
+    1093, on which p-1 and ECM's stage 1 find only gcd = n.
+
+    The parts of a split resume at the finder that split it.  That is exact:
+    a finder that returns 0 on m takes only gcds of 1 or m, which stay 1 or d
+    mod a divisor d of m, so it returns 0 on d too.  The splitting finder runs
+    again, as its later gcds are untried where its splitting gcd was 1.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -397,25 +387,28 @@ def factorize(n: int) -> dict[int, int]:
             while n % p == 0:
                 out[p] += 1
                 n //= p
-    # (m, k): m^k divides n and is left to split; a square m = r^2 goes on as
-    # (r, 2k), so that r is factored once.
-    stack = [(n, 1)] if n > 1 else []
+    # (m, k, i): m^k divides n and is left to split from _FINDERS[i] on; a
+    # square m = r^2 goes on as (r, 2k, i), so that r is factored once.
+    stack = [(n, 1, 0)] if n > 1 else []
     while stack:
-        m, k = stack.pop()
+        m, k, i = stack.pop()
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + k
             continue
         r = isqrt(m)
         if r * r == m:
-            stack.append((r, 2 * k))
+            stack.append((r, 2 * k, i))
             continue
-        d = _pollard_pm1(m) or _ecm(m)
-        if not d:
+        for i, curve in enumerate(_FINDERS[i:], i):
+            d = _ecm_curve(m, *curve) if curve else _pollard_pm1(m)
+            if d:
+                break
+        else:
             b1, b2, curves = _ECM_SCHEDULE[-1]
             raise ResourceLimitError(
                 f"factorize({format_fraction(original)}): ECM found no factor up to the last "
                 f"row of its schedule, {curves} curves with B1 = {b1} and B2 = {b2}")
-        stack.extend([(d, k), (m // d, k)])
+        stack.extend([(d, k, i), (m // d, k, i)])
     return dict(sorted(out.items()))
 
 

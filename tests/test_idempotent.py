@@ -1398,6 +1398,16 @@ class TestStableRangeWitness:
         ev = stable_range_witness(DressElement.zero())
         assert ev.sum_sq_unit
 
+    def test_fixed_pair_is_checked_once(self, monkeypatch):
+        # a^2 + b^2 does not depend on z: two witnesses make one is_unit call.
+        calls = []
+        original = dress.is_unit
+        monkeypatch.setattr(dress, "is_unit", lambda r: calls.append(r) or original(r))
+        idempotent._witness_sum_sq_unit.cache_clear()
+        first, second = stable_range_witness(elem(X)), stable_range_witness(DressElement.zero())
+        assert len(calls) == 1
+        assert first.sum_sq_unit and second.sum_sq_unit
+
     def test_examples(self):
         for z in (DressElement.zero(), elem(Polynomial.one()), elem(X)):
             ev = stable_range_witness(z)

@@ -152,12 +152,18 @@ def assert_past_the_schedule(error: Exception, n: int) -> None:
     assert f"{curves} curves with B1 = {b1} and B2 = {b2}" in str(error)
 
 
+def ecm_divisor(n: int) -> int:
+    """The divisor of n that the first splitting curve of ECM's schedule finds, or 0."""
+    return next(filter(None, (numberrings._ecm_curve(n, *curve)
+                              for curve in numberrings._FINDERS[1:])), 0)
+
+
 @pytest.fixture
 def refuse_ecm(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"_ecm({n}) called")
+    def refuse(n, *curve):
+        raise AssertionError(f"_ecm_curve({n}, {curve}) called")
 
-    monkeypatch.setattr(numberrings, "_ecm", refuse)
+    monkeypatch.setattr(numberrings, "_ecm_curve", refuse)
 
 
 class TestFactorize:
@@ -270,6 +276,35 @@ class TestFactorize:
         # A square has no D with (D/n) = -1; the search would run to D = p.
         assert not numberrings._strong_lucas((2**61 - 1) ** 2)
 
+    def test_jacobi_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4707)
+        for n in [1, 3, 5, 7, 9, 15, 999_999] + [rng.randrange(1, 10**6, 2) for _ in range(300)]:
+            grid = [rng.randrange(-10**7, 10**7) for _ in range(8)]
+            for a in [0, n, -n, 3 * n, 1, -1, 2, -2] + grid:
+                assert numberrings._jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+    def test_parts_resume_at_the_splitting_finder(self, monkeypatch):
+        # Four 8-digit primes: the third finder, ECM's curve sigma = 7, splits
+        # off one prime, and the composite part resumes at it; the fourth,
+        # sigma = 8, splits that part, and its composite part resumes there.
+        # No call on a divisor of m uses a lower finder than a call on m did.
+        ps = [22129273, 23603227, 48833327, 98674547]
+        n = math.prod(ps)
+        calls = []
+        pm1, curve = numberrings._pollard_pm1, numberrings._ecm_curve
+        monkeypatch.setattr(numberrings, "_pollard_pm1", lambda m: calls.append((0, m)) or pm1(m))
+        monkeypatch.setattr(numberrings, "_ecm_curve", lambda m, *c: calls.append(
+            (numberrings._FINDERS.index(c), m)) or curve(m, *c))
+        assert factorize(n) == dict.fromkeys(ps, 1)
+        for t, (i, m) in enumerate(calls):
+            assert all(i >= j for j, big in calls[:t] if big % m == 0), calls[:t + 1]
+        first = {}
+        for i, m in calls:
+            first.setdefault(m, i)
+        assert first.pop(n) == 0
+        assert sorted(first.values()) == [2, 3]
+
 
 class TestPollardPm1:
     """Semiprimes p*q planted so that one stage of p-1 must split them, or so
@@ -331,14 +366,15 @@ class TestPollardPm1:
 
     @pytest.fixture
     def ecm_calls(self, monkeypatch):
+        """The n of every _ecm_curve call, one entry a curve."""
         calls = []
-        original = numberrings._ecm
+        original = numberrings._ecm_curve
 
-        def recording(n):
+        def recording(n, *curve):
             calls.append(n)
-            return original(n)
+            return original(n, *curve)
 
-        monkeypatch.setattr(numberrings, "_ecm", recording)
+        monkeypatch.setattr(numberrings, "_ecm_curve", recording)
         return calls
 
     @pytest.mark.parametrize("seed", [3801, 3802, 3803])
@@ -348,7 +384,7 @@ class TestPollardPm1:
         # Stage 1 finds every prime at once: gcd(2^E - 1, pq) = pq.
         assert pow(2, PM1_EXPONENT, p * q) == 1
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
-        assert ecm_calls == [p * q]
+        assert set(ecm_calls) == {p * q}
 
     @pytest.fixture
     def pm1_calls(self, monkeypatch):
@@ -374,7 +410,7 @@ class TestPollardPm1:
         # row of the schedule finds a factor.  The square check takes every p^2
         # before p-1.
         assert numberrings._pollard_pm1(p * p) == 0
-        assert numberrings._ecm(p * p) == (0 if p == 1093 else p)
+        assert ecm_divisor(p * p) == (0 if p == 1093 else p)
         pm1_calls.clear()
         ecm_calls.clear()
         assert factorize(p * p) == {p: 2}
@@ -384,7 +420,7 @@ class TestPollardPm1:
         # A square cofactor goes on as its root, counted twice.
         p, q = 1000000000000037, 2000000000000021
         assert factorize(3 * (p * q) ** 2) == {3: 1, p: 2, q: 2}
-        assert ecm_calls == [p * q]
+        assert set(ecm_calls) == {p * q}
 
     @pytest.mark.parametrize("p", [1093, 3511])
     def test_wieferich_prime_powers(self, p):
@@ -473,15 +509,19 @@ class TestEcm:
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
 
     def test_raises_when_ecm_gives_up(self, monkeypatch):
-        # No stage follows ECM: when it gives up, factorize raises.
+        # No stage follows ECM's last curve: when every curve gives up,
+        # factorize raises.  Each of the 95 curves runs once on p*q, with
+        # sigma = 6, ..., 100 counting on across the rows of the schedule.
         rng = random.Random(4006)
         p, q = rough_prime(rng, 10**6, 10**8), rough_prime(rng, 10**6, 10**8)
         calls = []
-        monkeypatch.setattr(numberrings, "_ecm", lambda n: calls.append(n) or 0)
+        monkeypatch.setattr(numberrings, "_ecm_curve", lambda *args: calls.append(args) or 0)
         with pytest.raises(ResourceLimitError) as info:
             factorize(p * q)
         assert_past_the_schedule(info.value, p * q)
-        assert calls == [p * q]
+        assert calls == ([(p * q, sigma, 100, 5000) for sigma in range(6, 36)]
+                         + [(p * q, sigma, 500, 50_000) for sigma in range(36, 76)]
+                         + [(p * q, sigma, 2000, 200_000) for sigma in range(76, 101)])
 
 
 class TestFactorizeSympyOracle:
@@ -502,10 +542,21 @@ class TestFactorizeSympyOracle:
             cases += [smooth_prime(rng, 10**8) * rough, semismooth_prime(rng, 10**8) * rough,
                       smooth_prime(rng, 10**8) * smooth_prime(rng, 10**7),
                       rough * rough_prime(rng, 10**6, 10**8)]
+        # Three and four primes of 6-9 digits, some squared: a split leaves
+        # composite parts, which resume at the finder that split them.
+        # factorint takes seconds on these, so nextprime alone certifies them.
+        products = []
+        for size in (3, 4) * 8:
+            primes = [int(sympy.nextprime(rng.randrange(10**5, 10**9))) for _ in range(size)]
+            products.append(planted(p for p in primes for _ in range(rng.choice((1, 1, 1, 2)))))
         for n in cases:
             expected = {int(p): e for p, e in sympy.factorint(n).items()}
             f = factorize(n)
             assert f == expected, n
+            assert list(f) == sorted(f)
+        for n, expected in products:
+            f = factorize(n)
+            assert f == dict(sorted(expected.items())), n
             assert list(f) == sorted(f)
 
     def test_thirteen_and_fourteen_digit_semiprimes(self):
