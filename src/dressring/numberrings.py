@@ -367,10 +367,10 @@ def factorize(n: int) -> dict[int, int]:
     the schedule's last row.  The square check takes p^2 for a prime such as
     1093, on which p-1 and ECM's stage 1 find only gcd = n.
 
-    The parts of a split resume at the finder that split it.  That is exact:
-    a finder that returns 0 on m takes only gcds of 1 or m, which stay 1 or d
-    mod a divisor d of m, so it returns 0 on d too.  The splitting finder runs
-    again, as its later gcds are untried where its splitting gcd was 1.
+    Parts of a split resume at the finder that split it, exactly, as finders
+    use fixed bounds and residues mod m: one that gave 0 on m took gcds of 1
+    or m only, which stay 1 or d mod a divisor d, so it gives 0 on d.  The
+    splitting finder runs again: its later gcds are untried on the parts.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")

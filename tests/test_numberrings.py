@@ -152,12 +152,6 @@ def assert_past_the_schedule(error: Exception, n: int) -> None:
     assert f"{curves} curves with B1 = {b1} and B2 = {b2}" in str(error)
 
 
-def ecm_divisor(n: int) -> int:
-    """The divisor of n that the first splitting curve of ECM's schedule finds, or 0."""
-    return next(filter(None, (numberrings._ecm_curve(n, *curve)
-                              for curve in numberrings._FINDERS[1:])), 0)
-
-
 @pytest.fixture
 def refuse_ecm(monkeypatch):
     def refuse(n, *curve):
@@ -305,6 +299,39 @@ class TestFactorize:
         assert first.pop(n) == 0
         assert sorted(first.values()) == [2, 3]
 
+    def test_resumed_parts_skip_only_futile_finders(self, monkeypatch):
+        # Products of three and four 8-digit primes, some squared.  Every finder
+        # that a resumed part m skips returns 0 on m, so factorize with the
+        # resume makes the same splitting calls, and returns the same dicts, as
+        # with every part starting at p-1.  A finder that acted on the size of
+        # m, not only on residues mod m, could split a part that its run on the
+        # whole missed, and this would fail.
+        rng = random.Random(4722)
+        pm1, curve = numberrings._pollard_pm1, numberrings._ecm_curve
+
+        def run(j, m):
+            c = numberrings._FINDERS[j]
+            return curve(m, *c) if c else pm1(m)
+
+        def record(m, j, result):
+            first.setdefault(m, j)
+            return result
+
+        monkeypatch.setattr(numberrings, "_pollard_pm1", lambda m: record(m, 0, pm1(m)))
+        monkeypatch.setattr(numberrings, "_ecm_curve", lambda m, *c: record(
+            m, numberrings._FINDERS.index(c), curve(m, *c)))
+        resumed = []
+        for size in (3, 4) * 5:
+            primes = [rand_prime(rng, 10**7, 10**8) for _ in range(size)]
+            n, expected = planted(p for p in primes for _ in range(rng.choice((1, 1, 1, 2))))
+            first = {}  # each m that a finder ran on, and the first finder run on it
+            assert factorize(n) == dict(sorted(expected.items())), n
+            for m, i in first.items():
+                assert not any(run(j, m) for j in range(i)), (n, m, i)
+                resumed += [i] if i else []
+        # Nine parts resume, past p-1 and past up to three curves.
+        assert sorted(resumed) == [1, 1, 2, 2, 3, 3, 4, 4, 4]
+
 
 class TestPollardPm1:
     """Semiprimes p*q planted so that one stage of p-1 must split them, or so
@@ -366,16 +393,23 @@ class TestPollardPm1:
 
     @pytest.fixture
     def ecm_calls(self, monkeypatch):
-        """The n of every _ecm_curve call, one entry a curve."""
+        """The (n, sigma) of every _ecm_curve call, one entry a curve."""
         calls = []
         original = numberrings._ecm_curve
 
-        def recording(n, *curve):
-            calls.append(n)
-            return original(n, *curve)
+        def recording(n, sigma, b1, b2):
+            calls.append((n, sigma))
+            return original(n, sigma, b1, b2)
 
         monkeypatch.setattr(numberrings, "_ecm_curve", recording)
         return calls
+
+    @staticmethod
+    def assert_one_ecm_pass(calls, n):
+        """ECM ran once on n: sigma = 6, 7, ... each once, up to a curve that splits n."""
+        last = calls[-1][1]
+        assert calls == [(n, sigma) for sigma in range(6, last + 1)]
+        assert numberrings._ecm_curve(n, *numberrings._FINDERS[last - 5])
 
     @pytest.mark.parametrize("seed", [3801, 3802, 3803])
     def test_both_smooth_falls_through_to_ecm(self, ecm_calls, seed):
@@ -384,7 +418,7 @@ class TestPollardPm1:
         # Stage 1 finds every prime at once: gcd(2^E - 1, pq) = pq.
         assert pow(2, PM1_EXPONENT, p * q) == 1
         assert factorize(p * q) == dict(sorted({p: 1, q: 1}.items()))
-        assert set(ecm_calls) == {p * q}
+        self.assert_one_ecm_pass(ecm_calls, p * q)
 
     @pytest.fixture
     def pm1_calls(self, monkeypatch):
@@ -410,17 +444,22 @@ class TestPollardPm1:
         # row of the schedule finds a factor.  The square check takes every p^2
         # before p-1.
         assert numberrings._pollard_pm1(p * p) == 0
-        assert ecm_divisor(p * p) == (0 if p == 1093 else p)
+        if p == 1093:
+            assert not any(numberrings._ecm_curve(p * p, *c) for c in numberrings._FINDERS[1:])
+        else:
+            first_row = numberrings._FINDERS[1:1 + numberrings._ECM_SCHEDULE[0][2]]
+            assert p in (numberrings._ecm_curve(p * p, *c) for c in first_row)
         pm1_calls.clear()
         ecm_calls.clear()
         assert factorize(p * p) == {p: 2}
         assert pm1_calls == ecm_calls == []
 
-    def test_square_root_is_factored_once(self, ecm_calls):
+    def test_square_root_is_factored_once(self, pm1_calls, ecm_calls):
         # A square cofactor goes on as its root, counted twice.
         p, q = 1000000000000037, 2000000000000021
         assert factorize(3 * (p * q) ** 2) == {3: 1, p: 2, q: 2}
-        assert set(ecm_calls) == {p * q}
+        assert pm1_calls == [p * q]
+        self.assert_one_ecm_pass(ecm_calls, p * q)
 
     @pytest.mark.parametrize("p", [1093, 3511])
     def test_wieferich_prime_powers(self, p):
