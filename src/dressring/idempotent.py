@@ -675,12 +675,10 @@ def stable_range_witness(z: DressElement) -> StableRangeEvidence:
     """Evaluate the square-stable-range witness pair at z."""
     sum_sq_unit = _witness_sum_sq_unit()
     # z = f/d' with d' everywhere positive: every DressElement has a monic,
-    # root-free denominator.
-    f = z.numerator
+    # root-free denominator.  X^2 - 1 vanishes at +-1, so f1(+-1) = +-d'(+-1).
     d_pos = z.denominator
-    f1 = Polynomial.x() * d_pos + Polynomial.from_coeffs([-1, 0, 1]) * f
-    v1 = f1.evaluate(1)
-    v_minus = f1.evaluate(-1)
+    v1 = d_pos.evaluate(1)
+    v_minus = -d_pos.evaluate(-1)
     if not (v1 > 0 and v_minus < 0):
         raise CertificateError(f"witness values {format_fraction(v1)} at 1 and "
                                f"{format_fraction(v_minus)} at -1 must be + and -")

@@ -412,10 +412,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _is_s_prime(p: int) -> bool:
-    return p % 4 == 1
-
-
 def zs_member(q: Fraction) -> bool:
     """True iff q lies in Z_S: every prime factor of the reduced denominator is 1 mod 4."""
     q = _as_fraction(q)
@@ -433,7 +429,7 @@ def _split_s(n: int) -> tuple[int, int]:
     """(S-part, rest) of n >= 1: the product of its prime powers that are 1 mod 4, and n over it."""
     s_part = rest = 1
     for p, e in factorize(n).items():
-        if _is_s_prime(p):
+        if p % 4 == 1:
             s_part *= p**e
         else:
             rest *= p**e
@@ -550,10 +546,9 @@ class TruncLaurent:
             return other
         if other.is_declared_zero:
             return self
+        # Neither is declared zero, so each has precision > order, and prec > lo.
         prec = min(self.precision, other.precision)
         lo = min(self.order, other.order)
-        if prec <= lo:
-            raise IndeterminateSeriesError("sum has no known coefficients at this precision")
         cs = [self.coefficient(k) + other.coefficient(k) for k in range(lo, prec)]
         return TruncLaurent._renormalize(self.base, lo, cs)
 

@@ -97,7 +97,6 @@ def _whole_term(space: str) -> re.Pattern:
 # term with whitespace fails the first at once.
 _TIGHT_TERM, _WHOLE_TERM = _whole_term(""), _whole_term(r"\s*")
 
-_MARKS = frozenset("-+*/^()[],X")
 _ONE = Polynomial.one()
 _X = Polynomial.x()
 
@@ -234,13 +233,7 @@ class _Parser:
 
     def advance(self) -> None:
         """Read the next token: kind is 'int', 'X', a mark or 'end', at offset pos."""
-        end = self.end
-        mark = self.text[end:end + 1]
-        if mark in _MARKS:  # an unspaced mark, read without the regex
-            self.kind = self.tok = mark
-            self.pos, self.end = end, end + 1
-            return
-        m = mark and _TOKEN.match(self.text, end)
+        m = _TOKEN.match(self.text, self.end)
         if not m:  # the end, after any whitespace
             self.kind, self.tok, self.pos = "end", "", len(self.text)
             return
@@ -414,9 +407,7 @@ class _Parser:
         kind = self.kind
         if kind == "(":  # the commonest atom of a term that is read token by token
             value = self.parse_expr(self.end)
-            if self.kind != ")":
-                self.take(")")  # raises
-            self.advance()
+            self.take(")")
             return value
         if kind == "int":
             value = _int(self.tok)
@@ -499,10 +490,6 @@ def format_rational_function(r: RationalFunction) -> str:
 
 
 def format_matrix(m) -> str:
-    """Canonical form for anything with 4 entries exposing .value or being RFs."""
-    vals = []
-    for entry in m.entries():
-        rf = entry.value if hasattr(entry, "value") else entry
-        vals.append(format_rational_function(rf))
-    a, b, c, d = vals
+    """Canonical form of a matrix whose 4 entries print as rational functions."""
+    a, b, c, d = map(str, m.entries())
     return f"[[{a}, {b}], [{c}, {d}]]"

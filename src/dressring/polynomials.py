@@ -622,9 +622,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         return []
     p = p.monic()
     out: list[tuple[Polynomial, int]] = []
-    a, b, c = _gcd_cofactors(p, p.derivative())
-    if a.degree == 0:
-        return [(p, 1)]
+    _, b, c = _gcd_cofactors(p, p.derivative())
     i = 1
     d = c - b.derivative()
     while b.degree >= 1:  # b stays monic, the cofactor of a monic gcd

@@ -219,14 +219,12 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
     def tighten(iv: IsolatingInterval) -> IsolatingInterval:
         return IsolatingInterval(*halve(iv.lo, iv.hi, _sign_at(ints, iv.hi)))
 
+    # A box (a, b] yields a point r <= b, or [lo, b] with sf(b) != 0, and the next
+    # box moves off b when sf(b) = 0: only an irrational [lo, b] meets the next
+    # box's irrational [b, hi'], and tightening the left one parts them.
     for i in range(1, len(out)):
         while out[i - 1].hi >= out[i].lo:
-            if not out[i - 1].is_exact:
-                out[i - 1] = tighten(out[i - 1])
-            elif not out[i].is_exact:
-                out[i] = tighten(out[i])
-            else:  # distinct exact rationals can never collide
-                break
+            out[i - 1] = tighten(out[i - 1])
     return out
 
 

@@ -67,6 +67,10 @@ class TestIdealSquare:
         with pytest.raises(ShapeViolation):
             IdealGens.of(DressElement.zero())
 
+    def test_no_generators_rejected(self):
+        with pytest.raises(ShapeViolation, match="at least one generator"):
+            IdealGens(())
+
     def test_two_generator_square_equals_sum_of_squares(self):
         # independent cross-check: for J = (a, b) the returned generator is
         # exactly a^2 + b^2, the ideal-squaring identity
@@ -204,6 +208,10 @@ class TestInverse:
         assert inv.gens[0] == RationalFunction.from_rational(Fraction(1, 3))
         assert inv.gens[1].is_zero
         assert inv.certificate.value == RationalFunction.from_rational(9)
+
+    def test_zero_pair_rejected(self):
+        with pytest.raises(ShapeViolation, match="zero ideal is not invertible"):
+            ideal_inverse(DressElement.zero(), DressElement.zero())
 
     def test_remark_stable_pair_inverse_is_unit_scaled(self):
         a, b = elem(X), elem(X * X - 1)

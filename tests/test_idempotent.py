@@ -197,6 +197,10 @@ class TestPositivityCertificate:
         cert = positivity_certificate(x, y)
         self.assert_invariants(x, y, cert)
 
+    def test_rejects_zero_input(self):
+        with pytest.raises(CertificatePreconditionError, match="must be nonzero"):
+            positivity_certificate(Polynomial.zero(), X)
+
     def test_rejects_unequal_degrees(self):
         with pytest.raises(CertificatePreconditionError):
             positivity_certificate(X, X * X + 1)
@@ -1421,6 +1425,21 @@ class TestStableRangeWitness:
             ev = stable_range_witness(z)
             assert ev.value_at_1 > 0 > ev.value_at_minus_1
             assert ev.nonunit_certified
+
+    def test_values_are_f1_at_plus_and_minus_one(self):
+        # f1 = X*d' + (X^2 - 1)*f of the evidence's docstring, built in full.
+        # Denominators with d'(1) != d'(-1) catch a sign or a point mix-up.
+        rng = random.Random(48)
+        checked = 0
+        while checked < 40:
+            z = rand_member_nonzero(rng, 2)
+            d = z.denominator
+            if d.evaluate(1) == d.evaluate(-1):
+                continue
+            f1 = X * d + (X * X - 1) * z.numerator
+            ev = stable_range_witness(z)
+            assert (ev.value_at_1, ev.value_at_minus_1) == (f1.evaluate(1), f1.evaluate(-1))
+            checked += 1
 
     def test_raw_non_monic_denominator(self):
         # Left as given, d' = -(X^2+1) would flip both witness signs and the

@@ -812,6 +812,40 @@ class TestLaurent:
         for t in (s, -s, s + s, s * s, s - s):
             assert t.precision == t.order + len(t.coeffs)
 
+    def test_make_needs_a_coefficient(self):
+        with pytest.raises(ShapeViolation):
+            TruncLaurent.make(SeriesBase.REAL_HENSELIAN, 0, [])
+
+    def test_coefficient_at_the_precision_is_unknown(self):
+        s = TruncLaurent.make(SeriesBase.REAL_HENSELIAN, -1, [1, 2])
+        assert s.coefficient(s.precision - 1) == 2
+        with pytest.raises(IndeterminateSeriesError):
+            s.coefficient(s.precision)
+
+    def test_declared_zero_operands(self):
+        base = SeriesBase.RATIONAL_HENSELIAN
+        a, zero = TruncLaurent.make(base, -1, [3, 1]), TruncLaurent.zero(base)
+        assert a + zero is a and zero + a is a
+        assert -zero is zero
+        assert (a * zero).is_declared_zero and a * zero == zero
+
+    def test_sum_of_nonzero_series_keeps_the_smaller_precision(self):
+        # Each operand holds a coefficient, so its precision exceeds its order,
+        # and the sum always has a known coefficient: it never raises.
+        rng = random.Random(48)
+        for base in SeriesBase:
+            for _ in range(100):
+                a, b = (TruncLaurent.make(base, rng.randint(-3, 3),
+                                          [rng.randint(-2, 2) for _ in range(rng.randint(1, 4))])
+                        for _ in range(2))
+                total = a + b
+                assert total.precision == min(a.precision, b.precision)
+                for k in range(min(a.order, b.order), total.precision):
+                    assert total.coefficient(k) == a.coefficient(k) + b.coefficient(k)
+
+    def test_rational_base_negative_order_is_no_member(self):
+        assert not laurent_member(TruncLaurent.make(SeriesBase.RATIONAL_HENSELIAN, -1, [1, 1]))
+
 
 class TestFloatInputs:
     """A float is no exact rational: every entry point raises TypeError, as Polynomial does."""

@@ -820,6 +820,17 @@ class TestCli:
     def test_unknown_command_exit_two(self, capsys):
         assert main(["frobnicate", "X"]) == 2
 
+    @pytest.mark.parametrize("argv, error", [
+        (["gamma", "--", "1/X"], "expected a polynomial, got (1)/(X)"),
+        (["factor", "--", "[[1,0],[1,0]]"], "factor needs a matrix with zero second row"),
+        (["laurent-member", "--", "real", "0"], "laurent-member needs ORDER and COEFFS, or --zero"),
+        (["member", "(" * 100_000 + "X" + ")" * 100_000], "expression too deeply nested"),
+    ], ids=["gamma-not-polynomial", "factor-second-row", "laurent-missing-coeffs", "nested"])
+    def test_handler_errors_exit_two(self, capsys, argv, error):
+        code, report = run_cli_json(argv, capsys)
+        assert code == 2
+        assert report == {"ok": False, "command": argv[0], "result": None, "error": error}
+
     def test_deeply_nested_expression_exit_two(self, capsys):
         expr = "(" * 50_000 + "X" + ")" * 50_000
         code, report = run_cli_json(["member", expr], capsys)

@@ -538,6 +538,16 @@ class TestRationalFunction:
             if b:
                 assert (a / b) * b == a
 
+    def test_evaluate(self):
+        assert RationalFunction.make(X + 1, X * X + 1).evaluate(2) == Fraction(3, 5)
+        with pytest.raises(ZeroDenominatorError, match="^pole at 1$"):
+            RationalFunction.make(Polynomial.one(), X - 1).evaluate(1)
+
+    def test_reflected_and_negative_power_operators(self):
+        r = RationalFunction.make(X + 1, X * X + 1)
+        assert 1 / r == RationalFunction.make(X * X + 1, X + 1)
+        assert r**-2 == RationalFunction.make((X * X + 1) ** 2, (X + 1) ** 2)
+        assert 2 - r == RationalFunction.make(2 * X * X - X + 1, X * X + 1)
 
     def test_polynomial_operands_match_make(self):
         # Sums, products and powers of polynomials skip make; the result
