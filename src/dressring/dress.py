@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotInDressRing, ZeroPolynomialError
+from .errors import CertificateError, NotInDressRing, ZeroPolynomialError
 from .polynomials import (
     _ONE,
     Degree,
     Polynomial,
     RationalFunction,
     _coerce_rf,
-    _exact_div,
+    _cofactor,
     _gcd_cofactors,
     squarefree_decomposition,
 )
@@ -48,8 +48,6 @@ def membership_failure(r: RationalFunction) -> Optional[str]:
 
 def is_unit(r: RationalFunction) -> bool:
     """True iff r is invertible in D: numerator and denominator root-free of equal degree."""
-    if r.is_zero:
-        return False
     return r.degree == 0 and is_gamma(r.den) and is_gamma(r.num)
 
 
@@ -165,6 +163,13 @@ def _val(x) -> RationalFunction:
     raise TypeError(f"cannot use {type(x).__name__} as an element of D")
 
 
+def _elem(x) -> DressElement:
+    """x as an element of D: a DressElement as it is, and a rational number,
+    Polynomial or RationalFunction through the checked constructor, which
+    raises NotInDressRing outside D; TypeError for any other type."""
+    return x if type(x) is DressElement else DressElement(_val(x))
+
+
 def over_common_denominator(
     elems: Sequence[DressElement],
 ) -> tuple[list[Polynomial], Polynomial]:
@@ -192,15 +197,15 @@ def over_common_denominator(
 
 def divides(a: DressElement, b: DressElement) -> bool:
     """True iff b/a stays in D.  Everything divides zero; a must be nonzero."""
+    a, b = _elem(a), _elem(b)
     if a.is_zero:
         raise ZeroPolynomialError("division by the zero element")
-    if b.is_zero:
-        return True
     return is_member(b.value / a.value)
 
 
 def associates(a: DressElement, b: DressElement) -> bool:
     """True iff a and b generate the same principal ideal (ratio a unit, or both zero)."""
+    a, b = _elem(a), _elem(b)
     if a.is_zero or b.is_zero:
         return a.is_zero and b.is_zero
     return is_unit(a.value / b.value)
@@ -239,6 +244,7 @@ def classify_numerator(a: DressElement) -> NumeratorClassification:
     One isolation per factor: exact roots split off as linear factors, and the
     other intervals count the (irrational) real roots of the cofactor.
     """
+    a = _elem(a)
     if a.is_zero:
         raise ZeroPolynomialError("cannot classify the zero element")
     num = a.numerator
@@ -252,9 +258,13 @@ def classify_numerator(a: DressElement) -> NumeratorClassification:
             if not iv.is_exact:
                 n_real += 1
                 continue
-            lin = Polynomial.from_coeffs([-iv.exact, 1])
+            r = iv.exact
+            lin = Polynomial.from_coeffs([-r, 1])
             real_rooted.append((lin, mult))
-            s = _exact_div(s, lin)
+            # For r = n/d, s/(X - r) is s/(H/lc H) with H = d X - n primitive.
+            if not (q := _cofactor(s, (-r.numerator, r.denominator))):
+                raise CertificateError(f"{lin} does not divide {s}")
+            s = q
         if s.degree >= 1:
             if n_real == 0:
                 root_free.append((s, mult))

@@ -17,18 +17,9 @@ coefficients of the top squares are positive.  So deg T == 2s holds iff s is
 that maximum; with T root-free, this puts every quotient f_i'/h, h f_i'/T and
 f_i' f_j'/T in D, and so covers divisibility and the unit check.
 
-A real x is a root of T iff it is a root of every f_i', as T(x) is a sum of
-real squares.  So T is root-free iff gcd(f_i') is, and that gcd is 1 for the
-cofactors of M.  The identity's own values decide it first.  Let
-v_i = (D f_i')(xi) at _kronecker's xi = 2^k.  If 0 < gcd(v_i) <= xi/2, the
-f_i' are coprime, by GCDHEU's argument (Char, Geddes and Gonnet, J. Symbolic
-Comput. 7, 1989).  A nonconstant common factor K of the integer polynomials
-D f_i' divides every v_i.  Its roots are roots of a nonzero P = D f_j', so by
-Cauchy's bound they lie below 1 + |P| <= xi/2 in absolute value (|.| the
-largest absolute coefficient; _kronecker's bound makes xi >= 2 + 2|P|).  So
-|K(xi)| > xi/2, and gcd(v_i) is 0 or above xi/2.  Only when the values prove
-nothing does is_gamma decide gcd(f_i'), the exact completion of a one-sided
-test.  No Sturm chain of T is built.
+T is root-free iff gcd(f_i') is, and that gcd is 1 for the cofactors of M.
+The identity's own values prove it first, and is_gamma decides gcd(f_i') only
+when they prove nothing; no Sturm chain of T is built (see _sum_of_squares).
 
 The generator M h/gamma and its coefficients h f'/T, h g'/T are reduced with no
 gcd: gcd(f', T) = gcd(f', g'^2) = 1 as f', g' are the cofactors of M, and
@@ -45,9 +36,9 @@ from functools import reduce
 from math import gcd as igcd, lcm
 from typing import Optional, Sequence
 
-from .dress import DressElement, over_common_denominator
+from .dress import DressElement, _elem, over_common_denominator
 from .errors import CertificateError, ShapeViolation
-from .polynomials import (_ONE, _ZERO, Polynomial, RationalFunction, _gamma1_product,
+from .polynomials import (_ZERO, Polynomial, RationalFunction, _gamma1_product,
                           _gamma1_quotient, _gcd_cofactors, _kronecker, _make, poly_gcd)
 from .realroots import is_gamma
 
@@ -59,6 +50,7 @@ class IdealGens:
     gens: tuple[DressElement, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "gens", tuple(map(_elem, self.gens)))
         if not self.gens:
             raise ShapeViolation("an ideal needs at least one generator")
         if all(g.is_zero for g in self.gens):
@@ -96,13 +88,10 @@ def _gcd_fold(nums: Sequence[Polynomial]) -> tuple[Polynomial, list[Polynomial]]
             m, m_g, f = _gcd_cofactors(m, f)
             cofactors = [c * m_g for c in cofactors]
         elif f.ints:
-            m, f = f, _ONE
+            m, f = f.monic(), Polynomial.constant(f.leading_coefficient)
         cofactors.append(f)
     if not m.ints:
         raise ShapeViolation("the zero ideal has no principality data")
-    if m.ints[-1] != m.denom:  # a single nonzero numerator f: M = f/lc(f)
-        lc = m.leading_coefficient
-        m, cofactors = m.monic(), [c.scale(lc) for c in cofactors]
     return m, cofactors
 
 
@@ -120,19 +109,15 @@ def _sum_of_squares(m: Polynomial, cofactors, s: int, nums) -> Polynomial:
     of gcd(f_i').  The identity's values v_i = (D f_i')(xi) at
     _kronecker's xi = 2^k decide that gcd first (_values_coprime): if
     0 < gcd(v_i) <= xi/2, the f_i' are coprime, which they are as the
-    cofactors of M.  This is GCDHEU's proof (see _gcd_cofactors).  Suppose a
-    nonconstant primitive K in Z[X] divides every f_i'.  By Gauss's lemma
-    it divides each integer polynomial D f_i' in Z[X], so K(xi) divides
-    every v_i and their gcd g.  Let P = D f_j' be nonzero.  Every root z of
-    K is a root of P, so Cauchy's bound gives |z| < 1 + |P| (|.| the
-    largest absolute coefficient).  With xi >= 2 + 2|P| that makes
-    |z| < xi/2, so |K(xi)| = |lc K| prod |xi - z| > (xi/2)^deg K >= xi/2,
-    and g = 0 or g > xi/2.  _kronecker's point meets the bound: its product
-    bound B has the factors len(nums) + 1 >= 2 and |P|_1 >= |P|, and
-    xi > B >= 2|P|_1, so the even xi is at least 2|P|_1 + 2.  The test is
-    one-sided: the values of coprime f_i' can share a chance factor above
-    xi/2.  Only then does is_gamma decide gcd(f_i'), and no Sturm chain of
-    T is built either way.
+    cofactors of M.  The proof is _gcd_cofactors' (Cauchy's bound puts the
+    roots of a common factor K below xi/2, so |K(xi)| > xi/2), and it needs
+    xi >= 2 + 2|P| for a nonzero P = D f_j' (|.| the largest absolute
+    coefficient).  _kronecker's point meets that: its product bound B has
+    the factors len(nums) + 1 >= 2 and |P|_1 >= |P|, and xi > B >= 2|P|_1,
+    so the even xi is at least 2|P|_1 + 2.  The test is one-sided: the
+    values of coprime f_i' can share a chance factor above xi/2.  Only then
+    does is_gamma decide gcd(f_i'), and no Sturm chain of T is built either
+    way.
     """
     den = lcm(*[fp.denom for fp in cofactors])
     acc = [0] * (2 * max([len(fp.ints) for fp in cofactors]) - 1)
@@ -211,6 +196,7 @@ _set_M, _set_fprime, _set_gprime, _set_s, _set_principal, _set_generator, _set_e
 
 def is_principal(a: DressElement, b: DressElement) -> bool:
     """True iff the ideal (a, b) is principal: s = max(deg f', deg g') is even."""
+    a, b = _elem(a), _elem(b)
     return _numerator_data((a, b))[2] % 2 == 0
 
 
@@ -270,6 +256,7 @@ def principal_generator(a: DressElement, b: DressElement) -> PrincipalityReport:
     input (raw RationalFunction constructor) gets an exact generator that may
     be unreduced.
     """
+    a, b = _elem(a), _elem(b)
     m, (fp, gp), s, gamma, nums = _numerator_data((a, b))
     if s % 2 == 1:
         return PrincipalityReport(m, fp, gp, s, False)
@@ -302,6 +289,7 @@ class InverseIdeal:
 
 def ideal_inverse(a: DressElement, b: DressElement) -> InverseIdeal:
     """Invert the fractional ideal (a, b) via the squaring identity."""
+    a, b = _elem(a), _elem(b)
     if a.is_zero and b.is_zero:
         raise ShapeViolation("the zero ideal is not invertible")
     m, cofactors, s, gamma, nums = _numerator_data((a, b))

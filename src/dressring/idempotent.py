@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .dress import DressElement, _val, over_common_denominator
+from .dress import DressElement, _elem, over_common_denominator
 from .errors import (
     CertificateError,
     CertificatePreconditionError,
@@ -57,6 +57,7 @@ from .polynomials import (
     _GAMMA1,
     Polynomial,
     RationalFunction,
+    _coerce,
     _gcd_cofactors,
     _kronecker,
 )
@@ -123,10 +124,6 @@ class Mat2:
 
 
 _set_a, _set_b, _set_c, _set_d = Mat2.a.__set__, Mat2.b.__set__, Mat2.c.__set__, Mat2.d.__set__
-
-
-def _elem(x) -> DressElement:
-    return x if isinstance(x, DressElement) else DressElement(_val(x))
 
 
 # (v, w, s) is v w^T / s.  In factor lists None stands for the identity, which
@@ -220,6 +217,9 @@ def positivity_certificate(x: Polynomial, y: Polynomial) -> PositivityCertificat
     O(log k) tests are run.  Termination is guaranteed: every sufficiently
     small positive scale works, and the passing scales form an interval.
     """
+    x, y = _coerce(x), _coerce(y)
+    if x is NotImplemented or y is NotImplemented:
+        raise TypeError("certificate inputs must be polynomials or rational numbers")
     if x.is_zero or y.is_zero:
         raise CertificatePreconditionError("certificate inputs must be nonzero")
     cert = _certificate(x, y, sign_at_roots(y, x))
@@ -509,6 +509,7 @@ def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
     HypothesisNotMet reports the computed sign patterns and degrees, and the
     numerators (x, y) over gamma that every branch and the final check read.
     """
+    p, q = _elem(p), _elem(q)
     (x, y), gamma = over_common_denominator([p, q])
     return _factor_row(p, q, x, y, gamma)
 
@@ -597,6 +598,7 @@ def factor_small(p: DressElement, q: DressElement) -> Factorization:
     gcd are proportional or reach the common-root branch.  Both shapes
     share factor_row_matrix's body and its split; any other shape is rejected.
     """
+    p, q = _elem(p), _elem(q)
     (x, y), gamma = over_common_denominator([p, q])
     cofactors = _gcd_cofactors(x, y) if x.degree == y.degree == 2 else None
     if (x.degree <= 1 and y.degree <= 1) or (cofactors and cofactors[0].degree >= 1):
@@ -673,6 +675,7 @@ def _witness_sum_sq_unit() -> bool:
 
 def stable_range_witness(z: DressElement) -> StableRangeEvidence:
     """Evaluate the square-stable-range witness pair at z."""
+    z = _elem(z)
     sum_sq_unit = _witness_sum_sq_unit()
     # z = f/d' with d' everywhere positive: every DressElement has a monic,
     # root-free denominator.  X^2 - 1 vanishes at +-1, so f1(+-1) = +-d'(+-1).

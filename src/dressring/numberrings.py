@@ -416,8 +416,6 @@ def zs_member(q: Fraction) -> bool:
     """True iff q lies in Z_S: every prime factor of the reduced denominator is 1 mod 4."""
     q = _as_fraction(q)
     den = q.denominator
-    if den == 1:
-        return True
     # A product of primes that are 1 mod 4 is 1 mod 4, so an even denominator
     # or one that is 3 mod 4 has a prime factor outside S.
     if den % 4 != 1:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd as igcd, isqrt, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import CertificateError, ZeroDenominatorError, ZeroPolynomialError
+from .errors import ZeroDenominatorError, ZeroPolynomialError
 
 NEG_INF = float("-inf")
 
@@ -179,11 +179,7 @@ class Polynomial:
         return _make(acc, _add_into(acc, self.denom, other.ints, other.denom, -1))
 
     def __rsub__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc = list(other.ints)
-        return _make(acc, _add_into(acc, other.denom, self.ints, self.denom, -1))
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -405,18 +401,6 @@ def _quotient(a: Sequence[int], h: Sequence[int]) -> Optional[list[int]]:
     return None if any(r[:dh]) else q
 
 
-def _exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a / b where b is known to divide a; a nonzero remainder is a CertificateError."""
-    if b.is_zero:
-        raise ZeroPolynomialError("division by the zero polynomial")
-    c = igcd(*b.ints)
-    q = _quotient(a.ints, [v // c for v in b.ints])
-    if q is None:
-        raise CertificateError(f"{b} does not divide {a}")
-    # a = A/da and b = c H/db with H primitive, so a/b = (A/H) db/(c da).
-    return _make([v * b.denom for v in q], a.denom * c)
-
-
 def _gamma1_quotient(ints: Sequence[int]) -> Optional[list[int]]:
     """The quotient of a nonzero integer list by 1 + X^2 when that divides it exactly, else None.
 
@@ -583,8 +567,6 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
                 return _make(h, h[-1]), a_g, b_g
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011  # SymPy's growth, about xi^1.25
     h = _signed_remainders(pa, pb)[-1]
-    if len(h) == 1:
-        return _ONE, a, b
     return _make(h, h[-1]), _cofactor(a, h), _cofactor(b, h)
 
 
@@ -669,7 +651,6 @@ class RationalFunction:
 
     @staticmethod
     def from_rational(c) -> "RationalFunction":
-        c = _as_fraction(c)
         return RationalFunction(Polynomial.from_coeffs([c]), Polynomial.one())
 
     @staticmethod
@@ -754,7 +735,6 @@ class RationalFunction:
         return RationalFunction(self.num**n, self.den**n)
 
     def evaluate(self, t) -> Fraction:
-        t = _as_fraction(t)
         d = self.den.evaluate(t)
         if d == 0:
             raise ZeroDenominatorError(f"pole at {t}")

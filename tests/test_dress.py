@@ -7,16 +7,26 @@ from hypothesis import strategies as st
 
 from dressring import realroots
 from dressring import (
+    CertificatePreconditionError,
     DressElement,
+    IdealGens,
     NotInDressRing,
     Polynomial,
     RationalFunction,
+    ShapeViolation,
     ZeroPolynomialError,
     associates,
     classify_numerator,
     divides,
+    factor_row_matrix,
+    factor_small,
+    ideal_inverse,
     is_member,
+    is_principal,
     is_unit,
+    positivity_certificate,
+    principal_generator,
+    stable_range_witness,
 )
 
 from helpers import rand_member, rand_member_nonzero, rand_rf, rand_sum_of_two_squares, rand_unit
@@ -212,3 +222,65 @@ class TestClassifyNumerator:
             a = rand_member_nonzero(rng)
             c = classify_numerator(a)
             assert c.reassemble() == a.numerator
+
+
+
+class TestElementOperators:
+    def test_truth_reflected_and_power(self):
+        a = DressElement.from_parts(X, GAMMA)
+        assert a and not DressElement.zero()
+        assert 1 - a == DressElement.from_parts(X * X - X + 1, GAMMA)
+        assert a**2 == DressElement.from_parts(X * X, GAMMA * GAMMA)
+        with pytest.raises(TypeError):
+            a + "x"
+
+
+class TestRingElementArguments:
+    """The public functions on ring elements read a rational number, a
+    Polynomial or a RationalFunction as the element it names, through the
+    checked constructor, and reject any other type."""
+
+    def test_rationals_name_elements(self):
+        one, zero = DressElement.one(), DressElement.zero()
+        report = principal_generator(1, 0)
+        assert report.principal and report.s == 0
+        assert report.generator == one and report.expansion == (one, zero)
+        assert is_principal(1, 0)
+        fact = factor_row_matrix(1, 0)
+        assert [str(m) for m in fact.factors] == ["[[1, -1], [0, 0]]", "[[1, 0], [0, 0]]"]
+        assert factor_small(1, 0) == fact
+        with pytest.raises(ShapeViolation, match="^the zero ideal is not invertible$"):
+            ideal_inverse(0, 0)
+        with pytest.raises(CertificatePreconditionError):
+            positivity_certificate(0, X)
+        assert positivity_certificate(2, 3) == positivity_certificate(2 * X**0, 3 * X**0)
+        evidence = stable_range_witness(0)
+        assert (evidence.value_at_1, evidence.value_at_minus_1) == (1, -1)
+        assert divides(2, RationalFunction.make(X, GAMMA))
+        assert associates(Fraction(2, 3), 5) and not associates(1, 0)
+        assert classify_numerator(Fraction(5, 2)).constant == Fraction(5, 2)
+        assert IdealGens.of(0, 1).gens == (zero, one)
+
+    @pytest.mark.parametrize("func, args", [
+        pytest.param(f, args, id=f.__qualname__) for f, args in [
+            (principal_generator, ("X", 1)),
+            (is_principal, (1, 0.5)),
+            (ideal_inverse, (None, 1)),
+            (divides, (1, [1])),
+            (associates, ("1", 1)),
+            (classify_numerator, (2.0,)),
+            (IdealGens.of, ("X",)),
+            (factor_row_matrix, (1, "0")),
+            (factor_small, (b"1", 0)),
+            (stable_range_witness, (0.0,)),
+            (positivity_certificate, ("X", X)),
+        ]])
+    def test_other_types_are_a_type_error(self, func, args):
+        with pytest.raises(TypeError):
+            func(*args)
+
+    def test_values_outside_the_ring_are_rejected(self):
+        with pytest.raises(NotInDressRing):
+            factor_row_matrix(X, 1)
+        with pytest.raises(NotInDressRing):
+            principal_generator(1, RationalFunction.make(Polynomial.one(), X))

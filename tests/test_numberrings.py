@@ -165,6 +165,10 @@ class TestFactorize:
         assert factorize(1) == {}
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
 
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            factorize(0)
+
     def test_large_semiprime(self):
         n = 1000003 * 999983
         assert factorize(n) == {999983: 1, 1000003: 1}
@@ -269,6 +273,9 @@ class TestFactorize:
             assert not is_probable_prime(n)
         # A square has no D with (D/n) = -1; the search would run to D = p.
         assert not numberrings._strong_lucas((2**61 - 1) ** 2)
+        # Selfridge's search meets D = -43 before any D with (D/n) = -1, and
+        # (-43/n) = 0 shows the factor 43.
+        assert numberrings._strong_lucas(43 * 1002817) is False
 
     def test_jacobi_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -521,6 +528,13 @@ class TestEcm:
                 X, Z = numberrings._xadd(xs[a], 1, xs[b], 1, xs[a - b], 1, p)
                 assert (X - xs[a + b] * Z) % p == 0
 
+    def test_the_curve_setup_gcd(self):
+        # Suyama's sigma = 6 has u = 31 and v = 24, so the curve's setup gcd
+        # gcd(16 u^3 v^4, n) is 31 for n = 31 * 1000003, a proper divisor,
+        # and n itself for n = 93 = 3 * 31, which splits nothing.
+        assert numberrings._ecm_curve(31 * 1000003, 6, ECM_B1, ECM_B2) == 31
+        assert numberrings._ecm_curve(93, 6, ECM_B1, ECM_B2) == 0
+
     def test_stage_two_splits_a_pinned_curve(self):
         # On the first curve, sigma = 6, stage 1 misses both primes of n.  Mod
         # 4981579 the order of P is 257 times a divisor of k, with
@@ -759,6 +773,7 @@ class TestLaurent:
     def test_declared_zero_is_member(self):
         assert laurent_member(TruncLaurent.zero(SeriesBase.REAL_HENSELIAN))
         assert laurent_member(TruncLaurent.zero(SeriesBase.RATIONAL_HENSELIAN))
+        assert TruncLaurent.zero(SeriesBase.REAL_HENSELIAN).coefficient(5) == 0
 
     def test_zero_to_precision_indeterminate(self):
         with pytest.raises(IndeterminateSeriesError):

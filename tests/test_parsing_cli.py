@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import random
 import re
@@ -54,6 +55,13 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse_scalar("1/(X^2-")
         assert exc.value.position == 7
+
+    def test_matrix_where_a_scalar_is_expected(self):
+        with pytest.raises(ParseError, match=r"^expected a scalar expression, found a matrix"):
+            parse_scalar("[[1,0],[0,1]]")
+        with pytest.raises(ParseError) as exc:
+            parse_scalar("[[1,0],[0,1]]")
+        assert exc.value.position == 0
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as exc:
@@ -387,6 +395,27 @@ def readme_cli_commands():
             assert argv[0] == "dressring", line
             commands.append((argv[1:], int(stated.group(1)) if stated else 0))
     return commands
+
+
+def test_readme_library_tour():
+    # Run the README's first Python block, then check every value its
+    # comments state: an expression line's comment opens with the value.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    stated = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        value = re.match(r"\s*(True|False|'[^']*')", comment)
+        if value and "=" not in code.replace("==", ""):
+            stated.append(code.strip())
+            assert eval(code, namespace) == ast.literal_eval(value.group(1)), line
+    assert len(stated) == 5
+    report, fact = namespace["report"], namespace["fact"]
+    assert report.principal and report.s == 2
+    assert str(report.generator) == "(X)/(X^2 + 1)"
+    assert len(fact.factors) == 4 and namespace["verify_factorization"](fact).ok
 
 
 def registered_commands() -> set:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dressring import (
     NEG_INF,
     CertificateError,
+    DressElement,
     Polynomial,
     RationalFunction,
     ZeroDenominatorError,
@@ -19,8 +20,9 @@ from dressring import (
     poly_gcd,
     squarefree_part,
 )
-from dressring import polynomials
-from dressring.polynomials import _exact_div, _gcd_cofactors, squarefree_decomposition
+from dressring import dress, polynomials
+from dressring.polynomials import _cofactor, _gcd_cofactors, squarefree_decomposition
+from dressring.realroots import IsolatingInterval, cauchy_bound
 
 from helpers import (_pdiv_reference, best_time, extended_gcd, rand_poly, rand_rf,
                      signed_remainders_reference)
@@ -114,10 +116,15 @@ def test_subtraction_matches_the_coefficients(ca, cb, c):
     assert c - a == Polynomial.constant(c) - a == -(a - c)
 
 
-def test_exact_div_raises_on_a_remainder():
-    assert _exact_div(X * X - 1, X + 1) == X - 1
-    with pytest.raises(CertificateError):
-        _exact_div(X * X + 1, X + 1)
+def test_exact_div_raises_on_a_remainder(monkeypatch):
+    # A quotient by X - r is _cofactor's, which is 0 on a remainder; for a
+    # point that isolation returns as an exact root but is none,
+    # classify_numerator reports that 0 as a CertificateError.
+    assert _cofactor(X * X - 1, (1, 1)) == X - 1
+    assert _cofactor(X * X + 1, (1, 1)).is_zero
+    monkeypatch.setattr(dress, "isolate_real_roots", lambda s: [IsolatingInterval(2, 2, 2)])
+    with pytest.raises(CertificateError, match=r"^X - 2 does not divide X\^2 - 2$"):
+        dress.classify_numerator(DressElement.from_parts(X * X - 2, X * X + 1))
 
 
 def test_quotient_kernel_against_divrem():
@@ -488,6 +495,45 @@ def test_squarefree_part():
     assert sf == ((X - 1) * (X + 2) * (X * X + 1)).monic()
 
 
+def test_zero_polynomial_errors_and_a_constant_squarefree_part():
+    zero = Polynomial.zero()
+    for read in (lambda: zero.leading_coefficient, lambda: squarefree_part(zero),
+                 lambda: squarefree_decomposition(zero), lambda: cauchy_bound(zero)):
+        with pytest.raises(ZeroPolynomialError):
+            read()
+    assert squarefree_part(Polynomial.constant(3)) == Polynomial.one()
+
+
+def test_polynomial_operator_errors():
+    p = X + 1
+    with pytest.raises(ValueError):
+        p ** -1
+    with pytest.raises(TypeError):
+        p + "x"
+    with pytest.raises(TypeError, match=r"for -: 'str' and 'Polynomial'$"):
+        "x" - p
+
+
+def test_gcd_after_every_evaluation_point_fails(monkeypatch):
+    # With no evaluation point the gcd is the remainder sequence's last
+    # member: a constant one gives (1, a, b), as the heuristic does.
+    monkeypatch.setattr(polynomials, "_HEU_TRIES", 0)
+    rng = random.Random(4901)
+    seen = set()
+    for i in range(60):
+        a = rand_poly(rng, 4, nonzero=True) + X**5
+        b = (rand_poly(rng, 3, nonzero=True) + 2 * X**4).scale(Fraction(1, rng.randint(1, 3)))
+        if i % 2:
+            c = X * X + rng.randint(-3, 3) * X + rng.randint(1, 5)
+            a, b = a * c, b * c
+        g, a_g, b_g = _gcd_cofactors(a, b)
+        assert g == extended_gcd(a, b)[0] and g * a_g == a and g * b_g == b
+        if g.degree == 0:
+            assert (g, a_g, b_g) == (Polynomial.one(), a, b)
+        seen.add(g.degree >= 1)
+    assert seen == {False, True}
+
+
 def test_squarefree_decomposition_reassembles():
     rng = random.Random(13)
     for _ in range(50):
@@ -548,6 +594,18 @@ class TestRationalFunction:
         assert 1 / r == RationalFunction.make(X * X + 1, X + 1)
         assert r**-2 == RationalFunction.make((X * X + 1) ** 2, (X + 1) ** 2)
         assert 2 - r == RationalFunction.make(2 * X * X - X + 1, X * X + 1)
+
+    def test_polynomial_operand_and_operator_errors(self):
+        r = RationalFunction.make(X + 1, X * X + 1)
+        assert r + X == RationalFunction.make(X**3 + 2 * X + 1, X * X + 1)
+        assert r * (X - 1) == RationalFunction.make(X * X - 1, X * X + 1)
+        with pytest.raises(ZeroDenominatorError):
+            r / RationalFunction.zero()
+        with pytest.raises(ValueError):
+            r**1.5
+        with pytest.raises(TypeError):
+            r + "x"
+        assert repr(r) == "RationalFunction((X + 1)/(X^2 + 1))"
 
     def test_polynomial_operands_match_make(self):
         # Sums, products and powers of polynomials skip make; the result

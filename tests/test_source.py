@@ -47,14 +47,13 @@ def test_one_remainder_sequence_loop():
 
 def test_one_exact_division_loop():
     # Only a remainder needs pseudo-division: every exact quotient (the
-    # gcd's cofactors, _exact_div, a squarefree part) comes from _quotient,
+    # gcd's cofactors, a quotient by X - r, a squarefree part) comes from _quotient,
     # and the linear branch of the gcd divides rather than evaluating.
     assert set(_references("_pdiv")) == {("polynomials.py", "_signed_remainders"),
                                          ("polynomials.py", "divrem")}
     assert ("polynomials.py", "_gcd_cofactors") not in _references("_horner")
     takers = {ref for ref in _references("_quotient") if ref[1] not in ("<module>", "_quotient")}
-    assert takers == {("polynomials.py", name) for name in ("_cofactor", "_exact_div")} | {
-        ("realroots.py", "_sturm_data")}
+    assert takers == {("polynomials.py", "_cofactor"), ("realroots.py", "_sturm_data")}
 
 
 def test_one_sum_over_a_common_denominator():
@@ -81,7 +80,7 @@ def test_cofactors_come_from_the_gcd():
     # The gcd's own division check yields a/g and b/g, so no caller divides
     # by a gcd again.  _factor_quadratics_sharing_root is handed its
     # cofactors; every other caller takes them from _gcd_cofactors.
-    assert not COFACTOR_CALLERS & set(_references("_exact_div"))
+    assert not COFACTOR_CALLERS & set(_references("_cofactor"))
     takers = set(_references("_gcd_cofactors"))
     assert COFACTOR_CALLERS - takers == {("idempotent.py", "_factor_quadratics_sharing_root")}
 
