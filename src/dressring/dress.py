@@ -27,15 +27,19 @@ from .polynomials import (
 from .realroots import is_gamma, isolate_real_roots
 
 
-def is_member(r: RationalFunction) -> bool:
-    """True iff r lies in D: root-free reduced denominator and degree <= 0."""
+def is_member(r) -> bool:
+    """True iff r lies in D: root-free reduced denominator and degree <= 0, for r
+    a DressElement (read by its value), a rational number, a Polynomial or a
+    RationalFunction; TypeError for any other type, and never NotInDressRing."""
+    r = _val(r)
     return r.degree <= 0 and membership_failure(r) is None
 
 
 def membership_failure(r: RationalFunction) -> Optional[str]:
-    """None when r is a member, else which condition failed.
+    """None when the RationalFunction r is a member, else which condition failed.
 
-    A zero denominator, which is not root-free, fails whatever the numerator.
+    The kernel of is_member and of every DressElement construction.  A zero
+    denominator, which is not root-free, fails whatever the numerator.
     """
     if r.is_zero and r.den:
         return None
@@ -46,8 +50,10 @@ def membership_failure(r: RationalFunction) -> Optional[str]:
     return None
 
 
-def is_unit(r: RationalFunction) -> bool:
-    """True iff r is invertible in D: numerator and denominator root-free of equal degree."""
+def is_unit(r) -> bool:
+    """True iff r, read as in is_member, is invertible in D: numerator and
+    denominator root-free of equal degree."""
+    r = _val(r)
     return r.degree == 0 and is_gamma(r.den) and is_gamma(r.num)
 
 

@@ -39,7 +39,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .parsing import format_fraction
-from .polynomials import _as_fraction
+from .polynomials import Polynomial, _as_fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -562,17 +562,12 @@ class TruncLaurent:
         self._check_base(other)
         if self.is_declared_zero or other.is_declared_zero:
             return TruncLaurent.zero(self.base)
-        lo = self.order + other.order
-        prec = min(self.order + other.precision, other.order + self.precision)
-        cs = [Fraction(0)] * (prec - lo)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                k = self.order + i + other.order + j
-                if k < prec:
-                    cs[k - lo] += ci * cj
-        return TruncLaurent._renormalize(self.base, lo, cs)
+        # Known below min(order + other.precision, other.order + precision):
+        # the first n coefficients of the stored coefficients' product.
+        n = min(len(self.coeffs), len(other.coeffs))
+        product = Polynomial.from_coeffs(self.coeffs) * Polynomial.from_coeffs(other.coeffs)
+        cs = (list(product.coeffs) + [Fraction(0)] * n)[:n]
+        return TruncLaurent._renormalize(self.base, self.order + other.order, cs)
 
     @staticmethod
     def _renormalize(base: SeriesBase, order: int, cs: list[Fraction]) -> "TruncLaurent":

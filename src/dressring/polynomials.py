@@ -6,8 +6,8 @@ hashing are structural.  Arithmetic runs on Python integers: every sum of
 numerator lists from one in-place sum over the lcm of the denominators
 (``_add_into``, which the parser's sums share), values from one homogeneous
 Horner sum, every remainder from one integer pseudo-division loop (``_pdiv``),
-every exact quotient from one exact-division loop (``_quotient``) but the
-quotient by 1 + X^2, which is one synthetic-division pass
+every exact quotient from one exact-division loop (``_quotient``, from the
+divisor's larger end) but the quotient by 1 + X^2, one synthetic-division pass
 (``_gamma1_quotient``), and every Sturm chain from one signed remainder loop
 (``_signed_remainders``), whose members are positive multiples of the exact
 remainders kept small by subresultant division (Collins, J. ACM 14, 1967),
@@ -359,35 +359,31 @@ def divrem(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
 def _quotient(a: Sequence[int], h: Sequence[int]) -> Optional[list[int]]:
     """The integer list a/h when the primitive nonzero list h divides a, else None.
 
-    By Gauss's lemma h | a in Q[X] puts a/h in Z[X], so every step from the
-    top is one exact integer division by lc(h): the first step that leaves a
-    remainder, or a nonzero remainder at the end, refutes h | a.  No operand
-    is scaled.  A linear h = h0 + h1 X divides in one loop over a from its
-    end of larger absolute value, the top when |h1| >= |h0|: each step
-    takes the next term of a, less the other end of h times the quotient
-    term before, and divides it by that end.  The step past the last
-    quotient term must leave 0.  Each quotient term is then at most max|a|
-    plus the one before, so a refuted division is linear in len(a) too,
-    where steps by h1 = 1 against h0 = -2 would double the terms as they
-    go.
+    By Gauss's lemma h | a in Q[X] puts a/h in Z[X], so every step is one
+    exact integer division by the end of h of larger absolute value (the top
+    on a tie; from a_0 up, on a and h reversed, when |h0| > |lc h|): the
+    first step that leaves a remainder, or a nonzero remainder at the end,
+    refutes h | a.  No operand is scaled.  For a linear h each quotient term
+    is then at most max|a| plus the one before, so even a refuted division
+    is linear in len(a), where steps by h1 = 1 against h0 = -2 would double
+    the terms.  For a higher degree the rule guarantees only that the first
+    step not divisible by the larger end refutes: at once for X^2 - 2 and
+    X^k - c, c odd, whose quotient terms from the top would double.
     """
-    if len(h) == 2:
-        if not a:
-            return []
-        h0, h1 = h
-        up = abs(h0) > abs(h1)
-        lead, other = (h0, h1) if up else (h1, h0)
-        q, c = [], 0
-        for v in a if up else reversed(a):  # from a_0 up when dividing by h0
-            c, r = divmod(v - other * c, lead)
+    up = abs(h[0]) > abs(h[-1])
+    if up:
+        a, h = a[::-1], h[::-1]
+    dh, lh = len(h) - 1, h[-1]
+    if dh == 1:
+        q, c, other = [], 0, h[0]
+        for v in reversed(a):
+            c, r = divmod(v - other * c, lh)
             if r:
                 return None
             q.append(c)
-        if q.pop():
+        if q and q.pop():
             return None
         return q if up else q[::-1]
-    dh = len(h) - 1
-    lh = h[-1]
     r = list(a)
     q = [0] * (len(a) - dh)
     for i in range(len(q) - 1, -1, -1):
@@ -398,7 +394,9 @@ def _quotient(a: Sequence[int], h: Sequence[int]) -> Optional[list[int]]:
             q[i] = c
             for j in range(dh):
                 r[i + j] -= c * h[j]
-    return None if any(r[:dh]) else q
+    if any(r[:dh]):
+        return None
+    return q[::-1] if up else q
 
 
 def _gamma1_quotient(ints: Sequence[int]) -> Optional[list[int]]:
@@ -528,10 +526,8 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         return (Polynomial((0,) * t + (1,)), Polynomial(ai[t:], a.denom),
                 Polynomial(bi[t:], b.denom))
     if len(bi) == 2:  # b = b0 + b1 X: the gcd is b or 1, as pp(b) divides a or not
-        # _quotient alone decides, in time linear in deg a either way: it
-        # divides from the end of b of larger absolute value, so no term of a
-        # refuted division outgrows max|a| times the steps taken.  Its
-        # quotient is the cofactor.
+        # _quotient alone decides, in time linear in deg a either way (see
+        # there), and its quotient is the cofactor.
         if a_g := _cofactor(a, _strip_content(bi)):
             return b.monic(), a_g, _make([bi[1]], b.denom)
         return _ONE, a, b

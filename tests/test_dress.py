@@ -260,6 +260,9 @@ class TestRingElementArguments:
         assert associates(Fraction(2, 3), 5) and not associates(1, 0)
         assert classify_numerator(Fraction(5, 2)).constant == Fraction(5, 2)
         assert IdealGens.of(0, 1).gens == (zero, one)
+        assert is_member(1) and is_unit(1) and is_unit(one)
+        assert is_member(DressElement.from_parts(X, GAMMA))
+        assert not is_member(X)
 
     @pytest.mark.parametrize("func, args", [
         pytest.param(f, args, id=f.__qualname__) for f, args in [
@@ -274,6 +277,8 @@ class TestRingElementArguments:
             (factor_small, (b"1", 0)),
             (stable_range_witness, (0.0,)),
             (positivity_certificate, ("X", X)),
+            (is_member, ("X",)),
+            (is_unit, ("X",)),
         ]])
     def test_other_types_are_a_type_error(self, func, args):
         with pytest.raises(TypeError):

@@ -96,6 +96,7 @@ class TestIsIdempotent:
         ident = Mat2.identity()
         assert is_idempotent(ident)
         assert not ident.is_singular()
+        assert repr(ident) == "Mat2([[1, 0], [0, 1]])"
 
     def test_singular_trace_one_family(self):
         # second row forced by d = 1 - a and bc = a(1 - a); b and c are built

@@ -858,6 +858,35 @@ class TestLaurent:
                 for k in range(min(a.order, b.order), total.precision):
                     assert total.coefficient(k) == a.coefficient(k) + b.coefficient(k)
 
+    def test_product_is_the_cauchy_sum(self):
+        # Every coefficient of a * b below its precision is the Cauchy sum of
+        # the operands' coefficients, also for operands zero to their
+        # precision (all coefficients 0) or declared zero.
+        rng = random.Random(51)
+
+        def series(base):
+            if rng.random() < 0.05:
+                return TruncLaurent.zero(base)
+            n = rng.randint(1, 6)
+            if rng.random() < 0.1:
+                return TruncLaurent.make(base, rng.randint(-3, 3), [0] * n)
+            return TruncLaurent.make(base, rng.randint(-3, 3),
+                                     [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                      for _ in range(n)])
+
+        for base in SeriesBase:
+            for _ in range(500):
+                a, b = series(base), series(base)
+                prod = a * b
+                if a.is_declared_zero or b.is_declared_zero:
+                    assert prod.is_declared_zero
+                    continue
+                lo = a.order + b.order
+                assert prod.precision == min(a.order + b.precision, b.order + a.precision)
+                for k in range(lo, prod.precision):
+                    assert prod.coefficient(k) == sum(
+                        a.coefficient(i) * b.coefficient(k - i) for i in range(a.order, k - b.order + 1))
+
     def test_rational_base_negative_order_is_no_member(self):
         assert not laurent_member(TruncLaurent.make(SeriesBase.RATIONAL_HENSELIAN, -1, [1, 1]))
 

@@ -854,7 +854,9 @@ class TestCli:
         (["factor", "--", "[[1,0],[1,0]]"], "factor needs a matrix with zero second row"),
         (["laurent-member", "--", "real", "0"], "laurent-member needs ORDER and COEFFS, or --zero"),
         (["member", "(" * 100_000 + "X" + ")" * 100_000], "expression too deeply nested"),
-    ], ids=["gamma-not-polynomial", "factor-second-row", "laurent-missing-coeffs", "nested"])
+        (["member", "--", "(" * 3000 + "X" + ")" * 3000], "expression too deeply nested"),
+    ], ids=["gamma-not-polynomial", "factor-second-row", "laurent-missing-coeffs", "nested",
+            "nested-line"])
     def test_handler_errors_exit_two(self, capsys, argv, error):
         code, report = run_cli_json(argv, capsys)
         assert code == 2
@@ -864,6 +866,19 @@ class TestCli:
         expr = "(" * 50_000 + "X" + ")" * 50_000
         code, report = run_cli_json(["member", expr], capsys)
         assert code == 2 and "nested" in report["error"]
+
+    @pytest.mark.parametrize("exc", [OverflowError, MemoryError])
+    def test_value_too_large_to_build_exit_two(self, capsys, monkeypatch, exc):
+        from dressring import cli
+
+        def refuse(value):
+            raise exc
+
+        monkeypatch.setattr(cli, "is_member", refuse)
+        code, report = run_cli_json(["member", "--", "X"], capsys)
+        assert code == 2
+        assert report == {"ok": False, "command": "member", "result": None,
+                          "error": "value too large to build"}
 
     # X^(10^30) and X^(2^62) are refused by the power bound before they are built.
     @pytest.mark.parametrize("exponent", ["1" + "0" * 30, str(2**62)])

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -397,7 +398,8 @@ def test_gcd_with_linear_operand_is_linear_in_the_degree():
     assert _gcd_cofactors((p * X + 1) * (X * X + 1), p * X + 1)[0] == X + Fraction(1, p)
 
 
-@pytest.mark.parametrize("case", ["cancels", "residue 0 at no root", "coprime", "monic coprime"])
+@pytest.mark.parametrize("case", ["cancels", "residue 0 at no root", "coprime", "monic coprime",
+                                  "false quadratic candidate"])
 def test_linear_branch_is_linear_in_the_degree(case):
     # (3X + 2)(X^k + 1)/(3X + 2): the exact-division kernel cancels 3X + 2.
     # (X^k - c)/(X - 2) with c = 2^k mod 2^30 - 35 is 0 modulo that prime
@@ -405,7 +407,11 @@ def test_linear_branch_is_linear_in_the_degree(case):
     # every term, so the kernel divides by -2 from the bottom and refutes
     # within a few steps.  (X^k + 1)/(3X + 2) is refuted at the first step,
     # and the monic (X^k + 3)/(X - 1) only by the final remainder, after k
-    # steps of terms at most 4.  Eight times k takes about 8 times as long
+    # steps of terms at most 4.  For (X^k - c)/(X^2 - 2) with c = 33^k mod
+    # 1087, GCDHEU proposes X^2 - 2 at xi = 33: the kernel divides by its
+    # heavier end -2 from the bottom and refutes at the first step, c being
+    # odd, where from the top the quotient terms would double (quadratic in
+    # time and memory).  Eight times k takes about 8 times as long
     # when linear; building 3^k a(-2/3) or a(2) exactly took 30 to 45 times.
     # A ratio, not a time, so host load cancels.  Each size is the best of
     # several runs, 9 at the large size and 5 at the small one: load only adds
@@ -418,8 +424,11 @@ def test_linear_branch_is_linear_in_the_degree(case):
             text, num, den = f"(X^{k} - {c})/(X - 2)", X**k - c, X - 2
         elif case == "coprime":
             text, num, den = f"(X^{k}+1)/(3*X+2)", (X**k + 1).scale(Fraction(1, 3)), X + Fraction(2, 3)
-        else:
+        elif case == "monic coprime":
             text, num, den = f"(X^{k}+3)/(X-1)", X**k + 3, X - 1
+        else:
+            c = pow(33, k, 1087)
+            text, num, den = f"(X^{k} - {c})/(X^2 - 2)", X**k - c, X**2 - 2
 
         def run():
             r = parse_scalar(text)
@@ -512,6 +521,8 @@ def test_polynomial_operator_errors():
         p + "x"
     with pytest.raises(TypeError, match=r"for -: 'str' and 'Polynomial'$"):
         "x" - p
+    with pytest.raises(TypeError):
+        X - "a"
 
 
 def test_gcd_after_every_evaluation_point_fails(monkeypatch):
@@ -603,8 +614,11 @@ class TestRationalFunction:
             r / RationalFunction.zero()
         with pytest.raises(ValueError):
             r**1.5
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(r, "a")
         with pytest.raises(TypeError):
-            r + "x"
+            "a" / r
         assert repr(r) == "RationalFunction((X + 1)/(X^2 + 1))"
 
     def test_polynomial_operands_match_make(self):
