@@ -27,9 +27,10 @@ of integer denominators, is compared by its two sides' values at one X = 2^k,
 large enough to make that exact.  Only then is each Mat2 built, and an entry
 found outside D there is reported by the same check.  The stages check
 nothing of their own, so any internal fault surfaces as one CertificateError.
-Each nonzero entry v_i w_j / s is reduced by make (one gcd); when s is
-root-free, an entry's membership in D is its degree bound, else the checked
-constructor.
+Each nonzero entry v_i w_j / s is built in lowest terms: the check's own
+values at 2^k prove most entries coprime by one integer gcd (see _matrix),
+and make reduces the rest; when s is root-free, an entry's membership in D is
+its degree bound, else the checked constructor.
 
 Each row takes one common-denominator pass, (p, q) = (x, y)/gamma, and every
 branch reads x, y, gamma and the one gcd g = gcd(x, y): q/p lies in D iff
@@ -42,6 +43,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as igcd
 from typing import Iterable, Optional
 
 from .dress import DressElement, _elem, over_common_denominator
@@ -155,8 +157,26 @@ def _factor_of(m: Mat2):
     return (n[j], n[j + 2]), (n[r], n[r + 1]), den * n[r + j]
 
 
-def _matrix(f: Optional[_Factor]) -> Mat2:
-    """The Mat2 of a factor v w^T / s, each nonzero entry make(v_i w_j, s).
+def _matrix(f: Optional[_Factor], values=None, half: int = 0) -> Mat2:
+    """The Mat2 of a factor v w^T / s, each nonzero entry v_i w_j / s in lowest terms.
+
+    ``values`` is (V1, V2, W1, W2, S)(xi) and ``half`` is xi/2, for the point
+    xi = 2^k at which _verify_triples read the factor (P = D p, D the lcm of
+    the check's denominators).  An entry is built directly, as
+    (v_i w_j / lc s)/monic s, when g = gcd(V_i(xi) W_j(xi) mod S(xi), S(xi))
+    is at most xi/2; make reduces every other entry, and every entry when no
+    values are given.
+
+    The test is _gcd_cofactors' single-digit proof at a point already paid
+    for.  The check has at least four terms and S is one of its polynomials,
+    so _kronecker's bound makes xi > 4 |S|_1 >= 2 |S|_1 + 2; a constant s
+    therefore always passes, as g <= |S| < xi/4.  If v_i w_j and s shared a
+    nonconstant factor, a primitive one K would divide V_i W_j and S in Z[X]
+    (Gauss).  Every root z of K is a root of S, so
+    |z| < 1 + |S|_1 <= xi/2 (Cauchy), which also makes S(xi) nonzero, and
+    |K(xi)| > (xi/2)^deg K >= xi/2.  K(xi) divides V_i(xi) W_j(xi) and S(xi),
+    hence g, so g > xi/2.  The test is one-sided: a failure only sends the
+    entry to make.
 
     A reduced denominator divides s, so when s is root-free (one cached
     is_gamma per factor) an entry lies in D iff deg num <= deg den.  Every
@@ -167,13 +187,20 @@ def _matrix(f: Optional[_Factor]) -> Mat2:
         return Mat2.identity()
     v, w, s = f
     root_free = is_gamma(s)
+    if s.ints[-1] != s.denom:  # make's normalisation, once per factor: v over lc s, s monic
+        inv = Fraction(s.denom, s.ints[-1])
+        v, s = [vi.scale(inv) for vi in v], s.monic()
+    xs, ys, z = (values[:2], values[2:4], values[4]) if values else ((0, 0), (0, 0), 0)
     entries = []
-    for vi in v:
-        for wj in w:
+    for vi, x in zip(v, xs):
+        for wj, y in zip(w, ys):
             if not (vi and wj):
                 entries.append(_ZERO_ENTRY)
                 continue
-            value = RationalFunction.make(vi * wj, s)
+            if values and igcd(x * y % z, z) <= half:
+                value = RationalFunction(vi * wj, s)
+            else:
+                value = RationalFunction.make(vi * wj, s)
             if root_free and len(value.num.ints) <= len(value.den.ints):
                 entries.append(DressElement._certified(value))  # deg num <= deg den, s root-free
             else:
@@ -274,10 +301,16 @@ def _certificate(x: Polynomial, y: Polynomial, pattern: SignPattern) -> Positivi
 
     # Passing scales form an interval (0, s*), as delta is linear in the scale
     # at each point: gallop on k in scale = 2^-k, then bisect to the first pass.
-    x_sq, base_y = x * x, base * y
+    # k moves only on a pass, so delta is always the one built for k.
+    x_sq, base_y, delta = x * x, base * y, None
 
     def passes(k: int) -> bool:
-        return is_gamma_plus(x_sq - base_y.scale(Fraction(1, 2**k)))
+        nonlocal delta
+        candidate = x_sq - base_y.scale(Fraction(1, 2**k))
+        if not is_gamma_plus(candidate):
+            return False
+        delta = candidate
+        return True
 
     failing, k = -1, 0
     while not passes(k):
@@ -289,7 +322,6 @@ def _certificate(x: Polynomial, y: Polynomial, pattern: SignPattern) -> Positivi
         else:
             failing = mid
     scale = Fraction(1, 2**k)
-    delta = x_sq - base_y.scale(scale)
     return PositivityCertificate(beta=base.scale(-scale), delta=delta, scale=scale, base=base)
 
 
@@ -339,7 +371,7 @@ def verify_factorization(f: Factorization) -> VerificationReport:
     return _verify_triples(target, [_factor_of(m) for m in f.factors])
 
 
-def _verify_triples(target, factors) -> VerificationReport:
+def _verify_triples(target, factors, values: Optional[list] = None) -> VerificationReport:
     """The one check: w.v == s per factor, then the telescoped product against (N_T, d_T).
 
     Every identity is decided by one integer evaluation (Kronecker
@@ -356,21 +388,29 @@ def _verify_triples(target, factors) -> VerificationReport:
     together are at most 2^(m+1) products of distinct polynomials P (the
     four T_ij among them), each times at most D^m: that is the bound
     _kronecker's exactness proof takes k from.
+
+    ``values``, if given, receives xi/2 for xi = 2^k, then (V1, V2, W1, W2,
+    S)(xi) of each factor in order (None for an identity), which _matrix reads.
     """
+    if values is None:
+        values = []
     target_n, target_d = target
     rank_one = [f for f in factors if f]
     polys = [target_d, *target_n, *(p for v, w, s in rank_one for p in (*v, *w, s))]
     m = len(rank_one)
-    d, _, at = _kronecker(polys, 2 ** (m + 1), m)
+    d, xi, at = _kronecker(polys, 2 ** (m + 1), m)
+    values.append(xi >> 1)
 
     first, w_last, scalar, den = None, None, 1, 1
     for i, f in enumerate(factors):
         if f is None:
+            values.append(None)
             continue
         if f is False:
             return VerificationReport(False, "factor-not-idempotent", i)
         (v1, v2), (w1, w2), s = f
         x1, x2, y1, y2, z = at(v1), at(v2), at(w1), at(w2), at(s)
+        values.append((x1, x2, y1, y2, z))
         if (v1 or v2) and (w1 or w2) and y1 * x1 + y2 * x2 != d * z:
             return VerificationReport(False, "factor-not-idempotent", i)  # not w.v == s, nor zero
         if first is None:
@@ -390,13 +430,17 @@ def _verified(target: Mat2, split, factors) -> Factorization:
 
     This is the pipeline's one check: a factor that fails it, or an entry that
     _matrix finds outside D, is an internal fault and raises CertificateError.
+    The check's values at its point xi let _matrix skip make's gcd wherever
+    they prove an entry reduced.
     """
-    report = _verify_triples(split, factors)
+    values = []
+    report = _verify_triples(split, factors, values)
     if report.ok:
+        half, *values = values
         matrices = []
         try:
-            for f in factors:
-                matrices.append(_matrix(f))
+            for f, at in zip(factors, values):
+                matrices.append(_matrix(f, at, half))
         except NotInDressRing as exc:
             report = VerificationReport(False, f"entry-not-in-ring ({exc.reason})", len(matrices))
         else:

@@ -567,10 +567,10 @@ class TestFactorSmall:
         at_build = []
         build = idempotent._matrix
 
-        def first_build_counted(f):
+        def first_build_counted(f, *values):
             if not at_build:
                 at_build.append(dict(counts))
-            return build(f)
+            return build(f, *values)
 
         monkeypatch.setattr(idempotent, "_matrix", first_build_counted)
         g4 = (X * X + 1) ** 2
@@ -1000,9 +1000,9 @@ class TestBoundaryVerification:
         calls = []
         original = idempotent._verify_triples
 
-        def counting(target, factors):
+        def counting(target, factors, *values):
             calls.append(target)
-            return original(target, factors)
+            return original(target, factors, *values)
 
         queries = []
         original_query = idempotent.sign_at_roots
@@ -1214,15 +1214,16 @@ def built_or_error(build, f):
 
 
 class TestFactorMatrixBuilder:
-    """_matrix (one make per nonzero entry) against the per-entry builder; the sign queries."""
+    """_matrix (entries proven reduced by the check's values, make for the rest)
+    against the per-entry builder; the sign queries."""
 
     def recorded_triples(self, monkeypatch, calls):
         triples = []
         original = idempotent._matrix
 
-        def recording(f):
-            triples.append(f)
-            return original(f)
+        def recording(f, *values):
+            triples.append((f, *values))
+            return original(f, *values)
 
         monkeypatch.setattr(idempotent, "_matrix", recording)
         for call in calls:
@@ -1241,27 +1242,40 @@ class TestFactorMatrixBuilder:
         calls += [lambda f=f: swap_factorization(f) for f in facts]
         calls += [lambda f=f, m=(shear, unit_det)[i % 2]: conjugate_factorization(f, m)
                   for i, f in enumerate(facts[::3])]
+        # Each factor is rebuilt from the values and the half point that
+        # _verified passed, so the entries those values prove take that path.
         triples = self.recorded_triples(monkeypatch, calls)
         real_rooted = 0
-        for f in triples:
-            assert idempotent._matrix(f) == per_entry_matrix(f), f
+        for f, values, half in triples:
+            assert idempotent._matrix(f, values, half) == per_entry_matrix(f), f
             real_rooted += f is not None and not is_gamma(f[2].monic())
         assert len(triples) > 5000 and real_rooted > 100, (len(triples), real_rooted)
 
-    def test_random_triples_match_per_entry_builder(self):
+    def test_random_triples_match_per_entry_builder(self, monkeypatch):
         # s root-free (monic or not, constant or not) or with real roots; each
         # vector entry 0, a constant, c*s, a multiple of a factor of s, or
-        # random; some entries exceed the degree bound and must raise.
+        # random; some entries exceed the degree bound and must raise.  Every
+        # triple is built bare and from its values at a _kronecker point.  In
+        # every third triple s is nonconstant, v_i is c*s or a multiple of a
+        # factor of s and w_j is nonzero, so every entry shares a factor with s
+        # and the values prove none: all four go to make.
+        makes = []
+        make = RationalFunction.make
+        monkeypatch.setattr(RationalFunction, "make", staticmethod(
+            lambda num, den: makes.append(num) or make(num, den)))
         rng = random.Random(1601)
         seen = set()
-        for _ in range(30):
+        for i in range(60):
+            shared = i % 3 == 0
             half = rand_gamma(rng, 1)
-            s = rng.choice([half * rand_gamma(rng, 1), half.scale(Fraction(-3, 2)),
-                            Polynomial.constant(rng.choice([1, -2, Fraction(1, 3)])),
-                            half * (X - rng.randint(-2, 2))])
+            choices = [half * rand_gamma(rng, 1), half.scale(Fraction(-3, 2)),
+                       half * (X - rng.randint(-2, 2))]
+            if not shared:
+                choices.append(Polynomial.constant(rng.choice([1, -2, Fraction(1, 3)])))
+            s = rng.choice(choices)
 
-            def vector_entry():
-                kind = rng.randrange(5)
+            def vector_entry(kinds):
+                kind = rng.choice(kinds)
                 if kind == 0:
                     return Polynomial.zero()
                 if kind == 1:
@@ -1272,11 +1286,48 @@ class TestFactorMatrixBuilder:
                     return half * rand_poly(rng, 1, nonzero=True)
                 return rand_poly(rng, int(s.degree), nonzero=True)
 
-            f = ((vector_entry(), vector_entry()), (vector_entry(), vector_entry()), s)
+            v_kinds, w_kinds = ((2, 3), (1, 3)) if shared else (range(5), range(5))
+            f = ((vector_entry(v_kinds), vector_entry(v_kinds)),
+                 (vector_entry(w_kinds), vector_entry(w_kinds)), s)
+            polys = [*f[0], *f[1], s]
+            _, xi, at = idempotent._kronecker(polys, 4, 1)
+            expected = built_or_error(per_entry_matrix, f)
             got = built_or_error(idempotent._matrix, f)
-            assert got == built_or_error(per_entry_matrix, f), f
-            seen.add(isinstance(got, Mat2))
-        assert seen == {True, False}
+            makes.clear()
+            from_values = built_or_error(
+                lambda f: idempotent._matrix(f, tuple(map(at, polys)), xi >> 1), f)
+            assert got == from_values == expected, f
+            if shared and isinstance(got, Mat2):
+                assert len(makes) == 4, f
+            seen.add((shared, isinstance(got, Mat2)))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_make_count_on_the_grids(self, monkeypatch):
+        # A count, not a time: the c06 and c07 factors have 7688 nonzero
+        # entries, the check's values prove all but 935 of them reduced, and
+        # each of those 935 shares a factor with its s (make was called once
+        # per nonzero entry before).
+        inside, made = [], []
+        build, make = idempotent._matrix, RationalFunction.make
+
+        def building(*args):
+            inside.append(True)
+            try:
+                return build(*args)
+            finally:
+                inside.pop()
+
+        def recording(num, den):
+            if inside:
+                made.append((num, den))
+            return make(num, den)
+
+        monkeypatch.setattr(idempotent, "_matrix", building)
+        monkeypatch.setattr(RationalFunction, "make", staticmethod(recording))
+        facts = [factor_row_matrix(p, q) for _, p, q in c06_c07_rows()]
+        assert sum(not e.is_zero for f in facts for m in f.factors for e in m.entries()) == 7688
+        assert len(made) == 935
+        assert all(dressring.poly_gcd(num, den).degree >= 1 for num, den in made)
 
     def test_constant_coprime_or_multiple_entries_by_make(self):
         # Entries that are constants, coprime to s or c*s, which make reduces

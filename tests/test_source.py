@@ -112,8 +112,10 @@ def test_no_change_to_the_int_str_digit_limit():
 
 
 def test_factor_entries_take_one_reduction_path():
-    # Every nonzero entry of a factor is reduced by RationalFunction.make;
-    # a gcd of its own in idempotent.py would classify entries beside it.
+    # Every nonzero entry of a factor is proven reduced by the check's own
+    # values (one integer gcd) or reduced by RationalFunction.make; a
+    # polynomial gcd of its own in idempotent.py would classify entries beside
+    # those two.
     found = _references("poly_gcd")
     assert found and not [ref for ref in found if ref[0] == "idempotent.py"]
 
