@@ -8,9 +8,10 @@ member is a positive multiple of the canonical one, reduced by subresultant
 division (Collins, J. ACM 14, 1967), so all sign variations agree, and the
 last one, the gcd, is primitive.  Infinite endpoints read their signs off the
 leading coefficients.  A sign at a rational point n/d is the sign of the
-homogeneous integer sum sum(c_i n^i d^(k-i)) (``_sign_at``).  Every gcd is
-read off the end of a chain: the chain of (p, p') ends in gcd(p, p'), so only
-a repeated root costs a second chain, on sf = p / gcd(p, p').
+homogeneous integer sum sum(c_i n^i d^(k-i)) (``_sign_at``).  The chain of
+(p, p') ends in gcd(p, p'), so only a repeated root costs a second chain, on
+sf = p / gcd(p, p').  An even-degree p with p(0) lc(p) <= 0 has a real root,
+so ``is_gamma`` refutes it from two coefficients, with no chain.
 
 Rational roots are found inside the isolating intervals, not by enumerating
 divisors: every rational root of a primitive integer polynomial with leading
@@ -21,12 +22,14 @@ with n/lc in (a, b] either lands on r or proves it irrational, in a number of
 steps logarithmic in (b - a) lc.  The chain only counts roots and splits the
 box; every halving inside (a, b] goes by the sign of sf at the midpoint.
 
-Signs of q at the roots of p come from one Tarski query, not from isolation
-(Basu-Pollack-Roy, *Algorithms in Real Algebraic Geometry*, Thm. 2.58): the
-variation count at -inf and +inf of the signed remainder sequence of
-(sf, sf' q), with sf the squarefree part of p, is the sum of sign q(x) over
-the real roots x of p.  That chain ends in gcd(sf, q), which decides between
-MIXED and HAS_ZERO.  Its cost is polynomial in the bit size as well.
+Signs of q at the roots of p come from one gcd and one Tarski query, not from
+isolation.  A real root of g = gcd(p, q) (GCDHEU, see ``_gcd_cofactors``) is
+a shared root, so HAS_ZERO needs no chain of p.  Otherwise the variation count
+at -inf and +inf of the signed remainder sequence of (sf, sf' q), with sf the
+squarefree part of p, is the sum of sign q(x) over the real roots x of p
+(Basu-Pollack-Roy, *Algorithms in Real Algebraic Geometry*, Thm. 2.58), and
+its parity against the number of roots tells MIXED from a shared root of a
+linear p.  Its cost is polynomial in the bit size as well.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import ZeroPolynomialError
 from .polynomials import (
     NEG_INF,
     Polynomial,
+    _gcd_cofactors,
     _horner,
     _quotient,
     _signed_remainders,
@@ -231,17 +235,25 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatingInterval]:
 def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
     """Signs of q at every real root of p, summarized as a SignPattern.
 
-    One Tarski query decides it, without isolating or evaluating: with sf the
-    squarefree part of p and n its number of real roots, the variation count
-    t of the signed remainder sequence of (sf, sf' q) at -inf and +inf is the
-    sum of sign q(x) over those roots (Basu-Pollack-Roy, Thm. 2.58).  So
-    t == n means all positive and t == -n all negative.  Otherwise a common
-    root of p and q, i.e. a real root of gcd(sf, q), yields HAS_ZERO, which
-    dominates; without one the signs are MIXED.  That gcd is the last member
-    of the same sequence, as gcd(sf, sf' q) = gcd(sf, q) for squarefree sf.
+    For q != 0 and deg p >= 2 one gcd g = gcd(p, q) comes first: every real
+    root of g is a root of p where q vanishes, so g outside Gamma means
+    HAS_ZERO, and no chain of p is built.  Otherwise one Tarski query
+    decides, without isolating or evaluating: with sf the squarefree part of
+    p and n its number of real roots, the variation count t of the signed
+    remainder sequence of (sf, sf' q) at -inf and +inf is the sum of
+    sign q(x) over those roots (Basu-Pollack-Roy, Thm. 2.58).  So t == n
+    means all positive and t == -n all negative.  Else, with c+, c- and c0
+    the roots where q is positive, negative and zero, n - t = 2 c- + c0.
+    Past the gcd c0 = 0 and n - t is even: MIXED.  A linear p skips the gcd;
+    its one root is a root of q exactly when t = 0, and then n - t = 1 is
+    odd.  So HAS_ZERO iff n - t is odd.
     """
     if p.is_zero:
         raise ZeroPolynomialError("sign_at_roots requires a nonzero second argument")
+    if q.ints and len(p.ints) > 2:
+        g = _gcd_cofactors(p, q)[0]
+        if len(g.ints) > 1 and not is_gamma(g):
+            return SignPattern.HAS_ZERO
     chain = _sturm_data(p)
     n = 0 if chain is None else _count(chain, NEG_INF, POS_INF)
     if n == 0:
@@ -249,18 +261,12 @@ def sign_at_roots(q: Polynomial, p: Polynomial) -> SignPattern:
     if q.is_zero:
         return SignPattern.HAS_ZERO
     sf, dsf = chain[0], Polynomial(tuple(chain[1]))
-    chain = _signed_remainders(sf, _strip_content((dsf * q).ints))
-    t = _count(chain, NEG_INF, POS_INF)
+    t = _count(_signed_remainders(sf, _strip_content((dsf * q).ints)), NEG_INF, POS_INF)
     if t == n:
         return SignPattern.ALL_POSITIVE
     if t == -n:
         return SignPattern.ALL_NEGATIVE
-    # Every real root of g = gcd(sf, q) is a root of p, so HAS_ZERO iff g has
-    # one; an odd degree forces one, and g is squarefree like sf.
-    g = chain[-1]
-    if len(g) % 2 == 0 or (len(g) > 1 and _count(_sturm_chain(g), NEG_INF, POS_INF)):
-        return SignPattern.HAS_ZERO
-    return SignPattern.MIXED
+    return SignPattern.HAS_ZERO if (n - t) % 2 else SignPattern.MIXED
 
 
 _GAMMA_CACHE_MAX = 1 << 16  # past it, a miss evicts the oldest (first inserted) key
@@ -271,14 +277,18 @@ def is_gamma(p: Polynomial) -> bool:
     """True iff p is nonzero and has no real roots (the multiplicative set Gamma).
 
     Nonzero constants qualify as the empty product.  A true result implies an
-    even degree: an odd-degree real polynomial always has a real root.
+    even degree: an odd-degree real polynomial always has a real root.  An
+    even-degree p with p(0) lc(p) <= 0 has one too, as p(0) is 0 or has the
+    sign opposite to p at +-inf; neither case takes a chain.  A quadratic is
+    decided by its discriminant, any other p by a Sturm count, and the
+    verdict is cached.
     """
     if p.is_zero:
         return False
     deg = p.degree
     if deg == 0:
         return True
-    if deg % 2 == 1:
+    if deg % 2 == 1 or p.ints[0] * p.ints[-1] <= 0:
         return False
     p = p.monic()  # one cache key for all nonzero scalar multiples of p
     cached = _gamma_cache.get(p)
@@ -296,5 +306,5 @@ def is_gamma(p: Polynomial) -> bool:
 
 
 def is_gamma_plus(p: Polynomial) -> bool:
-    """True iff p is everywhere positive: no real roots and p(0) > 0."""
-    return is_gamma(p) and p.evaluate(0) > 0
+    """True iff p is everywhere positive: p(0) > 0, tested first, and no real roots."""
+    return bool(p.ints) and p.ints[0] > 0 and is_gamma(p)

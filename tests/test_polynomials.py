@@ -248,7 +248,11 @@ class TestSubresultantChains:
     def test_members_are_positive_multiples_of_the_primitive_chain(self):
         # Against the loop that took each member's content: the same degrees,
         # each member a positive multiple of the primitive one (so the same
-        # primitive part, sign included), and the same last member.
+        # primitive part, sign included), and the same last member.  The
+        # chain loop forms normal steps itself; after the first step each
+        # divides by beta >= |lc a|, so a normal step from an a with
+        # |lc a| > 1 divides by beta > 1.
+        normal_with_beta = 0
         for a, b in _chain_pairs():
             chain = polynomials._signed_remainders(a, b)
             reference = signed_remainders_reference(a, b)
@@ -256,6 +260,10 @@ class TestSubresultantChains:
             for got, want in zip(chain, reference):
                 assert list(polynomials._strip_content(got)) == list(want), (a, b)
             assert list(chain[-1]) == list(reference[-1]), (a, b)
+            first = 1 if len(a) < len(b) else 0  # beta = 1 dividing chain[first] by chain[first + 1]
+            normal_with_beta += sum(len(chain[i]) == len(chain[i + 1]) + 1 and abs(chain[i][-1]) > 1
+                                    for i in range(first + 1, len(chain) - 2))
+        assert normal_with_beta > 100
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_members_stay_within_hadamards_bound(self, sparse):
@@ -276,9 +284,10 @@ class TestSubresultantChains:
             assert max(c * c for c in member) <= f2 ** (n - j) * g2 ** (m - j)
 
     def test_normal_step_matches_the_division_loop(self):
-        # _pdiv forms a normal step (deg a = deg b + 1 >= 2) in closed form and
-        # every other step in a loop: both give the reference loop's (q, r, s).
-        # Scaling a by beta scales q by beta and leaves r, once divided by beta.
+        # _pdiv's one loop, which divrem and a chain's steps other than normal
+        # ones (deg a = deg b + 1 >= 2) take, gives the reference loop's
+        # (q, r, s) on every shape, normal ones included.  Scaling a by beta
+        # scales q by beta and leaves r, once divided by beta.
         rng = random.Random(2727)
         shapes = set()
         for _ in range(400):

@@ -44,14 +44,20 @@ class _ChainCalls:
         self.reset()
 
     def reset(self):
-        self.chains, self.gcds = [], 0
+        self.chains, self.gcds, self.cofactor_gcds = [], 0, 0
 
 
 @pytest.fixture
 def chain_calls(monkeypatch):
-    """Records the (a, b) of every remainder sequence built and counts poly_gcd calls."""
+    """Records the (a, b) of every remainder sequence built, counts poly_gcd
+    calls, and counts the _gcd_cofactors calls made by realroots."""
     calls = _ChainCalls()
     build, gcd = polynomials._signed_remainders, polynomials.poly_gcd
+    cofactors = realroots._gcd_cofactors
+
+    def counting_cofactors(a, b):
+        calls.cofactor_gcds += 1
+        return cofactors(a, b)
 
     def counting_chain(a, b):
         calls.chains.append((a, b))
@@ -64,6 +70,7 @@ def chain_calls(monkeypatch):
     monkeypatch.setattr(polynomials, "_signed_remainders", counting_chain)
     monkeypatch.setattr(realroots, "_signed_remainders", counting_chain)
     monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(realroots, "_gcd_cofactors", counting_cofactors)
     return calls
 
 
@@ -280,14 +287,16 @@ class TestGamma:
 
     def test_cache_size_is_bounded(self, monkeypatch):
         # Past the bound, a miss evicts the oldest key; verdicts stay exact.
+        # A root X = r != 0 of even multiplicity keeps p(0) lc > 0, so no
+        # polynomial is refuted before the cache: every one is a key.
         monkeypatch.setattr(realroots, "_GAMMA_CACHE_MAX", 8)
         monkeypatch.setattr(realroots, "_gamma_cache", {})
         rng = random.Random(23)
-        polys = [rand_gamma(rng, 3, 2) * (X - rng.randint(-3, 3)) ** (2 * rng.randint(0, 1))
+        polys = [rand_gamma(rng, 3, 2) * (X - rng.choice((-3, -2, -1, 1, 2, 3))) ** (2 * rng.randint(0, 1))
                  for _ in range(40)]
         for p in polys + polys[::-1]:
             assert is_gamma(p) == (count_distinct_real_roots(p) == 0)
-            assert len(realroots._gamma_cache) <= 8
+            assert p in realroots._gamma_cache and len(realroots._gamma_cache) <= 8
         assert polys[0] in realroots._gamma_cache and polys[-1] not in realroots._gamma_cache
 
     def test_cauchy_bound_contains_roots(self):
@@ -500,38 +509,83 @@ class TestPlantedFamily:
 
 
 class TestChainWork:
-    """Remainder sequences built per query: every gcd is read off a chain."""
+    """Remainder sequences and gcds per query.
+
+    A sign query with deg p >= 2 and q != 0 takes one gcd(p, q) first: a
+    factor of it with a real root is a shared root, HAS_ZERO with no chain.
+    Otherwise the Sturm chain of p (a second one on the squarefree part when
+    p has a repeated root) and the Tarski chain of (sf, sf' q) decide.  An
+    even-degree p with p(0) lc(p) <= 0 has a real root, so is_gamma refutes
+    it with no chain.
+    """
 
     def test_uncached_gamma_builds_one_chain(self, chain_calls, monkeypatch):
         monkeypatch.setattr(realroots, "_gamma_cache", {})
-        for p, verdict in (((X * X + 1) * (X * X + 2), True),
-                           ((X * X - 2) * (X * X + X + 3), False),
-                           (-(X**6) + 3 * X**5 - X + 7, False)):
+        for p, verdict, chains in (((X * X + 1) * (X * X + 2), True, 1),
+                                   # p(0) = -6 < 0 < lc: refuted by one value.
+                                   ((X * X - 2) * (X * X + X + 3), False, 0),
+                                   # p(0) = 7 > 0 > lc.
+                                   (-(X**6) + 3 * X**5 - X + 7, False, 0),
+                                   # p(0) lc = 6 > 0 proves nothing: the chain finds the roots.
+                                   ((X * X - 2) * (X * X - 3), False, 1)):
             chain_calls.reset()
             assert is_gamma(p) is verdict
-            assert (len(chain_calls.chains), chain_calls.gcds) == (1, 0), str(p)
+            assert (len(chain_calls.chains), chain_calls.gcds) == (chains, 0), str(p)
 
     @pytest.mark.parametrize("q, pattern, chains", [
         (X * X + 1, SignPattern.ALL_POSITIVE, 2),
         (X, SignPattern.MIXED, 2),
-        ((X - 1) * (X + 3), SignPattern.HAS_ZERO, 2),
-        # An even-degree gcd(p, q) needs its own chain to show a real root.
-        (X * X - 2, SignPattern.HAS_ZERO, 3),
+        # gcd(p, q) = X - 1, a shared real root by its odd degree.
+        ((X - 1) * (X + 3), SignPattern.HAS_ZERO, 0),
+        # gcd(p, q) = X^2 - 2, refuted from Gamma by its value at 0.
+        (X * X - 2, SignPattern.HAS_ZERO, 0),
     ])
-    def test_sign_query_on_squarefree_p_chain_count(self, chain_calls, q, pattern, chains):
+    def test_sign_query_on_squarefree_p_chain_count(self, chain_calls, monkeypatch, q, pattern, chains):
+        monkeypatch.setattr(realroots, "_gamma_cache", {})
         p = (X - 1) * (X * X - 2) * (X * X + 1)
         assert sign_at_roots(q, p) is pattern
-        assert (len(chain_calls.chains), chain_calls.gcds) == (chains, 0)
+        assert (len(chain_calls.chains), chain_calls.gcds, chain_calls.cofactor_gcds) == (chains, 0, 1)
 
     def test_repeated_root_costs_one_extra_chain(self, chain_calls, monkeypatch):
         monkeypatch.setattr(realroots, "_gamma_cache", {})
         p = (X - 1) ** 2 * (X * X - 2) * (X * X + 1)
         assert sign_at_roots(X, p) is SignPattern.MIXED
+        # gcd(-p, X - 1) = X - 1: no chain.
         assert sign_at_roots(X - 1, -p) is SignPattern.HAS_ZERO
-        assert (len(chain_calls.chains), chain_calls.gcds) == (6, 0)
+        assert (len(chain_calls.chains), chain_calls.gcds, chain_calls.cofactor_gcds) == (3, 0, 2)
         chain_calls.reset()
         assert is_gamma((X * X + 1) ** 2 * (X * X + 3))
         assert (len(chain_calls.chains), chain_calls.gcds) == (2, 0)
+
+    @pytest.mark.parametrize("q, p, pattern", [
+        # A shared root-free factor is no shared root: gcd X^2 + 1 is in Gamma.
+        ((X * X + 1) * (X - 5), (X * X + 1) * (X - 2) * (X + 3), SignPattern.ALL_NEGATIVE),
+        (X * X + 1, (X * X + 1) * (X * X - 2), SignPattern.ALL_POSITIVE),
+        ((X * X + 1) * X, (X * X + 1) * (X * X - 2), SignPattern.MIXED),
+        # A shared X^2 - 2, even degree with real roots.
+        (X**3 - 2 * X, X**4 - 4, SignPattern.HAS_ZERO),
+        ((X * X - 2) * (X * X + 1), (X * X - 2) * (X + 7), SignPattern.HAS_ZERO),
+        # A linear p takes no gcd: its root is shared exactly when t = 0.
+        ((2 * X - 3) * (X * X + 1), 2 * X - 3, SignPattern.HAS_ZERO),
+        (X - 1, 2 * X - 3, SignPattern.ALL_POSITIVE),
+        (X - 2, -(2 * X - 3), SignPattern.ALL_NEGATIVE),
+        # A shared repeated root.
+        ((X - 1) ** 2, (X - 1) ** 3 * (X + 2), SignPattern.HAS_ZERO),
+        ((X * X - 3) ** 2 * (X + 1), (X * X - 3) ** 3 * (X * X + 5), SignPattern.HAS_ZERO),
+        # A constant q: gcd 1, and t = +-n.
+        (Polynomial.constant(-3), (X * X - 2) * (X - 1), SignPattern.ALL_NEGATIVE),
+        (Polynomial.constant(Fraction(1, 2)), X * X - 2, SignPattern.ALL_POSITIVE),
+    ])
+    def test_gcd_first_against_the_reference(self, chain_calls, monkeypatch, q, p, pattern):
+        monkeypatch.setattr(realroots, "_gamma_cache", {})
+        assert reference_sign_at_roots(q, p) is pattern
+        g = poly_gcd(p, q)
+        chain_calls.reset()
+        assert sign_at_roots(q, p) is pattern
+        assert chain_calls.cofactor_gcds == (p.degree >= 2)
+        if pattern is SignPattern.HAS_ZERO and p.degree >= 2:
+            # No chain on p: only is_gamma's on g, when g's value at 0 proves nothing.
+            assert all(len(a) <= g.degree + 1 for a, _ in chain_calls.chains)
 
 
 def _sign(v) -> int:
