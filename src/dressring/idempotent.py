@@ -20,7 +20,9 @@ is a rank-one idempotent, held as a triple (v, w, s) of two polynomial pairs
 and a nonzero polynomial: E = v w^T / s, idempotent iff w.v == s, as in
 (1 0; 1-p 0) = (pd; pd-pn)(1 0)/pd for p = pn/pd.  Swaps and conjugations map
 triples to triples without reducing; the pipeline's shears P = (1 t; 0 1) are
-the two-term map (v, w, s) -> ((v1 - t v2, v2), (w1, t w1 + w2), s).  One
+the two-term map (v, w, s) -> ((v1 - t v2, v2), (w1, t w1 + w2), s).  The
+stages build their triples unreduced too, ratios included, and _matrix is the
+one place that scales or reduces an entry.  One
 check (w.v == s per factor, then the telescoped product against the target
 N_T/d_T) runs once where each public function returns: each identity, cleared
 of integer denominators, is compared by its two sides' values at one X = 2^k,
@@ -162,7 +164,9 @@ def _matrix(f: Optional[_Factor], values=None, half: int = 0) -> Mat2:
 
     ``values`` is (V1, V2, W1, W2, S)(xi) and ``half`` is xi/2, for the point
     xi = 2^k at which _verify_triples read the factor (P = D p, D the lcm of
-    the check's denominators).  An entry is built directly, as
+    the check's denominators).  The stages hand triples over unreduced: v is
+    scaled by 1/lc s and s made monic here, before s is tested root-free.
+    An entry is built directly, as
     (v_i w_j / lc s)/monic s, when g = gcd(V_i(xi) W_j(xi) mod S(xi), S(xi))
     is at most xi/2; make reduces every other entry, and every entry when no
     values are given.
@@ -186,10 +190,10 @@ def _matrix(f: Optional[_Factor], values=None, half: int = 0) -> Mat2:
     if f is None:
         return Mat2.identity()
     v, w, s = f
-    root_free = is_gamma(s)
     if s.ints[-1] != s.denom:  # make's normalisation, once per factor: v over lc s, s monic
         inv = Fraction(s.denom, s.ints[-1])
         v, s = [vi.scale(inv) for vi in v], s.monic()
+    root_free = is_gamma(s)
     xs, ys, z = (values[:2], values[2:4], values[4]) if values else ((0, 0), (0, 0), 0)
     entries = []
     for vi, x in zip(v, xs):
@@ -525,22 +529,10 @@ def _factor_zero_p(num: Polynomial, den: Polynomial) -> list[_Factor]:
     return [_E11, ((num, den), (_0, _1), den)]
 
 
-def _factor_proportional(num: Polynomial, den: Polynomial, r: RationalFunction) -> list[_Factor]:
+def _factor_proportional(num: Polynomial, den: Polynomial,
+                         rn: Polynomial, rd: Polynomial) -> list[_Factor]:
     # (p rp; 0 0) = (1 -1; 0 0)(1 0; 1-p 0)(1 r; 0 0), (1 r; 0 0) = (1; 0)(rd rn)/rd
-    return _factor_zero_q(num, den) + [((_1, _0), (r.den, r.num), r.den)]
-
-
-def _member_ratio(num: Polynomial, den: Polynomial) -> Optional[RationalFunction]:
-    """num/den in lowest terms when it lies in D, else None.
-
-    num and den are coprime, so the fraction is already reduced: it lies in D
-    iff deg num <= deg den and den is root-free.
-    """
-    if num.degree > den.degree or not is_gamma(den):
-        return None
-    if den.ints[-1] != den.denom:
-        num = num.scale(1 / den.leading_coefficient)
-    return RationalFunction(num, den.monic())
+    return _factor_zero_q(num, den) + [((_1, _0), (rd, rn), rd)]
 
 
 def factor_row_matrix(p: DressElement, q: DressElement) -> Factorization:
@@ -573,10 +565,10 @@ def _factor_row(p, q, x, y, gamma, cofactors=None) -> Factorization:
 
     # q/p = (y/g)/(x/g) in lowest terms
     g, x_g, y_g = cofactors or _gcd_cofactors(x, y)
-    if (r := _member_ratio(y_g, x_g)) is not None:
-        return _verified(target, split, _factor_proportional(x, gamma, r))
-    if (r := _member_ratio(x_g, y_g)) is not None:
-        return _verified(target, split, _swap(_factor_proportional(y, gamma, r)))
+    if y_g.degree <= x_g.degree and is_gamma(x_g):
+        return _verified(target, split, _factor_proportional(x, gamma, y_g, x_g))
+    if x_g.degree <= y_g.degree and is_gamma(y_g):
+        return _verified(target, split, _swap(_factor_proportional(y, gamma, x_g, y_g)))
 
     # x = p.numerator * (gamma/den p), and likewise for y.  Every DressElement
     # has a monic denominator, so the cofactor gamma/den p is monic and
@@ -615,6 +607,8 @@ def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
     replaces y by x + y, of degree deg x and with the values of y at the roots
     of x, so the pattern holds; the pad pulls out (tau/gamma 0; 0 0) so that
     the denominator tau left has the even degree in {deg x, deg x + 1}.
+    u = delta/(tau beta) is handed to _matrix unreduced: delta and tau beta
+    may share a factor (1 + X^2, say), which _matrix cancels in u's entries.
     """
     shear = x.degree > y.degree
     if shear:
@@ -626,10 +620,9 @@ def _factor_dominant(x: Polynomial, y: Polynomial, gamma: Polynomial,
         factors = _factor_zero_q(tau, gamma)
     cert = _certificate(x, y, pattern)
     beta, delta = cert.beta, cert.delta
-    u = RationalFunction.make(delta, tau * beta)  # in D; _verified checks every entry
-    # (u 0; 0 0) * T factors the swapped row (y/tau, x/tau; 0 0), where
-    # T = (beta; x)(y x)/delta is idempotent: y*beta + x*x == delta.
-    factors += _swap(_factor_zero_q(u.num, u.den) + [((beta, x), (y, x), delta)])
+    # (u 0; 0 0) * T factors the swapped row (y/tau, x/tau; 0 0), where u = delta/(tau beta)
+    # and T = (beta; x)(y x)/delta is idempotent: y*beta + x*x == delta.
+    factors += _swap(_factor_zero_q(delta, tau * beta) + [((beta, x), (y, x), delta)])
     return _shear(factors, -1) if shear else factors
 
 

@@ -1109,14 +1109,16 @@ class TestProportionalRule:
     the old rule reduced each ratio with RationalFunction.make."""
 
     def observed_rule(self, monkeypatch, rows):
+        # _factor_proportional(num, den, rn, rd) takes the cofactors (rn, rd)
+        # unreduced; num is x for q/p = rn/rd and y for the swapped p/q.
         calls = []
-        original = idempotent._member_ratio
+        original = idempotent._factor_proportional
 
-        def recording(num, den):
-            calls.append(original(num, den))
-            return calls[-1]
+        def recording(num, den, rn, rd):
+            calls.append((num, RationalFunction.make(rn, rd)))
+            return original(num, den, rn, rd)
 
-        monkeypatch.setattr(idempotent, "_member_ratio", recording)
+        monkeypatch.setattr(idempotent, "_factor_proportional", recording)
         for p, q in rows:
             calls.clear()
             try:
@@ -1126,8 +1128,10 @@ class TestProportionalRule:
             if p.is_zero or q.is_zero:
                 assert calls == []
                 continue
-            yield p, q, next(((name, r) for name, r in zip(("q/p", "p/q"), calls)
-                              if r is not None), (None, None))
+            assert len(calls) <= 1
+            (x, _), _ = dress.over_common_denominator([p, q])
+            yield p, q, next((("q/p" if num == x else "p/q", r) for num, r in calls),
+                             (None, None))
 
     def test_grids_agree_with_old_rule(self, monkeypatch):
         rows = [(p, q) for _, p, q in c06_c07_rows()]
@@ -1304,10 +1308,13 @@ class TestFactorMatrixBuilder:
 
     def test_make_count_on_the_grids(self, monkeypatch):
         # A count, not a time: the c06 and c07 factors have 7688 nonzero
-        # entries, the check's values prove all but 935 of them reduced, and
-        # each of those 935 shares a factor with its s (make was called once
-        # per nonzero entry before).
-        inside, made = [], []
+        # entries, the check's values prove all but 947 of them reduced, and
+        # each of those 947 shares a factor with its s (make was called once
+        # per nonzero entry before).  The stages hand their triples over
+        # unreduced, so _matrix is the only caller of make.  12 of the 947
+        # are entries of the factor that carries u = delta/(tau beta), on the
+        # 8 c07 rows whose delta and tau*beta share 1 + X^2.
+        inside, made, outside = [], [], []
         build, make = idempotent._matrix, RationalFunction.make
 
         def building(*args):
@@ -1318,16 +1325,25 @@ class TestFactorMatrixBuilder:
                 inside.pop()
 
         def recording(num, den):
-            if inside:
-                made.append((num, den))
+            (made if inside else outside).append((num, den))
             return make(num, den)
 
+        rows = c06_c07_rows()
         monkeypatch.setattr(idempotent, "_matrix", building)
         monkeypatch.setattr(RationalFunction, "make", staticmethod(recording))
-        facts = [factor_row_matrix(p, q) for _, p, q in c06_c07_rows()]
+        facts = [factor_row_matrix(p, q) for _, p, q in rows]
         assert sum(not e.is_zero for f in facts for m in f.factors for e in m.entries()) == 7688
-        assert len(made) == 935
+        assert outside == []
+        assert len(made) == 947
         assert all(dressring.poly_gcd(num, den).degree >= 1 for num, den in made)
+        small = 0
+        for _, p, q in rows:
+            try:
+                factor_small(p, q)
+                small += 1
+            except ShapeViolation:
+                pass
+        assert small == 716 and outside == []
 
     def test_constant_coprime_or_multiple_entries_by_make(self):
         # Entries that are constants, coprime to s or c*s, which make reduces

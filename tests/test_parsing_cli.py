@@ -855,8 +855,9 @@ class TestCli:
         (["laurent-member", "--", "real", "0"], "laurent-member needs ORDER and COEFFS, or --zero"),
         (["member", "(" * 100_000 + "X" + ")" * 100_000], "expression too deeply nested"),
         (["member", "--", "(" * 3000 + "X" + ")" * 3000], "expression too deeply nested"),
+        (["member", "--", "(" * 3000 + "1/(X^2+1)" + ")" * 3000], "expression too deeply nested"),
     ], ids=["gamma-not-polynomial", "factor-second-row", "laurent-missing-coeffs", "nested",
-            "nested-line"])
+            "nested-line", "nested-quotient"])
     def test_handler_errors_exit_two(self, capsys, argv, error):
         code, report = run_cli_json(argv, capsys)
         assert code == 2
@@ -866,6 +867,15 @@ class TestCli:
         expr = "(" * 50_000 + "X" + ")" * 50_000
         code, report = run_cli_json(["member", expr], capsys)
         assert code == 2 and "nested" in report["error"]
+
+    def test_nesting_error_in_the_text_report(self, capsys):
+        # 3000 parentheses exhaust the recursion limit in the handler, which
+        # main reports as the nesting error (exit 2); 100 are read.
+        nested = "(" * 3000 + "1/(X^2+1)" + ")" * 3000
+        assert run_cli(["member", "--", nested], capsys) == (
+            2, "error: expression too deeply nested\n")
+        assert run_cli(["member", "--", "(" * 100 + "1/(X^2+1)" + ")" * 100], capsys) == (
+            0, "member: True\n")
 
     @pytest.mark.parametrize("exc", [OverflowError, MemoryError])
     def test_value_too_large_to_build_exit_two(self, capsys, monkeypatch, exc):

@@ -120,6 +120,17 @@ def test_factor_entries_take_one_reduction_path():
     assert found and not [ref for ref in found if ref[0] == "idempotent.py"]
 
 
+def test_factor_entries_are_reduced_only_by_the_finisher():
+    # The stages build their triples unreduced and _matrix scales and reduces
+    # every entry once; a make (or a RationalFunction built) in a stage would
+    # be a second reduction of the same entry.
+    def owners(name):
+        return {ref[1] for ref in _references(name) if ref[0] == "idempotent.py"}
+
+    assert owners("make") == {"_matrix"}
+    assert owners("RationalFunction") == {"<module>", "_matrix"}  # <module>: the import
+
+
 def test_one_report_renderer():
     # Handlers return library values and cli._text prints every one of them,
     # so no handler formats a matrix, a rational function or a Fraction of
