@@ -626,13 +626,19 @@ class TestFactorSmall:
             " (-1/5*X^2 - 4/5*X + 21/5)/(X^2 + 2*X + 5)]]",
         ]
 
-    def test_shared_root_negative_leading_coefficients(self):
+    def test_shared_root_negative_leading_coefficients(self, monkeypatch):
+        # The cofactors' leading coefficients set the shear's t = -c: -2 for
+        # the negative pair, and 1/2 for the non-monic (2X^2 - 2, X^2 + X - 2),
+        # so both rows take the shear's general path, not its t = +-1 sums.
         g4 = (X * X + 1) ** 2
-        p = DressElement.from_parts(-(X * (X + 1)), g4)
-        q = DressElement.from_parts(X * (X - 2) * 2, g4)
-        fact = factor_small(p, q)
-        assert verify_factorization(fact).ok
-        assert fact.target == Mat2.row(p, q)
+        shear, ts = idempotent._shear, []
+        monkeypatch.setattr(idempotent, "_shear", lambda fs, t: ts.append(t) or shear(fs, t))
+        for x, y in [(-(X * (X + 1)), X * (X - 2) * 2), (2 * X * X - 2, X * X + X - 2)]:
+            p, q = DressElement.from_parts(x, g4), DressElement.from_parts(y, g4)
+            fact = factor_small(p, q)
+            assert verify_factorization(fact).ok
+            assert fact.target == Mat2.row(p, q)
+        assert ts == [-2, Fraction(1, 2)]
 
 
 class TestVerifyFactorization:
@@ -893,15 +899,21 @@ class TestIntegerEvaluationCheck:
 
 class TestShear:
     @pytest.mark.parametrize("t", [-1, 1, Fraction(1, 3), Fraction(-7, 2)])
-    def test_shear_is_conjugation_by_the_shear_matrix(self, t):
+    def test_shear_is_conjugation_by_the_shear_matrix(self, t, monkeypatch):
+        # t = +-1 is a sum or a difference per vector entry, with no scale.
         rng = random.Random(str(t))
         zero, one = Polynomial.zero(), Polynomial.one()
         p = (one, Polynomial.constant(t), zero, one)
+        scale, scaled = Polynomial.scale, []
         for _ in range(50):
             fs = [((rand_rational_poly(rng, 3), rand_rational_poly(rng, 3)),
                    (rand_rational_poly(rng, 3), rand_rational_poly(rng, 3)),
                    rand_rational_poly(rng, 3) or one) for _ in range(rng.randint(1, 6))]
-            assert idempotent._shear(fs, t) == idempotent._conjugate(fs, p)
+            monkeypatch.setattr(Polynomial, "scale", lambda a, k: scaled.append(k) or scale(a, k))
+            sheared = idempotent._shear(fs, t)
+            monkeypatch.setattr(Polynomial, "scale", scale)
+            assert sheared == idempotent._conjugate(fs, p)
+        assert (scaled == []) == (t in (1, -1))
 
 
 class TestIdealClassOfLastFactor:
@@ -1314,28 +1326,59 @@ class TestFactorMatrixBuilder:
         # unreduced, so _matrix is the only caller of make.  12 of the 947
         # are entries of the factor that carries u = delta/(tau beta), on the
         # 8 c07 rows whose delta and tau*beta share 1 + X^2.
-        inside, made, outside = [], [], []
-        build, make = idempotent._matrix, RationalFunction.make
+        #
+        # The products inside _matrix count the same way: one per nonzero
+        # entry built.  1648 of the rows' 3116 factors are constant triples,
+        # 23 distinct ones, and _matrix builds each of those once: from an
+        # empty table the products are 4248 (7688 when every constant factor
+        # was rebuilt), and a second pass builds no constant matrix.  No
+        # entry, nor the target's zero row, takes the checked DressElement
+        # constructor (798 did, one zero per row).
+        inside, made, outside, products, checked, constant = [], [], [], [], [], []
+        build, make, mul = idempotent._matrix, RationalFunction.make, Polynomial.__mul__
+        post_init = DressElement.__post_init__
 
-        def building(*args):
+        def building(f, *values):
             inside.append(True)
+            before = len(products)
             try:
-                return build(*args)
+                m = build(f, *values)
             finally:
                 inside.pop()
+            if f is not None and all(p.degree <= 0 for p in (*f[0], *f[1], f[2])):
+                constant.append((f, m, len(products) - before))
+            return m
 
         def recording(num, den):
             (made if inside else outside).append((num, den))
             return make(num, den)
 
+        def multiplying(a, b):
+            if inside:
+                products.append(True)
+            return mul(a, b)
+
         rows = c06_c07_rows()
+        table = {}
+        monkeypatch.setattr(idempotent, "_constant_matrices", table)
         monkeypatch.setattr(idempotent, "_matrix", building)
         monkeypatch.setattr(RationalFunction, "make", staticmethod(recording))
+        monkeypatch.setattr(Polynomial, "__mul__", multiplying)
+        monkeypatch.setattr(DressElement, "__post_init__",
+                            lambda e: checked.append(e) or post_init(e))
         facts = [factor_row_matrix(p, q) for _, p, q in rows]
         assert sum(not e.is_zero for f in facts for m in f.factors for e in m.entries()) == 7688
         assert outside == []
         assert len(made) == 947
         assert all(dressring.poly_gcd(num, den).degree >= 1 for num, den in made)
+        assert len(products) == 4248 and checked == []
+        assert sum(len(f.factors) for f in facts) == 3116
+        assert len(constant) == 1648 and len(table) == 23 == len({f for f, _, _ in constant})
+        constant.clear()
+        for _, p, q in rows:
+            factor_row_matrix(p, q)
+        assert len(constant) == 1648 and len(table) == 23
+        assert all(m is table[f] and count == 0 for f, m, count in constant)
         small = 0
         for _, p, q in rows:
             try:
@@ -1344,6 +1387,30 @@ class TestFactorMatrixBuilder:
             except ShapeViolation:
                 pass
         assert small == 716 and outside == []
+
+    def test_constant_table_is_bounded(self, monkeypatch):
+        # Past its bound the table of constant matrices evicts its oldest key,
+        # and a served matrix, hit or miss, is the per-entry builder's.  The
+        # triples are (1 k/3; 0 0) over a non-monic s = k + 2, so every build
+        # scales v.
+        bound, table = 8, {}
+        monkeypatch.setattr(idempotent, "_constant_matrices", table)
+        monkeypatch.setattr(idempotent, "_CONSTANT_MATRICES_MAX", bound)
+        c, zero = Polynomial.constant, Polynomial.zero()
+        triples = [((c(k + 2), zero), (c(1), c(Fraction(k, 3))), c(k + 2))
+                   for k in range(3 * bound)]
+        for i, f in enumerate(triples):
+            assert idempotent._matrix(f) == per_entry_matrix(f), f
+            assert len(table) == min(i + 1, bound)
+        assert list(table) == triples[-bound:]
+        for f in triples[-bound:]:
+            m = table[f]
+            assert idempotent._matrix(f) is m and m == per_entry_matrix(f), f
+        f = triples[0]  # evicted, so a miss again, here built from its values
+        polys = [*f[0], *f[1], f[2]]
+        _, xi, at = idempotent._kronecker(polys, 4, 1)
+        assert idempotent._matrix(f, tuple(map(at, polys)), xi >> 1) == per_entry_matrix(f)
+        assert list(table) == triples[-bound + 1:] + triples[:1]
 
     def test_constant_coprime_or_multiple_entries_by_make(self):
         # Entries that are constants, coprime to s or c*s, which make reduces
