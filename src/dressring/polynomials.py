@@ -14,10 +14,11 @@ multiples of the exact remainders kept small by subresultant division
 forms each normal step (deg a = deg b + 1) in closed form; every other
 remainder comes from one integer pseudo-division loop (``_pdiv``).  A
 polynomial identity is decided by integer values at one X = 2^k past a bound
-on its coefficients (``_kronecker``).  A gcd is one integer gcd of two values,
-read back as a polynomial and certified by exact division; the quotients of
-that check are the cofactors a/g and b/g, which every caller takes instead of
-dividing again.  Against a linear operand b the gcd is b or 1, and
+on its coefficients (``_kronecker``).  A gcd is one integer gcd of the
+values of the two numerator lists as they are (no content is taken before a
+point), read back as a polynomial and certified by exact division; the
+quotients of that check are the cofactors a/g and b/g, which every caller
+takes instead of dividing again.  Against a linear operand b the gcd is b or 1, and
 ``_quotient`` alone decides which.  The remainder loop answers only when the
 heuristic gives up.
 ``coeffs`` is a ``Fraction`` view.  Nothing here rounds.  The degree of the
@@ -488,27 +489,29 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
     """(g, a/g, b/g) for nonzero a and b, with g their monic gcd in Q[X].
 
     Heuristic gcd (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7,
-    1989) of the primitive integer coefficient lists A and B: evaluate both
-    at an integer xi >= 2 min(|A|, |B|) + 2 (|.| the largest absolute
-    coefficient), take g = gcd(A(xi), B(xi)) as integers, read the symmetric
-    base-xi digits of g (each in (-xi/2, xi/2]) as the coefficients of G,
-    and accept H = pp(G) once it divides A and B exactly.  Otherwise xi grows
-    and, after ``_HEU_TRIES`` points, the last member of the signed remainder
-    sequence is the answer.  The quotients of the accepting divisions, times
-    lc(H), are the cofactors a/g and b/g.
+    1989) of the integer coefficient lists A and B as they are, content and
+    all: evaluate both at an integer xi >= 2 min(|A|, |B|) + 2 (|.| the
+    largest absolute coefficient), take g = gcd(A(xi), B(xi)) as integers,
+    read the symmetric base-xi digits of g (each in (-xi/2, xi/2]) as the
+    coefficients of G, and accept H = pp(G) once it divides A and B exactly.
+    Otherwise xi grows and, after ``_HEU_TRIES`` points, the last member of
+    the signed remainder sequence (made primitive there) is the answer.  The
+    quotients of the accepting divisions, times lc(H), are the cofactors a/g
+    and b/g.  Only H is made primitive: no step below needs A or B to be.
 
     An accepted H is the gcd.  Let D be the primitive gcd of A and B.  Every
     root z of D is a root of both, so Cauchy's bound (|z| < 1 + |A| for a
-    root of A) gives |z| < 1 + min(|A|, |B|) <= xi/2, and any nonconstant
-    integer factor K of D has
-    |K(xi)| = |lc K| prod |xi - z| > (xi/2)^deg K >= xi/2.  The operand of
-    smaller norm has no root at xi either, so g > 0 and G(xi) = g.  Write
+    root of an integer list A, whatever its content) gives
+    |z| < 1 + min(|A|, |B|) <= xi/2, and any nonconstant integer factor K of
+    D has |K(xi)| = |lc K| prod |xi - z| > (xi/2)^deg K >= xi/2.  The operand
+    of smaller norm has no root at xi either, so g > 0 and G(xi) = g.  Write
     G = c H with c its content; H divides A and B, so D = H K with K in
-    Z[X] (Gauss), and H(xi) != 0.  D(xi) divides A(xi) and B(xi), so it
+    Z[X] (Gauss), and H(xi) != 0.  D divides A and B in Z[X], so D(xi)
     divides g = c H(xi), and K(xi) divides c.  As 0 < |c| <= xi/2, K is
-    constant.  In particular, a single digit g <= xi/2 proves coprimality.
-    A(xi) is taken modulo B(xi), with B the shorter operand, so a trial is
-    linear in deg A; when B(xi) = 0, the digits of g = |A(xi)| are A's own.
+    constant.  In particular, a single digit g <= xi/2 proves coprimality,
+    as K(xi) divides g for every factor K of D.  A(xi) is taken modulo
+    B(xi), with B the shorter operand, so a trial is linear in deg A; when
+    B(xi) = 0, the digits of g = |A(xi)| are A's own, and H = pp(A).
     """
     ai, bi = a.ints, b.ints
     if len(ai) < len(bi):
@@ -539,19 +542,19 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         if a_g := _cofactor(a, _strip_content(bi)):
             return b.monic(), a_g, _make([bi[1]], b.denom)
         return _ONE, a, b
-    pa, pb = _strip_content(ai), _strip_content(bi)
     # 29 rather than 2 (as in SymPy) makes a chance common factor of the two
-    # values above xi/2, and so a retry, rarer on small inputs: 250 instead of
-    # 2411 retries over the 22k gcds of 20k principal_generator calls.
-    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 29
+    # values above xi/2, and so a retry, rarer on small inputs: 268 instead of
+    # 2449 retries over the 20,014 gcds that reach a point in 20k
+    # principal_generator calls (the principality benchmark, seed 77).
+    xi = 2 * min(max(map(abs, ai)), max(map(abs, bi))) + 29
     for _ in range(_HEU_TRIES):
         # gcd(A(xi), B(xi)) = gcd(A(xi) mod B(xi), B(xi)), and the residue
         # takes time linear in deg A, where A(xi) itself is quadratic.
         bx = 0
-        for c in reversed(pb):
+        for c in reversed(bi):
             bx = bx * xi + c
         if bx:
-            g = igcd(_residue(pa, xi, bx), bx)
+            g = igcd(_residue(ai, xi, bx), bx)
             if 2 * g <= xi:
                 return _ONE, a, b
             h = []
@@ -565,12 +568,12 @@ def _gcd_cofactors(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial
         else:
             # B(xi) = 0 makes g = |A(xi)| > xi/2, whose digits are A itself
             # up to sign: B is then the operand of larger norm, so |A| < xi/2.
-            h = pa
-        if len(h) <= len(pb) and (b_g := _cofactor(b, h)):
+            h = _strip_content(ai)
+        if len(h) <= len(bi) and (b_g := _cofactor(b, h)):
             if a_g := _cofactor(a, h):
                 return _make(h, h[-1]), a_g, b_g
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011  # SymPy's growth, about xi^1.25
-    h = _signed_remainders(pa, pb)[-1]
+    h = _signed_remainders(ai, bi)[-1]
     return _make(h, h[-1]), _cofactor(a, h), _cofactor(b, h)
 
 

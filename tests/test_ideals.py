@@ -645,9 +645,11 @@ class TestReducedGenerator:
         # share 1 + X^2 fail the value test and take one poly_gcd, whose
         # is_gamma decides.  No divrem either: powers of 1 + X^2 leave T and
         # gamma by synthetic division, and (X, X^3) takes the gcd's linear
-        # branch, which reads X^3/X with _cofactor.
+        # branch, which reads X^3/X with _cofactor.  The gcd takes a content
+        # only of a candidate (or of a linear divisor): a coprime pair takes
+        # none, however much content it shares.
         counts = {"_gcd_cofactors": 0, "poly_gcd": 0, "make": 0, "_sturm_chain": 0,
-                  "divrem": 0, "__mul__": 0, "__add__": 0}
+                  "divrem": 0, "__mul__": 0, "__add__": 0, "_strip_content": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -665,6 +667,8 @@ class TestReducedGenerator:
                             staticmethod(counting("make", RationalFunction.make)))
         monkeypatch.setattr(realroots, "_sturm_chain",
                             counting("_sturm_chain", realroots._sturm_chain))
+        monkeypatch.setattr(polynomials, "_strip_content",
+                            counting("_strip_content", polynomials._strip_content))
         div = counting("divrem", polynomials.divrem)
         monkeypatch.setattr(polynomials, "divrem", div)
         monkeypatch.setattr(ideals, "divrem", div, raising=False)
@@ -684,10 +688,14 @@ class TestReducedGenerator:
                  ((elem(X**3 - X + 1, GAMMA * GAMMA), elem(2 * X**3 + X * X - 1, GAMMA * GAMMA)),
                   3, odd),
                  # M = X^2 + X: the gcd's cofactors X and 1 are taken as they come.
-                 ((elem(X**3 + X * X, GAMMA * GAMMA), elem(X * X + X, GAMMA * GAMMA)), 1, odd),
+                 ((elem(X**3 + X * X, GAMMA * GAMMA), elem(X * X + X, GAMMA * GAMMA)), 1,
+                  {**odd, "_strip_content": 1}),
+                 # Shared content 2, M = X + 1: one candidate is made primitive.
+                 ((elem(2 * X**3 + 2, GAMMA * GAMMA), elem(2 * X * X - 2, GAMMA * GAMMA)), 2,
+                  {**even, "_strip_content": 1}),
                  # The common denominator takes a gcd and three products.
                  ((elem(X), elem(Polynomial.one(), GAMMA * GAMMA)), 3,
-                  {"_gcd_cofactors": 2, "__mul__": 3})]
+                  {"_gcd_cofactors": 2, "__mul__": 3, "_strip_content": 1})]
         for (a, b), s, expected in cases:
             counts.update(dict.fromkeys(counts, 0))
             report = principal_generator(a, b)
@@ -696,4 +704,4 @@ class TestReducedGenerator:
         shared = [GAMMA, X * GAMMA]
         counts.update(dict.fromkeys(counts, 0))
         ideals._sum_of_squares(Polynomial.one(), shared, 3, shared)
-        assert counts == {**dict.fromkeys(counts, 0), "poly_gcd": 1}
+        assert counts == {**dict.fromkeys(counts, 0), "poly_gcd": 1, "_strip_content": 1}

@@ -701,6 +701,8 @@ class TestSympyOracle:
         # Pinned pairs whose first evaluation point gives a candidate that
         # fails the division check: with one point allowed they fall back to
         # the remainder sequence, with the default they succeed at a later one.
+        # The point and the values come from the lists as they are, content
+        # and all, so a pair's content moves it in or out of this set.
         sympy = pytest.importorskip("sympy")
         pairs = self._gcd_pairs()
         chains = self._count_chains(monkeypatch)
@@ -712,7 +714,7 @@ class TestSympyOracle:
             poly_gcd(a, b)
             if chains:
                 first_point_fails.append(i)
-        assert first_point_fails == [38, 48, 58, 94, 121, 163, 178, 197, 198, 246, 260, 277, 294, 307]
+        assert first_point_fails == [1, 48, 58, 61, 94, 121, 163, 178, 197, 198, 272, 294, 307, 327]
         monkeypatch.setattr(polynomials, "_HEU_TRIES", tries)
         chains.clear()
         self._check_gcds(sympy, [pairs[i] for i in first_point_fails])
@@ -817,12 +819,41 @@ class TestGcdCofactorBranches:
             assert check_cofactors(b, a)[0] == X + 1
         assert check_cofactors(X**2000 + 1, b)[0] == Polynomial.one()
 
+    def test_operands_with_content(self, monkeypatch):
+        # The points, values and digits come from the lists as they are; only
+        # a candidate H is made primitive.  Each pair is (a, b, gcd, points
+        # (_residue calls), the lists _strip_content is given).
+        calls = []
+        for name in ("_strip_content", "_residue"):
+            original = getattr(polynomials, name)
+            monkeypatch.setattr(polynomials, name, lambda c, *rest, name=name, original=original:
+                                calls.append((name, list(c))) or original(c, *rest))
+        cases = [
+            # Coprime with shared content 2: xi = 33, and one digit decides.
+            (2 * X**3 + 2 * X + 2, 2 * X * X + 4, Polynomial.one(), 1, []),
+            # gcd X + 1: the content 2 in the values makes the first candidate
+            # fail; the primitive pair needs one point.
+            (2 * (X + 1) * (X * X + 1), 2 * (X + 1) * (X - 3), X + 1, 2, [[-13, -12, 1], [2, 2]]),
+            ((X + 1) * (X * X + 1), (X + 1) * (X - 3), X + 1, 1, [[2, 2]]),
+            # xi = 2 * 2 + 29 = 33 is a root of B: the B(xi) = 0 branch takes
+            # H = pp(A) = X^2 + 1 with no residue, and H does not divide B;
+            # the next point decides.
+            (2 * X * X + 2, X * X - 32 * X - 33, Polynomial.one(), 1, [[2, 0, 2]]),
+        ]
+        for a, b, g, points, stripped in cases:
+            calls.clear()
+            assert _gcd_cofactors(a, b)[0] == g, (str(a), str(b))
+            assert [c for name, c in calls if name == "_residue"] == [list(a.ints)] * points
+            assert [c for name, c in calls if name == "_strip_content"] == stripped
+            check_cofactors(a, b)
+            check_cofactors(b, a)
+
     def test_retry_and_fallback(self, monkeypatch):
         # The pinned pairs whose first evaluation point fails the division
         # check take a later point; with no point at all the remainder
         # sequence answers.  Both give the same cofactors in the same order.
         pairs = TestSympyOracle._gcd_pairs()
-        retried = [pairs[i] for i in (38, 48, 58, 94, 121, 163, 178, 197, 198, 246)]
+        retried = [pairs[i] for i in (1, 48, 58, 61, 94, 121, 163, 178, 197, 198)]
         chains = TestSympyOracle._count_chains(monkeypatch)
         heuristic = [check_cofactors(a, b) for a, b in retried + pairs[::7]]
         assert chains == []
